@@ -1,11 +1,13 @@
 (* E15 — parallel recovery: journal replay wall-clock vs domain count.
 
-   Recovery replays runs of consecutive append records as windows: the
+   Recovery replays runs of consecutive append records as windows, each
+   one call of Db's record-and-fold step without the transaction
+   bracket ([Db.replay_appends], driven by [Durable.recover]): the
    records are recorded sequentially (watermarks, retention rings and
    the affected-view computation are order-sensitive and cheap), then
    each affected view's Δ-folds are chained in record order and the
    per-view chains — the expensive part — are handed to the domain
-   pool ({!Db.replay_appends}).  The available parallelism is therefore
+   pool.  The available parallelism is therefore
    the number of *independent view chains* in a window, not the number
    of records:
 

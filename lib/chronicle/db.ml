@@ -219,15 +219,31 @@ let registry t = t.registry
 let on_batch t hook = t.batch_hooks <- hook :: t.batch_hooks
 let has_batch_hooks t = t.batch_hooks <> []
 
-(* ---- the transaction path ----
+(* ---- the write operation ----
 
-   Validate → journal (write-ahead) → mark → mutate → commit → notify;
-   any exception between mark and commit rolls the group watermark, the
-   batch chronicles, every relation and every begun view back to their
-   pre-batch state, emits [Ev_abort] (so a journal can erase the
-   write-ahead record) and re-raises.  Subscribers and batch hooks run
-   strictly after commit: an exception there no longer aborts the
-   batch. *)
+   The paper's database has one write: append a batch to a chronicle
+   group at the next sequence number, then maintain every affected
+   persistent view incrementally.  A live append, a group commit, the
+   journal's final record and a recovery replay window are all that
+   operation over a list of [(sn, batch)] entries, built from three
+   pieces:
+
+   - [validate], the one batch check, run before anything is journaled;
+   - [record_and_fold], the step: record each entry in order (claim its
+     sequence number, store the batch, flush the relation updates that
+     have come due, list the affected views), then fold every affected
+     view as one chain of folds on the pool ([fold_chains]);
+   - [bracket], wrapped around the step for live appends, live groups
+     and the journal's final record: write-ahead event → chronicle,
+     relation and view marks → step → commit, or roll everything back
+     and emit [Ev_abort] (so a journal can erase the write-ahead
+     record) and re-raise → chronicle subscribers and batch hooks,
+     strictly after commit and in record order.
+
+   Replay windows run the step bare: no marks (a ring chronicle's undo
+   list does not grow with the window), no write-ahead event, and a
+   failure leaves the database partially replayed for the caller
+   (recovery) to discard. *)
 
 let dedup_affected views =
   let seen = Hashtbl.create 8 in
@@ -241,153 +257,324 @@ let dedup_affected views =
       end)
     views
 
-let transactional_append t g batch ~claim =
-  check_writable t "append";
-  (* 1. validate: batch shape, group membership, tuple types, sequence
-        number — all before the write-ahead record is emitted, so a batch
-        that can never commit is never journaled. *)
-  if batch = [] then invalid_arg "Db.append: empty batch";
+exception Entry_failed of { index : int; error : exn }
+
+let unwrap = function Entry_failed { error; _ } -> error | e -> e
+
+let validate t ~op g batch =
+  let batch =
+    List.map (fun (cname, tuples) -> (chronicle t cname, tuples)) batch
+  in
+  if batch = [] then invalid_arg (Printf.sprintf "Db.%s: empty batch" op);
   List.iter
     (fun (c, tuples) ->
       if not (Group.same (Chron.group c) g) then
         invalid_arg
-          (Printf.sprintf "Db.append: chronicle %s is not in group %s"
+          (Printf.sprintf "Db.%s: chronicle %s is not in group %s" op
              (Chron.name c) (Group.name g));
       Chron.check_batch c tuples)
     batch;
-  let wm = Group.watermark g in
-  let sn =
-    match claim with
-    | None -> wm + 1
-    | Some sn ->
-        if sn <= wm then
-          raise (Group.Stale_sequence_number { given = sn; watermark = wm });
-        sn
+  batch
+
+let validate_batch t ?group:gname batch =
+  let g = group t (Option.value ~default:t.default_group gname) in
+  ignore (validate t ~op:"append" g batch)
+
+type entry = {
+  g : Group.t;
+  sn : Seqnum.t;
+  batch : (Chron.t * Tuple.t list) list;
+}
+
+let pending_updates t =
+  Hashtbl.fold (fun _ r acc -> acc || Versioned.pending_count r > 0) t.relations false
+
+let reads_history_view v = Ca.reads_history (Sca.body (View.def v))
+
+(* Future-effective relation updates that have come due are proactive
+   for [sn]: they take effect before this batch's folds. *)
+let record t { g; sn; batch } =
+  Group.claim_sn g sn;
+  let tagged = List.map (fun (c, tuples) -> (c, Chron.record c sn tuples)) batch in
+  Hashtbl.iter (fun _ r -> Versioned.flush_pending r ~upto:(sn - 1)) t.relations;
+  ( tagged,
+    dedup_affected
+      (List.concat_map (fun (c, tg) -> Registry.affected t.registry c tg) tagged)
+  )
+
+(* Per-append work is probe-and-fold only: the body Δ-plan was compiled
+   once at registration and is replayed here. *)
+let fold_link t v ~sn ~tagged () =
+  (match t.fold_probe with Some probe -> probe ~view:(View.name v) ~sn | None -> ());
+  View.maintain v ~sn ~batch:tagged
+
+(* The fold scheduler.  A chain is one view's folds in record order —
+   the mandatory per-view ordering; distinct views' chains share only
+   read-only inputs (recorded batches, chronicle history, relation
+   states) and the atomic [Stats] counters, so they run across the
+   pool.  A link is [(entry index, fold)].  A failure cuts every link
+   not yet started that comes after it in (index, chain) order — work
+   the caller would discard — so at [jobs = 1] a single batch stops at
+   its first failing view, as a sequential loop would; and the failure
+   re-raised as [Entry_failed] is the lowest in that order, which does
+   not depend on scheduling. *)
+let fold_chains t chains =
+  let n = Array.length chains in
+  let cut = Atomic.make max_int in
+  let rec lower key =
+    let c = Atomic.get cut in
+    if key < c && not (Atomic.compare_and_set cut c key) then lower key
   in
-  (* 2. write-ahead: the journal record precedes every state mutation *)
+  let failures =
+    Exec.Pool.run_chains t.pool
+      (Array.mapi
+         (fun c links ->
+           Array.map
+             (fun (index, fold) () ->
+               let key = (index * n) + c in
+               if key < Atomic.get cut then
+                 try fold ()
+                 with error ->
+                   lower key;
+                   raise (Entry_failed { index; error }))
+             links)
+         chains)
+  in
+  let key = Atomic.get cut in
+  if key < max_int then raise (Option.get failures.(key mod n))
+
+(* Fold recorded entries [(index, sn, tagged, affected)], one chain per
+   view in order of first appearance — deterministic, since recording
+   runs in entry order and [Registry.affected] lists views in
+   registration order.  [open_view] runs on the submitting domain for
+   each view before the pool touches anything. *)
+let fold_recorded t ~open_view recs =
+  let order = ref [] and links = Hashtbl.create 8 in
+  List.iter
+    (fun (index, sn, tagged, affected) ->
+      List.iter
+        (fun v ->
+          let name = View.name v in
+          let cell =
+            match Hashtbl.find_opt links name with
+            | Some cell -> cell
+            | None ->
+                let cell = ref [] in
+                Hashtbl.add links name cell;
+                order := (v, cell) :: !order;
+                cell
+          in
+          cell := (index, fold_link t v ~sn ~tagged) :: !cell)
+        affected)
+    recs;
+  let order = List.rev !order in
+  List.iter (fun (v, _) -> open_view v) order;
+  fold_chains t
+    (Array.of_list (List.map (fun (_, cell) -> Array.of_list (List.rev !cell)) order))
+
+(* The record-and-fold step over [items], in order.  [prepare] turns an
+   item into the entry to record, or [None] to skip it (replay's
+   idempotence check); its failures, like recording's and folding's,
+   raise [Entry_failed] with the item's index.  Recorded entries are
+   folded at a barrier: after every entry when [interleave] (a later
+   batch's due relation updates must not be visible to an earlier
+   batch's fold), after any entry that affects a history-reading view
+   (recording further could evict the ring-retained tuples its fold
+   still reads), and at the end.  [folded] then sees the barrier's
+   entries as [(sn, tagged batch)], in record order. *)
+let record_and_fold t ~open_view ~interleave ~folded prepare items =
+  let recorded = ref [] in
+  let barrier () =
+    match List.rev !recorded with
+    | [] -> ()
+    | recs ->
+        recorded := [];
+        fold_recorded t ~open_view recs;
+        folded (List.map (fun (_, sn, tagged, _) -> (sn, tagged)) recs)
+  in
+  List.iteri
+    (fun index item ->
+      let indexed f =
+        try f () with error -> raise (Entry_failed { index; error })
+      in
+      match indexed (fun () -> prepare index item) with
+      | None -> ()
+      | Some e ->
+          let tagged, affected = indexed (fun () -> record t e) in
+          recorded := (index, e.sn, tagged, affected) :: !recorded;
+          if interleave || List.exists reads_history_view affected then
+            barrier ())
+    items;
+  barrier ()
+
+(* Every entry's chronicle subscribers, then every entry's batch
+   hooks, each walking the entries in record order. *)
+let announce t recorded =
+  List.iter
+    (fun (sn, tagged) -> List.iter (fun (c, tg) -> Chron.notify c sn tg) tagged)
+    recorded;
+  List.iter
+    (fun (sn, tagged) ->
+      List.iter (fun hook -> hook ~sn ~batch:tagged) (List.rev t.batch_hooks))
+    recorded
+
+(* The abort tail every write bracket shares, after its state is rolled
+   back: count the rollback, let the journal erase the write-ahead
+   record, re-raise. *)
+let abort t g ~sn e =
+  Stats.incr Stats.Rollback;
+  emit t (Ev_abort { group = Group.name g; sn });
+  raise e
+
+(* [entries]: non-empty, validated, sequence numbers strictly increasing
+   above [g]'s watermark.  [grouped] journals them as one [Ev_group]
+   and counts a group commit; otherwise the single entry is an
+   [Ev_append]. *)
+let bracket t g ~grouped entries =
+  let wm = Group.watermark g in
+  let first_sn = (List.hd entries).sn in
+  let named batch = List.map (fun (c, tuples) -> (Chron.name c, tuples)) batch in
   emit t
-    (Ev_append
-       {
-         group = Group.name g;
-         sn;
-         batch = List.map (fun (c, tuples) -> (Chron.name c, tuples)) batch;
-       });
-  (* 3. mark everything the batch may touch *)
-  let chron_marks = List.map (fun (c, _) -> (c, Chron.mark c)) batch in
+    (match entries with
+    | [ { sn; batch; _ } ] when not grouped ->
+        Ev_append { group = Group.name g; sn; batch = named batch }
+    | _ ->
+        Ev_group
+          {
+            group = Group.name g;
+            entries = List.map (fun e -> (e.sn, named e.batch)) entries;
+          });
+  let chron_marks =
+    List.fold_left
+      (fun marks e ->
+        List.fold_left
+          (fun marks (c, _) ->
+            if List.mem_assq c marks then marks else (c, Chron.mark c) :: marks)
+          marks e.batch)
+      [] entries
+  in
   let rel_marks =
     Hashtbl.fold (fun _ r acc -> (r, Versioned.mark r) :: acc) t.relations []
   in
-  (match claim with
-  | None -> ignore (Group.next_sn g)
-  | Some sn -> Group.claim_sn g sn);
-  match
-    (* 4. mutate: record the batch, flush due relation updates, fold the
-          affected views (each inside its own undo scope) *)
-    let tagged_batch =
-      List.map (fun (c, tuples) -> (c, Chron.record c sn tuples)) batch
-    in
-    (* future-effective relation updates that have come due take effect
-       before the views see this batch (they are proactive for [sn]) *)
-    Hashtbl.iter
-      (fun _ r -> Versioned.flush_pending r ~upto:(sn - 1))
-      t.relations;
-    let affected =
-      dedup_affected
-        (List.concat_map
-           (fun (c, tagged) -> Registry.affected t.registry c tagged)
-           tagged_batch)
-    in
-    let fold_one v =
-      (* per-append work is probe-and-fold only: the body Δ-plan was
-         compiled once at registration and is replayed here *)
-      (match t.fold_probe with
-      | Some probe -> probe ~view:(View.name v) ~sn
-      | None -> ());
-      View.maintain v ~sn ~batch:tagged_batch
-    in
-    let njobs = Exec.Pool.jobs t.pool in
-    if njobs <= 1 || List.length affected <= 1 then begin
-      (* the historical sequential path, byte-identical at jobs = 1 *)
-      let begun = ref [] in
-      (try
-         List.iter
-           (fun v ->
-             View.begin_txn v;
-             begun := v :: !begun;
-             fold_one v)
-           affected
-       with e ->
-         List.iter View.rollback_txn !begun;
-         raise e)
+  let begun = ref [] and begun_names = Hashtbl.create 8 in
+  let open_view v =
+    let name = View.name v in
+    if not (Hashtbl.mem begun_names name) then begin
+      Hashtbl.add begun_names name ();
+      View.begin_txn v;
+      begun := v :: !begun
     end
-    else begin
-      (* Parallel Δ-maintenance.  [affected] is deterministic
-         (registration order, deduplicated), partitioned into
-         contiguous ranges — one range per task, each view owned by
-         exactly one task, so the view's whole txn bracket
-         (begin/fold/commit-or-rollback bookkeeping) is single-domain
-         and needs no locking.  Shared inputs (the recorded batch,
-         chronicle history, relation states) are read-only for the
-         duration; the global [Stats] counters are atomic.  A failure
-         anywhere joins the pool first (all tasks finish or fail —
-         nothing is cancelled mid-fold), then rolls back every begun
-         view on this domain and re-raises the lowest-indexed failure,
-         which the enclosing handler turns into a full batch abort. *)
-      let views = Array.of_list affected in
-      let begun = Array.make (Array.length views) false in
-      let tasks =
-        Array.map
-          (fun (start, len) () ->
-            for i = start to start + len - 1 do
-              let v = views.(i) in
-              View.begin_txn v;
-              begun.(i) <- true;
-              fold_one v
-            done)
-          (Exec.Pool.chunk_ranges ~jobs:njobs (Array.length views))
-      in
-      match Exec.Pool.run t.pool tasks with
-      | exns when Array.for_all Option.is_none exns -> ()
-      | exns ->
-          Array.iteri
-            (fun i begun_i -> if begun_i then View.rollback_txn views.(i))
-            begun;
-          Array.iter (function Some e -> raise e | None -> ()) exns
-    end;
-    List.iter View.commit_txn affected;
-    tagged_batch
+  in
+  let recorded = ref [] in
+  match
+    record_and_fold t ~open_view ~interleave:(pending_updates t)
+      ~folded:(fun recs -> recorded := List.rev_append recs !recorded)
+      (fun _ e -> Some e)
+      entries
   with
-  | tagged_batch ->
-      (* 5. commit the marks, then notify (post-commit observers) *)
+  | () ->
+      List.iter View.commit_txn !begun;
       List.iter (fun (r, _) -> Versioned.commit r) rel_marks;
       List.iter (fun (c, _) -> Chron.commit c) chron_marks;
-      List.iter (fun (c, tagged) -> Chron.notify c sn tagged) tagged_batch;
-      List.iter
-        (fun hook -> hook ~sn ~batch:tagged_batch)
-        (List.rev t.batch_hooks);
-      sn
+      if grouped then begin
+        Stats.incr Stats.Group_commit;
+        Stats.record_max Stats.Group_size_max (List.length entries)
+      end;
+      announce t (List.rev !recorded)
   | exception e ->
+      List.iter View.rollback_txn !begun;
       List.iter (fun (r, m) -> Versioned.rollback r m) rel_marks;
       List.iter (fun (c, m) -> Chron.rollback c m) chron_marks;
       Group.rollback_watermark g wm;
-      Stats.incr Stats.Rollback;
-      emit t (Ev_abort { group = Group.name g; sn });
-      raise e
+      abort t g ~sn:first_sn (unwrap e)
+
+(* Live appends take the sequence numbers after the watermark. *)
+let append_live t ~op ~grouped g batches =
+  check_writable t op;
+  let batches = List.map (validate t ~op g) batches in
+  let wm = Group.watermark g in
+  let entries = List.mapi (fun i batch -> { g; sn = wm + 1 + i; batch }) batches in
+  bracket t g ~grouped entries;
+  List.map (fun e -> e.sn) entries
 
 let append t cname tuples =
-  let c = chronicle t cname in
-  transactional_append t (Chron.group c) [ (c, tuples) ] ~claim:None
-
-let resolve_batch t batch =
-  List.map (fun (cname, tuples) -> (chronicle t cname, tuples)) batch
+  let g = Chron.group (chronicle t cname) in
+  List.hd (append_live t ~op:"append" ~grouped:false g [ [ (cname, tuples) ] ])
 
 let append_multi t ?group:gname batch =
   let g = group t (Option.value ~default:t.default_group gname) in
-  transactional_append t g (resolve_batch t batch) ~claim:None
+  List.hd (append_live t ~op:"append" ~grouped:false g [ batch ])
 
-let append_at t ?group:gname ~sn batch =
+let append_group t ?group:gname batches =
   let g = group t (Option.value ~default:t.default_group gname) in
-  ignore (transactional_append t g (resolve_batch t batch) ~claim:(Some sn))
+  if batches = [] then invalid_arg "Db.append_group: empty group";
+  append_live t ~op:"append_group" ~grouped:true g batches
+
+(* ---- replay ---- *)
+
+type replay_entry = {
+  rgroup : string;
+  rsn : Seqnum.t;
+  rbatch : (string * Tuple.t list) list;
+}
+
+let replay_record t ~grouped entries =
+  check_writable t "replay_record";
+  let gname =
+    match entries with
+    | [ { rgroup; _ } ] -> rgroup
+    | { rgroup; _ } :: _ when grouped -> rgroup
+    | _ ->
+        invalid_arg
+          "Db.replay_record: an append record holds one entry, a group record \
+           at least one"
+  in
+  let g = group t gname in
+  List.iter
+    (fun { rgroup; _ } ->
+      if rgroup <> gname then
+        invalid_arg
+          (Printf.sprintf
+             "Db.replay_record: mixed groups in one record (%s vs %s)" gname
+             rgroup))
+    entries;
+  (* entries at or below the watermark are already covered by the
+     checkpoint (recovery idempotence); the rest apply in order *)
+  let wm = Group.watermark g in
+  (match List.filter (fun { rsn; _ } -> rsn > wm) entries with
+  | [] -> ()
+  | live ->
+      ignore
+        (List.fold_left
+           (fun prev { rsn; _ } ->
+             if rsn <= prev then
+               raise (Group.Stale_sequence_number { given = rsn; watermark = prev });
+             rsn)
+           wm live);
+      bracket t g ~grouped
+        (List.map
+           (fun { rsn; rbatch; _ } ->
+             { g; sn = rsn; batch = validate t ~op:"replay_record" g rbatch })
+           live));
+  Array.of_list (List.map (fun { rsn; _ } -> rsn > wm) entries)
+
+let replay_appends t entries =
+  check_writable t "replay_appends";
+  let outcomes = Array.make (List.length entries) false in
+  let prepare index { rgroup; rsn; rbatch } =
+    let g = group t rgroup in
+    if rsn <= Group.watermark g then None
+    else begin
+      outcomes.(index) <- true;
+      Some { g; sn = rsn; batch = validate t ~op:"replay_appends" g rbatch }
+    end
+  in
+  (* batch hooks observe each batch before the next is recorded, as in
+     a live run: they force the interleaved order *)
+  record_and_fold t ~open_view:ignore
+    ~interleave:(pending_updates t || t.batch_hooks <> [])
+    ~folded:(announce t) prepare entries;
+  outcomes
 
 (* Relation-row inserts follow the same write-ahead discipline as
    appends: validate every row, emit [Ev_insert] carrying the relation's
@@ -395,8 +582,7 @@ let append_at t ?group:gname ~sn batch =
    taken after the insert already holds the rows, and its cardinality
    exceeds [at], so recovery skips the record), then mutate under an
    undo mark.  A failure mid-batch (e.g. a key violation on a later row)
-   rolls the relation back and emits [Ev_abort] so the journal erases
-   the write-ahead record — rows land all-or-nothing. *)
+   rolls the relation back and aborts — rows land all-or-nothing. *)
 let insert_rows t rname rows =
   check_writable t "insert_rows";
   let r = relation t rname in
@@ -416,487 +602,9 @@ let insert_rows t rname rows =
     | () -> Versioned.commit r
     | exception e ->
         Versioned.rollback r m;
-        Stats.incr Stats.Rollback;
         let g = Versioned.group r in
-        emit t (Ev_abort { group = Group.name g; sn = Group.watermark g });
-        raise e
+        abort t g ~sn:(Group.watermark g) e
   end
-
-(* ---- the replay path ----
-
-   Recovery re-applies journaled append batches.  [append_at] (above)
-   does that one batch at a time through the fully transactional path;
-   [replay_appends] applies a *run* of batches with the Δ-folds of
-   independent views scheduled across the pool:
-
-     phase 1 (sequential, submitter only): for each record in order —
-       skip-check against the group watermark, validate, claim the
-       sequence number, record the batch into its chronicles, flush
-       due relation updates, and compute the affected-view set
-       (Registry.affected, registration-order deterministic);
-     phase 2 (parallel): group the recorded folds into per-view chains
-       (each view folds its batches in record order — the mandatory
-       per-view ordering) and submit the chains to the pool
-       (Exec.Pool.run_chains); distinct views' chains are independent
-       by the maintenance theorem, exactly as in the live path.
-
-   Pre-recording batch [i+1] before folding batch [i] is safe precisely
-   when no affected view's Δ reads retained history beyond its own
-   batch (Ca.reads_history): a history-reading fold forces a flush
-   barrier — fold everything recorded so far before recording further.
-   Order-sensitive observers (batch hooks, pending future-effective
-   relation updates) force the fully transactional per-record path;
-   chronicle subscribers and batch hooks otherwise fire in record order
-   after each flush, not interleaved with recording (unobservable in
-   recovery, which installs its sink and probes only after replay).
-
-   Unlike the live path this entry point is *not* transactional across
-   records: a failure raises [Replay_error] with the lowest failing
-   record index (deterministic at every degree — chains do not
-   interact, so the failure set is degree-independent) and leaves the
-   database partially replayed.  The intended caller (recovery) then
-   discards the in-memory database; nothing has touched storage. *)
-
-exception Replay_error of { index : int; error : exn }
-
-type replay_entry = {
-  rgroup : string;
-  rsn : Seqnum.t;
-  rbatch : (string * Tuple.t list) list;
-}
-
-let reads_history_view v = Ca.reads_history (Sca.body (View.def v))
-
-let replay_appends t entries =
-  check_writable t "replay_appends";
-  let entries = Array.of_list entries in
-  let n = Array.length entries in
-  let outcomes = Array.make n false in
-  let wrap i f =
-    try f () with
-    | Replay_error _ as e -> raise e
-    | e -> raise (Replay_error { index = i; error = e })
-  in
-  let order_sensitive =
-    t.batch_hooks <> []
-    || Hashtbl.fold
-         (fun _ r acc -> acc || Versioned.pending_count r > 0)
-         t.relations false
-  in
-  if order_sensitive then
-    (* hooks interleave with recording, pending relation updates come
-       due between folds: replay strictly one transactional batch at a
-       time, identical to [append_at] in a loop *)
-    Array.iteri
-      (fun i { rgroup; rsn; rbatch } ->
-        wrap i (fun () ->
-            let g = group t rgroup in
-            if rsn > Group.watermark g then begin
-              ignore
-                (transactional_append t g (resolve_batch t rbatch)
-                   ~claim:(Some rsn));
-              outcomes.(i) <- true
-            end))
-      entries
-  else begin
-    (* (index, sn, tagged batch, affected views), newest first *)
-    let recorded = ref [] in
-    let flush () =
-      match List.rev !recorded with
-      | [] -> ()
-      | recs ->
-          recorded := [];
-          (* per-view fold chains in order of first appearance (itself
-             deterministic: phase 1 runs in record order and
-             [Registry.affected] lists views in registration order) *)
-          let order = ref [] and links = Hashtbl.create 8 in
-          List.iter
-            (fun (i, sn, tagged, affected) ->
-              List.iter
-                (fun v ->
-                  let name = View.name v in
-                  let cell =
-                    match Hashtbl.find_opt links name with
-                    | Some cell -> cell
-                    | None ->
-                        let cell = ref [] in
-                        Hashtbl.add links name cell;
-                        order := (name, v) :: !order;
-                        cell
-                  in
-                  cell := (i, sn, tagged) :: !cell)
-                affected)
-            recs;
-          let chains =
-            Array.of_list
-              (List.rev_map
-                 (fun (name, v) ->
-                   Array.of_list
-                     (List.rev_map
-                        (fun (i, sn, tagged) () ->
-                          wrap i (fun () ->
-                              (match t.fold_probe with
-                              | Some probe -> probe ~view:name ~sn
-                              | None -> ());
-                              View.maintain v ~sn ~batch:tagged))
-                        !(Hashtbl.find links name)))
-                 !order)
-          in
-          let failures = Exec.Pool.run_chains t.pool chains in
-          let worst = ref None in
-          Array.iter
-            (function
-              | None -> ()
-              | Some (Replay_error { index; _ } as e) -> (
-                  match !worst with
-                  | Some (Replay_error { index = j; _ }) when j <= index -> ()
-                  | _ -> worst := Some e)
-              | Some e -> (
-                  (* chain links always wrap; defensive *)
-                  match !worst with None -> worst := Some e | Some _ -> ()))
-            failures;
-          (match !worst with Some e -> raise e | None -> ());
-          (* post-fold notifications, in record order *)
-          List.iter
-            (fun (_, sn, tagged, _) ->
-              List.iter (fun (c, tg) -> Chron.notify c sn tg) tagged)
-            recs
-    in
-    Array.iteri
-      (fun i { rgroup; rsn; rbatch } ->
-        wrap i (fun () ->
-            let g = group t rgroup in
-            if rsn > Group.watermark g then begin
-              let batch = resolve_batch t rbatch in
-              if batch = [] then invalid_arg "Db.replay_appends: empty batch";
-              List.iter
-                (fun (c, tuples) ->
-                  if not (Group.same (Chron.group c) g) then
-                    invalid_arg
-                      (Printf.sprintf
-                         "Db.replay_appends: chronicle %s is not in group %s"
-                         (Chron.name c) (Group.name g));
-                  Chron.check_batch c tuples)
-                batch;
-              emit t (Ev_append { group = rgroup; sn = rsn; batch = rbatch });
-              Group.claim_sn g rsn;
-              let tagged =
-                List.map (fun (c, tuples) -> (c, Chron.record c rsn tuples)) batch
-              in
-              Hashtbl.iter
-                (fun _ r -> Versioned.flush_pending r ~upto:(rsn - 1))
-                t.relations;
-              let affected =
-                dedup_affected
-                  (List.concat_map
-                     (fun (c, tg) -> Registry.affected t.registry c tg)
-                     tagged)
-              in
-              recorded := (i, rsn, tagged, affected) :: !recorded;
-              outcomes.(i) <- true;
-              if List.exists reads_history_view affected then
-                (* a history-reading fold must run before any later
-                   batch is recorded (recording could evict the
-                   ring-retained tuples it still needs) *)
-                flush ()
-            end))
-      entries;
-    flush ()
-  end;
-  outcomes
-
-(* ---- the group-commit path ----
-
-   [append_group] / [replay_group] apply a *group* of append batches as
-   one atomic unit under one write-ahead record ([Ev_group]): the
-   durability layer turns the whole group into a single journal append
-   and a single sync, amortizing the fsync that dominates per-append
-   cost under [Sync_always].  The protocol is the transactional path
-   stretched over n batches:
-
-     validate every batch up front (nothing unjournalable is ever
-     journaled) → emit [Ev_group] (write-ahead) → mark every chronicle
-     the group touches, every relation, and the group watermark once →
-     record + fold → commit all marks together → notify subscribers and
-     batch hooks per batch, in record order, strictly post-commit.
-
-   Any failure between mark and commit rolls the *whole* group back —
-   every begun view, every chronicle and relation mark, the watermark —
-   emits [Ev_abort] (the journal erases the group record) and re-raises:
-   a group is never partially visible, in memory or on disk.
-
-   Fold scheduling mirrors [replay_appends]: normally all batches are
-   recorded first and the folds grouped into per-view chains on the
-   pool (the combined-Δ fan-out; a view folds its batches in record
-   order, distinct views in parallel), with a flush barrier whenever an
-   affected view's Δ reads retained history.  Pending future-effective
-   relation updates force the interleaved record-then-fold order (a
-   later batch's [flush_pending] must not be visible to an earlier
-   batch's fold).  Batch hooks do not force a mode: they are deferred
-   to post-commit by the group protocol itself — callers for whom
-   per-batch hook timing is observable (e.g. the staging queue fronting
-   periodic/windowed views) should fall back to per-append commits via
-   {!has_batch_hooks}. *)
-
-exception Group_fold of { gindex : int; error : exn }
-
-let group_apply t g entries =
-  (* [entries : (sn * (Chron.t * tuples) list) list] — non-empty,
-     batches validated, sequence numbers strictly increasing and all
-     above the watermark (checked by both callers). *)
-  let wm = Group.watermark g in
-  let first_sn = match entries with (sn, _) :: _ -> sn | [] -> assert false in
-  emit t
-    (Ev_group
-       {
-         group = Group.name g;
-         entries =
-           List.map
-             (fun (sn, batch) ->
-               (sn, List.map (fun (c, tuples) -> (Chron.name c, tuples)) batch))
-             entries;
-       });
-  let chron_marks =
-    let seen = Hashtbl.create 8 in
-    List.concat_map
-      (fun (_, batch) ->
-        List.filter_map
-          (fun (c, _) ->
-            let name = Chron.name c in
-            if Hashtbl.mem seen name then None
-            else begin
-              Hashtbl.add seen name ();
-              Some (c, Chron.mark c)
-            end)
-          batch)
-      entries
-  in
-  let rel_marks =
-    Hashtbl.fold (fun _ r acc -> (r, Versioned.mark r) :: acc) t.relations []
-  in
-  let begun = ref [] and begun_names = Hashtbl.create 8 in
-  let begin_view v =
-    let name = View.name v in
-    if not (Hashtbl.mem begun_names name) then begin
-      Hashtbl.add begun_names name ();
-      View.begin_txn v;
-      begun := v :: !begun
-    end
-  in
-  let probe name sn =
-    match t.fold_probe with Some p -> p ~view:name ~sn | None -> ()
-  in
-  let record_one sn batch =
-    Group.claim_sn g sn;
-    let tagged =
-      List.map (fun (c, tuples) -> (c, Chron.record c sn tuples)) batch
-    in
-    Hashtbl.iter (fun _ r -> Versioned.flush_pending r ~upto:(sn - 1)) t.relations;
-    let affected =
-      dedup_affected
-        (List.concat_map
-           (fun (c, tg) -> Registry.affected t.registry c tg)
-           tagged)
-    in
-    (tagged, affected)
-  in
-  match
-    let order_sensitive =
-      Hashtbl.fold
-        (fun _ r acc -> acc || Versioned.pending_count r > 0)
-        t.relations false
-    in
-    if order_sensitive then
-      (* record + fold batch by batch, inside the group-wide bracket *)
-      List.map
-        (fun (sn, batch) ->
-          let tagged, affected = record_one sn batch in
-          List.iter begin_view affected;
-          List.iter
-            (fun v ->
-              probe (View.name v) sn;
-              View.maintain v ~sn ~batch:tagged)
-            affected;
-          (sn, tagged))
-        entries
-    else begin
-      (* windowed: record everything, then hand per-view fold chains to
-         the pool — the combined-Δ fan-out *)
-      let recorded = ref [] in
-      let flush () =
-        match List.rev !recorded with
-        | [] -> ()
-        | recs ->
-            recorded := [];
-            (* chains in order of first appearance: deterministic, since
-               recording runs in group order and [Registry.affected]
-               lists views in registration order *)
-            let order = ref [] and links = Hashtbl.create 8 in
-            List.iter
-              (fun (i, sn, tagged, affected) ->
-                List.iter
-                  (fun v ->
-                    let name = View.name v in
-                    let cell =
-                      match Hashtbl.find_opt links name with
-                      | Some cell -> cell
-                      | None ->
-                          let cell = ref [] in
-                          Hashtbl.add links name cell;
-                          order := (name, v) :: !order;
-                          cell
-                    in
-                    cell := (i, sn, tagged) :: !cell)
-                  affected)
-              recs;
-            let order = List.rev !order in
-            (* txn brackets are per-view bookkeeping: open them on the
-               submitting domain before the pool touches anything *)
-            List.iter (fun (_, v) -> begin_view v) order;
-            let chains =
-              Array.of_list
-                (List.map
-                   (fun (name, v) ->
-                     Array.of_list
-                       (List.rev_map
-                          (fun (i, sn, tagged) () ->
-                            try
-                              probe name sn;
-                              View.maintain v ~sn ~batch:tagged
-                            with e -> raise (Group_fold { gindex = i; error = e }))
-                          !(Hashtbl.find links name)))
-                   order)
-            in
-            let failures = Exec.Pool.run_chains t.pool chains in
-            (* deterministic at every degree: re-raise the failure of
-               the lowest-indexed batch (chains are independent, so the
-               failure set does not depend on the parallelism) *)
-            let worst = ref None in
-            Array.iter
-              (function
-                | None -> ()
-                | Some (Group_fold { gindex; _ } as e) -> (
-                    match !worst with
-                    | Some (Group_fold { gindex = j; _ }) when j <= gindex -> ()
-                    | _ -> worst := Some e)
-                | Some e -> (
-                    (* chain links always wrap; defensive *)
-                    match !worst with None -> worst := Some e | Some _ -> ()))
-              failures;
-            (match !worst with
-            | Some (Group_fold { error; _ }) -> raise error
-            | Some e -> raise e
-            | None -> ())
-      in
-      let tagged_entries =
-        List.mapi
-          (fun i (sn, batch) ->
-            let tagged, affected = record_one sn batch in
-            recorded := (i, sn, tagged, affected) :: !recorded;
-            if List.exists reads_history_view affected then
-              (* a history-reading fold must run before any later batch
-                 is recorded (recording could evict the ring-retained
-                 tuples it still needs) *)
-              flush ();
-            (sn, tagged))
-          entries
-      in
-      flush ();
-      tagged_entries
-    end
-  with
-  | tagged_entries ->
-      List.iter View.commit_txn !begun;
-      List.iter (fun (r, _) -> Versioned.commit r) rel_marks;
-      List.iter (fun (c, _) -> Chron.commit c) chron_marks;
-      Stats.incr Stats.Group_commit;
-      Stats.record_max Stats.Group_size_max (List.length entries);
-      (* post-commit observers, in record order — first all subscriber
-         notifications, then the batch hooks, each walking the group in
-         order *)
-      List.iter
-        (fun (sn, tagged) ->
-          List.iter (fun (c, tg) -> Chron.notify c sn tg) tagged)
-        tagged_entries;
-      List.iter
-        (fun (sn, tagged) ->
-          List.iter
-            (fun hook -> hook ~sn ~batch:tagged)
-            (List.rev t.batch_hooks))
-        tagged_entries
-  | exception e ->
-      List.iter View.rollback_txn !begun;
-      List.iter (fun (r, m) -> Versioned.rollback r m) rel_marks;
-      List.iter (fun (c, m) -> Chron.rollback c m) chron_marks;
-      Group.rollback_watermark g wm;
-      Stats.incr Stats.Rollback;
-      emit t (Ev_abort { group = Group.name g; sn = first_sn });
-      raise e
-
-let validate_group_batch ~ctx g batch =
-  if batch = [] then invalid_arg (Printf.sprintf "Db.%s: empty batch" ctx);
-  List.iter
-    (fun (c, tuples) ->
-      if not (Group.same (Chron.group c) g) then
-        invalid_arg
-          (Printf.sprintf "Db.%s: chronicle %s is not in group %s" ctx
-             (Chron.name c) (Group.name g));
-      Chron.check_batch c tuples)
-    batch
-
-let append_group t ?group:gname batches =
-  check_writable t "append_group";
-  let g = group t (Option.value ~default:t.default_group gname) in
-  if batches = [] then invalid_arg "Db.append_group: empty group";
-  let batches = List.map (resolve_batch t) batches in
-  List.iter (validate_group_batch ~ctx:"append_group" g) batches;
-  let wm = Group.watermark g in
-  let entries = List.mapi (fun i batch -> (wm + 1 + i, batch)) batches in
-  group_apply t g entries;
-  List.map fst entries
-
-let replay_group t entries =
-  check_writable t "replay_group";
-  let n = List.length entries in
-  if n = 0 then invalid_arg "Db.replay_group: empty group";
-  let gname = (List.hd entries).rgroup in
-  let g = group t gname in
-  List.iter
-    (fun { rgroup; _ } ->
-      if rgroup <> gname then
-        invalid_arg
-          (Printf.sprintf
-             "Db.replay_group: mixed groups in one record (%s vs %s)" gname
-             rgroup))
-    entries;
-  let outcomes = Array.make n false in
-  let wm = Group.watermark g in
-  (* entries at or below the watermark are already covered by the
-     checkpoint (recovery idempotence); the rest must apply in order *)
-  let live =
-    List.filteri (fun i { rsn; _ } -> rsn > wm && (outcomes.(i) <- true; true))
-      entries
-  in
-  (match live with
-  | [] -> ()
-  | live ->
-      ignore
-        (List.fold_left
-           (fun prev { rsn; _ } ->
-             if rsn <= prev then
-               raise (Group.Stale_sequence_number { given = rsn; watermark = prev });
-             rsn)
-           wm live);
-      let resolved =
-        List.map
-          (fun { rsn; rbatch; _ } ->
-            let batch = resolve_batch t rbatch in
-            validate_group_batch ~ctx:"replay_group" g batch;
-            (rsn, batch))
-          live
-      in
-      group_apply t g resolved);
-  outcomes
 
 (* ---- the retraction path (ℤ-weighted deltas) ----
 
@@ -907,11 +615,12 @@ let replay_group t entries =
    retained history, and views whose bodies read history outright
    ([Ca.CrossChron]/[Ca.ThetaJoinChron]) are rematerialized.  The
    protocol mirrors the append path — validate → journal (write-ahead
-   [Ev_retract]) → snapshot → mutate → apply — but the undo is coarse:
-   a pre-mutation [View.dump_w] per affected view plus the chronicle's
-   stored window, restored wholesale on any failure (retraction is
-   rare; paying O(|V|) for an airtight rollback beats threading a
-   weighted undo log through every operator). *)
+   [Ev_retract]) → snapshot → mutate → apply, on the same fold
+   scheduler — but the undo is coarse: a pre-mutation [View.dump_w] per
+   affected view plus the chronicle's stored window, restored wholesale
+   on any failure (retraction is rare; paying O(|V|) for an airtight
+   rollback beats threading a weighted undo log through every
+   operator). *)
 
 let untag tu = Array.sub tu 1 (Array.length tu - 1)
 
@@ -939,8 +648,9 @@ let rematerialize t v =
   View.apply_delta v initial
 
 (* Retract the given user rows at one sequence number and propagate the
-   weighted delta to every non-history-reading affected view (the
-   caller rematerializes the history readers once at the end). *)
+   weighted delta to every non-history-reading affected view, one
+   single-link chain per view (the caller rematerializes the history
+   readers once at the end). *)
 let retract_at t c ~sn ~rows =
   let tagged = List.map (Chron.tag sn) rows in
   let wbatch = [ (c, List.map (fun tu -> (tu, -1)) tagged) ] in
@@ -965,33 +675,15 @@ let retract_at t c ~sn ~rows =
       live
   in
   Chron.remove_stored c sn rows;
-  let apply_one (v, body, slice_chrons, before) =
+  let apply_one (v, body, slice_chrons, before) () =
     let after = List.map (fun ch -> (ch, Chron.at_sn ch sn)) slice_chrons in
     let wdelta =
       Delta.run_weighted (View.plan v) ~sn ~wbatch ~before ~after
     in
     View.apply_weighted v ~body:(fun () -> Eval.eval body) wdelta
   in
-  let njobs = Exec.Pool.jobs t.pool in
-  if njobs <= 1 || List.length prepared <= 1 then
-    List.iter apply_one prepared
-  else begin
-    (* same contiguous-range partitioning as the append path: each view
-       is owned by exactly one task; failures join the pool first, then
-       the lowest-indexed exception re-raises into the coarse undo *)
-    let work = Array.of_list prepared in
-    let tasks =
-      Array.map
-        (fun (start, len) () ->
-          for i = start to start + len - 1 do
-            apply_one work.(i)
-          done)
-        (Exec.Pool.chunk_ranges ~jobs:njobs (Array.length work))
-    in
-    match Exec.Pool.run t.pool tasks with
-    | exns when Array.for_all Option.is_none exns -> ()
-    | exns -> Array.iter (function Some e -> raise e | None -> ()) exns
-  end
+  fold_chains t
+    (Array.of_list (List.map (fun p -> [| (0, apply_one p) |]) prepared))
 
 (* Apply fully resolved retraction entries ([(sn, user rows)] with sn
    ascending) under the write-ahead + coarse-undo bracket. *)
@@ -1018,9 +710,7 @@ let retract_resolved t c entries =
   | exception e ->
       Chron.reset_store c saved_store;
       List.iter (fun (v, d) -> View.restore_w v d) saved_views;
-      Stats.incr Stats.Rollback;
-      emit t (Ev_abort { group = Group.name g; sn = Group.watermark g });
-      raise e
+      abort t g ~sn:(Group.watermark g) (unwrap e)
 
 (* Resolve requested user rows to stored occurrences, newest occurrence
    first per row (deterministic), and group the claims by sequence

@@ -5,21 +5,27 @@ open Relational
     language (here: {!Sca}, statically classified by {!Classify}), and
     persistent views.
 
-    [append] is the transaction path: record the batch, flush
+    The database has one write operation, shared by every append entry
+    point and by recovery: record a list of [(sn, batch)] entries in
+    order — claim each sequence number, store the batch, flush the
     future-effective relation updates that have come due, identify the
-    affected persistent views through the registry (§5.2), and fold the
-    Δ of each one — reading neither stored chronicle history nor any
-    intermediate view.
+    affected persistent views through the registry (§5.2) — and fold
+    the Δ of each affected view, reading neither stored chronicle
+    history nor any intermediate view.  Each view's folds run as one
+    ordered chain; distinct views' chains run across the maintenance
+    pool.
 
-    The path is {e atomic}: if anything raises while the batch is being
-    recorded or folded, the group watermark, the batch chronicles, every
-    relation and every touched view are rolled back to their pre-batch
-    state before the exception propagates — no partially-maintained view
-    is ever observable ([Stats.Rollback] counts such aborts).
-    Subscribers ({!Chron.on_append}) and batch hooks ({!on_batch}) run
-    strictly after commit.  A durability layer can watch the path
-    through {!set_txn_sink} (write-ahead journaling) and inject faults
-    through {!set_fold_probe}. *)
+    Live writes are {e atomic}: the step runs inside one bracket — the
+    write-ahead event first, then marks on the group watermark, the
+    batch chronicles, every relation and every touched view; if
+    anything raises while the entries are being recorded or folded, all
+    of it is rolled back before the exception propagates, so no
+    partially-maintained view is ever observable ([Stats.Rollback]
+    counts such aborts).  Subscribers ({!Chron.on_append}) and batch
+    hooks ({!on_batch}) run strictly after commit, in record order.  A
+    durability layer can watch the bracket through {!set_txn_sink}
+    (write-ahead journaling) and inject faults through
+    {!set_fold_probe}. *)
 
 type t
 
@@ -129,12 +135,6 @@ val append_multi : t -> ?group:string -> (string * Tuple.t list) list -> Seqnum.
 (** One batch spanning several chronicles of one group under a single
     sequence number. *)
 
-val append_at : t -> ?group:string -> sn:Seqnum.t -> (string * Tuple.t list) list -> unit
-(** Like {!append_multi} with a caller-chosen sequence number (the
-    journal-replay path of recovery: batches are re-applied under their
-    original numbers).  Raises [Group.Stale_sequence_number] if [sn]
-    does not exceed the group watermark. *)
-
 val append_group : t -> ?group:string -> (string * Tuple.t list) list list -> Seqnum.t list
 (** Group commit: apply several append batches as {e one atomic unit}
     under a single write-ahead record ([Ev_group] — one journal append,
@@ -151,6 +151,14 @@ val append_group : t -> ?group:string -> (string * Tuple.t list) list list -> Se
     {!has_batch_hooks} and fall back to per-append commits.
     Raises [Invalid_argument] on an empty group, an empty batch, or a
     chronicle outside [group] — before anything is journaled. *)
+
+val validate_batch : t -> ?group:string -> (string * Tuple.t list) list -> unit
+(** The check every append entry point runs before its write-ahead
+    record: the batch is non-empty, its chronicles exist ({!Unknown}
+    otherwise) and belong to [group] (default: the default group), and
+    every tuple matches its chronicle's schema ([Invalid_argument]
+    otherwise).  Exposed so a staging queue can reject an append that
+    could never commit before enqueueing it. *)
 
 val has_batch_hooks : t -> bool
 (** Whether any {!on_batch} hook is registered (see {!append_group}). *)
@@ -215,17 +223,9 @@ val advance_clock : t -> ?group:string -> Seqnum.chronon -> unit
 
 (** {2 Replay}
 
-    Recovery re-applies journaled append batches.  {!append_at} does it
-    one transactional batch at a time; {!replay_appends} applies a run
-    of batches with the per-view Δ-folds scheduled across the
-    maintenance pool. *)
-
-exception Replay_error of { index : int; error : exn }
-(** A record of a {!replay_appends} run failed.  [index] is the
-    position of the {e lowest} failing entry in the submitted list — a
-    deterministic choice at every parallelism degree, because distinct
-    views' fold chains do not interact, so which folds fail is
-    independent of scheduling. *)
+    Recovery re-applies journaled append and group records through the
+    same record-and-fold step as live appends, at their original
+    sequence numbers. *)
 
 type replay_entry = {
   rgroup : string;  (** chronicle group name *)
@@ -233,10 +233,29 @@ type replay_entry = {
   rbatch : (string * Tuple.t list) list;  (** user tuples, untagged *)
 }
 
+val replay_record : t -> grouped:bool -> replay_entry list -> bool array
+(** Re-apply one journaled record atomically, inside the live bracket:
+    an append record ([grouped = false], exactly one entry, journaled
+    as [Ev_append]) or a group record ([grouped = true], entries of one
+    chronicle group, journaled as [Ev_group] and counted as a group
+    commit).  Entries at or below the group watermark are skipped
+    ([false] — the idempotent recovery case); the rest must carry
+    strictly increasing sequence numbers ([Group.Stale_sequence_number]
+    otherwise) and apply as one unit.  On failure the whole record is
+    rolled back and the exception re-raised, so recovery can treat a
+    dying process's final record as applied-or-dropped, never torn. *)
+
+exception Entry_failed of { index : int; error : exn }
+(** Entry [index] of a {!replay_appends} run failed with [error].
+    [index] is the position of the {e lowest} failing entry in the
+    submitted list — a deterministic choice at every parallelism
+    degree, because distinct views' fold chains do not interact, so
+    which folds fail is independent of scheduling. *)
+
 val replay_appends : t -> replay_entry list -> bool array
-(** Re-apply the entries in order; return per-entry [true] = applied,
-    [false] = skipped (its sequence number is already at or below the
-    group watermark — the idempotent-recovery case).
+(** Re-apply a window of entries in order, {e without} the bracket;
+    return per-entry [true] = applied, [false] = skipped (its sequence
+    number is already at or below the group watermark).
 
     Recording is strictly sequential and in submission order; the
     Δ-folds are grouped into per-view chains (each view folds its
@@ -245,26 +264,16 @@ val replay_appends : t -> replay_entry list -> bool array
     reaches are identical at every degree.  A view whose Δ reads
     retained history beyond its batch ({!Ca.reads_history}) forces a
     fold barrier before the next entry is recorded, preserving
-    sequential ring-retention semantics.  If batch hooks are registered
-    or a relation holds pending future-effective updates, the whole run
-    degrades to {!append_at}-equivalent sequential transactions
-    (order-sensitive observers); otherwise chronicle subscribers fire
-    in record order after each fold barrier rather than interleaved
-    with recording.
+    sequential ring-retention semantics; pending future-effective
+    relation updates and registered batch hooks force a barrier after
+    every entry.  Chronicle subscribers and batch hooks fire after each
+    barrier, in record order.  No write-ahead event is emitted and no
+    undo marks are taken, so memory does not grow with the window.
 
     {b Not} transactional across entries: a failure raises
-    {!Replay_error} carrying the lowest failing index and leaves the
+    {!Entry_failed} carrying the lowest failing index and leaves the
     database partially replayed — the intended caller (recovery)
     discards the in-memory database on failure. *)
-
-val replay_group : t -> replay_entry list -> bool array
-(** Recovery twin of {!append_group}: re-apply a journaled group record
-    atomically under its original sequence numbers.  Entries at or
-    below the group watermark are skipped ([false] — the idempotent
-    recovery case); the remainder applies as one unit.  All entries
-    must name the same chronicle group.  On failure the whole group is
-    rolled back and the exception re-raised, so recovery can treat a
-    dying process's final group as applied-or-dropped, never torn. *)
 
 (** {2 Transaction events}
 

@@ -147,12 +147,12 @@ let sexp_of_event (ev : Db.txn_event) =
    record was applied. *)
 
 type parsed =
-  | P_append of Db.replay_entry
-  | P_group of Db.replay_entry list
-      (* one group-commit record: applied atomically when it is the
+  | P_append of { grouped : bool; entries : Db.replay_entry list }
+      (* one append record (a single entry) or group-commit record:
+         applied atomically through [Db.replay_record] when it is the
          journal's final record, flattened into the replay window
-         otherwise (a non-final group is fully committed by
-         construction — its record survived the next write) *)
+         otherwise (a non-final record is fully committed by
+         construction — it survived the next write) *)
   | P_insert of { relation : string; rows : Tuple.t list; at : int }
       (* one Db.insert_rows batch; [at] is the relation's pre-insert
          cardinality, the idempotence marker (see Db.Ev_insert) *)
@@ -206,7 +206,7 @@ let parse_record ~record sexp =
             let rgroup = group_field () in
             let rsn = Sexp.to_int (Sexp.field fields "sn") in
             let rbatch = batch_of_sexp (Sexp.field fields "batch") in
-            P_append { Db.rgroup; rsn; rbatch }
+            P_append { grouped = false; entries = [ { Db.rgroup; rsn; rbatch } ] }
         | "group" ->
             let rgroup = group_field () in
             let entries =
@@ -220,7 +220,7 @@ let parse_record ~record sexp =
                 (Sexp.to_list (Sexp.field fields "entries"))
             in
             if entries = [] then fail "empty group record";
-            P_group entries
+            P_append { grouped = true; entries }
         | "insert" ->
             P_insert
               {
@@ -293,17 +293,11 @@ let parse_record ~record sexp =
   | _ -> corrupt record "malformed journal record"
 
 let apply_parsed db = function
-  | P_append { Db.rgroup; rsn; rbatch } ->
-      if rsn <= Group.watermark (Db.group db rgroup) then false
-      else begin
-        Db.append_at db ~group:rgroup ~sn:rsn rbatch;
-        true
-      end
-  | P_group entries ->
-      (* atomic: the whole group applies or none of it does — this is
+  | P_append { grouped; entries } ->
+      (* atomic: the whole record applies or none of it does — this is
          the path the journal's *final* record takes, so a process that
          died mid-group recovers to pre-group or post-group state *)
-      Array.exists Fun.id (Db.replay_group db entries)
+      Array.exists Fun.id (Db.replay_record db ~grouped entries)
   | P_insert { relation; rows; at } ->
       (* skip iff the rows are already present: the language surface is
          insert-only for relations, so live cardinality is monotone and
@@ -786,14 +780,16 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?heavy_threshold
           located
       in
       let n = Array.length parsed in
-      (* stage 3: replay.  Runs of consecutive append records (the
-         common journal shape) are dispatched as one window through
-         [Db.replay_appends], which schedules independent views' fold
+      (* stage 3: replay.  Runs of consecutive append and group records
+         (the common journal shape) are dispatched as one window through
+         [Db.replay_appends] — Db's record-and-fold step without its
+         transaction bracket — which schedules independent views' fold
          chains across the database's pool; catalog/clock records are
          scheduling barriers replayed one at a time; and the journal's
-         final record always replays alone through the transactional
-         path, keeping the classic semantics of a batch that died with
-         the crashed process (applied-or-dropped, never half-applied).
+         final record always replays alone through the bracket
+         ([Db.replay_record]), keeping the classic semantics of a batch
+         that died with the crashed process (applied-or-dropped, never
+         half-applied).
          Every degree — including [jobs = 1], where the pool runs
          inline — takes this same path, so recovered state is identical
          across degrees. *)
@@ -807,9 +803,7 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?heavy_threshold
           dropped_failed := true
         else raise (Recovery_error { record = i; reason = Printexc.to_string e })
   in
-  let is_append k =
-    match parsed.(k) with P_append _ | P_group _ -> true | _ -> false
-  in
+  let is_append k = match parsed.(k) with P_append _ -> true | _ -> false in
   let i = ref 0 in
   while !i < n do
     if is_append !i && !i < n - 1 then begin
@@ -826,12 +820,7 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?heavy_threshold
       while !scan do
         if !j < n - 1 then
           match parsed.(!j) with
-          | P_append e ->
-              entries := [ e ] :: !entries;
-              spans := (!j, !flat, 1) :: !spans;
-              incr flat;
-              incr j
-          | P_group es ->
+          | P_append { entries = es; _ } ->
               let len = List.length es in
               entries := es :: !entries;
               spans := (!j, !flat, len) :: !spans;
@@ -851,7 +840,7 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?heavy_threshold
               done;
               count !applied)
             !spans
-      | exception Db.Replay_error { index; error } ->
+      | exception Db.Entry_failed { index; error } ->
           let record =
             match
               List.find_opt

@@ -20,7 +20,8 @@ open Chronicle_core
        every instant, checkpoint + journal describe the database.}
     {- {b Recovery.}  {!recover} loads the last checkpoint and replays
        the journal suffix through the normal delta-maintenance path
-       ({!Db.append_at}): views are rebuilt by the same folds that
+       (Db's record-and-fold step, {!Db.replay_appends} and
+       {!Db.replay_record}): views are rebuilt by the same folds that
        built them live, never by scanning chronicle history.  A torn
        final record is dropped; a checksum mismatch raises
        {!Journal.Journal_corrupt}.  Replay is idempotent (records
@@ -34,8 +35,9 @@ open Chronicle_core
     throughput story of batched appends under [Sync_always].  On
     recovery a non-final group record is flattened into the replay
     window (it is fully committed — its record survived the next
-    write); the journal's {e final} record, if a group, is re-applied
-    atomically through {!Db.replay_group}, so a process that died
+    write); the journal's {e final} record, append or group, is
+    re-applied atomically through {!Db.replay_record} — the live
+    bracket at the journaled sequence numbers — so a process that died
     mid-group recovers to pre-group or post-group state, never a
     partial group.  Report counts stay record-granular: a group record
     counts once, replayed if any of its batches applied.
@@ -205,8 +207,9 @@ val recover :
     the batch that died with the crashed process: it is dropped
     ([dropped_failed]) and its journal record erased.
 
-    Replay is parallel: runs of consecutive append records are
-    dispatched as windows through {!Db.replay_appends}, which records
+    Replay is parallel: runs of consecutive append and group records
+    are dispatched as windows through {!Db.replay_appends} (the
+    record-and-fold step without the bracket), which records
     batches in journal order and schedules each view's ordered fold
     chain across the database's pool ([jobs], as {!Db.create}).
     Catalog and clock records, history-reading views

@@ -129,26 +129,16 @@ let set_batch t n =
 (* ---- staging ---- *)
 
 let stage t ?group:gname batch =
-  let g =
-    match gname with
-    | Some n -> Db.group t.db n
-    | None -> Db.default_group t.db
+  (* eager validation (Db's own batch check): an append that could never
+     commit fails here, synchronously, and is never enqueued — so a
+     staged append can only fail later through its whole group
+     aborting *)
+  Db.validate_batch t.db ?group:gname batch;
+  let sgroup =
+    match gname with Some n -> n | None -> Cg.name (Db.default_group t.db)
   in
-  (* eager validation: an append that could never commit fails here,
-     synchronously, and is never enqueued — so a staged append can only
-     fail later through its whole group aborting *)
-  if batch = [] then invalid_arg "Group.stage: empty batch";
-  List.iter
-    (fun (cname, tuples) ->
-      let c = Db.chronicle t.db cname in
-      if not (Cg.same (Chron.group c) g) then
-        invalid_arg
-          (Printf.sprintf "Group.stage: chronicle %s is not in group %s" cname
-             (Cg.name g));
-      Chron.check_batch c tuples)
-    batch;
   let ticket = { outcome = Pending } in
-  let s = { id = t.next_id; ticket; sgroup = Cg.name g; sbatch = batch } in
+  let s = { id = t.next_id; ticket; sgroup; sbatch = batch } in
   t.next_id <- t.next_id + 1;
   t.queue <- s :: t.queue;
   t.queued <- t.queued + 1;

@@ -115,6 +115,61 @@ let test_future_effective_update_via_append_path () =
   check_bool "sn3 in CA" true
     (Db.summary db ~view:"by_state" [ vs "CA" ] = Some (tup [ vs "CA"; vi 40 ]))
 
+(* A future-effective update that comes due in the middle of a group
+   commit: the group records and folds batch by batch, so each batch
+   sees exactly the relation version the same batches appended one by
+   one would see — at every parallelism degree. *)
+let test_pending_update_mid_group () =
+  let run ~jobs ~grouped =
+    let db = Db.create ~jobs () in
+    ignore (Db.add_chronicle db ~name:"mileage" mileage_schema);
+    let cust =
+      Db.add_relation db ~name:"customers" ~schema:Fixtures.customer_schema
+        ~key:[ "cust" ] ()
+    in
+    Versioned.insert cust (tup [ vi 1; vs "NJ" ]);
+    Versioned.insert cust (tup [ vi 2; vs "NY" ]);
+    let c = Db.chronicle db "mileage" in
+    ignore
+      (Db.define_view db
+         (Sca.define ~name:"by_state"
+            ~body:
+              (Ca.KeyJoinRel
+                 (Ca.Chronicle c, Versioned.relation cust, [ ("acct", "cust") ]))
+            (Sca.Group_agg ([ "state" ], [ Aggregate.sum "miles" "m" ]))));
+    ignore (Db.define_view db (balance_def db));
+    (* visible to sequence numbers above 2: the group below spans it *)
+    Versioned.update_where cust ~effective:2 Predicate.("cust" =% vi 1)
+      (fun _ -> tup [ vi 1; vs "CA" ]);
+    let batches =
+      [
+        [ mile 1 100 10.; mile 2 1 1. ];
+        [ mile 1 60 6. ];
+        [ mile 1 40 4.; mile 2 2 2. ];
+        [ mile 1 5 5. ];
+      ]
+    in
+    if grouped then
+      check_bool "consecutive sns" true
+        (Db.append_group db (List.map (fun b -> [ ("mileage", b) ]) batches)
+        = [ 1; 2; 3; 4 ])
+    else List.iter (fun b -> ignore (Db.append db "mileage" b)) batches;
+    check_int "update applied" 0 (Versioned.pending_count cust);
+    (Db.view_contents db "by_state", Db.view_contents db "balance")
+  in
+  let one_by_one = run ~jobs:1 ~grouped:false in
+  check_bool "NJ holds sn 1 and 2" true
+    (List.exists (Tuple.equal (tup [ vs "NJ"; vi 160 ])) (fst one_by_one));
+  List.iter
+    (fun jobs ->
+      let by_state, balance = run ~jobs ~grouped:true in
+      let msg what = Printf.sprintf "%s, jobs %d" what jobs in
+      Alcotest.(check (list tuple_testable))
+        (msg "by_state") (fst one_by_one) by_state;
+      Alcotest.(check (list tuple_testable))
+        (msg "balance") (snd one_by_one) balance)
+    [ 1; 2; 4 ]
+
 let test_multi_chronicle_batch () =
   let db = Db.create () in
   ignore (Db.add_chronicle db ~name:"a" mileage_schema);
@@ -220,4 +275,5 @@ let suite =
     test "classification of a registered view" test_classify_view;
     test "drop_view" test_drop_view;
     test "multiple groups are isolated" test_multiple_groups_isolated;
+    test "pending update due mid-group" test_pending_update_mid_group;
   ]

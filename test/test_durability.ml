@@ -296,6 +296,56 @@ let test_abort_erases_journal_record () =
     (Db.summary (Durable.db d') ~view:"balance" [ vi 2 ] = None);
   same_state "recovery equals the rolled-back state" db (Durable.db d')
 
+(* Every write-ahead record shape, pinned byte for byte: a single
+   append, a three-batch group, a relation insert, a retraction, and an
+   append whose view fold fails (its record is written, then erased). *)
+let test_golden_journal () =
+  let st = Storage.mem () in
+  let db = Db.create () in
+  ignore
+    (Db.add_chronicle db ~retention:Chron.Full ~name:"mileage"
+       Fixtures.mileage_schema);
+  ignore
+    (Db.add_relation db ~name:"customers" ~schema:Fixtures.customer_schema
+       ~key:[ "cust" ] ());
+  ignore
+    (Db.define_view db
+       (Sca.define ~name:"balance"
+          ~body:(Ca.Chronicle (Db.chronicle db "mileage"))
+          (Sca.Group_agg ([ "acct" ], [ Aggregate.sum "miles" "balance" ]))));
+  let d = Durable.attach ~storage:st db in
+  ignore (Db.append db "mileage" [ post 1 100 ]);
+  ignore
+    (Db.append_group db
+       [
+         [ ("mileage", [ post 2 50 ]) ];
+         [ ("mileage", [ post 1 7; post 3 1 ]) ];
+         [ ("mileage", [ post 2 5 ]) ];
+       ]);
+  Db.insert_rows db "customers" [ tup [ vi 1; vs "NJ" ] ];
+  check_int "one row retracted" 1 (Db.retract db "mileage" [ post 1 7 ]);
+  Db.set_fold_probe db (Some (fun ~view:_ ~sn:_ -> failwith "maintenance bug"));
+  (match Db.append db "mileage" [ post 9 9 ] with
+  | _ -> Alcotest.fail "probe failure must propagate"
+  | exception Failure _ -> ());
+  check_int "the failed append left no record" 4 (Durable.journal_records d);
+  let records, tail = Journal.read st "journal" in
+  check_bool "clean tail" true (tail = `Clean);
+  Alcotest.(check (list string))
+    "journal bytes"
+    [
+      "(append ((group main) (sn 1) (batch ((mileage (((i 1) (i 100) (f \
+       0x1p+0))))))))";
+      "(group ((group main) (entries (((sn 2) (batch ((mileage (((i 2) (i \
+       50) (f 0x1p+0))))))) ((sn 3) (batch ((mileage (((i 1) (i 7) (f \
+       0x1p+0)) ((i 3) (i 1) (f 0x1p+0))))))) ((sn 4) (batch ((mileage \
+       (((i 2) (i 5) (f 0x1p+0)))))))))))";
+      "(insert ((relation customers) (at 0) (rows (((i 1) (s NJ))))))";
+      "(retract ((chronicle mileage) (entries (((sn 3) (rows (((i 1) (i 7) \
+       (f 0x1p+0)))))))))";
+    ]
+    (List.map Sexp.to_string records)
+
 let test_multi_chronicle_rollback () =
   (* a failing multi-chronicle batch must roll back *every* sibling *)
   let db = Db.create () in
@@ -664,4 +714,5 @@ let suite =
     test "checkpoint generations rotate and prune" test_generation_rotation_and_prune;
     test "journal segments rotate and recover" test_segment_rotation_and_recovery;
     test "scrub inventories damage read-only" test_scrub_inventory;
+    test "journal record bytes are pinned" test_golden_journal;
   ]
