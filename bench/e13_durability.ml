@@ -137,7 +137,7 @@ let run () =
      checksummed record (plus an fsync under sync=always); recovery \
      replays the post-checkpoint suffix through the normal delta path, \
      linear in journal length.";
-  let json = ref [] in
+  let json = ref [ Measure.hardware_json () ] in
   append_overhead json;
   recovery_cost json;
   Measure.write_json ~file:"BENCH_E13.json" (List.rev !json)

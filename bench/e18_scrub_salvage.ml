@@ -197,7 +197,7 @@ let run () =
      salvage pays a sequential per-record replay for its exact-prefix \
      guarantee; checkpoint generations add one CRC over the snapshot \
      payload plus pruning.";
-  let json = ref [] in
+  let json = ref [ Measure.hardware_json () ] in
   scrub_cost json;
   salvage_cost json;
   checkpoint_cost json;

@@ -136,6 +136,19 @@ let json_of_per_op ~op ~n r =
       ("counters", json_counters r.counters);
     ]
 
+(* The leading record of a results file: the core count the numbers
+   were measured on (no parallel speedup is claimable at 1). *)
+let hardware_json () =
+  let cores = Domain.recommended_domain_count () in
+  J_obj
+    [
+      ("hardware_cores", J_int cores);
+      ( "hardware_note",
+        J_str
+          (Printf.sprintf "%d recommended domain(s); %s, %d-bit" cores
+             Sys.os_type Sys.word_size) );
+    ]
+
 let write_json ~file rows =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[\n";

@@ -68,21 +68,66 @@ let report_recovery_error = function
       1
   | exn -> raise exn
 
-let run_file snapshot_in snapshot_out durable_dir sync crash_after crash_point
-    jobs batch salvage keep_checkpoints segment_bytes heavy_threshold path =
-  let mode = if salvage then Durable.Salvage else Durable.Strict in
+(* The storage options shared by run, recover and serve. *)
+type store = {
+  sync : Journal.sync_policy;
+  jobs : int;
+  salvage : bool;
+  keep_checkpoints : int;
+  segment_bytes : int option;
+  heavy_threshold : int;
+}
+
+(* Recover the durable state in [dir], printing the recovery report, or
+   hand back the empty storage to attach to.  A recovery error ends the
+   process. *)
+let recover_or_fresh o dir =
+  let storage = Storage.disk ~dir in
+  if not (Durable.has_state storage) then `Fresh storage
+  else
+    let mode = if o.salvage then Durable.Salvage else Durable.Strict in
+    match
+      Durable.recover ~sync:o.sync ~jobs:o.jobs ~heavy_threshold:o.heavy_threshold
+        ~mode ~keep_checkpoints:o.keep_checkpoints ?segment_bytes:o.segment_bytes
+        ~storage ()
+    with
+    | d, report ->
+        Format.printf "recovered %s: %a@." dir pp_recovery report;
+        `Recovered d
+    | exception e -> exit (report_recovery_error e)
+
+let attach o storage db =
+  Durable.attach ~sync:o.sync ~keep_checkpoints:o.keep_checkpoints
+    ?segment_bytes:o.segment_bytes ~storage db
+
+(* The checkpoint a clean exit takes; a degraded instance skips it. *)
+let checkpoint_on_exit dir d =
+  match Durable.health d with
+  | Durable.Degraded reason ->
+      Format.printf "degraded (%s): checkpoint skipped@." reason
+  | Durable.Healthy -> (
+      match Durable.checkpoint d with
+      | () -> Format.printf "checkpointed %s@." dir
+      | exception Chronicle_core.Snapshot.Snapshot_error msg ->
+          Format.eprintf "checkpoint error: %s@." msg;
+          exit 1)
+
+let run_file snapshot_in snapshot_out durable_dir crash_after crash_point batch
+    o path =
   let ic = open_in path in
   let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
   let base_session () =
     match snapshot_in with
-    | None -> Session.create ~jobs ~heavy_threshold ()
+    | None -> Session.create ~jobs:o.jobs ~heavy_threshold:o.heavy_threshold ()
     | Some snap -> (
-        match Session_snapshot.load_file ~jobs ~heavy_threshold snap with
+        match
+          Session_snapshot.load_file ~jobs:o.jobs
+            ~heavy_threshold:o.heavy_threshold snap
+        with
         | session ->
             Format.printf "restored snapshot %s@." snap;
             session
-        | exception Chronicle_core.Snapshot.Snapshot_error msg
         | exception Session_snapshot.Session_snapshot_error msg ->
             Format.eprintf "snapshot error: %s@." msg;
             exit 1)
@@ -91,22 +136,11 @@ let run_file snapshot_in snapshot_out durable_dir sync crash_after crash_point
     match durable_dir with
     | None -> (base_session (), None)
     | Some dir -> (
-        let storage = Storage.disk ~dir in
-        if Durable.has_state storage then
-          match
-            Durable.recover ~sync ~jobs ~heavy_threshold ~mode ~keep_checkpoints
-              ?segment_bytes ~storage ()
-          with
-          | d, report ->
-              Format.printf "recovered %s: %a@." dir pp_recovery report;
-              (Session.of_db (Durable.db d), Some d)
-          | exception e -> exit (report_recovery_error e)
-        else
-          let session = base_session () in
-          ( session,
-            Some
-              (Durable.attach ~sync ~keep_checkpoints ?segment_bytes ~storage
-                 (Session.db session)) ))
+        match recover_or_fresh o dir with
+        | `Recovered d -> (Session.of_db (Durable.db d), Some d)
+        | `Fresh storage ->
+            let session = base_session () in
+            (session, Some (attach o storage (Session.db session))))
   in
   (match (durable, crash_after) with
   | Some d, Some n -> Fault.arm (Durable.fault d) ~after:n crash_point
@@ -137,22 +171,9 @@ let run_file snapshot_in snapshot_out durable_dir sync crash_after crash_point
                 2
             | exception e -> report_error e
             | () -> (
-                (match durable with
-                | Some d -> (
-                    match Durable.health d with
-                    | Durable.Degraded reason ->
-                        Format.printf "degraded (%s): checkpoint skipped@."
-                          reason
-                    | Durable.Healthy -> (
-                        match Durable.checkpoint d with
-                        | () ->
-                            Format.printf "checkpointed %s@."
-                              (Option.get durable_dir)
-                        | exception Chronicle_core.Snapshot.Snapshot_error msg
-                          ->
-                            Format.eprintf "checkpoint error: %s@." msg;
-                            exit 1))
-                | None -> ());
+                Option.iter
+                  (fun d -> checkpoint_on_exit (Option.get durable_dir) d)
+                  durable;
                 match snapshot_out with
                 | None -> 0
                 | Some snap -> (
@@ -182,30 +203,20 @@ let run_file snapshot_in snapshot_out durable_dir sync crash_after crash_point
       in
       go stmts
 
-let recover_dir sync jobs salvage keep_checkpoints segment_bytes
-    heavy_threshold dir =
-  let mode = if salvage then Durable.Salvage else Durable.Strict in
-  let storage = Storage.disk ~dir in
-  if not (Durable.has_state storage) then begin
-    Format.eprintf "no durable state in %s@." dir;
-    1
-  end
-  else
-    match
-      Durable.recover ~sync ~jobs ~heavy_threshold ~mode ~keep_checkpoints
-        ?segment_bytes ~storage ()
-    with
-    | d, report ->
-        Format.printf "recovered %s: %a@." dir pp_recovery report;
-        let db = Durable.db d in
-        List.iter
-          (fun v ->
-            let name = Chronicle_core.View.name v in
-            Format.printf "view %s: %d row(s)@." name
-              (List.length (Chronicle_core.Db.view_contents db name)))
-          (Chronicle_core.Db.views db);
-        0
-    | exception e -> report_recovery_error e
+let recover_dir o dir =
+  match recover_or_fresh o dir with
+  | `Fresh _ ->
+      Format.eprintf "no durable state in %s@." dir;
+      1
+  | `Recovered d ->
+      let db = Durable.db d in
+      List.iter
+        (fun v ->
+          let name = Chronicle_core.View.name v in
+          Format.printf "view %s: %d row(s)@." name
+            (List.length (Chronicle_core.Db.view_contents db name)))
+        (Chronicle_core.Db.views db);
+      0
 
 let scrub_dir dir =
   let storage = Storage.disk ~dir in
@@ -282,29 +293,19 @@ module Server = Chronicle_net.Server
 module Client = Chronicle_net.Client
 module Protocol = Chronicle_net.Protocol
 
-let serve_sock socket durable_dir sync jobs batch salvage keep_checkpoints
-    segment_bytes heavy_threshold =
-  let mode = if salvage then Durable.Salvage else Durable.Strict in
+let serve_sock socket durable_dir batch o =
+  let fresh () =
+    Chronicle_core.Db.create ~jobs:o.jobs ~heavy_threshold:o.heavy_threshold ()
+  in
   let db, durable =
     match durable_dir with
-    | None -> (Chronicle_core.Db.create ~jobs ~heavy_threshold (), None)
+    | None -> (fresh (), None)
     | Some dir -> (
-        let storage = Storage.disk ~dir in
-        if Durable.has_state storage then
-          match
-            Durable.recover ~sync ~jobs ~heavy_threshold ~mode ~keep_checkpoints
-              ?segment_bytes ~storage ()
-          with
-          | d, report ->
-              Format.printf "recovered %s: %a@." dir pp_recovery report;
-              (Durable.db d, Some d)
-          | exception e -> exit (report_recovery_error e)
-        else
-          let db = Chronicle_core.Db.create ~jobs ~heavy_threshold () in
-          ( db,
-            Some
-              (Durable.attach ~sync ~keep_checkpoints ?segment_bytes ~storage db)
-          ))
+        match recover_or_fresh o dir with
+        | `Recovered d -> (Durable.db d, Some d)
+        | `Fresh storage ->
+            let db = fresh () in
+            (db, Some (attach o storage db)))
   in
   match Server.create ~batch db with
   | exception Invalid_argument msg ->
@@ -315,18 +316,9 @@ let serve_sock socket durable_dir sync jobs batch salvage keep_checkpoints
       Server.serve server lfd ~on_ready:(fun () ->
           Format.printf "listening on %s@." socket);
       (try Unix.unlink socket with Unix.Unix_error _ -> ());
-      (match durable with
-      | Some d -> (
-          match Durable.health d with
-          | Durable.Degraded reason ->
-              Format.printf "degraded (%s): checkpoint skipped@." reason
-          | Durable.Healthy -> (
-              match Durable.checkpoint d with
-              | () -> Format.printf "checkpointed %s@." (Option.get durable_dir)
-              | exception Chronicle_core.Snapshot.Snapshot_error msg ->
-                  Format.eprintf "checkpoint error: %s@." msg;
-                  exit 1))
-      | None -> ());
+      Option.iter
+        (fun d -> checkpoint_on_exit (Option.get durable_dir) d)
+        durable;
       Format.printf "server stopped@.";
       0
 
@@ -391,7 +383,7 @@ let client_run socket fast_append shutdown script_path =
                 | exception End_of_file ->
                     Format.eprintf "connection closed by server@.";
                     code := 1
-                | exception Chronicle_net.Wire.Decode_error msg ->
+                | exception Relational.Codec.Decode_error msg ->
                     Format.eprintf "protocol error: %s@." msg;
                     code := 1)));
         (if shutdown then
@@ -402,7 +394,7 @@ let client_run socket fast_append shutdown script_path =
            | Protocol.Bye -> Format.printf "server shutting down@."
            | _ -> ()
            | exception End_of_file -> ()
-           | exception Chronicle_net.Wire.Decode_error _ -> ());
+           | exception Relational.Codec.Decode_error _ -> ());
         Client.close c;
         !code
 
@@ -454,8 +446,8 @@ let keep_arg =
     value & opt int 1
     & info [ "keep-checkpoints" ] ~docv:"K"
         ~doc:
-          "Checkpoint generations to retain. $(b,1) (default) keeps the \
-           legacy single-file layout; $(b,K >= 2) rotates CRC-headed \
+          "Checkpoint generations to retain. $(b,1) (default) keeps one \
+           $(b,checkpoint) file; $(b,K >= 2) rotates numbered \
            $(b,checkpoint.N) generations, falling back one generation at a \
            time on recovery if the newest is damaged.")
 
@@ -482,6 +474,13 @@ let heavy_threshold_arg =
            more disables partitioning (the bar is unreachable, so probes \
            skip tracking entirely). Never changes view contents or order, \
            only per-append probe cost.")
+
+let store_term =
+  Term.(
+    const (fun sync jobs salvage keep_checkpoints segment_bytes heavy_threshold ->
+        { sync; jobs; salvage; keep_checkpoints; segment_bytes; heavy_threshold })
+    $ sync_arg $ jobs_arg $ salvage_arg $ keep_arg $ segment_arg
+    $ heavy_threshold_arg)
 
 let run_cmd =
   let path =
@@ -551,9 +550,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a view-definition-language script.")
     Term.(
-      const run_file $ snapshot_in $ snapshot_out $ durable_dir $ sync_arg
-      $ crash_after $ crash_point $ jobs_arg $ batch_arg $ salvage_arg
-      $ keep_arg $ segment_arg $ heavy_threshold_arg $ path)
+      const run_file $ snapshot_in $ snapshot_out $ durable_dir $ crash_after
+      $ crash_point $ batch_arg $ store_term $ path)
 
 let recover_cmd =
   let dir =
@@ -567,9 +565,7 @@ let recover_cmd =
        ~doc:
          "Rebuild a database from checkpoint + journal and report what was \
           replayed.")
-    Term.(
-      const recover_dir $ sync_arg $ jobs_arg $ salvage_arg $ keep_arg
-      $ segment_arg $ heavy_threshold_arg $ dir)
+    Term.(const recover_dir $ store_term $ dir)
 
 let scrub_cmd =
   let dir =
@@ -618,10 +614,7 @@ let serve_cmd =
        ~doc:
          "Serve one shared database to wire-protocol clients over a \
           Unix-domain socket until a client sends SHUTDOWN.")
-    Term.(
-      const serve_sock $ socket_arg $ durable_dir $ sync_arg $ jobs_arg
-      $ batch_arg $ salvage_arg $ keep_arg $ segment_arg
-      $ heavy_threshold_arg)
+    Term.(const serve_sock $ socket_arg $ durable_dir $ batch_arg $ store_term)
 
 let client_cmd =
   let script =

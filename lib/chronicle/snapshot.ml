@@ -4,456 +4,422 @@ exception Snapshot_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Snapshot_error s)) fmt
 
-(* ---- schemas ---- *)
+(* Every serializer below is a [put_x]/[get_x] pair over {!Codec};
+   variants are one tag byte then their fields in declaration order. *)
 
-let sexp_of_ty ty = Sexp.Atom (Value.ty_name ty)
+let put_tag buf t = Buffer.add_char buf (Char.chr t)
 
-let ty_of_sexp s =
-  match Sexp.to_atom s with
-  | "bool" -> Value.TBool
-  | "int" -> Value.TInt
-  | "float" -> Value.TFloat
-  | "string" -> Value.TStr
-  | other -> error "unknown type %s" other
+(* ---- schemas and tuples ---- *)
 
-let sexp_of_schema schema =
-  Sexp.List
-    (List.map
-       (fun (a : Schema.attr) -> Sexp.List [ Sexp.Atom a.name; sexp_of_ty a.ty ])
-       (Array.to_list (Schema.attrs schema)))
+let tys = [| Value.TBool; Value.TInt; Value.TFloat; Value.TStr |]
 
-let schema_of_sexp s =
+let put_ty buf ty =
+  put_tag buf (match ty with Value.TBool -> 0 | TInt -> 1 | TFloat -> 2 | TStr -> 3)
+
+let get_ty r =
+  match Codec.byte r with
+  | t when t < Array.length tys -> tys.(t)
+  | t -> Codec.fail "unknown type tag %#x" t
+
+let put_schema buf schema =
+  Codec.put_list
+    (fun buf (a : Schema.attr) ->
+      Codec.put_string buf a.name;
+      put_ty buf a.ty)
+    buf
+    (Array.to_list (Schema.attrs schema))
+
+let get_schema r =
   Schema.make
-    (List.map
-       (function
-         | Sexp.List [ Sexp.Atom name; ty ] -> (name, ty_of_sexp ty)
-         | s -> error "bad schema entry %s" (Sexp.to_string s))
-       (Sexp.to_list s))
+    (Codec.list
+       (fun r ->
+         let name = Codec.string_ r in
+         (name, get_ty r))
+       r)
 
-let sexp_of_tuple tu = Sexp.List (List.map Value.to_sexp (Array.to_list tu))
-let tuple_of_sexp s = Tuple.make (List.map Value.of_sexp (Sexp.to_list s))
+let put_key = Codec.put_list Codec.put_value
+let get_key = Codec.list Codec.value
+let put_tuple buf tu = put_key buf (Array.to_list tu)
+let get_tuple r = Tuple.make (get_key r)
+let put_attrs = Codec.put_list Codec.put_string
+let get_attrs = Codec.list Codec.string_
 
 (* ---- predicates ---- *)
 
-let sexp_of_operand = function
-  | Predicate.Attr a -> Sexp.List [ Sexp.Atom "attr"; Sexp.Atom a ]
-  | Predicate.Const v -> Value.to_sexp v
+let ops = [| Predicate.Eq; Ne; Le; Lt; Gt; Ge |]
 
-let operand_of_sexp = function
-  | Sexp.List [ Sexp.Atom "attr"; Sexp.Atom a ] -> Predicate.Attr a
-  | s -> Predicate.Const (Value.of_sexp s)
+let put_operand buf = function
+  | Predicate.Attr a ->
+      put_tag buf 0;
+      Codec.put_string buf a
+  | Predicate.Const v ->
+      put_tag buf 1;
+      Codec.put_value buf v
 
-let rec sexp_of_predicate = function
-  | Predicate.True -> Sexp.Atom "true"
-  | Predicate.False -> Sexp.Atom "false"
+let get_operand r =
+  match Codec.byte r with
+  | 0 -> Predicate.Attr (Codec.string_ r)
+  | 1 -> Predicate.Const (Codec.value r)
+  | t -> Codec.fail "unknown operand tag %#x" t
+
+let rec put_predicate buf = function
+  | Predicate.True -> put_tag buf 0
+  | Predicate.False -> put_tag buf 1
   | Predicate.Cmp (a, op, b) ->
-      Sexp.List
-        [ Sexp.Atom (Predicate.op_name op); sexp_of_operand a; sexp_of_operand b ]
-  | Predicate.And (p, q) ->
-      Sexp.List [ Sexp.Atom "and"; sexp_of_predicate p; sexp_of_predicate q ]
-  | Predicate.Or (p, q) ->
-      Sexp.List [ Sexp.Atom "or"; sexp_of_predicate p; sexp_of_predicate q ]
-  | Predicate.Not p -> Sexp.List [ Sexp.Atom "not"; sexp_of_predicate p ]
+      put_tag buf 2;
+      put_operand buf a;
+      put_tag buf
+        (match op with Eq -> 0 | Ne -> 1 | Le -> 2 | Lt -> 3 | Gt -> 4 | Ge -> 5);
+      put_operand buf b
+  | Predicate.And (p, q) -> put_pair buf 3 p q
+  | Predicate.Or (p, q) -> put_pair buf 4 p q
+  | Predicate.Not p ->
+      put_tag buf 5;
+      put_predicate buf p
 
-let op_of_name = function
-  | "=" -> Predicate.Eq
-  | "<>" -> Predicate.Ne
-  | "<=" -> Predicate.Le
-  | "<" -> Predicate.Lt
-  | ">" -> Predicate.Gt
-  | ">=" -> Predicate.Ge
-  | other -> error "unknown comparison %s" other
+and put_pair buf tag p q =
+  put_tag buf tag;
+  put_predicate buf p;
+  put_predicate buf q
 
-let rec predicate_of_sexp = function
-  | Sexp.Atom "true" -> Predicate.True
-  | Sexp.Atom "false" -> Predicate.False
-  | Sexp.List [ Sexp.Atom "and"; p; q ] ->
-      Predicate.And (predicate_of_sexp p, predicate_of_sexp q)
-  | Sexp.List [ Sexp.Atom "or"; p; q ] ->
-      Predicate.Or (predicate_of_sexp p, predicate_of_sexp q)
-  | Sexp.List [ Sexp.Atom "not"; p ] -> Predicate.Not (predicate_of_sexp p)
-  | Sexp.List [ Sexp.Atom op; a; b ] ->
-      Predicate.Cmp (operand_of_sexp a, op_of_name op, operand_of_sexp b)
-  | s -> error "bad predicate %s" (Sexp.to_string s)
+let rec get_predicate r =
+  match Codec.byte r with
+  | 0 -> Predicate.True
+  | 1 -> Predicate.False
+  | 2 ->
+      let a = get_operand r in
+      let op =
+        match Codec.byte r with
+        | t when t < Array.length ops -> ops.(t)
+        | t -> Codec.fail "unknown comparison tag %#x" t
+      in
+      Predicate.Cmp (a, op, get_operand r)
+  | 3 ->
+      let p = get_predicate r in
+      Predicate.And (p, get_predicate r)
+  | 4 ->
+      let p = get_predicate r in
+      Predicate.Or (p, get_predicate r)
+  | 5 -> Predicate.Not (get_predicate r)
+  | t -> Codec.fail "unknown predicate tag %#x" t
 
 (* ---- aggregation calls ---- *)
 
-let sexp_of_call (c : Aggregate.call) =
-  Sexp.List
-    [
-      Sexp.Atom (Aggregate.func_name c.func);
-      (match c.arg with None -> Sexp.Atom "*" | Some a -> Sexp.Atom a);
-      Sexp.Atom c.alias;
-    ]
+let put_call buf (c : Aggregate.call) =
+  Codec.put_string buf (Aggregate.func_name c.func);
+  Codec.put_option Codec.put_string buf c.arg;
+  Codec.put_string buf c.alias
 
-let call_of_sexp = function
-  | Sexp.List [ Sexp.Atom fname; arg; Sexp.Atom alias ] ->
-      let func =
-        match Aggregate.func_of_name fname with
-        | Some f -> f
-        | None -> error "unknown aggregate %s" fname
-      in
-      let arg = match Sexp.to_atom arg with "*" -> None | a -> Some a in
-      { Aggregate.func; arg; alias }
-  | s -> error "bad aggregate call %s" (Sexp.to_string s)
+let get_call r =
+  let fname = Codec.string_ r in
+  let func =
+    match Aggregate.func_of_name fname with
+    | Some f -> f
+    | None -> Codec.fail "unknown aggregate %S" fname
+  in
+  let arg = Codec.option Codec.string_ r in
+  { Aggregate.func; arg; alias = Codec.string_ r }
 
-let sexp_of_attrs attrs = Sexp.List (List.map (fun a -> Sexp.Atom a) attrs)
-let attrs_of_sexp s = List.map Sexp.to_atom (Sexp.to_list s)
+(* ---- chronicle algebra: chronicles and relations by name ---- *)
 
-(* ---- chronicle algebra ---- *)
-
-let rec sexp_of_ca = function
-  | Ca.Chronicle c -> Sexp.List [ Sexp.Atom "chronicle"; Sexp.Atom (Chron.name c) ]
+let rec put_ca buf = function
+  | Ca.Chronicle c ->
+      put_tag buf 0;
+      Codec.put_string buf (Chron.name c)
   | Ca.Select (p, e) ->
-      Sexp.List [ Sexp.Atom "select"; sexp_of_predicate p; sexp_of_ca e ]
+      put_tag buf 1;
+      put_predicate buf p;
+      put_ca buf e
   | Ca.Project (attrs, e) ->
-      Sexp.List [ Sexp.Atom "project"; sexp_of_attrs attrs; sexp_of_ca e ]
-  | Ca.SeqJoin (l, r) ->
-      Sexp.List [ Sexp.Atom "seqjoin"; sexp_of_ca l; sexp_of_ca r ]
-  | Ca.Union (l, r) -> Sexp.List [ Sexp.Atom "union"; sexp_of_ca l; sexp_of_ca r ]
-  | Ca.Diff (l, r) -> Sexp.List [ Sexp.Atom "diff"; sexp_of_ca l; sexp_of_ca r ]
+      put_tag buf 2;
+      put_attrs buf attrs;
+      put_ca buf e
+  | Ca.SeqJoin (l, r) -> put_ca2 buf 3 l r
+  | Ca.Union (l, r) -> put_ca2 buf 4 l r
+  | Ca.Diff (l, r) -> put_ca2 buf 5 l r
   | Ca.GroupBySeq (gl, al, e) ->
-      Sexp.List
-        [
-          Sexp.Atom "groupby";
-          sexp_of_attrs gl;
-          Sexp.List (List.map sexp_of_call al);
-          sexp_of_ca e;
-        ]
-  | Ca.ProductRel (e, r) ->
-      Sexp.List [ Sexp.Atom "product"; sexp_of_ca e; Sexp.Atom (Relation.name r) ]
-  | Ca.KeyJoinRel (e, r, pairs) ->
-      Sexp.List
-        [
-          Sexp.Atom "keyjoin";
-          sexp_of_ca e;
-          Sexp.Atom (Relation.name r);
-          Sexp.List
-            (List.map (fun (a, b) -> Sexp.List [ Sexp.Atom a; Sexp.Atom b ]) pairs);
-        ]
-  | Ca.CrossChron (l, r) ->
-      Sexp.List [ Sexp.Atom "crosschron"; sexp_of_ca l; sexp_of_ca r ]
+      put_tag buf 6;
+      put_attrs buf gl;
+      Codec.put_list put_call buf al;
+      put_ca buf e
+  | Ca.ProductRel (e, rel) ->
+      put_tag buf 7;
+      put_ca buf e;
+      Codec.put_string buf (Relation.name rel)
+  | Ca.KeyJoinRel (e, rel, pairs) ->
+      put_tag buf 8;
+      put_ca buf e;
+      Codec.put_string buf (Relation.name rel);
+      Codec.put_list
+        (fun buf (a, b) ->
+          Codec.put_string buf a;
+          Codec.put_string buf b)
+        buf pairs
+  | Ca.CrossChron (l, r) -> put_ca2 buf 9 l r
   | Ca.ThetaJoinChron (p, l, r) ->
-      Sexp.List
-        [ Sexp.Atom "thetajoin"; sexp_of_predicate p; sexp_of_ca l; sexp_of_ca r ]
+      put_tag buf 10;
+      put_predicate buf p;
+      put_ca buf l;
+      put_ca buf r
 
-let rec ca_of_sexp ~chronicle ~relation sexp =
-  let recurse = ca_of_sexp ~chronicle ~relation in
-  match sexp with
-  | Sexp.List [ Sexp.Atom "chronicle"; Sexp.Atom name ] ->
-      Ca.Chronicle (chronicle name)
-  | Sexp.List [ Sexp.Atom "select"; p; e ] ->
-      Ca.Select (predicate_of_sexp p, recurse e)
-  | Sexp.List [ Sexp.Atom "project"; attrs; e ] ->
-      Ca.Project (attrs_of_sexp attrs, recurse e)
-  | Sexp.List [ Sexp.Atom "seqjoin"; l; r ] -> Ca.SeqJoin (recurse l, recurse r)
-  | Sexp.List [ Sexp.Atom "union"; l; r ] -> Ca.Union (recurse l, recurse r)
-  | Sexp.List [ Sexp.Atom "diff"; l; r ] -> Ca.Diff (recurse l, recurse r)
-  | Sexp.List [ Sexp.Atom "groupby"; gl; Sexp.List al; e ] ->
-      Ca.GroupBySeq (attrs_of_sexp gl, List.map call_of_sexp al, recurse e)
-  | Sexp.List [ Sexp.Atom "product"; e; Sexp.Atom r ] ->
-      Ca.ProductRel (recurse e, relation r)
-  | Sexp.List [ Sexp.Atom "keyjoin"; e; Sexp.Atom r; Sexp.List pairs ] ->
+and put_ca2 buf tag l r =
+  put_tag buf tag;
+  put_ca buf l;
+  put_ca buf r
+
+let rec get_ca ~chronicle ~relation r =
+  let get = get_ca ~chronicle ~relation in
+  let two mk =
+    let l = get r in
+    mk l (get r)
+  in
+  match Codec.byte r with
+  | 0 -> Ca.Chronicle (chronicle (Codec.string_ r))
+  | 1 ->
+      let p = get_predicate r in
+      Ca.Select (p, get r)
+  | 2 ->
+      let attrs = get_attrs r in
+      Ca.Project (attrs, get r)
+  | 3 -> two (fun l r -> Ca.SeqJoin (l, r))
+  | 4 -> two (fun l r -> Ca.Union (l, r))
+  | 5 -> two (fun l r -> Ca.Diff (l, r))
+  | 6 ->
+      let gl = get_attrs r in
+      let al = Codec.list get_call r in
+      Ca.GroupBySeq (gl, al, get r)
+  | 7 ->
+      let e = get r in
+      Ca.ProductRel (e, relation (Codec.string_ r))
+  | 8 ->
+      let e = get r in
+      let rel = relation (Codec.string_ r) in
       let pairs =
-        List.map
-          (function
-            | Sexp.List [ Sexp.Atom a; Sexp.Atom b ] -> (a, b)
-            | s -> error "bad join pair %s" (Sexp.to_string s))
-          pairs
+        Codec.list
+          (fun r ->
+            let a = Codec.string_ r in
+            (a, Codec.string_ r))
+          r
       in
-      Ca.KeyJoinRel (recurse e, relation r, pairs)
-  | Sexp.List [ Sexp.Atom "crosschron"; l; r ] ->
-      Ca.CrossChron (recurse l, recurse r)
-  | Sexp.List [ Sexp.Atom "thetajoin"; p; l; r ] ->
-      Ca.ThetaJoinChron (predicate_of_sexp p, recurse l, recurse r)
-  | s -> error "bad chronicle-algebra expression %s" (Sexp.to_string s)
+      Ca.KeyJoinRel (e, rel, pairs)
+  | 9 -> two (fun l r -> Ca.CrossChron (l, r))
+  | 10 ->
+      let p = get_predicate r in
+      two (fun l r -> Ca.ThetaJoinChron (p, l, r))
+  | t -> Codec.fail "unknown chronicle-algebra tag %#x" t
 
 (* ---- views ---- *)
 
-let sexp_of_summarize = function
-  | Sca.Project_out attrs -> Sexp.List [ Sexp.Atom "project_out"; sexp_of_attrs attrs ]
+let put_summarize buf = function
+  | Sca.Project_out attrs ->
+      put_tag buf 0;
+      put_attrs buf attrs
   | Sca.Group_agg (gl, al) ->
-      Sexp.List
-        [ Sexp.Atom "group_agg"; sexp_of_attrs gl; Sexp.List (List.map sexp_of_call al) ]
+      put_tag buf 1;
+      put_attrs buf gl;
+      Codec.put_list put_call buf al
 
-let summarize_of_sexp = function
-  | Sexp.List [ Sexp.Atom "project_out"; attrs ] -> Sca.Project_out (attrs_of_sexp attrs)
-  | Sexp.List [ Sexp.Atom "group_agg"; gl; Sexp.List al ] ->
-      Sca.Group_agg (attrs_of_sexp gl, List.map call_of_sexp al)
-  | s -> error "bad summarization %s" (Sexp.to_string s)
+let get_summarize r =
+  match Codec.byte r with
+  | 0 -> Sca.Project_out (get_attrs r)
+  | 1 ->
+      let gl = get_attrs r in
+      Sca.Group_agg (gl, Codec.list get_call r)
+  | t -> Codec.fail "unknown summarization tag %#x" t
 
-let sexp_of_key key = Sexp.List (List.map Value.to_sexp key)
-let key_of_sexp s = List.map Value.of_sexp (Sexp.to_list s)
+let put_sca buf def =
+  Codec.put_string buf (Sca.name def);
+  put_ca buf (Sca.body def);
+  put_summarize buf (Sca.summarize def)
 
-(* View contents are written with their hidden ℤ-multiplicities
-   ("rows-w"/"groups-w" tags): a view restored from a checkpoint must
-   keep maintaining correctly under retraction, so crash-equivalence
-   holds for weighted workloads too.  Pre-weighted snapshots ("rows"/
-   "groups") still parse, defaulting every multiplicity to 1. *)
-let sexp_of_view_contents view =
+let get_sca ~chronicle ~relation r =
+  let name = Codec.string_ r in
+  let body = get_ca ~chronicle ~relation r in
+  Sca.define ~allow_non_ca:true ~name ~body (get_summarize r)
+
+let put_index_kind buf k =
+  put_tag buf (match k with Index.Hash -> 0 | Index.Ordered -> 1)
+
+let get_index_kind r =
+  match Codec.byte r with
+  | 0 -> Index.Hash
+  | 1 -> Index.Ordered
+  | t -> Codec.fail "unknown index kind %#x" t
+
+(* View contents are written with their hidden ℤ-multiplicities: a view
+   restored from a checkpoint must keep maintaining correctly under
+   retraction, so crash-equivalence holds for weighted workloads too. *)
+let put_view_contents buf view =
   match View.dump_w view with
   | View.Rows_dump_w keys ->
-      Sexp.List
-        [
-          Sexp.Atom "rows-w";
-          Sexp.List
-            (List.map
-               (fun (key, mult) -> Sexp.List [ sexp_of_key key; Sexp.int mult ])
-               keys);
-        ]
+      put_tag buf 0;
+      Codec.put_list
+        (fun buf (key, mult) ->
+          put_key buf key;
+          Codec.put_int buf mult)
+        buf keys
   | View.Groups_dump_w groups ->
-      Sexp.List
-        [
-          Sexp.Atom "groups-w";
-          Sexp.List
-            (List.map
-               (fun (key, mult, states) ->
-                 Sexp.List
-                   [
-                     sexp_of_key key;
-                     Sexp.int mult;
-                     Sexp.List (List.map Aggregate.sexp_of_state states);
-                   ])
-               groups);
-        ]
+      put_tag buf 1;
+      Codec.put_list
+        (fun buf (key, mult, states) ->
+          put_key buf key;
+          Codec.put_int buf mult;
+          Codec.put_list Aggregate.put_state buf states)
+        buf groups
 
-let view_contents_of_sexp = function
-  | Sexp.List [ Sexp.Atom "rows"; Sexp.List keys ] ->
-      View.Rows_dump_w (List.map (fun key -> (key_of_sexp key, 1)) keys)
-  | Sexp.List [ Sexp.Atom "rows-w"; Sexp.List keys ] ->
+let get_view_contents r =
+  match Codec.byte r with
+  | 0 ->
       View.Rows_dump_w
-        (List.map
-           (function
-             | Sexp.List [ key; mult ] -> (key_of_sexp key, Sexp.to_int mult)
-             | s -> error "bad view row %s" (Sexp.to_string s))
-           keys)
-  | Sexp.List [ Sexp.Atom "groups"; Sexp.List groups ] ->
+        (Codec.list
+           (fun r ->
+             let key = get_key r in
+             (key, Codec.int_ r))
+           r)
+  | 1 ->
       View.Groups_dump_w
-        (List.map
-           (function
-             | Sexp.List [ key; Sexp.List states ] ->
-                 (key_of_sexp key, 1, List.map Aggregate.state_of_sexp states)
-             | s -> error "bad view group %s" (Sexp.to_string s))
-           groups)
-  | Sexp.List [ Sexp.Atom "groups-w"; Sexp.List groups ] ->
-      View.Groups_dump_w
-        (List.map
-           (function
-             | Sexp.List [ key; mult; Sexp.List states ] ->
-                 ( key_of_sexp key,
-                   Sexp.to_int mult,
-                   List.map Aggregate.state_of_sexp states )
-             | s -> error "bad view group %s" (Sexp.to_string s))
-           groups)
-  | s -> error "bad view contents %s" (Sexp.to_string s)
+        (Codec.list
+           (fun r ->
+             let key = get_key r in
+             let mult = Codec.int_ r in
+             (key, mult, Codec.list Aggregate.get_state r))
+           r)
+  | t -> Codec.fail "unknown view contents tag %#x" t
 
 (* ---- whole database ---- *)
 
-let sexp_of_retention = function
-  | Chron.Discard -> Sexp.Atom "discard"
-  | Chron.Full -> Sexp.Atom "full"
-  | Chron.Window n -> Sexp.List [ Sexp.Atom "window"; Sexp.int n ]
+let put_retention buf = function
+  | Chron.Discard -> put_tag buf 0
+  | Chron.Full -> put_tag buf 1
+  | Chron.Window n ->
+      put_tag buf 2;
+      Codec.put_int buf n
 
-let retention_of_sexp = function
-  | Sexp.Atom "discard" -> Chron.Discard
-  | Sexp.Atom "full" -> Chron.Full
-  | Sexp.List [ Sexp.Atom "window"; n ] -> Chron.Window (Sexp.to_int n)
-  | s -> error "bad retention %s" (Sexp.to_string s)
+let get_retention r =
+  match Codec.byte r with
+  | 0 -> Chron.Discard
+  | 1 -> Chron.Full
+  | 2 -> Chron.Window (Codec.int_ r)
+  | t -> Codec.fail "unknown retention tag %#x" t
 
-let sexp_of_sca def =
-  Sexp.record
-    [
-      ("name", Sexp.Atom (Sca.name def));
-      ("body", sexp_of_ca (Sca.body def));
-      ("summarize", sexp_of_summarize (Sca.summarize def));
-    ]
+let put_db buf db =
+  Codec.put_list
+    (fun buf name ->
+      let g = Db.group db name in
+      Codec.put_string buf name;
+      Codec.put_int buf (Group.watermark g);
+      Codec.put_int buf (Group.now g))
+    buf (Db.group_names db);
+  Codec.put_list
+    (fun buf name ->
+      let c = Db.chronicle db name in
+      Codec.put_string buf name;
+      Codec.put_string buf (Group.name (Chron.group c));
+      put_retention buf (Chron.retention c);
+      put_schema buf (Chron.user_schema c);
+      Codec.put_int buf (Chron.total_appended c);
+      Codec.put_option Codec.put_int buf (Chron.last_sn c);
+      Codec.put_list put_tuple buf (Chron.stored c))
+    buf (Db.chronicle_names db);
+  Codec.put_list
+    (fun buf name ->
+      let v = Db.relation db name in
+      if Versioned.pending_count v > 0 then
+        error
+          "relation %s has %d pending future-effective updates; apply or \
+           drop them before snapshotting (update functions are code and \
+           cannot be serialized)"
+          name (Versioned.pending_count v);
+      let rel = Versioned.relation v in
+      Codec.put_string buf name;
+      Codec.put_string buf (Group.name (Versioned.group v));
+      put_schema buf (Relation.schema rel);
+      Codec.put_option put_attrs buf (Relation.key rel);
+      Codec.put_list put_tuple buf (Relation.to_list rel))
+    buf (Db.relation_names db);
+  Codec.put_list
+    (fun buf view ->
+      let def = View.def view in
+      Codec.put_string buf (View.name view);
+      put_index_kind buf (View.index_kind view);
+      put_ca buf (Sca.body def);
+      put_summarize buf (Sca.summarize def);
+      put_view_contents buf view)
+    buf (Db.views db)
 
-let sca_of_sexp ~chronicle ~relation entry =
-  Sca.define ~allow_non_ca:true
-    ~name:(Sexp.to_atom (Sexp.field entry "name"))
-    ~body:(ca_of_sexp ~chronicle ~relation (Sexp.field entry "body"))
-    (summarize_of_sexp (Sexp.field entry "summarize"))
-
-let sexp_of_index_kind = function
-  | Index.Hash -> Sexp.Atom "hash"
-  | Index.Ordered -> Sexp.Atom "ordered"
-
-let index_kind_of_sexp s =
-  match Sexp.to_atom s with
-  | "hash" -> Index.Hash
-  | "ordered" -> Index.Ordered
-  | other -> error "bad index kind %s" other
-
-let sexp_of_db db =
+let get_db ?jobs ?heavy_threshold r =
   let groups =
-    List.map
-      (fun name ->
-        let g = Db.group db name in
-        Sexp.record
-          [
-            ("name", Sexp.Atom name);
-            ("watermark", Sexp.int (Group.watermark g));
-            ("clock", Sexp.int (Group.now g));
-          ])
-      (Db.group_names db)
+    Codec.list
+      (fun r ->
+        let name = Codec.string_ r in
+        let watermark = Codec.int_ r in
+        (name, watermark, Codec.int_ r))
+      r
   in
-  let chronicles =
-    List.map
-      (fun name ->
-        let c = Db.chronicle db name in
-        Sexp.record
-          [
-            ("name", Sexp.Atom name);
-            ("group", Sexp.Atom (Group.name (Chron.group c)));
-            ("retention", sexp_of_retention (Chron.retention c));
-            ("schema", sexp_of_schema (Chron.user_schema c));
-            ("total", Sexp.int (Chron.total_appended c));
-            ( "last_sn",
-              match Chron.last_sn c with
-              | None -> Sexp.Atom "none"
-              | Some sn -> Sexp.int sn );
-            ("retained", Sexp.List (List.map sexp_of_tuple (Chron.stored c)));
-          ])
-      (Db.chronicle_names db)
-  in
-  let relations =
-    List.map
-      (fun name ->
-        let v = Db.relation db name in
-        if Versioned.pending_count v > 0 then
-          error
-            "relation %s has %d pending future-effective updates; apply or \
-             drop them before snapshotting (update functions are code and \
-             cannot be serialized)"
-            name (Versioned.pending_count v);
-        let rel = Versioned.relation v in
-        Sexp.record
-          [
-            ("name", Sexp.Atom name);
-            ("group", Sexp.Atom (Group.name (Versioned.group v)));
-            ("schema", sexp_of_schema (Relation.schema rel));
-            ( "key",
-              match Relation.key rel with
-              | None -> Sexp.Atom "none"
-              | Some key -> sexp_of_attrs key );
-            ("rows", Sexp.List (List.map sexp_of_tuple (Relation.to_list rel)));
-          ])
-      (Db.relation_names db)
-  in
-  let views =
-    List.map
-      (fun view ->
-        let def = View.def view in
-        Sexp.record
-          [
-            ("name", Sexp.Atom (View.name view));
-            ("index", sexp_of_index_kind (View.index_kind view));
-            ("body", sexp_of_ca (Sca.body def));
-            ("summarize", sexp_of_summarize (Sca.summarize def));
-            ("contents", sexp_of_view_contents view);
-          ])
-      (Db.views db)
-  in
-  Sexp.record
-    [
-      ("chronicle-snapshot", Sexp.int 1);
-      ("groups", Sexp.List groups);
-      ("chronicles", Sexp.List chronicles);
-      ("relations", Sexp.List relations);
-      ("views", Sexp.List views);
-    ]
-
-let save db = Sexp.to_string_pretty (sexp_of_db db)
-
-let db_of_sexp ?jobs ?heavy_threshold doc =
-  (match Sexp.field_opt doc "chronicle-snapshot" with
-  | Some v when Sexp.to_int v = 1 -> ()
-  | Some v -> error "unsupported snapshot version %s" (Sexp.to_string v)
-  | None -> error "not a chronicle snapshot");
-  let group_entries = Sexp.to_list (Sexp.field doc "groups") in
-  (* groups: the default "main" group always exists; extra ones are added *)
+  (* the first group is the database's default one; extras are added *)
   let db =
     Db.create
-      ~default_group:
-        (match group_entries with
-        | first :: _ -> Sexp.to_atom (Sexp.field first "name")
-        | [] -> "main")
+      ~default_group:(match groups with (name, _, _) :: _ -> name | [] -> "main")
       ?jobs ?heavy_threshold ()
   in
   List.iteri
-    (fun i entry ->
-      let name = Sexp.to_atom (Sexp.field entry "name") in
+    (fun i (name, watermark, clock) ->
       let g = if i = 0 then Db.group db name else Db.add_group db name in
-      let watermark = Sexp.to_int (Sexp.field entry "watermark") in
       if watermark > Group.watermark g then Group.claim_sn g watermark;
-      Group.advance_clock g (Sexp.to_int (Sexp.field entry "clock")))
-    group_entries;
-  List.iter
-    (fun entry ->
-      let name = Sexp.to_atom (Sexp.field entry "name") in
-      let group = Sexp.to_atom (Sexp.field entry "group") in
-      let retention = retention_of_sexp (Sexp.field entry "retention") in
-      let schema = schema_of_sexp (Sexp.field entry "schema") in
-      let c = Db.add_chronicle db ~group ~retention ~name schema in
-      let last_sn =
-        match Sexp.field entry "last_sn" with
-        | Sexp.Atom "none" -> None
-        | s -> Some (Sexp.to_int s)
-      in
-      Chron.restore c
-        ~total:(Sexp.to_int (Sexp.field entry "total"))
-        ~last_sn
-        ~retained:(List.map tuple_of_sexp (Sexp.to_list (Sexp.field entry "retained"))))
-    (Sexp.to_list (Sexp.field doc "chronicles"));
-  List.iter
-    (fun entry ->
-      let name = Sexp.to_atom (Sexp.field entry "name") in
-      let group = Sexp.to_atom (Sexp.field entry "group") in
-      let schema = schema_of_sexp (Sexp.field entry "schema") in
-      let key =
-        match Sexp.field entry "key" with
-        | Sexp.Atom "none" -> None
-        | s -> Some (attrs_of_sexp s)
-      in
-      let v = Db.add_relation db ~group ~name ~schema ?key () in
-      List.iter
-        (fun row -> Versioned.insert v (tuple_of_sexp row))
-        (Sexp.to_list (Sexp.field entry "rows")))
-    (Sexp.to_list (Sexp.field doc "relations"));
-  List.iter
-    (fun entry ->
-      let name = Sexp.to_atom (Sexp.field entry "name") in
-      let index = index_kind_of_sexp (Sexp.field entry "index") in
-      let body =
-        ca_of_sexp
-          ~chronicle:(Db.chronicle db)
-          ~relation:(fun r -> Versioned.relation (Db.relation db r))
-          (Sexp.field entry "body")
-      in
-      let summarize = summarize_of_sexp (Sexp.field entry "summarize") in
-      let def = Sca.define ~allow_non_ca:true ~name ~body summarize in
-      let view =
-        View.create ~index ~heavy_threshold:(Db.heavy_threshold db) def
-      in
-      View.load_w view (view_contents_of_sexp (Sexp.field entry "contents"));
-      Registry.register (Db.registry db) view)
-    (Sexp.to_list (Sexp.field doc "views"));
+      Group.advance_clock g clock)
+    groups;
+  ignore
+    (Codec.list
+       (fun r ->
+         let name = Codec.string_ r in
+         let group = Codec.string_ r in
+         let retention = get_retention r in
+         let c = Db.add_chronicle db ~group ~retention ~name (get_schema r) in
+         let total = Codec.int_ r in
+         let last_sn = Codec.option Codec.int_ r in
+         Chron.restore c ~total ~last_sn ~retained:(Codec.list get_tuple r))
+       r);
+  ignore
+    (Codec.list
+       (fun r ->
+         let name = Codec.string_ r in
+         let group = Codec.string_ r in
+         let schema = get_schema r in
+         let key = Codec.option get_attrs r in
+         let v = Db.add_relation db ~group ~name ~schema ?key () in
+         List.iter (Versioned.insert v) (Codec.list get_tuple r))
+       r);
+  ignore
+    (Codec.list
+       (fun r ->
+         let name = Codec.string_ r in
+         let index = get_index_kind r in
+         let body =
+           get_ca ~chronicle:(Db.chronicle db)
+             ~relation:(fun n -> Versioned.relation (Db.relation db n))
+             r
+         in
+         let def = Sca.define ~allow_non_ca:true ~name ~body (get_summarize r) in
+         let view = View.create ~index ~heavy_threshold:(Db.heavy_threshold db) def in
+         View.load_w view (get_view_contents r);
+         Registry.register (Db.registry db) view)
+       r);
   db
 
-let load ?jobs ?heavy_threshold text =
-  db_of_sexp ?jobs ?heavy_threshold (Sexp.of_string text)
+let save db = Codec.encode put_db db
+
+let decode_with what get data =
+  match Codec.decode get data with
+  | Ok x -> x
+  | Error reason -> error "malformed %s: %s" what reason
+  | exception (Snapshot_error _ as e) -> raise e
+  | exception e -> error "%s does not load: %s" what (Printexc.to_string e)
+
+let load ?jobs ?heavy_threshold data =
+  decode_with "snapshot" (get_db ?jobs ?heavy_threshold) data
 
 let save_file db path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (save db))
+  Out_channel.with_open_bin path (fun oc -> output_string oc (save db))
 
 let load_file ?jobs ?heavy_threshold path =
-  let ic = open_in path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  load ?jobs ?heavy_threshold text
+  load ?jobs ?heavy_threshold (In_channel.with_open_bin path In_channel.input_all)

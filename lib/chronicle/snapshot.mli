@@ -7,8 +7,11 @@ open Relational
     be recomputed by replay.  Their materialized state (plus the
     catalog, group watermarks/clocks, relation contents, and whatever
     chronicle window the retention policies kept) therefore {e is} the
-    database, and this module serializes exactly that to a textual
-    S-expression document and back.
+    database, and this module serializes exactly that to a {!Codec}
+    byte string and back.  The document carries no magic or version
+    of its own: it is always embedded in a versioned container — a
+    checkpoint frame ({!Chronicle_durability.Ckpt}) or a session
+    snapshot.
 
     Not captured (documented limits):
     - the [Versioned] forward log and pending future-effective updates
@@ -28,7 +31,8 @@ val save : Db.t -> string
 
 val load : ?jobs:int -> ?heavy_threshold:int -> string -> Db.t
 (** Rebuild a database from {!save} output.  Raises {!Snapshot_error}
-    (or [Sexp.Parse_error]) on malformed documents.  [jobs] is the
+    on any input that does not decode or does not load — the reason
+    carries the byte offset where decoding stopped.  [jobs] is the
     maintenance parallelism degree of the rebuilt database (see
     {!Db.create}; a snapshot does not record the degree it was saved
     under — parallelism is an execution property, not state).
@@ -39,41 +43,47 @@ val load : ?jobs:int -> ?heavy_threshold:int -> string -> Db.t
 val save_file : Db.t -> string -> unit
 val load_file : ?jobs:int -> ?heavy_threshold:int -> string -> Db.t
 
-val sexp_of_db : Db.t -> Sexp.t
-val db_of_sexp : ?jobs:int -> ?heavy_threshold:int -> Sexp.t -> Db.t
-(** The underlying document (used by the session-level snapshot, which
-    embeds the database document alongside temporal and event state). *)
+val put_db : Buffer.t -> Db.t -> unit
+val get_db : ?jobs:int -> ?heavy_threshold:int -> Codec.reader -> Db.t
+(** The underlying encoding (used by the session-level snapshot, which
+    embeds the database alongside temporal and event state). *)
 
-(** {2 Building blocks} (exposed for tests and tooling) *)
+val decode_with : string -> (Codec.reader -> 'a) -> string -> 'a
+(** [decode_with what get data] decodes a whole payload, raising
+    {!Snapshot_error} — naming [what] — on a {!Codec.Decode_error}
+    (with its byte offset) or on any exception the decoded content
+    provokes while it is applied. *)
 
-val sexp_of_schema : Schema.t -> Sexp.t
-val schema_of_sexp : Sexp.t -> Schema.t
-val sexp_of_tuple : Tuple.t -> Sexp.t
-val tuple_of_sexp : Sexp.t -> Tuple.t
-val sexp_of_retention : Chron.retention -> Sexp.t
-val retention_of_sexp : Sexp.t -> Chron.retention
-val sexp_of_predicate : Predicate.t -> Sexp.t
-val predicate_of_sexp : Sexp.t -> Predicate.t
+(** {2 Building blocks} (exposed for the journal, the session snapshot
+    and tests) *)
 
-val sexp_of_ca : Ca.t -> Sexp.t
+val put_schema : Buffer.t -> Schema.t -> unit
+val get_schema : Codec.reader -> Schema.t
+val put_tuple : Buffer.t -> Tuple.t -> unit
+val get_tuple : Codec.reader -> Tuple.t
+val put_key : Buffer.t -> Value.t list -> unit
+val get_key : Codec.reader -> Value.t list
+val put_attrs : Buffer.t -> string list -> unit
+val get_attrs : Codec.reader -> string list
+val put_retention : Buffer.t -> Chron.retention -> unit
+val get_retention : Codec.reader -> Chron.retention
+val put_index_kind : Buffer.t -> Index.kind -> unit
+val get_index_kind : Codec.reader -> Index.kind
+val put_predicate : Buffer.t -> Predicate.t -> unit
+val get_predicate : Codec.reader -> Predicate.t
+
+val put_ca : Buffer.t -> Ca.t -> unit
 (** Chronicles and relations are referenced by name. *)
 
-val ca_of_sexp :
+val get_ca :
   chronicle:(string -> Chron.t) ->
   relation:(string -> Relation.t) ->
-  Sexp.t ->
+  Codec.reader ->
   Ca.t
 
-val sexp_of_sca : Sca.t -> Sexp.t
-val sca_of_sexp :
+val put_sca : Buffer.t -> Sca.t -> unit
+val get_sca :
   chronicle:(string -> Chron.t) ->
   relation:(string -> Relation.t) ->
-  Sexp.t ->
+  Codec.reader ->
   Sca.t
-
-val sexp_of_view_contents : View.t -> Sexp.t
-val view_contents_of_sexp : Sexp.t -> View.dump_w
-(** Contents round-trip through the multiplicity-preserving
-    {!View.dump_w} ("rows-w"/"groups-w" tags), so restored views keep
-    maintaining correctly under retraction; pre-weighted "rows"/"groups"
-    documents still parse with every multiplicity defaulting to 1. *)

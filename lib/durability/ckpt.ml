@@ -1,25 +1,31 @@
-(* Checkpoint generation container: a CRC'd header in front of the
-   snapshot payload, so recovery can verify a generation before
-   trusting it and fall back to an older one.
+(* Checkpoint container: a CRC'd header in front of the snapshot
+   payload, so recovery and scrub can verify every checkpoint before
+   trusting it and fall back to an older generation.
 
    On-disk format (all integers big-endian):
 
-     "CHRONCKP1\n"          10-byte magic
+     "CHRONCKP2\n"          10-byte magic; the digit is the format
+                            version
      u32 generation         monotone per checkpoint
      u32 first_segment      first journal segment NOT covered by this
                             generation (replay starts there)
      u32 payload length
      u32 CRC-32 of payload
      u32 CRC-32 of the 26 header bytes above
-     payload                Snapshot.save document
+     payload                Snapshot.save bytes
 
-   The bare legacy name ["checkpoint"] (keep_checkpoints = 1) carries
-   no header — its bytes are exactly the snapshot document, identical
-   to the pre-generation layout. *)
+   Every checkpoint file has this one frame: the numbered generations
+   ["checkpoint.<g>"] and the bare ["checkpoint"] of keep_checkpoints
+   = 1 (written with generation 0 and first_segment 0 — its journal
+   is reset, not sealed, so replay starts at the first segment). *)
+
+open Relational
 
 let file = "checkpoint"
 let tmp_file = "checkpoint.tmp"
-let magic = "CHRONCKP1\n"
+let tag = "CHRONCKP"
+let version = 2
+let magic = Codec.magic ~tag ~version
 let gen_name g = Printf.sprintf "%s.%d" file g
 
 type header = { generation : int; first_segment : int }
@@ -51,25 +57,24 @@ let encode ~generation ~first_segment payload =
 let decode contents =
   let len = String.length contents in
   if len < header_len then Error "truncated header"
-  else if String.sub contents 0 (String.length magic) <> magic then
-    Error "bad magic"
-  else if
-    get_be32 contents crced_len <> Crc32.string (String.sub contents 0 crced_len)
-  then Error "header checksum mismatch"
-  else begin
-    let generation = get_be32 contents (String.length magic) in
-    let first_segment = get_be32 contents (String.length magic + 4) in
-    let plen = get_be32 contents (String.length magic + 8) in
-    let pcrc = get_be32 contents (String.length magic + 12) in
-    if len - header_len <> plen then
-      Error
-        (Printf.sprintf "payload length mismatch (header says %d, found %d)"
-           plen (len - header_len))
-    else
-      let payload = String.sub contents header_len plen in
-      if Crc32.string payload <> pcrc then Error "payload checksum mismatch"
-      else Ok ({ generation; first_segment }, payload)
-  end
+  else
+    match Codec.check_magic ~tag ~version contents with
+    | Error reason -> Error reason
+    | Ok mlen ->
+        let field k = get_be32 contents (mlen + (4 * k)) in
+        let plen = field 2 in
+        if field 4 <> Crc32.sub contents ~pos:0 ~len:crced_len then
+          Error "header checksum mismatch"
+        else if len - header_len <> plen then
+          Error
+            (Printf.sprintf "payload length mismatch (header says %d, found %d)"
+               plen (len - header_len))
+        else if Crc32.sub contents ~pos:header_len ~len:plen <> field 3 then
+          Error "payload checksum mismatch"
+        else
+          Ok
+            ( { generation = field 0; first_segment = field 1 },
+              String.sub contents header_len plen )
 
 (* Existing generations, (generation, storage-name) ascending —
    discovered by naming convention, like journal segments. *)

@@ -1,25 +1,28 @@
-(** Checkpoint generation container format.
+(** Checkpoint container format.
 
-    With [keep_checkpoints >= 2] the durability layer writes each
-    checkpoint under ["checkpoint.<generation>"], prefixed by a CRC'd
-    header that lets recovery {e verify} a generation before trusting
-    it — and fall back, generation by generation, when verification
-    fails.  The header also records [first_segment], the first journal
-    segment the generation does {e not} cover, so an older generation
-    knows to replay a correspondingly longer journal suffix.
+    Every checkpoint file is one frame: a CRC'd header that lets
+    recovery and scrub {e verify} a checkpoint before trusting it, then
+    the {!Chronicle_core.Snapshot.save} payload.  With
+    [keep_checkpoints >= 2] the durability layer writes each checkpoint
+    under ["checkpoint.<generation>"] and falls back, generation by
+    generation, when verification fails; the header records
+    [first_segment], the first journal segment the generation does
+    {e not} cover, so an older generation knows to replay a
+    correspondingly longer journal suffix.  With [keep_checkpoints = 1]
+    the one checkpoint lives under the bare name ["checkpoint"], framed
+    the same way with generation 0 and first segment 0.
 
     On-disk format (integers big-endian):
     {v
-    "CHRONCKP1\n"                        10-byte magic
+    "CHRONCKP2\n"                        10-byte magic (format version 2)
     [u32 generation][u32 first_segment]
     [u32 payload length][u32 payload CRC-32]
     [u32 CRC-32 of the 26 bytes above]
-    payload                              the Snapshot.save document
+    payload                              the Snapshot.save bytes
     v}
-
-    The bare legacy name ["checkpoint"] ([keep_checkpoints = 1])
-    carries no header: its bytes are exactly the snapshot document,
-    byte-identical to the pre-generation layout. *)
+    A checkpoint of another format version — including the version-1
+    S-expression bare checkpoint — fails {!decode} with a reason naming
+    the version. *)
 
 val file : string  (** ["checkpoint"] — the legacy bare name *)
 
@@ -31,12 +34,13 @@ val gen_name : int -> string
 type header = { generation : int; first_segment : int }
 
 val encode : generation:int -> first_segment:int -> string -> string
-(** Wrap a snapshot document in a generation header. *)
+(** Wrap a snapshot payload in a checkpoint header. *)
 
 val decode : string -> (header * string, string) result
 (** Verify and strip the header; [Error reason] on a truncated or
-    foreign header, a header-CRC mismatch, a payload-length mismatch,
-    or a payload-CRC mismatch.  Never raises. *)
+    foreign header, another format version, a header-CRC mismatch, a
+    payload-length mismatch, or a payload-CRC mismatch.  Never
+    raises. *)
 
 val generations : Storage.t -> (int * string) list
 (** Existing generations, [(generation, storage-name)] ascending —

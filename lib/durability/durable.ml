@@ -19,103 +19,78 @@ let p_post_checkpoint_rename = "post-checkpoint-rename"
 let p_view_fold = "view-fold"
 let p_replay_dispatch = "replay-dispatch"
 
-(* ---- transaction-event (de)serialization ---- *)
+(* ---- journal records: one Codec-encoded transaction event each ---- *)
 
-let sexp_of_batch batch =
-  Sexp.List
-    (List.map
-       (fun (cname, tuples) ->
-         Sexp.List
-           [
-             Sexp.atom cname;
-             Sexp.List (List.map Snapshot.sexp_of_tuple tuples);
-           ])
-       batch)
+let put_tag buf t = Buffer.add_char buf (Char.chr t)
 
-let sexp_of_event (ev : Db.txn_event) =
-  let tagged tag fields = Sexp.List [ Sexp.Atom tag; Sexp.record fields ] in
+let put_batch =
+  Codec.put_list (fun buf (cname, tuples) ->
+      Codec.put_string buf cname;
+      Codec.put_list Snapshot.put_tuple buf tuples)
+
+let get_batch =
+  Codec.list (fun r ->
+      let cname = Codec.string_ r in
+      (cname, Codec.list Snapshot.get_tuple r))
+
+let put_sn_rows buf (sn, rows) =
+  Codec.put_int buf sn;
+  Codec.put_list Snapshot.put_tuple buf rows
+
+let put_event buf (ev : Db.txn_event) =
   match ev with
   | Db.Ev_append { group; sn; batch } ->
-      tagged "append"
-        [
-          ("group", Sexp.atom group);
-          ("sn", Sexp.int sn);
-          ("batch", sexp_of_batch batch);
-        ]
+      put_tag buf 0;
+      Codec.put_string buf group;
+      Codec.put_int buf sn;
+      put_batch buf batch
   | Db.Ev_group { group; entries } ->
       (* a whole group commit framed as ONE journal record: one storage
          append, one sync, however many batches the group carries *)
-      tagged "group"
-        [
-          ("group", Sexp.atom group);
-          ( "entries",
-            Sexp.List
-              (List.map
-                 (fun (sn, batch) ->
-                   Sexp.record
-                     [ ("sn", Sexp.int sn); ("batch", sexp_of_batch batch) ])
-                 entries) );
-        ]
+      put_tag buf 1;
+      Codec.put_string buf group;
+      Codec.put_list
+        (fun buf (sn, batch) ->
+          Codec.put_int buf sn;
+          put_batch buf batch)
+        buf entries
   | Db.Ev_insert { relation; rows; at } ->
-      tagged "insert"
-        [
-          ("relation", Sexp.atom relation);
-          ("at", Sexp.int at);
-          ("rows", Sexp.List (List.map Snapshot.sexp_of_tuple rows));
-        ]
+      put_tag buf 2;
+      Codec.put_string buf relation;
+      put_sn_rows buf (at, rows)
   | Db.Ev_retract { chronicle; entries } ->
-      tagged "retract"
-        [
-          ("chronicle", Sexp.atom chronicle);
-          ( "entries",
-            Sexp.List
-              (List.map
-                 (fun (sn, rows) ->
-                   Sexp.record
-                     [
-                       ("sn", Sexp.int sn);
-                       ("rows", Sexp.List (List.map Snapshot.sexp_of_tuple rows));
-                     ])
-                 entries) );
-        ]
+      put_tag buf 3;
+      Codec.put_string buf chronicle;
+      Codec.put_list put_sn_rows buf entries
   | Db.Ev_clock { group; chronon } ->
-      tagged "clock" [ ("group", Sexp.atom group); ("chronon", Sexp.int chronon) ]
+      put_tag buf 4;
+      Codec.put_string buf group;
+      Codec.put_int buf chronon
   | Db.Ev_add_group { name; clock_start } ->
-      tagged "add-group"
-        (("name", Sexp.atom name)
-        ::
-        (match clock_start with
-        | None -> []
-        | Some c -> [ ("clock-start", Sexp.int c) ]))
+      put_tag buf 5;
+      Codec.put_string buf name;
+      Codec.put_option Codec.put_int buf clock_start
   | Db.Ev_add_chronicle { name; group; retention; schema } ->
-      tagged "add-chronicle"
-        [
-          ("name", Sexp.atom name);
-          ("group", Sexp.atom group);
-          ("retention", Snapshot.sexp_of_retention retention);
-          ("schema", Snapshot.sexp_of_schema schema);
-        ]
+      put_tag buf 6;
+      Codec.put_string buf name;
+      Codec.put_string buf group;
+      Snapshot.put_retention buf retention;
+      Snapshot.put_schema buf schema
   | Db.Ev_add_relation { name; group; schema; key } ->
-      tagged "add-relation"
-        ([
-           ("name", Sexp.atom name);
-           ("group", Sexp.atom group);
-           ("schema", Snapshot.sexp_of_schema schema);
-         ]
-        @
-        match key with
-        | None -> []
-        | Some key -> [ ("key", Sexp.List (List.map Sexp.atom key)) ])
+      put_tag buf 7;
+      Codec.put_string buf name;
+      Codec.put_string buf group;
+      Snapshot.put_schema buf schema;
+      Codec.put_option Snapshot.put_attrs buf key
   | Db.Ev_define_view { def; index } ->
-      tagged "define-view"
-        [
-          ( "index",
-            Sexp.Atom
-              (match index with Index.Hash -> "hash" | Index.Ordered -> "ordered")
-          );
-          ("def", Snapshot.sexp_of_sca def);
-        ]
-  | Db.Ev_drop_view { name } -> tagged "drop-view" [ ("name", Sexp.atom name) ]
+      (* the definition travels as its own length-prefixed encoding, so
+         decoding the record never resolves a name (see [P_define_view]) *)
+      put_tag buf 8;
+      Snapshot.put_index_kind buf index;
+      Codec.put_string buf (Codec.encode Snapshot.put_sca def)
+  | Db.Ev_drop_view { name } ->
+      put_tag buf 9;
+      Codec.put_string buf name
   | Db.Ev_abort _ ->
       (* Aborts erase the previous record ([sink] maps them to
          [Journal.truncate_last]); they are never serialized.  This
@@ -126,16 +101,17 @@ let sexp_of_event (ev : Db.txn_event) =
          diagnosis instead of a blind assertion. *)
       invalid_arg "Durable: Ev_abort is erased, never journaled"
 
-(* ---- journal-record parsing and application ----
+(* ---- journal-record decoding and application ----
 
    Split in two stages so failures are typed precisely:
 
-   - [parse_record] performs every structural destructuring of the
-     S-expression.  A CRC-valid but malformed record is *corruption*
-     (the checksum said the bytes are what was written, the content is
-     still gibberish) and raises [Journal.Journal_corrupt] with the
-     record index — never a bare [Failure].
-   - [apply_parsed] re-applies a parsed record to the database.  Its
+   - [decode_record] performs every structural decoding of the payload.
+     A CRC-valid payload that does not decode is *corruption* (the
+     checksum said the bytes are what was written, the content is still
+     gibberish) and raises [Journal.Journal_corrupt] with the record
+     index and the byte offset inside the payload — never a bare
+     [Failure].
+   - [apply_parsed] re-applies a decoded record to the database.  Its
      failures are *application* failures (the record is well-formed but
      the database cannot accept it), reported by [recover] as
      [Recovery_error] — or, for the journal's final record, tolerated
@@ -177,120 +153,73 @@ type parsed =
       schema : Schema.t;
       key : string list option;
     }
-  | P_define_view of { index : Index.kind; def : Sexp.t }
-      (* [def] stays unparsed: resolving it needs catalog state, so its
-         failures are application failures, not corruption *)
+  | P_define_view of { index : Index.kind; def : string }
+      (* [def] stays undecoded bytes: resolving it needs catalog state,
+         so its failures are application failures, not corruption *)
   | P_drop_view of { name : string }
 
-let corrupt record reason = raise (Journal.Journal_corrupt { record; reason })
+let get_sn_rows r =
+  let sn = Codec.int_ r in
+  (sn, Codec.list Snapshot.get_tuple r)
 
-let parse_record ~record sexp =
-  let fail fmt = Format.kasprintf (corrupt record) fmt in
-  match sexp with
-  | Sexp.List [ Sexp.Atom tag; fields ] -> (
-      let name_field () = Sexp.to_atom (Sexp.field fields "name") in
-      let group_field () = Sexp.to_atom (Sexp.field fields "group") in
-      let batch_of_sexp sexp =
-        List.map
-          (fun entry ->
-            match entry with
-            | Sexp.List [ cname; tuples ] ->
-                ( Sexp.to_atom cname,
-                  List.map Snapshot.tuple_of_sexp (Sexp.to_list tuples) )
-            | _ -> fail "malformed append batch")
-          (Sexp.to_list sexp)
+let get_record r =
+  match Codec.byte r with
+  | 0 ->
+      let rgroup = Codec.string_ r in
+      let rsn = Codec.int_ r in
+      P_append
+        { grouped = false; entries = [ { Db.rgroup; rsn; rbatch = get_batch r } ] }
+  | 1 ->
+      let rgroup = Codec.string_ r in
+      let entries =
+        Codec.list
+          (fun r ->
+            let rsn = Codec.int_ r in
+            { Db.rgroup; rsn; rbatch = get_batch r })
+          r
       in
-      try
-        match tag with
-        | "append" ->
-            let rgroup = group_field () in
-            let rsn = Sexp.to_int (Sexp.field fields "sn") in
-            let rbatch = batch_of_sexp (Sexp.field fields "batch") in
-            P_append { grouped = false; entries = [ { Db.rgroup; rsn; rbatch } ] }
-        | "group" ->
-            let rgroup = group_field () in
-            let entries =
-              List.map
-                (fun entry ->
-                  {
-                    Db.rgroup;
-                    rsn = Sexp.to_int (Sexp.field entry "sn");
-                    rbatch = batch_of_sexp (Sexp.field entry "batch");
-                  })
-                (Sexp.to_list (Sexp.field fields "entries"))
-            in
-            if entries = [] then fail "empty group record";
-            P_append { grouped = true; entries }
-        | "insert" ->
-            P_insert
-              {
-                relation = Sexp.to_atom (Sexp.field fields "relation");
-                at = Sexp.to_int (Sexp.field fields "at");
-                rows =
-                  List.map Snapshot.tuple_of_sexp
-                    (Sexp.to_list (Sexp.field fields "rows"));
-              }
-        | "retract" ->
-            P_retract
-              {
-                chronicle = Sexp.to_atom (Sexp.field fields "chronicle");
-                entries =
-                  List.map
-                    (fun entry ->
-                      ( Sexp.to_int (Sexp.field entry "sn"),
-                        List.map Snapshot.tuple_of_sexp
-                          (Sexp.to_list (Sexp.field entry "rows")) ))
-                    (Sexp.to_list (Sexp.field fields "entries"));
-              }
-        | "clock" ->
-            P_clock
-              {
-                group = group_field ();
-                chronon = Sexp.to_int (Sexp.field fields "chronon");
-              }
-        | "add-group" ->
-            P_add_group
-              {
-                name = name_field ();
-                clock_start =
-                  Option.map Sexp.to_int (Sexp.field_opt fields "clock-start");
-              }
-        | "add-chronicle" ->
-            P_add_chronicle
-              {
-                name = name_field ();
-                group = group_field ();
-                retention =
-                  Snapshot.retention_of_sexp (Sexp.field fields "retention");
-                schema = Snapshot.schema_of_sexp (Sexp.field fields "schema");
-              }
-        | "add-relation" ->
-            P_add_relation
-              {
-                name = name_field ();
-                group = group_field ();
-                schema = Snapshot.schema_of_sexp (Sexp.field fields "schema");
-                key =
-                  Option.map
-                    (fun s -> List.map Sexp.to_atom (Sexp.to_list s))
-                    (Sexp.field_opt fields "key");
-              }
-        | "define-view" ->
-            let index =
-              match Sexp.to_atom (Sexp.field fields "index") with
-              | "hash" -> Index.Hash
-              | "ordered" -> Index.Ordered
-              | other -> fail "bad index kind %S" other
-            in
-            P_define_view { index; def = Sexp.field fields "def" }
-        | "drop-view" -> P_drop_view { name = name_field () }
-        | other -> fail "unknown journal record tag %S" other
-      with
-      | Journal.Journal_corrupt _ as e -> raise e
-      | e ->
-          (* missing field, wrong atom shape, … — structural damage *)
-          fail "malformed %S record: %s" tag (Printexc.to_string e))
-  | _ -> corrupt record "malformed journal record"
+      if entries = [] then Codec.fail "empty group record";
+      P_append { grouped = true; entries }
+  | 2 ->
+      let relation = Codec.string_ r in
+      let at, rows = get_sn_rows r in
+      P_insert { relation; rows; at }
+  | 3 ->
+      let chronicle = Codec.string_ r in
+      P_retract { chronicle; entries = Codec.list get_sn_rows r }
+  | 4 ->
+      let group = Codec.string_ r in
+      P_clock { group; chronon = Codec.int_ r }
+  | 5 ->
+      let name = Codec.string_ r in
+      P_add_group { name; clock_start = Codec.option Codec.int_ r }
+  | 6 ->
+      let name = Codec.string_ r in
+      let group = Codec.string_ r in
+      let retention = Snapshot.get_retention r in
+      P_add_chronicle { name; group; retention; schema = Snapshot.get_schema r }
+  | 7 ->
+      let name = Codec.string_ r in
+      let group = Codec.string_ r in
+      let schema = Snapshot.get_schema r in
+      P_add_relation
+        { name; group; schema; key = Codec.option Snapshot.get_attrs r }
+  | 8 ->
+      let index = Snapshot.get_index_kind r in
+      P_define_view { index; def = Codec.string_ r }
+  | 9 -> P_drop_view { name = Codec.string_ r }
+  | t -> Codec.fail "unknown journal record tag %#x" t
+
+let decode_record ~record payload =
+  let corrupt reason =
+    raise (Journal.Journal_corrupt { record; reason = "malformed record: " ^ reason })
+  in
+  match Codec.decode get_record payload with
+  | Ok parsed -> parsed
+  | Error reason -> corrupt reason
+  | exception e -> corrupt (Printexc.to_string e)
+
+let verify_record ~record payload = ignore (decode_record ~record payload)
 
 let apply_parsed db = function
   | P_append { grouped; entries } ->
@@ -342,9 +271,10 @@ let apply_parsed db = function
       end
   | P_define_view { index; def } ->
       let def =
-        Snapshot.sca_of_sexp
-          ~chronicle:(fun n -> Db.chronicle db n)
-          ~relation:(fun n -> Versioned.relation (Db.relation db n))
+        Snapshot.decode_with "view definition"
+          (Snapshot.get_sca
+             ~chronicle:(fun n -> Db.chronicle db n)
+             ~relation:(fun n -> Versioned.relation (Db.relation db n)))
           def
       in
       if Option.is_some (Registry.find (Db.registry db) (Sca.name def)) then
@@ -458,7 +388,7 @@ let sink t ev =
     match ev with
     | Db.Ev_abort _ -> Journal.truncate_last t.journal
     | ev ->
-        Journal.append t.journal (sexp_of_event ev);
+        Journal.append t.journal (Codec.encode put_event ev);
         (match ev with
         | Db.Ev_append _ -> Fault.hit t.fault p_post_journal_write
         | Db.Ev_group _ ->
@@ -521,45 +451,39 @@ let prune_generations t ~newest_gen ~newest_first_segment =
 
 let do_checkpoint t =
   let doc = Snapshot.save t.database in
+  (* keep = 1: one bare [checkpoint] whose journal is reset below, so
+     replay starts at the first segment; keep >= 2: a numbered
+     generation over a freshly sealed journal — seal first so the new
+     active segment is exactly the journal it does not cover *)
+  let name, generation, first_segment =
+    if t.keep <= 1 then (checkpoint_file, 0, 0)
+    else begin
+      Journal.seal t.journal;
+      let generation =
+        match List.rev (Ckpt.generations t.storage) with
+        | (g, _) :: _ -> g + 1
+        | [] -> 0
+      in
+      (Ckpt.gen_name generation, generation, Journal.active_seq t.journal)
+    end
+  in
+  t.storage.Storage.write checkpoint_tmp_file
+    (Ckpt.encode ~generation ~first_segment doc);
+  t.storage.Storage.sync checkpoint_tmp_file;
+  Fault.hit t.fault p_pre_checkpoint_rename;
+  t.storage.Storage.rename checkpoint_tmp_file name;
+  t.storage.Storage.sync name;
+  Fault.hit t.fault p_post_checkpoint_rename;
   if t.keep <= 1 then begin
-    (* legacy layout: the raw snapshot under the bare name,
-       byte-identical to the single-generation format *)
-    t.storage.Storage.write checkpoint_tmp_file doc;
-    t.storage.Storage.sync checkpoint_tmp_file;
-    Fault.hit t.fault p_pre_checkpoint_rename;
-    t.storage.Storage.rename checkpoint_tmp_file checkpoint_file;
-    t.storage.Storage.sync checkpoint_file;
-    Fault.hit t.fault p_post_checkpoint_rename;
     Journal.reset t.journal;
     (* leftovers from an earlier multi-generation configuration are all
        redundant now: the bare checkpoint covers everything *)
     List.iter
       (fun (_, name) -> t.storage.Storage.remove name)
-      (Ckpt.generations t.storage);
-    List.iter
-      (fun (_, name) -> t.storage.Storage.remove name)
-      (Journal.segments t.storage journal_file)
+      (Ckpt.generations t.storage @ Journal.segments t.storage journal_file)
   end
-  else begin
-    (* seal first so the fresh active segment is exactly the journal
-       this generation does not cover *)
-    Journal.seal t.journal;
-    let first_segment = Journal.active_seq t.journal in
-    let generation =
-      match List.rev (Ckpt.generations t.storage) with
-      | (g, _) :: _ -> g + 1
-      | [] -> 0
-    in
-    t.storage.Storage.write checkpoint_tmp_file
-      (Ckpt.encode ~generation ~first_segment doc);
-    t.storage.Storage.sync checkpoint_tmp_file;
-    Fault.hit t.fault p_pre_checkpoint_rename;
-    let name = Ckpt.gen_name generation in
-    t.storage.Storage.rename checkpoint_tmp_file name;
-    t.storage.Storage.sync name;
-    Fault.hit t.fault p_post_checkpoint_rename;
-    prune_generations t ~newest_gen:generation ~newest_first_segment:first_segment
-  end;
+  else
+    prune_generations t ~newest_gen:generation ~newest_first_segment:first_segment;
   Stats.incr Stats.Checkpoint
 
 let checkpoint t =
@@ -670,21 +594,12 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?heavy_threshold
           match storage.Storage.read name with
           | None -> Error "vanished during recovery"
           | Some contents -> (
-              match generation with
-              | None -> (
-                  match Snapshot.load ?jobs ?heavy_threshold contents with
-                  | db -> Ok (0, db)
-                  | exception e ->
-                      Error ("snapshot does not load: " ^ Printexc.to_string e))
-              | Some _ -> (
-                  match Ckpt.decode contents with
-                  | Error reason -> Error reason
-                  | Ok (h, payload) -> (
-                      match Snapshot.load ?jobs ?heavy_threshold payload with
-                      | db -> Ok (h.Ckpt.first_segment, db)
-                      | exception e ->
-                          Error
-                            ("snapshot does not load: " ^ Printexc.to_string e))))
+              match Ckpt.decode contents with
+              | Error reason -> Error reason
+              | Ok (h, payload) -> (
+                  match Snapshot.load ?jobs ?heavy_threshold payload with
+                  | db -> Ok (h.Ckpt.first_segment, db)
+                  | exception Snapshot.Snapshot_error reason -> Error reason))
         in
         match verdict with
         | Ok (first_segment, db) -> `Loaded (generation, first_segment, db)
@@ -749,13 +664,13 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?heavy_threshold
          produce) is corruption, reported before any replay begins.  A
          torn tail on the active segment stays the tolerated
          died-mid-append case. *)
-      let rev_records = ref [] (* (sexp, segment-name, offset, active?) *) in
+      let rev_records = ref [] (* (payload, segment-name, offset, active?) *) in
       let base = ref 0 in
       List.iter
         (fun (kind, name, recs, ended) ->
           List.iter
-            (fun (sexp, off) ->
-              rev_records := (sexp, name, off, kind = `Active) :: !rev_records)
+            (fun (payload, off) ->
+              rev_records := (payload, name, off, kind = `Active) :: !rev_records)
             recs;
           let here = List.length recs in
           (match (ended, kind) with
@@ -771,12 +686,12 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?heavy_threshold
           base := !base + here)
         scans;
       let located = Array.of_list (List.rev !rev_records) in
-      (* stage 2: parse every record up front — a CRC-valid but
-         malformed record is corruption too, reported with its global
-         index *)
+      (* stage 2: decode every record up front — a CRC-valid payload
+         that does not decode is corruption too, reported with its
+         global index *)
       let parsed =
         Array.mapi
-          (fun i (sexp, _, _, _) -> parse_record ~record:i sexp)
+          (fun i (payload, _, _, _) -> decode_record ~record:i payload)
           located
       in
       let n = Array.length parsed in
@@ -901,10 +816,10 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?heavy_threshold
         | (kind, name, recs, ended) :: rest ->
             let failed = ref None in
             List.iter
-              (fun (sexp, off) ->
+              (fun (payload, off) ->
                 if !failed = None then
                   match
-                    apply_parsed database (parse_record ~record:!gi sexp)
+                    apply_parsed database (decode_record ~record:!gi payload)
                   with
                   | applied ->
                       count applied;

@@ -105,11 +105,11 @@ val attach :
     deleted.  Default [sync] is {!Journal.Sync_always}.
 
     [keep_checkpoints] (default [1]) is the number of checkpoint
-    generations retained: [1] keeps the legacy layout — one bare
-    ["checkpoint"] file holding the raw snapshot, byte-identical to
-    the pre-generation format; [>= 2] writes CRC-headed generations
-    ["checkpoint.<g>"] and prunes to the newest [K] at each
-    checkpoint.  [segment_bytes] bounds journal segments (default:
+    generations retained: [1] keeps the single-file layout — one bare
+    ["checkpoint"] file, reset journal; [>= 2] writes numbered
+    generations ["checkpoint.<g>"] and prunes to the newest [K] at
+    each checkpoint.  Either way each checkpoint file is one CRC'd
+    {!Ckpt} frame.  [segment_bytes] bounds journal segments (default:
     unbounded, single ["journal"] file as before); see {!Journal}.
     Raises [Invalid_argument] if [keep_checkpoints < 1]. *)
 
@@ -228,3 +228,20 @@ val has_state : Storage.t -> bool
 (** True if the storage holds a checkpoint (bare or generation) or a
     journal (active or sealed segment) — i.e. {!recover} has something
     to work from. *)
+
+(** {2 Journal records} *)
+
+val put_event : Buffer.t -> Db.txn_event -> unit
+(** The {!Relational.Codec} encoding of one event — the payload of its
+    journal record.  One tag byte, then the event's fields in
+    declaration order; a view definition travels as its own
+    length-prefixed encoding, decoded only when the record is applied
+    (so a name it cannot resolve is a {!Recovery_error}, not
+    corruption).  Raises [Invalid_argument] on [Ev_abort], which is
+    never journaled. *)
+
+val verify_record : record:int -> string -> unit
+(** Decode one journal payload exactly as {!recover} does and discard
+    the result.  Raises {!Journal.Journal_corrupt} (carrying [record]
+    and, for malformed fields, the byte offset inside the payload) if
+    it does not decode. *)

@@ -24,7 +24,9 @@ let sync_policy_to_string = function
   | Sync_always -> "always"
   | Sync_every n -> Printf.sprintf "every:%d" n
 
-let magic = "CHRONJNL1\n"
+let tag = "CHRONJNL"
+let version = 2
+let magic = Codec.magic ~tag ~version
 
 let corrupt record fmt =
   Printf.ksprintf (fun reason -> raise (Journal_corrupt { record; reason })) fmt
@@ -43,54 +45,42 @@ let frame payload =
 type damage = { index : int; offset : int; reason : string }
 type ended = Complete | Torn of int | Damaged of damage
 
-(* Decode [contents] into the maximal well-formed prefix — (sexp,
+(* Split [contents] into the maximal well-formed prefix — (payload,
    start-offset) pairs in journal order — plus how the scan ended.
    Total: damage is reported in the [ended] value, never raised, so
    scrub and salvage can inventory a broken segment without
-   exceptions. *)
+   exceptions.  Payloads are opaque here: decoding them is the
+   caller's business. *)
 let scan contents =
   let len = String.length contents in
   let mlen = String.length magic in
-  if len < mlen then
-    if String.sub contents 0 len = String.sub magic 0 len then
-      (* magic itself torn: an empty journal that died during creation *)
-      ([], Torn 0)
-    else ([], Damaged { index = 0; offset = 0; reason = "bad magic" })
-  else if String.sub contents 0 mlen <> magic then
-    ([], Damaged { index = 0; offset = 0; reason = "bad magic" })
-  else begin
-    let records = ref [] in
-    let idx = ref 0 in
-    let pos = ref mlen in
-    let ended = ref Complete in
-    let stop e = ended := e; raise Exit in
-    (try
-       while !pos < len do
-         let o = !pos in
-         if len - o < 8 then stop (Torn o);
-         let plen = get_be32 contents o in
-         let crc = get_be32 contents (o + 4) in
-         if o + 8 + plen > len then stop (Torn o);
-         let payload = String.sub contents (o + 8) plen in
-         if Crc32.string payload <> crc then
-           stop (Damaged { index = !idx; offset = o; reason = "checksum mismatch" });
-         (match Sexp.of_string payload with
-         | sexp ->
-             records := (sexp, o) :: !records;
+  if len < mlen && String.sub magic 0 len = contents then
+    (* magic itself torn: an empty journal that died during creation *)
+    ([], Torn 0)
+  else
+    match Codec.check_magic ~tag ~version contents with
+    | Error reason -> ([], Damaged { index = 0; offset = 0; reason })
+    | Ok _ ->
+        let records = ref [] in
+        let idx = ref 0 in
+        let pos = ref mlen in
+        let ended = ref Complete in
+        let stop e = ended := e; raise Exit in
+        (try
+           while !pos < len do
+             let o = !pos in
+             if len - o < 8 then stop (Torn o);
+             let plen = get_be32 contents o in
+             let crc = get_be32 contents (o + 4) in
+             if o + 8 + plen > len then stop (Torn o);
+             if Crc32.sub contents ~pos:(o + 8) ~len:plen <> crc then
+               stop (Damaged { index = !idx; offset = o; reason = "checksum mismatch" });
+             records := (String.sub contents (o + 8) plen, o) :: !records;
              incr idx;
              pos := o + 8 + plen
-         | exception Sexp.Parse_error { message; _ } ->
-             stop
-               (Damaged
-                  {
-                    index = !idx;
-                    offset = o;
-                    reason = "checksummed payload does not parse: " ^ message;
-                  }))
-       done
-     with Exit -> ());
-    (List.rev !records, !ended)
-  end
+           done
+         with Exit -> ());
+        (List.rev !records, !ended)
 
 let read (storage : Storage.t) name =
   match storage.Storage.read name with
@@ -213,8 +203,8 @@ let seal t =
 
 let active_seq t = t.seq
 
-let append t record =
-  let framed = frame (Sexp.to_string record) in
+let append t payload =
+  let framed = frame payload in
   (match t.segment_bytes with
   | Some limit when t.count > 0 && t.size + String.length framed > limit ->
       seal t

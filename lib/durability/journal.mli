@@ -1,5 +1,3 @@
-open Relational
-
 (** The write-ahead journal: an append-only storage name holding a
     magic header followed by length-prefixed, CRC-32-checksummed
     records, one per transaction event, written {e before} the
@@ -7,11 +5,15 @@ open Relational
 
     On-disk format (all integers big-endian):
     {v
-    "CHRONJNL1\n"                                   10-byte magic
+    "CHRONJNL2\n"                                   10-byte magic
     [u32 payload length][u32 CRC-32 of payload][payload]   repeated
     v}
-    where each payload is the textual S-expression of one
-    {!Db.txn_event}.
+    The journal frames and checksums bytes; it does not look inside
+    them.  The durability layer stores one {!Relational.Codec}-encoded
+    {!Db.txn_event} per payload ({!Durable.put_event}).  The digit in
+    the magic is the format version: a segment of another version
+    (version 1 held S-expression text) is refused as damaged, naming
+    the version it found.
 
     A {e torn} final record (the process died mid-append) is expected
     and tolerated: readers report it and writers cut it off.  A record
@@ -53,21 +55,21 @@ type ended =
       (** truncated mid-record (or mid-magic); the offset is the end
           of the complete prefix *)
   | Damaged of damage
-      (** checksum mismatch, unparseable checksummed payload, or
-          foreign magic *)
+      (** checksum mismatch, or a foreign magic or format version *)
 
-val scan : string -> (Sexp.t * int) list * ended
-(** Decode raw segment contents into the maximal well-formed prefix —
-    each record paired with its byte offset — plus how the scan ended.
+val scan : string -> (string * int) list * ended
+(** Split raw segment contents into the maximal well-formed prefix —
+    each record's payload paired with its byte offset — plus how the
+    scan ended.
     Total: never raises, whatever the bytes.  This is the primitive
     under {!read}, {!open_}, scrub and salvage. *)
 
-val read : Storage.t -> string -> Sexp.t list * [ `Clean | `Torn ]
-(** Decode every complete record.  An absent name reads as
+val read : Storage.t -> string -> string list * [ `Clean | `Torn ]
+(** Every complete record's payload.  An absent name reads as
     [([], `Clean)]; a torn tail (truncated header, truncated payload,
     or truncated magic) yields the complete prefix and [`Torn].
-    Raises {!Journal_corrupt} on a checksum mismatch, unparseable
-    payload, or foreign magic. *)
+    Raises {!Journal_corrupt} on a checksum mismatch, or a foreign
+    magic or format version. *)
 
 (** {2 Segments} *)
 
@@ -108,7 +110,7 @@ val seal : t -> unit
 val active_seq : t -> int
 (** The sequence number the active segment will seal to. *)
 
-val append : t -> Sexp.t -> unit
+val append : t -> string -> unit
 (** Frame, checksum and append one record in a single storage append
     (so a torn write tears within this record), then sync per policy;
     rotates first if the append would pass [segment_bytes].  Bumps

@@ -28,18 +28,7 @@ let verify_checkpoint storage (generation, ck_name) =
   | Some contents ->
       let ck_bytes = String.length contents in
       let ck_damage =
-        match generation with
-        | Some _ -> (
-            match Ckpt.decode contents with
-            | Ok _ -> None
-            | Error reason -> Some reason)
-        | None -> (
-            (* the bare legacy file carries no CRC; structural parse is
-               the strongest read-only check available *)
-            match Sexp.of_string contents with
-            | _ -> None
-            | exception Sexp.Parse_error { message; _ } ->
-                Some ("snapshot does not parse: " ^ message))
+        match Ckpt.decode contents with Ok _ -> None | Error reason -> Some reason
       in
       { ck_name; generation; ck_bytes; ck_damage }
 
@@ -56,16 +45,30 @@ let verify_segment storage ~sealed seg_name =
       }
   | Some contents ->
       let recs, ended = Journal.scan contents in
-      let records = List.length recs in
+      (* a CRC-valid record must also decode, exactly as recovery
+         decodes it; the first that does not ends the verified prefix *)
+      let undecodable =
+        List.find_map
+          (fun (i, (payload, offset)) ->
+            match Durable.verify_record ~record:i payload with
+            | () -> None
+            | exception Journal.Journal_corrupt { reason; _ } ->
+                Some { Journal.index = i; offset; reason })
+          (List.mapi (fun i r -> (i, r)) recs)
+      in
+      let records =
+        match undecodable with Some d -> d.Journal.index | None -> List.length recs
+      in
       Stats.add Stats.Scrub_record records;
       let torn_tail, seg_damage =
-        match ended with
-        | Journal.Complete -> (false, None)
-        | Journal.Torn _ when not sealed ->
+        match (undecodable, ended) with
+        | Some d, _ -> (false, Some d)
+        | None, Journal.Complete -> (false, None)
+        | None, Journal.Torn _ when not sealed ->
             (* a died-mid-append tail on the active segment: expected,
                recovery cuts it off *)
             (true, None)
-        | Journal.Torn off ->
+        | None, Journal.Torn off ->
             (* a clean rotation always seals complete segments *)
             ( false,
               Some
@@ -74,7 +77,7 @@ let verify_segment storage ~sealed seg_name =
                   offset = off;
                   reason = "sealed segment torn";
                 } )
-        | Journal.Damaged d -> (false, Some d)
+        | None, Journal.Damaged d -> (false, Some d)
       in
       { seg_name; sealed; seg_bytes = String.length contents; records;
         torn_tail; seg_damage }

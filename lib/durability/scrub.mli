@@ -1,7 +1,9 @@
 (** Read-only storage verification.
 
-    [run] CRC-verifies every checkpoint generation and every journal
-    record — sealed segments and the active one — and returns a typed
+    [run] verifies every checkpoint ({!Ckpt.decode}: header and
+    payload CRC) and every journal record — sealed segments and the
+    active one; CRC, then the record decoder recovery uses
+    ({!Durable.verify_record}) — and returns a typed
     damage inventory: per-segment record counts and the first bad
     offset where verification stopped believing the bytes.  Nothing is
     modified, ever: scrub is safe against live storage and is the
@@ -12,25 +14,23 @@
 
 type checkpoint_status = {
   ck_name : string;
-  generation : int option;  (** [None] — the bare legacy file *)
+  generation : int option;  (** [None] — the bare ["checkpoint"] *)
   ck_bytes : int;
-  ck_damage : string option;
-      (** [None] = verified.  Generations verify header + payload CRC;
-          the legacy file (no CRC in its format) verifies structural
-          parse only. *)
+  ck_damage : string option;  (** [None] = verified *)
 }
 
 type segment_status = {
   seg_name : string;
   sealed : bool;
   seg_bytes : int;
-  records : int;  (** complete, checksum-valid records *)
+  records : int;  (** complete records that verify and decode *)
   torn_tail : bool;
       (** active segment died mid-append — expected, tolerated, not
           counted as damage *)
   seg_damage : Journal.damage option;
-      (** first bad record: checksum mismatch, unparseable payload,
-          foreign magic, or a torn {e sealed} segment *)
+      (** first bad record: checksum mismatch, a payload that does
+          not decode, foreign magic or format version, or a torn
+          {e sealed} segment *)
 }
 
 type t = {
@@ -39,7 +39,7 @@ type t = {
 }
 
 val run : Storage.t -> t
-(** Inventory every checkpoint (legacy first, then generations
+(** Inventory every checkpoint (bare first, then generations
     ascending) and every journal segment (sealed ascending, active
     last).  Read-only. *)
 

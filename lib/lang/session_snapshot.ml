@@ -6,399 +6,314 @@ open Chronicle_events
 exception Session_snapshot_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Session_snapshot_error s)) fmt
-
-let sexp_of_key key = Sexp.List (List.map Value.to_sexp key)
-let key_of_sexp s = List.map Value.of_sexp (Sexp.to_list s)
-
-let sexp_of_opt_int = function
-  | None -> Sexp.Atom "none"
-  | Some i -> Sexp.int i
-
-let opt_int_of_sexp = function
-  | Sexp.Atom "none" -> None
-  | s -> Some (Sexp.to_int s)
+let tag = "CHRONSES"
+let version = 2
+let put_tag buf t = Buffer.add_char buf (Char.chr t)
+let put_key = Snapshot.put_key
+let get_key = Snapshot.get_key
+let put_opt_int = Codec.put_option Codec.put_int
+let get_opt_int = Codec.option Codec.int_
 
 (* ---- patterns (the event algebra) ---- *)
 
-let rec sexp_of_pattern = function
+let rec put_pattern buf = function
   | Pattern.Atom (name, p) ->
-      Sexp.List [ Sexp.Atom "atom"; Sexp.Atom name; Snapshot.sexp_of_predicate p ]
-  | Pattern.Seq (a, b) ->
-      Sexp.List [ Sexp.Atom "seq"; sexp_of_pattern a; sexp_of_pattern b ]
-  | Pattern.Or (a, b) ->
-      Sexp.List [ Sexp.Atom "or"; sexp_of_pattern a; sexp_of_pattern b ]
-  | Pattern.And (a, b) ->
-      Sexp.List [ Sexp.Atom "and"; sexp_of_pattern a; sexp_of_pattern b ]
+      put_tag buf 0;
+      Codec.put_string buf name;
+      Snapshot.put_predicate buf p
+  | Pattern.Seq (a, b) -> put_pattern2 buf 1 a b
+  | Pattern.Or (a, b) -> put_pattern2 buf 2 a b
+  | Pattern.And (a, b) -> put_pattern2 buf 3 a b
 
-let rec pattern_of_sexp = function
-  | Sexp.List [ Sexp.Atom "atom"; Sexp.Atom name; p ] ->
-      Pattern.Atom (name, Snapshot.predicate_of_sexp p)
-  | Sexp.List [ Sexp.Atom "seq"; a; b ] ->
-      Pattern.Seq (pattern_of_sexp a, pattern_of_sexp b)
-  | Sexp.List [ Sexp.Atom "or"; a; b ] ->
-      Pattern.Or (pattern_of_sexp a, pattern_of_sexp b)
-  | Sexp.List [ Sexp.Atom "and"; a; b ] ->
-      Pattern.And (pattern_of_sexp a, pattern_of_sexp b)
-  | s -> error "bad pattern %s" (Sexp.to_string s)
+and put_pattern2 buf t a b =
+  put_tag buf t;
+  put_pattern buf a;
+  put_pattern buf b
+
+let rec get_pattern r =
+  let two mk =
+    let a = get_pattern r in
+    mk a (get_pattern r)
+  in
+  match Codec.byte r with
+  | 0 ->
+      let name = Codec.string_ r in
+      Pattern.Atom (name, Snapshot.get_predicate r)
+  | 1 -> two (fun a b -> Pattern.Seq (a, b))
+  | 2 -> two (fun a b -> Pattern.Or (a, b))
+  | 3 -> two (fun a b -> Pattern.And (a, b))
+  | t -> Codec.fail "unknown pattern tag %#x" t
 
 (* ---- calendars and windows ---- *)
 
-let sexp_of_interval (iv : Interval.t) =
-  Sexp.List [ Sexp.int iv.Interval.start; Sexp.int iv.Interval.stop ]
+let put_interval buf (iv : Interval.t) =
+  Codec.put_int buf iv.Interval.start;
+  Codec.put_int buf iv.Interval.stop
 
-let interval_of_sexp = function
-  | Sexp.List [ start; stop ] ->
-      Interval.make ~start:(Sexp.to_int start) ~stop:(Sexp.to_int stop)
-  | s -> error "bad interval %s" (Sexp.to_string s)
+let get_interval r =
+  let start = Codec.int_ r in
+  Interval.make ~start ~stop:(Codec.int_ r)
 
-let sexp_of_calendar cal =
+let put_calendar buf cal =
   match Calendar.spec cal with
   | Calendar.Finite_spec intervals ->
-      Sexp.List (Sexp.Atom "finite" :: List.map sexp_of_interval intervals)
+      put_tag buf 0;
+      Codec.put_list put_interval buf intervals
   | Calendar.Periodic_spec { start; width; stride } ->
-      Sexp.List
-        [ Sexp.Atom "periodic"; Sexp.int start; Sexp.int width; Sexp.int stride ]
+      put_tag buf 1;
+      List.iter (Codec.put_int buf) [ start; width; stride ]
 
-let calendar_of_sexp = function
-  | Sexp.List (Sexp.Atom "finite" :: intervals) ->
-      Calendar.of_spec (Calendar.Finite_spec (List.map interval_of_sexp intervals))
-  | Sexp.List [ Sexp.Atom "periodic"; start; width; stride ] ->
+let get_calendar r =
+  match Codec.byte r with
+  | 0 -> Calendar.of_spec (Calendar.Finite_spec (Codec.list get_interval r))
+  | 1 ->
+      let start = Codec.int_ r in
+      let width = Codec.int_ r in
       Calendar.of_spec
-        (Calendar.Periodic_spec
-           {
-             start = Sexp.to_int start;
-             width = Sexp.to_int width;
-             stride = Sexp.to_int stride;
-           })
-  | s -> error "bad calendar %s" (Sexp.to_string s)
+        (Calendar.Periodic_spec { start; width; stride = Codec.int_ r })
+  | t -> Codec.fail "unknown calendar tag %#x" t
 
-let sexp_of_window_dump (d : Window.dump) =
-  Sexp.record
-    [
-      ("start", Sexp.int d.Window.d_start);
-      ("head", Sexp.int d.Window.d_head);
-      ("clock", Sexp.int d.Window.d_clock);
-      ("states", Sexp.List (List.map Aggregate.sexp_of_state d.Window.d_states));
-    ]
+let put_window_dump buf (d : Window.dump) =
+  List.iter (Codec.put_int buf) [ d.Window.d_start; d.Window.d_head; d.Window.d_clock ];
+  Codec.put_list Aggregate.put_state buf d.Window.d_states
 
-let window_dump_of_sexp s =
-  {
-    Window.d_start = Sexp.to_int (Sexp.field s "start");
-    d_head = Sexp.to_int (Sexp.field s "head");
-    d_clock = Sexp.to_int (Sexp.field s "clock");
-    d_states =
-      List.map Aggregate.state_of_sexp (Sexp.to_list (Sexp.field s "states"));
-  }
+let get_window_dump r =
+  let d_start = Codec.int_ r in
+  let d_head = Codec.int_ r in
+  let d_clock = Codec.int_ r in
+  { Window.d_start; d_head; d_clock; d_states = Codec.list Aggregate.get_state r }
 
 (* ---- the four session components ---- *)
 
-let sexp_of_index_kind = function
-  | Index.Hash -> Sexp.Atom "hash"
-  | Index.Ordered -> Sexp.Atom "ordered"
-
-let index_kind_of_sexp s =
-  match Sexp.to_atom s with
-  | "hash" -> Index.Hash
-  | "ordered" -> Index.Ordered
-  | other -> error "bad index kind %s" other
-
-let sexp_of_view_dump = function
+let put_view_dump buf = function
   | View.Rows_dump keys ->
-      Sexp.List (Sexp.Atom "rows" :: List.map sexp_of_key keys)
+      put_tag buf 0;
+      Codec.put_list put_key buf keys
   | View.Groups_dump groups ->
-      Sexp.List
-        (Sexp.Atom "groups"
-        :: List.map
-             (fun (key, states) ->
-               Sexp.List
-                 [ sexp_of_key key; Sexp.List (List.map Aggregate.sexp_of_state states) ])
-             groups)
+      put_tag buf 1;
+      Codec.put_list
+        (fun buf (key, states) ->
+          put_key buf key;
+          Codec.put_list Aggregate.put_state buf states)
+        buf groups
 
-let view_dump_of_sexp = function
-  | Sexp.List (Sexp.Atom "rows" :: keys) -> View.Rows_dump (List.map key_of_sexp keys)
-  | Sexp.List (Sexp.Atom "groups" :: groups) ->
+let get_view_dump r =
+  match Codec.byte r with
+  | 0 -> View.Rows_dump (Codec.list get_key r)
+  | 1 ->
       View.Groups_dump
-        (List.map
-           (function
-             | Sexp.List [ key; Sexp.List states ] ->
-                 (key_of_sexp key, List.map Aggregate.state_of_sexp states)
-             | s -> error "bad view group %s" (Sexp.to_string s))
-           groups)
-  | s -> error "bad view dump %s" (Sexp.to_string s)
+        (Codec.list
+           (fun r ->
+             let key = get_key r in
+             (key, Codec.list Aggregate.get_state r))
+           r)
+  | t -> Codec.fail "unknown view dump tag %#x" t
 
-let sexp_of_periodic (name, family) =
+let put_periodic buf (name, family) =
   let d = Periodic.dump family in
-  Sexp.record
-    [
-      ("name", Sexp.Atom name);
-      ("def", Snapshot.sexp_of_sca (Periodic.def family));
-      ("calendar", sexp_of_calendar (Periodic.calendar family));
-      ("expire", sexp_of_opt_int (Periodic.expire_after family));
-      ( "index",
-        match Periodic.index_kind family with
-        | None -> Sexp.Atom "none"
-        | Some k -> sexp_of_index_kind k );
-      ("opened", Sexp.int d.Periodic.d_opened);
-      ("expired", Sexp.int d.Periodic.d_expired);
-      ( "slots",
-        Sexp.List
-          (List.map
-             (fun (sd : Periodic.slot_dump) ->
-               Sexp.record
-                 [
-                   ("i", Sexp.int sd.Periodic.sd_index);
-                   ("interval", sexp_of_interval sd.Periodic.sd_interval);
-                   ("active", Sexp.bool sd.Periodic.sd_active);
-                   ("contents", sexp_of_view_dump sd.Periodic.sd_contents);
-                 ])
-             d.Periodic.d_slots) );
-    ]
+  Codec.put_string buf name;
+  Snapshot.put_sca buf (Periodic.def family);
+  put_calendar buf (Periodic.calendar family);
+  put_opt_int buf (Periodic.expire_after family);
+  Codec.put_option Snapshot.put_index_kind buf (Periodic.index_kind family);
+  Codec.put_int buf d.Periodic.d_opened;
+  Codec.put_int buf d.Periodic.d_expired;
+  Codec.put_list
+    (fun buf (sd : Periodic.slot_dump) ->
+      Codec.put_int buf sd.Periodic.sd_index;
+      put_interval buf sd.Periodic.sd_interval;
+      Codec.put_bool buf sd.Periodic.sd_active;
+      put_view_dump buf sd.Periodic.sd_contents)
+    buf d.Periodic.d_slots
 
-let load_periodic session entry ~chronicle ~relation =
-  let name = Sexp.to_atom (Sexp.field entry "name") in
-  let def = Snapshot.sca_of_sexp ~chronicle ~relation (Sexp.field entry "def") in
-  let calendar = calendar_of_sexp (Sexp.field entry "calendar") in
-  let expire_after = opt_int_of_sexp (Sexp.field entry "expire") in
-  let index =
-    match Sexp.field entry "index" with
-    | Sexp.Atom "none" -> None
-    | s -> Some (index_kind_of_sexp s)
-  in
+let get_periodic session ~chronicle ~relation r =
+  let name = Codec.string_ r in
+  let def = Snapshot.get_sca ~chronicle ~relation r in
+  let calendar = get_calendar r in
+  let expire_after = get_opt_int r in
+  let index = Codec.option Snapshot.get_index_kind r in
   let family = Periodic.create ?index ?expire_after ~def ~calendar () in
-  Periodic.load family
-    {
-      Periodic.d_opened = Sexp.to_int (Sexp.field entry "opened");
-      d_expired = Sexp.to_int (Sexp.field entry "expired");
-      d_slots =
-        List.map
-          (fun s ->
-            {
-              Periodic.sd_index = Sexp.to_int (Sexp.field s "i");
-              sd_interval = interval_of_sexp (Sexp.field s "interval");
-              sd_active = Sexp.to_bool (Sexp.field s "active");
-              sd_contents = view_dump_of_sexp (Sexp.field s "contents");
-            })
-          (Sexp.to_list (Sexp.field entry "slots"));
-    };
+  let d_opened = Codec.int_ r in
+  let d_expired = Codec.int_ r in
+  let d_slots =
+    Codec.list
+      (fun r ->
+        let sd_index = Codec.int_ r in
+        let sd_interval = get_interval r in
+        let sd_active = Codec.bool_ r in
+        { Periodic.sd_index; sd_interval; sd_active; sd_contents = get_view_dump r })
+      r
+  in
+  Periodic.load family { Periodic.d_opened; d_expired; d_slots };
   Periodic.attach (Session.db session) family;
   Session.add_periodic session name family
 
-let sexp_of_windowed (name, wv) =
-  Sexp.record
-    [
-      ("name", Sexp.Atom name);
-      ("def", Snapshot.sexp_of_sca (Windowed_view.def wv));
-      ("buckets", Sexp.int (Windowed_view.buckets wv));
-      ("width", Sexp.int (Windowed_view.bucket_width wv));
-      ( "groups",
-        Sexp.List
-          (List.map
-             (fun (key, dumps) ->
-               Sexp.List
-                 [ sexp_of_key key; Sexp.List (List.map sexp_of_window_dump dumps) ])
-             (Windowed_view.dump wv)) );
-    ]
+let put_windowed buf (name, wv) =
+  Codec.put_string buf name;
+  Snapshot.put_sca buf (Windowed_view.def wv);
+  Codec.put_int buf (Windowed_view.buckets wv);
+  Codec.put_int buf (Windowed_view.bucket_width wv);
+  Codec.put_list
+    (fun buf (key, dumps) ->
+      put_key buf key;
+      Codec.put_list put_window_dump buf dumps)
+    buf (Windowed_view.dump wv)
 
-let load_windowed session entry ~chronicle ~relation =
-  let name = Sexp.to_atom (Sexp.field entry "name") in
-  let def = Snapshot.sca_of_sexp ~chronicle ~relation (Sexp.field entry "def") in
-  let wv =
-    Windowed_view.derive
-      ~bucket_width:(Sexp.to_int (Sexp.field entry "width"))
-      ~buckets:(Sexp.to_int (Sexp.field entry "buckets"))
-      def
-  in
+let get_windowed session ~chronicle ~relation r =
+  let name = Codec.string_ r in
+  let def = Snapshot.get_sca ~chronicle ~relation r in
+  let buckets = Codec.int_ r in
+  let bucket_width = Codec.int_ r in
+  let wv = Windowed_view.derive ~bucket_width ~buckets def in
   Windowed_view.load wv
-    (List.map
-       (function
-         | Sexp.List [ key; Sexp.List dumps ] ->
-             (key_of_sexp key, List.map window_dump_of_sexp dumps)
-         | s -> error "bad windowed group %s" (Sexp.to_string s))
-       (Sexp.to_list (Sexp.field entry "groups")));
+    (Codec.list
+       (fun r ->
+         let key = get_key r in
+         (key, Codec.list get_window_dump r))
+       r);
   Windowed_view.attach (Session.db session) wv;
   Session.add_windowed session name wv
 
-let sexp_of_rule (r : Detector.rule) =
-  Sexp.record
-    [
-      ("name", Sexp.Atom r.Detector.rule_name);
-      ("pattern", sexp_of_pattern r.Detector.pattern);
-      ("key", Sexp.List (List.map (fun a -> Sexp.Atom a) r.Detector.key));
-      ("within", sexp_of_opt_int r.Detector.within);
-      ("cooldown", sexp_of_opt_int r.Detector.cooldown);
-      ("reset", Sexp.bool r.Detector.reset_on_match);
-    ]
+let put_rule buf (rule : Detector.rule) =
+  Codec.put_string buf rule.Detector.rule_name;
+  put_pattern buf rule.Detector.pattern;
+  Snapshot.put_attrs buf rule.Detector.key;
+  put_opt_int buf rule.Detector.within;
+  put_opt_int buf rule.Detector.cooldown;
+  Codec.put_bool buf rule.Detector.reset_on_match
 
-let rule_of_sexp s =
-  Detector.rule
-    ~name:(Sexp.to_atom (Sexp.field s "name"))
-    ~pattern:(pattern_of_sexp (Sexp.field s "pattern"))
-    ~key:(List.map Sexp.to_atom (Sexp.to_list (Sexp.field s "key")))
-    ?within:(opt_int_of_sexp (Sexp.field s "within"))
-    ?cooldown:(opt_int_of_sexp (Sexp.field s "cooldown"))
-    ~reset_on_match:(Sexp.to_bool (Sexp.field s "reset"))
-    ()
+let get_rule r =
+  let name = Codec.string_ r in
+  let pattern = get_pattern r in
+  let key = Snapshot.get_attrs r in
+  let within = get_opt_int r in
+  let cooldown = get_opt_int r in
+  Detector.rule ~name ~pattern ~key ?within ?cooldown
+    ~reset_on_match:(Codec.bool_ r) ()
 
-let sexp_of_occurrence (o : Detector.occurrence) =
-  Sexp.List
-    [
-      Sexp.Atom o.Detector.rule; sexp_of_key o.Detector.key_values;
-      Sexp.int o.Detector.started_at; Sexp.int o.Detector.fired_at;
-      Sexp.int o.Detector.fired_sn;
-    ]
+let put_occurrence buf (o : Detector.occurrence) =
+  Codec.put_string buf o.Detector.rule;
+  put_key buf o.Detector.key_values;
+  List.iter (Codec.put_int buf)
+    [ o.Detector.started_at; o.Detector.fired_at; o.Detector.fired_sn ]
 
-let occurrence_of_sexp = function
-  | Sexp.List [ Sexp.Atom rule; key; started; fired; sn ] ->
-      {
-        Detector.rule;
-        key_values = key_of_sexp key;
-        started_at = Sexp.to_int started;
-        fired_at = Sexp.to_int fired;
-        fired_sn = Sexp.to_int sn;
-      }
-  | s -> error "bad occurrence %s" (Sexp.to_string s)
+let get_occurrence r =
+  let rule = Codec.string_ r in
+  let key_values = get_key r in
+  let started_at = Codec.int_ r in
+  let fired_at = Codec.int_ r in
+  { Detector.rule; key_values; started_at; fired_at; fired_sn = Codec.int_ r }
 
-let sexp_of_detector (cname, det) =
+let put_detector buf (cname, det) =
   let d = Detector.dump det in
-  Sexp.record
-    [
-      ("chronicle", Sexp.Atom cname);
-      ("max_instances", Sexp.int (Detector.max_instances_per_key det));
-      ("dropped", Sexp.int d.Detector.d_dropped);
-      ("suppressed", Sexp.int d.Detector.d_suppressed);
-      ( "occurrences",
-        Sexp.List (List.map sexp_of_occurrence d.Detector.d_occurrences) );
-      ( "rules",
-        Sexp.List
-          (List.map
-             (fun (rd : Detector.rule_dump) ->
-               Sexp.record
-                 [
-                   ("rule", sexp_of_rule rd.Detector.rd_rule);
-                   ( "instances",
-                     Sexp.List
-                       (List.map
-                          (fun (key, partials) ->
-                            Sexp.List
-                              [
-                                sexp_of_key key;
-                                Sexp.List
-                                  (List.map
-                                     (fun (started, residual) ->
-                                       Sexp.List
-                                         [ Sexp.int started; sexp_of_pattern residual ])
-                                     partials);
-                              ])
-                          rd.Detector.rd_instances) );
-                   ( "last_fired",
-                     Sexp.List
-                       (List.map
-                          (fun (key, c) -> Sexp.List [ sexp_of_key key; Sexp.int c ])
-                          rd.Detector.rd_last_fired) );
-                 ])
-             d.Detector.d_rules) );
-    ]
+  Codec.put_string buf cname;
+  Codec.put_int buf (Detector.max_instances_per_key det);
+  Codec.put_int buf d.Detector.d_dropped;
+  Codec.put_int buf d.Detector.d_suppressed;
+  Codec.put_list put_occurrence buf d.Detector.d_occurrences;
+  Codec.put_list
+    (fun buf (rd : Detector.rule_dump) ->
+      put_rule buf rd.Detector.rd_rule;
+      Codec.put_list
+        (fun buf (key, partials) ->
+          put_key buf key;
+          Codec.put_list
+            (fun buf (started, residual) ->
+              Codec.put_int buf started;
+              put_pattern buf residual)
+            buf partials)
+        buf rd.Detector.rd_instances;
+      Codec.put_list
+        (fun buf (key, c) ->
+          put_key buf key;
+          Codec.put_int buf c)
+        buf rd.Detector.rd_last_fired)
+    buf d.Detector.d_rules
 
-let load_detector session entry =
+let get_detector session r =
   let db = Session.db session in
-  let cname = Sexp.to_atom (Sexp.field entry "chronicle") in
+  let cname = Codec.string_ r in
   let chron =
     try Db.chronicle db cname
     with Db.Unknown msg -> error "detector chronicle: %s" msg
   in
-  (* Session.detector would attach a default detector; create explicitly
-     to honour the saved instance cap, then register through the session
-     by loading state into the session's (fresh) detector. *)
+  (* Session.detector attaches the session's (fresh) detector; the
+     saved instance cap must agree with it before state is loaded *)
   let det = Session.detector session chron in
-  if Detector.max_instances_per_key det <> Sexp.to_int (Sexp.field entry "max_instances")
-  then
+  let max_instances = Codec.int_ r in
+  if Detector.max_instances_per_key det <> max_instances then
     error
       "detector on %s: instance cap %d differs from the snapshot's %d (the \
        session default changed?)"
       cname
       (Detector.max_instances_per_key det)
-      (Sexp.to_int (Sexp.field entry "max_instances"));
-  Detector.load det
-    {
-      Detector.d_dropped = Sexp.to_int (Sexp.field entry "dropped");
-      d_suppressed = Sexp.to_int (Sexp.field entry "suppressed");
-      d_occurrences =
-        List.map occurrence_of_sexp
-          (Sexp.to_list (Sexp.field entry "occurrences"));
-      d_rules =
-        List.map
-          (fun s ->
-            {
-              Detector.rd_rule = rule_of_sexp (Sexp.field s "rule");
-              rd_instances =
-                List.map
-                  (function
-                    | Sexp.List [ key; Sexp.List partials ] ->
-                        ( key_of_sexp key,
-                          List.map
-                            (function
-                              | Sexp.List [ started; residual ] ->
-                                  (Sexp.to_int started, pattern_of_sexp residual)
-                              | s -> error "bad partial %s" (Sexp.to_string s))
-                            partials )
-                    | s -> error "bad instance entry %s" (Sexp.to_string s))
-                  (Sexp.to_list (Sexp.field s "instances"));
-              rd_last_fired =
-                List.map
-                  (function
-                    | Sexp.List [ key; c ] -> (key_of_sexp key, Sexp.to_int c)
-                    | s -> error "bad last_fired %s" (Sexp.to_string s))
-                  (Sexp.to_list (Sexp.field s "last_fired"));
-            })
-          (Sexp.to_list (Sexp.field entry "rules"));
-    }
+      max_instances;
+  let d_dropped = Codec.int_ r in
+  let d_suppressed = Codec.int_ r in
+  let d_occurrences = Codec.list get_occurrence r in
+  let d_rules =
+    Codec.list
+      (fun r ->
+        let rd_rule = get_rule r in
+        let rd_instances =
+          Codec.list
+            (fun r ->
+              let key = get_key r in
+              ( key,
+                Codec.list
+                  (fun r ->
+                    let started = Codec.int_ r in
+                    (started, get_pattern r))
+                  r ))
+            r
+        in
+        let rd_last_fired =
+          Codec.list
+            (fun r ->
+              let key = get_key r in
+              (key, Codec.int_ r))
+            r
+        in
+        { Detector.rd_rule; rd_instances; rd_last_fired })
+      r
+  in
+  Detector.load det { Detector.d_dropped; d_suppressed; d_occurrences; d_rules }
 
 (* ---- whole sessions ---- *)
 
-let save session =
-  let db = Session.db session in
-  Sexp.to_string_pretty
-    (Sexp.record
-       [
-         ("session-snapshot", Sexp.int 1);
-         ("db", Snapshot.sexp_of_db db);
-         ("periodics", Sexp.List (List.map sexp_of_periodic (Session.periodics session)));
-         ( "windowed",
-           Sexp.List (List.map sexp_of_windowed (Session.windowed_views session)) );
-         ( "detectors",
-           Sexp.List (List.map sexp_of_detector (Session.named_detectors session)) );
-       ])
+let put_session buf session =
+  Buffer.add_string buf (Codec.magic ~tag ~version);
+  Snapshot.put_db buf (Session.db session);
+  Codec.put_list put_periodic buf (Session.periodics session);
+  Codec.put_list put_windowed buf (Session.windowed_views session);
+  Codec.put_list put_detector buf (Session.named_detectors session)
 
-let load ?jobs ?heavy_threshold text =
-  let doc = Sexp.of_string text in
-  (match Sexp.field_opt doc "session-snapshot" with
-  | Some v when Sexp.to_int v = 1 -> ()
-  | Some v -> error "unsupported session-snapshot version %s" (Sexp.to_string v)
-  | None -> error "not a session snapshot");
-  let db = Snapshot.db_of_sexp ?jobs ?heavy_threshold (Sexp.field doc "db") in
+let get_session ?jobs ?heavy_threshold r =
+  let db = Snapshot.get_db ?jobs ?heavy_threshold r in
   let session = Session.of_db db in
   let chronicle = Db.chronicle db in
   let relation name = Versioned.relation (Db.relation db name) in
-  List.iter
-    (fun entry -> load_periodic session entry ~chronicle ~relation)
-    (Sexp.to_list (Sexp.field doc "periodics"));
-  List.iter
-    (fun entry -> load_windowed session entry ~chronicle ~relation)
-    (Sexp.to_list (Sexp.field doc "windowed"));
-  List.iter (load_detector session) (Sexp.to_list (Sexp.field doc "detectors"));
+  ignore (Codec.list (get_periodic session ~chronicle ~relation) r);
+  ignore (Codec.list (get_windowed session ~chronicle ~relation) r);
+  ignore (Codec.list (get_detector session) r);
   session
 
+let save session = Codec.encode put_session session
+
+let load ?jobs ?heavy_threshold data =
+  match Codec.check_magic ~tag ~version data with
+  | Error reason -> error "not a session snapshot: %s" reason
+  | Ok n -> (
+      let payload = String.sub data n (String.length data - n) in
+      match Codec.decode (get_session ?jobs ?heavy_threshold) payload with
+      | Ok session -> session
+      | Error reason -> error "malformed session snapshot: %s" reason
+      | exception (Session_snapshot_error _ as e) -> raise e
+      | exception e ->
+          error "session snapshot does not load: %s" (Printexc.to_string e))
+
 let save_file session path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (save session))
+  Out_channel.with_open_bin path (fun oc -> output_string oc (save session))
 
 let load_file ?jobs ?heavy_threshold path =
-  let ic = open_in path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  load ?jobs ?heavy_threshold text
+  load ?jobs ?heavy_threshold (In_channel.with_open_bin path In_channel.input_all)

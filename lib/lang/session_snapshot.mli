@@ -4,7 +4,8 @@
     watermarks/clocks, relations, retained windows, persistent-view
     materializations).  A language session additionally owns periodic
     view families, derived windowed views and event detectors; this
-    module serializes all of it, so `chronicle-cli run --save/--load`
+    module serializes all of it to one {!Relational.Codec} byte string
+    behind the magic ["CHRONSES2\n"] (format version 2), so `chronicle-cli run --save/--load`
     restores a session exactly — partial event-pattern instances, open
     billing periods, cyclic window buffers and all.
 
@@ -17,10 +18,13 @@ exception Session_snapshot_error of string
 
 val save : Session.t -> string
 val load : ?jobs:int -> ?heavy_threshold:int -> string -> Session.t
-(** Raises {!Session_snapshot_error},
-    [Chronicle_core.Snapshot.Snapshot_error] or [Relational.Sexp.Parse_error]
-    on malformed input.  [jobs] is the maintenance parallelism degree
-    of the restored database (see {!Chronicle_core.Db.create}). *)
+(** Raises {!Session_snapshot_error} on any input that is not a
+    version-2 session snapshot — a foreign magic, another format
+    version (version 1 was S-expression text; the reason names it), or
+    a payload that does not decode or load (the reason carries the
+    byte offset inside the payload).  [jobs] is the maintenance
+    parallelism degree of the restored database (see
+    {!Chronicle_core.Db.create}). *)
 
 val save_file : Session.t -> string -> unit
 val load_file : ?jobs:int -> ?heavy_threshold:int -> string -> Session.t

@@ -15,7 +15,7 @@ val send : t -> Protocol.request -> unit
 
 val recv : t -> Protocol.response
 (** Read the next response frame (blocking).  Raises [End_of_file] if
-    the server closed the connection, {!Wire.Decode_error} on a
+    the server closed the connection, {!Relational.Codec.Decode_error} on a
     malformed frame. *)
 
 val split_statements : string -> string list

@@ -35,7 +35,7 @@ let err_kind_of_byte = function
   | 1 -> E_parse
   | 2 -> E_semantic
   | 3 -> E_exec
-  | b -> Wire.(raise (Decode_error (Printf.sprintf "unknown error kind %#x" b)))
+  | b -> Codec.(raise (Decode_error (Printf.sprintf "unknown error kind %#x" b)))
 
 let with_payload op fill =
   let buf = Buffer.create 64 in
@@ -43,98 +43,73 @@ let with_payload op fill =
   fill buf;
   Wire.frame (Buffer.contents buf)
 
+let put_rows = Codec.put_list (Codec.put_list Codec.put_value)
+
+(* a lying row or column count is rejected before any allocation *)
+let get_rows = Codec.list (Codec.list Codec.value)
+
 let encode_request = function
-  | Stmt text -> with_payload 0x01 (fun buf -> Wire.put_string buf text)
+  | Stmt text -> with_payload 0x01 (fun buf -> Codec.put_string buf text)
   | Append { chronicle; rows } ->
       with_payload 0x02 (fun buf ->
-          Wire.put_string buf chronicle;
-          Wire.put_uvarint buf (List.length rows);
-          List.iter
-            (fun row ->
-              Wire.put_uvarint buf (List.length row);
-              List.iter (Wire.put_value buf) row)
-            rows)
+          Codec.put_string buf chronicle;
+          put_rows buf rows)
   | Flush -> with_payload 0x03 (fun _ -> ())
   | Ping -> with_payload 0x04 (fun _ -> ())
   | Shutdown -> with_payload 0x05 (fun _ -> ())
   | Retract { chronicle; rows } ->
       with_payload 0x06 (fun buf ->
-          Wire.put_string buf chronicle;
-          Wire.put_uvarint buf (List.length rows);
-          List.iter
-            (fun row ->
-              Wire.put_uvarint buf (List.length row);
-              List.iter (Wire.put_value buf) row)
-            rows)
+          Codec.put_string buf chronicle;
+          put_rows buf rows)
 
 let encode_response = function
-  | Result text -> with_payload 0x81 (fun buf -> Wire.put_string buf text)
+  | Result text -> with_payload 0x81 (fun buf -> Codec.put_string buf text)
   | Ack { chronicle; sn; count } ->
       with_payload 0x82 (fun buf ->
-          Wire.put_string buf chronicle;
-          Wire.put_uvarint buf sn;
-          Wire.put_uvarint buf count)
+          Codec.put_string buf chronicle;
+          Codec.put_uvarint buf sn;
+          Codec.put_uvarint buf count)
   | Err { kind; message } ->
       with_payload 0x83 (fun buf ->
           Buffer.add_char buf (Char.chr (err_kind_byte kind));
-          Wire.put_string buf message)
+          Codec.put_string buf message)
   | Flushed -> with_payload 0x84 (fun _ -> ())
   | Pong -> with_payload 0x85 (fun _ -> ())
   | Bye -> with_payload 0x86 (fun _ -> ())
 
 let finish r v =
-  Wire.expect_end r;
+  Codec.expect_end r;
   v
 
-(* List.init applies its function in unspecified order — fatal with a
-   stateful reader; read strictly left to right instead *)
-let read_n n f =
-  let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
-  go n []
-
 let decode_request payload =
-  let r = Wire.reader payload in
-  match Wire.byte r with
-  | 0x01 -> finish r (Stmt (Wire.string_ r))
+  let r = Codec.reader payload in
+  match Codec.byte r with
+  | 0x01 -> finish r (Stmt (Codec.string_ r))
   | 0x02 ->
-      let chronicle = Wire.string_ r in
-      (* every row costs at least one byte, so [remaining] bounds both
-         counts — a lying count is rejected before any allocation *)
-      let nrows = Wire.length r ~max:(Wire.remaining r) "row count" in
-      let rows =
-        read_n nrows (fun () ->
-            let ncols = Wire.length r ~max:(Wire.remaining r) "column count" in
-            read_n ncols (fun () -> Wire.value r))
-      in
-      finish r (Append { chronicle; rows })
+      let chronicle = Codec.string_ r in
+      finish r (Append { chronicle; rows = get_rows r })
   | 0x03 -> finish r Flush
   | 0x04 -> finish r Ping
   | 0x05 -> finish r Shutdown
   | 0x06 ->
-      let chronicle = Wire.string_ r in
-      let nrows = Wire.length r ~max:(Wire.remaining r) "row count" in
-      let rows =
-        read_n nrows (fun () ->
-            let ncols = Wire.length r ~max:(Wire.remaining r) "column count" in
-            read_n ncols (fun () -> Wire.value r))
-      in
-      finish r (Retract { chronicle; rows })
-  | op -> Wire.(raise (Decode_error (Printf.sprintf "unknown request opcode %#x" op)))
+      let chronicle = Codec.string_ r in
+      finish r (Retract { chronicle; rows = get_rows r })
+  | op -> Codec.(raise (Decode_error (Printf.sprintf "unknown request opcode %#x" op)))
 
 let decode_response payload =
-  let r = Wire.reader payload in
-  match Wire.byte r with
-  | 0x81 -> finish r (Result (Wire.string_ r))
+  let r = Codec.reader payload in
+  match Codec.byte r with
+  | 0x81 -> finish r (Result (Codec.string_ r))
   | 0x82 ->
-      let chronicle = Wire.string_ r in
-      let sn = Wire.uvarint r in
-      let count = Wire.uvarint r in
+      let chronicle = Codec.string_ r in
+      let sn = Codec.uvarint r in
+      let count = Codec.uvarint r in
       finish r (Ack { chronicle; sn; count })
   | 0x83 ->
-      let kind = err_kind_of_byte (Wire.byte r) in
-      finish r (Err { kind; message = Wire.string_ r })
+      let kind = err_kind_of_byte (Codec.byte r) in
+      finish r (Err { kind; message = Codec.string_ r })
   | 0x84 -> finish r Flushed
   | 0x85 -> finish r Pong
   | 0x86 -> finish r Bye
   | op ->
-      Wire.(raise (Decode_error (Printf.sprintf "unknown response opcode %#x" op)))
+      Codec.(raise (Decode_error (Printf.sprintf "unknown response opcode %#x" op)))

@@ -158,7 +158,7 @@ let protocol_error conn message =
 
 let handle_payload conn payload =
   match Protocol.decode_request payload with
-  | exception Wire.Decode_error msg -> protocol_error conn msg
+  | exception Codec.Decode_error msg -> protocol_error conn msg
   | Protocol.Stmt text -> (
       match Parser.parse text with
       | exception e -> send conn (err_of_exn e)
@@ -189,7 +189,7 @@ let feed conn bytes =
     let pos = ref 0 and continue = ref true in
     while !continue do
       match Wire.split ~max_frame:conn.server.max_frame data ~pos:!pos with
-      | exception Wire.Decode_error msg ->
+      | exception Codec.Decode_error msg ->
           protocol_error conn msg;
           continue := false
       | `Need_more -> continue := false

@@ -1,127 +1,12 @@
 open Relational
 
-exception Decode_error of string
-
 let max_frame = 16 * 1024 * 1024
-
-let fail fmt = Format.kasprintf (fun s -> raise (Decode_error s)) fmt
-
-(* ---- encoding ---- *)
-
-(* LEB128 over the int's 63-bit two's-complement pattern: [lsr] is a
-   logical shift, so a negative int drains to 0 after at most 9 rounds
-   and round-trips bit-exactly *)
-let put_uvarint buf n =
-  let n = ref n in
-  let continue = ref true in
-  while !continue do
-    let b = !n land 0x7f in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char buf (Char.chr b);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (b lor 0x80))
-  done
-
-(* zigzag fold: 0, -1, 1, -2, … ↦ 0, 1, 2, 3, … so small magnitudes of
-   either sign encode short *)
-let put_int buf n = put_uvarint buf ((n lsl 1) lxor (n asr 62))
-
-let put_string buf s =
-  put_uvarint buf (String.length s);
-  Buffer.add_string buf s
-
-let put_value buf (v : Value.t) =
-  match v with
-  | Value.Null -> Buffer.add_char buf '\x00'
-  | Value.Bool b ->
-      Buffer.add_char buf '\x01';
-      Buffer.add_char buf (if b then '\x01' else '\x00')
-  | Value.Int n ->
-      Buffer.add_char buf '\x02';
-      put_int buf n
-  | Value.Float f ->
-      Buffer.add_char buf '\x03';
-      let bits = Int64.bits_of_float f in
-      let b = Bytes.create 8 in
-      Bytes.set_int64_be b 0 bits;
-      Buffer.add_bytes buf b
-  | Value.Str s ->
-      Buffer.add_char buf '\x04';
-      put_string buf s
 
 let frame payload =
   let buf = Buffer.create (String.length payload + 4) in
-  put_uvarint buf (String.length payload);
+  Codec.put_uvarint buf (String.length payload);
   Buffer.add_string buf payload;
   Buffer.contents buf
-
-(* ---- decoding ---- *)
-
-type reader = { data : string; mutable pos : int }
-
-let reader data = { data; pos = 0 }
-let remaining r = String.length r.data - r.pos
-
-let byte r =
-  if r.pos >= String.length r.data then fail "truncated field";
-  let b = Char.code r.data.[r.pos] in
-  r.pos <- r.pos + 1;
-  b
-
-let uvarint r =
-  let acc = ref 0 and shift = ref 0 and continue = ref true in
-  while !continue do
-    if !shift > 56 then fail "varint longer than 9 bytes";
-    let b = byte r in
-    acc := !acc lor ((b land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if b < 0x80 then continue := false
-  done;
-  !acc
-
-let int_ r =
-  let u = uvarint r in
-  (u lsr 1) lxor (-(u land 1))
-
-let length r ~max what =
-  let n = uvarint r in
-  if n < 0 || n > max then fail "%s %d out of range (max %d)" what n max;
-  n
-
-let string_ r =
-  (* the bound must be what remains AFTER the length varint itself is
-     consumed, or a length that counts its own prefix bytes slips
-     through to [String.sub] *)
-  let n = uvarint r in
-  if n < 0 || n > remaining r then
-    fail "string length %d out of range (max %d)" n (remaining r);
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let value r =
-  match byte r with
-  | 0 -> Value.Null
-  | 1 -> (
-      match byte r with
-      | 0 -> Value.Bool false
-      | 1 -> Value.Bool true
-      | b -> fail "bad bool byte %#x" b)
-  | 2 -> Value.Int (int_ r)
-  | 3 ->
-      if remaining r < 8 then fail "truncated float";
-      let bits = ref 0L in
-      for _ = 1 to 8 do
-        bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (byte r))
-      done;
-      Value.Float (Int64.float_of_bits !bits)
-  | 4 -> Value.Str (string_ r)
-  | t -> fail "unknown value tag %#x" t
-
-let expect_end r =
-  if remaining r <> 0 then fail "%d byte(s) of trailing garbage" (remaining r)
 
 let split ?(max_frame = max_frame) data ~pos =
   let len = String.length data in
@@ -130,7 +15,7 @@ let split ?(max_frame = max_frame) data ~pos =
   let acc = ref 0 and shift = ref 0 and p = ref pos in
   let header = ref None in
   while !header = None && !p < len do
-    if !shift > 56 then fail "frame length varint longer than 9 bytes";
+    if !shift > 56 then Codec.fail "frame length varint longer than 9 bytes";
     let b = Char.code data.[!p] in
     incr p;
     acc := !acc lor ((b land 0x7f) lsl !shift);
@@ -141,6 +26,6 @@ let split ?(max_frame = max_frame) data ~pos =
   | None -> `Need_more
   | Some n ->
       if n < 0 || n > max_frame then
-        fail "frame length %d out of range (max %d)" n max_frame;
+        Codec.fail "frame length %d out of range (max %d)" n max_frame;
       if len - !p < n then `Need_more
       else `Frame (String.sub data !p n, !p + n)

@@ -1,78 +1,26 @@
-open Relational
+(** Wire framing: every frame on a chronicle connection is
+    [uvarint length ++ payload] — the length counts payload bytes only.
+    Payloads are {!Relational.Codec} fields in a fixed order per opcode
+    (see {!Protocol}).
 
-(** The wire codec: varint-encoded, length-prefixed binary frames with
-    typed field parsers.
-
-    Every frame on a chronicle connection is [uvarint length ++ payload]
-    — the length counts payload bytes only.  Inside a payload, fields
-    are primitive values in a fixed order per opcode (see {!Protocol}):
-    unsigned varints (LEB128, at most 9 bytes — exactly the 63 bits of
-    an OCaml [int]), zigzag-folded signed varints, length-prefixed byte
-    strings, IEEE-754 doubles as 8 raw big-endian bytes, and tagged
-    {!Value.t} atoms.
-
-    Decoding is total: every malformed input — truncated field, length
-    running past the payload, unknown tag, over-long varint, trailing
-    garbage — raises {!Decode_error} with a diagnosis, never a bare
-    [Failure] or an out-of-bounds crash.  Truncation at the {e frame}
-    level is not an error but a [`Need_more] (the bytes simply have not
-    arrived yet); truncation {e inside} a complete frame is. *)
-
-exception Decode_error of string
+    Truncation at the {e frame} level is not an error but a
+    [`Need_more] (the bytes simply have not arrived yet); truncation
+    {e inside} a complete frame is a {!Relational.Codec.Decode_error}
+    when the payload is decoded. *)
 
 val max_frame : int
 (** Default frame-size cap (16 MiB): {!split} rejects any frame whose
     declared length exceeds it, so a corrupt or hostile length prefix
     cannot make the server buffer unboundedly. *)
 
-(** {2 Encoding} *)
-
-val put_uvarint : Buffer.t -> int -> unit
-(** LEB128.  The int's 63 bits are treated as unsigned, so every OCaml
-    [int] (including negatives, as their two's-complement bit pattern)
-    round-trips in at most 9 bytes. *)
-
-val put_int : Buffer.t -> int -> unit
-(** Zigzag-folded signed varint: small magnitudes of either sign stay
-    short. *)
-
-val put_string : Buffer.t -> string -> unit
-(** [uvarint length ++ bytes]. *)
-
-val put_value : Buffer.t -> Value.t -> unit
-(** One tag byte, then the tag-specific payload: 0 = Null, 1 = Bool
-    (one byte), 2 = Int (zigzag varint), 3 = Float (8 bytes, IEEE-754
-    big-endian), 4 = Str (length-prefixed). *)
-
 val frame : string -> string
 (** Wrap a payload as one frame: [uvarint length ++ payload]. *)
-
-(** {2 Decoding} *)
-
-type reader
-(** A cursor over one frame payload. *)
-
-val reader : string -> reader
-val remaining : reader -> int
-
-val byte : reader -> int
-val uvarint : reader -> int
-val int_ : reader -> int
-val string_ : reader -> string
-val value : reader -> Value.t
-
-val length : reader -> max:int -> string -> int
-(** A uvarint used as a count or size: raises {!Decode_error} naming
-    the field if it is negative (64th-bit games) or exceeds [max]. *)
-
-val expect_end : reader -> unit
-(** Raises {!Decode_error} unless the payload was consumed exactly —
-    trailing garbage in a frame is malformed, not ignorable. *)
 
 val split :
   ?max_frame:int -> string -> pos:int -> [ `Frame of string * int | `Need_more ]
 (** Extract one frame from a byte stream starting at [pos]:
     [`Frame (payload, next_pos)] when a whole frame is available,
     [`Need_more] when the length prefix or the payload is still
-    incomplete.  Raises {!Decode_error} on an over-long length varint
-    or a declared length that is negative or exceeds [max_frame]. *)
+    incomplete.  Raises {!Relational.Codec.Decode_error} on an
+    over-long length varint or a declared length that is negative or
+    exceeds [max_frame]. *)

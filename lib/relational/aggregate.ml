@@ -192,25 +192,36 @@ let pp_call ppf c =
   | None -> Format.fprintf ppf "%s(*) AS %s" (func_name c.func) c.alias
   | Some a -> Format.fprintf ppf "%s(%s) AS %s" (func_name c.func) a c.alias
 
-let sexp_of_state = function
-  | Count_st n -> Sexp.List [ Sexp.Atom "count"; Sexp.int n ]
-  | Sum_st None -> Sexp.List [ Sexp.Atom "sum" ]
-  | Sum_st (Some v) -> Sexp.List [ Sexp.Atom "sum"; Value.to_sexp v ]
-  | Minmax_st None -> Sexp.List [ Sexp.Atom "minmax" ]
-  | Minmax_st (Some v) -> Sexp.List [ Sexp.Atom "minmax"; Value.to_sexp v ]
-  | Avg_st (s, n) -> Sexp.List [ Sexp.Atom "avg"; Sexp.float s; Sexp.int n ]
+let put_state buf = function
+  | Count_st n ->
+      Buffer.add_char buf '\x00';
+      Codec.put_int buf n
+  | Sum_st v ->
+      Buffer.add_char buf '\x01';
+      Codec.put_option Codec.put_value buf v
+  | Minmax_st v ->
+      Buffer.add_char buf '\x02';
+      Codec.put_option Codec.put_value buf v
+  | Avg_st (s, n) ->
+      Buffer.add_char buf '\x03';
+      Codec.put_float buf s;
+      Codec.put_int buf n
   | Moments_st { n; sum; sumsq } ->
-      Sexp.List [ Sexp.Atom "moments"; Sexp.int n; Sexp.float sum; Sexp.float sumsq ]
+      Buffer.add_char buf '\x04';
+      Codec.put_int buf n;
+      Codec.put_float buf sum;
+      Codec.put_float buf sumsq
 
-let state_of_sexp = function
-  | Sexp.List [ Sexp.Atom "count"; n ] -> Count_st (Sexp.to_int n)
-  | Sexp.List [ Sexp.Atom "sum" ] -> Sum_st None
-  | Sexp.List [ Sexp.Atom "sum"; v ] -> Sum_st (Some (Value.of_sexp v))
-  | Sexp.List [ Sexp.Atom "minmax" ] -> Minmax_st None
-  | Sexp.List [ Sexp.Atom "minmax"; v ] -> Minmax_st (Some (Value.of_sexp v))
-  | Sexp.List [ Sexp.Atom "avg"; s; n ] -> Avg_st (Sexp.to_float s, Sexp.to_int n)
-  | Sexp.List [ Sexp.Atom "moments"; n; sum; sumsq ] ->
-      Moments_st
-        { n = Sexp.to_int n; sum = Sexp.to_float sum; sumsq = Sexp.to_float sumsq }
-  | sexp ->
-      failwith (Printf.sprintf "Aggregate.state_of_sexp: %s" (Sexp.to_string sexp))
+let get_state r =
+  match Codec.byte r with
+  | 0 -> Count_st (Codec.int_ r)
+  | 1 -> Sum_st (Codec.option Codec.value r)
+  | 2 -> Minmax_st (Codec.option Codec.value r)
+  | 3 ->
+      let s = Codec.float_ r in
+      Avg_st (s, Codec.int_ r)
+  | 4 ->
+      let n = Codec.int_ r in
+      let sum = Codec.float_ r in
+      Moments_st { n; sum; sumsq = Codec.float_ r }
+  | t -> Codec.fail "unknown aggregate state tag %#x" t

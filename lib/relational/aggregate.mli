@@ -66,8 +66,8 @@ val result_schema : Schema.t -> string list -> call list -> Schema.t
 
 val pp_call : Format.formatter -> call -> unit
 
-val sexp_of_state : state -> Sexp.t
-(** Lossless encoding of an aggregate state (for snapshots). *)
+val put_state : Buffer.t -> state -> unit
+(** Lossless {!Codec} encoding of an aggregate state (for snapshots). *)
 
-val state_of_sexp : Sexp.t -> state
-(** Raises [Failure] on malformed input. *)
+val get_state : Codec.reader -> state
+(** Raises {!Codec.Decode_error} on malformed input. *)

@@ -103,18 +103,3 @@ let pp_list ppf l =
   Format.fprintf ppf "(%a)"
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") pp)
     l
-
-let to_sexp = function
-  | Null -> Sexp.Atom "null"
-  | Bool b -> Sexp.List [ Sexp.Atom "b"; Sexp.bool b ]
-  | Int i -> Sexp.List [ Sexp.Atom "i"; Sexp.int i ]
-  | Float f -> Sexp.List [ Sexp.Atom "f"; Sexp.float f ]
-  | Str s -> Sexp.List [ Sexp.Atom "s"; Sexp.Atom s ]
-
-let of_sexp = function
-  | Sexp.Atom "null" -> Null
-  | Sexp.List [ Sexp.Atom "b"; v ] -> Bool (Sexp.to_bool v)
-  | Sexp.List [ Sexp.Atom "i"; v ] -> Int (Sexp.to_int v)
-  | Sexp.List [ Sexp.Atom "f"; v ] -> Float (Sexp.to_float v)
-  | Sexp.List [ Sexp.Atom "s"; Sexp.Atom s ] -> Str s
-  | sexp -> failwith (Printf.sprintf "Value.of_sexp: %s" (Sexp.to_string sexp))

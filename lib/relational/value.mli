@@ -39,12 +39,6 @@ val sub : t -> t -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val to_sexp : t -> Sexp.t
-(** Tagged, lossless encoding (floats in hex notation). *)
-
-val of_sexp : Sexp.t -> t
-(** Raises [Failure] on malformed input. *)
-
 (** {2 List keys}  Composite keys (e.g. group keys, index keys). *)
 
 val compare_list : t list -> t list -> int

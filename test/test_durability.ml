@@ -27,7 +27,7 @@ let test_crc32 () =
 
 (* ---- journal framing ---- *)
 
-let rec_s s = Sexp.List [ Sexp.Atom "r"; Sexp.atom s ]
+let rec_s s = "r:" ^ s
 
 let test_journal_roundtrip () =
   let st = Storage.mem () in
@@ -40,8 +40,7 @@ let test_journal_roundtrip () =
   let records, tail = Journal.read st "journal" in
   check_bool "clean tail" true (tail = `Clean);
   check_bool "payloads survive" true
-    (List.map Sexp.to_string records
-    = List.map Sexp.to_string [ rec_s "one"; rec_s "two"; rec_s "three" ]);
+    (records = [ rec_s "one"; rec_s "two"; rec_s "three" ]);
   Journal.truncate_last j;
   check_int "truncate_last drops one" 2 (Journal.records j);
   check_int "readers agree" 2 (List.length (fst (Journal.read st "journal")));
@@ -331,20 +330,28 @@ let test_golden_journal () =
   check_int "the failed append left no record" 4 (Durable.journal_records d);
   let records, tail = Journal.read st "journal" in
   check_bool "clean tail" true (tail = `Clean);
+  (* payload hex: tag byte, then fields — strings and lists
+     length-prefixed, ints zigzag varints, values tagged (02 = Int,
+     03 = Float as 8 big-endian bytes, 04 = Str) *)
+  let hex s =
+    String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.of_seq (String.to_seq s))))
+  in
   Alcotest.(check (list string))
     "journal bytes"
     [
-      "(append ((group main) (sn 1) (batch ((mileage (((i 1) (i 100) (f \
-       0x1p+0))))))))";
-      "(group ((group main) (entries (((sn 2) (batch ((mileage (((i 2) (i \
-       50) (f 0x1p+0))))))) ((sn 3) (batch ((mileage (((i 1) (i 7) (f \
-       0x1p+0)) ((i 3) (i 1) (f 0x1p+0))))))) ((sn 4) (batch ((mileage \
-       (((i 2) (i 5) (f 0x1p+0)))))))))))";
-      "(insert ((relation customers) (at 0) (rows (((i 1) (s NJ))))))";
-      "(retract ((chronicle mileage) (entries (((sn 3) (rows (((i 1) (i 7) \
-       (f 0x1p+0)))))))))";
+      (* append: group "main", sn 1, batch [mileage: (1, 100, 1.0)] *)
+      "00046d61696e0201076d696c6561676501030202" ^ "02c801033ff0000000000000";
+      (* group: "main", entries sn 2, 3, 4 *)
+      "01046d61696e03" ^ "0401076d696c65616765010302040264033ff0000000000000"
+      ^ "0601076d696c6561676502030202020e033ff0000000000000"
+      ^ "0302060202033ff0000000000000"
+      ^ "0801076d696c6561676501030204020a033ff0000000000000";
+      (* insert: relation "customers", at 0, rows [(1, "NJ")] *)
+      "0209637573746f6d6572730001020202" ^ "04024e4a";
+      (* retract: chronicle "mileage", entries [sn 3: (1, 7, 1.0)] *)
+      "03076d696c6561676501060103020202" ^ "0e033ff0000000000000";
     ]
-    (List.map Sexp.to_string records)
+    (List.map hex records)
 
 let test_multi_chronicle_rollback () =
   (* a failing multi-chronicle batch must roll back *every* sibling *)
@@ -476,29 +483,24 @@ let test_disk_storage () =
    record (structural damage is not "the batch that died with the
    process"). *)
 let test_malformed_records_typed_at_recovery () =
-  let tagged tag fields = Sexp.List [ Sexp.Atom tag; Sexp.record fields ] in
   let shapes =
     [
-      ("bare atom", Sexp.atom "junk");
-      ("unknown tag", tagged "frobnicate" []);
-      ( "malformed append batch entry",
-        tagged "append"
-          [
-            ("group", Sexp.atom "main");
-            ("sn", Sexp.int 1);
-            ("batch", Sexp.List [ Sexp.List [ Sexp.atom "c" ] ]);
-          ] );
-      ("append missing fields", tagged "append" [ ("sn", Sexp.int 1) ]);
-      ( "bad index kind",
-        tagged "define-view"
-          [ ("index", Sexp.atom "btree"); ("def", Sexp.record []) ] );
+      ("empty payload", "");
+      ("unknown tag", "\x7f");
+      (* append: group "main", sn 1, one batch entry "c" with no rows *)
+      ("malformed append batch entry", "\x00\x04main\x02\x01\x01c");
+      ("append missing fields", "\x00");
+      (* define-view with index kind 5 *)
+      ("bad index kind", "\x08\x05\x00");
+      ("lying list count", "\x03\x01c\xff\xff\xff\x7f");
+      ("trailing garbage", "\x04\x04main\x02junk");
     ]
   in
   List.iter
-    (fun (what, sexp) ->
+    (fun (what, payload) ->
       let st = Storage.mem () in
       let j = Journal.open_ st Durable.journal_file in
-      Journal.append j sexp;
+      Journal.append j payload;
       match Durable.recover ~storage:st () with
       | _ -> Alcotest.failf "%s: recovery must reject the record" what
       | exception Journal.Journal_corrupt { record = 0; _ } -> ()
@@ -511,25 +513,12 @@ let test_malformed_records_typed_at_recovery () =
    failure, not corruption: tolerated (and erased) when final, raised
    as [Durable.Recovery_error] when records follow it. *)
 let test_application_failure_vs_malformation () =
-  let tagged tag fields = Sexp.List [ Sexp.Atom tag; Sexp.record fields ] in
-  (* structurally valid append naming a chronicle that never existed *)
+  let record ev = Codec.encode Durable.put_event ev in
+  (* well-formed append naming a chronicle that never existed *)
   let orphan sn =
-    tagged "append"
-      [
-        ("group", Sexp.atom "main");
-        ("sn", Sexp.int sn);
-        ( "batch",
-          Sexp.List
-            [
-              Sexp.List
-                [
-                  Sexp.atom "ghost";
-                  Sexp.List [ Snapshot.sexp_of_tuple (post 1 100) ];
-                ];
-            ] );
-      ]
+    record (Db.Ev_append { group = "main"; sn; batch = [ ("ghost", [ post 1 100 ]) ] })
   in
-  let add_group = tagged "add-group" [ ("name", Sexp.atom "g2") ] in
+  let add_group = record (Db.Ev_add_group { name = "g2"; clock_start = None }) in
   (* final record: dropped as the batch that died with the process *)
   let st = Storage.mem () in
   let j = Journal.open_ st Durable.journal_file in
@@ -547,17 +536,36 @@ let test_application_failure_vs_malformation () =
   let d2, report2 = Durable.recover ~storage:st () in
   check_bool "re-recovery is clean" false report2.Durable.dropped_failed;
   same_state "re-recovery round-trips" (Durable.db d) (Durable.db d2);
-  (* non-final record: typed Recovery_error carrying the record index *)
-  let st = Storage.mem () in
-  let j = Journal.open_ st Durable.journal_file in
-  Journal.append j (orphan 1);
-  Journal.append j add_group;
-  match Durable.recover ~storage:st () with
-  | _ -> Alcotest.fail "non-final application failure must raise"
-  | exception Durable.Recovery_error { record = 0; _ } -> ()
-  | exception e ->
-      Alcotest.failf "wanted Recovery_error at record 0, got %s"
-        (Printexc.to_string e)
+  (* non-final record: typed Recovery_error carrying the record index —
+     a view definition over a chronicle the database lacks included: its
+     definition is decoded only when applied, so the unknown name is an
+     application failure, not corruption *)
+  let ghost_view =
+    let other = Db.create () in
+    ignore (Db.add_chronicle other ~name:"ghost" Fixtures.mileage_schema);
+    record
+      (Db.Ev_define_view
+         {
+           index = Index.Hash;
+           def =
+             Sca.define ~name:"v"
+               ~body:(Ca.Chronicle (Db.chronicle other "ghost"))
+               (Sca.Project_out [ "acct" ]);
+         })
+  in
+  List.iter
+    (fun bad ->
+      let st = Storage.mem () in
+      let j = Journal.open_ st Durable.journal_file in
+      Journal.append j bad;
+      Journal.append j add_group;
+      match Durable.recover ~storage:st () with
+      | _ -> Alcotest.fail "non-final application failure must raise"
+      | exception Durable.Recovery_error { record = 0; _ } -> ()
+      | exception e ->
+          Alcotest.failf "wanted Recovery_error at record 0, got %s"
+            (Printexc.to_string e))
+    [ orphan 1; ghost_view ]
 
 (* ---- self-healing storage: generations, segments, scrub ---- *)
 
@@ -578,9 +586,9 @@ let test_stale_checkpoint_tmp_removed () =
       ignore (Durable.attach ~keep_checkpoints:0 ~storage:(Storage.mem ()) (mk_db ())))
 
 let test_legacy_layout_pinned () =
-  (* keep_checkpoints = 1 (the default) is byte-identical to the
-     pre-generation layout: exactly one bare [checkpoint] file holding
-     the raw snapshot document, one [journal] file, nothing else *)
+  (* keep_checkpoints = 1 (the default) keeps the single-file layout:
+     exactly one bare [checkpoint] file — a Ckpt frame of generation 0
+     around the snapshot — one [journal] file, nothing else *)
   let st = Storage.mem () in
   let db = mk_db () in
   let d = Durable.attach ~storage:st db in
@@ -588,8 +596,8 @@ let test_legacy_layout_pinned () =
   Durable.checkpoint d;
   check_bool "exact legacy file set" true
     (st.Storage.list () = [ "checkpoint"; "journal" ]);
-  check_string "bare checkpoint is the raw snapshot document"
-    (Snapshot.save db)
+  check_string "bare checkpoint is one Ckpt frame around the snapshot"
+    (Ckpt.encode ~generation:0 ~first_segment:0 (Snapshot.save db))
     (Option.get (st.Storage.read "checkpoint"))
 
 let test_generation_rotation_and_prune () =

@@ -154,20 +154,40 @@ let prop_full_retraction s =
 
 (* ---- metamorphic: partial retraction ≡ clean replay of survivors ---- *)
 
+(* The survivors [Db.retract] leaves: each dropped row, in retraction
+   order, claims its newest unclaimed occurrence — the latest batch of
+   its chronicle still holding an equal row — exactly the documented
+   resolution rule.  Keeping a row's own flag instead would be wrong
+   when one batch holds the same row twice (one dropped, one kept) and
+   a later batch holds it again: the retraction claims the later one,
+   and under a ∪ body, which deduplicates within one sequence number,
+   the two histories then differ. *)
+let survivors (s : scenario) =
+  let batches = Array.of_list (List.map (fun b -> (b.chron, ref b.rows)) s) in
+  let same r r' = r.acct = r'.acct && r.miles = r'.miles in
+  let rec remove_one r = function
+    | [] -> []
+    | r' :: rest -> if same r r' then rest else r' :: remove_one r rest
+  in
+  List.iter
+    (fun (chron, r) ->
+      let rec claim i =
+        let c, rows = batches.(i) in
+        if c = chron && List.exists (same r) !rows then rows := remove_one r !rows
+        else claim (i - 1)
+      in
+      claim (Array.length batches - 1))
+    (to_retract (fun r -> not r.keep) s);
+  List.filter_map
+    (fun (chron, rows) -> if !rows = [] then None else Some { chron; rows = !rows })
+    (Array.to_list batches)
+
 let prop_partial_retraction s =
   let db = mk_db () in
   append_all db s;
   retract_all db (fun r -> not r.keep) s;
-  let survivors =
-    List.filter_map
-      (fun b ->
-        match List.filter (fun r -> r.keep) b.rows with
-        | [] -> None
-        | rows -> Some { b with rows })
-      s
-  in
   let oracle = mk_db () in
-  append_all oracle survivors;
+  append_all oracle (survivors s);
   (* sequence numbers differ between the two histories, but no view
      exposes them: group aggregates are sn-insensitive and the
      projection drops the sequencing attribute *)
@@ -178,6 +198,22 @@ let prop_partial_retraction s =
         (Db.view_contents oracle v) (Db.view_contents db v))
     view_names;
   true
+
+(* the shape that once split oracle and database: (4,3) twice in one
+   mileage batch (one dropped, one kept) and again in a later batch *)
+let test_partial_retraction_duplicate_rows () =
+  let r acct miles prio keep = { acct; miles; prio; keep } in
+  ignore
+    (prop_partial_retraction
+       [
+         { chron = 1; rows = [ r 1 6 236 false; r 4 42 620 false ] };
+         { chron = 1; rows = [ r 4 9 873 true; r 3 22 878 true; r 3 9 562 false ] };
+         { chron = 1; rows = [ r 4 5 786 false; r 3 40 183 false ] };
+         { chron = 1; rows = [ r 1 47 269 false; r 1 42 991 false ] };
+         { chron = 0; rows = [ r 4 3 340 false; r 1 7 740 false; r 4 3 612 true ] };
+         { chron = 1; rows = [ r 2 21 236 false; r 4 40 142 false; r 1 12 38 false ] };
+         { chron = 0; rows = [ r 4 3 43 true; r 3 26 707 true; r 1 35 932 true ] };
+       ])
 
 (* ---- parallelism transparency: jobs ∈ {1,2,4} byte-identical ---- *)
 
@@ -360,6 +396,8 @@ let suite =
     test "retract: union diffs the at-sn slice" test_retract_union_slice_diff;
     test "retract: static classification" test_retract_classification;
     test "retract: durable journal round-trip" test_retract_durable_roundtrip;
+    test "retract: partial retraction with duplicate rows"
+      test_partial_retraction_duplicate_rows;
     qtest ~count:60 "append ∘ retract-all ≡ identity (random order)"
       scenario_arb prop_full_retraction;
     qtest ~count:60 "partial retraction ≡ clean replay of survivors"

@@ -135,8 +135,9 @@ let test_ca_serialization_roundtrip () =
   List.iter
     (fun e ->
       let e' =
-        Snapshot.ca_of_sexp ~chronicle:resolve_c ~relation:resolve_r
-          (Sexp.of_string (Sexp.to_string (Snapshot.sexp_of_ca e)))
+        Snapshot.decode_with "expression"
+          (Snapshot.get_ca ~chronicle:resolve_c ~relation:resolve_r)
+          (Codec.encode Snapshot.put_ca e)
       in
       check_bool "same schema" true (Schema.equal (Ca.schema_of e) (Ca.schema_of e'));
       check_string "same rendering"
@@ -156,8 +157,8 @@ let test_predicate_roundtrip () =
   List.iter
     (fun p ->
       let p' =
-        Snapshot.predicate_of_sexp
-          (Sexp.of_string (Sexp.to_string (Snapshot.sexp_of_predicate p)))
+        Snapshot.decode_with "predicate" Snapshot.get_predicate
+          (Codec.encode Snapshot.put_predicate p)
       in
       check_string "predicate roundtrip"
         (Format.asprintf "%a" Predicate.pp p)

@@ -1,4 +1,4 @@
-(* The wire codec and the server's per-connection protocol machine:
+(* The binary codec, wire framing and the server's per-connection protocol machine:
    encode∘decode = id over varints, typed values, requests, responses
    and frame streams (qcheck), plus a frame fuzzer — truncated,
    bit-flipped, oversized and unknown-opcode frames must yield a typed
@@ -15,13 +15,13 @@ open Util
 
 let enc_value v =
   let b = Buffer.create 16 in
-  Wire.put_value b v;
+  Codec.put_value b v;
   Buffer.contents b
 
 let dec_value s =
-  let r = Wire.reader s in
-  let v = Wire.value r in
-  Wire.expect_end r;
+  let r = Codec.reader s in
+  let v = Codec.value r in
+  Codec.expect_end r;
   v
 
 (* ---- directed codec tests ---- *)
@@ -29,11 +29,11 @@ let dec_value s =
 let test_varint_boundaries () =
   let round i =
     let b = Buffer.create 10 in
-    Wire.put_uvarint b i;
+    Codec.put_uvarint b i;
     let s = Buffer.contents b in
-    let r = Wire.reader s in
-    let i' = Wire.uvarint r in
-    Wire.expect_end r;
+    let r = Codec.reader s in
+    let i' = Codec.uvarint r in
+    Codec.expect_end r;
     check_bool (Printf.sprintf "uvarint %d" i) true (i = i');
     String.length s
   in
@@ -46,10 +46,10 @@ let test_varint_boundaries () =
   check_int "min_int is 9 bytes" 9 (round min_int);
   let zround i =
     let b = Buffer.create 10 in
-    Wire.put_int b i;
-    let r = Wire.reader (Buffer.contents b) in
-    let i' = Wire.int_ r in
-    Wire.expect_end r;
+    Codec.put_int b i;
+    let r = Codec.reader (Buffer.contents b) in
+    let i' = Codec.int_ r in
+    Codec.expect_end r;
     check_bool (Printf.sprintf "zigzag %d" i) true (i = i');
     Buffer.length b
   in
@@ -69,20 +69,20 @@ let test_value_nan () =
 let test_malformed_fields () =
   let decode_err what f =
     match f () with
-    | exception Wire.Decode_error _ -> ()
+    | exception Codec.Decode_error _ -> ()
     | _ -> Alcotest.fail (what ^ ": expected Decode_error")
   in
   (* over-long varint: ten continuation bytes *)
   decode_err "over-long varint" (fun () ->
-      Wire.uvarint (Wire.reader (String.make 10 '\x80')));
+      Codec.uvarint (Codec.reader (String.make 10 '\x80')));
   (* truncated varint *)
   decode_err "truncated varint" (fun () ->
-      Wire.uvarint (Wire.reader "\x80"));
+      Codec.uvarint (Codec.reader "\x80"));
   (* string length past the payload *)
   decode_err "string length past end" (fun () ->
-      Wire.string_ (Wire.reader "\x05ab"));
+      Codec.string_ (Codec.reader "\x05ab"));
   (* unknown value tag *)
-  decode_err "unknown value tag" (fun () -> Wire.value (Wire.reader "\x09"));
+  decode_err "unknown value tag" (fun () -> Codec.value (Codec.reader "\x09"));
   (* trailing garbage after a well-formed body *)
   decode_err "trailing garbage" (fun () ->
       Protocol.decode_request ("\x04" ^ "junk"));
@@ -92,12 +92,12 @@ let test_malformed_fields () =
   decode_err "empty payload" (fun () -> Protocol.decode_request "");
   (* declared frame length over the cap *)
   let b = Buffer.create 10 in
-  Wire.put_uvarint b (Wire.max_frame + 1);
+  Codec.put_uvarint b (Wire.max_frame + 1);
   decode_err "oversized frame" (fun () ->
       ignore (Wire.split (Buffer.contents b) ~pos:0));
   (* negative declared frame length (64th-bit games) *)
   let b = Buffer.create 10 in
-  Wire.put_uvarint b (-1);
+  Codec.put_uvarint b (-1);
   decode_err "negative frame length" (fun () ->
       ignore (Wire.split (Buffer.contents b) ~pos:0))
 
@@ -227,9 +227,9 @@ let qcheck_bitflip_codec =
       | `Frame (payload, _) -> (
           match Protocol.decode_request payload with
           | _ -> true
-          | exception Wire.Decode_error _ -> true
+          | exception Codec.Decode_error _ -> true
           | exception _ -> false)
-      | exception Wire.Decode_error _ -> true
+      | exception Codec.Decode_error _ -> true
       | exception _ -> false)
 
 (* ---- the protocol machine: typed error, clean close, no db
@@ -333,7 +333,7 @@ let test_machine_retract () =
 let test_machine_protocol_error_closes () =
   let server, conn = machine () in
   ignore (feed conn (Protocol.Stmt "CREATE CHRONICLE t (a INT);"));
-  let before = Snapshot.sexp_of_db (Server.db server) in
+  let before = Snapshot.save (Server.db server) in
   (* an unknown opcode in a well-formed frame *)
   (match responses (Server.feed conn (Wire.frame "\x7f")) with
   | [ Protocol.Err { kind = Protocol.E_protocol; _ } ] -> ()
@@ -342,7 +342,7 @@ let test_machine_protocol_error_closes () =
   check_bool "closed connections ignore further input" true
     (Server.feed conn (Protocol.encode_request Protocol.Ping) = "");
   check_bool "the database was not touched" true
-    (before = Snapshot.sexp_of_db (Server.db server))
+    (before = Snapshot.save (Server.db server))
 
 let test_machine_parse_error_keeps_session () =
   let _, conn = machine () in
@@ -360,7 +360,7 @@ let qcheck_bitflip_machine =
     (QCheck.make QCheck.Gen.(pair request_gen (int_bound 10_000)))
     (fun (req, bit) ->
       let server, conn = machine () in
-      let before = Snapshot.sexp_of_db (Server.db server) in
+      let before = Snapshot.save (Server.db server) in
       let mutated = flip_bit (Protocol.encode_request req) bit in
       match Server.feed conn mutated with
       | exception _ -> false
@@ -380,7 +380,7 @@ let qcheck_bitflip_machine =
               in
               (not protocol_err)
               || Server.closing conn
-                 && before = Snapshot.sexp_of_db (Server.db server)))
+                 && before = Snapshot.save (Server.db server)))
 
 let qcheck_junk_machine =
   qtest ~count:500 "random byte junk never crashes the machine"
