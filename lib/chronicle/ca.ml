@@ -126,6 +126,21 @@ let group_of expr =
         rest;
       g
 
+let rec column_source e a =
+  match e with
+  | Chronicle c ->
+      let s = Chron.schema c in
+      if Schema.mem s a then Some (c, Schema.pos s a) else None
+  | Select (_, e) -> column_source e a
+  | Project (attrs, e) -> if List.mem a attrs then column_source e a else None
+  | ProductRel (e, _) | KeyJoinRel (e, _, _) ->
+      (* attribute names are disjoint, so [a] is the chronicle side's
+         exactly when that side has it *)
+      if Schema.mem (schema_of e) a then column_source e a else None
+  | SeqJoin _ | Union _ | Diff _ | GroupBySeq _ | CrossChron _
+  | ThetaJoinChron _ ->
+      None
+
 let rec unions = function
   | Chronicle _ -> 0
   | Select (_, e) | Project (_, e) | GroupBySeq (_, _, e)

@@ -85,6 +85,14 @@ val reads_history : t -> bool
     (recording batch [i+1] could evict ring-retained tuples that batch
     [i]'s fold still needs). *)
 
+val column_source : t -> string -> (Chron.t * int) option
+(** [column_source e a]: when [e]'s attribute [a] is a copy of a column
+    of a base chronicle, reached only through selections, projections
+    and products or key joins with relations, that chronicle and the
+    column's position in its stored (tagged) tuples.  Every output
+    tuple of such an [e] then carries, at [a], the value its one source
+    row holds at that position. *)
+
 val unions : t -> int
 (** Number of union operators (the [u] of Theorem 4.2). *)
 

@@ -92,27 +92,48 @@ val restore : t -> total:int -> last_sn:Seqnum.t option -> retained:Tuple.t list
 
     Retraction removes stored {e occurrences} from retained history —
     it is a later event, not an un-happening of the append, so
-    {!total_appended} and {!last_sn} never move.  All three operations
+    {!total_appended} and {!last_sn} never move.  These operations
     require [Full] retention and raise {!Not_retained} otherwise: a
     ring may already have evicted the occurrence and [Discard] never
-    had it. *)
+    had it.  None of them bumps [Stats.Chronicle_scan]: they are the
+    retraction write path, not history reads by maintenance, and none
+    costs time in proportion to the stored history — the store is
+    sn-sorted (binary search), removal leaves a dead slot that is
+    compacted away once dead slots pass half the store, and rows are
+    found through an occurrence index. *)
 
 val at_sn : t -> Seqnum.t -> Tuple.t list
 (** Stored tagged tuples carrying the given sequence number, oldest
     first — the at-[sn] slice that weighted delta propagation diffs
-    against.  Does not bump [Stats.Chronicle_scan]: this is the
-    retraction write path, not a history read by maintenance. *)
+    against.  O(log |C| + slice). *)
+
+val occurrences : t -> Tuple.t -> Seqnum.t list
+(** Sequence numbers of the stored occurrences of a {e user} row
+    (without [sn]), newest first, one entry per occurrence.  The
+    occurrence index behind it is built on the first call, in one pass
+    over the store, and maintained by every later append, removal and
+    rollback; a Full chronicle that never retracts pays nothing for it
+    on its appends. *)
+
+val matching : t -> cols:int array -> Tuple.t list -> Tuple.t list
+(** [matching t ~cols] builds the index over positions [cols] of the
+    stored (tagged) tuples, in one pass over the store, unless it
+    exists; it is then maintained like the occurrence index.  The
+    returned lookup maps [keys] (each listing values in [cols] order)
+    to the stored tuples whose values at [cols] equal one of them,
+    oldest first — the rows a MIN/MAX re-probe of those groups reads —
+    in O(rows returned + distinct sequence numbers × log |C|).  The
+    lookup only reads, so fold domains may call it in parallel while
+    the store does not change.  Unlike the operations above, it reads
+    retained history for maintenance, so it bumps
+    [Stats.Chronicle_scan] once per tuple returned. *)
 
 val remove_stored : t -> Seqnum.t -> Tuple.t list -> unit
 (** Remove one stored occurrence of each given {e user} tuple (without
     [sn]) recorded under the sequence number.  Raises
     [Invalid_argument] if any tuple has no matching stored occurrence
-    left, leaving the store untouched in that case. *)
-
-val reset_store : t -> Tuple.t list -> unit
-(** Replace the retained store with the given tagged tuples (oldest
-    first) — [Db.retract]'s all-or-nothing undo, paired with a
-    pre-mutation {!stored} snapshot.  Counters are not touched. *)
+    left, leaving the store untouched in that case.  Under an active
+    {!mark} the removals are logged, and {!rollback} revives them. *)
 
 (** {2 Transactional recording}
 
@@ -140,18 +161,24 @@ type mark
 (** Pre-batch position of the append counters and the retained store. *)
 
 val mark : t -> mark
-(** Take a mark and start collecting ring-overwrite undo state.  Every
-    [mark] must be paired with exactly one {!commit} or {!rollback}. *)
+(** Take a mark and start collecting undo state: ring overwrites and
+    {!remove_stored} removals.  Every [mark] must be paired with
+    exactly one {!commit} or {!rollback}. *)
 
 val commit : t -> unit
-(** Drop the undo state collected since {!mark} (the batch stays). *)
+(** Drop the undo state collected since {!mark} (the batch stays), and
+    compact a Full store whose dead slots passed half of it. *)
 
 val rollback : t -> mark -> unit
 (** Restore counters, [last_sn] and the retained window to the mark —
-    erasing every tuple recorded since, including ring overwrites. *)
+    erasing every tuple recorded since, including ring overwrites, and
+    reviving every occurrence removed since. *)
 
 val tag : Seqnum.t -> Tuple.t -> Tuple.t
 (** [tag sn user_tuple] prepends the sequence number. *)
+
+val untag : Tuple.t -> Tuple.t
+(** The user tuple of a tagged tuple. *)
 
 val sn_of : Tuple.t -> Seqnum.t
 (** Sequence number of a tagged tuple. *)

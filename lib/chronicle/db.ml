@@ -234,11 +234,12 @@ let has_batch_hooks t = t.batch_hooks <> []
      have come due, list the affected views), then fold every affected
      view as one chain of folds on the pool ([fold_chains]);
    - [bracket], wrapped around the step for live appends, live groups
-     and the journal's final record: write-ahead event → chronicle,
-     relation and view marks → step → commit, or roll everything back
-     and emit [Ev_abort] (so a journal can erase the write-ahead
-     record) and re-raise → chronicle subscribers and batch hooks,
-     strictly after commit and in record order.
+     and the journal's final record: the [transaction] (write-ahead
+     event → chronicle, relation and view marks → step → commit, or
+     roll everything back and emit [Ev_abort], so a journal can erase
+     the write-ahead record, and re-raise) → chronicle subscribers and
+     batch hooks, strictly after commit and in record order.  A
+     retraction runs its own step in the same [transaction].
 
    Replay windows run the step bare: no marks (a ring chronicle's undo
    list does not grow with the window), no write-ahead event, and a
@@ -302,11 +303,12 @@ let record t { g; sn; batch } =
       (List.concat_map (fun (c, tg) -> Registry.affected t.registry c tg) tagged)
   )
 
-(* Per-append work is probe-and-fold only: the body Δ-plan was compiled
-   once at registration and is replayed here. *)
-let fold_link t v ~sn ~tagged () =
+(* One view's fold at [sn], announced to the fold probe first.  Append
+   folds replay the body Δ-plan compiled once at registration;
+   retraction folds apply a weighted delta through the same link. *)
+let fold_link t v ~sn fold () =
   (match t.fold_probe with Some probe -> probe ~view:(View.name v) ~sn | None -> ());
-  View.maintain v ~sn ~batch:tagged
+  fold ()
 
 (* The fold scheduler.  A chain is one view's folds in record order —
    the mandatory per-view ordering; distinct views' chains share only
@@ -364,7 +366,8 @@ let fold_recorded t ~open_view recs =
                 order := (v, cell) :: !order;
                 cell
           in
-          cell := (index, fold_link t v ~sn ~tagged) :: !cell)
+          let fold () = View.maintain v ~sn ~batch:tagged in
+          cell := (index, fold_link t v ~sn fold) :: !cell)
         affected)
     recs;
   let order = List.rev !order in
@@ -426,33 +429,14 @@ let abort t g ~sn e =
   emit t (Ev_abort { group = Group.name g; sn });
   raise e
 
-(* [entries]: non-empty, validated, sequence numbers strictly increasing
-   above [g]'s watermark.  [grouped] journals them as one [Ev_group]
-   and counts a group commit; otherwise the single entry is an
-   [Ev_append]. *)
-let bracket t g ~grouped entries =
+(* The one write bracket: write-ahead [event] → marks on [chrons] and
+   every relation → [step ~open_view], where [open_view] starts a
+   view's undo log before anything folds it → commit, or roll every
+   mark and opened view back and [abort] at [sn]. *)
+let transaction t g ~sn ~event ~chrons step =
+  emit t event;
   let wm = Group.watermark g in
-  let first_sn = (List.hd entries).sn in
-  let named batch = List.map (fun (c, tuples) -> (Chron.name c, tuples)) batch in
-  emit t
-    (match entries with
-    | [ { sn; batch; _ } ] when not grouped ->
-        Ev_append { group = Group.name g; sn; batch = named batch }
-    | _ ->
-        Ev_group
-          {
-            group = Group.name g;
-            entries = List.map (fun e -> (e.sn, named e.batch)) entries;
-          });
-  let chron_marks =
-    List.fold_left
-      (fun marks e ->
-        List.fold_left
-          (fun marks (c, _) ->
-            if List.mem_assq c marks then marks else (c, Chron.mark c) :: marks)
-          marks e.batch)
-      [] entries
-  in
+  let chron_marks = List.map (fun c -> (c, Chron.mark c)) chrons in
   let rel_marks =
     Hashtbl.fold (fun _ r acc -> (r, Versioned.mark r) :: acc) t.relations []
   in
@@ -465,28 +449,54 @@ let bracket t g ~grouped entries =
       begun := v :: !begun
     end
   in
-  let recorded = ref [] in
-  match
-    record_and_fold t ~open_view ~interleave:(pending_updates t)
-      ~folded:(fun recs -> recorded := List.rev_append recs !recorded)
-      (fun _ e -> Some e)
-      entries
-  with
+  match step ~open_view with
   | () ->
       List.iter View.commit_txn !begun;
       List.iter (fun (r, _) -> Versioned.commit r) rel_marks;
-      List.iter (fun (c, _) -> Chron.commit c) chron_marks;
-      if grouped then begin
-        Stats.incr Stats.Group_commit;
-        Stats.record_max Stats.Group_size_max (List.length entries)
-      end;
-      announce t (List.rev !recorded)
+      List.iter (fun (c, _) -> Chron.commit c) chron_marks
   | exception e ->
       List.iter View.rollback_txn !begun;
       List.iter (fun (r, m) -> Versioned.rollback r m) rel_marks;
       List.iter (fun (c, m) -> Chron.rollback c m) chron_marks;
       Group.rollback_watermark g wm;
-      abort t g ~sn:first_sn (unwrap e)
+      abort t g ~sn (unwrap e)
+
+(* [entries]: non-empty, validated, sequence numbers strictly increasing
+   above [g]'s watermark.  [grouped] journals them as one [Ev_group]
+   and counts a group commit; otherwise the single entry is an
+   [Ev_append]. *)
+let bracket t g ~grouped entries =
+  let named = List.map (fun (c, tuples) -> (Chron.name c, tuples)) in
+  let event =
+    match entries with
+    | [ { sn; batch; _ } ] when not grouped ->
+        Ev_append { group = Group.name g; sn; batch = named batch }
+    | _ ->
+        Ev_group
+          {
+            group = Group.name g;
+            entries = List.map (fun e -> (e.sn, named e.batch)) entries;
+          }
+  in
+  let chrons =
+    List.fold_left
+      (fun acc e ->
+        List.fold_left
+          (fun acc (c, _) -> if List.memq c acc then acc else c :: acc)
+          acc e.batch)
+      [] entries
+  in
+  let recorded = ref [] in
+  transaction t g ~sn:(List.hd entries).sn ~event ~chrons (fun ~open_view ->
+      record_and_fold t ~open_view ~interleave:(pending_updates t)
+        ~folded:(fun recs -> recorded := List.rev_append recs !recorded)
+        (fun _ e -> Some e)
+        entries);
+  if grouped then begin
+    Stats.incr Stats.Group_commit;
+    Stats.record_max Stats.Group_size_max (List.length entries)
+  end;
+  announce t (List.rev !recorded)
 
 (* Live appends take the sequence numbers after the watermark. *)
 let append_live t ~op ~grouped g batches =
@@ -612,17 +622,13 @@ let insert_rows t rname rows =
    chronicle and propagates the change to the persistent views as a
    weighted (weight −1) delta: COUNT/SUM-class aggregates invert in
    O(1) per group, MIN/MAX groups that lose their extremum re-probe
-   retained history, and views whose bodies read history outright
-   ([Ca.CrossChron]/[Ca.ThetaJoinChron]) are rematerialized.  The
-   protocol mirrors the append path — validate → journal (write-ahead
-   [Ev_retract]) → snapshot → mutate → apply, on the same fold
-   scheduler — but the undo is coarse: a pre-mutation [View.dump_w] per
-   affected view plus the chronicle's stored window, restored wholesale
-   on any failure (retraction is rare; paying O(|V|) for an airtight
-   rollback beats threading a weighted undo log through every
-   operator). *)
-
-let untag tu = Array.sub tu 1 (Array.length tu - 1)
+   retained history (only their own rows, where the group key is a
+   chronicle column), and views whose bodies read history outright
+   ([Ca.CrossChron]/[Ca.ThetaJoinChron]) are rematerialized.  It runs
+   in the same [transaction] as an append — write-ahead [Ev_retract],
+   marks, folds through [fold_link] on the fold scheduler, commit or
+   logical undo and [abort] — so its cost follows the rows retracted,
+   not |C| or |V|, apart from the re-probes and rematerializations. *)
 
 (* Whether the body contains an operator whose weighted delta is
    computed by diffing its own plain evaluation over the at-sn slices
@@ -634,24 +640,39 @@ let rec nonlinear_body = function
   | Ca.SeqJoin _ | Ca.Union _ | Ca.Diff _ | Ca.GroupBySeq _ -> true
   | Ca.CrossChron _ | Ca.ThetaJoinChron _ -> true
 
-(* Rebuild a history-reading view from retained history in place
-   (weighted deltas cannot unwind it: its old output depended on
-   history that has just changed). *)
-let rematerialize t v =
-  let initial = Eval.eval_parallel t.pool (Sca.body (View.def v)) in
-  let empty =
-    match View.dump_w v with
-    | View.Rows_dump_w _ -> View.Rows_dump_w []
-    | View.Groups_dump_w _ -> View.Groups_dump_w []
-  in
-  View.restore_w v empty;
-  View.apply_delta v initial
+(* What a re-probe of the groups [keys] of [v] refolds: the body output
+   over the already-mutated base, for at least those groups.  For a
+   MIN/MAX view whose group-key attributes are all columns of the
+   body's one chronicle, reached through selections, projections and
+   joins with relations, only the stored rows holding those keys can
+   land in those groups: the body runs over just them, found through
+   the chronicle's index on the key columns (built here, before the
+   folds start, so a fold only reads it).  Otherwise the body runs over
+   all retained history. *)
+let reprobe_source v body =
+  let everything _ = Eval.eval body in
+  match Sca.summarize (View.def v) with
+  | Sca.Group_agg (gl, al)
+    when gl <> []
+         && List.exists
+              (fun (c : Aggregate.call) -> c.func = Min || c.func = Max)
+              al -> (
+      let sources = List.map (Ca.column_source body) gl in
+      match sources with
+      | Some (c, _) :: _ when List.for_all Option.is_some sources ->
+          let cols =
+            Array.of_list (List.map (fun s -> snd (Option.get s)) sources)
+          in
+          let rows = Chron.matching c ~cols in
+          fun keys -> Eval.eval_over body c (rows (List.map Array.of_list keys))
+      | _ -> everything)
+  | Sca.Group_agg _ | Sca.Project_out _ -> everything
 
 (* Retract the given user rows at one sequence number and propagate the
    weighted delta to every non-history-reading affected view, one
    single-link chain per view (the caller rematerializes the history
    readers once at the end). *)
-let retract_at t c ~sn ~rows =
+let retract_at t c ~open_view ~sn ~rows =
   let tagged = List.map (Chron.tag sn) rows in
   let wbatch = [ (c, List.map (fun tu -> (tu, -1)) tagged) ] in
   let live =
@@ -671,25 +692,28 @@ let retract_at t c ~sn ~rows =
         let before =
           List.map (fun ch -> (ch, Chron.at_sn ch sn)) slice_chrons
         in
-        (v, body, slice_chrons, before))
+        (v, reprobe_source v body, slice_chrons, before))
       live
   in
   Chron.remove_stored c sn rows;
-  let apply_one (v, body, slice_chrons, before) () =
+  let apply_one (v, reprobe, slice_chrons, before) () =
     let after = List.map (fun ch -> (ch, Chron.at_sn ch sn)) slice_chrons in
     let wdelta =
       Delta.run_weighted (View.plan v) ~sn ~wbatch ~before ~after
     in
-    View.apply_weighted v ~body:(fun () -> Eval.eval body) wdelta
+    View.apply_weighted v ~reprobe wdelta
   in
+  List.iter open_view live;
   fold_chains t
-    (Array.of_list (List.map (fun p -> [| (0, apply_one p) |]) prepared))
+    (Array.of_list
+       (List.map
+          (fun ((v, _, _, _) as p) ->
+            [| (0, fold_link t v ~sn (apply_one p)) |])
+          prepared))
 
 (* Apply fully resolved retraction entries ([(sn, user rows)] with sn
-   ascending) under the write-ahead + coarse-undo bracket. *)
+   ascending) as one transaction. *)
 let retract_resolved t c entries =
-  let cname = Chron.name c in
-  emit t (Ev_retract { chronicle = cname; entries });
   let affected =
     dedup_affected
       (List.concat_map
@@ -697,57 +721,76 @@ let retract_resolved t c entries =
            Registry.affected t.registry c (List.map (Chron.tag sn) rows))
          entries)
   in
-  let saved_views = List.map (fun v -> (v, View.dump_w v)) affected in
-  let saved_store = Chron.stored c in
   let g = Chron.group c in
-  match
-    List.iter (fun (sn, rows) -> retract_at t c ~sn ~rows) entries;
-    List.iter
-      (fun v -> if reads_history_view v then rematerialize t v)
-      affected
-  with
-  | () -> Stats.incr Stats.Retract_apply
-  | exception e ->
-      Chron.reset_store c saved_store;
-      List.iter (fun (v, d) -> View.restore_w v d) saved_views;
-      abort t g ~sn:(Group.watermark g) (unwrap e)
+  let last_sn = fst (List.nth entries (List.length entries - 1)) in
+  transaction t g ~sn:(Group.watermark g)
+    ~event:(Ev_retract { chronicle = Chron.name c; entries })
+    ~chrons:[ c ]
+    (fun ~open_view ->
+      List.iter (fun (sn, rows) -> retract_at t c ~open_view ~sn ~rows) entries;
+      (* a history reader's old output depended on history that has
+         just changed: weighted deltas cannot unwind it, so it is
+         rebuilt from retained history, as a fold at the last entry *)
+      List.iter
+        (fun v ->
+          if reads_history_view v then begin
+            open_view v;
+            fold_link t v ~sn:last_sn
+              (fun () ->
+                View.replace v
+                  (Eval.eval_parallel t.pool (Sca.body (View.def v))))
+              ()
+          end)
+        affected);
+  Stats.incr Stats.Retract_apply
 
-(* Resolve requested user rows to stored occurrences, newest occurrence
-   first per row (deterministic), and group the claims by sequence
-   number ascending. *)
+(* [rows] without its first element equal to [row], if it has one. *)
+let take_one row rows =
+  let rec go seen = function
+    | [] -> None
+    | p :: rest when Tuple.equal p row -> Some (List.rev_append seen rest)
+    | p :: rest -> go (p :: seen) rest
+  in
+  go [] rows
+
+(* Resolve requested user rows to stored occurrences through the
+   chronicle's occurrence index: each row claims its newest unclaimed
+   occurrence (deterministic).  The claims are grouped by sequence
+   number ascending and listed in store order within one — the
+   [Ev_retract] entry shape — equal rows at one sn claiming its latest
+   slots. *)
 let resolve_retraction c rows =
-  let stored = Array.of_list (Chron.stored c) in
-  let n = Array.length stored in
-  let claimed = Array.make n false in
+  let taken = Tuple.Tbl.create 8 and by_sn = Hashtbl.create 8 in
   List.iter
     (fun row ->
-      let rec claim i =
-        if i < 0 then
+      let k = Option.value ~default:0 (Tuple.Tbl.find_opt taken row) in
+      match List.nth_opt (Chron.occurrences c row) k with
+      | None ->
           invalid_arg
             (Format.asprintf
                "Db.retract %s: tuple %a has no retained occurrence left"
                (Chron.name c) Tuple.pp row)
-        else if (not claimed.(i)) && Tuple.equal (untag stored.(i)) row then
-          claimed.(i) <- true
-        else claim (i - 1)
-      in
-      claim (n - 1))
+      | Some sn ->
+          Tuple.Tbl.replace taken row (k + 1);
+          Hashtbl.replace by_sn sn
+            (row :: Option.value ~default:[] (Hashtbl.find_opt by_sn sn)))
     rows;
-  (* stored order is oldest-to-newest, so one left-to-right sweep groups
-     the claims by ascending sn with in-store order within each sn *)
-  let by_sn = ref [] in
-  Array.iteri
-    (fun i tu ->
-      if claimed.(i) then begin
-        let sn = Chron.sn_of tu in
-        let row = untag tu in
-        match !by_sn with
-        | (sn', rows') :: rest when sn' = sn ->
-            by_sn := (sn, row :: rows') :: rest
-        | _ -> by_sn := (sn, [ row ]) :: !by_sn
-      end)
-    stored;
-  List.rev_map (fun (sn, rows) -> (sn, List.rev rows)) !by_sn
+  List.sort compare (Hashtbl.fold (fun sn _ acc -> sn :: acc) by_sn [])
+  |> List.map (fun sn ->
+         (* newest slot first, consing: the claims come out in store order *)
+         let wanted = ref (Hashtbl.find by_sn sn) in
+         let claimed =
+           List.fold_left
+             (fun acc tu ->
+               let row = Chron.untag tu in
+               match take_one row !wanted with
+               | Some rest ->
+                   wanted := rest;
+                   row :: acc
+               | None -> acc)
+             [] (List.rev (Chron.at_sn c sn))
+         in
+         (sn, claimed))
 
 let retract t cname rows =
   check_writable t "retract";
@@ -777,16 +820,13 @@ let replay_retract t cname entries =
   let surviving =
     List.filter_map
       (fun (sn, rows) ->
-        let avail = ref (List.map untag (Chron.at_sn c sn)) in
+        let avail = ref (List.map Chron.untag (Chron.at_sn c sn)) in
         let take row =
-          let rec go seen = function
-            | [] -> false
-            | p :: rest when Tuple.equal p row ->
-                avail := List.rev_append seen rest;
-                true
-            | p :: rest -> go (p :: seen) rest
-          in
-          go [] !avail
+          match take_one row !avail with
+          | Some rest ->
+              avail := rest;
+              true
+          | None -> false
         in
         match List.filter take rows with
         | [] -> None

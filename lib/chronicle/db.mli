@@ -21,7 +21,8 @@ open Relational
     anything raises while the entries are being recorded or folded, all
     of it is rolled back before the exception propagates, so no
     partially-maintained view is ever observable ([Stats.Rollback]
-    counts such aborts).  Subscribers ({!Chron.on_append}) and batch
+    counts such aborts).  A retraction ({!retract}) runs in the same
+    bracket, with logical undo.  Subscribers ({!Chron.on_append}) and batch
     hooks ({!on_batch}) run strictly after commit, in record order.  A
     durability layer can watch the bracket through {!set_txn_sink}
     (write-ahead journaling) and inject faults through
@@ -187,21 +188,26 @@ val retract : t -> string -> Tuple.t list -> int
     occurrence (deterministic); the claims are applied grouped by
     sequence number, ascending.
 
-    Maintenance cost: COUNT/SUM-class aggregates invert in O(1) per
-    group ({!Relational.Aggregate.unstep}); a MIN/MAX group that loses
-    its extremum is recomputed from retained history (one body
-    evaluation per batch, [Stats.Aggregate_reprobe] per group); views
-    over non-linear operators (∪, −, ⋈_SN, GROUPBY) diff their at-sn
-    slices ([Stats.Weight_cancel]); history-reading views are
-    rematerialized outright.  One successful call bumps
-    [Stats.Retract_apply] once.  The append path is untouched: pure
-    append workloads never move any of these counters.
+    Maintenance cost: rows are resolved through the chronicle's
+    occurrence index ({!Chron.occurrences}, built on the chronicle's
+    first retraction) and removed by binary search, so a call costs in
+    proportion to the rows it claims, not to |C| or |V|, apart from
+    these: COUNT/SUM-class aggregates invert in O(1) per group
+    ({!Relational.Aggregate.unstep}); a MIN/MAX group that loses its
+    extremum is recomputed from retained history (one body evaluation
+    per batch, [Stats.Aggregate_reprobe] per group); views over
+    non-linear operators (∪, −, ⋈_SN, GROUPBY) diff their at-sn slices
+    ([Stats.Weight_cancel]); history-reading views are rematerialized
+    outright.  One successful call bumps [Stats.Retract_apply] once.
+    The append path is untouched: pure append workloads never move any
+    of these counters.
 
-    Write-ahead discipline: [Ev_retract] is emitted before any state
-    mutates; on any failure the chronicle store and every affected view
-    are restored wholesale from pre-mutation snapshots, [Ev_abort] is
-    emitted (the journal erases the write-ahead record) and the
-    exception re-raises — all-or-nothing, like appends.  Windowed and
+    Write-ahead discipline: the call runs in the same bracket as an
+    append.  [Ev_retract] is emitted before any state mutates; on any
+    failure the removed occurrences and every affected view's folds
+    are undone from their undo logs, [Ev_abort] is emitted (the journal
+    erases the write-ahead record) and the exception re-raises —
+    all-or-nothing, like appends.  Windowed and
     periodic views and event detectors are {e not} maintained under
     retraction (no subscriber notification fires: the retraction is a
     correction to history, not a new observation).
@@ -337,8 +343,10 @@ val set_txn_sink : t -> (txn_event -> unit) option -> unit
 
 val set_fold_probe : t -> (view:string -> sn:Seqnum.t -> unit) option -> unit
 (** Install a probe called immediately before each affected view's fold
-    — the fault-injection hook: a probe that raises aborts the batch
-    mid-maintenance, exercising the rollback path. *)
+    — an append's fold or a retraction's weighted fold, at the entry's
+    sequence number — the fault-injection hook: a probe that raises
+    aborts the batch or retraction mid-maintenance, exercising the
+    rollback path. *)
 
 val set_read_only : t -> string option -> unit
 (** [set_read_only t (Some reason)] puts the database in degraded

@@ -26,6 +26,11 @@ val eval_parallel : Exec.Pool.t -> Ca.t -> Tuple.t list
     contiguous ranges folded in parallel and merged order-preservingly
     ({!Plan.compile_parallel}).  Degree 1 is exactly {!eval}. *)
 
+val eval_over : Ca.t -> Chron.t -> Tuple.t list -> Tuple.t list
+(** [eval_over e c rows] is {!eval} with [c]'s retained history
+    replaced by [rows] (tagged tuples, oldest first).  Other base
+    chronicles are read in full. *)
+
 val eval_before : Ca.t -> Seqnum.t -> Tuple.t list
 (** [eval_before e sn] = the value of [e] restricted to tuples with
     sequence number < [sn] — the "old" state used by the Δ-rules of the

@@ -15,9 +15,17 @@ end)
 
 (* The group table: either hash-backed (expected O(1) localization, with
    a side vector remembering insertion order) or B+-tree-backed
-   (O(log |V|) worst case, ordered iteration). *)
+   (O(log |V|) worst case, ordered iteration).
+
+   A hash backing's order vector holds [(key, entry)] slots.  Removal
+   only drops the key from the table and leaves a ghost slot behind: a
+   slot is live exactly when the table maps its key to its entry
+   (entries are mutable records or refs, so physical identity names the
+   slot).  Survivors keep their order, a re-added key gets a new slot
+   at the end, and ghosts are compacted away once they pass half the
+   vector, so removal is O(1) amortised. *)
 type 'v backing =
-  | Hash of 'v Key_tbl.t * Value.t list Vec.t
+  | Hash of 'v Key_tbl.t * (Value.t list * 'v) Vec.t
   | Tree of 'v Key_tree.t
 
 (* Every entry carries a hidden ℤ-multiplicity: how many body-output
@@ -31,16 +39,15 @@ type contents =
   | Groups of group backing (* Group_agg *)
   | Rows of int ref backing (* Project_out: a set of result tuples *)
 
-(* Undo state for one transactional batch: keys added (most recent
-   first — their [order] pushes are exactly the vector's tail) and a
-   pre-touch snapshot (multiplicity + aggregate-state copy) of every
-   entry the batch stepped.  For [Rows] views the state array is
-   empty and only the multiplicity matters. *)
+(* Undo log of one transaction: one closure per entry created, removed
+   or first touched, most recent first, so running them in order
+   restores the pre-transaction contents and order.  [tx_seen] holds
+   the keys already saved or created: a key's pre-touch state is saved
+   once. *)
 type txn = {
   tx_batches : int;
-  mutable tx_added : Value.t list list;
-  mutable tx_touched : (Value.t list * int * Aggregate.state array) list;
-  tx_seen : unit Key_tbl.t; (* keys already saved or added this txn *)
+  mutable tx_undo : (unit -> unit) list;
+  tx_seen : unit Key_tbl.t;
 }
 
 type t = {
@@ -52,9 +59,9 @@ type t = {
   contents : contents;
   mutable batches : int;
   mutable txn : txn option;
-      (* active transactional batch; [Db.append] brackets maintenance
-         with [begin_txn] … [commit_txn]/[rollback_txn] so a mid-batch
-         failure leaves no partially-maintained view observable *)
+      (* active transaction; [Db] brackets every append and retraction
+         with [begin_txn] … [commit_txn]/[rollback_txn] so a failure
+         leaves no partially-maintained view observable *)
   heavy_threshold : int;
       (* promotion bar for the plan's key-join partitions; 0 = adaptive
          (see [Skew]) *)
@@ -82,40 +89,95 @@ let backing_add : type v. v backing -> Value.t list -> v -> unit =
   match b with
   | Hash (tbl, order) ->
       Key_tbl.add tbl key v;
-      ignore (Vec.push order key)
+      ignore (Vec.push order (key, v))
   | Tree tree -> ignore (Key_tree.insert tree key v)
 
 let backing_size : type v. v backing -> int = function
   | Hash (tbl, _) -> Key_tbl.length tbl
   | Tree tree -> Key_tree.length tree
 
+let slot_live tbl (key, v) =
+  match Key_tbl.find_opt tbl key with Some v' -> v' == v | None -> false
+
 let backing_iter : type v. (Value.t list -> v -> unit) -> v backing -> unit =
  fun f -> function
-  | Hash (tbl, order) -> Vec.iter (fun key -> f key (Key_tbl.find tbl key)) order
+  | Hash (tbl, order) ->
+      Vec.iter
+        (fun ((key, v) as slot) -> if slot_live tbl slot then f key v)
+        order
   | Tree tree -> Key_tree.iter f tree
 
-(* Removal support for the weighted (retraction) path.  A hash backing
-   keeps insertion order in a side vector; removing from the table
-   alone would leave a ghost key there and break [backing_iter], so
-   callers that removed anything must run [backing_compact] before the
-   view is next observed.  Compaction preserves the relative order of
-   the surviving keys. *)
-let backing_remove : type v. v backing -> Value.t list -> unit =
- fun b key ->
-  match b with
-  | Hash (tbl, _) -> Key_tbl.remove tbl key
-  | Tree tree -> ignore (Key_tree.remove tree key)
-
 let backing_compact : type v. v backing -> unit = function
-  | Hash (tbl, order) ->
+  | Hash (tbl, order)
+    when 2 * (Vec.length order - Key_tbl.length tbl) > Vec.length order ->
       let live =
         Vec.fold
-          (fun acc key -> if Key_tbl.mem tbl key then key :: acc else acc)
+          (fun acc slot -> if slot_live tbl slot then slot :: acc else acc)
           [] order
       in
       Vec.clear order;
-      List.iter (fun key -> ignore (Vec.push order key)) (List.rev live)
-  | Tree _ -> ()
+      List.iter (fun slot -> ignore (Vec.push order slot)) (List.rev live)
+  | Hash _ | Tree _ -> ()
+
+(* Entry creation and removal, logged under an active transaction.  A
+   removal's undo puts the same entry back: in a hash backing its ghost
+   slot is live again, in its old place. *)
+let add_entry : type v. t -> v backing -> Value.t list -> v -> unit =
+ fun t b key v ->
+  Stats.incr Stats.Tuple_write;
+  backing_add b key v;
+  match t.txn with
+  | None -> ()
+  | Some tx ->
+      Key_tbl.replace tx.tx_seen key ();
+      let undo =
+        match b with
+        | Hash (tbl, order) ->
+            (* undone newest first, so its slot is the vector's tail *)
+            fun () ->
+              Key_tbl.remove tbl key;
+              Vec.truncate order (Vec.length order - 1)
+        | Tree tree -> fun () -> ignore (Key_tree.remove tree key)
+      in
+      tx.tx_undo <- undo :: tx.tx_undo
+
+let remove_entry : type v. t -> v backing -> Value.t list -> v -> unit =
+ fun t b key v ->
+  Stats.incr Stats.Tuple_write;
+  (match b with
+  | Hash (tbl, _) -> Key_tbl.remove tbl key
+  | Tree tree -> ignore (Key_tree.remove tree key));
+  match t.txn with
+  | None -> ()
+  | Some tx ->
+      let undo =
+        match b with
+        | Hash (tbl, _) -> fun () -> Key_tbl.add tbl key v
+        | Tree tree -> fun () -> ignore (Key_tree.insert tree key v)
+      in
+      tx.tx_undo <- undo :: tx.tx_undo
+
+(* An entry about to be stepped saves a pre-touch copy, once per key
+   and transaction. *)
+let touch_row t key r =
+  match t.txn with
+  | Some tx when not (Key_tbl.mem tx.tx_seen key) ->
+      Key_tbl.replace tx.tx_seen key ();
+      let m = !r in
+      tx.tx_undo <- (fun () -> r := m) :: tx.tx_undo
+  | Some _ | None -> ()
+
+let touch_group t key g =
+  match t.txn with
+  | Some tx when not (Key_tbl.mem tx.tx_seen key) ->
+      Key_tbl.replace tx.tx_seen key ();
+      let mult = g.g_mult and saved = Array.copy g.g_states in
+      tx.tx_undo <-
+        (fun () ->
+          g.g_mult <- mult;
+          Array.blit saved 0 g.g_states 0 (Array.length saved))
+        :: tx.tx_undo
+  | Some _ | None -> ()
 
 let create ?(index = Index.Hash) ?(heavy_threshold = 0) def =
   let body_schema = Ca.schema_of (Sca.body def) in
@@ -164,24 +226,6 @@ let index_kind t =
   | Rows backing -> kind backing
   | Groups backing -> kind backing
 
-(* Undo bookkeeping: with a transaction active, remember every key this
-   batch creates and a pre-touch copy of every state array it steps. *)
-let txn_note_added t key =
-  match t.txn with
-  | None -> ()
-  | Some tx ->
-      tx.tx_added <- key :: tx.tx_added;
-      Key_tbl.replace tx.tx_seen key ()
-
-let txn_note_touched t key mult states =
-  match t.txn with
-  | None -> ()
-  | Some tx ->
-      if not (Key_tbl.mem tx.tx_seen key) then begin
-        Key_tbl.replace tx.tx_seen key ();
-        tx.tx_touched <- (key, mult, Array.copy states) :: tx.tx_touched
-      end
-
 let fresh_states t =
   Array.of_list
     (List.map (fun (c : Aggregate.call) -> Aggregate.init c.func) t.aggs)
@@ -208,12 +252,9 @@ let apply_delta t delta =
           | Some r ->
               (* set semantics: already present; only the hidden
                  multiplicity moves *)
-              txn_note_touched t key !r [||];
+              touch_row t key r;
               incr r
-          | None ->
-              Stats.incr Stats.Tuple_write;
-              backing_add backing key (ref 1);
-              txn_note_added t key)
+          | None -> add_entry t backing key (ref 1))
         delta
   | Groups backing ->
       List.iter
@@ -222,14 +263,12 @@ let apply_delta t delta =
           let states =
             match backing_find backing key with
             | Some g ->
-                txn_note_touched t key g.g_mult g.g_states;
+                touch_group t key g;
                 g.g_mult <- g.g_mult + 1;
                 g.g_states
             | None ->
                 let g = { g_mult = 1; g_states = fresh_states t } in
-                Stats.incr Stats.Tuple_write;
-                backing_add backing key g;
-                txn_note_added t key;
+                add_entry t backing key g;
                 g.g_states
           in
           step_states t states tu)
@@ -267,23 +306,23 @@ let unstep_states t states tu =
     `Inverted
   end
 
+(* Outside a transaction nothing can roll back, so ghosts may go now. *)
+let compact_unlogged t =
+  if t.txn = None then
+    match t.contents with
+    | Rows backing -> backing_compact backing
+    | Groups backing -> backing_compact backing
+
 (* Apply a ℤ-weighted view-output delta: weight [w > 0] folds the tuple
    in [w] times, [w < 0] retracts [-w] occurrences.  An entry whose
    multiplicity reaches zero is removed.  Groups whose aggregates
-   cannot invert are marked, then recomputed from a single evaluation
-   of [body ()] — the view body's full output over the {e already
-   mutated} base — bumping [Stats.Aggregate_reprobe] once per marked
-   group.  Never called on the append fast path, and never inside a
-   transactional batch (retraction undo is [dump_w]/[restore_w]). *)
-let apply_weighted t ~body wdelta =
-  if t.txn <> None then invalid_arg "View.apply_weighted: transaction active";
-  let removed = ref false in
-  let drop : type v. v backing -> Value.t list -> unit =
-   fun backing key ->
-    Stats.incr Stats.Tuple_write;
-    backing_remove backing key;
-    removed := true
-  in
+   cannot invert are marked, then recomputed from a single call of
+   [reprobe keys] — the view body's output over the {e already
+   mutated} base, covering at least the marked groups' [keys] —
+   bumping [Stats.Aggregate_reprobe] once per marked group.  Under an
+   active transaction every entry is saved before it is first stepped,
+   so [rollback_txn] undoes the whole fold. *)
+let apply_weighted t ~reprobe:source wdelta =
   (match t.contents with
   | Rows backing ->
       List.iter
@@ -295,18 +334,20 @@ let apply_weighted t ~body wdelta =
                 let m = !r + w in
                 if m < 0 then
                   invalid_arg "View.apply_weighted: negative multiplicity"
-                else if m = 0 then drop backing key
-                else r := m
+                else if m = 0 then remove_entry t backing key r
+                else begin
+                  touch_row t key r;
+                  r := m
+                end
             | None ->
                 if w < 0 then
                   invalid_arg "View.apply_weighted: retracting an absent row";
-                Stats.incr Stats.Tuple_write;
-                backing_add backing key (ref w))
+                add_entry t backing key (ref w))
         wdelta
   | Groups backing ->
       let reprobe = Key_tbl.create 8 in
-      let add t_ g tu w =
-        for _ = 1 to w do step_states t_ g.g_states tu done;
+      let add g tu w =
+        for _ = 1 to w do step_states t g.g_states tu done;
         g.g_mult <- g.g_mult + w
       in
       let retract g key tu w =
@@ -315,74 +356,58 @@ let apply_weighted t ~body wdelta =
              match unstep_states t g.g_states tu with
              | `Inverted -> g.g_mult <- g.g_mult - 1
              | `Reprobe ->
-                 Key_tbl.replace reprobe key ();
+                 Key_tbl.replace reprobe key g;
                  raise Exit
            done
          with Exit -> ());
         if not (Key_tbl.mem reprobe key) then
           if g.g_mult < 0 then
             invalid_arg "View.apply_weighted: negative multiplicity"
-          else if g.g_mult = 0 then drop backing key
+          else if g.g_mult = 0 then remove_entry t backing key g
       in
       List.iter
         (fun (tu, w) ->
           if w <> 0 then begin
             let key = Array.to_list (t.key_of tu) in
             if not (Key_tbl.mem reprobe key) then
-              if w > 0 then begin
-                let g =
-                  match backing_find backing key with
-                  | Some g -> g
-                  | None ->
-                      let g = { g_mult = 0; g_states = fresh_states t } in
-                      Stats.incr Stats.Tuple_write;
-                      backing_add backing key g;
-                      g
-                in
-                add t g tu w
-              end
-              else
-                match backing_find backing key with
-                | None ->
+              match backing_find backing key with
+              | Some g ->
+                  touch_group t key g;
+                  if w > 0 then add g tu w else retract g key tu w
+              | None ->
+                  if w < 0 then
                     invalid_arg
-                      "View.apply_weighted: retracting an absent group"
-                | Some g -> retract g key tu w
+                      "View.apply_weighted: retracting an absent group";
+                  let g = { g_mult = 0; g_states = fresh_states t } in
+                  add_entry t backing key g;
+                  add g tu w
           end)
         wdelta;
       if Key_tbl.length reprobe > 0 then begin
         (* some MIN/MAX group lost its extremum: reset every marked
-           group and refold it from one post-mutation body scan *)
+           group and refold it from one post-mutation body read *)
         Key_tbl.iter
-          (fun key () ->
-            match backing_find backing key with
-            | Some g ->
-                g.g_mult <- 0;
-                let fresh = fresh_states t in
-                Array.blit fresh 0 g.g_states 0 (Array.length fresh)
-            | None -> assert false)
+          (fun _ g ->
+            g.g_mult <- 0;
+            let fresh = fresh_states t in
+            Array.blit fresh 0 g.g_states 0 (Array.length fresh))
           reprobe;
         List.iter
           (fun tu ->
             let key = Array.to_list (t.key_of tu) in
-            if Key_tbl.mem reprobe key then
-              match backing_find backing key with
-              | Some g ->
-                  step_states t g.g_states tu;
-                  g.g_mult <- g.g_mult + 1
-              | None -> assert false)
-          (body ());
+            match Key_tbl.find_opt reprobe key with
+            | Some g ->
+                step_states t g.g_states tu;
+                g.g_mult <- g.g_mult + 1
+            | None -> ())
+          (source (Key_tbl.fold (fun key _ keys -> key :: keys) reprobe []));
         Key_tbl.iter
-          (fun key () ->
+          (fun key g ->
             Stats.incr Stats.Aggregate_reprobe;
-            match backing_find backing key with
-            | Some g when g.g_mult = 0 -> drop backing key
-            | _ -> ())
+            if g.g_mult = 0 then remove_entry t backing key g)
           reprobe
       end);
-  if !removed then
-    match t.contents with
-    | Rows backing -> backing_compact backing
-    | Groups backing -> backing_compact backing
+  compact_unlogged t
 
 (* ---- transactional batches ---- *)
 
@@ -392,49 +417,32 @@ let begin_txn t =
   | None ->
       t.txn <-
         Some
-          {
-            tx_batches = t.batches;
-            tx_added = [];
-            tx_touched = [];
-            tx_seen = Key_tbl.create 8;
-          }
+          { tx_batches = t.batches; tx_undo = []; tx_seen = Key_tbl.create 8 }
 
-let commit_txn t = t.txn <- None
-
-let backing_remove_added : type v. v backing -> Value.t list list -> unit =
- fun b keys ->
-  match b with
-  | Hash (tbl, order) ->
-      (* the added keys are exactly the most recent [order] pushes *)
-      List.iter (Key_tbl.remove tbl) keys;
-      Vec.truncate order (Vec.length order - List.length keys)
-  | Tree tree -> List.iter (fun key -> ignore (Key_tree.remove tree key)) keys
+let commit_txn t =
+  t.txn <- None;
+  compact_unlogged t
 
 let rollback_txn t =
   match t.txn with
   | None -> invalid_arg "View.rollback_txn: no active transaction"
   | Some tx ->
-      (match t.contents with
-      | Rows backing ->
-          backing_remove_added backing tx.tx_added;
-          List.iter
-            (fun (key, mult, _) ->
-              match backing_find backing key with
-              | Some r -> r := mult
-              | None -> assert false (* touched keys were pre-existing *))
-            tx.tx_touched
-      | Groups backing ->
-          backing_remove_added backing tx.tx_added;
-          List.iter
-            (fun (key, mult, saved) ->
-              match backing_find backing key with
-              | Some g ->
-                  g.g_mult <- mult;
-                  Array.blit saved 0 g.g_states 0 (Array.length saved)
-              | None -> assert false (* touched keys were pre-existing *))
-            tx.tx_touched);
+      List.iter (fun undo -> undo ()) tx.tx_undo;
       t.batches <- tx.tx_batches;
       t.txn <- None
+
+let replace t initial =
+  let clear : type v. v backing -> unit =
+   fun backing ->
+    let entries = ref [] in
+    backing_iter (fun key v -> entries := (key, v) :: !entries) backing;
+    List.iter (fun (key, v) -> remove_entry t backing key v) !entries
+  in
+  (match t.contents with
+  | Rows backing -> clear backing
+  | Groups backing -> clear backing);
+  apply_delta t initial;
+  compact_unlogged t
 
 let of_initial ?index ?heavy_threshold def initial =
   let t = create ?index ?heavy_threshold def in
@@ -520,12 +528,12 @@ let load t dump =
   | Rows _, Groups_dump _ | Groups _, Rows_dump _ ->
       invalid_arg "View.load: dump shape does not match the view kind"
 
-(* ---- multiplicity-preserving dumps (retraction undo / snapshots) ----
+(* ---- multiplicity-preserving dumps (snapshots) ----
 
    {!dump}/{!load} predate ℤ-weighted deltas and project the hidden
    multiplicities out (load defaults them to 1); these variants carry
-   them, so a view restored through [restore_w] maintains correctly
-   under later retractions. *)
+   them, so a view restored through [load_w] maintains correctly under
+   later retractions. *)
 
 type dump_w =
   | Groups_dump_w of (Value.t list * int * Aggregate.state list) list
@@ -559,22 +567,6 @@ let load_w t dump =
         groups
   | Rows _, Groups_dump_w _ | Groups _, Rows_dump_w _ ->
       invalid_arg "View.load_w: dump shape does not match the view kind"
-
-let backing_clear : type v. v backing -> unit = function
-  | Hash (tbl, order) ->
-      Key_tbl.reset tbl;
-      Vec.clear order
-  | Tree tree ->
-      (* Btree has no [clear]; drain it key by key *)
-      List.iter
-        (fun (key, _) -> ignore (Key_tree.remove tree key))
-        (Key_tree.to_list tree)
-
-let restore_w t dump =
-  (match t.contents with
-  | Rows backing -> backing_clear backing
-  | Groups backing -> backing_clear backing);
-  load_w t dump
 
 let pp ppf t =
   Format.fprintf ppf "@[<v2>view %a [%d rows, %d batches]" Sca.pp t.def (size t)

@@ -32,18 +32,23 @@ val apply_delta : t -> Tuple.t list -> unit
 (** Fold a batch of body-delta tuples (from [Delta.run]) into the
     materialization. *)
 
-val apply_weighted : t -> body:(unit -> Tuple.t list) -> (Tuple.t * int) list -> unit
+val apply_weighted :
+  t -> reprobe:(Value.t list list -> Tuple.t list) -> (Tuple.t * int) list -> unit
 (** Fold a ℤ-weighted body delta: weight [w > 0] adds [w] occurrences
     of the tuple, [w < 0] retracts [-w]; entries whose hidden
-    multiplicity reaches zero disappear from the view.  COUNT/SUM-class
-    aggregates invert in O(1) per call ({!Aggregate.unstep}); a MIN/MAX
-    group losing its extremum is recomputed from a single evaluation of
-    [body ()] — the full body output over the already-mutated base —
-    bumping [Stats.Aggregate_reprobe] once per such group.  Raises
+    multiplicity reaches zero disappear from the view (O(1) amortised:
+    a hash backing leaves a ghost slot, compacted once ghosts pass half
+    its order vector).  COUNT/SUM-class aggregates invert in O(1) per
+    call ({!Aggregate.unstep}); the MIN/MAX groups losing their
+    extremum are recomputed from a single call of [reprobe keys] — the
+    body's output over the already-mutated base, covering at least the
+    groups whose keys (group-by values, in order) are listed; tuples of
+    other groups are ignored — bumping [Stats.Aggregate_reprobe] once
+    per such group.  Raises
     [Invalid_argument] on a retraction the materialization cannot
-    account for (absent row/group or negative multiplicity) and when a
-    transactional batch is active: [Db.retract]'s undo is the coarse
-    {!dump_w}/{!restore_w} pair, never the append txn log. *)
+    account for (absent row/group or negative multiplicity).  Under an
+    active transaction the fold is logged like an append's, so
+    {!rollback_txn} undoes it. *)
 
 val multiplicity : t -> Value.t list -> int
 (** Hidden ℤ-multiplicity of the entry with the given logical key
@@ -71,14 +76,15 @@ val maintain : t -> sn:Seqnum.t -> batch:Delta.batch -> unit
 
 (** {2 Transactional batches}
 
-    {!Db.append} brackets the maintenance of every affected view with
-    [begin_txn] … [commit_txn], and calls [rollback_txn] on all of them
-    if {e any} fold raises mid-batch — so no partially-maintained view
-    (nor a fully-maintained sibling of a failed one) is ever
-    observable.  While a transaction is active the view records an undo
-    log: keys its folds create and pre-touch copies of the aggregate
-    states they step.  Cost is O(batch delta), zero when the batch does
-    not reach the view. *)
+    {!Db} brackets the maintenance of every affected view — by an
+    append's folds, a retraction's weighted folds or a
+    rematerialization — with [begin_txn] … [commit_txn], and calls
+    [rollback_txn] on all of them if {e any} step raises — so no
+    partially-maintained view (nor a fully-maintained sibling of a
+    failed one) is ever observable.  While a transaction is active the
+    view records an undo log: entries it creates and removes, and
+    pre-touch copies of the entries it steps.  Cost is O(delta), zero
+    when the batch does not reach the view. *)
 
 val begin_txn : t -> unit
 (** Raises [Invalid_argument] if a transaction is already active. *)
@@ -88,9 +94,16 @@ val commit_txn : t -> unit
     without an active transaction. *)
 
 val rollback_txn : t -> unit
-(** Undo every fold since {!begin_txn}: remove created groups, restore
-    touched aggregate states, reset the batch counter.  Raises
-    [Invalid_argument] without an active transaction. *)
+(** Undo every fold since {!begin_txn}: remove created entries, put
+    removed ones back in their old place, restore touched ones, reset
+    the batch counter.  Raises [Invalid_argument] without an active
+    transaction. *)
+
+val replace : t -> Tuple.t list -> unit
+(** Replace the contents with a fold of the given body tuples as one
+    batch — the rematerialization of a history-reading view after a
+    retraction.  O(|V|), and logged under an active transaction like
+    any fold. *)
 
 val lookup : t -> Value.t list -> Tuple.t option
 (** Summary-query point lookup by the view's logical key
@@ -141,9 +154,5 @@ val dump_w : t -> dump_w
 
 val load_w : t -> dump_w -> unit
 (** Same contract as {!load} (empty view, matching shape/arity). *)
-
-val restore_w : t -> dump_w -> unit
-(** Clear the view and {!load_w} the dump — the all-or-nothing undo
-    primitive of [Db.retract]. *)
 
 val pp : Format.formatter -> t -> unit

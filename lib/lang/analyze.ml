@@ -108,10 +108,41 @@ let compile_select db ~name (s : Ast.select) =
 
 (* ---- ad-hoc queries over views and relations ---- *)
 
-let resolve_source session name =
+(* The group key a WHERE pins a persistent view to: a [col = literal]
+   conjunct for every group-key column.  [View.lookup] builds its row
+   from the key it is given, so each literal must be the stored value
+   itself, not just an equal one: of the column's own type, and not a
+   float (-0.0 finds the group of 0.0).  Anything else takes the scan. *)
+let point_key v where =
+  let schema = View.schema v in
+  let pinned c =
+    List.find_map
+      (function
+        | Ast.Cmp { left = Ast.Attr a; op = Predicate.Eq; right = Ast.Lit l }
+        | Ast.Cmp { left = Ast.Lit l; op = Predicate.Eq; right = Ast.Attr a }
+          when a = c -> (
+            match Value.ty_of l with
+            | Some (Value.TInt | Value.TStr | Value.TBool as ty)
+              when Schema.ty schema c = ty ->
+                Some l
+            | Some _ | None -> None)
+        | _ -> None)
+      (Ast.conjuncts where)
+  in
+  let key = List.map pinned (Sca.group_attrs (View.def v)) in
+  if List.for_all Option.is_some key then Some (List.map Option.get key)
+  else None
+
+(* A view's rows as a constant: when [where] pins its group key, only
+   the one group [View.lookup] finds (the caller still applies the
+   whole WHERE on top), otherwise every row. *)
+let resolve_source ?where session name =
   let db = Session.db session in
   match Db.view db name with
-  | v -> Ra.Const (View.schema v, View.to_list v)
+  | v -> (
+      match Option.bind where (point_key v) with
+      | Some key -> Ra.Const (View.schema v, Option.to_list (View.lookup v key))
+      | None -> Ra.Const (View.schema v, View.to_list v))
   | exception Db.Unknown _ -> (
       match Session.windowed session name with
       | Some wv -> Ra.Const (Sca.schema (Windowed_view.def wv), Windowed_view.to_list wv)
@@ -132,11 +163,12 @@ let resolve_source session name =
                     name)))
 
 let compile_query session (q : Ast.query) =
-  let source = resolve_source session q.Ast.q_from in
   let joined =
     match q.Ast.q_join with
-    | None -> source
-    | Some (rel, on) -> Ra.EquiJoin (on, source, resolve_source session rel)
+    | None -> resolve_source ?where:q.Ast.q_where session q.Ast.q_from
+    | Some (rel, on) ->
+        Ra.EquiJoin
+          (on, resolve_source session q.Ast.q_from, resolve_source session rel)
   in
   let filtered =
     match q.Ast.q_where with

@@ -52,7 +52,7 @@ let pp_with schema ppf t =
        (fun ppf (a, v) -> Format.fprintf ppf "%s=%a" a.Schema.name Value.pp v))
     (Seq.zip (Array.to_seq attrs) (Array.to_seq t))
 
-module Set_tbl = Hashtbl.Make (struct
+module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = equal
@@ -60,25 +60,25 @@ module Set_tbl = Hashtbl.Make (struct
 end)
 
 let dedup tuples =
-  let seen = Set_tbl.create 64 in
+  let seen = Tbl.create 64 in
   List.filter
     (fun t ->
-      if Set_tbl.mem seen t then false
+      if Tbl.mem seen t then false
       else begin
-        Set_tbl.add seen t ();
+        Tbl.add seen t ();
         true
       end)
     tuples
 
 let diff a b =
-  let excluded = Set_tbl.create 64 in
-  List.iter (fun t -> Set_tbl.replace excluded t ()) b;
+  let excluded = Tbl.create 64 in
+  List.iter (fun t -> Tbl.replace excluded t ()) b;
   List.filter
     (fun t ->
-      if Set_tbl.mem excluded t then false
+      if Tbl.mem excluded t then false
       else begin
         (* collapse duplicates within [a] as well: set semantics *)
-        Set_tbl.add excluded t ();
+        Tbl.add excluded t ();
         true
       end)
     a

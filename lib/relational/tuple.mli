@@ -26,6 +26,9 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by tuple value ({!equal}/{!hash}). *)
+
 val pp : Format.formatter -> t -> unit
 val pp_with : Schema.t -> Format.formatter -> t -> unit
 

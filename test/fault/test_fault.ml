@@ -194,7 +194,10 @@ let check_crash_equivalence ?(what = "") ?(jobs = 1) ?mk ?heavy_threshold
   let storage = Storage.mem () in
   let fault = Fault.create () in
   let applied, crashed = durable_run ?mk ops ~jobs ~storage ~fault ~script in
-  Option.iter (fun f -> f crashed) on_crashed;
+  (* the op the crash interrupted, if any *)
+  Option.iter
+    (fun f -> f (if crashed then List.nth_opt ops applied else None))
+    on_crashed;
   let d, _report = Durable.recover ~jobs ?heavy_threshold ~storage () in
   let recovered = Snapshot.save (Durable.db d) in
   let ok =
@@ -377,7 +380,7 @@ let test_skew_partition_crash_sweep () =
                 (Printf.sprintf "skew: %s after %d hits (jobs=%d)" point k
                    jobs)
               ~jobs ~mk ~heavy_threshold:2
-              ~on_crashed:(fun c -> fired := !fired || c)
+              ~on_crashed:(fun op -> fired := !fired || op <> None)
               skew_workload
               (fun fault -> Fault.arm fault ~after:k point)
           done;
@@ -452,27 +455,50 @@ let retract_workload =
 
 let test_retract_crash_sweep () =
   let mk jobs = mk_retract_db ~jobs () in
-  let max_countdown = 8 in
+  (* size each point's countdown from a dry run: every hit the workload
+     makes of the point is a crash opportunity, so the sweep covers the
+     retractions' view folds too, not just the appends' *)
+  let hits point =
+    let fault = Fault.create () in
+    ignore
+      (durable_run ~mk retract_workload ~jobs:1 ~storage:(Storage.mem ()) ~fault
+         ~script:ignore);
+    Fault.hit_count fault point
+  in
   List.iter
     (fun jobs ->
       List.iter
-        (fun point ->
+        (fun (point, in_retract) ->
           (* guard against a vacuous sweep: every point must take the
-             process down at least once over the countdown range *)
-          let fired = ref false in
-          for k = 0 to max_countdown do
+             process down at least once, and the retraction's own
+             points must do so inside a Retract op *)
+          let fired = ref false and fired_in_retract = ref false in
+          for k = 0 to hits point - 1 do
             check_crash_equivalence
               ~what:
                 (Printf.sprintf "retract: %s after %d hits (jobs=%d)" point k
                    jobs)
               ~jobs ~mk
-              ~on_crashed:(fun c -> fired := !fired || c)
+              ~on_crashed:(function
+                | Some (Retract _) ->
+                    fired := true;
+                    fired_in_retract := true
+                | Some _ -> fired := true
+                | None -> ())
               retract_workload
               (fun fault -> Fault.arm fault ~after:k point)
           done;
           if not !fired then
-            Alcotest.failf "crash point %s never fired (jobs=%d)" point jobs)
-        [ "post-retract-write"; "post-journal-write"; "view-fold" ])
+            Alcotest.failf "crash point %s never fired (jobs=%d)" point jobs;
+          if in_retract && not !fired_in_retract then
+            Alcotest.failf
+              "crash point %s never fired inside a Retract (jobs=%d)" point
+              jobs)
+        [
+          ("post-retract-write", true);
+          ("post-journal-write", false);
+          ("view-fold", true);
+        ])
     [ 1; 2; 4 ]
 
 let test_exhaustive_torn_sweep () =

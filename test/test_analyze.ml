@@ -174,6 +174,89 @@ let test_guard_extraction_from_sql () =
   let reg = Db.registry (Session.db session) in
   check_bool "skipped by guard" true (Registry.skipped reg >= 1)
 
+(* The point-query fast path ([View.lookup] when the WHERE pins every
+   group-key column to a literal) renders the same bytes as the scan
+   path, which the same query reaches when each key equality is written
+   as a closed range instead.  Views: a grouped one, a two-column key,
+   a string key through a join, and a projection; keys may be absent,
+   reversed ([literal = column]) or carry an extra condition. *)
+let prop_point_query_matches_scan (batches, queries) =
+  let session = setup () in
+  ignore
+    (Analyze.run_script session
+       "DEFINE VIEW balance AS SELECT acct, SUM(miles) AS total, COUNT(*) AS n \
+        FROM CHRONICLE mileage GROUP BY acct;\n\
+        DEFINE VIEW pairs AS SELECT acct, miles, COUNT(*) AS n FROM CHRONICLE \
+        mileage GROUP BY acct, miles;\n\
+        DEFINE VIEW by_state AS SELECT state, SUM(miles) AS total FROM \
+        CHRONICLE mileage JOIN customers ON acct = cust GROUP BY state;\n\
+        DEFINE VIEW accts AS SELECT acct, miles FROM CHRONICLE mileage;");
+  List.iter
+    (fun rows ->
+      ignore
+        (Analyze.run_script session
+           ("APPEND INTO mileage VALUES "
+           ^ String.concat ", "
+               (List.map (fun (a, m) -> Printf.sprintf "(%d, %d, 1.0)" a m)
+                  rows)
+           ^ ";")))
+    batches;
+  let render text =
+    String.concat "\n"
+      (List.map
+         (Format.asprintf "%a" Analyze.pp_result)
+         (Analyze.run_script session text))
+  in
+  List.for_all
+    (fun (view, (a, m), reversed, extra) ->
+      let eq col lit =
+        if reversed then lit ^ " = " ^ col else col ^ " = " ^ lit
+      in
+      let range col lit =
+        Printf.sprintf "%s >= %s AND %s <= %s" col lit col lit
+      in
+      let a = string_of_int a and m = string_of_int m in
+      let select, keys, cond =
+        match view with
+        | 0 -> ("acct, total, n FROM balance", [ ("acct", a) ], "n > 1")
+        | 1 ->
+            ("acct, miles, n FROM pairs", [ ("acct", a); ("miles", m) ], "n >= 1")
+        | 2 ->
+            ( "state, total FROM by_state",
+              [ ("state", if a = "1" then "'NJ'" else "'NY'") ],
+              "total > 10" )
+        | _ ->
+            ("acct, miles FROM accts", [ ("miles", m); ("acct", a) ], "miles > 5")
+      in
+      let query pin =
+        Printf.sprintf "SELECT %s WHERE %s%s;" select
+          (String.concat " AND " (List.map (fun (c, l) -> pin c l) keys))
+          (if extra then " AND " ^ cond else "")
+      in
+      (* only the fast path looks a group up *)
+      let lookups text =
+        let before = Stats.snapshot () in
+        let out = render text in
+        (out, Stats.diff_get before (Stats.snapshot ()) Stats.Group_lookup)
+      in
+      let fast, fast_lookups = lookups (query eq) in
+      let scan, scan_lookups = lookups (query range) in
+      if fast_lookups <> 1 || scan_lookups <> 0 then
+        QCheck.Test.fail_reportf
+          "%s: %d lookups on the fast path, %d on the scan" (query eq)
+          fast_lookups scan_lookups;
+      String.equal fast scan
+      || QCheck.Test.fail_reportf "%s\n%s\n≠ scan path\n%s" (query eq) fast
+           scan)
+    queries
+
+let point_query_arb =
+  let open QCheck in
+  let acct_miles = pair (int_range 0 3) (int_range 0 6) in
+  pair
+    (list_of_size Gen.(1 -- 6) (list_of_size Gen.(1 -- 4) acct_miles))
+    (list_of_size Gen.(1 -- 8) (quad (int_range 0 3) acct_miles bool bool))
+
 let suite =
   [
     test "end-to-end script" test_end_to_end_script;
@@ -184,4 +267,6 @@ let suite =
     test "semantic errors" test_semantic_errors;
     test "SHOW CLASSIFY" test_show_classify;
     test "SQL-defined views are registry-filterable" test_guard_extraction_from_sql;
+    qtest ~count:100 "point queries render the same bytes as the scan path"
+      point_query_arb prop_point_query_matches_scan;
   ]

@@ -161,6 +161,101 @@ let qcheck_monotone_sns =
       non_decreasing sns
       && Group.watermark g = List.length sizes)
 
+(* The occurrence index and a one-column index, built at a random
+   point, must agree with the store after every step: appends (enough
+   distinct rows to double the bucket arrays several times, so lookups
+   and removals land mid-growth), removals (outside marks they compact
+   the store), and marked blocks that commit or roll back. *)
+type index_op =
+  | Add of (int * int) list
+  | Drop of int list
+  | Marked of bool * (int * int) list * int list
+  | Look
+
+let qcheck_indexes_track_store =
+  let open QCheck.Gen in
+  let row = pair (int_bound 149) (int_bound 9) in
+  let op =
+    frequency
+      [
+        (5, map (fun rs -> Add rs) (list_size (int_range 1 40) row));
+        (2, map (fun ks -> Drop ks) (list_size (int_range 1 30) (int_bound 10_000)));
+        ( 2,
+          map3
+            (fun commit rs ks -> Marked (commit, rs, ks))
+            bool
+            (list_size (int_range 0 20) row)
+            (list_size (int_range 0 10) (int_bound 10_000)) );
+        (1, return Look);
+      ]
+  in
+  let print_op = function
+    | Add rs -> Printf.sprintf "Add %d" (List.length rs)
+    | Drop ks -> Printf.sprintf "Drop %d" (List.length ks)
+    | Marked (c, rs, ks) ->
+        Printf.sprintf "Marked(%b, %d, %d)" c (List.length rs) (List.length ks)
+    | Look -> "Look"
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+      (list_size (int_range 1 80) op)
+  in
+  qtest ~count:60 "indexes track appends, removals and rollbacks" arb (fun ops ->
+      let g = Group.create "g" in
+      let c = Chron.create ~group:g ~retention:Chron.Full ~name:"t" user_schema in
+      let built = ref false in
+      let add rs =
+        ignore (Chron.append c (List.map (fun (a, m) -> tup [ vi a; vi m ]) rs))
+      in
+      let drop ks =
+        List.iter
+          (fun k ->
+            match Chron.stored c with
+            | [] -> ()
+            | st ->
+                let tu = List.nth st (k mod List.length st) in
+                Chron.remove_stored c (Chron.sn_of tu) [ Chron.untag tu ])
+          ks
+      in
+      let check () =
+        built := true;
+        let st = Chron.stored c in
+        let occ = Tuple.Tbl.create 64 and by_acct = Hashtbl.create 64 in
+        List.iter
+          (fun tu ->
+            let row = Chron.untag tu and acct = Tuple.get tu 1 in
+            let sns = Option.value ~default:[] (Tuple.Tbl.find_opt occ row) in
+            Tuple.Tbl.replace occ row (Chron.sn_of tu :: sns);
+            let tus = Option.value ~default:[] (Hashtbl.find_opt by_acct acct) in
+            Hashtbl.replace by_acct acct (tu :: tus))
+          st;
+        Tuple.Tbl.fold
+          (fun row sns ok -> ok && Chron.occurrences c row = sns)
+          occ true
+        && Hashtbl.fold
+             (fun acct tus ok ->
+               ok && Chron.matching c ~cols:[| 1 |] [ [| acct |] ] = List.rev tus)
+             by_acct true
+        && Chron.occurrences c (tup [ vi 1000; vi 0 ]) = []
+        && Chron.matching c ~cols:[| 1 |] [ [| vi 1000 |] ] = []
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add rs -> add rs
+          | Drop ks -> drop ks
+          | Marked (commit, rs, ks) ->
+              let m = Chron.mark c in
+              drop ks;
+              add rs;
+              drop ks;
+              if commit then Chron.commit c else Chron.rollback c m
+          | Look -> ignore (check ()));
+          (not !built) || check ())
+        ops
+      && check ())
+
 let suite =
   [
     test "group watermark and sparse claims" test_group_watermark;
@@ -177,4 +272,5 @@ let suite =
     test "restore conflicts are typed errors" test_restore_conflict;
     test "transactional marks roll the store back" test_txn_marks;
     qcheck_monotone_sns;
+    qcheck_indexes_track_store;
   ]

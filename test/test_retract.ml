@@ -24,7 +24,7 @@ let row (acct, miles) = Fixtures.mile acct miles 1.
    diffing) and a Rows-backed projection. *)
 let view_names = [ "balance"; "extremes"; "by_state"; "merged"; "postings" ]
 
-let mk_db ?(jobs = 1) () =
+let mk_db ?(jobs = 1) ?index () =
   let db = Db.create ~jobs () in
   ignore
     (Db.add_chronicle db ~retention:Chron.Full ~name:"mileage"
@@ -47,33 +47,33 @@ let mk_db ?(jobs = 1) () =
   let mileage = Ca.Chronicle (Db.chronicle db "mileage") in
   let bonus = Ca.Chronicle (Db.chronicle db "bonus") in
   ignore
-    (Db.define_view db
+    (Db.define_view db ?index
        (Sca.define ~name:"balance" ~body:mileage
           (Sca.Group_agg
              ( [ "acct" ],
                [ Aggregate.sum "miles" "balance"; Aggregate.count_star "n" ] ))));
   ignore
-    (Db.define_view db
+    (Db.define_view db ?index
        (Sca.define ~name:"extremes" ~body:mileage
           (Sca.Group_agg
              ( [ "acct" ],
                [ Aggregate.max_ "miles" "hi"; Aggregate.min_ "miles" "lo" ] ))));
   ignore
-    (Db.define_view db
+    (Db.define_view db ?index
        (Sca.define ~name:"by_state"
           ~body:
             (Ca.KeyJoinRel
                (mileage, Versioned.relation cust, [ ("acct", "cust") ]))
           (Sca.Group_agg ([ "state" ], [ Aggregate.sum "miles" "m" ]))));
   ignore
-    (Db.define_view db
+    (Db.define_view db ?index
        (Sca.define ~name:"merged"
           ~body:(Ca.Union (mileage, bonus))
           (Sca.Group_agg
              ( [ "acct" ],
                [ Aggregate.sum "miles" "total"; Aggregate.count_star "k" ] ))));
   ignore
-    (Db.define_view db
+    (Db.define_view db ?index
        (Sca.define ~name:"postings"
           ~body:(Ca.Select (Predicate.("miles" >% vi 0), mileage))
           (Sca.Project_out [ "acct"; "miles" ])));
@@ -386,6 +386,302 @@ let test_retract_durable_roundtrip () =
   check_string "re-recovery is a fixpoint" (Snapshot.save db)
     (Snapshot.save (Durable.db d''))
 
+(* ---- logical undo: a failed retraction leaves no trace ---- *)
+
+let backings = [ Index.Hash; Index.Ordered ]
+
+(* A retraction whose k-th view fold raises, through a probe that
+   throws, for every k: the retraction removes a group (acct 2's only
+   mileage row) and acct 1's maximum (a MIN/MAX re-probe), on both
+   backings.  The database is byte-identical afterwards, and then
+   appends and retracts exactly like a run that never failed. *)
+let test_retract_fold_failure_rolls_back () =
+  List.iter
+    (fun index ->
+      let setup () =
+        let db = mk_db ~index () in
+        ignore (Db.append db "mileage" [ row (1, 10); row (2, 20) ]);
+        ignore (Db.append db "mileage" [ row (1, 50); row (3, 7) ]);
+        ignore (Db.append db "bonus" [ row (2, 5) ]);
+        db
+      in
+      let victims = [ row (1, 50); row (2, 20) ] in
+      let afterwards db =
+        (* an append failing after a retraction built the occurrence
+           index leaves no phantom occurrence in it *)
+        Db.set_fold_probe db
+          (Some (fun ~view:_ ~sn:_ -> failwith "append fold"));
+        check_raises_any "a failing append" (fun () ->
+            Db.append db "mileage" [ row (9, 9) ]);
+        Db.set_fold_probe db None;
+        check_raises_any "its row was never stored" (fun () ->
+            Db.retract db "mileage" [ row (9, 9) ]);
+        ignore (Db.append db "mileage" [ row (2, 30); row (1, 50) ]);
+        check_int "retracts again" 2
+          (Db.retract db "mileage" [ row (1, 50); row (3, 7) ])
+      in
+      let reference = setup () in
+      let folds = ref 0 in
+      Db.set_fold_probe reference (Some (fun ~view:_ ~sn:_ -> incr folds));
+      let before = Stats.snapshot () in
+      check_int "clean retraction" 2 (Db.retract reference "mileage" victims);
+      check_bool "re-probes acct 1's maximum" true
+        (Stats.diff_get before (Stats.snapshot ()) Stats.Aggregate_reprobe >= 1);
+      check_bool "removes acct 2's group" true
+        (Db.summary reference ~view:"balance" [ vi 2 ] = None);
+      Db.set_fold_probe reference None;
+      afterwards reference;
+      for k = 1 to !folds do
+        let db = setup () in
+        let saved = Snapshot.save db in
+        let n = ref 0 in
+        Db.set_fold_probe db
+          (Some
+             (fun ~view:_ ~sn:_ ->
+               incr n;
+               if !n = k then failwith "fold failure"));
+        check_raises_any "the failing fold aborts the retraction" (fun () ->
+            Db.retract db "mileage" victims);
+        Db.set_fold_probe db None;
+        check_string
+          (Printf.sprintf "fold %d failing leaves the database unchanged" k)
+          saved (Snapshot.save db);
+        check_int "then retracts" 2 (Db.retract db "mileage" victims);
+        afterwards db;
+        check_string
+          (Printf.sprintf "fold %d: later operations match the clean run" k)
+          (Snapshot.save reference) (Snapshot.save db)
+      done)
+    backings
+
+(* History-reading views (cross products of both chronicles) are
+   rebuilt from retained history inside the retraction's transaction,
+   each rebuild announced to the fold probe like a fold: afterwards
+   they equal a fresh definition, and a failure at any fold — one
+   after the first rebuild included — restores the database to the
+   byte. *)
+let test_retract_rematerializes_history_readers () =
+  let cross db name agg =
+    Sca.define ~allow_non_ca:true ~name
+      ~body:
+        (Ca.CrossChron
+           ( Ca.Chronicle (Db.chronicle db "mileage"),
+             Ca.Chronicle (Db.chronicle db "bonus") ))
+      (Sca.Group_agg ([ "acct" ], [ agg ]))
+  in
+  let readers db =
+    [ cross db "pairs" (Aggregate.count_star "n");
+      cross db "pair_miles" (Aggregate.sum "miles" "m") ]
+  in
+  List.iter
+    (fun index ->
+      let setup () =
+        let db = mk_db ~index () in
+        List.iter
+          (fun def ->
+            ignore (Db.define_view db ~index ~tier_limit:Classify.IM_poly_c def))
+          (readers db);
+        ignore (Db.append db "mileage" [ row (1, 10); row (2, 20) ]);
+        ignore (Db.append db "bonus" [ row (1, 5); row (3, 6) ]);
+        ignore (Db.append db "mileage" [ row (1, 50) ]);
+        db
+      in
+      let victims = [ row (1, 50); row (2, 20) ] in
+      let reference = setup () in
+      let folds = ref 0 in
+      Db.set_fold_probe reference (Some (fun ~view:_ ~sn:_ -> incr folds));
+      check_int "retracted" 2 (Db.retract reference "mileage" victims);
+      Db.set_fold_probe reference None;
+      List.iter
+        (fun def ->
+          let rebuilt = Db.view_contents reference (Sca.name def) in
+          Db.drop_view reference (Sca.name def);
+          ignore
+            (Db.define_view reference ~index ~tier_limit:Classify.IM_poly_c def);
+          check_tuples
+            (Sca.name def ^ " ≡ defined afresh over the survivors")
+            (Db.view_contents reference (Sca.name def))
+            rebuilt)
+        (readers reference);
+      for k = 1 to !folds do
+        let db = setup () in
+        let saved = Snapshot.save db in
+        let n = ref 0 in
+        Db.set_fold_probe db
+          (Some
+             (fun ~view:_ ~sn:_ ->
+               incr n;
+               if !n = k then failwith "fold failure"));
+        check_raises_any "the failing fold aborts the retraction" (fun () ->
+            Db.retract db "mileage" victims);
+        Db.set_fold_probe db None;
+        check_string
+          (Printf.sprintf "fold %d failing leaves the database unchanged" k)
+          saved (Snapshot.save db)
+      done)
+    backings
+
+(* The same over random scenarios: the dropped mileage rows are
+   retracted in one call whose failing (entry, view) fold is picked at
+   random, at jobs 1/2/4 and on both backings; then the kept rows are
+   retracted and the scenario appended again, against a clean run. *)
+let prop_retract_rollback (s, pick) =
+  let victims =
+    List.filter_map
+      (fun (chron, r) ->
+        if chron = 0 then Some (row (r.acct, r.miles)) else None)
+      (to_retract (fun r -> not r.keep) s)
+  in
+  let run ?fail jobs index =
+    let db = mk_db ~jobs ~index () in
+    append_all db s;
+    let folds = ref [] and lock = Mutex.create () in
+    (match fail with
+    | None ->
+        Db.set_fold_probe db
+          (Some
+             (fun ~view ~sn ->
+               Mutex.protect lock (fun () -> folds := (sn, view) :: !folds)))
+    | Some (sn', view') ->
+        let saved = Snapshot.save db in
+        Db.set_fold_probe db
+          (Some
+             (fun ~view ~sn ->
+               if sn = sn' && view = view' then failwith "fold failure"));
+        check_raises_any "the failing fold aborts the retraction" (fun () ->
+            Db.retract db "mileage" victims);
+        if not (String.equal saved (Snapshot.save db)) then
+          QCheck.Test.fail_reportf
+            "failing fold (%d, %s) at jobs=%d changed the database" sn' view'
+            jobs;
+        Db.set_fold_probe db None);
+    ignore (Db.retract db "mileage" victims);
+    Db.set_fold_probe db None;
+    retract_all db (fun r -> r.keep) s;
+    append_all db s;
+    (Snapshot.save db, List.sort_uniq compare !folds)
+  in
+  victims = []
+  || List.for_all
+       (fun index ->
+         let reference, folds = run 1 index in
+         let fail = List.nth folds (pick mod List.length folds) in
+         List.for_all
+           (fun jobs ->
+             let state, _ = run ~fail jobs index in
+             String.equal reference state
+             || QCheck.Test.fail_reportf
+                  "after failing fold (%d, %s) at jobs=%d the run diverged"
+                  (fst fail) (snd fail) jobs)
+           [ 1; 2; 4 ])
+       backings
+
+(* ---- counter pin: a single-row retraction does not read history ---- *)
+
+(* One-row retractions against COUNT/SUM views at two history sizes:
+   no stored chronicle tuple is read ([Chronicle_scan] moves by 0), and
+   the group lookups do not grow with |C|. *)
+let test_retract_cost_independent_of_history () =
+  let cost n =
+    let db = Db.create () in
+    ignore
+      (Db.add_chronicle db ~retention:Chron.Full ~name:"mileage"
+         Fixtures.mileage_schema);
+    let mileage = Ca.Chronicle (Db.chronicle db "mileage") in
+    ignore
+      (Db.define_view db
+         (Sca.define ~name:"balance" ~body:mileage
+            (Sca.Group_agg
+               ( [ "acct" ],
+                 [ Aggregate.sum "miles" "balance"; Aggregate.count_star "n" ]
+               ))));
+    ignore
+      (Db.define_view db ~index:Index.Ordered
+         (Sca.define ~name:"fares" ~body:mileage
+            (Sca.Group_agg ([ "acct" ], [ Aggregate.sum "fare" "f" ]))));
+    let i = ref 0 in
+    while !i < n do
+      ignore
+        (Db.append db "mileage"
+           (List.init 8 (fun k -> row ((!i + k) mod 64, !i + k))));
+      i := !i + 8
+    done;
+    let before = Stats.snapshot () in
+    let j = n / 2 in
+    check_int "one row" 1 (Db.retract db "mileage" [ row (j mod 64, j) ]);
+    let after = Stats.snapshot () in
+    ( Stats.diff_get before after Stats.Chronicle_scan,
+      Stats.diff_get before after Stats.Group_lookup )
+  in
+  let scan_small, lookup_small = cost 1_000 in
+  let scan_large, lookup_large = cost 16_000 in
+  check_int "no history read at |C| = 1k" 0 scan_small;
+  check_int "no history read at |C| = 16k" 0 scan_large;
+  check_int "group lookups independent of |C|" lookup_small lookup_large
+
+(* ---- MIN/MAX re-probes read their groups, not the history ---- *)
+
+(* Account 0 holds exactly 10 rows at two history sizes.  Retracting
+   its largest makes the MAX view grouped by [acct] re-probe that group,
+   which reads the 9 survivors through the chronicle's index on [acct],
+   whatever |C|.  A MAX view grouped by a relation column has no such
+   index: retracting the history-wide maximum makes it re-read all of
+   history.  Both views then equal the same views defined afresh over
+   what is left. *)
+let test_retract_reprobe_reads_group () =
+  let reprobe n =
+    let db = Db.create () in
+    ignore
+      (Db.add_chronicle db ~retention:Chron.Full ~name:"mileage"
+         Fixtures.mileage_schema);
+    let cust =
+      Db.add_relation db ~name:"customers" ~schema:Fixtures.customer_schema
+        ~key:[ "cust" ] ()
+    in
+    for a = 0 to 63 do
+      Versioned.insert cust (tup [ vi a; vs (if a mod 2 = 0 then "NJ" else "NY") ])
+    done;
+    let mileage = Ca.Chronicle (Db.chronicle db "mileage") in
+    let by_acct name =
+      Sca.define ~name ~body:mileage
+        (Sca.Group_agg
+           ([ "acct" ], [ Aggregate.max_ "miles" "hi"; Aggregate.sum "miles" "m" ]))
+    and by_state name =
+      Sca.define ~name
+        ~body:(Ca.KeyJoinRel (mileage, Versioned.relation cust, [ ("acct", "cust") ]))
+        (Sca.Group_agg ([ "state" ], [ Aggregate.max_ "miles" "hi" ]))
+    in
+    ignore (Db.define_view db (by_acct "acct_hi"));
+    ignore (Db.define_view db (by_state "state_hi"));
+    let acct j = if j mod (n / 10) = 0 then 0 else 1 + (j mod 63) in
+    let i = ref 0 in
+    while !i < n do
+      ignore (Db.append db "mileage" (List.init 8 (fun k -> row (acct (!i + k), !i + k))));
+      i := !i + 8
+    done;
+    let before = Stats.snapshot () in
+    check_int "group maximum" 1 (Db.retract db "mileage" [ row (0, 9 * (n / 10)) ]);
+    let after = Stats.snapshot () in
+    check_int "one group re-probed" 1
+      (Stats.diff_get before after Stats.Aggregate_reprobe);
+    let scanned = Stats.diff_get before after Stats.Chronicle_scan in
+    let before = Stats.snapshot () in
+    check_int "history maximum" 1 (Db.retract db "mileage" [ row (acct (n - 1), n - 1) ]);
+    let after = Stats.snapshot () in
+    check_bool "the state view re-reads history" true
+      (Stats.diff_get before after Stats.Chronicle_scan >= n - 2);
+    List.iter
+      (fun (name, fresh) ->
+        ignore (Db.define_view db fresh);
+        check_tuples (name ^ " ≡ defined afresh")
+          (sorted_tuples (Db.view_contents db (Sca.name fresh)))
+          (sorted_tuples (Db.view_contents db name)))
+      [ ("acct_hi", by_acct "acct_hi2"); ("state_hi", by_state "state_hi2") ];
+    scanned
+  in
+  check_int "9 rows read at |C| = 1k" 9 (reprobe 1_000);
+  check_int "9 rows read at |C| = 16k" 9 (reprobe 16_000)
+
 let suite =
   [
     test "retract: invertible aggregates and counters" test_retract_basic;
@@ -406,4 +702,16 @@ let suite =
       scenario_arb prop_retract_parallel_transparent;
     qtest ~count:60 "pure appends never move retraction counters"
       scenario_arb prop_pure_append_zero_counters;
+    test "retract: a failing view fold rolls back to the byte"
+      test_retract_fold_failure_rolls_back;
+    test "retract: history readers are rebuilt, and roll back"
+      test_retract_rematerializes_history_readers;
+    qtest ~count:40
+      "a failing fold at a random (entry, view) rolls back (jobs 1/2/4)"
+      (QCheck.pair scenario_arb QCheck.small_nat)
+      prop_retract_rollback;
+    test "retract: single-row cost independent of |C| (counter pin)"
+      test_retract_cost_independent_of_history;
+    test "retract: a MIN/MAX re-probe reads its group, not |C|"
+      test_retract_reprobe_reads_group;
   ]
