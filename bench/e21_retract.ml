@@ -1,11 +1,12 @@
 (* E21 — ℤ-weighted deltas: the cost of retraction, and the cost of
-   carrying weights on the append path.
+   sharing one delta core with it on the append path.
 
    Three questions, three phases over one Full-retention catalog:
 
-   1. Append overhead.  The weight machinery generalizes every compiled
-      Δ-artifact from tuples to (tuple, weight) — but the append path
-      is the weight = +1 fast path and must not pay for it.  Phase A
+   1. Append overhead.  Every compiled Δ-artifact maps a Z-set delta —
+      a plus half and a minus half — and a retraction is the minus
+      half; but an append is a plus half alone, with no slices to diff,
+      and must not pay for the minus machinery.  Phase A
       times the plain append stream and asserts the differential pin
       from the inside: retract_apply, weight_cancel and
       aggregate_reprobe all stay exactly zero across the whole stream
@@ -116,8 +117,8 @@ let run () =
   let table = ref [] in
   List.iter
     (fun n ->
-      (* ---- phase A: the append stream itself (weights carried, never
-         paid) ---- *)
+      (* ---- phase A: the append stream itself (the minus machinery
+         present, never paid) ---- *)
       let append_means =
         List.init reps (fun _ ->
             let db = mk_db ~extremes:false () in

@@ -37,7 +37,7 @@ let delta_cost expr chron ~appends =
          of every relation size in the sweep *)
       let tu = Tuple.make [ Value.Int (i mod 17); Value.Int ((size + i) mod 97 + 1) ] in
       let sn = Chron.append chron [ tu ] in
-      ignore (Delta.run plan ~sn ~batch:[ (chron, [ Chron.tag sn tu ]) ]))
+      ignore (Delta.run plan ~sn (Delta.appended [ (chron, [ Chron.tag sn tu ]) ])))
 
 (* JSON evidence records accumulated by both sweeps and written at the
    end of [run] (committed copies live under bench/results/). *)

@@ -24,7 +24,12 @@ let build index groups =
   for g = 1 to groups do
     let tu = Tuple.make [ Value.Int g; Value.Int 1 ] in
     let sn = Chron.append chron [ tu ] in
-    View.apply_delta view (Delta.eval (Sca.body def) ~sn ~batch:[ (chron, [ Chron.tag sn tu ]) ])
+    View.apply view
+      {
+        Delta.plus =
+          Delta.eval (Sca.body def) ~sn ~batch:[ (chron, [ Chron.tag sn tu ]) ];
+        minus = [];
+      }
   done;
   (chron, def, view)
 
@@ -32,8 +37,12 @@ let per_append chron def view ~groups =
   Measure.per_op ~times:500 (fun i ->
       let tu = Tuple.make [ Value.Int ((i * 7919 mod groups) + 1); Value.Int 1 ] in
       let sn = Chron.append chron [ tu ] in
-      View.apply_delta view
-        (Delta.eval (Sca.body def) ~sn ~batch:[ (chron, [ Chron.tag sn tu ]) ]))
+      View.apply view
+        {
+          Delta.plus =
+            Delta.eval (Sca.body def) ~sn ~batch:[ (chron, [ Chron.tag sn tu ]) ];
+          minus = [];
+        })
 
 let run () =
   Measure.section "E3: Theorems 4.4/4.5 — maintenance vs view size |V|"

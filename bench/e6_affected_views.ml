@@ -47,8 +47,11 @@ let run () =
             let batch = [ (chron, [ Chron.tag sn tu ]) ] in
             List.iter
               (fun v ->
-                View.apply_delta v
-                  (Delta.eval (Sca.body (View.def v)) ~sn ~batch))
+                View.apply v
+                  {
+                    Delta.plus = Delta.eval (Sca.body (View.def v)) ~sn ~batch;
+                    minus = [];
+                  })
               (Registry.affected reg chron [ Chron.tag sn tu ]))
       in
       let maintained_before = Registry.skipped reg in
@@ -60,8 +63,11 @@ let run () =
             let batch = [ (chron, [ Chron.tag sn tu ]) ] in
             List.iter
               (fun v ->
-                View.apply_delta v
-                  (Delta.eval (Sca.body (View.def v)) ~sn ~batch))
+                View.apply v
+                  {
+                    Delta.plus = Delta.eval (Sca.body (View.def v)) ~sn ~batch;
+                    minus = [];
+                  })
               views)
       in
       rows :=

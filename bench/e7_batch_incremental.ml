@@ -37,8 +37,12 @@ let run () =
         Measure.per_op ~times:month_calls (fun _ ->
             let tu = Telecom.call rng zipf in
             let sn = Chron.append calls [ tu ] in
-            View.apply_delta view
-              (Delta.eval (Sca.body def) ~sn ~batch:[ (calls, [ Chron.tag sn tu ]) ]))
+            View.apply view
+              {
+                Delta.plus =
+                  Delta.eval (Sca.body def) ~sn ~batch:[ (calls, [ Chron.tag sn tu ]) ];
+                minus = [];
+              })
       in
       (* end-of-month batch for every subscriber *)
       let batch_secs =

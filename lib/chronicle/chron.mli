@@ -104,8 +104,8 @@ val restore : t -> total:int -> last_sn:Seqnum.t option -> retained:Tuple.t list
 
 val at_sn : t -> Seqnum.t -> Tuple.t list
 (** Stored tagged tuples carrying the given sequence number, oldest
-    first — the at-[sn] slice that weighted delta propagation diffs
-    against.  O(log |C| + slice). *)
+    first — the at-[sn] slice that a retraction's non-linear delta
+    rules diff against.  O(log |C| + slice). *)
 
 val occurrences : t -> Tuple.t -> Seqnum.t list
 (** Sequence numbers of the stored occurrences of a {e user} row

@@ -223,23 +223,24 @@ let has_batch_hooks t = t.batch_hooks <> []
 
    The paper's database has one write: append a batch to a chronicle
    group at the next sequence number, then maintain every affected
-   persistent view incrementally.  A live append, a group commit, the
-   journal's final record and a recovery replay window are all that
-   operation over a list of [(sn, batch)] entries, built from three
-   pieces:
+   persistent view incrementally.  A retraction is the same write with
+   the opposite sign: the batch is the minus half of a Z-set delta
+   ({!Delta.zset}) at the sequence number it was appended under.  A
+   live append, a group commit, the journal's final record, a recovery
+   replay window and a retraction are all that operation over a list of
+   [(sn, Z-set batch)] entries, built from three pieces:
 
    - [validate], the one batch check, run before anything is journaled;
-   - [record_and_fold], the step: record each entry in order (claim its
-     sequence number, store the batch, flush the relation updates that
-     have come due, list the affected views), then fold every affected
-     view as one chain of folds on the pool ([fold_chains]);
-   - [bracket], wrapped around the step for live appends, live groups
-     and the journal's final record: the [transaction] (write-ahead
-     event → chronicle, relation and view marks → step → commit, or
-     roll everything back and emit [Ev_abort], so a journal can erase
-     the write-ahead record, and re-raise) → chronicle subscribers and
-     batch hooks, strictly after commit and in record order.  A
-     retraction runs its own step in the same [transaction].
+   - [record_and_fold], the step: record each entry in order (store its
+     plus half or remove its minus half, list the affected views with
+     their folds), then fold every affected view as one chain of folds
+     on the pool ([fold_chains]);
+   - the [transaction] wrapped around the step for live writes and the
+     journal's final record: write-ahead event → chronicle, relation
+     and view marks → step → commit, or roll everything back and emit
+     [Ev_abort], so a journal can erase the write-ahead record, and
+     re-raise.  After an append's commit, [bracket] runs chronicle
+     subscribers and batch hooks, in record order.
 
    Replay windows run the step bare: no marks (a ring chronicle's undo
    list does not grow with the window), no write-ahead event, and a
@@ -263,49 +264,109 @@ exception Entry_failed of { index : int; error : exn }
 let unwrap = function Entry_failed { error; _ } -> error | e -> e
 
 let validate t ~op g batch =
-  let batch =
-    List.map (fun (cname, tuples) -> (chronicle t cname, tuples)) batch
-  in
   if batch = [] then invalid_arg (Printf.sprintf "Db.%s: empty batch" op);
-  List.iter
-    (fun (c, tuples) ->
+  List.map
+    (fun (cname, tuples) ->
+      let c = chronicle t cname in
       if not (Group.same (Chron.group c) g) then
         invalid_arg
           (Printf.sprintf "Db.%s: chronicle %s is not in group %s" op
              (Chron.name c) (Group.name g));
-      Chron.check_batch c tuples)
-    batch;
-  batch
+      Chron.check_batch c tuples;
+      (c, { Delta.plus = tuples; minus = [] }))
+    batch
 
 let validate_batch t ?group:gname batch =
   let g = group t (Option.value ~default:t.default_group gname) in
   ignore (validate t ~op:"append" g batch)
 
-type entry = {
-  g : Group.t;
-  sn : Seqnum.t;
-  batch : (Chron.t * Tuple.t list) list;
-}
+(* An entry is all plus (an append at a fresh [sn]) or all minus (a
+   retraction of user rows stored under [sn]). *)
+type entry = { g : Group.t; sn : Seqnum.t; batch : Delta.change }
 
 let pending_updates t =
   Hashtbl.fold (fun _ r acc -> acc || Versioned.pending_count r > 0) t.relations false
 
 let reads_history_view v = Ca.reads_history (Sca.body (View.def v))
 
-(* Future-effective relation updates that have come due are proactive
-   for [sn]: they take effect before this batch's folds. *)
-let record t { g; sn; batch } =
-  Group.claim_sn g sn;
-  let tagged = List.map (fun (c, tuples) -> (c, Chron.record c sn tuples)) batch in
-  Hashtbl.iter (fun _ r -> Versioned.flush_pending r ~upto:(sn - 1)) t.relations;
-  ( tagged,
-    dedup_affected
-      (List.concat_map (fun (c, tg) -> Registry.affected t.registry c tg) tagged)
-  )
+let affected t half delta =
+  dedup_affected
+    (List.concat_map (fun (c, z) -> Registry.affected t.registry c (half z)) delta)
 
-(* One view's fold at [sn], announced to the fold probe first.  Append
-   folds replay the body Δ-plan compiled once at registration;
-   retraction folds apply a weighted delta through the same link. *)
+(* What a re-probe of the groups [keys] of [v] refolds: the body output
+   over the already-mutated base, for at least those groups.  For a
+   MIN/MAX view whose group-key attributes are all columns of the
+   body's one chronicle, reached through selections, projections and
+   joins with relations, only the stored rows holding those keys can
+   land in those groups: the body runs over just them, found through
+   the chronicle's index on the key columns (built here, before the
+   folds start, so a fold only reads it).  Otherwise the body runs over
+   all retained history. *)
+let reprobe_source v =
+  let body = Sca.body (View.def v) in
+  let everything _ = Eval.eval body in
+  match Sca.summarize (View.def v) with
+  | Sca.Group_agg (gl, al)
+    when gl <> []
+         && List.exists
+              (fun (c : Aggregate.call) -> c.func = Min || c.func = Max)
+              al -> (
+      let sources = List.map (Ca.column_source body) gl in
+      match sources with
+      | Some (c, _) :: _ when List.for_all Option.is_some sources ->
+          let cols =
+            Array.of_list (List.map (fun s -> snd (Option.get s)) sources)
+          in
+          let rows = Chron.matching c ~cols in
+          fun keys -> Eval.eval_over body c (rows (List.map Array.of_list keys))
+      | _ -> everything)
+  | Sca.Group_agg _ | Sca.Project_out _ -> everything
+
+(* Record one entry: the recorded delta, its affected views and each
+   view's fold.  A plus entry claims [sn], stores its batch and flushes
+   the relation updates that have come due (they are proactive for
+   [sn]: they take effect before this batch's folds).  A minus entry
+   first captures, per view, the at-[sn] slices (only for plans that
+   read them) and the re-probe source, then removes its rows; each fold
+   reads the slices again after the removal.  History readers have no
+   minus fold: the retraction rematerializes them. *)
+let record t { g; sn; batch } =
+  if List.for_all (fun (_, z) -> z.Delta.minus = []) batch then begin
+    Group.claim_sn g sn;
+    let delta =
+      List.map (fun (c, z) -> (c, { z with Delta.plus = Chron.record c sn z.Delta.plus })) batch
+    in
+    Hashtbl.iter (fun _ r -> Versioned.flush_pending r ~upto:(sn - 1)) t.relations;
+    ( delta,
+      affected t (fun z -> z.Delta.plus) delta,
+      fun v () -> View.apply v (Delta.run (View.plan v) ~sn delta) )
+  end
+  else begin
+    let delta =
+      List.map
+        (fun (c, z) -> (c, { z with Delta.minus = List.map (Chron.tag sn) z.Delta.minus }))
+        batch
+    in
+    let fold v =
+      let plan = View.plan v in
+      let slices () =
+        if Delta.reads_slices plan then
+          List.map (fun c -> (c, Chron.at_sn c sn)) (Ca.chronicles (Delta.expr plan))
+        else []
+      in
+      let before = slices () and reprobe = reprobe_source v in
+      fun () -> View.apply ~reprobe v (Delta.run plan ~sn ~before ~after:(slices ()) delta)
+    in
+    let folds =
+      List.filter_map
+        (fun v -> if reads_history_view v then None else Some (v, fold v))
+        (affected t (fun z -> z.Delta.minus) delta)
+    in
+    List.iter (fun (c, z) -> Chron.remove_stored c sn z.Delta.minus) batch;
+    (delta, List.map fst folds, fun v -> List.assq v folds)
+  end
+
+(* One view's fold at [sn], announced to the fold probe first. *)
 let fold_link t v ~sn fold () =
   (match t.fold_probe with Some probe -> probe ~view:(View.name v) ~sn | None -> ());
   fold ()
@@ -345,7 +406,7 @@ let fold_chains t chains =
   let key = Atomic.get cut in
   if key < max_int then raise (Option.get failures.(key mod n))
 
-(* Fold recorded entries [(index, sn, tagged, affected)], one chain per
+(* Fold recorded entries [(index, sn, delta, views, fold)], one chain per
    view in order of first appearance — deterministic, since recording
    runs in entry order and [Registry.affected] lists views in
    registration order.  [open_view] runs on the submitting domain for
@@ -353,7 +414,7 @@ let fold_chains t chains =
 let fold_recorded t ~open_view recs =
   let order = ref [] and links = Hashtbl.create 8 in
   List.iter
-    (fun (index, sn, tagged, affected) ->
+    (fun (index, sn, _, views, fold) ->
       List.iter
         (fun v ->
           let name = View.name v in
@@ -366,9 +427,8 @@ let fold_recorded t ~open_view recs =
                 order := (v, cell) :: !order;
                 cell
           in
-          let fold () = View.maintain v ~sn ~batch:tagged in
-          cell := (index, fold_link t v ~sn fold) :: !cell)
-        affected)
+          cell := (index, fold_link t v ~sn (fold v)) :: !cell)
+        views)
     recs;
   let order = List.rev !order in
   List.iter (fun (v, _) -> open_view v) order;
@@ -381,10 +441,12 @@ let fold_recorded t ~open_view recs =
    raise [Entry_failed] with the item's index.  Recorded entries are
    folded at a barrier: after every entry when [interleave] (a later
    batch's due relation updates must not be visible to an earlier
-   batch's fold), after any entry that affects a history-reading view
-   (recording further could evict the ring-retained tuples its fold
-   still reads), and at the end.  [folded] then sees the barrier's
-   entries as [(sn, tagged batch)], in record order. *)
+   batch's fold; a retraction's re-probes and slices read the chronicle
+   as its own entry left it), after any entry that affects a
+   history-reading view (recording further could evict the
+   ring-retained tuples its fold still reads), and at the end.
+   [folded] then sees the barrier's entries as [(sn, recorded delta)],
+   in record order. *)
 let record_and_fold t ~open_view ~interleave ~folded prepare items =
   let recorded = ref [] in
   let barrier () =
@@ -393,7 +455,7 @@ let record_and_fold t ~open_view ~interleave ~folded prepare items =
     | recs ->
         recorded := [];
         fold_recorded t ~open_view recs;
-        folded (List.map (fun (_, sn, tagged, _) -> (sn, tagged)) recs)
+        folded (List.map (fun (_, sn, delta, _, _) -> (sn, delta)) recs)
   in
   List.iteri
     (fun index item ->
@@ -403,16 +465,20 @@ let record_and_fold t ~open_view ~interleave ~folded prepare items =
       match indexed (fun () -> prepare index item) with
       | None -> ()
       | Some e ->
-          let tagged, affected = indexed (fun () -> record t e) in
-          recorded := (index, e.sn, tagged, affected) :: !recorded;
-          if interleave || List.exists reads_history_view affected then
-            barrier ())
+          let delta, views, fold = indexed (fun () -> record t e) in
+          recorded := (index, e.sn, delta, views, fold) :: !recorded;
+          if interleave || List.exists reads_history_view views then barrier ())
     items;
   barrier ()
 
-(* Every entry's chronicle subscribers, then every entry's batch
-   hooks, each walking the entries in record order. *)
+(* Every appended entry's chronicle subscribers, then every entry's
+   batch hooks, each walking the entries in record order. *)
 let announce t recorded =
+  let recorded =
+    List.map
+      (fun (sn, delta) -> (sn, List.map (fun (c, z) -> (c, z.Delta.plus)) delta))
+      recorded
+  in
   List.iter
     (fun (sn, tagged) -> List.iter (fun (c, tg) -> Chron.notify c sn tg) tagged)
     recorded;
@@ -466,7 +532,7 @@ let transaction t g ~sn ~event ~chrons step =
    and counts a group commit; otherwise the single entry is an
    [Ev_append]. *)
 let bracket t g ~grouped entries =
-  let named = List.map (fun (c, tuples) -> (Chron.name c, tuples)) in
+  let named = List.map (fun (c, z) -> (Chron.name c, z.Delta.plus)) in
   let event =
     match entries with
     | [ { sn; batch; _ } ] when not grouped ->
@@ -616,110 +682,31 @@ let insert_rows t rname rows =
         abort t g ~sn:(Group.watermark g) e
   end
 
-(* ---- the retraction path (ℤ-weighted deltas) ----
+(* ---- the retraction path ----
 
    Retraction removes stored occurrences from a Full-retention
-   chronicle and propagates the change to the persistent views as a
-   weighted (weight −1) delta: COUNT/SUM-class aggregates invert in
-   O(1) per group, MIN/MAX groups that lose their extremum re-probe
-   retained history (only their own rows, where the group key is a
-   chronicle column), and views whose bodies read history outright
-   ([Ca.CrossChron]/[Ca.ThetaJoinChron]) are rematerialized.  It runs
-   in the same [transaction] as an append — write-ahead [Ev_retract],
-   marks, folds through [fold_link] on the fold scheduler, commit or
-   logical undo and [abort] — so its cost follows the rows retracted,
-   not |C| or |V|, apart from the re-probes and rematerializations. *)
-
-(* Whether the body contains an operator whose weighted delta is
-   computed by diffing its own plain evaluation over the at-sn slices
-   (see [Delta.run_weighted]) — only then are the slices needed. *)
-let rec nonlinear_body = function
-  | Ca.Chronicle _ -> false
-  | Ca.Select (_, e) | Ca.Project (_, e) -> nonlinear_body e
-  | Ca.ProductRel (e, _) | Ca.KeyJoinRel (e, _, _) -> nonlinear_body e
-  | Ca.SeqJoin _ | Ca.Union _ | Ca.Diff _ | Ca.GroupBySeq _ -> true
-  | Ca.CrossChron _ | Ca.ThetaJoinChron _ -> true
-
-(* What a re-probe of the groups [keys] of [v] refolds: the body output
-   over the already-mutated base, for at least those groups.  For a
-   MIN/MAX view whose group-key attributes are all columns of the
-   body's one chronicle, reached through selections, projections and
-   joins with relations, only the stored rows holding those keys can
-   land in those groups: the body runs over just them, found through
-   the chronicle's index on the key columns (built here, before the
-   folds start, so a fold only reads it).  Otherwise the body runs over
-   all retained history. *)
-let reprobe_source v body =
-  let everything _ = Eval.eval body in
-  match Sca.summarize (View.def v) with
-  | Sca.Group_agg (gl, al)
-    when gl <> []
-         && List.exists
-              (fun (c : Aggregate.call) -> c.func = Min || c.func = Max)
-              al -> (
-      let sources = List.map (Ca.column_source body) gl in
-      match sources with
-      | Some (c, _) :: _ when List.for_all Option.is_some sources ->
-          let cols =
-            Array.of_list (List.map (fun s -> snd (Option.get s)) sources)
-          in
-          let rows = Chron.matching c ~cols in
-          fun keys -> Eval.eval_over body c (rows (List.map Array.of_list keys))
-      | _ -> everything)
-  | Sca.Group_agg _ | Sca.Project_out _ -> everything
-
-(* Retract the given user rows at one sequence number and propagate the
-   weighted delta to every non-history-reading affected view, one
-   single-link chain per view (the caller rematerializes the history
-   readers once at the end). *)
-let retract_at t c ~open_view ~sn ~rows =
-  let tagged = List.map (Chron.tag sn) rows in
-  let wbatch = [ (c, List.map (fun tu -> (tu, -1)) tagged) ] in
-  let live =
-    List.filter
-      (fun v -> not (reads_history_view v))
-      (dedup_affected (Registry.affected t.registry c tagged))
-  in
-  (* at-sn before-slices, taken pre-mutation, only where the compiled
-     plan will actually diff them *)
-  let prepared =
-    List.map
-      (fun v ->
-        let body = Sca.body (View.def v) in
-        let slice_chrons =
-          if nonlinear_body body then Ca.chronicles body else []
-        in
-        let before =
-          List.map (fun ch -> (ch, Chron.at_sn ch sn)) slice_chrons
-        in
-        (v, reprobe_source v body, slice_chrons, before))
-      live
-  in
-  Chron.remove_stored c sn rows;
-  let apply_one (v, reprobe, slice_chrons, before) () =
-    let after = List.map (fun ch -> (ch, Chron.at_sn ch sn)) slice_chrons in
-    let wdelta =
-      Delta.run_weighted (View.plan v) ~sn ~wbatch ~before ~after
-    in
-    View.apply_weighted v ~reprobe wdelta
-  in
-  List.iter open_view live;
-  fold_chains t
-    (Array.of_list
-       (List.map
-          (fun ((v, _, _, _) as p) ->
-            [| (0, fold_link t v ~sn (apply_one p)) |])
-          prepared))
+   chronicle and propagates the change to the persistent views as the
+   minus half of a delta: COUNT/SUM-class aggregates invert in O(1) per
+   group, MIN/MAX groups that lose their extremum re-probe retained
+   history (only their own rows, where the group key is a chronicle
+   column), and views whose bodies read history outright
+   ([Ca.CrossChron]/[Ca.ThetaJoinChron]) are rematerialized.  It is the
+   record-and-fold step over minus entries in one [transaction] —
+   write-ahead [Ev_retract], marks, folds through [fold_link] on the
+   fold scheduler, commit or logical undo and [abort] — so its cost
+   follows the rows retracted, not |C| or |V|, apart from the re-probes
+   and rematerializations. *)
 
 (* Apply fully resolved retraction entries ([(sn, user rows)] with sn
    ascending) as one transaction. *)
 let retract_resolved t c entries =
-  let affected =
-    dedup_affected
-      (List.concat_map
-         (fun (sn, rows) ->
-           Registry.affected t.registry c (List.map (Chron.tag sn) rows))
-         entries)
+  let readers =
+    List.filter reads_history_view
+      (dedup_affected
+         (List.concat_map
+            (fun (sn, rows) ->
+              Registry.affected t.registry c (List.map (Chron.tag sn) rows))
+            entries))
   in
   let g = Chron.group c in
   let last_sn = fst (List.nth entries (List.length entries - 1)) in
@@ -727,21 +714,21 @@ let retract_resolved t c entries =
     ~event:(Ev_retract { chronicle = Chron.name c; entries })
     ~chrons:[ c ]
     (fun ~open_view ->
-      List.iter (fun (sn, rows) -> retract_at t c ~open_view ~sn ~rows) entries;
+      record_and_fold t ~open_view ~interleave:true ~folded:ignore
+        (fun _ (sn, rows) ->
+          Some { g; sn; batch = [ (c, { Delta.plus = []; minus = rows }) ] })
+        entries;
       (* a history reader's old output depended on history that has
-         just changed: weighted deltas cannot unwind it, so it is
-         rebuilt from retained history, as a fold at the last entry *)
+         just changed: a delta cannot unwind it, so it is rebuilt from
+         retained history, as a fold at the last entry *)
       List.iter
         (fun v ->
-          if reads_history_view v then begin
-            open_view v;
-            fold_link t v ~sn:last_sn
-              (fun () ->
-                View.replace v
-                  (Eval.eval_parallel t.pool (Sca.body (View.def v))))
-              ()
-          end)
-        affected);
+          open_view v;
+          fold_link t v ~sn:last_sn
+            (fun () ->
+              View.replace v (Eval.eval_parallel t.pool (Sca.body (View.def v))))
+            ())
+        readers);
   Stats.incr Stats.Retract_apply
 
 (* [rows] without its first element equal to [row], if it has one. *)

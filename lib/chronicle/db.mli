@@ -21,8 +21,9 @@ open Relational
     anything raises while the entries are being recorded or folded, all
     of it is rolled back before the exception propagates, so no
     partially-maintained view is ever observable ([Stats.Rollback]
-    counts such aborts).  A retraction ({!retract}) runs in the same
-    bracket, with logical undo.  Subscribers ({!Chron.on_append}) and batch
+    counts such aborts).  A retraction ({!retract}) is the same step
+    over minus entries ({!Delta.zset}: the rows removed at each sequence
+    number) in the same bracket, with logical undo.  Subscribers ({!Chron.on_append}) and batch
     hooks ({!on_batch}) run strictly after commit, in record order.  A
     durability layer can watch the bracket through {!set_txn_sink}
     (write-ahead journaling) and inject faults through
@@ -182,8 +183,8 @@ val insert_rows : t -> string -> Tuple.t list -> unit
 val retract : t -> string -> Tuple.t list -> int
 (** [retract t chronicle rows] removes one stored occurrence of each
     given user row from the chronicle's retained history and propagates
-    the change to every affected persistent view as a ℤ-weighted
-    (weight −1) delta; returns the number of rows retracted.  Each
+    the change to every affected persistent view as the minus half of a
+    delta ({!Delta.zset}); returns the number of rows retracted.  Each
     requested row resolves to its {e newest} unclaimed stored
     occurrence (deterministic); the claims are applied grouped by
     sequence number, ascending.
@@ -343,7 +344,7 @@ val set_txn_sink : t -> (txn_event -> unit) option -> unit
 
 val set_fold_probe : t -> (view:string -> sn:Seqnum.t -> unit) option -> unit
 (** Install a probe called immediately before each affected view's fold
-    — an append's fold or a retraction's weighted fold, at the entry's
+    — an append's or a retraction's fold, at the entry's
     sequence number — the fault-injection hook: a probe that raises
     aborts the batch or retraction mid-maintenance, exercising the
     rollback path. *)

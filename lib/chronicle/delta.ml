@@ -1,120 +1,111 @@
 open Relational
 
+type zset = { plus : Tuple.t list; minus : Tuple.t list }
 type batch = (Chron.t * Tuple.t list) list
-type weighted = (Tuple.t * int) list
-type wbatch = (Chron.t * weighted) list
+type change = (Chron.t * zset) list
 
-let delta_of_base batch c =
-  match List.find_opt (fun (c', _) -> c' == c) batch with
-  | Some (_, tuples) -> tuples
-  | None -> []
+let empty = { plus = []; minus = [] }
+let appended batch = List.map (fun (c, tuples) -> (c, { plus = tuples; minus = [] })) batch
 
-module Tup_tbl = Hashtbl.Make (struct
-  type t = Value.t list
-
-  let equal = Value.equal_list
-  let hash = Value.hash_list
-end)
-
-(* Multiset difference [after − before] as a ℤ-weighted delta, in
+(* Multiset difference [after − before] as a Z-set, each half in
    first-appearance order.  Occurrences present on both sides cancel
    (bumping [Stats.Weight_cancel] per cancelled pair); a tuple whose
    counts balance exactly disappears from the delta entirely. *)
-let mdiff after before : weighted =
-  let tbl = Tup_tbl.create 32 in
+let mdiff after before =
+  let tbl = Tuple.Tbl.create 32 in
   let order = ref [] in
-  let cell key =
-    match Tup_tbl.find_opt tbl key with
+  let cell tu =
+    match Tuple.Tbl.find_opt tbl tu with
     | Some c -> c
     | None ->
         let c = (ref 0, ref 0) in
-        Tup_tbl.add tbl key c;
-        order := key :: !order;
+        Tuple.Tbl.add tbl tu c;
+        order := tu :: !order;
         c
   in
-  List.iter (fun tu -> incr (fst (cell (Array.to_list tu)))) after;
-  List.iter (fun tu -> incr (snd (cell (Array.to_list tu)))) before;
-  List.filter_map
-    (fun key ->
-      let a, b = Tup_tbl.find tbl key in
+  List.iter (fun tu -> incr (fst (cell tu))) after;
+  List.iter (fun tu -> incr (snd (cell tu))) before;
+  let rec copies n tu acc = if n <= 0 then acc else copies (n - 1) tu (tu :: acc) in
+  List.fold_left
+    (fun z tu ->
+      let a, b = Tuple.Tbl.find tbl tu in
       let cancelled = min !a !b in
       if cancelled > 0 then Stats.add Stats.Weight_cancel cancelled;
-      let w = !a - !b in
-      if w = 0 then None else Some (Tuple.make key, w))
-    (List.rev !order)
+      { plus = copies (!a - !b) tu z.plus; minus = copies (!b - !a) tu z.minus })
+    empty !order
 
 (* A compiled Δ-evaluator.  All expression-dependent work — schema
    derivation, predicate compilation, projector construction, key-join
    position resolution — happens once in [compile]; [run] then does only
-   probe-and-fold work per appended batch.  The chronicle layer caches
-   one plan per persistent view ([View.plan]), so steady-state
-   maintenance recompiles nothing.
+   probe-and-fold work per batch.  The chronicle layer caches one plan
+   per persistent view ([View.plan]), so steady-state maintenance
+   recompiles nothing.
 
-   Each node compiles into two evaluators sharing one set of compiled
-   artifacts (predicates, projectors, and crucially the key-join
-   heavy-light partition state):
+   Each node maps the Z-set change of the base chronicles at [sn] to
+   the Z-set change of its output.  Linear operators (the base
+   chronicle, σ, Π, ×R, ⋈_key R) apply their one compiled function —
+   predicate, projector, key-join heavy-light partition — to both
+   halves.  Non-linear operators (∪ and − under set semantics, ⋈_SN,
+   GROUPBY) apply their own delta rule to their operands' plus halves,
+   which for an append are the at-[sn] slices themselves.  A retraction
+   also passes the full at-[sn] slices of every base chronicle, before
+   and after the mutation: a CA delta at [sn] depends only on those
+   slices, so the node's change is the multiset difference of its plain
+   evaluation over the two ([mdiff]).  The slices are read only when
+   [before] is non-empty.  History-reading operators have no minus form
+   at all — [Db.retract] rematerializes such views from retained
+   history instead. *)
+type node = sn:Seqnum.t -> before:batch -> after:batch -> change -> zset
+type plan = { expr : Ca.t; node : node; reads_slices : bool }
 
-   - [exec], the weight=+1 append fast path — byte-for-byte the
-     pre-weighted evaluator; and
-   - [wexec], the ℤ-weighted path used by retraction.  Linear operators
-     (σ, Π, ×R, ⋈_key R, and the base chronicle) thread weights through
-     unchanged.  Non-linear operators (∪ and − under set semantics,
-     ⋈_SN, GROUPBY) cannot flip a weight through their own delta rule;
-     but a CA delta at sequence number [sn] depends only on the at-[sn]
-     slice of its base chronicles, so their weighted delta is the
-     multiset difference of the node's own plain evaluation over the
-     after-slices versus the before-slices ([mdiff]).  History-reading
-     operators have no weighted form at all — [Db.retract]
-     rematerializes such views from retained history instead. *)
-type node = {
-  x : sn:Seqnum.t -> batch:batch -> Tuple.t list;
-  w : sn:Seqnum.t -> wbatch:wbatch -> before:batch -> after:batch -> weighted;
-}
+let linear f (child : node) : node =
+ fun ~sn ~before ~after change ->
+  let z = child ~sn ~before ~after change in
+  { plus = f z.plus; minus = f z.minus }
 
-type plan = { expr : Ca.t; node : node }
+(* [rule ~sn change] is the operator's rule over its operands' plus
+   halves; [reads] records that the plan needs the at-sn slices. *)
+let nonlinear reads rule : node =
+  reads := true;
+  fun ~sn ~before ~after change ->
+    if before = [] then { plus = rule ~sn change; minus = [] }
+    else mdiff (rule ~sn (appended after)) (rule ~sn (appended before))
 
-let nonlinear x =
- fun ~sn ~wbatch:_ ~before ~after ->
-  mdiff (x ~sn ~batch:after) (x ~sn ~batch:before)
-
-let no_weighted what =
- fun ~sn:_ ~wbatch:_ ~before:_ ~after:_ ->
+let no_minus what =
   invalid_arg
     (Printf.sprintf
-       "Delta: %s reads retained history and has no weighted delta form \
+       "Delta: %s reads retained history and has no minus delta form \
         (rematerialize the view instead)"
        what)
 
-let rec comp ~heavy_threshold expr : node =
-  let comp = comp ~heavy_threshold in
+(* A chronicle-chronicle join: each operand's delta against the other
+   operand's history before [sn], plus the two deltas against each
+   other; [pair] joins two tuples, or rejects the pair. *)
+let history_reader what l r (cl : node) (cr : node) pair : node =
+ fun ~sn ~before ~after change ->
+  let dl = cl ~sn ~before ~after change and dr = cr ~sn ~before ~after change in
+  if dl.minus <> [] || dr.minus <> [] then no_minus what;
+  let old_l = Eval.eval_before l sn and old_r = Eval.eval_before r sn in
+  let cross left right =
+    List.concat_map (fun ltu -> List.filter_map (pair ltu) right) left
+  in
+  {
+    plus = cross dl.plus old_r @ cross old_l dr.plus @ cross dl.plus dr.plus;
+    minus = [];
+  }
+
+let rec comp ~heavy_threshold reads expr : node =
+  let comp = comp ~heavy_threshold reads in
+  let plus (child : node) ~sn change = (child ~sn ~before:[] ~after:[] change).plus in
   match expr with
   | Ca.Chronicle c ->
-      {
-        x = (fun ~sn:_ ~batch -> delta_of_base batch c);
-        w = (fun ~sn:_ ~wbatch ~before:_ ~after:_ -> delta_of_base wbatch c);
-      }
+      fun ~sn:_ ~before:_ ~after:_ change ->
+        Option.value ~default:empty (List.assq_opt c change)
   | Ca.Select (p, e) ->
       let keep = Predicate.compile (Ca.schema_of e) p in
-      let child = comp e in
-      {
-        x = (fun ~sn ~batch -> List.filter keep (child.x ~sn ~batch));
-        w =
-          (fun ~sn ~wbatch ~before ~after ->
-            List.filter
-              (fun (tu, _) -> keep tu)
-              (child.w ~sn ~wbatch ~before ~after));
-      }
+      linear (List.filter keep) (comp e)
   | Ca.Project (attrs, e) ->
-      let proj = Tuple.projector (Ca.schema_of e) attrs in
-      let child = comp e in
-      {
-        x = (fun ~sn ~batch -> List.map proj (child.x ~sn ~batch));
-        w =
-          (fun ~sn ~wbatch ~before ~after ->
-            List.map
-              (fun (tu, w) -> (proj tu, w))
-              (child.w ~sn ~wbatch ~before ~after));
-      }
+      linear (List.map (Tuple.projector (Ca.schema_of e) attrs)) (comp e)
   | Ca.SeqJoin (l, r) ->
       (* both deltas carry only the batch's sequence number, so the join
          degenerates to a product of the two deltas (appendix, Thm 4.1) *)
@@ -125,57 +116,37 @@ let rec comp ~heavy_threshold expr : node =
              (fun n -> not (String.equal n Seqnum.attr))
              (Schema.names rs))
       in
-      let cl = comp l and cr = comp r in
-      let x ~sn ~batch =
-        let dl = cl.x ~sn ~batch and dr = cr.x ~sn ~batch in
-        if dl = [] || dr = [] then []
-        else
-          List.concat_map
-            (fun ltu -> List.map (fun rtu -> Tuple.concat ltu (drop_sn rtu)) dr)
-            dl
-      in
-      { x; w = nonlinear x }
+      let cl = plus (comp l) and cr = plus (comp r) in
+      nonlinear reads (fun ~sn change ->
+          let dl = cl ~sn change and dr = cr ~sn change in
+          if dl = [] || dr = [] then []
+          else
+            List.concat_map
+              (fun ltu -> List.map (fun rtu -> Tuple.concat ltu (drop_sn rtu)) dr)
+              dl)
   | Ca.Union (l, r) ->
-      let cl = comp l and cr = comp r in
-      let x ~sn ~batch = Tuple.dedup (cl.x ~sn ~batch @ cr.x ~sn ~batch) in
-      { x; w = nonlinear x }
+      let cl = plus (comp l) and cr = plus (comp r) in
+      nonlinear reads (fun ~sn change ->
+          Tuple.dedup (cl ~sn change @ cr ~sn change))
   | Ca.Diff (l, r) ->
-      let cl = comp l and cr = comp r in
-      let x ~sn ~batch = Tuple.diff (cl.x ~sn ~batch) (cr.x ~sn ~batch) in
-      { x; w = nonlinear x }
+      let cl = plus (comp l) and cr = plus (comp r) in
+      nonlinear reads (fun ~sn change -> Tuple.diff (cl ~sn change) (cr ~sn change))
   | Ca.GroupBySeq (gl, al, e) ->
       let grouper = Groupby.compiled (Ca.schema_of e) ~group_by:gl ~aggs:al in
-      let child = comp e in
-      let x ~sn ~batch = Groupby.run_compiled grouper (child.x ~sn ~batch) in
-      { x; w = nonlinear x }
+      let child = plus (comp e) in
+      nonlinear reads (fun ~sn change ->
+          Groupby.run_compiled grouper (child ~sn change))
   | Ca.ProductRel (e, rel) ->
-      let child = comp e in
-      {
-        x =
-          (fun ~sn ~batch ->
-            let delta = child.x ~sn ~batch in
-            if delta = [] then []
-            else
-              Relation.fold
-                (fun acc rtu ->
-                  List.fold_left
-                    (fun acc tu -> Tuple.concat tu rtu :: acc)
-                    acc delta)
-                [] rel
-              |> List.rev);
-        w =
-          (fun ~sn ~wbatch ~before ~after ->
-            let delta = child.w ~sn ~wbatch ~before ~after in
-            if delta = [] then []
-            else
-              Relation.fold
-                (fun acc rtu ->
-                  List.fold_left
-                    (fun acc (tu, w) -> (Tuple.concat tu rtu, w) :: acc)
-                    acc delta)
-                [] rel
-              |> List.rev);
-      }
+      linear
+        (fun delta ->
+          if delta = [] then []
+          else
+            Relation.fold
+              (fun acc rtu ->
+                List.fold_left (fun acc tu -> Tuple.concat tu rtu :: acc) acc delta)
+              [] rel
+            |> List.rev)
+        (comp e)
   | Ca.KeyJoinRel (e, rel, pairs) ->
       (* join each Δ tuple with the matching relation tuples via an
          index probe on the join attributes (at most a constant number
@@ -186,9 +157,8 @@ let rec comp ~heavy_threshold expr : node =
          lazy probe.  [Skew.matches] guarantees the result is
          byte-identical to the lazy expression at the relation's
          current version, so the fold stays order-identical to the
-         sequential oracle at every parallelism degree.  Both the
-         append and the weighted path probe through the same partition
-         state. *)
+         sequential oracle at every parallelism degree.  Both halves
+         probe through the same partition state. *)
       let schema = Ca.schema_of e in
       let left_key = Tuple.projector schema (List.map fst pairs) in
       let right_attrs = List.map snd pairs in
@@ -202,69 +172,34 @@ let rec comp ~heavy_threshold expr : node =
         let key = Array.to_list (left_key tu) in
         Skew.matches part rel ~attrs:right_attrs ~project:rproj key
       in
-      let child = comp e in
-      {
-        x =
-          (fun ~sn ~batch ->
-            List.concat_map
-              (fun tu -> List.map (fun rtu -> Tuple.concat tu rtu) (probe tu))
-              (child.x ~sn ~batch));
-        w =
-          (fun ~sn ~wbatch ~before ~after ->
-            List.concat_map
-              (fun (tu, w) ->
-                List.map (fun rtu -> (Tuple.concat tu rtu, w)) (probe tu))
-              (child.w ~sn ~wbatch ~before ~after));
-      }
+      linear
+        (List.concat_map (fun tu ->
+             List.map (fun rtu -> Tuple.concat tu rtu) (probe tu)))
+        (comp e)
   | Ca.CrossChron (l, r) ->
       (* Theorem 4.3: requires the old value of the opposite operand,
          i.e. access to retained history — necessarily evaluated at run
          time, no compile-once shortcut exists. *)
-      let cl = comp l and cr = comp r in
-      let x ~sn ~batch =
-        let dl = cl.x ~sn ~batch and dr = cr.x ~sn ~batch in
-        let old_l = Eval.eval_before l sn and old_r = Eval.eval_before r sn in
-        let cross left right =
-          List.concat_map
-            (fun ltu -> List.map (fun rtu -> Tuple.concat ltu rtu) right)
-            left
-        in
-        cross dl old_r @ cross old_l dr @ cross dl dr
-      in
-      { x; w = no_weighted "CrossChron" }
+      history_reader "CrossChron" l r (comp l) (comp r) (fun ltu rtu ->
+          Some (Tuple.concat ltu rtu))
   | Ca.ThetaJoinChron (p, l, r) ->
       let keep = Predicate.compile (Ca.schema_of expr) p in
-      let cl = comp l and cr = comp r in
-      let x ~sn ~batch =
-        let dl = cl.x ~sn ~batch and dr = cr.x ~sn ~batch in
-        let old_l = Eval.eval_before l sn and old_r = Eval.eval_before r sn in
-        let cross left right =
-          List.concat_map
-            (fun ltu ->
-              List.filter_map
-                (fun rtu ->
-                  let tu = Tuple.concat ltu rtu in
-                  if keep tu then Some tu else None)
-                right)
-            left
-        in
-        cross dl old_r @ cross old_l dr @ cross dl dr
-      in
-      { x; w = no_weighted "ThetaJoinChron" }
+      history_reader "ThetaJoinChron" l r (comp l) (comp r) (fun ltu rtu ->
+          let tu = Tuple.concat ltu rtu in
+          if keep tu then Some tu else None)
 
 let compile ?(heavy_threshold = 0) expr =
   Stats.incr Stats.Plan_compile;
-  { expr; node = comp ~heavy_threshold expr }
+  let reads = ref false in
+  let node = comp ~heavy_threshold reads expr in
+  { expr; node; reads_slices = !reads }
 
-let run plan ~sn ~batch = plan.node.x ~sn ~batch
+let run plan ~sn ?(before = []) ?(after = []) change =
+  plan.node ~sn ~before ~after change
 
-let run_weighted plan ~sn ~wbatch ~before ~after =
-  plan.node.w ~sn ~wbatch ~before ~after
-
+let reads_slices plan = plan.reads_slices
 let expr plan = plan.expr
-
-let eval ?heavy_threshold expr ~sn ~batch =
-  run (compile ?heavy_threshold expr) ~sn ~batch
+let eval expr ~sn ~batch = (run (compile expr) ~sn (appended batch)).plus
 
 let all_fresh schema sn tuples =
   match Schema.pos_opt schema Seqnum.attr with

@@ -5,7 +5,7 @@ open Relational
 
     Given one append batch (a set of tuples inserted under a single
     fresh sequence number, possibly into several chronicles of one
-    group), [eval] computes the set of tuples the batch adds to the
+    group), [run] computes the set of tuples the batch adds to the
     expression — {e without} accessing the stored chronicles, the
     materialized view, or any intermediate view, for every operator of
     CA.  Only the deliberately non-CA operators ([Ca.CrossChron],
@@ -13,35 +13,44 @@ open Relational
     (bumping [Stats.Chronicle_scan]); their cost is what Theorem 4.3
     says cannot be avoided.
 
-    The Δ-rules, from the paper's appendix:
+    A delta is a Z-set: the difference of two bags, written as its two
+    halves, where a tuple of weight [w] appears [|w|] times in one
+    half.  An append is the plus half of a delta, a retraction
+    (DBSP-style, a delete is the inverse of an insert) the minus half.
+
+    The Δ-rules, from the paper's appendix, on a change [Δ = Δ⁺ − Δ⁻]:
     {ul
-    {- Δ(σₚE) = σₚ(ΔE)}
-    {- Δ(ΠE) = Π(ΔE)}
-    {- Δ(E₁ ∪ E₂) = ΔE₁ ∪ ΔE₂ (set union)}
-    {- Δ(E₁ − E₂) = ΔE₁ − ΔE₂ (sound because fresh sequence numbers
-       cannot collide with any pre-existing tuple of the group)}
-    {- Δ(C₁ ⋈_SN C₂) = ΔC₁ ⋈_SN ΔC₂ (the cross terms are empty for the
-       same reason)}
-    {- Δ(GROUPBY(E, GL ∋ SN, AL)) = GROUPBY(ΔE, GL, AL) (fresh sequence
-       numbers open brand-new groups)}
-    {- Δ(C × R) = ΔC × R, with R's {e current} version (the implicit
-       temporal join of §2.3)}
-    {- Δ(C ⋈_key R) = one index probe into R per ΔC tuple.}} *)
+    {- linear operators apply their rule to each half:
+       Δ(σₚE) = σₚ(ΔE⁺) − σₚ(ΔE⁻), likewise Π;
+       Δ(C × R) = ΔC × R, with R's {e current} version (the implicit
+       temporal join of §2.3); Δ(C ⋈_key R) = one index probe into R
+       per ΔC tuple.}
+    {- non-linear operators apply their rule to the at-[sn] slices of
+       the base chronicles — for an append, the batch itself:
+       Δ(E₁ ∪ E₂) = ΔE₁ ∪ ΔE₂ (set union);
+       Δ(E₁ − E₂) = ΔE₁ − ΔE₂ (sound because fresh sequence numbers
+       cannot collide with any pre-existing tuple of the group);
+       Δ(C₁ ⋈_SN C₂) = ΔC₁ ⋈_SN ΔC₂ (the cross terms are empty for the
+       same reason);
+       Δ(GROUPBY(E, GL ∋ SN, AL)) = GROUPBY(ΔE, GL, AL) (fresh sequence
+       numbers open brand-new groups).
+       A CA delta at [sn] depends only on those slices, so under a
+       retraction the change is the rule over the slices after the
+       mutation minus the rule over the slices before it.}} *)
+
+type zset = { plus : Tuple.t list; minus : Tuple.t list }
+(** A Z-set delta in two halves: the occurrences gained ([plus]) and
+    lost ([minus]). *)
 
 type batch = (Chron.t * Tuple.t list) list
-(** The tagged tuples appended to each chronicle, all under one
-    sequence number. *)
+(** Tagged tuples of each chronicle, all under one sequence number: an
+    appended batch, or the at-[sn] slices of a retraction. *)
 
-type weighted = (Tuple.t * int) list
-(** A ℤ-weighted delta (a Z-set): each tuple with the signed number of
-    occurrences it gains ([> 0]) or loses ([< 0]).  The append path is
-    the degenerate all-weights-[+1] case and never materializes this
-    form. *)
+type change = (Chron.t * zset) list
+(** The Z-set change to each chronicle, all under one sequence number. *)
 
-type wbatch = (Chron.t * weighted) list
-(** The weighted change to each chronicle, all under one sequence
-    number — for retraction, the removed tagged tuples with weight
-    [-1]. *)
+val appended : batch -> change
+(** Each chronicle's tuples as the plus half of its change. *)
 
 type plan
 (** A compiled Δ-evaluator: schemas resolved, predicates/projectors
@@ -61,35 +70,32 @@ val compile : ?heavy_threshold:int -> Ca.t -> plan
     discarded with the plan on redefinition; it never changes the
     tuples or order a run produces. *)
 
-val run : plan -> sn:Seqnum.t -> batch:batch -> Tuple.t list
-(** Tuples the batch adds to the expression; zero recompilation. *)
-
-val run_weighted :
-  plan ->
-  sn:Seqnum.t ->
-  wbatch:wbatch ->
-  before:batch ->
-  after:batch ->
-  weighted
-(** ℤ-weighted change of the expression's output caused by [wbatch] at
-    sequence number [sn].  Linear operators thread weights through the
-    same compiled artifacts (including each key-join site's heavy-light
-    partition) as {!run}; non-linear operators (∪, −, ⋈_SN, GROUPBY)
-    evaluate their own plain delta over [after] versus [before] — the
-    full at-[sn] slices of every base chronicle, after and before the
-    mutation — and return the multiset difference (cancelled
-    occurrences bump [Stats.Weight_cancel]).  Raises
-    [Invalid_argument] on history-reading operators ([Ca.CrossChron],
+val run :
+  plan -> sn:Seqnum.t -> ?before:batch -> ?after:batch -> change -> zset
+(** The change of the expression's output caused by [change] at
+    sequence number [sn]; zero recompilation.  An append passes its
+    batch as plus halves ({!appended}) and no slices.  A retraction
+    passes minus halves and, when the plan {!reads_slices}, the full
+    at-[sn] slices of every base chronicle [before] and [after] the
+    mutation; non-linear operators then return the multiset difference
+    of their plain evaluation over the two (cancelled occurrences bump
+    [Stats.Weight_cancel]).  Raises [Invalid_argument] when a minus
+    half reaches a history-reading operator ([Ca.CrossChron],
     [Ca.ThetaJoinChron]): such views must be rematerialized, not
     incrementally unwound. *)
+
+val reads_slices : plan -> bool
+(** Whether the plan holds a non-linear operator, i.e. whether a
+    retraction must pass it the at-[sn] slices. *)
 
 val expr : plan -> Ca.t
 (** The expression the plan was compiled from. *)
 
-val eval : ?heavy_threshold:int -> Ca.t -> sn:Seqnum.t -> batch:batch -> Tuple.t list
-(** Tuples added to the expression by the batch; [run ∘ compile].
-    One-shot convenience — repeated callers should hold a {!plan}
-    (or use the per-view cache, {!View.plan}). *)
+val eval : Ca.t -> sn:Seqnum.t -> batch:batch -> Tuple.t list
+(** Tuples added to the expression by an appended batch: the plus half
+    of [run (compile e) (appended batch)].  One-shot convenience —
+    repeated callers should hold a {!plan} (or use the per-view cache,
+    {!View.plan}). *)
 
 val all_fresh : Schema.t -> Seqnum.t -> Tuple.t list -> bool
 (** Theorem 4.1 check: every tuple's sequencing attribute equals the

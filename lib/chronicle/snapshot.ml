@@ -250,15 +250,15 @@ let get_index_kind r =
    restored from a checkpoint must keep maintaining correctly under
    retraction, so crash-equivalence holds for weighted workloads too. *)
 let put_view_contents buf view =
-  match View.dump_w view with
-  | View.Rows_dump_w keys ->
+  match View.dump view with
+  | View.Rows_dump keys ->
       put_tag buf 0;
       Codec.put_list
         (fun buf (key, mult) ->
           put_key buf key;
           Codec.put_int buf mult)
         buf keys
-  | View.Groups_dump_w groups ->
+  | View.Groups_dump groups ->
       put_tag buf 1;
       Codec.put_list
         (fun buf (key, mult, states) ->
@@ -270,14 +270,14 @@ let put_view_contents buf view =
 let get_view_contents r =
   match Codec.byte r with
   | 0 ->
-      View.Rows_dump_w
+      View.Rows_dump
         (Codec.list
            (fun r ->
              let key = get_key r in
              (key, Codec.int_ r))
            r)
   | 1 ->
-      View.Groups_dump_w
+      View.Groups_dump
         (Codec.list
            (fun r ->
              let key = get_key r in
@@ -401,7 +401,7 @@ let get_db ?jobs ?heavy_threshold r =
          in
          let def = Sca.define ~allow_non_ca:true ~name ~body (get_summarize r) in
          let view = View.create ~index ~heavy_threshold:(Db.heavy_threshold db) def in
-         View.load_w view (get_view_contents r);
+         View.load view (get_view_contents r);
          Registry.register (Db.registry db) view)
        r);
   db

@@ -29,10 +29,10 @@ type 'v backing =
   | Tree of 'v Key_tree.t
 
 (* Every entry carries a hidden ℤ-multiplicity: how many body-output
-   occurrences support it.  The weight=+1 append path only ever
-   increments it (invisible to the outside: set semantics and
-   aggregate states are unchanged); the weighted retraction path
-   decrements it and drops the entry exactly when it reaches zero. *)
+   occurrences support it.  A delta's plus half increments it
+   (invisible to the outside: set semantics and aggregate states are
+   unchanged); its minus half decrements it and drops the entry exactly
+   when it reaches zero. *)
 type group = { mutable g_mult : int; g_states : Aggregate.state array }
 
 type contents =
@@ -241,43 +241,6 @@ let step_states t states tu =
       states.(i) <- Aggregate.step c.func states.(i) arg)
     t.aggs
 
-let apply_delta t delta =
-  t.batches <- t.batches + 1;
-  match t.contents with
-  | Rows backing ->
-      List.iter
-        (fun tu ->
-          let key = Array.to_list (t.key_of tu) in
-          match backing_find backing key with
-          | Some r ->
-              (* set semantics: already present; only the hidden
-                 multiplicity moves *)
-              touch_row t key r;
-              incr r
-          | None -> add_entry t backing key (ref 1))
-        delta
-  | Groups backing ->
-      List.iter
-        (fun tu ->
-          let key = Array.to_list (t.key_of tu) in
-          let states =
-            match backing_find backing key with
-            | Some g ->
-                touch_group t key g;
-                g.g_mult <- g.g_mult + 1;
-                g.g_states
-            | None ->
-                let g = { g_mult = 1; g_states = fresh_states t } in
-                add_entry t backing key g;
-                g.g_states
-          in
-          step_states t states tu)
-        delta
-
-let maintain t ~sn ~batch = apply_delta t (Delta.run (plan t) ~sn ~batch)
-
-(* ---- weighted (ℤ-delta) maintenance: the retraction path ---- *)
-
 (* Undo one [step_states] in place.  [`Reprobe] means some call could
    not invert (MIN/MAX losing its extremum); states may then be left
    partially inverted — the caller resets and refolds the whole group,
@@ -313,99 +276,103 @@ let compact_unlogged t =
     | Rows backing -> backing_compact backing
     | Groups backing -> backing_compact backing
 
-(* Apply a ℤ-weighted view-output delta: weight [w > 0] folds the tuple
-   in [w] times, [w < 0] retracts [-w] occurrences.  An entry whose
-   multiplicity reaches zero is removed.  Groups whose aggregates
-   cannot invert are marked, then recomputed from a single call of
-   [reprobe keys] — the view body's output over the {e already
-   mutated} base, covering at least the marked groups' [keys] —
-   bumping [Stats.Aggregate_reprobe] once per marked group.  Under an
-   active transaction every entry is saved before it is first stepped,
-   so [rollback_txn] undoes the whole fold. *)
-let apply_weighted t ~reprobe:source wdelta =
+let no_reprobe _ =
+  invalid_arg "View.apply: a MIN/MAX group lost its extremum without a re-probe source"
+
+let absent what = invalid_arg ("View.apply: retracting an absent " ^ what)
+
+(* Fold a Z-set body delta: the plus half, then the minus half, each in
+   order.  A plus tuple steps its entry (creating it at multiplicity
+   1); a minus tuple unsteps it, and an entry whose multiplicity
+   reaches zero is removed.  Groups whose aggregates cannot invert are
+   marked, then recomputed from a single call of [reprobe keys] — the
+   view body's output over the {e already mutated} base, covering at
+   least the marked groups' [keys] — bumping [Stats.Aggregate_reprobe]
+   once per marked group.  Under an active transaction every entry is
+   saved before it is first stepped, so [rollback_txn] undoes the whole
+   fold. *)
+let apply ?(reprobe = no_reprobe) t ({ plus; minus } : Delta.zset) =
+  t.batches <- t.batches + 1;
   (match t.contents with
   | Rows backing ->
       List.iter
-        (fun (tu, w) ->
-          if w <> 0 then
-            let key = Array.to_list (t.key_of tu) in
-            match backing_find backing key with
-            | Some r ->
-                let m = !r + w in
-                if m < 0 then
-                  invalid_arg "View.apply_weighted: negative multiplicity"
-                else if m = 0 then remove_entry t backing key r
-                else begin
-                  touch_row t key r;
-                  r := m
-                end
-            | None ->
-                if w < 0 then
-                  invalid_arg "View.apply_weighted: retracting an absent row";
-                add_entry t backing key (ref w))
-        wdelta
-  | Groups backing ->
-      let reprobe = Key_tbl.create 8 in
-      let add g tu w =
-        for _ = 1 to w do step_states t g.g_states tu done;
-        g.g_mult <- g.g_mult + w
-      in
-      let retract g key tu w =
-        (try
-           for _ = 1 to -w do
-             match unstep_states t g.g_states tu with
-             | `Inverted -> g.g_mult <- g.g_mult - 1
-             | `Reprobe ->
-                 Key_tbl.replace reprobe key g;
-                 raise Exit
-           done
-         with Exit -> ());
-        if not (Key_tbl.mem reprobe key) then
-          if g.g_mult < 0 then
-            invalid_arg "View.apply_weighted: negative multiplicity"
-          else if g.g_mult = 0 then remove_entry t backing key g
-      in
+        (fun tu ->
+          let key = Array.to_list (t.key_of tu) in
+          match backing_find backing key with
+          | Some r ->
+              (* set semantics: already present; only the hidden
+                 multiplicity moves *)
+              touch_row t key r;
+              incr r
+          | None -> add_entry t backing key (ref 1))
+        plus;
       List.iter
-        (fun (tu, w) ->
-          if w <> 0 then begin
-            let key = Array.to_list (t.key_of tu) in
-            if not (Key_tbl.mem reprobe key) then
-              match backing_find backing key with
-              | Some g ->
-                  touch_group t key g;
-                  if w > 0 then add g tu w else retract g key tu w
-              | None ->
-                  if w < 0 then
-                    invalid_arg
-                      "View.apply_weighted: retracting an absent group";
-                  let g = { g_mult = 0; g_states = fresh_states t } in
-                  add_entry t backing key g;
-                  add g tu w
-          end)
-        wdelta;
-      if Key_tbl.length reprobe > 0 then begin
-        (* some MIN/MAX group lost its extremum: reset every marked
-           group and refold it from one post-mutation body read *)
-        Key_tbl.iter
-          (fun _ g ->
-            g.g_mult <- 0;
-            let fresh = fresh_states t in
-            Array.blit fresh 0 g.g_states 0 (Array.length fresh))
-          reprobe;
+        (fun tu ->
+          let key = Array.to_list (t.key_of tu) in
+          match backing_find backing key with
+          | Some r when !r = 1 -> remove_entry t backing key r
+          | Some r ->
+              touch_row t key r;
+              decr r
+          | None -> absent "row")
+        minus
+  | Groups backing ->
+      List.iter
+        (fun tu ->
+          let key = Array.to_list (t.key_of tu) in
+          let states =
+            match backing_find backing key with
+            | Some g ->
+                touch_group t key g;
+                g.g_mult <- g.g_mult + 1;
+                g.g_states
+            | None ->
+                let g = { g_mult = 1; g_states = fresh_states t } in
+                add_entry t backing key g;
+                g.g_states
+          in
+          step_states t states tu)
+        plus;
+      if minus <> [] then begin
+        let marked = Key_tbl.create 8 in
         List.iter
           (fun tu ->
             let key = Array.to_list (t.key_of tu) in
-            match Key_tbl.find_opt reprobe key with
-            | Some g ->
-                step_states t g.g_states tu;
-                g.g_mult <- g.g_mult + 1
-            | None -> ())
-          (source (Key_tbl.fold (fun key _ keys -> key :: keys) reprobe []));
-        Key_tbl.iter
-          (fun key g ->
-            Stats.incr Stats.Aggregate_reprobe;
-            if g.g_mult = 0 then remove_entry t backing key g)
-          reprobe
+            if not (Key_tbl.mem marked key) then
+              match backing_find backing key with
+              | Some g -> (
+                  touch_group t key g;
+                  match unstep_states t g.g_states tu with
+                  | `Inverted ->
+                      g.g_mult <- g.g_mult - 1;
+                      if g.g_mult = 0 then remove_entry t backing key g
+                  | `Reprobe -> Key_tbl.replace marked key g)
+              | None -> absent "group")
+          minus;
+        if Key_tbl.length marked > 0 then begin
+          (* some MIN/MAX group lost its extremum: reset every marked
+             group and refold it from one post-mutation body read *)
+          Key_tbl.iter
+            (fun _ g ->
+              g.g_mult <- 0;
+              let fresh = fresh_states t in
+              Array.blit fresh 0 g.g_states 0 (Array.length fresh))
+            marked;
+          List.iter
+            (fun tu ->
+              let key = Array.to_list (t.key_of tu) in
+              match Key_tbl.find_opt marked key with
+              | Some g ->
+                  step_states t g.g_states tu;
+                  g.g_mult <- g.g_mult + 1
+              | None -> ())
+            (reprobe (Key_tbl.fold (fun key _ keys -> key :: keys) marked []));
+          Key_tbl.iter
+            (fun key g ->
+              Stats.incr Stats.Aggregate_reprobe;
+              if g.g_mult = 0 then remove_entry t backing key g)
+            marked
+        end
       end);
   compact_unlogged t
 
@@ -441,12 +408,11 @@ let replace t initial =
   (match t.contents with
   | Rows backing -> clear backing
   | Groups backing -> clear backing);
-  apply_delta t initial;
-  compact_unlogged t
+  apply t { plus = initial; minus = [] }
 
 let of_initial ?index ?heavy_threshold def initial =
   let t = create ?index ?heavy_threshold def in
-  apply_delta t initial;
+  apply t { plus = initial; minus = [] };
   t.batches <- 0;
   t
 
@@ -495,20 +461,22 @@ let materialize t =
 
 let maintained_batches t = t.batches
 
+(* Dumps carry the hidden multiplicities, so a view restored through
+   [load] maintains correctly under later retractions. *)
 type dump =
-  | Groups_dump of (Value.t list * Aggregate.state list) list
-  | Rows_dump of Value.t list list
+  | Groups_dump of (Value.t list * int * Aggregate.state list) list
+  | Rows_dump of (Value.t list * int) list
 
 let dump t =
   match t.contents with
   | Rows backing ->
       let acc = ref [] in
-      backing_iter (fun key (_ : int ref) -> acc := key :: !acc) backing;
+      backing_iter (fun key r -> acc := (key, !r) :: !acc) backing;
       Rows_dump (List.rev !acc)
   | Groups backing ->
       let acc = ref [] in
       backing_iter
-        (fun key g -> acc := (key, Array.to_list g.g_states) :: !acc)
+        (fun key g -> acc := (key, g.g_mult, Array.to_list g.g_states) :: !acc)
         backing;
       Groups_dump (List.rev !acc)
 
@@ -516,57 +484,17 @@ let load t dump =
   if size t <> 0 then invalid_arg "View.load: view is not empty";
   match t.contents, dump with
   | Rows backing, Rows_dump keys ->
-      List.iter (fun key -> backing_add backing key (ref 1)) keys
-  | Groups backing, Groups_dump groups ->
-      List.iter
-        (fun (key, states) ->
-          if List.length states <> List.length t.aggs then
-            invalid_arg "View.load: aggregate-state arity mismatch";
-          backing_add backing key
-            { g_mult = 1; g_states = Array.of_list states })
-        groups
-  | Rows _, Groups_dump _ | Groups _, Rows_dump _ ->
-      invalid_arg "View.load: dump shape does not match the view kind"
-
-(* ---- multiplicity-preserving dumps (snapshots) ----
-
-   {!dump}/{!load} predate ℤ-weighted deltas and project the hidden
-   multiplicities out (load defaults them to 1); these variants carry
-   them, so a view restored through [load_w] maintains correctly under
-   later retractions. *)
-
-type dump_w =
-  | Groups_dump_w of (Value.t list * int * Aggregate.state list) list
-  | Rows_dump_w of (Value.t list * int) list
-
-let dump_w t =
-  match t.contents with
-  | Rows backing ->
-      let acc = ref [] in
-      backing_iter (fun key r -> acc := (key, !r) :: !acc) backing;
-      Rows_dump_w (List.rev !acc)
-  | Groups backing ->
-      let acc = ref [] in
-      backing_iter
-        (fun key g -> acc := (key, g.g_mult, Array.to_list g.g_states) :: !acc)
-        backing;
-      Groups_dump_w (List.rev !acc)
-
-let load_w t dump =
-  if size t <> 0 then invalid_arg "View.load_w: view is not empty";
-  match t.contents, dump with
-  | Rows backing, Rows_dump_w keys ->
       List.iter (fun (key, mult) -> backing_add backing key (ref mult)) keys
-  | Groups backing, Groups_dump_w groups ->
+  | Groups backing, Groups_dump groups ->
       List.iter
         (fun (key, mult, states) ->
           if List.length states <> List.length t.aggs then
-            invalid_arg "View.load_w: aggregate-state arity mismatch";
+            invalid_arg "View.load: aggregate-state arity mismatch";
           backing_add backing key
             { g_mult = mult; g_states = Array.of_list states })
         groups
-  | Rows _, Groups_dump_w _ | Groups _, Rows_dump_w _ ->
-      invalid_arg "View.load_w: dump shape does not match the view kind"
+  | Rows _, Groups_dump _ | Groups _, Rows_dump _ ->
+      invalid_arg "View.load: dump shape does not match the view kind"
 
 let pp ppf t =
   Format.fprintf ppf "@[<v2>view %a [%d rows, %d batches]" Sca.pp t.def (size t)

@@ -28,37 +28,34 @@ val name : t -> string
 val schema : t -> Schema.t
 val index_kind : t -> Index.kind
 
-val apply_delta : t -> Tuple.t list -> unit
-(** Fold a batch of body-delta tuples (from [Delta.run]) into the
-    materialization. *)
-
-val apply_weighted :
-  t -> reprobe:(Value.t list list -> Tuple.t list) -> (Tuple.t * int) list -> unit
-(** Fold a ℤ-weighted body delta: weight [w > 0] adds [w] occurrences
-    of the tuple, [w < 0] retracts [-w]; entries whose hidden
-    multiplicity reaches zero disappear from the view (O(1) amortised:
-    a hash backing leaves a ghost slot, compacted once ghosts pass half
-    its order vector).  COUNT/SUM-class aggregates invert in O(1) per
-    call ({!Aggregate.unstep}); the MIN/MAX groups losing their
-    extremum are recomputed from a single call of [reprobe keys] — the
-    body's output over the already-mutated base, covering at least the
-    groups whose keys (group-by values, in order) are listed; tuples of
-    other groups are ignored — bumping [Stats.Aggregate_reprobe] once
-    per such group.  Raises
-    [Invalid_argument] on a retraction the materialization cannot
-    account for (absent row/group or negative multiplicity).  Under an
-    active transaction the fold is logged like an append's, so
-    {!rollback_txn} undoes it. *)
+val apply :
+  ?reprobe:(Value.t list list -> Tuple.t list) -> t -> Delta.zset -> unit
+(** Fold a Z-set body delta (from {!Delta.run}) into the
+    materialization: the plus half, then the minus half, each in
+    order.  A plus tuple adds one occurrence; a minus tuple retracts
+    one, and entries whose hidden multiplicity reaches zero disappear
+    from the view (O(1) amortised: a hash backing leaves a ghost slot,
+    compacted once ghosts pass half its order vector).  COUNT/SUM-class
+    aggregates invert in O(1) per tuple ({!Aggregate.unstep}); the
+    MIN/MAX groups losing their extremum are recomputed from a single
+    call of [reprobe keys] — the body's output over the already-mutated
+    base, covering at least the groups whose keys (group-by values, in
+    order) are listed; tuples of other groups are ignored — bumping
+    [Stats.Aggregate_reprobe] once per such group ([Invalid_argument]
+    without [reprobe]).  Raises [Invalid_argument] on a retraction the
+    materialization cannot account for (absent row or group).  Under
+    an active transaction the fold is logged, so {!rollback_txn} undoes
+    it. *)
 
 val multiplicity : t -> Value.t list -> int
 (** Hidden ℤ-multiplicity of the entry with the given logical key
-    (0 if absent).  The weight=+1 append path only ever increments it;
-    observable set semantics and aggregate results are unchanged. *)
+    (0 if absent): the occurrences supporting it.  Observable set
+    semantics and aggregate results do not depend on it. *)
 
 (** {2 Plan cache}
 
     Each view carries at most one compiled Δ-plan for its body
-    ({!Delta.compile}); the transaction path replays it per batch, so
+    ({!Delta.compile}); the transaction path runs it per batch, so
     steady-state maintenance performs zero schema derivations,
     predicate compilations or projector constructions.  The cache is
     keyed by the view object itself: redefining a view builds a new
@@ -70,16 +67,11 @@ val plan : t -> Delta.plan
     ([Stats.Plan_cache_miss]), afterwards bumps
     [Stats.Plan_cache_hit]. *)
 
-val maintain : t -> sn:Seqnum.t -> batch:Delta.batch -> unit
-(** [apply_delta t (Delta.run (plan t) ~sn ~batch)]: the whole
-    per-batch maintenance step through the plan cache. *)
-
 (** {2 Transactional batches}
 
     {!Db} brackets the maintenance of every affected view — by an
-    append's folds, a retraction's weighted folds or a
-    rematerialization — with [begin_txn] … [commit_txn], and calls
-    [rollback_txn] on all of them if {e any} step raises — so no
+    append's or a retraction's folds, or a rematerialization — with
+    [begin_txn] … [commit_txn], and calls [rollback_txn] on all of them if {e any} step raises — so no
     partially-maintained view (nor a fully-maintained sibling of a
     failed one) is ever observable.  While a transaction is active the
     view records an undo log: entries it creates and removes, and
@@ -124,35 +116,26 @@ val materialize : t -> Relation.t
     queries over the view). *)
 
 val maintained_batches : t -> int
-(** Number of delta batches folded in so far. *)
+(** Number of deltas folded in so far, appends' and retractions'. *)
 
 (** {2 Snapshots}
 
     Persistent views must survive restarts without replaying the
     chronicle (which was never stored); dump/load expose the exact
-    materialization state. *)
+    materialization state, hidden multiplicities included, so a
+    restored view stays correct under later retractions. *)
 
 type dump =
-  | Groups_dump of (Value.t list * Aggregate.state list) list
-  | Rows_dump of Value.t list list
+  | Groups_dump of (Value.t list * int * Aggregate.state list) list
+      (** key, multiplicity, aggregate states *)
+  | Rows_dump of (Value.t list * int) list  (** key, multiplicity *)
 
 val dump : t -> dump
+
 val load : t -> dump -> unit
 (** Restore into a freshly created view of the same definition; raises
-    [Invalid_argument] if the view is non-empty or the dump shape does
-    not match the summarization kind.  Multiplicities are projected out
-    by [dump] and default to 1 on [load]; a view that must keep
-    maintaining under retraction goes through {!dump_w}/{!load_w}. *)
-
-(** Multiplicity-preserving variants: the state captured here restores
-    to a view that stays correct under later ℤ-weighted deltas. *)
-type dump_w =
-  | Groups_dump_w of (Value.t list * int * Aggregate.state list) list
-  | Rows_dump_w of (Value.t list * int) list
-
-val dump_w : t -> dump_w
-
-val load_w : t -> dump_w -> unit
-(** Same contract as {!load} (empty view, matching shape/arity). *)
+    [Invalid_argument] if the view is non-empty, the dump shape does
+    not match the summarization kind, or a group's aggregate states do
+    not match the view's aggregates. *)
 
 val pp : Format.formatter -> t -> unit

@@ -85,27 +85,29 @@ let get_window_dump r =
 
 (* ---- the four session components ---- *)
 
+(* Periodic slots only ever append, so their entries are written
+   without multiplicities and load with multiplicity 1. *)
 let put_view_dump buf = function
   | View.Rows_dump keys ->
       put_tag buf 0;
-      Codec.put_list put_key buf keys
+      Codec.put_list (fun buf (key, _) -> put_key buf key) buf keys
   | View.Groups_dump groups ->
       put_tag buf 1;
       Codec.put_list
-        (fun buf (key, states) ->
+        (fun buf (key, _, states) ->
           put_key buf key;
           Codec.put_list Aggregate.put_state buf states)
         buf groups
 
 let get_view_dump r =
   match Codec.byte r with
-  | 0 -> View.Rows_dump (Codec.list get_key r)
+  | 0 -> View.Rows_dump (Codec.list (fun r -> (get_key r, 1)) r)
   | 1 ->
       View.Groups_dump
         (Codec.list
            (fun r ->
              let key = get_key r in
-             (key, Codec.list Aggregate.get_state r))
+             (key, 1, Codec.list Aggregate.get_state r))
            r)
   | t -> Codec.fail "unknown view dump tag %#x" t
 

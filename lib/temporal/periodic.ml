@@ -80,9 +80,9 @@ let note_append t ~sn ~batch =
   expire_views t chronon;
   open_views t chronon;
   if Hashtbl.length t.active > 0 then begin
-    let delta = Delta.run t.body_plan ~sn ~batch in
-    if delta <> [] then
-      Hashtbl.iter (fun _ slot -> View.apply_delta slot.view delta) t.active
+    let delta = Delta.run t.body_plan ~sn (Delta.appended batch) in
+    if delta.plus <> [] then
+      Hashtbl.iter (fun _ slot -> View.apply slot.view delta) t.active
   end
 
 let attach db t = Db.on_batch db (fun ~sn ~batch -> note_append t ~sn ~batch)

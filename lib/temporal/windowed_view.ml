@@ -71,7 +71,7 @@ let fresh_windows t =
 
 let note_append t ~sn ~batch =
   let chronon = Group.now t.group in
-  let delta = Delta.run t.body_plan ~sn ~batch in
+  let delta = (Delta.run t.body_plan ~sn (Delta.appended batch)).plus in
   List.iter
     (fun tu ->
       let key = Array.to_list (t.key_of tu) in

@@ -27,15 +27,19 @@ let test_detects_corruption () =
   let view = View.create def in
   let feed tuples =
     let sn = Chron.append fx.mileage tuples in
-    View.apply_delta view
-      (Delta.eval (Sca.body def) ~sn
-         ~batch:[ (fx.mileage, List.map (Chron.tag sn) tuples) ])
+    View.apply view
+      {
+        Delta.plus =
+          Delta.eval (Sca.body def) ~sn
+            ~batch:[ (fx.mileage, List.map (Chron.tag sn) tuples) ];
+        minus = [];
+      }
   in
   feed [ mile 1 100 1. ];
   feed [ mile 2 50 1. ];
   (* corrupt the materialization: replay a delta twice (a classic
      double-apply bug) *)
-  View.apply_delta view [ Chron.tag 99 (mile 1 100 1.) ];
+  View.apply view { Delta.plus = [ Chron.tag 99 (mile 1 100 1.) ]; minus = [] };
   match Audit.check_view view with
   | Audit.Inconsistent { missing; unexpected } ->
       check_int "one row wrong each way" 1 (List.length missing);
@@ -48,9 +52,13 @@ let test_unauditable_without_history () =
   let view = View.create (balance_def fx) in
   let tuples = [ mile 1 1 1. ] in
   let sn = Chron.append fx.mileage tuples in
-  View.apply_delta view
-    (Delta.eval (Sca.body (balance_def fx)) ~sn
-       ~batch:[ (fx.mileage, List.map (Chron.tag sn) tuples) ]);
+  View.apply view
+    {
+      Delta.plus =
+        Delta.eval (Sca.body (balance_def fx)) ~sn
+          ~batch:[ (fx.mileage, List.map (Chron.tag sn) tuples) ];
+      minus = [];
+    };
   match Audit.check_view view with
   | Audit.Unauditable _ -> ()
   | v -> Alcotest.failf "expected unauditable, got %a" Audit.pp_verdict v
@@ -61,9 +69,13 @@ let test_window_overflow_becomes_unauditable () =
   let view = View.create def in
   let feed tuples =
     let sn = Chron.append fx.mileage tuples in
-    View.apply_delta view
-      (Delta.eval (Sca.body def) ~sn
-         ~batch:[ (fx.mileage, List.map (Chron.tag sn) tuples) ])
+    View.apply view
+      {
+        Delta.plus =
+          Delta.eval (Sca.body def) ~sn
+            ~batch:[ (fx.mileage, List.map (Chron.tag sn) tuples) ];
+        minus = [];
+      }
   in
   feed [ mile 1 1 1. ];
   feed [ mile 1 2 1. ];

@@ -36,7 +36,11 @@ let test_incremental_equals_batch () =
   let feed tuples =
     let sn = Chron.append calls tuples in
     let tagged = List.map (Chron.tag sn) tuples in
-    View.apply_delta view (Delta.eval (Sca.body def) ~sn ~batch:[ (calls, tagged) ])
+    View.apply view
+      {
+        Delta.plus = Delta.eval (Sca.body def) ~sn ~batch:[ (calls, tagged) ];
+        minus = [];
+      }
   in
   (* customer 1 crosses both thresholds over the month *)
   feed [ call 1 10 8. ];
@@ -72,7 +76,11 @@ let test_incremental_needs_no_history () =
   let feed tuples =
     let sn = Chron.append calls tuples in
     let tagged = List.map (Chron.tag sn) tuples in
-    View.apply_delta view (Delta.eval (Sca.body def) ~sn ~batch:[ (calls, tagged) ])
+    View.apply view
+      {
+        Delta.plus = Delta.eval (Sca.body def) ~sn ~batch:[ (calls, tagged) ];
+        minus = [];
+      }
   in
   feed [ call 1 10 12. ];
   check_float "incremental works without history" (12. *. 0.9)
@@ -104,8 +112,12 @@ let qcheck_incremental_equals_batch_streams =
         (fun (number, cost) ->
           let tu = call number 1 cost in
           let sn = Chron.append calls [ tu ] in
-          View.apply_delta view
-            (Delta.eval (Sca.body def) ~sn ~batch:[ (calls, [ Chron.tag sn tu ]) ]))
+          View.apply view
+            {
+              Delta.plus =
+                Delta.eval (Sca.body def) ~sn ~batch:[ (calls, [ Chron.tag sn tu ]) ];
+              minus = [];
+            })
         calls_list;
       List.for_all
         (fun number ->

@@ -333,9 +333,6 @@ let test_golden_journal () =
   (* payload hex: tag byte, then fields — strings and lists
      length-prefixed, ints zigzag varints, values tagged (02 = Int,
      03 = Float as 8 big-endian bytes, 04 = Str) *)
-  let hex s =
-    String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.of_seq (String.to_seq s))))
-  in
   Alcotest.(check (list string))
     "journal bytes"
     [

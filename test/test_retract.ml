@@ -20,9 +20,12 @@ let row (acct, miles) = Fixtures.mile acct miles 1.
 
 (* One database exercising every retraction regime at once: an
    invertible linear aggregate, a MIN/MAX extremum (bounded re-probe),
-   a key join with a relation, a non-linear ∪ body (at-sn slice
-   diffing) and a Rows-backed projection. *)
-let view_names = [ "balance"; "extremes"; "by_state"; "merged"; "postings" ]
+   a key join with a relation, a Rows-backed projection, and every
+   non-linear body (at-sn slice diffing): ∪, −, ⋈_SN, and GROUPBY over
+   the sequence number feeding a MAX. *)
+let view_names =
+  [ "balance"; "extremes"; "by_state"; "merged"; "postings"; "unmatched";
+    "paired"; "peak_batch" ]
 
 let mk_db ?(jobs = 1) ?index () =
   let db = Db.create ~jobs () in
@@ -77,31 +80,57 @@ let mk_db ?(jobs = 1) ?index () =
        (Sca.define ~name:"postings"
           ~body:(Ca.Select (Predicate.("miles" >% vi 0), mileage))
           (Sca.Project_out [ "acct"; "miles" ])));
+  ignore
+    (Db.define_view db ?index
+       (Sca.define ~name:"unmatched"
+          ~body:(Ca.Diff (mileage, bonus))
+          (Sca.Project_out [ "acct"; "miles" ])));
+  ignore
+    (Db.define_view db ?index
+       (Sca.define ~name:"paired"
+          ~body:
+            (Ca.SeqJoin
+               ( Ca.Project ([ Seqnum.attr; "acct" ], mileage),
+                 Ca.Project ([ Seqnum.attr; "miles" ], bonus) ))
+          (Sca.Group_agg
+             ( [ "acct" ],
+               [ Aggregate.sum "miles" "m"; Aggregate.count_star "k" ] ))));
+  ignore
+    (Db.define_view db ?index
+       (Sca.define ~name:"peak_batch"
+          ~body:
+            (Ca.GroupBySeq
+               ([ Seqnum.attr; "acct" ], [ Aggregate.sum "miles" "total" ], mileage))
+          (Sca.Group_agg ([ "acct" ], [ Aggregate.max_ "total" "peak" ]))));
   db
 
 (* ---- scenario: pure data, so one script runs at several degrees ----
 
-   Each batch lands under one sequence number; every row carries a
-   retraction priority (the random order) and a survival flag (the
-   partial-retraction subset). *)
+   Each batch lands under one sequence number, in one chronicle or in
+   both; every row carries a retraction priority (the random order) and
+   a survival flag (the partial-retraction subset). *)
 
 type srow = { acct : int; miles : int; prio : int; keep : bool }
-type batch = { chron : int; rows : srow list }
+type part = { chron : int; rows : srow list }
+type batch = part list (* distinct chronicles *)
 type scenario = batch list
 
 let append_all db (s : scenario) =
   List.iter
     (fun b ->
       ignore
-        (Db.append db (cname b.chron)
-           (List.map (fun r -> row (r.acct, r.miles)) b.rows)))
+        (Db.append_multi db
+           (List.map
+              (fun p -> (cname p.chron, List.map (fun r -> row (r.acct, r.miles)) p.rows))
+              b)))
     s
 
 (* All rows matching [sel], in ascending priority order (stable, so
    duplicates are deterministic). *)
 let to_retract sel (s : scenario) =
   List.concat_map
-    (fun b -> List.filter_map (fun r -> if sel r then Some (b.chron, r) else None) b.rows)
+    (List.concat_map (fun p ->
+         List.filter_map (fun r -> if sel r then Some (p.chron, r) else None) p.rows))
     s
   |> List.stable_sort (fun (_, a) (_, b) -> compare a.prio b.prio)
 
@@ -119,22 +148,29 @@ let gen_scenario =
         (fun ((acct, miles), (prio, keep)) -> { acct; miles; prio; keep })
         (pair (pair (1 -- 4) (1 -- 50)) (pair (0 -- 1000) bool))
     in
+    let gen_part chron = map (fun rows -> { chron; rows }) (list_size (1 -- 3) gen_row) in
     list_size (1 -- 8)
-      (map
-         (fun (chron, rows) -> { chron; rows })
-         (pair (0 -- 1) (list_size (1 -- 3) gen_row))))
+      (oneof
+         [
+           map (fun p -> [ p ]) (0 -- 1 >>= gen_part);
+           map2 (fun m b -> [ m; b ]) (gen_part 0) (gen_part 1);
+         ]))
 
 let print_scenario (s : scenario) =
   String.concat "; "
     (List.map
        (fun b ->
-         Printf.sprintf "%s:[%s]" (cname b.chron)
-           (String.concat ","
-              (List.map
-                 (fun r ->
-                   Printf.sprintf "(%d,%d,p%d,%s)" r.acct r.miles r.prio
-                     (if r.keep then "keep" else "drop"))
-                 b.rows)))
+         String.concat "+"
+           (List.map
+              (fun p ->
+                Printf.sprintf "%s:[%s]" (cname p.chron)
+                  (String.concat ","
+                     (List.map
+                        (fun r ->
+                          Printf.sprintf "(%d,%d,p%d,%s)" r.acct r.miles r.prio
+                            (if r.keep then "keep" else "drop"))
+                        p.rows)))
+              b))
        s)
 
 let scenario_arb = QCheck.make ~print:print_scenario gen_scenario
@@ -163,7 +199,9 @@ let prop_full_retraction s =
    and under a ∪ body, which deduplicates within one sequence number,
    the two histories then differ. *)
 let survivors (s : scenario) =
-  let batches = Array.of_list (List.map (fun b -> (b.chron, ref b.rows)) s) in
+  let batches =
+    Array.of_list (List.map (List.map (fun p -> (p.chron, ref p.rows))) s)
+  in
   let same r r' = r.acct = r'.acct && r.miles = r'.miles in
   let rec remove_one r = function
     | [] -> []
@@ -172,14 +210,21 @@ let survivors (s : scenario) =
   List.iter
     (fun (chron, r) ->
       let rec claim i =
-        let c, rows = batches.(i) in
-        if c = chron && List.exists (same r) !rows then rows := remove_one r !rows
-        else claim (i - 1)
+        match List.assoc_opt chron batches.(i) with
+        | Some rows when List.exists (same r) !rows -> rows := remove_one r !rows
+        | Some _ | None -> claim (i - 1)
       in
       claim (Array.length batches - 1))
     (to_retract (fun r -> not r.keep) s);
   List.filter_map
-    (fun (chron, rows) -> if !rows = [] then None else Some { chron; rows = !rows })
+    (fun parts ->
+      match
+        List.filter_map
+          (fun (chron, rows) -> if !rows = [] then None else Some { chron; rows = !rows })
+          parts
+      with
+      | [] -> None
+      | b -> Some b)
     (Array.to_list batches)
 
 let prop_partial_retraction s =
@@ -205,15 +250,17 @@ let test_partial_retraction_duplicate_rows () =
   let r acct miles prio keep = { acct; miles; prio; keep } in
   ignore
     (prop_partial_retraction
-       [
-         { chron = 1; rows = [ r 1 6 236 false; r 4 42 620 false ] };
-         { chron = 1; rows = [ r 4 9 873 true; r 3 22 878 true; r 3 9 562 false ] };
-         { chron = 1; rows = [ r 4 5 786 false; r 3 40 183 false ] };
-         { chron = 1; rows = [ r 1 47 269 false; r 1 42 991 false ] };
-         { chron = 0; rows = [ r 4 3 340 false; r 1 7 740 false; r 4 3 612 true ] };
-         { chron = 1; rows = [ r 2 21 236 false; r 4 40 142 false; r 1 12 38 false ] };
-         { chron = 0; rows = [ r 4 3 43 true; r 3 26 707 true; r 1 35 932 true ] };
-       ])
+       (List.map
+          (fun p -> [ p ])
+          [
+            { chron = 1; rows = [ r 1 6 236 false; r 4 42 620 false ] };
+            { chron = 1; rows = [ r 4 9 873 true; r 3 22 878 true; r 3 9 562 false ] };
+            { chron = 1; rows = [ r 4 5 786 false; r 3 40 183 false ] };
+            { chron = 1; rows = [ r 1 47 269 false; r 1 42 991 false ] };
+            { chron = 0; rows = [ r 4 3 340 false; r 1 7 740 false; r 4 3 612 true ] };
+            { chron = 1; rows = [ r 2 21 236 false; r 4 40 142 false; r 1 12 38 false ] };
+            { chron = 0; rows = [ r 4 3 43 true; r 3 26 707 true; r 1 35 932 true ] };
+          ]))
 
 (* ---- parallelism transparency: jobs ∈ {1,2,4} byte-identical ---- *)
 
@@ -333,6 +380,25 @@ let test_retract_union_slice_diff () =
     (Db.summary db ~view:"merged" [ vi 1 ] = Some (tup [ vi 1; vi 15; vi 2 ]));
   check_bool "acct 2 is gone from the union" true
     (Db.summary db ~view:"merged" [ vi 2 ] = None)
+
+let test_retract_diff_gains_rows () =
+  let db = mk_db () in
+  (* (1, 10) in both chronicles under one sequence number: the
+     difference hides it until its right-hand occurrence goes *)
+  ignore
+    (Db.append_multi db
+       [ ("mileage", [ row (1, 10); row (2, 20) ]); ("bonus", [ row (1, 10) ]) ]);
+  check_tuples "hidden by the right-hand row"
+    [ tup [ vi 2; vi 20 ] ]
+    (Db.view_contents db "unmatched");
+  check_int "retracted" 1 (Db.retract db "bonus" [ row (1, 10) ]);
+  check_tuples "the difference gains the row"
+    [ tup [ vi 1; vi 10 ]; tup [ vi 2; vi 20 ] ]
+    (Db.view_contents db "unmatched");
+  check_int "and loses it with its left-hand row" 1
+    (Db.retract db "mileage" [ row (1, 10) ]);
+  check_tuples "left-hand retraction" [ tup [ vi 2; vi 20 ] ]
+    (Db.view_contents db "unmatched")
 
 let test_retract_classification () =
   let fx = Fixtures.make () in
@@ -690,6 +756,7 @@ let suite =
     test "retract: claims the newest occurrence" test_retract_claims_newest_occurrence;
     test "retract: MIN/MAX bounded re-probe" test_retract_minmax_reprobe;
     test "retract: union diffs the at-sn slice" test_retract_union_slice_diff;
+    test "retract: a difference gains rows" test_retract_diff_gains_rows;
     test "retract: static classification" test_retract_classification;
     test "retract: durable journal round-trip" test_retract_durable_roundtrip;
     test "retract: partial retraction with duplicate rows"

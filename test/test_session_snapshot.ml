@@ -100,8 +100,37 @@ let test_file_roundtrip () =
       let a, b = run_both session session' "SHOW WINDOWED recent;" in
       check_tuples "via file" (rows (List.hd a)) (rows (List.hd b)))
 
+(* The periodic-family section of a session snapshot, pinned: a Groups
+   family and a Rows family, each with a slot holding an equal row
+   appended twice.  Slot contents are written without multiplicities
+   (keys and aggregate states only). *)
+let test_golden_periodic () =
+  let session = Session.create () in
+  ignore
+    (Analyze.run_script session
+       "CREATE CHRONICLE t (a INT);\n\
+        DEFINE PERIODIC VIEW g AS SELECT a, COUNT(*) AS k FROM CHRONICLE t \
+        GROUP BY a CALENDAR TILING START 0 WIDTH 10;\n\
+        DEFINE PERIODIC VIEW r AS SELECT a FROM CHRONICLE t CALENDAR TILING \
+        START 0 WIDTH 10;\n\
+        APPEND INTO t VALUES (1);\n\
+        APPEND INTO t VALUES (1);");
+  let saved = Session_snapshot.save session in
+  let skip =
+    String.length (Relational.Codec.magic ~tag:"CHRONSES" ~version:2)
+    + String.length (Chronicle_core.Snapshot.save (Session.db session))
+  in
+  check_string "periodic section bytes, then no windowed views and no detectors"
+    (* g: ... slot 0 [0, 10) active, Groups [([1], COUNT 2)]; r: ...
+       slot 0 [0, 10) active, Rows [[1]]; then two empty lists *)
+    ("02" ^ "0167016700017401010161010543" ^ "4f554e5400016b01001414000002"
+   ^ "00" ^ "01000014010101010202010004" ^ "01720172000174000101610100"
+   ^ "1414000002000100001401000101" ^ "0202" ^ "0000")
+    (hex (String.sub saved skip (String.length saved - skip)))
+
 let suite =
   [
+    test "periodic family bytes are pinned" test_golden_periodic;
     test "roundtrip and identical continuation" test_roundtrip_and_continuation;
     test "detector cooldowns survive" test_cooldown_survives;
     test "malformed inputs rejected" test_not_a_session_snapshot;

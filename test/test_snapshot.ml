@@ -216,8 +216,37 @@ let qcheck_random_roundtrip =
       && Chron.stored (Db.chronicle db "mileage")
          = Chron.stored (Db.chronicle db' "mileage"))
 
+(* The snapshot bytes, pinned: one Groups view and one Rows view, each
+   holding an entry of hidden multiplicity 2 (an equal row appended
+   twice), written with its multiplicity. *)
+let test_golden_snapshot () =
+  let db = Db.create () in
+  let c =
+    Db.add_chronicle db ~name:"c" (Schema.make [ ("a", Value.TInt) ])
+  in
+  ignore
+    (Db.define_view db
+       (Sca.define ~name:"n" ~body:(Ca.Chronicle c)
+          (Sca.Group_agg ([ "a" ], [ Aggregate.count_star "k" ]))));
+  ignore
+    (Db.define_view db
+       (Sca.define ~name:"r" ~body:(Ca.Chronicle c) (Sca.Project_out [ "a" ])));
+  List.iter (fun a -> ignore (Db.append db "c" [ tup [ vi a ] ])) [ 1; 1; 2 ];
+  check_int "hidden multiplicity" 2 (View.multiplicity (Db.view db "r") [ vi 1 ]);
+  (* groups [main: watermark 3, clock 0]; chronicles [c: Discard, (a
+     INT), 3 appended, last sn 3, nothing stored]; no relations; views
+     [n: Groups, ([1], mult 2, COUNT 2), ([2], mult 1, COUNT 1)], [r:
+     Rows, ([1], mult 2), ([2], mult 1)] — ints are zigzag varints *)
+  check_string "snapshot bytes"
+    ("01046d61696e0600" ^ "010163046d61696e000101610106010600"
+   ^ "00" ^ "02016e0000016301010161010543" ^ "4f554e5400016b"
+   ^ "0102010202040100040102040201000201720000016300010161000201"
+   ^ "02020401020402")
+    (hex (Snapshot.save db))
+
 let suite =
   [
+    test "snapshot bytes are pinned" test_golden_snapshot;
     test "full database roundtrip" test_roundtrip_state;
     qcheck_random_roundtrip;
     test "maintenance continues after load" test_maintenance_continues_after_load;

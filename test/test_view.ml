@@ -9,7 +9,7 @@ let feed fx view batches =
       let sn = Chron.append fx.mileage tuples in
       let tagged = List.map (Chron.tag sn) tuples in
       let delta = Delta.eval (Sca.body (View.def view)) ~sn ~batch:[ (fx.mileage, tagged) ] in
-      View.apply_delta view delta)
+      View.apply view { Delta.plus = delta; minus = [] })
     batches
 
 let test_sca_definition_validation () =
@@ -92,10 +92,10 @@ let test_hash_and_tree_agree () =
       let sn = Chron.append fx.mileage tuples in
       let tagged = List.map (Chron.tag sn) tuples in
       let delta =
-        Delta.eval (Sca.body (View.def vh)) ~sn ~batch:[ (fx.mileage, tagged) ]
+        Delta.run (View.plan vh) ~sn (Delta.appended [ (fx.mileage, tagged) ])
       in
-      View.apply_delta vh delta;
-      View.apply_delta vt delta)
+      View.apply vh delta;
+      View.apply vt delta)
     [ [ mile 1 100 10. ]; [ mile 5 1 1.; mile 2 2 2. ]; [ mile 1 10 1. ] ];
   check_tuples "same contents" (View.to_list vh) (View.to_list vt)
 
@@ -146,8 +146,11 @@ let qcheck_view_equals_batch =
           let tuples = List.map (fun (a, m) -> mile a m 1.) batch in
           let sn = Chron.append fx.mileage tuples in
           let tagged = List.map (Chron.tag sn) tuples in
-          View.apply_delta view
-            (Delta.eval (Sca.body def) ~sn ~batch:[ (fx.mileage, tagged) ]))
+          View.apply view
+            {
+              Delta.plus = Delta.eval (Sca.body def) ~sn ~batch:[ (fx.mileage, tagged) ];
+              minus = [];
+            })
         stream;
       let batch_result = Sca.eval_summarize def (Eval.eval (Sca.body def)) in
       List.equal Tuple.equal
@@ -174,7 +177,8 @@ let test_dump_load_errors () =
   (match dumped with
   | View.Groups_dump groups ->
       let broken =
-        View.Groups_dump (List.map (fun (k, states) -> (k, states @ states)) groups)
+        View.Groups_dump
+          (List.map (fun (k, mult, states) -> (k, mult, states @ states)) groups)
       in
       check_raises_any "arity mismatch" (fun () -> View.load fresh broken)
   | View.Rows_dump _ -> Alcotest.fail "expected groups");
@@ -182,10 +186,32 @@ let test_dump_load_errors () =
   View.load fresh dumped;
   check_tuples "restored" (View.to_list view) (View.to_list fresh)
 
+(* A loaded view keeps its hidden multiplicities: retracting one of two
+   equal rows leaves the row, retracting the other removes it. *)
+let test_load_keeps_multiplicities () =
+  let fx = make () in
+  let def =
+    Sca.define ~name:"p" ~body:(Ca.Chronicle fx.mileage) (Sca.Project_out [ "acct" ])
+  in
+  let view = View.create def in
+  feed fx view [ [ mile 1 100 10. ]; [ mile 1 100 10. ] ];
+  let fresh = View.create def in
+  View.load fresh (View.dump view);
+  check_int "multiplicity restored" 2 (View.multiplicity fresh [ vi 1 ]);
+  let retract () =
+    View.apply fresh { Delta.plus = []; minus = [ Chron.tag 1 (mile 1 100 10.) ] }
+  in
+  retract ();
+  check_tuples "one of two retracted: the row stays" [ tup [ vi 1 ] ]
+    (View.to_list fresh);
+  retract ();
+  check_tuples "both retracted: the row goes" [] (View.to_list fresh)
+
 let suite =
   [
     test "SCA definition validation (Def 4.3)" test_sca_definition_validation;
     test "dump/load validation" test_dump_load_errors;
+    test "load keeps multiplicities" test_load_keeps_multiplicities;
     test "view schema and key" test_schema;
     test "grouped aggregation maintenance" test_group_agg_maintenance;
     test "incremental = batch summarization (with key join)" test_matches_batch_summarization;

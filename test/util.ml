@@ -36,6 +36,13 @@ let check_float msg expected actual =
 
 let test name f = Alcotest.test_case name `Quick f
 
+(* Lower-case hex of a byte string, for pinning encodings. *)
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
 let check_raises_any msg f =
   match f () with
   | _ -> Alcotest.failf "%s: expected an exception" msg
