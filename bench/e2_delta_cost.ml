@@ -129,4 +129,4 @@ let run () =
   json_rows := [];
   sweep_r ();
   sweep_u ();
-  Measure.write_json ~file:"BENCH_delta_cost.json" (List.rev !json_rows)
+  Measure.write_json ~file:"BENCH_delta_cost.json" (Measure.hardware_json () :: List.rev !json_rows)

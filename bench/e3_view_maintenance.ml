@@ -25,11 +25,11 @@ let build index groups =
     let tu = Tuple.make [ Value.Int g; Value.Int 1 ] in
     let sn = Chron.append chron [ tu ] in
     View.apply view
-      {
+      (Delta.of_zset {
         Delta.plus =
           Delta.eval (Sca.body def) ~sn ~batch:[ (chron, [ Chron.tag sn tu ]) ];
         minus = [];
-      }
+      })
   done;
   (chron, def, view)
 
@@ -38,11 +38,11 @@ let per_append chron def view ~groups =
       let tu = Tuple.make [ Value.Int ((i * 7919 mod groups) + 1); Value.Int 1 ] in
       let sn = Chron.append chron [ tu ] in
       View.apply view
-        {
+        (Delta.of_zset {
           Delta.plus =
             Delta.eval (Sca.body def) ~sn ~batch:[ (chron, [ Chron.tag sn tu ]) ];
           minus = [];
-        })
+        }))
 
 let run () =
   Measure.section "E3: Theorems 4.4/4.5 — maintenance vs view size |V|"

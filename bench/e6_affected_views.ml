@@ -48,10 +48,10 @@ let run () =
             List.iter
               (fun v ->
                 View.apply v
-                  {
+                  (Delta.of_zset {
                     Delta.plus = Delta.eval (Sca.body (View.def v)) ~sn ~batch;
                     minus = [];
-                  })
+                  }))
               (Registry.affected reg chron [ Chron.tag sn tu ]))
       in
       let maintained_before = Registry.skipped reg in
@@ -64,10 +64,10 @@ let run () =
             List.iter
               (fun v ->
                 View.apply v
-                  {
+                  (Delta.of_zset {
                     Delta.plus = Delta.eval (Sca.body (View.def v)) ~sn ~batch;
                     minus = [];
-                  })
+                  }))
               views)
       in
       rows :=

@@ -38,11 +38,11 @@ let run () =
             let tu = Telecom.call rng zipf in
             let sn = Chron.append calls [ tu ] in
             View.apply view
-              {
+              (Delta.of_zset {
                 Delta.plus =
                   Delta.eval (Sca.body def) ~sn ~batch:[ (calls, [ Chron.tag sn tu ]) ];
                 minus = [];
-              })
+              }))
       in
       (* end-of-month batch for every subscriber *)
       let batch_secs =

@@ -116,4 +116,4 @@ let run () =
   Measure.print_table ~title:"E8  sustained append throughput"
     ~header:[ "configuration"; "appends/sec"; "us/append" ]
     (List.rev !rows);
-  Measure.write_json ~file:"BENCH_throughput.json" (List.rev !json)
+  Measure.write_json ~file:"BENCH_throughput.json" (Measure.hardware_json () :: List.rev !json)

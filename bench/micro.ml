@@ -73,11 +73,11 @@ let delta_pipeline_test =
          let tu = Tuple.make [ Value.Int ((!i mod 1_000) + 1); Value.Int !i ] in
          let sn = Chron.append chron [ tu ] in
          View.apply view
-           {
+           (Delta.of_zset {
              Delta.plus =
                Delta.eval (Sca.body def) ~sn ~batch:[ (chron, [ Chron.tag sn tu ]) ];
              minus = [];
-           }))
+           })))
 
 let tests =
   Test.make_grouped ~name:"micro" ~fmt:"%s %s"

@@ -339,7 +339,7 @@ let record t { g; sn; batch } =
     Hashtbl.iter (fun _ r -> Versioned.flush_pending r ~upto:(sn - 1)) t.relations;
     ( delta,
       affected t (fun z -> z.Delta.plus) delta,
-      fun v () -> View.apply v (Delta.run (View.plan v) ~sn delta) )
+      fun v () -> View.apply v (Delta.stream (View.plan v) ~sn delta) )
   end
   else begin
     let delta =
@@ -355,7 +355,7 @@ let record t { g; sn; batch } =
         else []
       in
       let before = slices () and reprobe = reprobe_source v in
-      fun () -> View.apply ~reprobe v (Delta.run plan ~sn ~before ~after:(slices ()) delta)
+      fun () -> View.apply ~reprobe v (Delta.stream plan ~sn ~before ~after:(slices ()) delta)
     in
     let folds =
       List.filter_map

@@ -36,40 +36,65 @@ let mdiff after before =
 
 (* A compiled Δ-evaluator.  All expression-dependent work — schema
    derivation, predicate compilation, projector construction, key-join
-   position resolution — happens once in [compile]; [run] then does only
+   position resolution — happens once in [compile]; a run then does only
    probe-and-fold work per batch.  The chronicle layer caches one plan
    per persistent view ([View.plan]), so steady-state maintenance
    recompiles nothing.
 
-   Each node maps the Z-set change of the base chronicles at [sn] to
-   the Z-set change of its output.  Linear operators (the base
-   chronicle, σ, Π, ×R, ⋈_key R) apply their one compiled function —
-   predicate, projector, key-join heavy-light partition — to both
-   halves.  Non-linear operators (∪ and − under set semantics, ⋈_SN,
-   GROUPBY) apply their own delta rule to their operands' plus halves,
-   which for an append are the at-[sn] slices themselves.  A retraction
-   also passes the full at-[sn] slices of every base chronicle, before
-   and after the mutation: a CA delta at [sn] depends only on those
-   slices, so the node's change is the multiset difference of its plain
-   evaluation over the two ([mdiff]).  The slices are read only when
-   [before] is non-empty.  History-reading operators have no minus form
-   at all — [Db.retract] rematerializes such views from retained
-   history instead. *)
-type node = sn:Seqnum.t -> before:batch -> after:batch -> change -> zset
+   Each node pushes the Z-set change of its output — caused by the
+   Z-set change of the base chronicles at [sn] — into two sinks, the
+   plus half first, each half in order.  Linear operators (the base
+   chronicle, σ, Π, ⋈_key R) are per-tuple stream stages: one compiled
+   function — predicate, projector, key-join heavy-light probe — that
+   wraps the sink it feeds, used for both halves, with no list built
+   between stages.  ×R is linear too, but its output runs relation
+   tuple by relation tuple over the whole half, so it collects its
+   input half (not its output) first.  Non-linear operators (∪ and − under set
+   semantics, ⋈_SN, GROUPBY) apply their own delta rule to their
+   operands' plus halves, collected as lists, which for an append are
+   the at-[sn] slices themselves.  A retraction also passes the full
+   at-[sn] slices of every base chronicle, before and after the
+   mutation: a CA delta at [sn] depends only on those slices, so the
+   node's change is the multiset difference of its plain evaluation
+   over the two ([mdiff]).  The slices are read only when [before] is
+   non-empty.  History-reading operators have no minus form at all —
+   [Db.retract] rematerializes such views from retained history
+   instead. *)
+type sink = Tuple.t -> unit
+type stream = plus:sink -> minus:sink -> unit
+
+type node =
+  sn:Seqnum.t -> before:batch -> after:batch -> change -> plus:sink -> minus:sink -> unit
+
 type plan = { expr : Ca.t; node : node; reads_slices : bool }
 
-let linear f (child : node) : node =
- fun ~sn ~before ~after change ->
-  let z = child ~sn ~before ~after change in
-  { plus = f z.plus; minus = f z.minus }
+let emit z ~plus ~minus =
+  List.iter plus z.plus;
+  List.iter minus z.minus
+
+let of_zset z = emit z
+
+(* Both halves of a stream, as lists in stream order. *)
+let collect (s : stream) =
+  let plus = ref [] and minus = ref [] in
+  s ~plus:(fun tu -> plus := tu :: !plus) ~minus:(fun tu -> minus := tu :: !minus);
+  { plus = List.rev !plus; minus = List.rev !minus }
+
+let collect_node (node : node) ~sn ~before ~after change =
+  collect (node ~sn ~before ~after change)
+
+(* A stream stage: [stage sink] is the sink feeding [sink]. *)
+let linear (stage : sink -> sink) (child : node) : node =
+ fun ~sn ~before ~after change ~plus ~minus ->
+  child ~sn ~before ~after change ~plus:(stage plus) ~minus:(stage minus)
 
 (* [rule ~sn change] is the operator's rule over its operands' plus
    halves; [reads] records that the plan needs the at-sn slices. *)
 let nonlinear reads rule : node =
   reads := true;
   fun ~sn ~before ~after change ->
-    if before = [] then { plus = rule ~sn change; minus = [] }
-    else mdiff (rule ~sn (appended after)) (rule ~sn (appended before))
+    if before = [] then emit { plus = rule ~sn change; minus = [] }
+    else emit (mdiff (rule ~sn (appended after)) (rule ~sn (appended before)))
 
 let no_minus what =
   invalid_arg
@@ -83,29 +108,38 @@ let no_minus what =
    other; [pair] joins two tuples, or rejects the pair. *)
 let history_reader what l r (cl : node) (cr : node) pair : node =
  fun ~sn ~before ~after change ->
-  let dl = cl ~sn ~before ~after change and dr = cr ~sn ~before ~after change in
+  let dl = collect_node cl ~sn ~before ~after change
+  and dr = collect_node cr ~sn ~before ~after change in
   if dl.minus <> [] || dr.minus <> [] then no_minus what;
   let old_l = Eval.eval_before l sn and old_r = Eval.eval_before r sn in
   let cross left right =
     List.concat_map (fun ltu -> List.filter_map (pair ltu) right) left
   in
-  {
-    plus = cross dl.plus old_r @ cross old_l dr.plus @ cross dl.plus dr.plus;
-    minus = [];
-  }
+  emit
+    {
+      plus = cross dl.plus old_r @ cross old_l dr.plus @ cross dl.plus dr.plus;
+      minus = [];
+    }
+
+(* The values of [tu] at [pos] from [i] on, as a key list. *)
+let rec values_at tu pos i =
+  if i >= Array.length pos then [] else Tuple.get tu pos.(i) :: values_at tu pos (i + 1)
 
 let rec comp ~heavy_threshold reads expr : node =
   let comp = comp ~heavy_threshold reads in
-  let plus (child : node) ~sn change = (child ~sn ~before:[] ~after:[] change).plus in
+  let plus (child : node) ~sn change =
+    (collect_node child ~sn ~before:[] ~after:[] change).plus
+  in
   match expr with
   | Ca.Chronicle c ->
       fun ~sn:_ ~before:_ ~after:_ change ->
-        Option.value ~default:empty (List.assq_opt c change)
+        emit (Option.value ~default:empty (List.assq_opt c change))
   | Ca.Select (p, e) ->
       let keep = Predicate.compile (Ca.schema_of e) p in
-      linear (List.filter keep) (comp e)
+      linear (fun sink tu -> if keep tu then sink tu) (comp e)
   | Ca.Project (attrs, e) ->
-      linear (List.map (Tuple.projector (Ca.schema_of e) attrs)) (comp e)
+      let proj = Tuple.projector (Ca.schema_of e) attrs in
+      linear (fun sink tu -> sink (proj tu)) (comp e)
   | Ca.SeqJoin (l, r) ->
       (* both deltas carry only the batch's sequence number, so the join
          degenerates to a product of the two deltas (appendix, Thm 4.1) *)
@@ -137,16 +171,19 @@ let rec comp ~heavy_threshold reads expr : node =
       nonlinear reads (fun ~sn change ->
           Groupby.run_compiled grouper (child ~sn change))
   | Ca.ProductRel (e, rel) ->
-      linear
-        (fun delta ->
-          if delta = [] then []
-          else
-            Relation.fold
-              (fun acc rtu ->
-                List.fold_left (fun acc tu -> Tuple.concat tu rtu :: acc) acc delta)
-              [] rel
-            |> List.rev)
-        (comp e)
+      (* relation tuple by relation tuple, each against the whole half,
+         so the input half is collected first *)
+      let child = comp e in
+      fun ~sn ~before ~after change ~plus ~minus ->
+        let z = collect_node child ~sn ~before ~after change in
+        let product sink delta =
+          if delta <> [] then
+            Relation.iter
+              (fun _ rtu -> List.iter (fun tu -> sink (Tuple.concat tu rtu)) delta)
+              rel
+        in
+        product plus z.plus;
+        product minus z.minus
   | Ca.KeyJoinRel (e, rel, pairs) ->
       (* join each Δ tuple with the matching relation tuples via an
          index probe on the join attributes (at most a constant number
@@ -154,13 +191,13 @@ let rec comp ~heavy_threshold reads expr : node =
          heavy-light partitioned per compiled site: keys whose
          frequency crosses the threshold get their projected match run
          materialized once and served from cache; light keys keep the
-         lazy probe.  [Skew.matches] guarantees the result is
+         lazy probe.  [Skew.iter_matches] guarantees the matches are
          byte-identical to the lazy expression at the relation's
          current version, so the fold stays order-identical to the
          sequential oracle at every parallelism degree.  Both halves
          probe through the same partition state. *)
       let schema = Ca.schema_of e in
-      let left_key = Tuple.projector schema (List.map fst pairs) in
+      let left_pos = Array.of_list (List.map (fun (a, _) -> Schema.pos schema a) pairs) in
       let right_attrs = List.map snd pairs in
       let rschema = Relation.schema rel in
       let keep =
@@ -168,13 +205,12 @@ let rec comp ~heavy_threshold reads expr : node =
       in
       let rproj = Tuple.projector rschema keep in
       let part = Skew.create ~threshold:heavy_threshold () in
-      let probe tu =
-        let key = Array.to_list (left_key tu) in
-        Skew.matches part rel ~attrs:right_attrs ~project:rproj key
-      in
       linear
-        (List.concat_map (fun tu ->
-             List.map (fun rtu -> Tuple.concat tu rtu) (probe tu)))
+        (fun sink ->
+          let joined tu rtu = sink (Tuple.concat tu rtu) in
+          fun tu ->
+            let key = values_at tu left_pos 0 in
+            Skew.iter_matches part rel ~attrs:right_attrs ~project:rproj key joined tu)
         (comp e)
   | Ca.CrossChron (l, r) ->
       (* Theorem 4.3: requires the old value of the opposite operand,
@@ -194,8 +230,10 @@ let compile ?(heavy_threshold = 0) expr =
   let node = comp ~heavy_threshold reads expr in
   { expr; node; reads_slices = !reads }
 
-let run plan ~sn ?(before = []) ?(after = []) change =
+let stream plan ~sn ?(before = []) ?(after = []) change : stream =
   plan.node ~sn ~before ~after change
+
+let run plan ~sn ?before ?after change = collect (stream plan ~sn ?before ?after change)
 
 let reads_slices plan = plan.reads_slices
 let expr plan = plan.expr

@@ -70,19 +70,37 @@ val compile : ?heavy_threshold:int -> Ca.t -> plan
     discarded with the plan on redefinition; it never changes the
     tuples or order a run produces. *)
 
-val run :
-  plan -> sn:Seqnum.t -> ?before:batch -> ?after:batch -> change -> zset
+type sink = Tuple.t -> unit
+
+type stream = plus:sink -> minus:sink -> unit
+(** A Z-set delta as a stream: [s ~plus ~minus] pushes the plus half
+    into [plus], then the minus half into [minus], each in order. *)
+
+val stream :
+  plan -> sn:Seqnum.t -> ?before:batch -> ?after:batch -> change -> stream
 (** The change of the expression's output caused by [change] at
     sequence number [sn]; zero recompilation.  An append passes its
     batch as plus halves ({!appended}) and no slices.  A retraction
     passes minus halves and, when the plan {!reads_slices}, the full
     at-[sn] slices of every base chronicle [before] and [after] the
-    mutation; non-linear operators then return the multiset difference
+    mutation; non-linear operators then push the multiset difference
     of their plain evaluation over the two (cancelled occurrences bump
     [Stats.Weight_cancel]).  Raises [Invalid_argument] when a minus
     half reaches a history-reading operator ([Ca.CrossChron],
     [Ca.ThetaJoinChron]): such views must be rematerialized, not
-    incrementally unwound. *)
+    incrementally unwound.
+
+    Linear operators (the base chronicle, σ, Π, ⋈_key R) are per-tuple
+    stages: a tuple flows from the base through them into the sink
+    with no list built in between.  ×R and the non-linear operators
+    collect their input halves as lists first. *)
+
+val run :
+  plan -> sn:Seqnum.t -> ?before:batch -> ?after:batch -> change -> zset
+(** The {!stream}'s two halves collected as lists, in stream order. *)
+
+val of_zset : zset -> stream
+(** A delta held as lists, as a stream. *)
 
 val reads_slices : plan -> bool
 (** Whether the plan holds a non-linear operator, i.e. whether a

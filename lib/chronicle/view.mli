@@ -29,23 +29,35 @@ val schema : t -> Schema.t
 val index_kind : t -> Index.kind
 
 val apply :
-  ?reprobe:(Value.t list list -> Tuple.t list) -> t -> Delta.zset -> unit
-(** Fold a Z-set body delta (from {!Delta.run}) into the
-    materialization: the plus half, then the minus half, each in
-    order.  A plus tuple adds one occurrence; a minus tuple retracts
-    one, and entries whose hidden multiplicity reaches zero disappear
-    from the view (O(1) amortised: a hash backing leaves a ghost slot,
-    compacted once ghosts pass half its order vector).  COUNT/SUM-class
-    aggregates invert in O(1) per tuple ({!Aggregate.unstep}); the
-    MIN/MAX groups losing their extremum are recomputed from a single
-    call of [reprobe keys] — the body's output over the already-mutated
-    base, covering at least the groups whose keys (group-by values, in
-    order) are listed; tuples of other groups are ignored — bumping
-    [Stats.Aggregate_reprobe] once per such group ([Invalid_argument]
-    without [reprobe]).  Raises [Invalid_argument] on a retraction the
-    materialization cannot account for (absent row or group).  Under
-    an active transaction the fold is logged, so {!rollback_txn} undoes
-    it. *)
+  ?reprobe:(Value.t list list -> Tuple.t list) -> t -> Delta.stream -> unit
+(** Fold a Z-set body delta (from {!Delta.stream}, or {!Delta.of_zset}
+    for one held as lists) into the materialization: the plus half,
+    then the minus half, each in order, tuple by tuple as the stream
+    delivers them.  A plus tuple adds one occurrence; a minus tuple
+    retracts one, and entries whose hidden multiplicity reaches zero
+    disappear from the view (O(1) amortised: a hash backing leaves a
+    ghost slot, compacted once ghosts pass half its order vector).
+    COUNT/SUM-class aggregates invert in O(1) per tuple
+    ({!Aggregate.unstep}); the MIN/MAX groups losing their extremum are
+    recomputed from a single call of [reprobe keys] — the body's output
+    over the already-mutated base, covering at least the groups whose
+    keys (group-by values, in order) are listed; tuples of other groups
+    are ignored — bumping [Stats.Aggregate_reprobe] once per such group
+    ([Invalid_argument] without [reprobe]).  Raises [Invalid_argument]
+    on a retraction the materialization cannot account for (absent row
+    or group).  Under an active transaction the fold is logged, so
+    {!rollback_txn} undoes it.
+
+    Cost: per tuple, one hash of the key columns (copied into a buffer
+    of the fold) and one lookup — O(1) expected on a hash backing,
+    O(log |V|) on a tree — then one in-place step of the group's
+    aggregate cells ({!Aggregate.step_cells}).  On a hash backing a
+    tuple folding into an existing entry allocates nothing; a new entry
+    allocates its key and cells, and the first touch of an entry in a
+    transaction allocates its undo record.  Work counters
+    ([Group_lookup], [Index_probe], [Agg_step], [Tuple_write]) are
+    added to [Stats] once per fold, with the same totals as one bump
+    per event. *)
 
 val multiplicity : t -> Value.t list -> int
 (** Hidden ℤ-multiplicity of the entry with the given logical key

@@ -225,3 +225,289 @@ let get_state r =
       let sum = Codec.float_ r in
       Moments_st { n; sum; sumsq = Codec.float_ r }
   | t -> Codec.fail "unknown aggregate state tag %#x" t
+
+(* ---- cells ----
+
+   A group's states as mutable slots, stepped in place: the view fold
+   makes no allocation per tuple on an existing group.  Each call owns
+   a few slots of three shared arrays:
+
+   - COUNT: one int (the count);
+   - SUM over an INT or FLOAT column: two ints (0 = empty, 1 = the INT
+     sum in the second int, 2 = the FLOAT sum in its float) and one
+     float — so an INT sum stays INT, and a first value of −0.0 is kept
+     as it is rather than added to 0.0;
+   - SUM over any other column: the sum itself as a value (Null while
+     empty), stepped through [Value.add] exactly as [step] does;
+   - MIN/MAX: one value (Null while empty: a stored extremum is never
+     Null, since [step] skips Null);
+   - AVG: one int (count) and one float (sum);
+   - VAR/STDDEV: one int (count) and two floats (sum, sum of squares).
+
+   Every transition mirrors [step]/[unstep] operation for operation, so
+   [states] of a cell block is, byte for byte under [put_state], the
+   state the functional fold would hold. *)
+
+type layout = {
+  funcs : func array;
+  args : int array;  (* tuple position of the argument; -1 = COUNT( * ) *)
+  boxed : bool array;  (* SUM over a column that is neither INT nor FLOAT *)
+  int_at : int array;
+  float_at : int array;
+  val_at : int array;
+  n_ints : int;
+  n_floats : int;
+  n_vals : int;
+}
+
+type cells = {
+  mutable weight : int;
+  mutable stamp : int;
+  ints : int array;
+  floats : float array;
+  vals : Value.t array;
+}
+
+let layout schema calls =
+  let calls = Array.of_list calls in
+  let n = Array.length calls in
+  let int_at = Array.make n 0 and float_at = Array.make n 0 and val_at = Array.make n 0 in
+  let boxed =
+    Array.map
+      (fun c ->
+        c.func = Sum
+        &&
+        match c.arg with
+        | Some a -> (
+            match Schema.ty schema a with
+            | Value.TInt | Value.TFloat -> false
+            | Value.TBool | Value.TStr -> true)
+        | None -> true)
+      calls
+  in
+  let ni = ref 0 and nf = ref 0 and nv = ref 0 in
+  let take r k =
+    let at = !r in
+    r := at + k;
+    at
+  in
+  Array.iteri
+    (fun j c ->
+      let ints, floats, vals =
+        match c.func with
+        | Count -> (1, 0, 0)
+        | Sum -> if boxed.(j) then (0, 0, 1) else (2, 1, 0)
+        | Min | Max -> (0, 0, 1)
+        | Avg -> (1, 1, 0)
+        | Var | Stddev -> (1, 2, 0)
+      in
+      int_at.(j) <- take ni ints;
+      float_at.(j) <- take nf floats;
+      val_at.(j) <- take nv vals)
+    calls;
+  {
+    funcs = Array.map (fun c -> c.func) calls;
+    args =
+      Array.map (fun c -> match c.arg with None -> -1 | Some a -> Schema.pos schema a) calls;
+    boxed;
+    int_at;
+    float_at;
+    val_at;
+    n_ints = !ni;
+    n_floats = !nf;
+    n_vals = !nv;
+  }
+
+let arity l = Array.length l.funcs
+
+let fresh l =
+  {
+    weight = 0;
+    stamp = 0;
+    ints = Array.make l.n_ints 0;
+    floats = Array.make l.n_floats 0.;
+    vals = Array.make l.n_vals Value.Null;
+  }
+
+let reset c =
+  c.weight <- 0;
+  Array.fill c.ints 0 (Array.length c.ints) 0;
+  Array.fill c.floats 0 (Array.length c.floats) 0.;
+  Array.fill c.vals 0 (Array.length c.vals) Value.Null
+
+let copy c =
+  { c with ints = Array.copy c.ints; floats = Array.copy c.floats; vals = Array.copy c.vals }
+
+let restore ~saved c =
+  c.weight <- saved.weight;
+  Array.blit saved.ints 0 c.ints 0 (Array.length c.ints);
+  Array.blit saved.floats 0 c.floats 0 (Array.length c.floats);
+  Array.blit saved.vals 0 c.vals 0 (Array.length c.vals)
+
+let count_star_arg = Value.Int 1
+let arg l j tu = if l.args.(j) < 0 then count_star_arg else tu.(l.args.(j))
+let non_numeric op = invalid_arg (op ^ ": non-numeric")
+
+(* SUM's numeric cell: [Value.add] over the three tags. *)
+let sum_step c o f v =
+  match c.ints.(o), v with
+  | _, Value.Null -> ()
+  | 0, Value.Int x ->
+      c.ints.(o) <- 1;
+      c.ints.(o + 1) <- x
+  | 0, Value.Float x ->
+      c.ints.(o) <- 2;
+      c.floats.(f) <- x
+  | 1, Value.Int x -> c.ints.(o + 1) <- c.ints.(o + 1) + x
+  | 1, Value.Float x ->
+      c.ints.(o) <- 2;
+      c.floats.(f) <- float_of_int c.ints.(o + 1) +. x
+  | _, Value.Int x -> c.floats.(f) <- c.floats.(f) +. float_of_int x
+  | _, Value.Float x -> c.floats.(f) <- c.floats.(f) +. x
+  | _, (Value.Bool _ | Value.Str _) -> non_numeric "Value.add"
+
+let sum_unstep c o f v =
+  match c.ints.(o), v with
+  | _, Value.Null -> true
+  | 0, _ -> false
+  | 1, Value.Int x ->
+      c.ints.(o + 1) <- c.ints.(o + 1) - x;
+      true
+  | 1, Value.Float x ->
+      c.ints.(o) <- 2;
+      c.floats.(f) <- float_of_int c.ints.(o + 1) -. x;
+      true
+  | _, Value.Int x ->
+      c.floats.(f) <- c.floats.(f) -. float_of_int x;
+      true
+  | _, Value.Float x ->
+      c.floats.(f) <- c.floats.(f) -. x;
+      true
+  | _, (Value.Bool _ | Value.Str _) -> non_numeric "Value.sub"
+
+let step_call l c j v =
+  if not (Value.is_null v) then
+    match l.funcs.(j) with
+    | Count -> c.ints.(l.int_at.(j)) <- c.ints.(l.int_at.(j)) + 1
+    | Sum when l.boxed.(j) ->
+        let o = l.val_at.(j) in
+        c.vals.(o) <- (match c.vals.(o) with Value.Null -> v | a -> Value.add a v)
+    | Sum -> sum_step c l.int_at.(j) l.float_at.(j) v
+    | Min ->
+        let o = l.val_at.(j) in
+        if Value.is_null c.vals.(o) || Value.compare v c.vals.(o) < 0 then c.vals.(o) <- v
+    | Max ->
+        let o = l.val_at.(j) in
+        if Value.is_null c.vals.(o) || Value.compare v c.vals.(o) > 0 then c.vals.(o) <- v
+    | Avg ->
+        let x = Value.to_float v and o = l.int_at.(j) and f = l.float_at.(j) in
+        c.floats.(f) <- c.floats.(f) +. x;
+        c.ints.(o) <- c.ints.(o) + 1
+    | Var | Stddev ->
+        let x = Value.to_float v and o = l.int_at.(j) and f = l.float_at.(j) in
+        c.ints.(o) <- c.ints.(o) + 1;
+        c.floats.(f) <- c.floats.(f) +. x;
+        c.floats.(f + 1) <- c.floats.(f + 1) +. (x *. x)
+
+(* [false]: no inverse ([Reprobe]); the cell may then be left changed. *)
+let unstep_call l c j v =
+  Value.is_null v
+  ||
+  match l.funcs.(j) with
+  | Count ->
+      c.ints.(l.int_at.(j)) <- c.ints.(l.int_at.(j)) - 1;
+      true
+  | Sum when l.boxed.(j) -> (
+      let o = l.val_at.(j) in
+      match c.vals.(o) with
+      | Value.Null -> false
+      | a ->
+          c.vals.(o) <- Value.sub a v;
+          true)
+  | Sum -> sum_unstep c l.int_at.(j) l.float_at.(j) v
+  | (Min | Max) as func ->
+      let a = c.vals.(l.val_at.(j)) in
+      (not (Value.is_null a))
+      &&
+      let cmp = Value.compare v a in
+      (func = Min && cmp > 0) || (func = Max && cmp < 0)
+  | Avg | Var | Stddev ->
+      let o = l.int_at.(j) and f = l.float_at.(j) in
+      let n = c.ints.(o) in
+      if n <= 0 then false
+      else begin
+        (if n = 1 then begin
+           c.floats.(f) <- 0.;
+           if l.funcs.(j) <> Avg then c.floats.(f + 1) <- 0.
+         end
+         else
+           let x = Value.to_float v in
+           c.floats.(f) <- c.floats.(f) -. x;
+           if l.funcs.(j) <> Avg then c.floats.(f + 1) <- c.floats.(f + 1) -. (x *. x));
+        c.ints.(o) <- n - 1;
+        true
+      end
+
+let step_cells l c tu =
+  for j = 0 to Array.length l.funcs - 1 do
+    step_call l c j (arg l j tu)
+  done;
+  c.weight <- c.weight + 1
+
+let unstep_cells l c tu =
+  let inverted = ref true in
+  for j = 0 to Array.length l.funcs - 1 do
+    if not (unstep_call l c j (arg l j tu)) then inverted := false
+  done;
+  if !inverted then c.weight <- c.weight - 1;
+  !inverted
+
+let state_of l c j =
+  let o = l.int_at.(j) and f = l.float_at.(j) and v = l.val_at.(j) in
+  let opt = function Value.Null -> None | x -> Some x in
+  match l.funcs.(j) with
+  | Count -> Count_st c.ints.(o)
+  | Sum when l.boxed.(j) -> Sum_st (opt c.vals.(v))
+  | Sum -> (
+      match c.ints.(o) with
+      | 0 -> Sum_st None
+      | 1 -> Sum_st (Some (Value.Int c.ints.(o + 1)))
+      | _ -> Sum_st (Some (Value.Float c.floats.(f))))
+  | Min | Max -> Minmax_st (opt c.vals.(v))
+  | Avg -> Avg_st (c.floats.(f), c.ints.(o))
+  | Var | Stddev ->
+      Moments_st { n = c.ints.(o); sum = c.floats.(f); sumsq = c.floats.(f + 1) }
+
+let states l c = List.init (arity l) (state_of l c)
+let finals l c = List.init (arity l) (fun j -> final l.funcs.(j) (state_of l c j))
+
+let of_states l ~weight states =
+  if List.length states <> arity l then
+    invalid_arg "Aggregate.of_states: aggregate-state arity mismatch";
+  let c = fresh l in
+  c.weight <- weight;
+  let mismatch () = invalid_arg "Aggregate.of_states: state does not match function" in
+  List.iteri
+    (fun j st ->
+      let o = l.int_at.(j) and f = l.float_at.(j) and v = l.val_at.(j) in
+      match l.funcs.(j), st with
+      | Count, Count_st n -> c.ints.(o) <- n
+      | Sum, Sum_st acc when l.boxed.(j) -> c.vals.(v) <- Option.value ~default:Value.Null acc
+      | Sum, Sum_st None -> ()
+      | Sum, Sum_st (Some (Value.Int x)) ->
+          c.ints.(o) <- 1;
+          c.ints.(o + 1) <- x
+      | Sum, Sum_st (Some (Value.Float x)) ->
+          c.ints.(o) <- 2;
+          c.floats.(f) <- x
+      | (Min | Max), Minmax_st acc -> c.vals.(v) <- Option.value ~default:Value.Null acc
+      | Avg, Avg_st (s, n) ->
+          c.ints.(o) <- n;
+          c.floats.(f) <- s
+      | (Var | Stddev), Moments_st { n; sum; sumsq } ->
+          c.ints.(o) <- n;
+          c.floats.(f) <- sum;
+          c.floats.(f + 1) <- sumsq
+      | (Count | Sum | Min | Max | Avg | Var | Stddev), _ -> mismatch ())
+    states;
+  c

@@ -71,3 +71,61 @@ val put_state : Buffer.t -> state -> unit
 
 val get_state : Codec.reader -> state
 (** Raises {!Codec.Decode_error} on malformed input. *)
+
+(** {2 Cells}
+
+    A group's states as mutable slots stepped in place — the form a
+    materialized view folds into, with no allocation per tuple on an
+    existing group.  A {!layout} places each call of a group in a few
+    slots of three arrays: an int for COUNT, unboxed floats for the
+    sums of SUM, AVG, VAR and STDDEV, a value for MIN/MAX.  Every
+    transition mirrors {!step}/{!unstep}, so {!states} is, byte for
+    byte under {!put_state}, the state the functional fold would hold.
+    Cells convert to {!state} only for a dump, a final value or a
+    load.  Cell transitions do not bump [Agg_step]; the caller counts
+    {!arity} per tuple. *)
+
+type layout
+
+val layout : Schema.t -> call list -> layout
+(** The slots of [calls] over tuples of [schema] (argument positions
+    resolved once). *)
+
+val arity : layout -> int
+
+type cells = {
+  mutable weight : int;
+      (** tuples stepped in less tuples stepped out: the group's
+          multiplicity *)
+  mutable stamp : int;  (** free for the owner; never read here *)
+  ints : int array;
+  floats : float array;
+  vals : Value.t array;
+}
+
+val fresh : layout -> cells
+(** Cells of an empty group ([weight] and [stamp] 0). *)
+
+val step_cells : layout -> cells -> Tuple.t -> unit
+(** {!step} every call with its argument from the tuple; [weight + 1]. *)
+
+val unstep_cells : layout -> cells -> Tuple.t -> bool
+(** {!unstep} every call; [weight - 1] when all invert.  [false] when
+    some call answers [Reprobe]: the cells may then be partly
+    inverted, and the caller must {!reset} and refold the group. *)
+
+val reset : cells -> unit
+(** Back to an empty group, in place ([stamp] kept). *)
+
+val copy : cells -> cells
+
+val restore : saved:cells -> cells -> unit
+(** Put [saved]'s weight and slots (a {!copy} of the same cells) back. *)
+
+val states : layout -> cells -> state list
+val finals : layout -> cells -> Value.t list
+(** {!final} of every call. *)
+
+val of_states : layout -> weight:int -> state list -> cells
+(** Cells holding [states]; raises [Invalid_argument] when their number
+    or kinds do not match the layout's calls. *)

@@ -70,9 +70,9 @@ let remove t key row =
 
 let find t key =
   match t.kind with
-  | Hash ->
+  | Hash -> (
       Stats.incr Stats.Index_probe;
-      Option.value ~default:[] (Key_tbl.find_opt t.hash key)
+      match Key_tbl.find t.hash key with rows -> rows | exception Not_found -> [])
   | Ordered -> Option.value ~default:[] (Key_tree.find t.tree key)
 
 (* The sub-run of a sorted row list falling in [lo, hi).  Sortedness

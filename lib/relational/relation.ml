@@ -10,8 +10,6 @@ type t = {
   mutable indexes : Index.t list;
 }
 
-let index_id attrs = String.concat "," attrs
-
 let create ~name ~schema ?key () =
   let t =
     { name; schema; key; rows = Vec.create (); live = 0; version = 0; indexes = [] }
@@ -29,9 +27,14 @@ let key t = t.key
 let cardinality t = t.live
 let version t = t.version
 
-let find_index t attrs =
-  let id = index_id attrs in
-  List.find_opt (fun ix -> String.equal (index_id (Index.attrs ix)) id) t.indexes
+(* The index over exactly [attrs], compared attribute by attribute: no
+   string is built per probe. *)
+let rec find_in attrs = function
+  | [] -> None
+  | ix :: rest ->
+      if List.equal String.equal (Index.attrs ix) attrs then Some ix else find_in attrs rest
+
+let find_index t attrs = find_in attrs t.indexes
 
 let has_index t attrs = Option.is_some (find_index t attrs)
 let indexed_attrs t = List.map Index.attrs t.indexes
@@ -132,11 +135,9 @@ let delete_where t pred =
 
 let create_index t kind attrs =
   List.iter (fun a -> ignore (Schema.pos t.schema a)) attrs;
-  let id = index_id attrs in
   let already =
     List.exists
-      (fun ix ->
-        Index.kind ix = kind && String.equal (index_id (Index.attrs ix)) id)
+      (fun ix -> Index.kind ix = kind && List.equal String.equal (Index.attrs ix) attrs)
       t.indexes
   in
   (* a same-attribute index of a different kind is allowed (e.g. an

@@ -10,7 +10,7 @@
    - a cached run is only ever served while
      [Relation.version rel = rel_version]: the first probe after any
      relation mutation demotes everything before answering;
-   - promotion installs the run with a single [Hashtbl.replace] after
+   - promotion installs the run with a single [Heavy.replace] after
      the build completes, and the fault probe fires before it — so a
      crash inside a promote leaves no partial state, and a crash inside
      a demote leaves [rel_version] stale, which makes the next probe
@@ -49,13 +49,21 @@ let count_mask = (1 lsl count_bits) - 1
    against). *)
 let off_threshold = 65_536
 
+(* Heavy runs by key, hashed and compared by value. *)
+module Heavy = Hashtbl.Make (struct
+  type t = Value.t list
+
+  let equal = Value.equal_list
+  let hash = Tuple.hash_list
+end)
+
 type t = {
   configured : int;  (* <= 0 = adaptive *)
   off : bool;  (* unreachable bar: pure lazy folds, no tracking *)
   mutable threshold : int;
   counts : int array;  (* direct-mapped packed (epoch, count) slots *)
   mutable epoch : int;  (* advances every [decay_interval] touches *)
-  heavy : (Value.t list, Tuple.t list) Hashtbl.t;
+  heavy : Tuple.t list Heavy.t;
   mutable rel_version : int;  (* version the heavy runs were built at *)
   mutable touches : int;  (* probes since the last epoch advance *)
 }
@@ -67,14 +75,14 @@ let create ?(threshold = 0) () =
     threshold = (if threshold <= 0 then adaptive_base else threshold);
     counts = Array.make sketch_size 0;
     epoch = 0;
-    heavy = Hashtbl.create 16;
+    heavy = Heavy.create 16;
     rel_version = -1;
     touches = 0;
   }
 
 let threshold t = t.threshold
-let heavy_count t = Hashtbl.length t.heavy
-let is_heavy t key = Hashtbl.mem t.heavy key
+let heavy_count t = Heavy.length t.heavy
+let is_heavy t key = Heavy.mem t.heavy key
 let p_promote = "heavy-promote"
 let p_demote = "heavy-demote"
 
@@ -90,13 +98,13 @@ let hit_probe point = match !probe with None -> () | Some f -> f point
 let demote t key =
   hit_probe p_demote;
   Stats.incr Stats.Heavy_demote;
-  Hashtbl.remove t.heavy key
+  Heavy.remove t.heavy key
 
 (* Demote every heavy key.  [rel_version] is updated only after the
    last removal so that a probe-injected crash mid-teardown re-enters
    this sweep on the next fold instead of serving a stale run. *)
 let demote_all t version =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.heavy [] in
+  let keys = Heavy.fold (fun k _ acc -> k :: acc) t.heavy [] in
   List.iter (demote t) keys;
   t.rel_version <- version
 
@@ -152,10 +160,10 @@ let build_run rel ~attrs ~project key =
    bar and demote the keys now under it. *)
 let rebalance t =
   if t.configured <= 0 then
-    while Hashtbl.length t.heavy > max_heavy do
+    while Heavy.length t.heavy > max_heavy do
       t.threshold <- t.threshold * 2;
       let cold =
-        Hashtbl.fold
+        Heavy.fold
           (fun k _ acc ->
             if count_of t (slot k) < t.threshold then k :: acc else acc)
           t.heavy []
@@ -163,7 +171,26 @@ let rebalance t =
       List.iter (demote t) cold
     done
 
-let matches_tracked t rel ~attrs ~project key =
+(* The lazy probe: each current match of [key], projected, to [f x].
+   The walks are top-level functions of their arguments, so a probe
+   builds no closure. *)
+let rec iter_rows rel project f x = function
+  | [] -> ()
+  | row :: rows ->
+      (match Relation.get rel row with Some rtu -> f x (project rtu) | None -> ());
+      iter_rows rel project f x rows
+
+let rec iter_run f x = function
+  | [] -> ()
+  | rtu :: run ->
+      f x rtu;
+      iter_run f x run
+
+let iter_lazy rel ~attrs ~project key f x =
+  Stats.incr Stats.Light_fold;
+  iter_rows rel project f x (Relation.lookup_rows rel ~attrs key)
+
+let iter_tracked t rel ~attrs ~project key f x =
   let v = Relation.version rel in
   if v <> t.rel_version then demote_all t v;
   let count = touch t key in
@@ -173,32 +200,25 @@ let matches_tracked t rel ~attrs ~project key =
      exception (a heavy key whose sketch slot decayed under the bar)
      just takes the lazy fold, which is byte-identical to its cached
      run by the build invariant — it merely forgoes the cache hit. *)
-  if count < t.threshold then begin
-    Stats.incr Stats.Light_fold;
-    List.map project (Relation.lookup rel ~attrs key)
-  end
+  if count < t.threshold then iter_lazy rel ~attrs ~project key f x
   else
-    match Hashtbl.find_opt t.heavy key with
-    | Some run ->
+    match Heavy.find t.heavy key with
+    | run ->
         Stats.incr Stats.Heavy_probe;
-        run
-    | None ->
-        if count >= t.threshold then begin
-          let run = build_run rel ~attrs ~project key in
-          hit_probe p_promote;
-          Stats.incr Stats.Heavy_promote;
-          Hashtbl.replace t.heavy key run;
-          rebalance t;
-          run
-        end
-        else begin
-          Stats.incr Stats.Light_fold;
-          List.map project (Relation.lookup rel ~attrs key)
-        end
+        iter_run f x run
+    | exception Not_found ->
+        let run = build_run rel ~attrs ~project key in
+        hit_probe p_promote;
+        Stats.incr Stats.Heavy_promote;
+        Heavy.replace t.heavy key run;
+        rebalance t;
+        iter_run f x run
+
+let iter_matches t rel ~attrs ~project key f x =
+  if t.off then iter_lazy rel ~attrs ~project key f x
+  else iter_tracked t rel ~attrs ~project key f x
 
 let matches t rel ~attrs ~project key =
-  if t.off then begin
-    Stats.incr Stats.Light_fold;
-    List.map project (Relation.lookup rel ~attrs key)
-  end
-  else matches_tracked t rel ~attrs ~project key
+  let acc = ref [] in
+  iter_matches t rel ~attrs ~project key (fun () rtu -> acc := rtu :: !acc) ();
+  List.rev !acc

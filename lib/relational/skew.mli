@@ -32,6 +32,23 @@ val create : ?threshold:int -> unit -> t
     plain lazy fold (the pre-partition maintenance path, byte for
     byte). *)
 
+val iter_matches :
+  t ->
+  Relation.t ->
+  attrs:string list ->
+  project:(Tuple.t -> Tuple.t) ->
+  Value.t list ->
+  ('a -> Tuple.t -> unit) ->
+  'a ->
+  unit
+(** [iter_matches t rel ~attrs ~project key f x] calls [f x] on each
+    tuple of [List.map project (Relation.lookup rel ~attrs key)], in
+    order: served from the heavy cache when [key] is heavy
+    ([Stats.Heavy_probe]) and computed lazily otherwise
+    ([Stats.Light_fold]), with promotion/demotion bookkeeping on the
+    side.  The tuples (contents {e and} order) are always those of the
+    lazy expression above; no list is built for a light key. *)
+
 val matches :
   t ->
   Relation.t ->
@@ -39,12 +56,7 @@ val matches :
   project:(Tuple.t -> Tuple.t) ->
   Value.t list ->
   Tuple.t list
-(** [matches t rel ~attrs ~project key] = [List.map project
-    (Relation.lookup rel ~attrs key)], served from the heavy cache when
-    [key] is heavy ([Stats.Heavy_probe]) and computed lazily otherwise
-    ([Stats.Light_fold]), with promotion/demotion bookkeeping on the
-    side.  The result (contents {e and} order) is always identical to
-    the lazy expression above. *)
+(** The tuples {!iter_matches} visits, as a list. *)
 
 val threshold : t -> int
 (** The current promotion bar (adaptive instances may have raised it

@@ -8,7 +8,13 @@ let field schema t name = t.(Schema.pos schema name)
 let projector schema names =
   Stats.incr Stats.Projector_compile;
   let positions = Array.of_list (List.map (Schema.pos schema) names) in
-  fun t -> Array.map (fun i -> t.(i)) positions
+  let n = Array.length positions in
+  fun t ->
+    let out = Array.make n Value.Null in
+    for j = 0 to n - 1 do
+      out.(j) <- t.(positions.(j))
+    done;
+    out
 
 let project schema names t = projector schema names t
 
@@ -25,20 +31,37 @@ let type_check schema t =
          match Value.ty_of v with None -> true | Some ty -> ty = a.ty)
        (Schema.attrs schema) t
 
-let compare a b =
+(* Lexicographic, shorter first on a common prefix.  The loops are
+   top-level functions of their arguments, so a comparison, equality
+   test or hash allocates nothing — the view fold runs them per tuple. *)
+let rec compare_from a b i =
   let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la && i >= lb then 0
-    else if i >= la then -1
-    else if i >= lb then 1
-    else
-      let c = Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  if i >= la then if i >= lb then 0 else -1
+  else if i >= lb then 1
+  else
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
 
-let equal a b = compare a b = 0
-let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 t
+let compare a b = compare_from a b 0
+let equal a b = Array.length a = Array.length b && compare_from a b 0 = 0
+
+(* Integers (and floats holding one, which [Value.equal] equates with
+   it) hash by a multiply-shift mix computed inline; other values by
+   [Value.hash]. *)
+let mix i =
+  let h = i * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+let hash_value = function
+  | Value.Int i -> mix i
+  | Value.Float f when Float.is_integer f && Float.abs f < 1e18 -> mix (int_of_float f)
+  | v -> Value.hash v
+
+let rec hash_from t i acc =
+  if i >= Array.length t then acc else hash_from t (i + 1) ((acc * 31) + hash_value t.(i))
+
+let hash t = hash_from t 0 7
+let hash_list l = List.fold_left (fun acc v -> (acc * 31) + hash_value v) 7 l
 
 let pp ppf t =
   Format.fprintf ppf "(%a)"

@@ -25,6 +25,10 @@ val type_check : Schema.t -> t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
+(** Consistent with {!equal}; allocates nothing. *)
+
+val hash_list : Value.t list -> int
+(** [hash (make l)], without building the tuple. *)
 
 module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by tuple value ({!equal}/{!hash}). *)

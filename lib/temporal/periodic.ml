@@ -82,7 +82,7 @@ let note_append t ~sn ~batch =
   if Hashtbl.length t.active > 0 then begin
     let delta = Delta.run t.body_plan ~sn (Delta.appended batch) in
     if delta.plus <> [] then
-      Hashtbl.iter (fun _ slot -> View.apply slot.view delta) t.active
+      Hashtbl.iter (fun _ slot -> View.apply slot.view (Delta.of_zset delta)) t.active
   end
 
 let attach db t = Db.on_batch db (fun ~sn ~batch -> note_append t ~sn ~batch)

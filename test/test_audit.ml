@@ -28,18 +28,18 @@ let test_detects_corruption () =
   let feed tuples =
     let sn = Chron.append fx.mileage tuples in
     View.apply view
-      {
+      (Delta.of_zset {
         Delta.plus =
           Delta.eval (Sca.body def) ~sn
             ~batch:[ (fx.mileage, List.map (Chron.tag sn) tuples) ];
         minus = [];
-      }
+      })
   in
   feed [ mile 1 100 1. ];
   feed [ mile 2 50 1. ];
   (* corrupt the materialization: replay a delta twice (a classic
      double-apply bug) *)
-  View.apply view { Delta.plus = [ Chron.tag 99 (mile 1 100 1.) ]; minus = [] };
+  View.apply view (Delta.of_zset { Delta.plus = [ Chron.tag 99 (mile 1 100 1.) ]; minus = [] });
   match Audit.check_view view with
   | Audit.Inconsistent { missing; unexpected } ->
       check_int "one row wrong each way" 1 (List.length missing);
@@ -53,12 +53,12 @@ let test_unauditable_without_history () =
   let tuples = [ mile 1 1 1. ] in
   let sn = Chron.append fx.mileage tuples in
   View.apply view
-    {
+    (Delta.of_zset {
       Delta.plus =
         Delta.eval (Sca.body (balance_def fx)) ~sn
           ~batch:[ (fx.mileage, List.map (Chron.tag sn) tuples) ];
       minus = [];
-    };
+    });
   match Audit.check_view view with
   | Audit.Unauditable _ -> ()
   | v -> Alcotest.failf "expected unauditable, got %a" Audit.pp_verdict v
@@ -70,12 +70,12 @@ let test_window_overflow_becomes_unauditable () =
   let feed tuples =
     let sn = Chron.append fx.mileage tuples in
     View.apply view
-      {
+      (Delta.of_zset {
         Delta.plus =
           Delta.eval (Sca.body def) ~sn
             ~batch:[ (fx.mileage, List.map (Chron.tag sn) tuples) ];
         minus = [];
-      }
+      })
   in
   feed [ mile 1 1 1. ];
   feed [ mile 1 2 1. ];

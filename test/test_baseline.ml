@@ -14,10 +14,10 @@ let test_naive_matches_view () =
       let sn = Chron.append fx.mileage tuples in
       let tagged = List.map (Chron.tag sn) tuples in
       View.apply view
-        {
+        (Delta.of_zset {
           Delta.plus = Delta.eval (Sca.body def) ~sn ~batch:[ (fx.mileage, tagged) ];
           minus = [];
-        };
+        });
       Naive.refresh naive)
     [ [ mile 1 100 10. ]; [ mile 2 50 5.; mile 1 7 1. ] ];
   check_tuples "same results" (View.to_list view) (Naive.result naive);
@@ -102,11 +102,11 @@ let test_chemical_bank_bug_diverges () =
   let feed tuples =
     let sn = Chron.append txns tuples in
     View.apply view
-      {
+      (Delta.of_zset {
         Delta.plus =
           Delta.eval (Sca.body def) ~sn ~batch:[ (txns, List.map (Chron.tag sn) tuples) ];
         minus = [];
-      };
+      });
     List.iter (Summary_fields.process ok) tuples;
     List.iter (Summary_fields.process buggy) tuples
   in

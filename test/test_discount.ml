@@ -37,10 +37,10 @@ let test_incremental_equals_batch () =
     let sn = Chron.append calls tuples in
     let tagged = List.map (Chron.tag sn) tuples in
     View.apply view
-      {
+      (Delta.of_zset {
         Delta.plus = Delta.eval (Sca.body def) ~sn ~batch:[ (calls, tagged) ];
         minus = [];
-      }
+      })
   in
   (* customer 1 crosses both thresholds over the month *)
   feed [ call 1 10 8. ];
@@ -77,10 +77,10 @@ let test_incremental_needs_no_history () =
     let sn = Chron.append calls tuples in
     let tagged = List.map (Chron.tag sn) tuples in
     View.apply view
-      {
+      (Delta.of_zset {
         Delta.plus = Delta.eval (Sca.body def) ~sn ~batch:[ (calls, tagged) ];
         minus = [];
-      }
+      })
   in
   feed [ call 1 10 12. ];
   check_float "incremental works without history" (12. *. 0.9)
@@ -113,11 +113,11 @@ let qcheck_incremental_equals_batch_streams =
           let tu = call number 1 cost in
           let sn = Chron.append calls [ tu ] in
           View.apply view
-            {
+            (Delta.of_zset {
               Delta.plus =
                 Delta.eval (Sca.body def) ~sn ~batch:[ (calls, [ Chron.tag sn tu ]) ];
               minus = [];
-            })
+            }))
         calls_list;
       List.for_all
         (fun number ->

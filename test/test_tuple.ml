@@ -45,6 +45,27 @@ let qcheck_dedup_idempotent =
       && List.for_all (fun t -> List.exists (Tuple.equal t) l) d
       && List.for_all (fun t -> List.exists (Tuple.equal t) d) l)
 
+(* Equal tuples hash equal, an INT and a FLOAT holding it included;
+   [hash_list] is [hash] of the tuple a list makes. *)
+let qcheck_hash_consistent =
+  let value =
+    QCheck.(
+      oneof
+        [
+          map vi (int_range (-3) 3);
+          map (fun i -> vf (float_of_int i)) (int_range (-3) 3);
+          map vf (oneofl [ 0.5; -0.; nan ]);
+          map vs (oneofl [ "a"; "b" ]);
+          always Value.Null;
+        ])
+  in
+  qtest "hash agrees with equal (INT and FLOAT alike)"
+    QCheck.(pair (list_of_size Gen.(0 -- 3) value) (list_of_size Gen.(0 -- 3) value))
+    (fun (a, b) ->
+      let ta = tup a and tb = tup b in
+      ((not (Tuple.equal ta tb)) || Tuple.hash ta = Tuple.hash tb)
+      && Tuple.hash_list a = Tuple.hash ta)
+
 let suite =
   [
     test "access" test_access;
@@ -54,4 +75,5 @@ let suite =
     test "lexicographic compare" test_compare;
     test "dedup and set difference" test_dedup_diff;
     qcheck_dedup_idempotent;
+    qcheck_hash_consistent;
   ]

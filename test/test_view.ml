@@ -9,7 +9,7 @@ let feed fx view batches =
       let sn = Chron.append fx.mileage tuples in
       let tagged = List.map (Chron.tag sn) tuples in
       let delta = Delta.eval (Sca.body (View.def view)) ~sn ~batch:[ (fx.mileage, tagged) ] in
-      View.apply view { Delta.plus = delta; minus = [] })
+      View.apply view (Delta.of_zset { Delta.plus = delta; minus = [] }))
     batches
 
 let test_sca_definition_validation () =
@@ -94,8 +94,8 @@ let test_hash_and_tree_agree () =
       let delta =
         Delta.run (View.plan vh) ~sn (Delta.appended [ (fx.mileage, tagged) ])
       in
-      View.apply vh delta;
-      View.apply vt delta)
+      View.apply vh (Delta.of_zset delta);
+      View.apply vt (Delta.of_zset delta))
     [ [ mile 1 100 10. ]; [ mile 5 1 1.; mile 2 2 2. ]; [ mile 1 10 1. ] ];
   check_tuples "same contents" (View.to_list vh) (View.to_list vt)
 
@@ -147,10 +147,10 @@ let qcheck_view_equals_batch =
           let sn = Chron.append fx.mileage tuples in
           let tagged = List.map (Chron.tag sn) tuples in
           View.apply view
-            {
+            (Delta.of_zset {
               Delta.plus = Delta.eval (Sca.body def) ~sn ~batch:[ (fx.mileage, tagged) ];
               minus = [];
-            })
+            }))
         stream;
       let batch_result = Sca.eval_summarize def (Eval.eval (Sca.body def)) in
       List.equal Tuple.equal
@@ -199,7 +199,7 @@ let test_load_keeps_multiplicities () =
   View.load fresh (View.dump view);
   check_int "multiplicity restored" 2 (View.multiplicity fresh [ vi 1 ]);
   let retract () =
-    View.apply fresh { Delta.plus = []; minus = [ Chron.tag 1 (mile 1 100 10.) ] }
+    View.apply fresh (Delta.of_zset { Delta.plus = []; minus = [ Chron.tag 1 (mile 1 100 10.) ] })
   in
   retract ();
   check_tuples "one of two retracted: the row stays" [ tup [ vi 1 ] ]
