@@ -26,7 +26,6 @@ let experiments =
     ("E16", E16_indexed_ranged.run);
     ("E17", E17_group_commit.run);
     ("E18", E18_scrub_salvage.run);
-    ("E19", E19_skew_join.run);
     ("E20", E20_server.run);
     ("E21", E21_retract.run);
     ("micro", Micro.run);

@@ -75,7 +75,6 @@ type store = {
   salvage : bool;
   keep_checkpoints : int;
   segment_bytes : int option;
-  heavy_threshold : int;
 }
 
 (* Recover the durable state in [dir], printing the recovery report, or
@@ -87,9 +86,8 @@ let recover_or_fresh o dir =
   else
     let mode = if o.salvage then Durable.Salvage else Durable.Strict in
     match
-      Durable.recover ~sync:o.sync ~jobs:o.jobs ~heavy_threshold:o.heavy_threshold
-        ~mode ~keep_checkpoints:o.keep_checkpoints ?segment_bytes:o.segment_bytes
-        ~storage ()
+      Durable.recover ~sync:o.sync ~jobs:o.jobs ~mode
+        ~keep_checkpoints:o.keep_checkpoints ?segment_bytes:o.segment_bytes ~storage ()
     with
     | d, report ->
         Format.printf "recovered %s: %a@." dir pp_recovery report;
@@ -119,12 +117,9 @@ let run_file snapshot_in snapshot_out durable_dir crash_after crash_point batch
   close_in ic;
   let base_session () =
     match snapshot_in with
-    | None -> Session.create ~jobs:o.jobs ~heavy_threshold:o.heavy_threshold ()
+    | None -> Session.create ~jobs:o.jobs ()
     | Some snap -> (
-        match
-          Session_snapshot.load_file ~jobs:o.jobs
-            ~heavy_threshold:o.heavy_threshold snap
-        with
+        match Session_snapshot.load_file ~jobs:o.jobs snap with
         | session ->
             Format.printf "restored snapshot %s@." snap;
             session
@@ -294,9 +289,7 @@ module Client = Chronicle_net.Client
 module Protocol = Chronicle_net.Protocol
 
 let serve_sock socket durable_dir batch o =
-  let fresh () =
-    Chronicle_core.Db.create ~jobs:o.jobs ~heavy_threshold:o.heavy_threshold ()
-  in
+  let fresh () = Chronicle_core.Db.create ~jobs:o.jobs () in
   let db, durable =
     match durable_dir with
     | None -> (fresh (), None)
@@ -461,26 +454,11 @@ let segment_arg =
            active file would exceed $(docv) bytes (default: unbounded, \
            single file). Corruption is isolated per segment.")
 
-let heavy_threshold_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "heavy-threshold" ] ~docv:"N"
-        ~doc:
-          "Promotion bar of the heavy-light key partition used to maintain \
-           key-join views: a join key seen at least $(docv) times gets its \
-           matched tuples materialized and served from cache until the \
-           relation changes. $(b,0) = adaptive (default); $(b,65536) or \
-           more disables partitioning (the bar is unreachable, so probes \
-           skip tracking entirely). Never changes view contents or order, \
-           only per-append probe cost.")
-
 let store_term =
   Term.(
-    const (fun sync jobs salvage keep_checkpoints segment_bytes heavy_threshold ->
-        { sync; jobs; salvage; keep_checkpoints; segment_bytes; heavy_threshold })
-    $ sync_arg $ jobs_arg $ salvage_arg $ keep_arg $ segment_arg
-    $ heavy_threshold_arg)
+    const (fun sync jobs salvage keep_checkpoints segment_bytes ->
+        { sync; jobs; salvage; keep_checkpoints; segment_bytes })
+    $ sync_arg $ jobs_arg $ salvage_arg $ keep_arg $ segment_arg)
 
 let run_cmd =
   let path =

@@ -51,9 +51,6 @@ type t = {
       (* the Δ-maintenance executor: [jobs = 1] (default) keeps the
          historical strictly-sequential transaction path; [jobs > 1]
          partitions the affected views of each batch across domains *)
-  heavy_threshold : int;
-      (* promotion bar for the heavy-light key partition of every
-         view's key-join Δ-sites; 0 = adaptive (see [Skew]) *)
   mutable batch_hooks : (sn:Seqnum.t -> batch:Delta.batch -> unit) list;
   mutable txn_sink : (txn_event -> unit) option;
   mutable fold_probe : (view:string -> sn:Seqnum.t -> unit) option;
@@ -67,7 +64,7 @@ type t = {
 let unknown kind name =
   raise (Unknown (Printf.sprintf "%s %S is not in the catalog" kind name))
 
-let create ?(default_group = "main") ?(jobs = 1) ?(heavy_threshold = 0) () =
+let create ?(default_group = "main") ?(jobs = 1) () =
   let t =
     {
       groups = Hashtbl.create 4;
@@ -76,7 +73,6 @@ let create ?(default_group = "main") ?(jobs = 1) ?(heavy_threshold = 0) () =
       registry = Registry.create ();
       default_group;
       pool = Exec.Pool.create ~jobs ();
-      heavy_threshold;
       batch_hooks = [];
       txn_sink = None;
       fold_probe = None;
@@ -88,7 +84,6 @@ let create ?(default_group = "main") ?(jobs = 1) ?(heavy_threshold = 0) () =
 
 let jobs t = Exec.Pool.jobs t.pool
 let pool t = t.pool
-let heavy_threshold t = t.heavy_threshold
 
 let set_txn_sink t sink = t.txn_sink <- sink
 let set_fold_probe t probe = t.fold_probe <- probe
@@ -183,8 +178,7 @@ let define_view t ?index ?(tier_limit = Classify.IM_poly_r) def =
          this is the parallel scan/aggregate kernel (Plan.compile_parallel);
          at jobs = 1 it is exactly the sequential evaluator *)
       match Eval.eval_parallel t.pool body with
-      | initial ->
-          View.of_initial ?index ~heavy_threshold:t.heavy_threshold def initial
+      | initial -> View.of_initial ?index def initial
       | exception Chron.Not_retained msg ->
           raise
             (Ca.Ill_formed
@@ -193,7 +187,7 @@ let define_view t ?index ?(tier_limit = Classify.IM_poly_r) def =
                    appending, or give the chronicle a retention policy that \
                    still covers its history"
                   (Sca.name def) msg))
-    else View.create ?index ~heavy_threshold:t.heavy_threshold def
+    else View.create ?index def
   in
   Registry.register t.registry view;
   emit t (Ev_define_view { def; index = View.index_kind view });

@@ -38,7 +38,7 @@ exception Read_only of string
     mode — carries the operation name and the reason the mode was
     entered.  See {!set_read_only}. *)
 
-val create : ?default_group:string -> ?jobs:int -> ?heavy_threshold:int -> unit -> t
+val create : ?default_group:string -> ?jobs:int -> unit -> t
 (** A database starts with one chronicle group (named "main" unless
     overridden).
 
@@ -53,21 +53,11 @@ val create : ?default_group:string -> ?jobs:int -> ?heavy_threshold:int -> unit 
     a build without the parallel layer.  At [jobs > 1] each affected
     view is still folded {e wholly} by exactly one task, so per-view
     results are identical to the sequential run; only the interleaving
-    {e across} views changes.
-
-    [heavy_threshold] (default [0]) is the promotion bar of the
-    heavy-light key partition every view's key-join Δ-sites carry
-    ({!Relational.Skew}, passed through {!Delta.compile}): [0] =
-    adaptive, positive = fixed bar, a very large value disables
-    partitioning in practice.  The threshold never changes view
-    contents or order — only where the per-append probe work lands. *)
+    {e across} views changes. *)
 
 val jobs : t -> int
 (** The effective parallelism degree ([>= 1]; [?jobs:0] has already
     been resolved to the recommended domain count). *)
-
-val heavy_threshold : t -> int
-(** The configured heavy-light promotion bar ([0] = adaptive). *)
 
 val pool : t -> Exec.Pool.t
 (** The database's domain pool.  Exposed so evaluation layers above the

@@ -45,7 +45,7 @@ let mdiff after before =
    Z-set change of the base chronicles at [sn] — into two sinks, the
    plus half first, each half in order.  Linear operators (the base
    chronicle, σ, Π, ⋈_key R) are per-tuple stream stages: one compiled
-   function — predicate, projector, key-join heavy-light probe — that
+   function — predicate, projector, key-join index probe — that
    wraps the sink it feeds, used for both halves, with no list built
    between stages.  ×R is linear too, but its output runs relation
    tuple by relation tuple over the whole half, so it collects its
@@ -125,8 +125,17 @@ let history_reader what l r (cl : node) (cr : node) pair : node =
 let rec values_at tu pos i =
   if i >= Array.length pos then [] else Tuple.get tu pos.(i) :: values_at tu pos (i + 1)
 
-let rec comp ~heavy_threshold reads expr : node =
-  let comp = comp ~heavy_threshold reads in
+(* [tu] joined by [join] with each row of [rows] that is still live in
+   [rel], into [sink].  A top-level walk of its arguments, so a probe
+   builds no closure. *)
+let rec join_rows rel join sink tu = function
+  | [] -> ()
+  | row :: rows ->
+      (match Relation.get rel row with Some rtu -> sink (join tu rtu) | None -> ());
+      join_rows rel join sink tu rows
+
+let rec comp reads expr : node =
+  let comp = comp reads in
   let plus (child : node) ~sn change =
     (collect_node child ~sn ~before:[] ~after:[] change).plus
   in
@@ -185,17 +194,10 @@ let rec comp ~heavy_threshold reads expr : node =
         product plus z.plus;
         product minus z.minus
   | Ca.KeyJoinRel (e, rel, pairs) ->
-      (* join each Δ tuple with the matching relation tuples via an
+      (* join each Δ tuple with the matching relation tuples via one
          index probe on the join attributes (at most a constant number
-         of matches in CA_⋈, by the key guarantee).  The probe is
-         heavy-light partitioned per compiled site: keys whose
-         frequency crosses the threshold get their projected match run
-         materialized once and served from cache; light keys keep the
-         lazy probe.  [Skew.iter_matches] guarantees the matches are
-         byte-identical to the lazy expression at the relation's
-         current version, so the fold stays order-identical to the
-         sequential oracle at every parallelism degree.  Both halves
-         probe through the same partition state. *)
+         of matches in CA_⋈, by the key guarantee — Definition 4.2);
+         both halves probe the relation's current version *)
       let schema = Ca.schema_of e in
       let left_pos = Array.of_list (List.map (fun (a, _) -> Schema.pos schema a) pairs) in
       let right_attrs = List.map snd pairs in
@@ -203,14 +205,12 @@ let rec comp ~heavy_threshold reads expr : node =
       let keep =
         List.filter (fun n -> not (List.mem n right_attrs)) (Schema.names rschema)
       in
-      let rproj = Tuple.projector rschema keep in
-      let part = Skew.create ~threshold:heavy_threshold () in
+      let join = Tuple.concat_projector rschema keep in
       linear
-        (fun sink ->
-          let joined tu rtu = sink (Tuple.concat tu rtu) in
-          fun tu ->
-            let key = values_at tu left_pos 0 in
-            Skew.iter_matches part rel ~attrs:right_attrs ~project:rproj key joined tu)
+        (fun sink tu ->
+          Stats.incr Stats.Light_fold;
+          join_rows rel join sink tu
+            (Relation.lookup_rows rel ~attrs:right_attrs (values_at tu left_pos 0)))
         (comp e)
   | Ca.CrossChron (l, r) ->
       (* Theorem 4.3: requires the old value of the opposite operand,
@@ -224,10 +224,10 @@ let rec comp ~heavy_threshold reads expr : node =
           let tu = Tuple.concat ltu rtu in
           if keep tu then Some tu else None)
 
-let compile ?(heavy_threshold = 0) expr =
+let compile expr =
   Stats.incr Stats.Plan_compile;
   let reads = ref false in
-  let node = comp ~heavy_threshold reads expr in
+  let node = comp reads expr in
   { expr; node; reads_slices = !reads }
 
 let stream plan ~sn ?(before = []) ?(after = []) change : stream =

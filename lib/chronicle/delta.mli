@@ -58,17 +58,9 @@ type plan
     only probe-and-fold work, which is what makes per-append maintenance
     cost a small constant on top of the paper's complexity class. *)
 
-val compile : ?heavy_threshold:int -> Ca.t -> plan
+val compile : Ca.t -> plan
 (** One-time analysis (bumps [Stats.Plan_compile]).  Raises the same
-    schema errors [Ca.schema_of] would.
-
-    [heavy_threshold] configures the heavy-light key partition each
-    [Ca.KeyJoinRel] site of the plan carries ({!Relational.Skew}):
-    [0] (default) = adaptive promotion threshold, positive = fixed
-    bar, very large = partitioning effectively off.  Partition state
-    lives inside the compiled plan, so it is built once per view and
-    discarded with the plan on redefinition; it never changes the
-    tuples or order a run produces. *)
+    schema errors [Ca.schema_of] would. *)
 
 type sink = Tuple.t -> unit
 

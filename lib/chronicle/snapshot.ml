@@ -347,7 +347,7 @@ let put_db buf db =
       put_view_contents buf view)
     buf (Db.views db)
 
-let get_db ?jobs ?heavy_threshold r =
+let get_db ?jobs r =
   let groups =
     Codec.list
       (fun r ->
@@ -360,7 +360,7 @@ let get_db ?jobs ?heavy_threshold r =
   let db =
     Db.create
       ~default_group:(match groups with (name, _, _) :: _ -> name | [] -> "main")
-      ?jobs ?heavy_threshold ()
+      ?jobs ()
   in
   List.iteri
     (fun i (name, watermark, clock) ->
@@ -400,7 +400,7 @@ let get_db ?jobs ?heavy_threshold r =
              r
          in
          let def = Sca.define ~allow_non_ca:true ~name ~body (get_summarize r) in
-         let view = View.create ~index ~heavy_threshold:(Db.heavy_threshold db) def in
+         let view = View.create ~index def in
          View.load view (get_view_contents r);
          Registry.register (Db.registry db) view)
        r);
@@ -415,11 +415,9 @@ let decode_with what get data =
   | exception (Snapshot_error _ as e) -> raise e
   | exception e -> error "%s does not load: %s" what (Printexc.to_string e)
 
-let load ?jobs ?heavy_threshold data =
-  decode_with "snapshot" (get_db ?jobs ?heavy_threshold) data
+let load ?jobs data = decode_with "snapshot" (get_db ?jobs) data
 
 let save_file db path =
   Out_channel.with_open_bin path (fun oc -> output_string oc (save db))
 
-let load_file ?jobs ?heavy_threshold path =
-  load ?jobs ?heavy_threshold (In_channel.with_open_bin path In_channel.input_all)
+let load_file ?jobs path = load ?jobs (In_channel.with_open_bin path In_channel.input_all)

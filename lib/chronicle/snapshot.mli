@@ -29,22 +29,19 @@ val save : Db.t -> string
     pending future-effective updates, or a registered view definition
     is not expressible in the snapshot grammar. *)
 
-val load : ?jobs:int -> ?heavy_threshold:int -> string -> Db.t
+val load : ?jobs:int -> string -> Db.t
 (** Rebuild a database from {!save} output.  Raises {!Snapshot_error}
     on any input that does not decode or does not load — the reason
     carries the byte offset where decoding stopped.  [jobs] is the
     maintenance parallelism degree of the rebuilt database (see
     {!Db.create}; a snapshot does not record the degree it was saved
-    under — parallelism is an execution property, not state).
-    [heavy_threshold] likewise re-applies the heavy-light promotion bar
-    to the rebuilt views: partition state is ephemeral probe-routing
-    state, deliberately not captured by {!save}. *)
+    under — parallelism is an execution property, not state). *)
 
 val save_file : Db.t -> string -> unit
-val load_file : ?jobs:int -> ?heavy_threshold:int -> string -> Db.t
+val load_file : ?jobs:int -> string -> Db.t
 
 val put_db : Buffer.t -> Db.t -> unit
-val get_db : ?jobs:int -> ?heavy_threshold:int -> Codec.reader -> Db.t
+val get_db : ?jobs:int -> Codec.reader -> Db.t
 (** The underlying encoding (used by the session-level snapshot, which
     embeds the database alongside temporal and event state). *)
 

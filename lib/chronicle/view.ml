@@ -70,9 +70,6 @@ type t = {
   mutable writes : int;
       (* work counters of the fold in progress, added to [Stats] once
          when it ends *)
-  heavy_threshold : int;
-      (* promotion bar for the plan's key-join partitions; 0 = adaptive
-         (see [Skew]) *)
   mutable plan : Delta.plan option;
       (* compiled body Δ-plan, built on first use and kept for the
          view's lifetime.  Redefining a view creates a fresh [t], so the
@@ -208,7 +205,7 @@ let touch_group t (g : group) =
       tx.tx_undo <- (fun () -> Aggregate.restore ~saved g) :: tx.tx_undo
   | Some _ | None -> ()
 
-let create ?(index = Index.Hash) ?(heavy_threshold = 0) def =
+let create ?(index = Index.Hash) def =
   let body_schema = Ca.schema_of (Sca.body def) in
   let key_attrs, aggs =
     match Sca.summarize def with
@@ -233,7 +230,6 @@ let create ?(index = Index.Hash) ?(heavy_threshold = 0) def =
     probes = 0;
     steps = 0;
     writes = 0;
-    heavy_threshold;
     plan = None;
   }
 
@@ -248,9 +244,7 @@ let plan t =
       p
   | None ->
       Stats.incr Stats.Plan_cache_miss;
-      let p =
-        Delta.compile ~heavy_threshold:t.heavy_threshold (Sca.body t.def)
-      in
+      let p = Delta.compile (Sca.body t.def) in
       t.plan <- Some p;
       p
 
@@ -426,8 +420,8 @@ let replace t initial =
   | Groups backing -> clear backing);
   apply t (Delta.of_zset { plus = initial; minus = [] })
 
-let of_initial ?index ?heavy_threshold def initial =
-  let t = create ?index ?heavy_threshold def in
+let of_initial ?index def initial =
+  let t = create ?index def in
   apply t (Delta.of_zset { plus = initial; minus = [] });
   t.batches <- 0;
   t

@@ -12,13 +12,11 @@ open Relational
 
 type t
 
-val create : ?index:Index.kind -> ?heavy_threshold:int -> Sca.t -> t
+val create : ?index:Index.kind -> Sca.t -> t
 (** Materialize an (initially empty) persistent view.  Default backing
-    index is [Hash].  [heavy_threshold] is passed to {!Delta.compile}
-    when the body Δ-plan is built: the promotion bar of the heavy-light
-    key partition its key-join sites carry ([0] = adaptive default). *)
+    index is [Hash]. *)
 
-val of_initial : ?index:Index.kind -> ?heavy_threshold:int -> Sca.t -> Tuple.t list -> t
+val of_initial : ?index:Index.kind -> Sca.t -> Tuple.t list -> t
 (** Materialize over an existing body value (used when a view is
     defined after chronicles already carry retained history): folds the
     given body tuples as one initial delta. *)

@@ -493,16 +493,11 @@ let checkpoint t =
 let install t =
   Db.set_txn_sink t.database (Some (sink t));
   Db.set_fold_probe t.database
-    (Some (fun ~view:_ ~sn:_ -> Fault.hit t.fault p_view_fold));
-  (* heavy-light partition transitions (promote/demote inside a
-     key-join fold) are crash points too: route them to the same fault
-     plan so the sweep can abort a batch mid-build/mid-teardown *)
-  Skew.set_probe (Some (fun point -> Fault.hit t.fault point))
+    (Some (fun ~view:_ ~sn:_ -> Fault.hit t.fault p_view_fold))
 
 let detach t =
   Db.set_txn_sink t.database None;
-  Db.set_fold_probe t.database None;
-  Skew.set_probe None
+  Db.set_fold_probe t.database None
 
 let next_seal_seq storage =
   match List.rev (Journal.segments storage journal_file) with
@@ -558,8 +553,7 @@ type report = {
   degraded : bool;
 }
 
-let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?heavy_threshold
-    ?(mode = Strict)
+let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
     ?(keep_checkpoints = 1) ?segment_bytes ~storage () =
   if keep_checkpoints < 1 then
     invalid_arg "Durable.recover: keep_checkpoints must be at least 1";
@@ -597,7 +591,7 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?heavy_threshold
               match Ckpt.decode contents with
               | Error reason -> Error reason
               | Ok (h, payload) -> (
-                  match Snapshot.load ?jobs ?heavy_threshold payload with
+                  match Snapshot.load ?jobs payload with
                   | db -> Ok (h.Ckpt.first_segment, db)
                   | exception Snapshot.Snapshot_error reason -> Error reason))
         in
@@ -624,10 +618,10 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?heavy_threshold
     match load_checkpoint None candidates with
     | `Loaded (generation, first_segment, db) ->
         (true, generation, first_segment, db, false)
-    | `Fresh -> (false, None, 0, Db.create ?jobs ?heavy_threshold (), false)
+    | `Fresh -> (false, None, 0, Db.create ?jobs (), false)
     | `All_failed (generation, reason) ->
         if mode = Strict then raise (Checkpoint_corrupt { generation; reason })
-        else (false, None, 0, Db.create ?jobs ?heavy_threshold (), true)
+        else (false, None, 0, Db.create ?jobs (), true)
   in
   (* ---- journal: sealed segments the checkpoint does not cover, in
      sequence order, then the active segment ---- *)

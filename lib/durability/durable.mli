@@ -47,12 +47,9 @@ open Chronicle_core
     write-ahead record, single appends and groups alike;
     ["post-group-write"] — hit after group records only, targeting the
     half-committed-group window; ["pre-checkpoint-rename"],
-    ["post-checkpoint-rename"],
-    ["view-fold"], ["heavy-promote"] / ["heavy-demote"] — hit inside a
-    key-join fold right before a heavy key's partial-join state is
-    built / torn down ({!Relational.Skew}); ["replay-dispatch"] — the
-    last hit by {!recover} once per replay window, before its batches
-    are dispatched) or torn writes.  After a simulated crash the
+    ["post-checkpoint-rename"], ["view-fold"]; ["replay-dispatch"] —
+    the last hit by {!recover} once per replay window, before its
+    batches are dispatched) or torn writes.  After a simulated crash the
     instance's storage is frozen (a dead process writes nothing more);
     discard the database and {!recover} from the same storage.
 
@@ -174,7 +171,6 @@ val recover :
   ?fault:Fault.t ->
   ?sync:Journal.sync_policy ->
   ?jobs:int ->
-  ?heavy_threshold:int ->
   ?mode:mode ->
   ?keep_checkpoints:int ->
   ?segment_bytes:int ->
@@ -216,13 +212,7 @@ val recover :
     ({!Ca.reads_history}) and the journal's final record are
     sequential barriers.  The recovered state is byte-identical at
     every degree — each view folds its batches wholly and in journal
-    order; only the interleaving across views changes.
-
-    [heavy_threshold] re-applies the heavy-light promotion bar (see
-    {!Db.create}) to the rebuilt database.  Partition state is
-    ephemeral — never checkpointed — so replay rebuilds it
-    deterministically; the recovered {e contents} are identical at any
-    threshold. *)
+    order; only the interleaving across views changes. *)
 
 val has_state : Storage.t -> bool
 (** True if the storage holds a checkpoint (bare or generation) or a

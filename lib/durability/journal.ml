@@ -45,12 +45,25 @@ let frame payload =
 type damage = { index : int; offset : int; reason : string }
 type ended = Complete | Torn of int | Damaged of damage
 
+(* Whether a CRC-valid record with a non-empty payload starts at some
+   offset in [from, len).  (Eight zero bytes frame an empty payload
+   with a matching CRC, so empty ones do not count.) *)
+let rec valid_frame_from contents ~len from =
+  from + 9 <= len
+  &&
+  let plen = get_be32 contents from in
+  (plen > 0 && plen <= len - from - 8
+   && Crc32.sub contents ~pos:(from + 8) ~len:plen = get_be32 contents (from + 4))
+  || valid_frame_from contents ~len (from + 1)
+
 (* Split [contents] into the maximal well-formed prefix — (payload,
    start-offset) pairs in journal order — plus how the scan ended.
    Total: damage is reported in the [ended] value, never raised, so
    scrub and salvage can inventory a broken segment without
    exceptions.  Payloads are opaque here: decoding them is the
-   caller's business. *)
+   caller's business.  A declared length running past the end is a
+   torn final record only when no CRC-valid record follows it; one
+   that does proves the length field itself is damaged. *)
 let scan contents =
   let len = String.length contents in
   let mlen = String.length magic in
@@ -72,7 +85,13 @@ let scan contents =
              if len - o < 8 then stop (Torn o);
              let plen = get_be32 contents o in
              let crc = get_be32 contents (o + 4) in
-             if o + 8 + plen > len then stop (Torn o);
+             if o + 8 + plen > len then
+               stop
+                 (if valid_frame_from contents ~len (o + 1) then
+                    Damaged
+                      { index = !idx; offset = o;
+                        reason = "record length runs past end of segment" }
+                  else Torn o);
              if Crc32.sub contents ~pos:(o + 8) ~len:plen <> crc then
                stop (Damaged { index = !idx; offset = o; reason = "checksum mismatch" });
              records := (String.sub contents (o + 8) plen, o) :: !records;

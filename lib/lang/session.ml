@@ -20,7 +20,7 @@ let of_db db =
     detectors = Hashtbl.create 8;
   }
 
-let create ?jobs ?heavy_threshold () = of_db (Db.create ?jobs ?heavy_threshold ())
+let create ?jobs () = of_db (Db.create ?jobs ())
 
 let db t = t.db
 let stager t = t.stager

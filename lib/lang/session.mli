@@ -9,11 +9,10 @@ open Chronicle_events
 
 type t
 
-val create : ?jobs:int -> ?heavy_threshold:int -> unit -> t
+val create : ?jobs:int -> unit -> t
 (** [jobs] is the maintenance parallelism degree of the underlying
     database (see {!Db.create}; default 1 = sequential, 0 = the
-    recommended domain count).  [heavy_threshold] is the heavy-light
-    promotion bar for key-join view maintenance (0 = adaptive). *)
+    recommended domain count). *)
 
 val of_db : Db.t -> t
 (** Wrap an existing database (e.g. one restored from a snapshot). *)

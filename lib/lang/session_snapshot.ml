@@ -290,8 +290,8 @@ let put_session buf session =
   Codec.put_list put_windowed buf (Session.windowed_views session);
   Codec.put_list put_detector buf (Session.named_detectors session)
 
-let get_session ?jobs ?heavy_threshold r =
-  let db = Snapshot.get_db ?jobs ?heavy_threshold r in
+let get_session ?jobs r =
+  let db = Snapshot.get_db ?jobs r in
   let session = Session.of_db db in
   let chronicle = Db.chronicle db in
   let relation name = Versioned.relation (Db.relation db name) in
@@ -302,12 +302,12 @@ let get_session ?jobs ?heavy_threshold r =
 
 let save session = Codec.encode put_session session
 
-let load ?jobs ?heavy_threshold data =
+let load ?jobs data =
   match Codec.check_magic ~tag ~version data with
   | Error reason -> error "not a session snapshot: %s" reason
   | Ok n -> (
       let payload = String.sub data n (String.length data - n) in
-      match Codec.decode (get_session ?jobs ?heavy_threshold) payload with
+      match Codec.decode (get_session ?jobs) payload with
       | Ok session -> session
       | Error reason -> error "malformed session snapshot: %s" reason
       | exception (Session_snapshot_error _ as e) -> raise e
@@ -317,5 +317,4 @@ let load ?jobs ?heavy_threshold data =
 let save_file session path =
   Out_channel.with_open_bin path (fun oc -> output_string oc (save session))
 
-let load_file ?jobs ?heavy_threshold path =
-  load ?jobs ?heavy_threshold (In_channel.with_open_bin path In_channel.input_all)
+let load_file ?jobs path = load ?jobs (In_channel.with_open_bin path In_channel.input_all)

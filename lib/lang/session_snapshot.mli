@@ -17,7 +17,7 @@
 exception Session_snapshot_error of string
 
 val save : Session.t -> string
-val load : ?jobs:int -> ?heavy_threshold:int -> string -> Session.t
+val load : ?jobs:int -> string -> Session.t
 (** Raises {!Session_snapshot_error} on any input that is not a
     version-2 session snapshot — a foreign magic, another format
     version (version 1 was S-expression text; the reason names it), or
@@ -27,4 +27,4 @@ val load : ?jobs:int -> ?heavy_threshold:int -> string -> Session.t
     {!Chronicle_core.Db.create}). *)
 
 val save_file : Session.t -> string -> unit
-val load_file : ?jobs:int -> ?heavy_threshold:int -> string -> Session.t
+val load_file : ?jobs:int -> string -> Session.t

@@ -149,16 +149,21 @@ let create_index t kind attrs =
     t.indexes <- ix :: t.indexes
   end
 
-let lookup_rows t ~attrs key =
-  match find_index t attrs with
-  | Some ix -> Index.find ix key
-  | None ->
+(* Like [find_in], but probing the index found: a key join runs this
+   per Δ tuple, so no option is built on the way. *)
+let rec lookup_in t attrs key = function
+  | ix :: rest ->
+      if List.equal String.equal (Index.attrs ix) attrs then Index.find ix key
+      else lookup_in t attrs key rest
+  | [] ->
       let hits = ref [] in
       iter
         (fun row tuple ->
           if Value.equal_list (key_of t attrs tuple) key then hits := row :: !hits)
         t;
       List.rev !hits
+
+let lookup_rows t ~attrs key = lookup_in t attrs key t.indexes
 
 let lookup t ~attrs key =
   List.filter_map (get t) (lookup_rows t ~attrs key)

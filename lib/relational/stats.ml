@@ -25,8 +25,6 @@ type counter =
   | Scrub_record
   | Checkpoint_fallback
   | Salvage_quarantined
-  | Heavy_promote
-  | Heavy_demote
   | Heavy_probe
   | Light_fold
   | Retract_apply
@@ -40,8 +38,7 @@ let all =
     Projector_compile; Journal_append; Journal_bytes; Journal_replay;
     Checkpoint; Rollback; Staged_appends; Group_commit; Group_size_max;
     Sync_retry; Scrub_record; Checkpoint_fallback; Salvage_quarantined;
-    Heavy_promote; Heavy_demote; Heavy_probe; Light_fold; Retract_apply;
-    Weight_cancel; Aggregate_reprobe ]
+    Heavy_probe; Light_fold; Retract_apply; Weight_cancel; Aggregate_reprobe ]
 
 let slot = function
   | Index_probe -> 0
@@ -70,13 +67,11 @@ let slot = function
   | Scrub_record -> 23
   | Checkpoint_fallback -> 24
   | Salvage_quarantined -> 25
-  | Heavy_promote -> 26
-  | Heavy_demote -> 27
-  | Heavy_probe -> 28
-  | Light_fold -> 29
-  | Retract_apply -> 30
-  | Weight_cancel -> 31
-  | Aggregate_reprobe -> 32
+  | Heavy_probe -> 26
+  | Light_fold -> 27
+  | Retract_apply -> 28
+  | Weight_cancel -> 29
+  | Aggregate_reprobe -> 30
 
 let counter_name = function
   | Index_probe -> "index_probe"
@@ -105,8 +100,6 @@ let counter_name = function
   | Scrub_record -> "scrub_record"
   | Checkpoint_fallback -> "checkpoint_fallback"
   | Salvage_quarantined -> "salvage_quarantined"
-  | Heavy_promote -> "heavy_promote"
-  | Heavy_demote -> "heavy_demote"
   | Heavy_probe -> "heavy_probe"
   | Light_fold -> "light_fold"
   | Retract_apply -> "retract_apply"
@@ -119,7 +112,7 @@ let counter_name = function
    that parallelism (no lost updates); on the jobs = 1 path the cost is
    one uncontended atomic RMW, and the observable values are identical
    to the old plain-int implementation. *)
-let counts = Array.init 33 (fun _ -> Atomic.make 0)
+let counts = Array.init 31 (fun _ -> Atomic.make 0)
 
 let incr c = Atomic.incr counts.(slot c)
 let add c n = ignore (Atomic.fetch_and_add counts.(slot c) n)

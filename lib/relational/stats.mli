@@ -55,14 +55,9 @@ type counter =
   | Salvage_quarantined
                      (** one damaged journal suffix moved to a quarantine
                          sidecar by salvage recovery *)
-  | Heavy_promote    (** one join key promoted to the heavy partition (its
-                         matched-tuple run materialized; see {!Skew}) *)
-  | Heavy_demote     (** one heavy join key demoted back to light (its
-                         cached run discarded) *)
-  | Heavy_probe      (** one join-Δ match answered from a heavy key's
-                         cached run (no relation probe) *)
-  | Light_fold       (** one join-Δ match computed by the lazy light path
-                         (index probe or scan of the opposite side) *)
+  | Heavy_probe      (** never incremented: kept only because perfbench
+                         reads it for [relational.heavy_hit_ratio] *)
+  | Light_fold       (** one key-join index probe *)
   | Retract_apply    (** one {!Db.retract} operation applied (journaled,
                          every affected view maintained under weight −1) *)
   | Weight_cancel    (** one output tuple whose before/after occurrences

@@ -18,6 +18,19 @@ let projector schema names =
 
 let project schema names t = projector schema names t
 
+let concat_projector schema names =
+  Stats.incr Stats.Projector_compile;
+  let positions = Array.of_list (List.map (Schema.pos schema) names) in
+  let n = Array.length positions in
+  fun l r ->
+    let k = Array.length l in
+    let out = Array.make (k + n) Value.Null in
+    Array.blit l 0 out 0 k;
+    for j = 0 to n - 1 do
+      out.(k + j) <- r.(positions.(j))
+    done;
+    out
+
 let concat = Array.append
 
 let remove schema name t =

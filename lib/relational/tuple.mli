@@ -17,6 +17,11 @@ val projector : Schema.t -> string list -> t -> t
     result to many tuples. *)
 
 val concat : t -> t -> t
+
+val concat_projector : Schema.t -> string list -> t -> t -> t
+(** [concat_projector schema names l r] is
+    [concat l (project schema names r)], built as one array. *)
+
 val remove : Schema.t -> string -> t -> t
 
 val type_check : Schema.t -> t -> bool

@@ -31,5 +31,5 @@ let txn rng zipf =
 
 (* A whole key stream at once: [n] transactions whose account keys
    follow the given Zipf law (s = 0 degenerates to uniform) — the
-   skew-bench / differential-test driver. *)
+   key-join oracle property's driver. *)
 let txn_stream rng zipf ~n = List.init n (fun _ -> txn rng zipf)

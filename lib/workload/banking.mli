@@ -18,5 +18,5 @@ val txn : Rng.t -> Zipf.t -> Tuple.t
 
 val txn_stream : Rng.t -> Zipf.t -> n:int -> Tuple.t list
 (** [n] transactions whose account keys follow the Zipf law ([s = 0]
-    degenerates to uniform) — the key stream the skew bench (E19) and
-    the heavy-light differential tests append one by one. *)
+    degenerates to uniform) — the key stream the key-join oracle
+    property appends one by one. *)

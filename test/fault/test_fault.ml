@@ -44,11 +44,10 @@ type op =
   | Clock of int (* advance by n >= 1 *)
   | Checkpoint
   | Rel of int * string
-    (* insert a customers row (skew catalog only) through the
+    (* insert a customers row (key-join catalog only) through the
        journaled Db.insert_rows path — an Ev_insert write-ahead
-       record, no checkpoint needed — while still bumping the
-       relation version between appends (which is what demotes every
-       heavy key at the next key-join fold) *)
+       record, no checkpoint needed — so that later key-join folds
+       probe a relation that changed between appends *)
   | Retract of int
     (* retract the n oldest retained mileage rows (retract catalog
        only: requires Full retention) through the journaled
@@ -188,8 +187,8 @@ let durable_run ?(mk = fun jobs -> mk_db ~jobs ()) ops ~jobs ~storage ~fault
 
 (* The property itself.  [jobs] is the maintenance parallelism of the
    crashing run and of recovery; the reference states stay sequential. *)
-let check_crash_equivalence ?(what = "") ?(jobs = 1) ?mk ?heavy_threshold
-    ?on_crashed ops script =
+let check_crash_equivalence ?(what = "") ?(jobs = 1) ?mk ?on_crashed ops
+    script =
   let states = clean_states ?mk ops in
   let storage = Storage.mem () in
   let fault = Fault.create () in
@@ -198,7 +197,7 @@ let check_crash_equivalence ?(what = "") ?(jobs = 1) ?mk ?heavy_threshold
   Option.iter
     (fun f -> f (if crashed then List.nth_opt ops applied else None))
     on_crashed;
-  let d, _report = Durable.recover ~jobs ?heavy_threshold ~storage () in
+  let d, _report = Durable.recover ~jobs ~storage () in
   let recovered = Snapshot.save (Durable.db d) in
   let ok =
     if not crashed then recovered = states.(Array.length states - 1)
@@ -212,7 +211,7 @@ let check_crash_equivalence ?(what = "") ?(jobs = 1) ?mk ?heavy_threshold
        workload: %s"
       what crashed applied (List.length ops) (show_ops ops);
   (* recovery must be stable: recovering again changes nothing *)
-  let d2, _ = Durable.recover ?heavy_threshold ~storage () in
+  let d2, _ = Durable.recover ~storage () in
   if Snapshot.save (Durable.db d2) <> recovered then
     Alcotest.failf "recovery is not idempotent (%s): %s" what (show_ops ops)
 
@@ -309,21 +308,16 @@ let test_group_crash_sweep () =
         [ "post-journal-write"; "post-group-write"; "view-fold" ])
     [ 1; 2; 4 ]
 
-(* Heavy-light partition crash sweep.  A skewed key-join catalog
-   maintained with a low promotion bar (2): a short hot-key stream
-   promotes on the append path, and each [Rel] op bumps the relation
-   version so the next fold demotes (and immediately re-promotes) every
-   heavy key.  The crash points sit inside the partial-state build
-   ("heavy-promote", fired before the run is installed) and teardown
-   ("heavy-demote", fired before the stale run is dropped); the property
-   is unchanged — recovered state ∈ {Sᵢ₋₁, Sᵢ} — because heavy state is
-   ephemeral and replay rebuilds it deterministically (recovery runs
-   with the same threshold). *)
+(* Key-join crash sweep.  A key-join catalog whose relation gains rows
+   between appends through journaled [Rel] inserts, so later folds
+   probe a changed relation.  The crash points sit in the view fold,
+   after an append's write-ahead record and after an insert's; the
+   recovered state is Sᵢ₋₁ or Sᵢ. *)
 let customer_schema =
   Schema.make [ ("cust", Value.TInt); ("state", Value.TStr) ]
 
-let mk_skew_db ?jobs () =
-  let db = Db.create ?jobs ~heavy_threshold:2 () in
+let mk_keyjoin_db ?jobs () =
+  let db = Db.create ?jobs () in
   ignore (Db.add_chronicle db ~name:"mileage" mileage_schema);
   ignore (Db.add_chronicle db ~name:"bonus" mileage_schema);
   let cust =
@@ -350,13 +344,13 @@ let mk_skew_db ?jobs () =
           (Sca.Group_agg ([ "acct" ], [ Aggregate.sum "miles" "b" ]))));
   db
 
-let skew_workload =
+let keyjoin_workload =
   [
     Append [ (1, 10); (2, 40) ];
-    Append [ (1, 11) ] (* acct 1 crosses the bar: promote *);
-    Append [ (1, 12) ] (* served from the heavy cache *);
-    Rel (6, "TX") (* version bump, journaled via Ev_insert *);
-    Append [ (1, 13) ] (* demote-all, then re-promote *);
+    Append [ (1, 11) ];
+    Append [ (1, 12) ];
+    Rel (6, "TX") (* journaled via Ev_insert *);
+    Append [ (1, 13) ];
     Multi ([ (1, 14) ], [ (3, 2) ]);
     Group [ ([ (1, 15) ], []); ([ (1, 16); (2, 5) ], [ (2, 1) ]) ];
     Rel (7, "OR");
@@ -365,8 +359,8 @@ let skew_workload =
     Append [ (1, 18) ];
   ]
 
-let test_skew_partition_crash_sweep () =
-  let mk jobs = mk_skew_db ~jobs () in
+let test_keyjoin_crash_sweep () =
+  let mk jobs = mk_keyjoin_db ~jobs () in
   List.iter
     (fun jobs ->
       List.iter
@@ -377,22 +371,16 @@ let test_skew_partition_crash_sweep () =
           for k = 0 to 5 do
             check_crash_equivalence
               ~what:
-                (Printf.sprintf "skew: %s after %d hits (jobs=%d)" point k
-                   jobs)
-              ~jobs ~mk ~heavy_threshold:2
+                (Printf.sprintf "key join: %s after %d hits (jobs=%d)" point
+                   k jobs)
+              ~jobs ~mk
               ~on_crashed:(fun op -> fired := !fired || op <> None)
-              skew_workload
+              keyjoin_workload
               (fun fault -> Fault.arm fault ~after:k point)
           done;
           if not !fired then
             Alcotest.failf "crash point %s never fired (jobs=%d)" point jobs)
-        [
-          Skew.p_promote;
-          Skew.p_demote;
-          "view-fold";
-          "post-journal-write";
-          "post-insert-write";
-        ])
+        [ "view-fold"; "post-journal-write"; "post-insert-write" ])
     [ 1; 2; 4 ]
 
 (* Retraction crash sweep.  A Full-retention twin of the standard
@@ -894,8 +882,8 @@ let () =
             test_exhaustive_crash_sweep;
           Alcotest.test_case "group-commit crash sweep" `Quick
             test_group_crash_sweep;
-          Alcotest.test_case "heavy-light partition crash sweep" `Quick
-            test_skew_partition_crash_sweep;
+          Alcotest.test_case "key-join crash sweep" `Quick
+            test_keyjoin_crash_sweep;
           Alcotest.test_case "retraction crash sweep" `Quick
             test_retract_crash_sweep;
           Alcotest.test_case "exhaustive torn-write sweep" `Quick

@@ -15,7 +15,10 @@
    - When strict recovery succeeds, salvage recovers the identical
      state (fallback alone is not damage worth degrading over).
    - Storage after salvage is self-healed: a subsequent strict recovery
-     succeeds. *)
+     succeeds.
+   - A flipped high bit in the length field of a non-final record of
+     the active journal is damage, not a torn tail: as the only
+     corruption, strict recovery raises and salvage quarantines. *)
 
 open Chronicle_core
 open Chronicle_durability
@@ -75,13 +78,15 @@ let apply d db = function
 
 (* One fuzz case: a workload, a durability configuration, and a list of
    corruptions (name picked by index into the sorted surviving names;
-   offsets as raw ints reduced modulo the victim's length). *)
+   offsets as raw ints reduced modulo the victim's length).  A [`Len]
+   corruption always hits the active journal: a bit of the high length
+   byte of a record picked among all but the last. *)
 type case = {
   ops : op list;
   keep : int;
   segment_bytes : int option;
   jobs : int;
-  corruptions : (int * [ `Flip of int * int | `Trunc of int ]) list;
+  corruptions : (int * [ `Flip of int * int | `Trunc of int | `Len of int ]) list;
 }
 
 let case_gen =
@@ -107,6 +112,7 @@ let case_gen =
                map2 (fun b bit -> `Flip (b, bit)) (int_bound 4000)
                  (int_bound 7) );
              (1, map (fun t -> `Trunc t) (int_bound 4000));
+             (1, map (fun bit -> `Len bit) (int_bound 7));
            ])
     in
     map
@@ -130,7 +136,8 @@ let show_case c =
           (fun (p, k) ->
             match k with
             | `Flip (b, bit) -> Printf.sprintf "%d:flip(%d,%d)" p b bit
-            | `Trunc t -> Printf.sprintf "%d:trunc(%d)" p t)
+            | `Trunc t -> Printf.sprintf "%d:trunc(%d)" p t
+            | `Len bit -> Printf.sprintf "%d:len(%d)" p bit)
           c.corruptions))
 
 let clone_storage (src : Storage.t) =
@@ -143,17 +150,32 @@ let clone_storage (src : Storage.t) =
     (src.Storage.list ());
   dst
 
+(* Apply one corruption; true when it flipped a non-final record's
+   length in the active journal. *)
 let corrupt (storage : Storage.t) (pick, kind) =
-  match storage.Storage.list () with
-  | [] -> ()
-  | names -> (
+  match (kind, storage.Storage.list ()) with
+  | `Len bit, _ -> (
+      let records =
+        match storage.Storage.read "journal" with
+        | Some contents -> fst (Journal.scan contents)
+        | None -> []
+      in
+      match records with
+      | [] | [ _ ] -> false
+      | _ ->
+          let _, offset = List.nth records (pick mod (List.length records - 1)) in
+          Fault.flip_bit storage ~name:"journal" ~byte:offset ~bit;
+          true)
+  | _, [] -> false
+  | ((`Flip _ | `Trunc _) as kind), names ->
       let name = List.nth names (pick mod List.length names) in
       let len = String.length (Option.get (storage.Storage.read name)) in
-      match kind with
+      (match kind with
       | `Flip (b, bit) when len > 0 ->
           Fault.flip_bit storage ~name ~byte:(b mod len) ~bit
       | `Flip _ -> ()
-      | `Trunc t -> storage.Storage.truncate name (t mod (len + 1)))
+      | `Trunc t -> storage.Storage.truncate name (t mod (len + 1)));
+      false
 
 let typed_recovery_error = function
   | Journal.Journal_corrupt _ | Durable.Recovery_error _
@@ -172,7 +194,7 @@ let run_case c =
   List.iter (apply d db) c.ops;
   Durable.detach d;
   (* damage it *)
-  List.iter (corrupt storage) c.corruptions;
+  let only_length_flip = List.map (corrupt storage) c.corruptions = [ true ] in
   (* strict: success or typed error *)
   let strict_state =
     match Durable.recover ~jobs:c.jobs ~storage:(clone_storage storage) () with
@@ -186,6 +208,9 @@ let run_case c =
             (Printexc.to_string e) (show_case c);
         None
   in
+  if only_length_flip && strict_state <> None then
+    QCheck.Test.fail_reportf "strict recovery dropped a length-damaged suffix on %s"
+      (show_case c);
   (* salvage: never raises; health agrees with the report *)
   let salvaged = clone_storage storage in
   (match
@@ -198,6 +223,8 @@ let run_case c =
       | _ ->
           QCheck.Test.fail_reportf "health disagrees with report on %s"
             (show_case c));
+      if only_length_flip && report.Durable.quarantined = 0 then
+        QCheck.Test.fail_reportf "salvage quarantined nothing on %s" (show_case c);
       (match strict_state with
       | Some s when s <> state ->
           QCheck.Test.fail_reportf

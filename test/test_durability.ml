@@ -447,6 +447,27 @@ let test_corrupt_journal_rejected_at_recovery () =
   | _ -> Alcotest.fail "corrupt journal must be rejected"
   | exception Journal.Journal_corrupt { record = 0; _ } -> ()
 
+(* A flipped high bit in a mid-journal record's length field makes the
+   declared length run past the end of the segment.  CRC-valid records
+   follow it, so this is damage, not a torn final record: strict
+   recovery raises typed and salvage quarantines. *)
+let test_corrupt_length_is_damage () =
+  let st = Storage.mem () in
+  let db = mk_db () in
+  let _d = Durable.attach ~storage:st db in
+  List.iter (fun a -> ignore (Db.append db "mileage" [ post a 10 ])) [ 1; 2; 3 ];
+  (* magic is 10 bytes; record 0's big-endian length starts right after *)
+  Fault.flip_bit st ~name:"journal" ~byte:10 ~bit:7;
+  (match Journal.scan (Option.get (st.Storage.read "journal")) with
+  | [], Journal.Damaged { index = 0; offset = 10; _ } -> ()
+  | _ -> Alcotest.fail "a length past EOF with records after it must scan as damage");
+  (match Durable.recover ~storage:st () with
+  | _ -> Alcotest.fail "strict recovery must not drop the suffix silently"
+  | exception Journal.Journal_corrupt { record = 0; _ } -> ());
+  let _, report = Durable.recover ~mode:Durable.Salvage ~storage:st () in
+  check_bool "salvage quarantined the damage" true (report.Durable.quarantined > 0);
+  check_bool "salvage opened degraded" true report.Durable.degraded
+
 let test_disk_storage () =
   let dir = Filename.temp_file "chronicle_durability" "" in
   Sys.remove dir;
@@ -720,4 +741,6 @@ let suite =
     test "journal segments rotate and recover" test_segment_rotation_and_recovery;
     test "scrub inventories damage read-only" test_scrub_inventory;
     test "journal record bytes are pinned" test_golden_journal;
+    test "a corrupted record length is damage, not a torn tail"
+      test_corrupt_length_is_damage;
   ]

@@ -317,12 +317,12 @@ let test_rows_remove_readd_rollback () =
   View.rollback_txn view;
   check_bool "rows restored with multiplicities" true (View.dump view = before)
 
-(* A retraction's minus half streams through a key-join stage (heavy
-   keys served from the partition's cache, light ones probed) into
-   invertible and MIN/MAX (re-probed) views; jobs 1/2/4 save the same
-   bytes, and the views equal a batch evaluation of the survivors. *)
+(* A retraction's minus half streams through a key-join stage (one
+   index probe per tuple) into invertible and MIN/MAX (re-probed) views;
+   jobs 1/2/4 save the same bytes, and the views equal a batch
+   evaluation of the survivors. *)
 let keyjoin_db jobs =
-  let db = Db.create ~jobs ~heavy_threshold:2 () in
+  let db = Db.create ~jobs () in
   ignore (Db.add_chronicle db ~retention:Chron.Full ~name:"mileage" Fixtures.mileage_schema);
   let cust =
     Db.add_relation db ~name:"customers" ~schema:Fixtures.customer_schema ~key:[ "cust" ] ()
@@ -357,7 +357,6 @@ let test_keyjoin_minus_jobs () =
     keyjoin_script db;
     let s1 = Stats.snapshot () in
     check_bool "retractions applied" true (Stats.diff_get s0 s1 Stats.Retract_apply > 0);
-    check_bool "heavy keys served from cache" true (Stats.diff_get s0 s1 Stats.Heavy_probe > 0);
     List.iter
       (fun name ->
         let def = View.def (Db.view db name) in
@@ -369,6 +368,55 @@ let test_keyjoin_minus_jobs () =
   in
   let one = save 1 in
   List.iter (fun jobs -> check_bool (Printf.sprintf "jobs %d bytes" jobs) true (save jobs = one)) [ 2; 4 ]
+
+(* Key-join views against an independent oracle: a [by_branch] SUM and
+   a [detail] projection over [txn ⋈ accounts] equal a from-scratch
+   [Naive] recompute over the RETAIN FULL chronicle, under Zipf(1.1)
+   and uniform key streams, with non-matching [accounts] inserts
+   mid-stream, at jobs 1/2/4. *)
+module Banking = Chronicle_workload.Banking
+module Rng = Chronicle_workload.Rng
+module Zipf = Chronicle_workload.Zipf
+module Naive = Chronicle_baseline.Naive
+
+let bank_db jobs =
+  let db = Db.create ~jobs () in
+  ignore (Db.add_chronicle db ~retention:Chron.Full ~name:"txn" Banking.txn_schema);
+  let acc = Db.add_relation db ~name:"accounts" ~schema:Banking.account_schema ~key:[ "acct" ] () in
+  List.iter (Versioned.insert acc) (Banking.accounts (Rng.create 7) ~n:16);
+  let body =
+    Ca.KeyJoinRel (Ca.Chronicle (Db.chronicle db "txn"), Versioned.relation acc, [ ("acct", "acct") ])
+  in
+  let define name summ = ignore (Db.define_view db (Sca.define ~name ~body summ)) in
+  define "by_branch" (Sca.Group_agg ([ "branch" ], [ Aggregate.sum "amount" "total" ]));
+  define "detail" (Sca.Project_out [ "acct"; "kind"; "amount"; "branch" ]);
+  db
+
+let prop_keyjoin_matches_naive (seed, zipfy, jobs, churn) =
+  let zipf = Zipf.create ~n:16 ~s:(if zipfy then 1.1 else 0.) in
+  let db = bank_db jobs in
+  List.iteri
+    (fun i tu ->
+      ignore (Db.append db "txn" [ tu ]);
+      if churn > 0 && (i + 1) mod churn = 0 then
+        Versioned.insert (Db.relation db "accounts")
+          (tup [ vi (100_000 + i); vs (Printf.sprintf "late-%d" i); vs "annex" ]))
+    (Banking.txn_stream (Rng.create seed) zipf ~n:80);
+  List.for_all
+    (fun name ->
+      let naive = Naive.create (View.def (Db.view db name)) in
+      Naive.refresh naive;
+      List.equal Tuple.equal (sorted_tuples (Naive.result naive))
+        (sorted_tuples (Db.view_contents db name)))
+    [ "by_branch"; "detail" ]
+
+let keyjoin_arb =
+  QCheck.make
+    ~print:(fun (seed, zipfy, jobs, churn) ->
+      Printf.sprintf "seed=%d %s jobs=%d churn=%d" seed
+        (if zipfy then "zipf(1.1)" else "uniform")
+        jobs churn)
+    QCheck.Gen.(tup4 (int_bound 1_000_000) bool (oneofl [ 1; 2; 4 ]) (oneofl [ 0; 7; 13 ]))
 
 (* ---- allocation budget ----
 
@@ -426,4 +474,6 @@ let suite =
     test "minus fold through the key-join stage: jobs 1/2/4 save the same bytes"
       test_keyjoin_minus_jobs;
     test "allocation budget: folding into existing groups" test_allocation_budget;
+    qtest ~count:40 "key-join views = Naive recompute (uniform + Zipf(1.1), jobs 1/2/4, churn)"
+      keyjoin_arb prop_keyjoin_matches_naive;
   ]
