@@ -28,6 +28,7 @@ let experiments =
     ("E18", E18_scrub_salvage.run);
     ("E20", E20_server.run);
     ("E21", E21_retract.run);
+    ("E22", E22_shared_stages.run);
     ("micro", Micro.run);
   ]
 

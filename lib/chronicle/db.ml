@@ -316,14 +316,21 @@ let reprobe_source v =
       | _ -> everything)
   | Sca.Group_agg _ | Sca.Project_out _ -> everything
 
-(* Record one entry: the recorded delta, its affected views and each
-   view's fold.  A plus entry claims [sn], stores its batch and flushes
-   the relation updates that have come due (they are proactive for
-   [sn]: they take effect before this batch's folds).  A minus entry
-   first captures, per view, the at-[sn] slices (only for plans that
-   read them) and the re-probe source, then removes its rows; each fold
-   reads the slices again after the removal.  History readers have no
-   minus fold: the retraction rematerializes them. *)
+(* Each view's plan, and the memo the entry's folds share. *)
+let planned views =
+  let plans = List.map (fun v -> (v, View.plan v)) views in
+  (plans, Delta.memo (List.map snd plans))
+
+(* Record one entry: the recorded delta and each affected view's fold.
+   A plus entry claims [sn], stores its batch and flushes the relation
+   updates that have come due (they are proactive for [sn]: they take
+   effect before this batch's folds).  A minus entry first captures,
+   per view, the at-[sn] slices (only for plans that read them) and the
+   re-probe source, then removes its rows; each fold reads the slices
+   again after the removal.  History readers have no minus fold: the
+   retraction rematerializes them.  The folds of one entry share a
+   memo ({!Delta.memo}), so a key-join stage their plans share runs
+   once for the entry; it lives as long as the folds. *)
 let record t { g; sn; batch } =
   if List.for_all (fun (_, z) -> z.Delta.minus = []) batch then begin
     Group.claim_sn g sn;
@@ -331,9 +338,11 @@ let record t { g; sn; batch } =
       List.map (fun (c, z) -> (c, { z with Delta.plus = Chron.record c sn z.Delta.plus })) batch
     in
     Hashtbl.iter (fun _ r -> Versioned.flush_pending r ~upto:(sn - 1)) t.relations;
+    let plans, memo = planned (affected t (fun z -> z.Delta.plus) delta) in
     ( delta,
-      affected t (fun z -> z.Delta.plus) delta,
-      fun v () -> View.apply v (Delta.stream (View.plan v) ~sn delta) )
+      List.map
+        (fun (v, plan) -> (v, fun () -> View.apply v (Delta.stream plan ~sn ~memo delta)))
+        plans )
   end
   else begin
     let delta =
@@ -341,23 +350,27 @@ let record t { g; sn; batch } =
         (fun (c, z) -> (c, { z with Delta.minus = List.map (Chron.tag sn) z.Delta.minus }))
         batch
     in
-    let fold v =
-      let plan = View.plan v in
+    let plans, memo =
+      planned
+        (List.filter
+           (fun v -> not (reads_history_view v))
+           (affected t (fun z -> z.Delta.minus) delta))
+    in
+    let fold (v, plan) =
       let slices () =
         if Delta.reads_slices plan then
           List.map (fun c -> (c, Chron.at_sn c sn)) (Ca.chronicles (Delta.expr plan))
         else []
       in
       let before = slices () and reprobe = reprobe_source v in
-      fun () -> View.apply ~reprobe v (Delta.stream plan ~sn ~before ~after:(slices ()) delta)
+      ( v,
+        fun () ->
+          View.apply ~reprobe v
+            (Delta.stream plan ~sn ~memo ~before ~after:(slices ()) delta) )
     in
-    let folds =
-      List.filter_map
-        (fun v -> if reads_history_view v then None else Some (v, fold v))
-        (affected t (fun z -> z.Delta.minus) delta)
-    in
+    let folds = List.map fold plans in
     List.iter (fun (c, z) -> Chron.remove_stored c sn z.Delta.minus) batch;
-    (delta, List.map fst folds, fun v -> List.assq v folds)
+    (delta, folds)
   end
 
 (* One view's fold at [sn], announced to the fold probe first. *)
@@ -400,7 +413,7 @@ let fold_chains t chains =
   let key = Atomic.get cut in
   if key < max_int then raise (Option.get failures.(key mod n))
 
-(* Fold recorded entries [(index, sn, delta, views, fold)], one chain per
+(* Fold recorded entries [(index, sn, delta, folds)], one chain per
    view in order of first appearance — deterministic, since recording
    runs in entry order and [Registry.affected] lists views in
    registration order.  [open_view] runs on the submitting domain for
@@ -408,9 +421,9 @@ let fold_chains t chains =
 let fold_recorded t ~open_view recs =
   let order = ref [] and links = Hashtbl.create 8 in
   List.iter
-    (fun (index, sn, _, views, fold) ->
+    (fun (index, sn, _, folds) ->
       List.iter
-        (fun v ->
+        (fun (v, fold) ->
           let name = View.name v in
           let cell =
             match Hashtbl.find_opt links name with
@@ -421,8 +434,8 @@ let fold_recorded t ~open_view recs =
                 order := (v, cell) :: !order;
                 cell
           in
-          cell := (index, fold_link t v ~sn (fold v)) :: !cell)
-        views)
+          cell := (index, fold_link t v ~sn fold) :: !cell)
+        folds)
     recs;
   let order = List.rev !order in
   List.iter (fun (v, _) -> open_view v) order;
@@ -449,7 +462,7 @@ let record_and_fold t ~open_view ~interleave ~folded prepare items =
     | recs ->
         recorded := [];
         fold_recorded t ~open_view recs;
-        folded (List.map (fun (_, sn, delta, _, _) -> (sn, delta)) recs)
+        folded (List.map (fun (_, sn, delta, _) -> (sn, delta)) recs)
   in
   List.iteri
     (fun index item ->
@@ -459,9 +472,10 @@ let record_and_fold t ~open_view ~interleave ~folded prepare items =
       match indexed (fun () -> prepare index item) with
       | None -> ()
       | Some e ->
-          let delta, views, fold = indexed (fun () -> record t e) in
-          recorded := (index, e.sn, delta, views, fold) :: !recorded;
-          if interleave || List.exists reads_history_view views then barrier ())
+          let delta, folds = indexed (fun () -> record t e) in
+          recorded := (index, e.sn, delta, folds) :: !recorded;
+          if interleave || List.exists (fun (v, _) -> reads_history_view v) folds then
+            barrier ())
     items;
   barrier ()
 

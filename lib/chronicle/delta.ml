@@ -63,10 +63,33 @@ let mdiff after before =
 type sink = Tuple.t -> unit
 type stream = plus:sink -> minus:sink -> unit
 
-type node =
-  sn:Seqnum.t -> before:batch -> after:batch -> change -> plus:sink -> minus:sink -> unit
+(* A shared key-join stage's output for one entry: filled by the first
+   consumer that runs it, under the cell's lock, then read by every
+   other consumer.  A failure is kept and re-raised by each of them. *)
+type filled = Unfilled | Filled of zset | Raised of exn * Printexc.raw_backtrace
+type cell = { lock : Mutex.t; mutable value : filled }
+type memo = No_memo | Cells of (int, cell) Hashtbl.t
 
-type plan = { expr : Ca.t; node : node; reads_slices : bool }
+(* What a node runs on: the change at [sn], the slices around a
+   retraction, and the entry's memo. *)
+type input = { sn : Seqnum.t; before : batch; after : batch; change : change; memo : memo }
+
+type node = input -> plus:sink -> minus:sink -> unit
+
+(* An interned key-join stage [σ…(C) ⋈_key R]: one compiled streaming
+   node, run by every plan that claims it. *)
+type stage = {
+  id : int;
+  below : Ca.t; (* the σ/Π chain over one chronicle *)
+  rel : Relation.t;
+  pairs : (string * string) list;
+  run : node;
+  mutable consumers : int; (* plans holding a claim *)
+}
+
+type stages = { mutable next_id : int; mutable live : stage list }
+
+type plan = { expr : Ca.t; node : node; reads_slices : bool; claims : stage list }
 
 let emit z ~plus ~minus =
   List.iter plus z.plus;
@@ -80,19 +103,19 @@ let collect (s : stream) =
   s ~plus:(fun tu -> plus := tu :: !plus) ~minus:(fun tu -> minus := tu :: !minus);
   { plus = List.rev !plus; minus = List.rev !minus }
 
-let collect_node (node : node) ~sn ~before ~after change =
-  collect (node ~sn ~before ~after change)
-
 (* A stream stage: [stage sink] is the sink feeding [sink]. *)
 let linear (stage : sink -> sink) (child : node) : node =
- fun ~sn ~before ~after change ~plus ~minus ->
-  child ~sn ~before ~after change ~plus:(stage plus) ~minus:(stage minus)
+ fun inp ~plus ~minus -> child inp ~plus:(stage plus) ~minus:(stage minus)
+
+(* The plus half of [child] over [change] alone: no slices, no memo. *)
+let plus_of (child : node) ~sn change =
+  (collect (child { sn; before = []; after = []; change; memo = No_memo })).plus
 
 (* [rule ~sn change] is the operator's rule over its operands' plus
    halves; [reads] records that the plan needs the at-sn slices. *)
 let nonlinear reads rule : node =
   reads := true;
-  fun ~sn ~before ~after change ->
+  fun { sn; before; after; change; _ } ->
     if before = [] then emit { plus = rule ~sn change; minus = [] }
     else emit (mdiff (rule ~sn (appended after)) (rule ~sn (appended before)))
 
@@ -107,11 +130,10 @@ let no_minus what =
    operand's history before [sn], plus the two deltas against each
    other; [pair] joins two tuples, or rejects the pair. *)
 let history_reader what l r (cl : node) (cr : node) pair : node =
- fun ~sn ~before ~after change ->
-  let dl = collect_node cl ~sn ~before ~after change
-  and dr = collect_node cr ~sn ~before ~after change in
+ fun inp ->
+  let dl = collect (cl inp) and dr = collect (cr inp) in
   if dl.minus <> [] || dr.minus <> [] then no_minus what;
-  let old_l = Eval.eval_before l sn and old_r = Eval.eval_before r sn in
+  let old_l = Eval.eval_before l inp.sn and old_r = Eval.eval_before r inp.sn in
   let cross left right =
     List.concat_map (fun ltu -> List.filter_map (pair ltu) right) left
   in
@@ -134,21 +156,130 @@ let rec join_rows rel join sink tu = function
       (match Relation.get rel row with Some rtu -> sink (join tu rtu) | None -> ());
       join_rows rel join sink tu rows
 
-let rec comp reads expr : node =
-  let comp = comp reads in
-  let plus (child : node) ~sn change =
-    (collect_node child ~sn ~before:[] ~after:[] change).plus
+(* Δ(C ⋈_key R): join each Δ tuple with the matching relation tuples
+   via one index probe on the join attributes (at most a constant
+   number of matches in CA_⋈, by the key guarantee — Definition 4.2);
+   both halves probe the relation's current version. *)
+let key_join schema rel pairs (child : node) : node =
+  let left_pos = Array.of_list (List.map (fun (a, _) -> Schema.pos schema a) pairs) in
+  let right_attrs = List.map snd pairs in
+  let rschema = Relation.schema rel in
+  let keep =
+    List.filter (fun n -> not (List.mem n right_attrs)) (Schema.names rschema)
   in
+  let join = Tuple.concat_projector rschema keep in
+  linear
+    (fun sink tu ->
+      Stats.incr Stats.Light_fold;
+      join_rows rel join sink tu
+        (Relation.lookup_rows rel ~attrs:right_attrs (values_at tu left_pos 0)))
+    child
+
+(* ---- shared key-join stages ---- *)
+
+let stages () = { next_id = 0; live = [] }
+
+(* A σ/Π chain over one base chronicle: the input an interned stage
+   reads. *)
+let rec is_chain = function
+  | Ca.Chronicle _ -> true
+  | Ca.Select (_, e) | Ca.Project (_, e) -> is_chain e
+  | _ -> false
+
+(* Predicates and attribute lists are plain data: equal ones select and
+   project alike. *)
+let rec same_chain a b =
+  match a, b with
+  | Ca.Chronicle c, Ca.Chronicle c' -> c == c'
+  | Ca.Select (p, a), Ca.Select (p', b) -> p = p' && same_chain a b
+  | Ca.Project (x, a), Ca.Project (y, b) -> x = y && same_chain a b
+  | _ -> false
+
+(* The live stage for [below ⋈_pairs rel], or a fresh one compiled by
+   [build]; either way with one more consumer. *)
+let intern st below rel pairs build =
+  let stage =
+    match
+      List.find_opt
+        (fun s -> s.rel == rel && s.pairs = pairs && same_chain s.below below)
+        st.live
+    with
+    | Some s -> s
+    | None ->
+        let s = { id = st.next_id; below; rel; pairs; run = build (); consumers = 0 } in
+        st.next_id <- st.next_id + 1;
+        st.live <- st.live @ [ s ];
+        s
+  in
+  stage.consumers <- stage.consumers + 1;
+  stage
+
+let release_claims st claims =
+  List.iter
+    (fun s ->
+      s.consumers <- s.consumers - 1;
+      if s.consumers = 0 then st.live <- List.filter (fun s' -> s' != s) st.live)
+    claims
+
+let release st plan = release_claims st plan.claims
+let stage_consumers st = List.map (fun s -> s.consumers) st.live
+
+(* The stage's output for this entry, run once by whoever comes first. *)
+let fill cell (stage : stage) inp =
+  Mutex.protect cell.lock (fun () ->
+      (match cell.value with
+      | Unfilled -> (
+          match collect (stage.run inp) with
+          | z -> cell.value <- Filled z
+          | exception e -> cell.value <- Raised (e, Printexc.get_raw_backtrace ()))
+      | Filled _ | Raised _ -> ());
+      cell.value)
+
+(* A consumer of [stage]: streams it when the entry has no cell for it
+   (it is the entry's only consumer), else reads the cell. *)
+let shared (stage : stage) : node =
+ fun inp ~plus ~minus ->
+  let cell =
+    match inp.memo with
+    | Cells cells -> Hashtbl.find_opt cells stage.id
+    | No_memo -> None
+  in
+  match cell with
+  | None -> stage.run inp ~plus ~minus
+  | Some cell -> (
+      match fill cell stage inp with
+      | Filled z -> emit z ~plus ~minus
+      | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
+      | Unfilled -> assert false)
+
+let memo plans =
+  match List.concat_map (fun p -> p.claims) plans with
+  | [] | [ _ ] -> No_memo
+  | claims ->
+      let seen = Hashtbl.create 8 and cells = Hashtbl.create 8 in
+      List.iter
+        (fun s ->
+          if not (Hashtbl.mem seen s.id) then Hashtbl.add seen s.id ()
+          else if not (Hashtbl.mem cells s.id) then
+            Hashtbl.add cells s.id { lock = Mutex.create (); value = Unfilled })
+        claims;
+      if Hashtbl.length cells = 0 then No_memo else Cells cells
+
+(* [share] is the intern table and the plan's claims while every
+   operator above is linear and passes the change through unchanged —
+   the only place a stage's output is the entry's. *)
+let rec comp reads share expr : node =
+  let comp_below = comp reads None in
+  let comp_linear = comp reads share in
   match expr with
   | Ca.Chronicle c ->
-      fun ~sn:_ ~before:_ ~after:_ change ->
-        emit (Option.value ~default:empty (List.assq_opt c change))
+      fun { change; _ } -> emit (Option.value ~default:empty (List.assq_opt c change))
   | Ca.Select (p, e) ->
       let keep = Predicate.compile (Ca.schema_of e) p in
-      linear (fun sink tu -> if keep tu then sink tu) (comp e)
+      linear (fun sink tu -> if keep tu then sink tu) (comp_linear e)
   | Ca.Project (attrs, e) ->
       let proj = Tuple.projector (Ca.schema_of e) attrs in
-      linear (fun sink tu -> sink (proj tu)) (comp e)
+      linear (fun sink tu -> sink (proj tu)) (comp_linear e)
   | Ca.SeqJoin (l, r) ->
       (* both deltas carry only the batch's sequence number, so the join
          degenerates to a product of the two deltas (appendix, Thm 4.1) *)
@@ -159,7 +290,7 @@ let rec comp reads expr : node =
              (fun n -> not (String.equal n Seqnum.attr))
              (Schema.names rs))
       in
-      let cl = plus (comp l) and cr = plus (comp r) in
+      let cl = plus_of (comp_below l) and cr = plus_of (comp_below r) in
       nonlinear reads (fun ~sn change ->
           let dl = cl ~sn change and dr = cr ~sn change in
           if dl = [] || dr = [] then []
@@ -168,23 +299,23 @@ let rec comp reads expr : node =
               (fun ltu -> List.map (fun rtu -> Tuple.concat ltu (drop_sn rtu)) dr)
               dl)
   | Ca.Union (l, r) ->
-      let cl = plus (comp l) and cr = plus (comp r) in
+      let cl = plus_of (comp_below l) and cr = plus_of (comp_below r) in
       nonlinear reads (fun ~sn change ->
           Tuple.dedup (cl ~sn change @ cr ~sn change))
   | Ca.Diff (l, r) ->
-      let cl = plus (comp l) and cr = plus (comp r) in
+      let cl = plus_of (comp_below l) and cr = plus_of (comp_below r) in
       nonlinear reads (fun ~sn change -> Tuple.diff (cl ~sn change) (cr ~sn change))
   | Ca.GroupBySeq (gl, al, e) ->
       let grouper = Groupby.compiled (Ca.schema_of e) ~group_by:gl ~aggs:al in
-      let child = plus (comp e) in
+      let child = plus_of (comp_below e) in
       nonlinear reads (fun ~sn change ->
           Groupby.run_compiled grouper (child ~sn change))
   | Ca.ProductRel (e, rel) ->
       (* relation tuple by relation tuple, each against the whole half,
          so the input half is collected first *)
-      let child = comp e in
-      fun ~sn ~before ~after change ~plus ~minus ->
-        let z = collect_node child ~sn ~before ~after change in
+      let child = comp_linear e in
+      fun inp ~plus ~minus ->
+        let z = collect (child inp) in
         let product sink delta =
           if delta <> [] then
             Relation.iter
@@ -193,47 +324,40 @@ let rec comp reads expr : node =
         in
         product plus z.plus;
         product minus z.minus
-  | Ca.KeyJoinRel (e, rel, pairs) ->
-      (* join each Δ tuple with the matching relation tuples via one
-         index probe on the join attributes (at most a constant number
-         of matches in CA_⋈, by the key guarantee — Definition 4.2);
-         both halves probe the relation's current version *)
-      let schema = Ca.schema_of e in
-      let left_pos = Array.of_list (List.map (fun (a, _) -> Schema.pos schema a) pairs) in
-      let right_attrs = List.map snd pairs in
-      let rschema = Relation.schema rel in
-      let keep =
-        List.filter (fun n -> not (List.mem n right_attrs)) (Schema.names rschema)
-      in
-      let join = Tuple.concat_projector rschema keep in
-      linear
-        (fun sink tu ->
-          Stats.incr Stats.Light_fold;
-          join_rows rel join sink tu
-            (Relation.lookup_rows rel ~attrs:right_attrs (values_at tu left_pos 0)))
-        (comp e)
+  | Ca.KeyJoinRel (e, rel, pairs) -> (
+      let build () = key_join (Ca.schema_of e) rel pairs (comp_below e) in
+      match share with
+      | Some (st, claims) when is_chain e ->
+          let stage = intern st e rel pairs build in
+          claims := stage :: !claims;
+          shared stage
+      | Some _ | None -> build ())
   | Ca.CrossChron (l, r) ->
       (* Theorem 4.3: requires the old value of the opposite operand,
          i.e. access to retained history — necessarily evaluated at run
          time, no compile-once shortcut exists. *)
-      history_reader "CrossChron" l r (comp l) (comp r) (fun ltu rtu ->
+      history_reader "CrossChron" l r (comp_below l) (comp_below r) (fun ltu rtu ->
           Some (Tuple.concat ltu rtu))
   | Ca.ThetaJoinChron (p, l, r) ->
       let keep = Predicate.compile (Ca.schema_of expr) p in
-      history_reader "ThetaJoinChron" l r (comp l) (comp r) (fun ltu rtu ->
+      history_reader "ThetaJoinChron" l r (comp_below l) (comp_below r) (fun ltu rtu ->
           let tu = Tuple.concat ltu rtu in
           if keep tu then Some tu else None)
 
-let compile expr =
+let compile ?stages expr =
   Stats.incr Stats.Plan_compile;
-  let reads = ref false in
-  let node = comp reads expr in
-  { expr; node; reads_slices = !reads }
+  let reads = ref false and claims = ref [] in
+  let share = Option.map (fun st -> (st, claims)) stages in
+  match comp reads share expr with
+  | node -> { expr; node; reads_slices = !reads; claims = List.rev !claims }
+  | exception e ->
+      Option.iter (fun st -> release_claims st !claims) stages;
+      raise e
 
-let stream plan ~sn ?(before = []) ?(after = []) change : stream =
-  plan.node ~sn ~before ~after change
+let stream plan ~sn ?(memo = No_memo) ?(before = []) ?(after = []) change : stream =
+  plan.node { sn; before; after; change; memo }
 
-let run plan ~sn ?before ?after change = collect (stream plan ~sn ?before ?after change)
+let run plan ~sn ?memo ?before ?after change = collect (stream plan ~sn ?memo ?before ?after change)
 
 let reads_slices plan = plan.reads_slices
 let expr plan = plan.expr

@@ -24,7 +24,9 @@ open Relational
        Δ(σₚE) = σₚ(ΔE⁺) − σₚ(ΔE⁻), likewise Π;
        Δ(C × R) = ΔC × R, with R's {e current} version (the implicit
        temporal join of §2.3); Δ(C ⋈_key R) = one index probe into R
-       per ΔC tuple.}
+       per ΔC tuple, and per distinct stage per entry: plans compiled
+       through one {!stages} table share each [σ…(C) ⋈_key R] stage,
+       and an entry's {!memo} runs it once for all its consumers.}
     {- non-linear operators apply their rule to the at-[sn] slices of
        the base chronicles — for an append, the batch itself:
        Δ(E₁ ∪ E₂) = ΔE₁ ∪ ΔE₂ (set union);
@@ -58,9 +60,43 @@ type plan
     only probe-and-fold work, which is what makes per-append maintenance
     cost a small constant on top of the paper's complexity class. *)
 
-val compile : Ca.t -> plan
+type stages
+(** An intern table of key-join stages, one per database (the view
+    registry holds it). *)
+
+val stages : unit -> stages
+
+val compile : ?stages:stages -> Ca.t -> plan
 (** One-time analysis (bumps [Stats.Plan_compile]).  Raises the same
-    schema errors [Ca.schema_of] would. *)
+    schema errors [Ca.schema_of] would.
+
+    With [stages], every key join [σ…(C) ⋈_key R] that no non-linear
+    operator sits above — its input a chain of selections and
+    projections over one base chronicle — is a stage interned in the
+    table: plans whose stages have the same chronicle and relation
+    (physically), the same join pairs and structurally equal chains run
+    one compiled node.  The plan holds a claim on each such stage until
+    {!release}. *)
+
+val release : stages -> plan -> unit
+(** Drop the plan's claims; a stage with no claim left leaves the
+    table. *)
+
+val stage_consumers : stages -> int list
+(** The claims on each interned stage, in intern order. *)
+
+type memo
+(** One entry's shared stage outputs.  A stage claimed at least twice
+    among the plans the memo was made for has a cell: the first
+    consumer that runs it collects its output into the cell, under the
+    cell's lock (so consumers may run on several domains), and every
+    other consumer streams from the cell.  An exception the stage
+    raises is kept in the cell and re-raised to every consumer.  Other
+    stages stream as usual.  A memo lives as long as its entry's folds. *)
+
+val memo : plan list -> memo
+(** A memo for one entry folded through the given plans.  Creating it
+    runs nothing. *)
 
 type sink = Tuple.t -> unit
 
@@ -69,15 +105,16 @@ type stream = plus:sink -> minus:sink -> unit
     into [plus], then the minus half into [minus], each in order. *)
 
 val stream :
-  plan -> sn:Seqnum.t -> ?before:batch -> ?after:batch -> change -> stream
+  plan -> sn:Seqnum.t -> ?memo:memo -> ?before:batch -> ?after:batch -> change -> stream
 (** The change of the expression's output caused by [change] at
-    sequence number [sn]; zero recompilation.  An append passes its
-    batch as plus halves ({!appended}) and no slices.  A retraction
-    passes minus halves and, when the plan {!reads_slices}, the full
-    at-[sn] slices of every base chronicle [before] and [after] the
-    mutation; non-linear operators then push the multiset difference
-    of their plain evaluation over the two (cancelled occurrences bump
-    [Stats.Weight_cancel]).  Raises [Invalid_argument] when a minus
+    sequence number [sn]; zero recompilation.  Every plan streamed with
+    one [memo] must be given the same [sn] and [change].  An append
+    passes its batch as plus halves ({!appended}) and no slices.  A
+    retraction passes minus halves and, when the plan {!reads_slices},
+    the full at-[sn] slices of every base chronicle [before] and
+    [after] the mutation; non-linear operators then push the multiset
+    difference of their plain evaluation over the two (cancelled
+    occurrences bump [Stats.Weight_cancel]).  Raises [Invalid_argument] when a minus
     half reaches a history-reading operator ([Ca.CrossChron],
     [Ca.ThetaJoinChron]): such views must be rematerialized, not
     incrementally unwound.
@@ -85,10 +122,11 @@ val stream :
     Linear operators (the base chronicle, σ, Π, ⋈_key R) are per-tuple
     stages: a tuple flows from the base through them into the sink
     with no list built in between.  ×R and the non-linear operators
-    collect their input halves as lists first. *)
+    collect their input halves as lists first, and so does a shared
+    key-join stage that has a cell in [memo]. *)
 
 val run :
-  plan -> sn:Seqnum.t -> ?before:batch -> ?after:batch -> change -> zset
+  plan -> sn:Seqnum.t -> ?memo:memo -> ?before:batch -> ?after:batch -> change -> zset
 (** The {!stream}'s two halves collected as lists, in stream order. *)
 
 val of_zset : zset -> stream

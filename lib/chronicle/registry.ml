@@ -5,6 +5,7 @@ open Relational
 type entry = {
   view : View.t;
   guards : (Chron.t * (Tuple.t -> bool) option) list;
+  plan : Delta.plan; (* compiled at registration; its claims go at unregistration *)
 }
 
 (* Entries live in a vector in registration order — the one iteration
@@ -14,17 +15,19 @@ type entry = {
    order here would make task ownership, and hence any failure report,
    depend on hashing accidents).  The side table maps view name to its
    vector slot for O(1) [find]/duplicate checks under many views;
-   [unregister] compacts the vector, preserving relative order. *)
+   [unregister] compacts the vector, preserving relative order.  The
+   registered views' plans share key-join stages through [stages]. *)
 type t = {
   entries : entry Vec.t;
   by_name : (string, int) Hashtbl.t; (* view name -> vector slot *)
+  stages : Delta.stages;
   mutable checked : int;
   mutable skipped : int;
 }
 
 let create () =
-  { entries = Vec.create (); by_name = Hashtbl.create 64; checked = 0;
-    skipped = 0 }
+  { entries = Vec.create (); by_name = Hashtbl.create 64; stages = Delta.stages ();
+    checked = 0; skipped = 0 }
 
 (* Extract a conjunction of selection predicates that is a necessary
    condition, on a tuple appended to the base chronicle [c], for the
@@ -92,14 +95,15 @@ let register t view =
      registration ([Stats.Plan_cache_miss] + [Stats.Plan_compile]), so
      every subsequent append is a pure cache hit.  Redefinition is
      unregister + register of a fresh view, which recompiles. *)
-  ignore (View.plan view);
-  Hashtbl.replace t.by_name vname (Vec.push t.entries { view; guards })
+  let plan = View.plan ~stages:t.stages view in
+  Hashtbl.replace t.by_name vname (Vec.push t.entries { view; guards; plan })
 
 let unregister t name =
   match Hashtbl.find_opt t.by_name name with
   | None -> ()
   | Some slot ->
       Hashtbl.remove t.by_name name;
+      Delta.release t.stages (Vec.get t.entries slot).plan;
       (* compact: shift the suffix down one slot, preserving the
          relative registration order of the survivors *)
       let n = Vec.length t.entries in
@@ -144,6 +148,7 @@ let affected t c tuples =
     [] t.entries
   |> List.rev
 
+let stages t = t.stages
 let checked t = t.checked
 let skipped t = t.skipped
 

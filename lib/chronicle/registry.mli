@@ -21,9 +21,15 @@ val register : t -> View.t -> unit
     registered.  Warms the view's Δ-plan cache ({!View.plan}) so the
     transaction path never compiles: registration pays the one
     [Stats.Plan_compile]; redefinition (unregister + register of a new
-    view) pays it again. *)
+    view) pays it again.  The plan shares key-join stages with the
+    other registered views' plans through {!stages}. *)
 
 val unregister : t -> string -> unit
+(** Also releases the view's claims on shared key-join stages. *)
+
+val stages : t -> Delta.stages
+(** The key-join stages the registered views' plans share. *)
+
 val find : t -> string -> View.t option
 (** O(1) expected (name-indexed); many-view catalogs stay cheap. *)
 

@@ -237,14 +237,14 @@ let def t = t.def
 let name t = Sca.name t.def
 let schema t = Sca.schema t.def
 
-let plan t =
+let plan ?stages t =
   match t.plan with
   | Some p ->
       Stats.incr Stats.Plan_cache_hit;
       p
   | None ->
       Stats.incr Stats.Plan_cache_miss;
-      let p = Delta.compile (Sca.body t.def) in
+      let p = Delta.compile ?stages (Sca.body t.def) in
       t.plan <- Some p;
       p
 

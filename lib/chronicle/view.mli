@@ -72,9 +72,10 @@ val multiplicity : t -> Value.t list -> int
     view, hence a fresh compile ([Stats.Plan_cache_miss] +
     [Stats.Plan_compile]). *)
 
-val plan : t -> Delta.plan
+val plan : ?stages:Delta.stages -> t -> Delta.plan
 (** The cached body plan; compiles on first use
-    ([Stats.Plan_cache_miss]), afterwards bumps
+    ([Stats.Plan_cache_miss]), sharing key-join stages through
+    [stages] ({!Delta.compile}), afterwards bumps
     [Stats.Plan_cache_hit]. *)
 
 (** {2 Transactional batches}

@@ -310,9 +310,11 @@ let test_group_crash_sweep () =
 
 (* Key-join crash sweep.  A key-join catalog whose relation gains rows
    between appends through journaled [Rel] inserts, so later folds
-   probe a changed relation.  The crash points sit in the view fold,
-   after an append's write-ahead record and after an insert's; the
-   recovered state is Sᵢ₋₁ or Sᵢ. *)
+   probe a changed relation.  Two views share one key-join stage, so a
+   crash in the fold of either consumer interrupts an entry whose
+   stage output the other reads.  The crash points sit in the view
+   fold, after an append's write-ahead record and after an insert's;
+   the recovered state is Sᵢ₋₁ or Sᵢ. *)
 let customer_schema =
   Schema.make [ ("cust", Value.TInt); ("state", Value.TStr) ]
 
@@ -337,6 +339,10 @@ let mk_keyjoin_db ?jobs () =
     (Db.define_view db
        (Sca.define ~name:"by_state" ~body:joined
           (Sca.Group_agg ([ "state" ], [ Aggregate.sum "miles" "total" ]))));
+  ignore
+    (Db.define_view db
+       (Sca.define ~name:"by_state_max" ~body:joined
+          (Sca.Group_agg ([ "state" ], [ Aggregate.max_ "miles" "hi" ]))));
   ignore
     (Db.define_view db
        (Sca.define ~name:"bonus_bal"
@@ -381,6 +387,37 @@ let test_keyjoin_crash_sweep () =
           if not !fired then
             Alcotest.failf "crash point %s never fired (jobs=%d)" point jobs)
         [ "view-fold"; "post-journal-write"; "post-insert-write" ])
+    [ 1; 2; 4 ]
+
+(* A failure in the first consumer of a shared stage — the stage not
+   yet run for the entry — rolls the whole group back: both sharing
+   views, the chronicles and the watermark are as before the group, at
+   every parallelism, and the same group then commits and equals a
+   clean run. *)
+let test_keyjoin_shared_rollback () =
+  let group =
+    Group [ ([ (1, 15) ], []); ([ (1, 16); (2, 5) ], [ (2, 1) ]); ([ (3, 7) ], []) ]
+  in
+  let clean = mk_keyjoin_db ~jobs:1 () in
+  List.iter (apply clean) [ Append [ (1, 10); (2, 40) ]; group ];
+  List.iter
+    (fun jobs ->
+      let db = mk_keyjoin_db ~jobs () in
+      apply db (Append [ (1, 10); (2, 40) ]);
+      let before = Snapshot.save db in
+      Db.set_fold_probe db
+        (Some
+           (fun ~view ~sn:_ ->
+             if view = "by_state" then failwith "by_state fold failed"));
+      (match apply db group with
+      | () -> Alcotest.failf "the failing fold did not abort the group (jobs=%d)" jobs
+      | exception Failure _ -> ());
+      if Snapshot.save db <> before then
+        Alcotest.failf "the group did not roll back (jobs=%d)" jobs;
+      Db.set_fold_probe db None;
+      apply db group;
+      if Snapshot.save db <> Snapshot.save clean then
+        Alcotest.failf "the retried group differs from a clean run (jobs=%d)" jobs)
     [ 1; 2; 4 ]
 
 (* Retraction crash sweep.  A Full-retention twin of the standard
@@ -884,6 +921,8 @@ let () =
             test_group_crash_sweep;
           Alcotest.test_case "key-join crash sweep" `Quick
             test_keyjoin_crash_sweep;
+          Alcotest.test_case "shared key-join stage: a failing first consumer rolls back the group"
+            `Quick test_keyjoin_shared_rollback;
           Alcotest.test_case "retraction crash sweep" `Quick
             test_retract_crash_sweep;
           Alcotest.test_case "exhaustive torn-write sweep" `Quick

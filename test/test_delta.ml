@@ -269,6 +269,110 @@ let qcheck_delta_equals_recompute =
             (fun tu -> Seqnum.of_value (Tuple.get tu pos) <= Group.watermark fx.group)
             deltas)
 
+(* ---- shared key-join stages ---- *)
+
+let far fx = Ca.Select (Predicate.("miles" >% vi 20), Ca.Chronicle fx.mileage)
+
+(* Plans compiled through one table share a stage when chronicle,
+   relation, join pairs and the σ/Π chain below the join agree; a σ
+   above the join does not matter, a key join under a non-linear
+   operator is not interned, and a stage leaves the table with its last
+   claim. *)
+let test_stage_interning () =
+  let fx = make () in
+  let st = Delta.stages () in
+  let kj below = Ca.KeyJoinRel (below, fx.customers, [ ("acct", "cust") ]) in
+  let p1 = Delta.compile ~stages:st (kj (far fx)) in
+  let p2 = Delta.compile ~stages:st (Ca.Select (Predicate.("state" =% vs "NJ"), kj (far fx))) in
+  check_bool "same chain below: one stage" true (Delta.stage_consumers st = [ 2 ]);
+  let p3 = Delta.compile ~stages:st (kj (Ca.Chronicle fx.mileage)) in
+  check_bool "another chain: a second stage" true (Delta.stage_consumers st = [ 2; 1 ]);
+  ignore (Delta.compile ~stages:st (Ca.Union (kj (far fx), kj (far fx))));
+  ignore (Delta.compile (kj (far fx)));
+  check_bool "under ∪ or without a table: not interned" true
+    (Delta.stage_consumers st = [ 2; 1 ]);
+  Delta.release st p1;
+  check_bool "one claim left" true (Delta.stage_consumers st = [ 1; 1 ]);
+  Delta.release st p2;
+  Delta.release st p3;
+  check_bool "no stage outlives its last claim" true (Delta.stage_consumers st = [])
+
+let shared_plans fx n =
+  let st = Delta.stages () in
+  let body = Ca.KeyJoinRel (far fx, fx.customers, [ ("acct", "cust") ]) in
+  List.init n (fun i ->
+      Delta.compile ~stages:st
+        (if i mod 2 = 0 then body else Ca.Select (Predicate.("state" =% vs "NJ"), body)))
+
+(* Each consumer as a chain of the pool: its collected output, or its
+   failure. *)
+let run_consumers pool plans ~sn ~memo change =
+  let plans = Array.of_list plans in
+  let outs = Array.make (Array.length plans) Delta.{ plus = []; minus = [] } in
+  let failures =
+    Exec.Pool.run_chains pool
+      (Array.mapi
+         (fun i plan -> [| (fun () -> outs.(i) <- Delta.run plan ~sn ~memo change) |])
+         plans)
+  in
+  (outs, failures)
+
+(* An entry's memo runs a shared stage once — one probe per Δ tuple —
+   whichever domain gets there first, and every consumer reads the
+   output its own unshared plan would stream. *)
+let test_memo_one_probe_per_tuple () =
+  let fx = make () in
+  let plans = shared_plans fx 8 in
+  let alone = List.map (fun p -> Delta.compile (Delta.expr p)) plans in
+  List.iter
+    (fun jobs ->
+      let pool = Exec.Pool.create ~jobs () in
+      for sn = 1 to 30 do
+        let rows =
+          List.init 20 (fun i -> Chron.tag sn (mile (((i + sn) mod 5) + 1) (((i * 7) + sn) mod 50) 1.))
+        in
+        let minus = List.filteri (fun i _ -> i mod 3 = 0) rows in
+        let change = [ (fx.mileage, Delta.{ plus = rows; minus }) ] in
+        let before = Stats.snapshot () in
+        let outs, failures = run_consumers pool plans ~sn ~memo:(Delta.memo plans) change in
+        let after = Stats.snapshot () in
+        check_bool "no failure" true (Array.for_all Option.is_none failures);
+        check_int
+          (Printf.sprintf "one probe per Δ tuple (jobs %d)" jobs)
+          (List.length (List.filter (fun tu -> Tuple.get tu 2 > vi 20) (rows @ minus)))
+          (Stats.diff_get before after Stats.Light_fold);
+        List.iteri
+          (fun i p ->
+            check_bool "consumer output = its unshared plan's" true
+              (outs.(i) = Delta.run p ~sn change))
+          alone
+      done)
+    [ 1; 2; 4 ]
+
+(* A stage that raises keeps the exception in the cell: every consumer
+   re-raises the same one, at any parallelism, and the stage ran once. *)
+let test_memo_failure_shared () =
+  let fx = make () in
+  let plans = shared_plans fx 4 in
+  let change =
+    [ (fx.mileage, Delta.{ plus = [ Chron.tag 1 (mile 1 30 1.); tup [ vi 1 ] ]; minus = [] }) ]
+  in
+  List.iter
+    (fun jobs ->
+      let pool = Exec.Pool.create ~jobs () in
+      let before = Stats.snapshot () in
+      let _, failures = run_consumers pool plans ~sn:1 ~memo:(Delta.memo plans) change in
+      let after = Stats.snapshot () in
+      check_int "the stage ran once" 1 (Stats.diff_get before after Stats.Light_fold);
+      match failures.(0) with
+      | None -> Alcotest.fail "the malformed tuple did not raise"
+      | Some e ->
+          check_bool
+            (Printf.sprintf "every consumer re-raises the one failure (jobs %d)" jobs)
+            true
+            (Array.for_all (function Some e' -> e' == e | None -> false) failures))
+    [ 1; 2; 4 ]
+
 let suite =
   [
     check_delta_equals_recompute "base chronicle: deltas = recompute" (fun fx ->
@@ -288,4 +392,10 @@ let suite =
     test "chronicle cross product must scan history" test_cross_chron_scans_history;
     test "Thm 4.1 freshness check" test_all_fresh;
     qcheck_delta_equals_recompute;
+    test "key-join stages: interned by chain, released with the last claim"
+      test_stage_interning;
+    test "entry memo: one probe per Δ tuple for all consumers (jobs 1/2/4)"
+      test_memo_one_probe_per_tuple;
+    test "entry memo: a stage failure is re-raised to every consumer"
+      test_memo_failure_shared;
   ]
