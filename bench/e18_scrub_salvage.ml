@@ -3,10 +3,11 @@
    (a) Scrub cost vs journal length: the read-only verification pass
        re-CRCs every journal record (and checkpoint generation), so it
        is linear in stored bytes and touches no database state.
-   (b) Salvage cost vs damage position: salvage replays the surviving
-       prefix sequentially and per-record transactionally (the price of
-       its exact-prefix guarantee), so its cost tracks where the damage
-       sits, not the journal length — plus one quarantine write.
+   (b) Salvage cost vs damage position: salvage is strict recovery
+       that cuts the journal at the first damage — it reads every
+       segment with the same reader and replays the surviving prefix
+       through the same windowed loop — so its cost tracks where the
+       damage sits, not the journal length, plus one quarantine write.
    (c) Checkpoint rotation overhead: a CRC-headed generation
        (keep-checkpoints >= 2) vs the bare legacy file — one extra CRC
        over the snapshot payload and a prune pass.
@@ -143,8 +144,7 @@ let salvage_cost json =
           ]
         :: !json)
     [ 0.25; 0.5; 0.9 ];
-  (* baseline: strict recovery of the pristine journal (parallel-window
-     replay, no per-record transactions) *)
+  (* baseline: strict recovery of the pristine journal *)
   let secs =
     Measure.median_time ~runs:3 (fun () ->
         ignore (Durable.recover ~storage:(clone pristine) ()))
@@ -193,10 +193,10 @@ let checkpoint_cost json =
 
 let run () =
   Measure.section "E18: self-healing storage — scrub, salvage, generations"
-    "Scrub re-CRCs every stored record read-only (linear in bytes); \
-     salvage pays a sequential per-record replay for its exact-prefix \
-     guarantee; checkpoint generations add one CRC over the snapshot \
-     payload plus pruning.";
+    "Scrub re-CRCs and decodes every stored record read-only (linear \
+     in bytes); salvage replays the prefix before the damage through \
+     strict recovery's loop; checkpoint generations add one CRC over \
+     the snapshot payload plus pruning.";
   let json = ref [ Measure.hardware_json () ] in
   scrub_cost json;
   salvage_cost json;

@@ -105,12 +105,12 @@ let put_event buf (ev : Db.txn_event) =
 
    Split in two stages so failures are typed precisely:
 
-   - [decode_record] performs every structural decoding of the payload.
-     A CRC-valid payload that does not decode is *corruption* (the
-     checksum said the bytes are what was written, the content is still
-     gibberish) and raises [Journal.Journal_corrupt] with the record
-     index and the byte offset inside the payload — never a bare
-     [Failure].
+   - [read_segment] (below) performs every structural decoding of the
+     payloads.  A CRC-valid payload that does not decode is
+     *corruption* (the checksum said the bytes are what was written,
+     the content is still gibberish), classified like a checksum
+     mismatch — with the record index and the byte offset inside the
+     payload — never a bare [Failure].
    - [apply_parsed] re-applies a decoded record to the database.  Its
      failures are *application* failures (the record is well-formed but
      the database cannot accept it), reported by [recover] as
@@ -122,11 +122,11 @@ let put_event buf (ev : Db.txn_event) =
    journal-reset) is skipped; [apply_parsed] returns [true] iff the
    record was applied. *)
 
-type parsed =
+type record =
   | P_append of { grouped : bool; entries : Db.replay_entry list }
       (* one append record (a single entry) or group-commit record:
          applied atomically through [Db.replay_record] when it is the
-         journal's final record, flattened into the replay window
+         replayed prefix's last record, flattened into a replay window
          otherwise (a non-final record is fully committed by
          construction — it survived the next write) *)
   | P_insert of { relation : string; rows : Tuple.t list; at : int }
@@ -210,17 +210,6 @@ let get_record r =
   | 9 -> P_drop_view { name = Codec.string_ r }
   | t -> Codec.fail "unknown journal record tag %#x" t
 
-let decode_record ~record payload =
-  let corrupt reason =
-    raise (Journal.Journal_corrupt { record; reason = "malformed record: " ^ reason })
-  in
-  match Codec.decode get_record payload with
-  | Ok parsed -> parsed
-  | Error reason -> corrupt reason
-  | exception e -> corrupt (Printexc.to_string e)
-
-let verify_record ~record payload = ignore (decode_record ~record payload)
-
 let apply_parsed db = function
   | P_append { grouped; entries } ->
       (* atomic: the whole record applies or none of it does — this is
@@ -291,6 +280,46 @@ let apply_parsed db = function
         Db.drop_view db name;
         true
       end
+
+(* ---- reading the journal: one segment reader ----
+
+   Recovery (in both modes) and scrub read a segment the same way:
+   [Journal.scan] frames and checksums it, then every CRC-valid payload
+   is decoded.  A torn tail is tolerated only on the active segment (the
+   process died mid-append); a torn {e sealed} segment — a clean
+   rotation always seals complete segments — and a CRC-valid payload
+   that does not decode are damage, like a checksum mismatch. *)
+
+type segment_end = Complete | Torn_tail | Damaged of Journal.damage
+type 'a segment = { bytes : string; records : 'a; ended : segment_end }
+
+let read_segment (storage : Storage.t) ~sealed name ~init ~add =
+  match storage.Storage.read name with
+  | None -> { bytes = ""; records = init; ended = Complete }
+  | Some bytes ->
+      let frames, scanned = Journal.scan bytes in
+      (* [index]: the records decoded so far *)
+      let rec decode index acc = function
+        | (payload, offset) :: rest -> (
+            let malformed reason =
+              ( acc,
+                Damaged { index; offset; reason = "malformed record: " ^ reason } )
+            in
+            match Codec.decode get_record payload with
+            | Ok record -> decode (index + 1) (add acc record offset) rest
+            | Error reason -> malformed reason
+            | exception e -> malformed (Printexc.to_string e))
+        | [] -> (
+            ( acc,
+              match scanned with
+              | Journal.Complete -> Complete
+              | Journal.Torn _ when not sealed -> Torn_tail
+              | Journal.Torn offset ->
+                  Damaged { index; offset; reason = "sealed segment torn" }
+              | Journal.Damaged d -> Damaged d ))
+      in
+      let records, ended = decode 0 init frames in
+      { bytes; records; ended }
 
 (* ---- the durable handle ---- *)
 
@@ -504,22 +533,30 @@ let next_seal_seq storage =
   | (seq, _) :: _ -> seq + 1
   | [] -> 0
 
-let attach ?fault ?(sync = Journal.Sync_always) ?(keep_checkpoints = 1)
-    ?segment_bytes ~storage db =
+(* The constructor [attach] and [recover] share, in two halves.
+   [prepare] runs before the caller touches storage: it checks the
+   parameters and deletes a stale temp (a crash between checkpoint
+   write and rename leaves one, and it must never shadow a future
+   checkpoint).  [open_handle] runs once the caller has its database:
+   it wraps storage with sync retry, reopens the journal, and writes
+   the initial checkpoint a healthy instance needs. *)
+let prepare ~caller ?fault ~keep_checkpoints (storage : Storage.t) =
   if keep_checkpoints < 1 then
-    invalid_arg "Durable.attach: keep_checkpoints must be at least 1";
-  let fault = Option.value fault ~default:(Fault.create ()) in
-  let storage, cell = wrap_with_retry fault storage in
-  (* a crash between checkpoint write and rename leaves a stale temp;
-     deleted here so it can never shadow a future checkpoint *)
+    invalid_arg
+      (Printf.sprintf "Durable.%s: keep_checkpoints must be at least 1" caller);
   storage.Storage.remove checkpoint_tmp_file;
+  Option.value fault ~default:(Fault.create ())
+
+let open_handle ~fault ~sync ~keep_checkpoints ~segment_bytes ~storage
+    ~degraded database =
+  let storage, cell = wrap_with_retry fault storage in
   let journal =
     Journal.open_ ~sync ?segment_bytes ~seq:(next_seal_seq storage) storage
       journal_file
   in
   let t =
     {
-      database = db;
+      database;
       storage;
       fault;
       journal;
@@ -530,14 +567,22 @@ let attach ?fault ?(sync = Journal.Sync_always) ?(keep_checkpoints = 1)
     }
   in
   arm_degrade cell t;
+  Option.iter (degrade t) degraded;
   (* without a checkpoint, recovery could not reconstruct catalog state
      that predates journaling (including the default group's name) *)
   if
-    (not (storage.Storage.exists checkpoint_file))
+    degraded = None
+    && (not (storage.Storage.exists checkpoint_file))
     && Ckpt.generations storage = []
   then do_checkpoint t;
   install t;
   t
+
+let attach ?fault ?(sync = Journal.Sync_always) ?(keep_checkpoints = 1)
+    ?segment_bytes ~storage db =
+  let fault = prepare ~caller:"attach" ?fault ~keep_checkpoints storage in
+  open_handle ~fault ~sync ~keep_checkpoints ~segment_bytes ~storage
+    ~degraded:None db
 
 type mode = Strict | Salvage
 
@@ -553,18 +598,90 @@ type report = {
   degraded : bool;
 }
 
+(* A window keeps every recorded delta alive until its folds run, so
+   windows are bounded: an unbounded one over a long journal promotes
+   the whole journal's deltas to the major heap (E18: 10k-record
+   salvage and strict replays ran 20–60 % slower unbounded than in
+   windows of 256 records). *)
+let window_records = 256
+
+(* Replay records [0, n) of the global record sequence into [database];
+   [whole]: the prefix is the whole journal.  Runs of consecutive append
+   and group records (the common journal shape) are dispatched as one
+   window through [Db.replay_appends] — Db's record-and-fold step
+   without its transaction bracket — which schedules independent views'
+   fold chains across the database's pool; catalog/clock records are
+   scheduling barriers replayed one at a time; and the prefix's last
+   record always replays alone through the bracket ([Db.replay_record]),
+   keeping the classic semantics of a batch that died with the crashed
+   process (applied-or-dropped, never half-applied).  Every degree —
+   including [jobs = 1], where the pool runs inline — takes this same
+   path, so recovered state is identical across degrees.
+
+   Returns [Ok (replayed, skipped, dropped_failed)], or [Error (k, e)]
+   when record [k] failed to apply — unless [k] is the whole journal's
+   final record, which is dropped instead. *)
+let replay ~fault database (records : record array) n ~whole =
+  let replayed = ref 0 and skipped = ref 0 in
+  let count applied = if applied then incr replayed else incr skipped in
+  let entries k =
+    match records.(k) with P_append { entries; _ } -> entries | _ -> []
+  in
+  let is_append k = match records.(k) with P_append _ -> true | _ -> false in
+  let rec go i =
+    if i >= n then Ok (!replayed, !skipped, false)
+    else if is_append i && i < n - 1 then begin
+      (* a window of consecutive append/group records, the last record
+         excluded.  Group records flatten into the entry run
+         — a non-final group is fully committed (its record survived the
+         next write), so entry-at-a-time replay is exact — while [owner]
+         maps each entry back to its source record, keeping counts and
+         any failure index record-granular. *)
+      let rec stop j =
+        if j < n - 1 && j - i < window_records && is_append j then stop (j + 1)
+        else j
+      in
+      let window = List.init (stop i - i) (fun d -> i + d) in
+      let owner =
+        Array.of_list
+          (List.concat_map (fun k -> List.map (fun _ -> k) (entries k)) window)
+      in
+      Fault.hit fault p_replay_dispatch;
+      match Db.replay_appends database (List.concat_map entries window) with
+      | outcomes ->
+          let applied = Array.make (List.length window) false in
+          Array.iteri
+            (fun e ok -> if ok then applied.(owner.(e) - i) <- true)
+            outcomes;
+          Array.iter count applied;
+          go (i + List.length window)
+      | exception Db.Entry_failed { index; error } -> Error (owner.(index), error)
+    end
+    else
+      match apply_parsed database records.(i) with
+      | applied ->
+          count applied;
+          go (i + 1)
+      | exception e ->
+          if whole && i = n - 1 then
+            (* the dying process's final batch: Db's transactional path
+               already rolled its effects back; its record is erased *)
+            Ok (!replayed, !skipped, true)
+          else Error (i, e)
+  in
+  go 0
+
 let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
     ?(keep_checkpoints = 1) ?segment_bytes ~storage () =
-  if keep_checkpoints < 1 then
-    invalid_arg "Durable.recover: keep_checkpoints must be at least 1";
-  let fault = Option.value fault ~default:(Fault.create ()) in
-  (* a crash between checkpoint write and rename leaves a stale temp *)
-  storage.Storage.remove checkpoint_tmp_file;
+  let fault = prepare ~caller:"recover" ?fault ~keep_checkpoints storage in
+  (* the mode is a damage policy and nothing else: [Strict] raises at
+     the first damage, [Salvage] cuts there and carries on *)
+  let on_damage exn = if mode = Strict then raise exn in
   let quarantined = ref 0 in
   let quarantine name bytes =
     (* never silently drop damaged bytes: park them in a sidecar the
        operator (or a future repair tool) can inspect *)
-    storage.Storage.write (quarantine_name name) bytes;
+    storage.Storage.append (quarantine_name name) bytes;
     storage.Storage.sync (quarantine_name name);
     incr quarantined;
     Stats.incr Stats.Salvage_quarantined
@@ -592,11 +709,12 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
               | Error reason -> Error reason
               | Ok (h, payload) -> (
                   match Snapshot.load ?jobs payload with
-                  | db -> Ok (h.Ckpt.first_segment, db)
+                  | db -> Ok (h.Ckpt.first_segment, payload, db)
                   | exception Snapshot.Snapshot_error reason -> Error reason))
         in
         match verdict with
-        | Ok (first_segment, db) -> `Loaded (generation, first_segment, db)
+        | Ok (first_segment, payload, db) ->
+            `Loaded (generation, first_segment, payload, db)
         | Error reason ->
             Stats.incr Stats.Checkpoint_fallback;
             incr fallbacks;
@@ -614,272 +732,119 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
               | s -> s)
               rest)
   in
-  let checkpoint_loaded, generation, first_segment, database, ck_failed =
+  let generation, first_segment, payload, database =
     match load_checkpoint None candidates with
-    | `Loaded (generation, first_segment, db) ->
-        (true, generation, first_segment, db, false)
-    | `Fresh -> (false, None, 0, Db.create ?jobs (), false)
+    | `Loaded (generation, first_segment, payload, db) ->
+        (generation, first_segment, Some payload, db)
+    | `Fresh -> (None, 0, None, Db.create ?jobs ())
     | `All_failed (generation, reason) ->
-        if mode = Strict then raise (Checkpoint_corrupt { generation; reason })
-        else (false, None, 0, Db.create ?jobs (), true)
+        on_damage (Checkpoint_corrupt { generation; reason });
+        (None, 0, None, Db.create ?jobs ())
+  in
+  (* a salvage retry starts over from the checkpoint bytes verified above *)
+  let reload () =
+    match payload with
+    | Some p -> Snapshot.load ?jobs p
+    | None -> Db.create ?jobs ()
   in
   (* ---- journal: sealed segments the checkpoint does not cover, in
-     sequence order, then the active segment ---- *)
-  let scans =
-    List.map
-      (fun (kind, name) ->
-        let recs, ended =
-          match storage.Storage.read name with
-          | None -> ([], Journal.Complete)
-          | Some contents -> Journal.scan contents
-        in
-        (kind, name, recs, ended))
+     sequence order, then the active segment, flattened into the global
+     record sequence up to the first damage ---- *)
+  let segments =
+    Array.of_list
       (List.filter_map
          (fun (seq, name) ->
-           if seq >= first_segment then Some (`Sealed seq, name) else None)
+           if seq >= first_segment then Some (name, true) else None)
          (Journal.segments storage journal_file)
-      @ [ (`Active, journal_file) ])
+      @ [ (journal_file, false) ])
+    |> Array.mapi (fun s (name, sealed) ->
+           (* each segment's records, newest first, tagged with [s] *)
+           ( name,
+             read_segment storage ~sealed name ~init:[] ~add:(fun acc r off ->
+                 (r, s, off) :: acc) ))
   in
-  let replayed = ref 0 and skipped = ref 0 in
-  let dropped_failed = ref false and dropped_torn = ref false in
-  let count applied =
-    if applied then begin
-      incr replayed;
-      Stats.incr Stats.Journal_replay
-    end
-    else incr skipped
+  let located = ref [] (* (record, segment, offset), newest first *) in
+  let damage = ref None in
+  Array.iteri
+    (fun s (_, seg) ->
+      if !damage = None then begin
+        located := seg.records @ !located;
+        match seg.ended with
+        | Damaged d ->
+            on_damage
+              (Journal.Journal_corrupt
+                 { record = List.length !located; reason = d.Journal.reason });
+            damage := Some (s, d.Journal.offset)
+        | Complete | Torn_tail -> ()
+      end)
+    segments;
+  let located = Array.of_list (List.rev !located) in
+  let records = Array.map (fun (r, _, _) -> r) located in
+  let m = Array.length located in
+  (* ---- replay, cutting lower at each record that fails to apply ---- *)
+  let rec attempt database n =
+    match replay ~fault database records n ~whole:(n = m && !damage = None) with
+    | Ok outcome -> (database, n, outcome)
+    | Error (k, e) ->
+        on_damage (Recovery_error { record = k; reason = Printexc.to_string e });
+        attempt (reload ()) k
   in
-  let salvage_stopped = ref false in
-  (match mode with
-  | Strict -> begin
-      (* stage 1: flatten the segments into the global record sequence,
-         verifying as we go — damage anywhere (a checksum mismatch, or
-         a torn {e sealed} segment, which a clean rotation can never
-         produce) is corruption, reported before any replay begins.  A
-         torn tail on the active segment stays the tolerated
-         died-mid-append case. *)
-      let rev_records = ref [] (* (payload, segment-name, offset, active?) *) in
-      let base = ref 0 in
-      List.iter
-        (fun (kind, name, recs, ended) ->
-          List.iter
-            (fun (payload, off) ->
-              rev_records := (payload, name, off, kind = `Active) :: !rev_records)
-            recs;
-          let here = List.length recs in
-          (match (ended, kind) with
-          | Journal.Complete, _ -> ()
-          | Journal.Torn _, `Active -> dropped_torn := true
-          | Journal.Torn _, `Sealed _ ->
-              raise
-                (Journal.Journal_corrupt
-                   { record = !base + here; reason = "sealed segment torn" })
-          | Journal.Damaged { index; reason; _ }, _ ->
-              raise
-                (Journal.Journal_corrupt { record = !base + index; reason }));
-          base := !base + here)
-        scans;
-      let located = Array.of_list (List.rev !rev_records) in
-      (* stage 2: decode every record up front — a CRC-valid payload
-         that does not decode is corruption too, reported with its
-         global index *)
-      let parsed =
-        Array.mapi
-          (fun i (payload, _, _, _) -> decode_record ~record:i payload)
-          located
-      in
-      let n = Array.length parsed in
-      (* stage 3: replay.  Runs of consecutive append and group records
-         (the common journal shape) are dispatched as one window through
-         [Db.replay_appends] — Db's record-and-fold step without its
-         transaction bracket — which schedules independent views' fold
-         chains across the database's pool; catalog/clock records are
-         scheduling barriers replayed one at a time; and the journal's
-         final record always replays alone through the bracket
-         ([Db.replay_record]), keeping the classic semantics of a batch
-         that died with the crashed process (applied-or-dropped, never
-         half-applied).
-         Every degree — including [jobs = 1], where the pool runs
-         inline — takes this same path, so recovered state is identical
-         across degrees. *)
-      let apply_classic i p =
-    match apply_parsed database p with
-    | applied -> count applied
-    | exception e ->
-        if i = n - 1 then
-          (* the dying process's final batch: Db's transactional path
-             already rolled its effects back; drop its record below *)
-          dropped_failed := true
-        else raise (Recovery_error { record = i; reason = Printexc.to_string e })
+  let database, n, (replayed, skipped, dropped_failed) = attempt database m in
+  Stats.add Stats.Journal_replay replayed;
+  let cut =
+    if n < m then
+      let _, s, off = located.(n) in
+      Some (s, off)
+    else !damage
   in
-  let is_append k = match parsed.(k) with P_append _ -> true | _ -> false in
-  let i = ref 0 in
-  while !i < n do
-    if is_append !i && !i < n - 1 then begin
-      (* maximal window of consecutive append/group records, final
-         record excluded.  Group records flatten into the entry run —
-         a non-final group is fully committed (its record survived the
-         next write), so entry-at-a-time replay is exact — while
-         [spans] remembers which entries came from which source record,
-         keeping the report's replayed/skipped counts and any failure
-         index record-granular. *)
-      let entries = ref [] and spans = ref [] in
-      let j = ref !i and flat = ref 0 in
-      let scan = ref true in
-      while !scan do
-        if !j < n - 1 then
-          match parsed.(!j) with
-          | P_append { entries = es; _ } ->
-              let len = List.length es in
-              entries := es :: !entries;
-              spans := (!j, !flat, len) :: !spans;
-              flat := !flat + len;
-              incr j
-          | _ -> scan := false
-        else scan := false
-      done;
-      Fault.hit fault p_replay_dispatch;
-      (match Db.replay_appends database (List.concat (List.rev !entries)) with
-      | outcomes ->
-          List.iter
-            (fun (_, start, len) ->
-              let applied = ref false in
-              for k = start to start + len - 1 do
-                if outcomes.(k) then applied := true
-              done;
-              count !applied)
-            !spans
-      | exception Db.Entry_failed { index; error } ->
-          let record =
-            match
-              List.find_opt
-                (fun (_, start, len) -> index >= start && index < start + len)
-                !spans
-            with
-            | Some (r, _, _) -> r
-            | None -> !i + index
-          in
-          raise (Recovery_error { record; reason = Printexc.to_string error }));
-      i := !j
-    end
-    else begin
-      apply_classic !i parsed.(!i);
-      incr i
-    end
-  done;
-      if !dropped_failed then
-        (* erase the dropped record wherever it lives; when it sits in
-           the active segment the reopened journal erases it below *)
-        match located.(n - 1) with
-        | _, name, off, false -> storage.Storage.truncate name off
-        | _ -> ()
-    end
-  | Salvage ->
-      (* Sequential, transactional, stop-at-first-damage: each record
-         re-applies through the per-record transactional path, so when
-         replay stops the database is {e exactly} the journal prefix
-         before the damage.  The damaged suffix — and every later
-         segment wholesale — is quarantined to sidecars, never silently
-         dropped; the instance then opens read-only (Degraded). *)
-      let n_total =
-        List.fold_left
-          (fun acc (_, _, recs, _) -> acc + List.length recs)
-          0 scans
-      in
-      let gi = ref 0 in
-      let stop_at name off rest =
-        salvage_stopped := true;
-        (match storage.Storage.read name with
-        | Some contents when String.length contents > off ->
-            quarantine name
-              (String.sub contents off (String.length contents - off))
-        | _ -> ());
-        if off = 0 then storage.Storage.remove name
-        else storage.Storage.truncate name off;
-        List.iter
-          (fun (_, n2, recs2, ended2) ->
-            (if recs2 <> [] || ended2 <> Journal.Complete then
-               match storage.Storage.read n2 with
-               | Some contents -> quarantine n2 contents
-               | None -> ());
-            storage.Storage.remove n2)
-          rest
-      in
-      let rec go = function
-        | [] -> ()
-        | (kind, name, recs, ended) :: rest ->
-            let failed = ref None in
-            List.iter
-              (fun (payload, off) ->
-                if !failed = None then
-                  match
-                    apply_parsed database (decode_record ~record:!gi payload)
-                  with
-                  | applied ->
-                      count applied;
-                      incr gi
-                  | exception (Journal.Journal_corrupt _ as _e) ->
-                      (* CRC-valid gibberish: damage, not a died batch *)
-                      failed := Some off
-                  | exception _ when !gi = n_total - 1 ->
-                      (* the dying process's final batch: dropped, as in
-                         strict recovery *)
-                      dropped_failed := true;
-                      if kind <> `Active then storage.Storage.truncate name off;
-                      incr gi
-                  | exception _ -> failed := Some off)
-              recs;
-            (match !failed with
-            | Some off -> stop_at name off rest
-            | None -> (
-                match (ended, kind) with
-                | Journal.Complete, _ -> go rest
-                | Journal.Torn _, `Active -> dropped_torn := true
-                | Journal.Torn off, `Sealed _ -> stop_at name off rest
-                | Journal.Damaged { offset; _ }, _ -> stop_at name offset rest))
-      in
-      go scans);
-  let wrapped, cell = wrap_with_retry fault storage in
-  let journal =
-    Journal.open_ ~sync ?segment_bytes ~seq:(next_seal_seq storage) wrapped
-      journal_file
-  in
-  if !dropped_failed && Journal.records journal > 0 then
-    Journal.truncate_last journal;
-  let degraded_reason =
-    if !salvage_stopped then
-      Some "salvage recovery quarantined damaged journal records"
-    else if ck_failed then
+  (* ---- storage: cut once, at the end ---- *)
+  Option.iter
+    (fun (s, off) ->
+      (* the cut segment's suffix and every later segment go to
+         sidecars, never silently dropped *)
+      Array.iteri
+        (fun i (name, seg) ->
+          if i = s then begin
+            let len = String.length seg.bytes in
+            if len > off then
+              quarantine name (String.sub seg.bytes off (len - off));
+            if off = 0 then storage.Storage.remove name
+            else storage.Storage.truncate name off
+          end
+          else if i > s then begin
+            if seg.records <> [] || seg.ended <> Complete then
+              quarantine name seg.bytes;
+            storage.Storage.remove name
+          end)
+        segments)
+    cut;
+  if dropped_failed then begin
+    (* erase the dropped record wherever it lives *)
+    let _, s, off = located.(n - 1) in
+    storage.Storage.truncate (fst segments.(s)) off
+  end;
+  let degraded =
+    if cut <> None then Some "salvage recovery quarantined damaged journal records"
+    else if candidates <> [] && payload = None then
       Some "salvage recovery could not verify any checkpoint generation"
     else None
   in
   let t =
-    {
-      database;
-      storage = wrapped;
-      fault;
-      journal;
-      sync;
-      keep = keep_checkpoints;
-      segment_bytes;
-      health = Healthy;
-    }
+    open_handle ~fault ~sync ~keep_checkpoints ~segment_bytes ~storage ~degraded
+      database
   in
-  arm_degrade cell t;
-  (match degraded_reason with Some r -> degrade t r | None -> ());
-  if candidates = [] && degraded_reason = None then do_checkpoint t;
-  install t;
   ( t,
     {
-      checkpoint_loaded;
+      checkpoint_loaded = payload <> None;
       generation;
       fallbacks = !fallbacks;
-      replayed = !replayed;
-      skipped = !skipped;
-      dropped_torn = !dropped_torn;
-      dropped_failed = !dropped_failed;
+      replayed;
+      skipped;
+      dropped_torn =
+        cut = None && (snd segments.(Array.length segments - 1)).ended = Torn_tail;
+      dropped_failed;
       quarantined = !quarantined;
-      degraded = degraded_reason <> None;
+      degraded = degraded <> None;
     } )
 
 let has_state (storage : Storage.t) =

@@ -22,12 +22,15 @@ open Chronicle_core
        the journal suffix through the normal delta-maintenance path
        (Db's record-and-fold step, {!Db.replay_appends} and
        {!Db.replay_record}): views are rebuilt by the same folds that
-       built them live, never by scanning chronicle history.  A torn
-       final record is dropped; a checksum mismatch raises
-       {!Journal.Journal_corrupt}.  Replay is idempotent (records
-       whose effects are already in the checkpoint are skipped), so a
-       crash between checkpoint-rename and journal-reset is
-       harmless.}}
+       built them live, never by scanning chronicle history.  One
+       pipeline serves both {!mode}s: every segment is read by
+       {!read_segment} (the reader scrub uses too), the records before
+       the first damage replay through one loop, and the mode only
+       decides what damage does — [Strict] raises, [Salvage] cuts the
+       journal there.  A torn final record is dropped.  Replay is
+       idempotent (records whose effects are already in the
+       checkpoint are skipped), so a crash between checkpoint-rename
+       and journal-reset is harmless.}}
 
     Group commit: a {!Db.append_group} reaches the sink as one
     [Ev_group] and is framed as {e one} journal record — one storage
@@ -77,7 +80,9 @@ val checkpoint_tmp_file : string  (** ["checkpoint.tmp"] *)
 
 val quarantine_name : string -> string
 (** [quarantine_name n] = ["<n>.quarantine"] — the sidecar salvage
-    recovery parks damaged bytes under. *)
+    recovery parks damaged bytes under.  Sidecars only grow: each
+    salvage appends what it quarantines after the bytes an earlier
+    salvage parked there, and never replaces them. *)
 
 type t
 
@@ -135,16 +140,18 @@ val detach : t -> unit
 (** Uninstall the sink and the fold probe; the database keeps running
     without durability. *)
 
-(** How recovery treats damage beyond the tolerated torn tail.
-    [Strict] (the default) raises — {!Journal.Journal_corrupt},
-    {!Recovery_error} or {!Checkpoint_corrupt} — leaving storage
-    untouched for forensics.  [Salvage] recovers the maximal
-    consistent prefix: replay is sequential and per-record
-    transactional, stops at the first damaged or unreplayable record,
-    quarantines the damaged suffix (and every later segment) to
-    [".quarantine"] sidecars — never silently dropping bytes — and
-    opens the database read-only ([Degraded]); queries serve, appends
-    raise {!Db.Read_only}. *)
+(** How recovery treats damage beyond the tolerated torn tail — the
+    mode is a damage policy and nothing else; both modes replay through
+    the same loop.  [Strict] (the default) raises at the first damage —
+    {!Journal.Journal_corrupt}, {!Recovery_error} or
+    {!Checkpoint_corrupt} — leaving storage untouched for forensics.
+    [Salvage] recovers the maximal consistent prefix: it cuts the
+    journal at the first damaged record, or at the first non-final
+    record that fails to apply (then replaying the shorter prefix again
+    from the verified checkpoint bytes); it quarantines the suffix from
+    the cut on (and every later segment) to [".quarantine"] sidecars —
+    never silently dropping bytes — and opens the database read-only
+    ([Degraded]); queries serve, appends raise {!Db.Read_only}. *)
 type mode = Strict | Salvage
 
 type report = {
@@ -155,7 +162,9 @@ type report = {
   fallbacks : int;
       (** damaged checkpoint candidates skipped before one verified
           (each bumps [Stats.Checkpoint_fallback]) *)
-  replayed : int;  (** records re-applied through the delta path *)
+  replayed : int;
+      (** records re-applied through the delta path (by the final
+          replay, when salvage replayed a shorter prefix again) *)
   skipped : int;  (** records already covered by the checkpoint *)
   dropped_torn : bool;  (** a torn final record was cut off *)
   dropped_failed : bool;
@@ -178,7 +187,8 @@ val recover :
   unit ->
   t * report
 (** Rebuild the database from checkpoint + journal and re-attach.
-    Each replayed record bumps [Stats.Journal_replay].
+    [Stats.Journal_replay] is bumped by [replayed], once recovery
+    succeeds.
 
     Checkpoint selection is {e layout-driven}, independent of the
     parameters: the newest generation that verifies (header CRC,
@@ -194,25 +204,29 @@ val recover :
 
     Failures are typed, never a bare [Failure]:
     {!Journal.Journal_corrupt} for physical corruption (checksum
-    mismatch) {e and} for a CRC-valid but structurally malformed
-    record — unknown tag, missing or ill-shaped field, bad index kind
-    — at any position, final included (the checksum proved the bytes
-    are what was written; gibberish content is corruption, not a died
-    batch); {!Recovery_error} if a well-formed non-final record fails
-    to {e apply}.  A well-formed final record that fails to apply is
-    the batch that died with the crashed process: it is dropped
-    ([dropped_failed]) and its journal record erased.
+    mismatch, a torn sealed segment) {e and} for a CRC-valid but
+    structurally malformed record — unknown tag, missing or
+    ill-shaped field, bad index kind — at any position, final
+    included (the checksum proved the bytes are what was written;
+    gibberish content is corruption, not a died batch).  It names the
+    {e earliest} damaged record in journal order.  {!Recovery_error}
+    if a well-formed non-final record fails to {e apply}.  A
+    well-formed final record that fails to apply is the batch that
+    died with the crashed process: it is dropped ([dropped_failed])
+    and its journal record erased — only when nothing follows it; a
+    record that damage follows is not the journal's final record.
 
-    Replay is parallel: runs of consecutive append and group records
-    are dispatched as windows through {!Db.replay_appends} (the
-    record-and-fold step without the bracket), which records
-    batches in journal order and schedules each view's ordered fold
-    chain across the database's pool ([jobs], as {!Db.create}).
-    Catalog and clock records, history-reading views
-    ({!Ca.reads_history}) and the journal's final record are
-    sequential barriers.  The recovered state is byte-identical at
-    every degree — each view folds its batches wholly and in journal
-    order; only the interleaving across views changes. *)
+    Replay is parallel in both modes: runs of consecutive append and
+    group records are dispatched as windows through
+    {!Db.replay_appends} (the record-and-fold step without the
+    bracket), which records batches in journal order and schedules
+    each view's ordered fold chain across the database's pool
+    ([jobs], as {!Db.create}).  Catalog and clock records,
+    history-reading views ({!Ca.reads_history}) and the replayed
+    prefix's last record are sequential barriers.  The recovered state
+    is byte-identical at every degree — each view folds its batches
+    wholly and in journal order; only the interleaving across views
+    changes. *)
 
 val has_state : Storage.t -> bool
 (** True if the storage holds a checkpoint (bare or generation) or a
@@ -230,8 +244,40 @@ val put_event : Buffer.t -> Db.txn_event -> unit
     corruption).  Raises [Invalid_argument] on [Ev_abort], which is
     never journaled. *)
 
-val verify_record : record:int -> string -> unit
-(** Decode one journal payload exactly as {!recover} does and discard
-    the result.  Raises {!Journal.Journal_corrupt} (carrying [record]
-    and, for malformed fields, the byte offset inside the payload) if
-    it does not decode. *)
+(** {2 Reading the journal} *)
+
+type record
+(** One decoded journal record. *)
+
+(** How a journal segment ends. *)
+type segment_end =
+  | Complete  (** every byte accounted for *)
+  | Torn_tail
+      (** the {e active} segment died mid-append: tolerated, and cut
+          off by recovery *)
+  | Damaged of Journal.damage
+      (** the first damage: a checksum mismatch, a foreign magic or
+          format version, a torn {e sealed} segment (["sealed segment
+          torn"]) or a CRC-valid payload that does not decode
+          (["malformed record: …"], the offset of the failed field
+          appended).  [index] counts the records before it. *)
+
+type 'a segment = {
+  bytes : string;  (** the whole contents; [""] if the name is absent *)
+  records : 'a;  (** the fold over the decoded records before the end *)
+  ended : segment_end;
+}
+
+val read_segment :
+  Storage.t ->
+  sealed:bool ->
+  string ->
+  init:'a ->
+  add:('a -> record -> int -> 'a) ->
+  'a segment
+(** Scan one journal segment, decode every CRC-valid record, fold
+    [add] over the decoded records in journal order (with each
+    record's byte offset), and classify how the segment ends.  Total:
+    never raises, whatever the bytes.  The one reader under recovery
+    (both modes, which keep the records) and {!Scrub} (which only
+    counts them). *)

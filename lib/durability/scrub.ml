@@ -33,54 +33,20 @@ let verify_checkpoint storage (generation, ck_name) =
       { ck_name; generation; ck_bytes; ck_damage }
 
 let verify_segment storage ~sealed seg_name =
-  match storage.Storage.read seg_name with
-  | None ->
-      {
-        seg_name;
-        sealed;
-        seg_bytes = 0;
-        records = 0;
-        torn_tail = false;
-        seg_damage = None;
-      }
-  | Some contents ->
-      let recs, ended = Journal.scan contents in
-      (* a CRC-valid record must also decode, exactly as recovery
-         decodes it; the first that does not ends the verified prefix *)
-      let undecodable =
-        List.find_map
-          (fun (i, (payload, offset)) ->
-            match Durable.verify_record ~record:i payload with
-            | () -> None
-            | exception Journal.Journal_corrupt { reason; _ } ->
-                Some { Journal.index = i; offset; reason })
-          (List.mapi (fun i r -> (i, r)) recs)
-      in
-      let records =
-        match undecodable with Some d -> d.Journal.index | None -> List.length recs
-      in
-      Stats.add Stats.Scrub_record records;
-      let torn_tail, seg_damage =
-        match (undecodable, ended) with
-        | Some d, _ -> (false, Some d)
-        | None, Journal.Complete -> (false, None)
-        | None, Journal.Torn _ when not sealed ->
-            (* a died-mid-append tail on the active segment: expected,
-               recovery cuts it off *)
-            (true, None)
-        | None, Journal.Torn off ->
-            (* a clean rotation always seals complete segments *)
-            ( false,
-              Some
-                {
-                  Journal.index = records;
-                  offset = off;
-                  reason = "sealed segment torn";
-                } )
-        | None, Journal.Damaged d -> (false, Some d)
-      in
-      { seg_name; sealed; seg_bytes = String.length contents; records;
-        torn_tail; seg_damage }
+  let seg =
+    Durable.read_segment storage ~sealed seg_name ~init:0 ~add:(fun n _ _ ->
+        n + 1)
+  in
+  Stats.add Stats.Scrub_record seg.Durable.records;
+  {
+    seg_name;
+    sealed;
+    seg_bytes = String.length seg.Durable.bytes;
+    records = seg.Durable.records;
+    torn_tail = seg.Durable.ended = Durable.Torn_tail;
+    seg_damage =
+      (match seg.Durable.ended with Durable.Damaged d -> Some d | _ -> None);
+  }
 
 let run (storage : Storage.t) =
   let checkpoints =

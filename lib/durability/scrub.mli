@@ -2,8 +2,9 @@
 
     [run] verifies every checkpoint ({!Ckpt.decode}: header and
     payload CRC) and every journal record — sealed segments and the
-    active one; CRC, then the record decoder recovery uses
-    ({!Durable.verify_record}) — and returns a typed
+    active one, each read by the segment reader recovery uses
+    ({!Durable.read_segment}: CRC, then the record decoder) — and
+    returns a typed
     damage inventory: per-segment record counts and the first bad
     offset where verification stopped believing the bytes.  Nothing is
     modified, ever: scrub is safe against live storage and is the

@@ -61,42 +61,6 @@ let step t tuple =
       states.(i) <- Aggregate.step c.func states.(i) arg)
     t.aggs
 
-(* Inverse-aware merge of one retraction into the group table: undo one
-   [step t tuple].  All calls of the group must invert for the undo to
-   be applied — a single MIN/MAX losing its extremum answers [`Reprobe]
-   and leaves the table untouched, so the caller can recompute the
-   group from retained history instead.  A group whose COUNT-like
-   multiplicity reaches zero is the caller's to drop; this table keeps
-   empty groups (mirroring [step]'s first-appearance order contract). *)
-let unstep t tuple =
-  let key = Array.to_list (t.key_of tuple) in
-  Stats.incr Stats.Group_lookup;
-  match Key_tbl.find_opt t.groups key with
-  | None -> `Reprobe
-  | Some states ->
-      let inverted =
-        List.mapi
-          (fun i (c : Aggregate.call) ->
-            let arg =
-              match t.arg_pos.(i) with
-              | None -> Value.Int 1
-              | Some p -> tuple.(p)
-            in
-            Aggregate.unstep c.func states.(i) arg)
-          t.aggs
-      in
-      if List.exists (function Aggregate.Reprobe -> true | _ -> false) inverted
-      then `Reprobe
-      else begin
-        List.iteri
-          (fun i inv ->
-            match inv with
-            | Aggregate.Inverted st -> states.(i) <- st
-            | Aggregate.Reprobe -> assert false)
-          inverted;
-        `Inverted
-      end
-
 let result_schema t = t.out_schema
 
 let row_of t key states =

@@ -68,15 +68,6 @@ val step : table -> Tuple.t -> unit
 (** Fold one input tuple into its group (creating the group if new).
     Bumps [Stats.Group_lookup] once and [Stats.Agg_step] per call. *)
 
-val unstep : table -> Tuple.t -> [ `Inverted | `Reprobe ]
-(** Inverse-aware merge of one retraction: undo one {!step} of [tuple].
-    [`Inverted] means every aggregate call inverted in place
-    ({!Aggregate.unstep}); [`Reprobe] means at least one could not
-    (MIN/MAX losing its extremum, or an unknown group) and the table
-    was left {e untouched} — recompute that group from retained
-    history.  Empty groups are kept; dropping them is the caller's
-    multiplicity bookkeeping. *)
-
 val result_schema : table -> Schema.t
 val result : table -> Tuple.t list
 val group_count : table -> int

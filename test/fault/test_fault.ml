@@ -772,6 +772,74 @@ let test_segment_salvage_sweep () =
         sources)
     [ 1; 2; 4 ]
 
+(* Salvage through an application failure.  The only checkpoint is
+   damaged, so salvage starts from an empty database.  The journal first
+   creates a chronicle and a view over it and appends to it, then
+   appends to [mileage] — a chronicle only the lost checkpoint held: a
+   CRC-valid, non-final record that fails to apply in the middle of a
+   replay window.  Salvage recovers exactly the strict recovery of a
+   clone cut at that record, counts the prefix once, and parks the
+   original bytes from that record on in the journal's sidecar. *)
+let test_salvage_application_failure () =
+  List.iter
+    (fun jobs ->
+      let what = Printf.sprintf "jobs=%d" jobs in
+      let storage = Storage.mem () in
+      let db = mk_db ~jobs () in
+      let d = Durable.attach ~storage db in
+      ignore (Db.add_chronicle db ~name:"trips" mileage_schema);
+      ignore
+        (Db.define_view db
+           (Sca.define ~name:"trip_miles"
+              ~body:(Ca.Chronicle (Db.chronicle db "trips"))
+              (Sca.Group_agg ([ "acct" ], [ Aggregate.sum "miles" "m" ]))));
+      List.iter
+        (fun (chron, r) -> ignore (Db.append db chron [ row r ]))
+        [
+          ("trips", (1, 10));
+          ("trips", (2, 20));
+          ("trips", (1, 5));
+          ("mileage", (1, 100)) (* record 5: fails to apply *);
+          ("trips", (3, 30));
+          ("mileage", (2, 40));
+        ];
+      Durable.detach d;
+      let failing = 5 in
+      Fault.flip_bit storage ~name:Durable.checkpoint_file ~byte:40 ~bit:3;
+      let journal = Option.get (storage.Storage.read Durable.journal_file) in
+      let cut =
+        snd (List.nth (fst (Journal.scan journal)) failing)
+      in
+      let oracle =
+        let clone = clone_storage storage in
+        clone.Storage.remove Durable.checkpoint_file;
+        clone.Storage.truncate Durable.journal_file cut;
+        let d, _ = Durable.recover ~jobs ~storage:clone () in
+        Snapshot.save (Durable.db d)
+      in
+      let before = Stats.snapshot () in
+      let d, report = Durable.recover ~jobs ~mode:Durable.Salvage ~storage () in
+      let after = Stats.snapshot () in
+      if Snapshot.save (Durable.db d) <> oracle then
+        Alcotest.failf "salvage diverged from cut-clone oracle (%s)" what;
+      Alcotest.(check int)
+        (Printf.sprintf "report.replayed (%s)" what)
+        failing report.Durable.replayed;
+      Alcotest.(check int)
+        (Printf.sprintf "Journal_replay counter (%s)" what)
+        failing
+        (Stats.diff_get before after Stats.Journal_replay);
+      Alcotest.(check bool)
+        (Printf.sprintf "degraded (%s)" what)
+        true report.Durable.degraded;
+      Alcotest.(check string)
+        (Printf.sprintf "journal sidecar (%s)" what)
+        (String.sub journal cut (String.length journal - cut))
+        (Option.value ~default:""
+           (storage.Storage.read (Durable.quarantine_name Durable.journal_file)));
+      Durable.detach d)
+    [ 1; 2; 4 ]
+
 (* Transient sync failures are retried with backoff and leave no trace
    in the recovered state; exhaustion degrades instead of raising. *)
 let test_sync_retry_absorbs_transients () =
@@ -933,6 +1001,8 @@ let () =
             test_checkpoint_fallback_sweep;
           Alcotest.test_case "segment-corruption salvage sweep" `Quick
             test_segment_salvage_sweep;
+          Alcotest.test_case "salvage through an application failure" `Quick
+            test_salvage_application_failure;
           Alcotest.test_case "sync retry absorbs transients" `Quick
             test_sync_retry_absorbs_transients;
           Alcotest.test_case "sync exhaustion degrades" `Quick

@@ -468,6 +468,46 @@ let test_corrupt_length_is_damage () =
   check_bool "salvage quarantined the damage" true (report.Durable.quarantined > 0);
   check_bool "salvage opened degraded" true report.Durable.degraded
 
+(* Quarantine sidecars only ever grow: a second salvage of the same
+   journal appends its damaged suffix after the bytes the first salvage
+   parked, instead of replacing them. *)
+let test_second_salvage_keeps_quarantine () =
+  let st = Storage.mem () in
+  let db = mk_db () in
+  let _d = Durable.attach ~storage:st db in
+  List.iter (fun a -> ignore (Db.append db "mileage" [ post a 10 ])) [ 1; 2; 3 ];
+  let damage_record i =
+    let recs, _ = Journal.scan (Option.get (st.Storage.read "journal")) in
+    Fault.flip_bit st ~name:"journal" ~byte:(snd (List.nth recs i) + 12) ~bit:2
+  in
+  let sidecar () =
+    Option.value ~default:""
+      (st.Storage.read (Durable.quarantine_name "journal"))
+  in
+  damage_record 1;
+  let _, report = Durable.recover ~mode:Durable.Salvage ~storage:st () in
+  check_int "first salvage: one sidecar" 1 report.Durable.quarantined;
+  let first = sidecar () in
+  check_bool "first salvage parked bytes" true (String.length first > 0);
+  (* the healed layout recovers strictly and takes new appends *)
+  let d, _ = Durable.recover ~storage:st () in
+  List.iter
+    (fun a -> ignore (Db.append (Durable.db d) "mileage" [ post a 20 ]))
+    [ 4; 5 ];
+  Durable.detach d;
+  damage_record 2;
+  let journal = Option.get (st.Storage.read "journal") in
+  let off =
+    match Journal.scan journal with
+    | _, Journal.Damaged { offset; _ } -> offset
+    | _ -> Alcotest.fail "the flip must damage a record"
+  in
+  let _, report = Durable.recover ~mode:Durable.Salvage ~storage:st () in
+  check_int "second salvage: one sidecar" 1 report.Durable.quarantined;
+  check_string "the sidecar holds both damaged suffixes, in salvage order"
+    (first ^ String.sub journal off (String.length journal - off))
+    (sidecar ())
+
 let test_disk_storage () =
   let dir = Filename.temp_file "chronicle_durability" "" in
   Sys.remove dir;
@@ -584,6 +624,33 @@ let test_application_failure_vs_malformation () =
           Alcotest.failf "wanted Recovery_error at record 0, got %s"
             (Printexc.to_string e))
     [ orphan 1; ghost_view ]
+
+(* Damage is reported in record order: a CRC-valid record that does
+   not decode, ahead of a checksum mismatch, is the damage strict
+   recovery names — the same record scrub reports and salvage cuts at. *)
+let test_earliest_damage_reported () =
+  let add_group name =
+    Codec.encode Durable.put_event (Db.Ev_add_group { name; clock_start = None })
+  in
+  let st = Storage.mem () in
+  let j = Journal.open_ st Durable.journal_file in
+  List.iter (Journal.append j) [ add_group "g1"; "\x7f"; add_group "g2"; add_group "g3" ];
+  let recs, _ = Journal.scan (Option.get (st.Storage.read Durable.journal_file)) in
+  Fault.flip_bit st ~name:Durable.journal_file
+    ~byte:(snd (List.nth recs 3) + 9)
+    ~bit:0;
+  (match Durable.recover ~storage:st () with
+  | _ -> Alcotest.fail "strict recovery must reject the damage"
+  | exception Journal.Journal_corrupt { record; reason } ->
+      check_int "the earliest damage is named" 1 record;
+      check_bool "as a malformed record" true
+        (String.starts_with ~prefix:"malformed record: " reason));
+  (match (Scrub.run st).Scrub.segments with
+  | [ { Scrub.records = 1; seg_damage = Some { Journal.index = 1; _ }; _ } ] -> ()
+  | _ -> Alcotest.fail "scrub must stop at the same record");
+  let d, report = Durable.recover ~mode:Durable.Salvage ~storage:st () in
+  check_int "salvage replays the prefix before it" 1 report.Durable.replayed;
+  check_bool "g1 recovered" true (List.mem "g1" (Db.group_names (Durable.db d)))
 
 (* ---- self-healing storage: generations, segments, scrub ---- *)
 
@@ -743,4 +810,7 @@ let suite =
     test "journal record bytes are pinned" test_golden_journal;
     test "a corrupted record length is damage, not a torn tail"
       test_corrupt_length_is_damage;
+    test "a second salvage keeps the first one's quarantined bytes"
+      test_second_salvage_keeps_quarantine;
+    test "damage is reported in record order" test_earliest_damage_reported;
   ]
