@@ -23,7 +23,6 @@ let experiments =
     ("E13", E13_durability.run);
     ("E14", E14_parallel.run);
     ("E15", E15_recovery.run);
-    ("E16", E16_indexed_ranged.run);
     ("E17", E17_group_commit.run);
     ("E18", E18_scrub_salvage.run);
     ("E20", E20_server.run);

@@ -21,6 +21,13 @@ let median_time ?(runs = 5) f =
   let sorted = List.sort Float.compare samples in
   List.nth sorted (runs / 2)
 
+(* First quartile, median and third quartile of a non-empty sample
+   (nearest rank). *)
+let quartiles samples =
+  let a = Array.of_list (List.sort Float.compare samples) in
+  let n = Array.length a in
+  (a.(n / 4), a.(n / 2), a.(3 * n / 4))
+
 type per_op = {
   micros : float; (* wall micro-seconds per operation *)
   counters : (Stats.counter * float) list; (* per-operation counter deltas *)

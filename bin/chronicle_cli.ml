@@ -12,26 +12,12 @@ open Chronicle_durability
 
 let print_result r = Format.printf "%a@." Analyze.pp_result r
 
-let report_error = function
-  | Lexer.Lex_error { message; line; column } ->
-      Format.eprintf "lex error at %d:%d: %s@." line column message;
-      1
-  | Parser.Parse_error { message; line } ->
-      Format.eprintf "parse error at line %d: %s@." line message;
-      1
-  | Analyze.Semantic_error message ->
-      Format.eprintf "semantic error: %s@." message;
-      1
-  | Chronicle_core.Ca.Ill_formed message ->
-      Format.eprintf "algebra error: %s@." message;
-      1
-  | Chronicle_core.Db.Unknown message ->
-      Format.eprintf "catalog error: %s@." message;
-      1
-  | Chronicle_core.Db.Read_only message ->
+let report_error e =
+  match Chronicle_net.Protocol.error_of_exn e with
+  | Some (_, message) ->
       Format.eprintf "%s@." message;
       1
-  | exn -> raise exn
+  | None -> raise e
 
 let pp_recovery ppf (r : Durable.report) =
   Format.fprintf ppf "checkpoint %s; journal: %d replayed, %d skipped%s%s%s%s%s"

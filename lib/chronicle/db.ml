@@ -174,10 +174,9 @@ let define_view t ?index ?(tier_limit = Classify.IM_poly_r) def =
   in
   let view =
     if has_history then
-      (* bulk (re)materialization over retained history: with jobs > 1
-         this is the parallel scan/aggregate kernel (Plan.compile_parallel);
-         at jobs = 1 it is exactly the sequential evaluator *)
-      match Eval.eval_parallel t.pool body with
+      (* bulk materialization over retained history: the one
+         sequential evaluator, at every [jobs] *)
+      match Eval.eval body with
       | initial -> View.of_initial ?index def initial
       | exception Chron.Not_retained msg ->
           raise
@@ -734,7 +733,7 @@ let retract_resolved t c entries =
           open_view v;
           fold_link t v ~sn:last_sn
             (fun () ->
-              View.replace v (Eval.eval_parallel t.pool (Sca.body (View.def v))))
+              View.replace v (Eval.eval (Sca.body (View.def v))))
             ())
         readers);
   Stats.incr Stats.Retract_apply

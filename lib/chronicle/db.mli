@@ -44,9 +44,9 @@ val create : ?default_group:string -> ?jobs:int -> unit -> t
 
     [jobs] (default [1]) is the maintenance parallelism degree: the
     number of domains across which the Δ-folds of affected views are
-    partitioned on each append, and across which initial view
-    materialization splits its scan.  [0] means
-    [Domain.recommended_domain_count ()].  At [jobs = 1] the
+    partitioned on each append and on replay; initial view
+    materialization and ad-hoc queries are sequential at every degree.
+    [0] means [Domain.recommended_domain_count ()].  At [jobs = 1] the
     transaction path is the historical sequential one — no pool, no
     task handoff — and the system's observable behaviour (including
     the per-view insertion order of every store) is byte-identical to
@@ -60,10 +60,9 @@ val jobs : t -> int
     been resolved to the recommended domain count). *)
 
 val pool : t -> Exec.Pool.t
-(** The database's domain pool.  Exposed so evaluation layers above the
-    database (ad-hoc queries in the language front end) can run
-    {!Plan.compile_parallel} plans on the same pool the maintenance
-    path uses, instead of spinning up their own domains. *)
+(** The database's domain pool.  Kept only for perfbench's replay, which
+    passes it to {!Plan.compile_parallel} (an alias of [Plan.compile]);
+    nothing in the engine reads it from outside. *)
 
 (** {2 Catalog} *)
 

@@ -47,12 +47,6 @@ let to_ra = to_ra_with retained
    call, never cache across appends. *)
 let eval expr = Plan.run (Plan.compile (to_ra expr))
 
-(* Bulk evaluation on a domain pool: a top-level GROUPBY (the common
-   shape of a view body over retained history) splits its scan into
-   contiguous ranges folded in parallel and merged order-preservingly
-   ({!Plan.compile_parallel}).  Degree 1 is exactly {!eval}. *)
-let eval_parallel pool expr = Plan.run (Plan.compile_parallel pool (to_ra expr))
-
 let eval_over expr c rows =
   let leaf c' =
     if c' == c then Ra.Const (Chron.schema c, rows) else retained c'

@@ -20,12 +20,6 @@ val eval : Ca.t -> Tuple.t list
     no difficulty — it is only their {e incremental} maintenance that is
     expensive). *)
 
-val eval_parallel : Exec.Pool.t -> Ca.t -> Tuple.t list
-(** Bulk evaluation on a domain pool: a top-level GROUPBY (the common
-    shape of a view body over retained history) splits its scan into
-    contiguous ranges folded in parallel and merged order-preservingly
-    ({!Plan.compile_parallel}).  Degree 1 is exactly {!eval}. *)
-
 val eval_over : Ca.t -> Chron.t -> Tuple.t list -> Tuple.t list
 (** [eval_over e c rows] is {!eval} with [c]'s retained history
     replaced by [rows] (tagged tuples, oldest first).  Other base

@@ -1,5 +1,5 @@
 (* A fixed-size domain pool: long-lived workers, one work queue,
-   chunked task submission, sequential fallback at jobs = 1.
+   chain submission, sequential fallback at jobs = 1.
 
    Memory-model notes.  Mutable batch bookkeeping ([next], [remaining],
    [slots]) is atomic; the queue head ([batch], [generation], [quit])
@@ -27,7 +27,6 @@ let create ?(jobs = 1) () =
          degree (max_workers + 1));
   { degree }
 
-let sequential = { degree = 1 }
 let jobs t = t.degree
 
 (* ---- the shared worker machinery ---- *)
@@ -171,41 +170,6 @@ let run t fns =
   end;
   exns
 
-let first_exn exns =
-  let n = Array.length exns in
-  let rec go i =
-    if i >= n then None
-    else match exns.(i) with Some e -> Some e | None -> go (i + 1)
-  in
-  go 0
-
-let run_exn t fns =
-  match first_exn (run t fns) with Some e -> raise e | None -> ()
-
-let map t fns =
-  let n = Array.length fns in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    run_exn t
-      (Array.mapi (fun i f () -> results.(i) <- Some (f ())) fns);
-    Array.map
-      (function
-        | Some v -> v
-        | None ->
-            (* Unreachable, by two invariants of [run]: (1) the batch
-               cursor hands every index in [0, n) to exactly one domain,
-               and the submitter only proceeds once [remaining = 0], i.e.
-               after every task body has returned or raised; (2) a task
-               body here either stores [Some] or raises, and any raise is
-               captured in [exns] — in which case [run_exn] re-raises
-               before this [Array.map] runs.  So when control reaches
-               this point every slot was written.  (Audited: there is no
-               third path; [run_inline] executes all indices too.) *)
-            assert false)
-      results
-  end
-
 (* ---- dependency-aware submission: independent sequential chains ----
 
    The replay scheduler (and any caller with per-key ordering
@@ -225,14 +189,3 @@ let run_chains t chains =
             reported as the chain's outcome *)
          Array.iter (fun f -> f ()) chain)
        chains)
-
-let chunk_ranges ~jobs n =
-  if n <= 0 then [||]
-  else begin
-    let jobs = max 1 (min jobs n) in
-    let base = n / jobs and extra = n mod jobs in
-    Array.init jobs (fun i ->
-        let len = base + if i < extra then 1 else 0 in
-        let start = (i * base) + min i extra in
-        (start, len))
-  end

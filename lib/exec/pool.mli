@@ -1,4 +1,5 @@
-(** A fixed-size domain pool for data-parallel sections of the engine.
+(** A fixed-size domain pool for the engine's one parallel section:
+    per-view fold chains ({!run_chains}), in maintenance and in replay.
 
     The maintenance theorem behind the transaction path makes every
     persistent view's Δ-fold independent of every other view's: the
@@ -6,8 +7,10 @@
     history, relation states) and the global {!Stats} counters (which
     are atomic).  This module supplies the execution substrate that
     exploits the independence: a set of long-lived worker domains fed
-    through a single work queue, with chunked task submission and a
-    graceful single-domain fallback.
+    through a single work queue, each view's chain of folds one
+    claimable task, with a graceful single-domain fallback.  Bulk
+    evaluation (initial materialization, ad-hoc queries) is sequential
+    and never reaches the pool.
 
     {2 Design}
 
@@ -25,13 +28,13 @@
       have asked for more) — the degree is a property of the
       submission, not of the pool, so benchmarks sweeping domain counts
       measure what they claim to.
-    - Tasks are claimed from a shared atomic cursor (work queue
-      semantics): a cheap task finishing early frees its domain for the
-      next chunk, so skew across chunks does not serialize the batch.
+    - Chains are claimed from a shared atomic cursor (work queue
+      semantics): a cheap chain finishing early frees its domain for the
+      next one, so skew across views does not serialize the batch.
 
     {2 Discipline}
 
-    [run]/[map] must be called from the domain that owns the handle
+    {!run_chains} must be called from the domain that owns the handle
     (in this engine: the domain running the transaction path), and
     parallel sections must not nest.  Tasks must not raise across the
     pool — exceptions are caught per task and reported to the
@@ -47,46 +50,21 @@ val create : ?jobs:int -> unit -> t
     [Invalid_argument] on negative [jobs] or a request beyond the
     runtime's domain budget. *)
 
-val sequential : t
-(** [create ~jobs:1 ()]. *)
-
 val jobs : t -> int
 (** The effective parallelism degree (≥ 1). *)
-
-val run : t -> (unit -> unit) array -> exn option array
-(** Execute every task, the caller working alongside at most
-    [jobs t - 1] worker domains; return per-task outcomes.  All tasks
-    are executed even if some raise (a failed task cannot cancel its
-    siblings mid-flight; the caller owns recovery).  With [jobs t = 1]
-    or fewer than two tasks, runs inline sequentially in array order —
-    no domain is ever involved. *)
-
-val run_exn : t -> (unit -> unit) array -> unit
-(** Like {!run}, but re-raises the lowest-indexed failure (a
-    deterministic choice) after all tasks have finished. *)
-
-val map : t -> (unit -> 'a) array -> 'a array
-(** Parallel evaluation of thunks; re-raises the lowest-indexed
-    failure if any thunk raises. *)
 
 val run_chains : t -> (unit -> unit) array array -> exn option array
 (** Dependency-aware submission for workloads whose tasks form
     {e disjoint linear chains}: element [i] is a sequence of links that
     must run in order (each link depends on its predecessor), while
-    distinct chains are independent and are scheduled across domains
-    exactly like {!run} tasks.  Returns one outcome per chain: the
-    first link that raises aborts the remainder of {e that chain only}
-    (its successors depend on it) and becomes the chain's exception;
-    other chains still run to completion.  With [jobs t = 1] the chains
+    distinct chains are independent and are scheduled across domains,
+    the caller working alongside at most [jobs t - 1] worker domains.
+    Returns one outcome per chain: the first link that raises aborts
+    the remainder of {e that chain only} (its successors depend on it)
+    and becomes the chain's exception; other chains still run to
+    completion.  With [jobs t = 1] or fewer than two chains, the chains
     run inline in array order — byte-identical to a sequential nested
-    loop. *)
-
-val chunk_ranges : jobs:int -> int -> (int * int) array
-(** [chunk_ranges ~jobs n] partitions [0 .. n-1] into at most [jobs]
-    contiguous [(start, length)] ranges of near-equal size (sizes
-    differ by at most one, empty ranges omitted).  Contiguity is what
-    makes parallel folds order-stable: each range preserves the
-    sequential visit order within itself. *)
+    loop, no domain involved. *)
 
 val worker_count : unit -> int
 (** Live worker domains (excluding the caller); observability only. *)

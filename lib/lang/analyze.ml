@@ -308,6 +308,13 @@ let exec session stmt =
       let c =
         try Db.chronicle db chronicle with Db.Unknown msg -> sem_error "%s" msg
       in
+      (* refused before anything is journaled: these readers see appends
+         only, so a retraction would leave them silently stale *)
+      (match Session.append_only_reader session c with
+      | Some reader ->
+          sem_error "cannot retract from %s: %s reads it and takes appends only"
+            chronicle reader
+      | None -> ());
       let tuples = rows_to_tuples chronicle (Chron.user_schema c) rows in
       (* the statement barrier above already flushed staged appends, so
          the retraction sees every prior append committed *)
@@ -419,13 +426,8 @@ let exec session stmt =
       Advanced chronon
   | Ast.Query q ->
       let expr = compile_query session q in
-      (* compile on the database's pool: at [--jobs 1] this is exactly
-         the sequential plan; above it the scan (and, over an indexed
-         relation, the bounded index probes) range-split across the
-         pool's domains with byte-identical output *)
       let plan =
-        try Plan.compile_parallel (Db.pool db) expr
-        with Ra.Type_error msg -> sem_error "%s" msg
+        try Plan.compile expr with Ra.Type_error msg -> sem_error "%s" msg
       in
       Rows (Plan.schema plan, Plan.run plan)
   | Ast.Show_view name ->

@@ -61,3 +61,26 @@ let sorted_bindings tbl =
 let periodics t = sorted_bindings t.periodics
 let windowed_views t = sorted_bindings t.windows
 let named_detectors t = sorted_bindings t.detectors
+
+let append_only_reader t c =
+  let reads def =
+    List.exists
+      (fun c' -> String.equal (Chron.name c') (Chron.name c))
+      (Ca.chronicles (Sca.body def))
+  in
+  let readers kind def views =
+    List.filter_map
+      (fun (name, v) -> if reads (def v) then Some (kind ^ " " ^ name) else None)
+      views
+  in
+  let rules =
+    match Hashtbl.find_opt t.detectors (Chron.name c) with
+    | Some det ->
+        List.map (fun r -> "rule " ^ r.Detector.rule_name) (Detector.rules det)
+    | None -> []
+  in
+  List.nth_opt
+    (readers "periodic view" Periodic.def (periodics t)
+    @ readers "windowed view" Windowed_view.def (windowed_views t)
+    @ rules)
+    0

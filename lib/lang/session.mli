@@ -60,3 +60,9 @@ val periodics : t -> (string * Periodic.t) list
 val windowed_views : t -> (string * Windowed_view.t) list
 val named_detectors : t -> (string * Detector.t) list
 (** Keyed by chronicle name. *)
+
+val append_only_reader : t -> Chron.t -> string option
+(** The first periodic view, windowed view or event rule of the session
+    that reads the chronicle, named for an error message ("windowed view
+    w3"), or [None].  These fold appends only: a retraction would
+    leave them silently stale. *)

@@ -24,6 +24,20 @@ let err_kind_name = function
   | E_semantic -> "semantic"
   | E_exec -> "exec"
 
+let error_of_exn = function
+  | Chronicle_lang.Lexer.Lex_error { message; line; column } ->
+      Some (E_parse, Printf.sprintf "lex error at %d:%d: %s" line column message)
+  | Chronicle_lang.Parser.Parse_error { message; line } ->
+      Some (E_parse, Printf.sprintf "parse error at line %d: %s" line message)
+  | Chronicle_lang.Analyze.Semantic_error message ->
+      Some (E_semantic, "semantic error: " ^ message)
+  | Chronicle_core.Ca.Ill_formed message ->
+      Some (E_semantic, "algebra error: " ^ message)
+  | Chronicle_core.Db.Unknown message ->
+      Some (E_semantic, "catalog error: " ^ message)
+  | Chronicle_core.Db.Read_only message -> Some (E_exec, message)
+  | _ -> None
+
 let err_kind_byte = function
   | E_protocol -> 0
   | E_parse -> 1

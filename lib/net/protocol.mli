@@ -52,6 +52,11 @@ type response =
 
 val err_kind_name : err_kind -> string
 
+val error_of_exn : exn -> (err_kind * string) option
+(** The typed error a failed statement reports: its kind and the text
+    both the server ([Err]) and a local [chronicle-cli run] (stderr)
+    print.  [None] for an exception that is not a statement error. *)
+
 val encode_request : request -> string
 (** The complete frame (length prefix included), ready to write. *)
 

@@ -46,33 +46,12 @@ let closing conn = conn.is_closing
 
 let send conn resp = Buffer.add_string conn.out (Protocol.encode_response resp)
 
-(* Failures rendered exactly as the CLI's [report_error], so a client
+(* Failures rendered by the one mapping the CLI prints too, so a client
    printing [Err] messages is byte-compatible with a local run *)
-let err_of_exn = function
-  | Lexer.Lex_error { message; line; column } ->
-      Protocol.Err
-        {
-          kind = Protocol.E_parse;
-          message = Printf.sprintf "lex error at %d:%d: %s" line column message;
-        }
-  | Parser.Parse_error { message; line } ->
-      Protocol.Err
-        {
-          kind = Protocol.E_parse;
-          message = Printf.sprintf "parse error at line %d: %s" line message;
-        }
-  | Analyze.Semantic_error message ->
-      Protocol.Err
-        { kind = Protocol.E_semantic; message = "semantic error: " ^ message }
-  | Ca.Ill_formed message ->
-      Protocol.Err
-        { kind = Protocol.E_semantic; message = "algebra error: " ^ message }
-  | Db.Unknown message ->
-      Protocol.Err
-        { kind = Protocol.E_semantic; message = "catalog error: " ^ message }
-  | Db.Read_only message ->
-      Protocol.Err { kind = Protocol.E_exec; message }
-  | e -> Protocol.Err { kind = Protocol.E_exec; message = Printexc.to_string e }
+let err_of_exn e =
+  match Protocol.error_of_exn e with
+  | Some (kind, message) -> Protocol.Err { kind; message }
+  | None -> Protocol.Err { kind = Protocol.E_exec; message = Printexc.to_string e }
 
 (* Resolve every queued ack.  Callers guarantee the tickets are already
    resolved (the stager just flushed, or its queue is empty), so

@@ -71,19 +71,6 @@ module Make (K : ORDERED) = struct
 
   let mem t key = Option.is_some (find t key)
 
-  let find_map t key f =
-    Stats.incr Stats.Index_probe;
-    let rec go node =
-      Stats.incr Stats.Index_node_visit;
-      match node with
-      | Leaf entries -> (
-          match search_leaf entries key with
-          | Ok i -> f (snd entries.(i))
-          | Error _ -> None)
-      | Node (seps, kids) -> go kids.(child_index seps key)
-    in
-    go t.root
-
   let array_insert a i x =
     let n = Array.length a in
     Array.init (n + 1) (fun j ->

@@ -31,15 +31,6 @@ module Make (K : ORDERED) : sig
   val find : 'v t -> K.t -> 'v option
   val mem : 'v t -> K.t -> bool
 
-  val find_map : 'v t -> K.t -> ('v -> 'a option) -> 'a option
-  (** [find_map t k f] is [Option.bind (find t k) f] in a single
-      descent: [f] runs on the binding at the leaf, so a caller that
-      only needs a {e slice} of the stored value (the bounded index
-      probes of [Index.find_bounded]) pays one traversal and never
-      re-materializes the full binding.  Counts one [Stats.Index_probe]
-      and the same node visits as {!find}; [f] is not called when the
-      key is absent. *)
-
   val insert : 'v t -> K.t -> 'v -> 'v option
   (** Insert or replace; returns the previous binding if any. *)
 

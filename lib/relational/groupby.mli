@@ -35,24 +35,6 @@ val run_compiled : compiled -> Tuple.t list -> Tuple.t list
 
 val compiled_schema : compiled -> Schema.t
 
-(** {2 Partial aggregation (parallel GROUPBY)}
-
-    The split-and-merge half of the parallel scan/aggregate kernel:
-    fold disjoint contiguous slices of the input independently (one
-    {!partial} per slice, safe to build on separate domains — a partial
-    touches only its own table), then merge the partials {e in slice
-    order}.  Because slices are contiguous and the merge visits keys in
-    per-slice first-appearance order, the merged result — including its
-    output order — is exactly what one sequential {!run_compiled} over
-    the concatenated input would produce (aggregate states merge with
-    {!Aggregate.merge}; float-summing aggregates may differ in the last
-    ulp because addition reassociates). *)
-
-type partial
-
-val run_compiled_partial : compiled -> Tuple.t list -> partial
-val merge_partials : compiled -> partial list -> Tuple.t list
-
 (** {2 Incremental group table}
 
     A mutable group table supporting per-tuple O(1) (modulo the group

@@ -29,8 +29,7 @@ let attrs t = t.attrs
 (* Per-key row lists are kept sorted ascending (row-insertion order in
    the common append-only case, where the new row id exceeds every
    stored one and the insert is O(1)).  Sortedness is what makes a
-   probe's answer the relation's scan order, and what lets the bounded
-   probes below slice a contiguous sub-run out of a key's run. *)
+   probe's answer the relation's scan order. *)
 let rec insert_sorted row = function
   | [] -> [ row ]
   | r :: rest when r < row -> r :: insert_sorted row rest
@@ -74,33 +73,6 @@ let find t key =
       Stats.incr Stats.Index_probe;
       match Key_tbl.find t.hash key with rows -> rows | exception Not_found -> [])
   | Ordered -> Option.value ~default:[] (Key_tree.find t.tree key)
-
-(* The sub-run of a sorted row list falling in [lo, hi).  Sortedness
-   makes this a drop-prefix / take-while pass: once past [hi) nothing
-   later can qualify. *)
-let bounded_run ~lo ~hi rows =
-  let rec skip = function
-    | r :: rest when r < lo -> skip rest
-    | rows -> take rows
-  and take = function
-    | r :: rest when r < hi -> r :: take rest
-    | _ -> []
-  in
-  skip rows
-
-let find_bounded t key ~lo ~hi =
-  if lo >= hi then []
-  else
-    match t.kind with
-    | Hash ->
-        Stats.incr Stats.Index_probe;
-        bounded_run ~lo ~hi
-          (Option.value ~default:[] (Key_tbl.find_opt t.hash key))
-    | Ordered ->
-        (* one descent; the slice happens at the leaf *)
-        Option.value ~default:[]
-          (Key_tree.find_map t.tree key (fun rows ->
-               Some (bounded_run ~lo ~hi rows)))
 
 let find_range t ~lo ~hi =
   match t.kind with

@@ -19,25 +19,13 @@ val add : t -> Value.t list -> int -> unit
 (** Bind a key to one more row id (multi-map).  Per-key row lists are
     kept sorted ascending — O(1) in the append-only common case where
     the new row id exceeds every stored one — so probes answer in the
-    relation's scan order and {!find_bounded} can slice a contiguous
-    sub-run. *)
+    relation's scan order. *)
 
 val remove : t -> Value.t list -> int -> unit
 (** Remove one binding of the key to this row id (no-op if absent). *)
 
 val find : t -> Value.t list -> int list
 (** Row ids bound to the key, ascending (bumps [Stats.Index_probe]). *)
-
-val find_bounded : t -> Value.t list -> lo:int -> hi:int -> int list
-(** The {e bounded probe}: row ids [r] bound to the key with
-    [lo <= r < hi], ascending.  This is the primitive behind the
-    range-split parallel plans' index-probe pushdown — each contiguous
-    tuple-range of a base relation probes the index once and keeps only
-    the sub-run of matches inside its own row range, so the per-range
-    answers concatenate (in range order) to exactly {!find}'s answer.
-    Empty when [lo >= hi].  Costs one probe ([Stats.Index_probe]; one
-    B+-tree descent via [Btree.find_map] for [Ordered] — the slice runs
-    at the leaf) regardless of the bounds. *)
 
 val find_range : t -> lo:Value.t list option -> hi:Value.t list option -> int list
 (** Ordered indexes only; raises [Invalid_argument] on hash indexes. *)

@@ -110,46 +110,6 @@ let rec rels_of acc = function
 
 (* ---- compilation ---- *)
 
-(* Per-left-tuple kernels, shared verbatim by the sequential plans and
-   the range-split parallel plans below so that both produce identical
-   outputs, in identical order, with identical [Stats] accounting. *)
-
-(* θ-join: all matches of one left tuple against the materialized right
-   side. *)
-let theta_matches keep rt ltu =
-  List.filter_map
-    (fun rtu ->
-      Stats.incr Stats.Tuple_read;
-      let tu = Tuple.concat ltu rtu in
-      if keep tu then Some tu else None)
-    rt
-
-(* Cartesian product: one left tuple against the materialized right
-   side. *)
-let product_matches rt ltu =
-  List.map
-    (fun rtu ->
-      Stats.incr Stats.Tuple_read;
-      Tuple.concat ltu rtu)
-    rt
-
-(* Hash-join probe: all matches of one left tuple against the build
-   table.  ([List.rev_map] restores bucket insertion order: buckets are
-   built by consing.) *)
-let equijoin_probe pairs l r =
-  let ls = Ra.schema_of l and rs = Ra.schema_of r in
-  let lkey = Tuple.projector ls (List.map fst pairs) in
-  let dropped = List.map snd pairs in
-  let keep = List.filter (fun n -> not (List.mem n dropped)) (Schema.names rs) in
-  let rproj = Tuple.projector rs keep in
-  fun table ltu ->
-    let k = Array.to_list (lkey ltu) in
-    Stats.incr Stats.Index_probe;
-    match Tbl.find_opt table k with
-    | None -> []
-    | Some matches ->
-        List.rev_map (fun rtu -> Tuple.concat ltu (rproj rtu)) matches
-
 let rec comp expr : Schema.t * (unit -> Tuple.t list) =
   (* [Ra.schema_of] both resolves this node's schema and performs the
      static checks the interpreter would have raised lazily. *)
@@ -178,14 +138,29 @@ let rec comp expr : Schema.t * (unit -> Tuple.t list) =
         let _, lexec = comp l and _, rexec = comp r in
         fun () ->
           let rt = rexec () in
-          List.concat_map (product_matches rt) (lexec ())
+          List.concat_map
+            (fun ltu ->
+              List.map
+                (fun rtu ->
+                  Stats.incr Stats.Tuple_read;
+                  Tuple.concat ltu rtu)
+                rt)
+            (lexec ())
     | Ra.EquiJoin (pairs, l, r) -> compile_equijoin pairs l r
     | Ra.ThetaJoin (p, l, r) ->
         let keep = Predicate.compile schema p in
         let _, lexec = comp l and _, rexec = comp r in
         fun () ->
           let rt = rexec () in
-          List.concat_map (theta_matches keep rt) (lexec ())
+          List.concat_map
+            (fun ltu ->
+              List.filter_map
+                (fun rtu ->
+                  Stats.incr Stats.Tuple_read;
+                  let tu = Tuple.concat ltu rtu in
+                  if keep tu then Some tu else None)
+                rt)
+            (lexec ())
     | Ra.Union (l, r) ->
         let _, lexec = comp l and _, rexec = comp r in
         fun () -> Tuple.dedup (lexec () @ rexec ())
@@ -237,19 +212,22 @@ and compile_rel_select rel preds =
             keep tu)
           (Relation.to_list rel)
 
-(* Version-memoized build side of a hash join: the build table is
-   rebuilt only when some relation beneath the build expression has
-   changed since the previous execution of this plan.  Returned as a
-   fetch thunk so the range-split plan can refresh the table on the
-   submitting domain and hand the (from then on read-only) table to its
-   probe tasks. *)
-and equijoin_build pairs r =
+(* Hash join: a version-memoized build table — rebuilt only when some
+   relation beneath the build expression has changed since the previous
+   execution of this plan — probed once per left tuple.  ([List.rev_map]
+   restores bucket insertion order: buckets are built by consing.) *)
+and compile_equijoin pairs l r =
   let rs = Ra.schema_of r in
   let rkey = Tuple.projector rs (List.map snd pairs) in
+  let lkey = Tuple.projector (Ra.schema_of l) (List.map fst pairs) in
+  let dropped = List.map snd pairs in
+  let keep = List.filter (fun n -> not (List.mem n dropped)) (Schema.names rs) in
+  let rproj = Tuple.projector rs keep in
   let build_rels = rels_of [] r in
   let cache : (int list * Tuple.t list Tbl.t) option ref = ref None in
   let _, rexec = comp r in
-  fun () ->
+  let _, lexec = comp l in
+  let build () =
     let versions = List.map Relation.version build_rels in
     match !cache with
     | Some (vs, tbl) when List.equal Int.equal vs versions ->
@@ -265,15 +243,17 @@ and equijoin_build pairs r =
           (rexec ());
         cache := Some (versions, tbl);
         tbl
-
-(* Hash join: memoized build + per-tuple probe over the probe side. *)
-and compile_equijoin pairs l r =
-  let fetch = equijoin_build pairs r in
-  let probe = equijoin_probe pairs l r in
-  let _, lexec = comp l in
+  in
   fun () ->
-    let table = fetch () in
-    List.concat_map (probe table) (lexec ())
+    let table = build () in
+    List.concat_map
+      (fun ltu ->
+        Stats.incr Stats.Index_probe;
+        match Tbl.find_opt table (Array.to_list (lkey ltu)) with
+        | None -> []
+        | Some matches ->
+            List.rev_map (fun rtu -> Tuple.concat ltu (rproj rtu)) matches)
+      (lexec ())
 
 let compile expr =
   Stats.incr Stats.Plan_compile;
@@ -282,277 +262,9 @@ let compile expr =
 
 let eval expr = run (compile expr)
 
-(* ---- parallel scan/aggregate (bulk materialization) ----
-
-   Bulk evaluation — the initial materialization of a persistent view
-   over retained history, not the Δ-path — decomposes into independent
-   work over contiguous input ranges.  A top-level GROUPBY folds each
-   range into a partial group table and merges them order-preservingly
-   (Groupby.merge_partials); any other rangeable shape concatenates its
-   per-range outputs, which is the sequential output exactly.
-
-   Which shapes are rangeable?  A Select/Project/Rename/Prefix chain
-   over one base Const or Rel is compiled range-wise (the scan and the
-   filter run inside the parallel tasks).  A Select chain over a base
-   Rel whose equality conjuncts cover an index does better still: each
-   range performs one *bounded probe* (Relation.lookup_bounded — the
-   index answer sliced to the range's row-id interval) instead of
-   scanning its slice, so the ranged path pays the same
-   O(matches + probe) the sequential select-pushdown pays and fires
-   the same counter kinds (Index_scan / Index_probe / Tuple_read per
-   hit).  Ranges partition the relation's row-id space [0, row_bound);
-   per-key index runs are sorted ascending, so the per-range answers
-   concatenate to the sequential probe's answer — the scan order —
-   exactly.  On top of that:
-
-   - equi-joins and θ-joins/products range-split their probe (left)
-     side: the build table (version-memoized for equi-joins) or the
-     materialized right side is produced once on the submitting domain,
-     then shared read-only by the probe tasks.  Per-range probe outputs
-     concatenate to the sequential probe order because the left split
-     is contiguous and the per-tuple kernel is shared with the
-     sequential plan.
-   - unions, differences and DISTINCT evaluate both inputs as a first
-     parallel phase (each side's own ranges — joins and chains below
-     them parallelize too), then perform the {e global} set operation
-     ([Tuple.dedup]/[Tuple.diff] — first-occurrence semantics need the
-     whole collection, so this stitch is inherently sequential, and
-     costs exactly what the sequential plan's own dedup pass costs) on
-     the submitter and re-split the result for the consumer.
-
-   The two-phase shapes submit their inner phase with [Exec.Pool.map]
-   {e before} the consumer's parallel section starts: every pool
-   interaction happens on the submitting domain inside [mk], range
-   thunks themselves never touch the pool, so parallel sections
-   sequence and never nest (the pool's discipline). *)
-
-let range_thunks ~jobs arr =
-  Array.map
-    (fun (start, len) () -> Array.to_list (Array.sub arr start len))
-    (Exec.Pool.chunk_ranges ~jobs (Array.length arr))
-
-(* Ranged select-pushdown: the parallel counterpart of
-   [compile_rel_select].  When the peeled Select chain bottoms out in a
-   base relation and a covering index binds every attribute of some
-   index (same analysis, same [choose_index] preference order), each
-   tuple-range probes the index bounded to its own row-id interval and
-   filters the residual conjuncts over the hits — per-hit kernel
-   identical to the sequential probe, so tuples, order and counter
-   kinds all match the sequential plan.  [None] when no covering index
-   exists (callers fall back to the ranged scan + filter). *)
-let ranged_rel_select ~jobs preds expr =
-  match select_target preds expr with
-  | None -> None
-  | Some (rel, preds) -> (
-      let rschema = Relation.schema rel in
-      let atoms = List.fold_left conjuncts [] preds in
-      match choose_index rel atoms with
-      | None -> None
-      | Some (attrs, key, residual) ->
-          let keep =
-            match residual with
-            | [] -> None
-            | ps -> Some (Predicate.compile rschema (Predicate.conj ps))
-          in
-          Some
-            ( rschema,
-              fun () ->
-                Array.map
-                  (fun (start, len) () ->
-                    Stats.incr Stats.Index_scan;
-                    let hits =
-                      Relation.lookup_bounded rel ~attrs key ~lo:start
-                        ~hi:(start + len)
-                    in
-                    List.filter
-                      (fun tu ->
-                        Stats.incr Stats.Tuple_read;
-                        match keep with
-                        | None -> true
-                        | Some keep -> keep tu)
-                      hits)
-                  (Exec.Pool.chunk_ranges ~jobs (Relation.row_bound rel)) ))
-
-(* Compile [expr] into a function producing per-range input thunks:
-   Some (schema, mk) where [mk ()] re-splits the base at call time (a
-   Rel's contents are only known then; a Const's split is hoisted).
-   The concatenation of the thunks' outputs, in array order, is exactly
-   the sequential plan's output. *)
-let rec comp_ranged ~pool expr :
-    (Schema.t * (unit -> (unit -> Tuple.t list) array)) option =
-  let jobs = Exec.Pool.jobs pool in
-  match expr with
-  | Ra.Const (schema, tuples) ->
-      let arr = Array.of_list tuples in
-      Some (schema, fun () -> range_thunks ~jobs arr)
-  | Ra.Rel r ->
-      Some
-        ( Relation.schema r,
-          fun () -> range_thunks ~jobs (Array.of_list (Relation.to_list r)) )
-  | Ra.Select (p, e) -> (
-      match ranged_rel_select ~jobs [ p ] e with
-      | Some _ as pushed -> pushed
-      | None ->
-          (* generic ranged filter: each range keeps its own matches *)
-          Option.map
-            (fun (schema, mk) ->
-              let keep = Predicate.compile schema p in
-              ( schema,
-                fun () ->
-                  Array.map
-                    (fun thunk () ->
-                      List.filter
-                        (fun tu ->
-                          Stats.incr Stats.Tuple_read;
-                          keep tu)
-                        (thunk ()))
-                    (mk ()) ))
-            (comp_ranged ~pool e))
-  | Ra.Project (attrs, e) ->
-      Option.map
-        (fun ((schema : Schema.t), mk) ->
-          let proj = Tuple.projector schema attrs in
-          ( Ra.schema_of expr,
-            fun () ->
-              Array.map (fun thunk () -> List.map proj (thunk ())) (mk ()) ))
-        (comp_ranged ~pool e)
-  | Ra.Rename (_, e) | Ra.Prefix (_, e) ->
-      (* pure metadata: same rows, renamed schema *)
-      Option.map
-        (fun (_, mk) -> (Ra.schema_of expr, mk))
-        (comp_ranged ~pool e)
-  | Ra.EquiJoin (pairs, l, r) ->
-      Option.map
-        (fun (_, lmk) ->
-          let fetch = equijoin_build pairs r in
-          let probe = equijoin_probe pairs l r in
-          ( Ra.schema_of expr,
-            fun () ->
-              (* refresh the memoized table on the submitter; the probe
-                 tasks only read it *)
-              let table = fetch () in
-              Array.map
-                (fun thunk () -> List.concat_map (probe table) (thunk ()))
-                (lmk ()) ))
-        (comp_ranged ~pool l)
-  | Ra.ThetaJoin (p, l, r) ->
-      Option.map
-        (fun (_, lmk) ->
-          let keep = Predicate.compile (Ra.schema_of expr) p in
-          let _, rexec = comp r in
-          ( Ra.schema_of expr,
-            fun () ->
-              let rt = rexec () in
-              Array.map
-                (fun thunk () ->
-                  List.concat_map (theta_matches keep rt) (thunk ()))
-                (lmk ()) ))
-        (comp_ranged ~pool l)
-  | Ra.Product (l, r) ->
-      Option.map
-        (fun (_, lmk) ->
-          let _, rexec = comp r in
-          ( Ra.schema_of expr,
-            fun () ->
-              let rt = rexec () in
-              Array.map
-                (fun thunk () ->
-                  List.concat_map (product_matches rt) (thunk ()))
-                (lmk ()) ))
-        (comp_ranged ~pool l)
-  | Ra.Union (l, r) ->
-      let lmk = side_thunks ~pool l and rmk = side_thunks ~pool r in
-      Some
-        ( Ra.schema_of expr,
-          fun () ->
-            let slices = Exec.Pool.map pool (Array.append (lmk ()) (rmk ())) in
-            (* global first-occurrence dedup, then re-split for the
-               consumer: identical to the sequential
-               [Tuple.dedup (l @ r)] because slice order is input
-               order *)
-            range_thunks ~jobs
-              (Array.of_list
-                 (Tuple.dedup (List.concat (Array.to_list slices)))) )
-  | Ra.Diff (l, r) ->
-      let lmk = side_thunks ~pool l and rmk = side_thunks ~pool r in
-      Some
-        ( Ra.schema_of expr,
-          fun () ->
-            let lthunks = lmk () and rthunks = rmk () in
-            let k = Array.length lthunks in
-            let slices = Exec.Pool.map pool (Array.append lthunks rthunks) in
-            let ls =
-              List.concat (Array.to_list (Array.sub slices 0 k))
-            in
-            let rs =
-              List.concat
-                (Array.to_list (Array.sub slices k (Array.length slices - k)))
-            in
-            range_thunks ~jobs (Array.of_list (Tuple.diff ls rs)) )
-  | Ra.Distinct e ->
-      Option.map
-        (fun (_, mk) ->
-          ( Ra.schema_of expr,
-            fun () ->
-              let slices = Exec.Pool.map pool (mk ()) in
-              range_thunks ~jobs
-                (Array.of_list
-                   (Tuple.dedup (List.concat (Array.to_list slices)))) ))
-        (comp_ranged ~pool e)
-  | Ra.GroupBy _ -> None
-
-(* A union/difference input: its own ranges when rangeable, else one
-   sequential thunk (still evaluated inside the side's parallel
-   phase). *)
-and side_thunks ~pool expr : unit -> (unit -> Tuple.t list) array =
-  match comp_ranged ~pool expr with
-  | Some (_, mk) -> mk
-  | None ->
-      let _, exec = comp expr in
-      fun () -> [| exec |]
-
-let compile_parallel pool expr =
-  let jobs = Exec.Pool.jobs pool in
-  if jobs <= 1 then compile expr
-  else
-    match expr with
-    | Ra.GroupBy (gl, al, child) ->
-        Stats.incr Stats.Plan_compile;
-        let schema = Ra.schema_of expr in
-        let child_schema, mk_ranges =
-          match comp_ranged ~pool child with
-          | Some (child_schema, mk) -> (child_schema, mk)
-          | None ->
-              (* sequential scan, parallel fold *)
-              let child_schema, exec = comp child in
-              ( child_schema,
-                fun () -> range_thunks ~jobs (Array.of_list (exec ())) )
-        in
-        let grouper = Groupby.compiled child_schema ~group_by:gl ~aggs:al in
-        let exec () =
-          let partials =
-            Exec.Pool.map pool
-              (Array.map
-                 (fun thunk () ->
-                   Groupby.run_compiled_partial grouper (thunk ()))
-                 (mk_ranges ()))
-          in
-          Groupby.merge_partials grouper (Array.to_list partials)
-        in
-        { source = expr; schema; exec }
-    | _ -> (
-        (* no top-level fold to merge: parallelize the scan itself and
-           concatenate the per-range outputs (the sequential output,
-           exactly) *)
-        match comp_ranged ~pool expr with
-        | None -> compile expr
-        | Some (_, mk) ->
-            Stats.incr Stats.Plan_compile;
-            let schema = Ra.schema_of expr in
-            let exec () =
-              List.concat (Array.to_list (Exec.Pool.map pool (mk ())))
-            in
-            { source = expr; schema; exec })
+(* Kept only for perfbench's replay, which calls it; every caller in
+   the engine uses [compile]. *)
+let compile_parallel _ e = compile e
 
 (* Make [Ra.eval] the compiled pipeline (see the note in ra.ml). *)
 let () = Ra.internal_set_eval eval

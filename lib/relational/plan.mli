@@ -40,44 +40,9 @@ val eval : Ra.t -> Tuple.t list
 (** [run ∘ compile]; what {!Ra.eval} dispatches to. *)
 
 val compile_parallel : Exec.Pool.t -> Ra.t -> t
-(** Like {!compile}, but when the pool's degree exceeds 1 the plan
-    executes as {e parallel dataflow} over contiguous input ranges:
-
-    - a [Select]/[Project]/[Rename]/[Prefix] chain over a base [Const]
-      or [Rel] is evaluated range-wise, so scan and filter parallelize;
-      a conjunctive-equality [Select] chain over a [Rel] with a covering
-      index uses the same index-probe pushdown as the sequential plan,
-      restricted per range to its own row-id interval
-      ({!Relation.lookup_bounded}): each range pays one bounded probe
-      ([Stats.Index_scan] + [Index_probe]) and touches hits only;
-    - an [EquiJoin] materializes its (version-memoized) build table
-      once on the submitting domain and range-splits the {e probe}
-      side: each range probes the shared read-only table with the same
-      per-tuple kernel as the sequential plan;
-    - [ThetaJoin]/[Product] likewise materialize the right side once
-      and split the left;
-    - [Union], [Diff] and [Distinct] evaluate their inputs as a first
-      parallel phase (each side's own ranges — joins and chains below
-      them parallelize too), then perform the global first-occurrence
-      set operation sequentially on the submitter and re-split for the
-      consumer;
-    - a top-level [GroupBy] folds each range into a partial group table
-      on its own domain and merges the partials in range order
-      ({!Groupby.merge_partials}); any other rangeable top-level shape
-      concatenates the per-range outputs in range order.
-
-    In every case the result — tuples and their order — is identical to
-    the sequential plan's, and the work counters fire in the {e same
-    kinds} as the sequential plan (the ranged pushdown included —
-    [Index_scan]/[Index_probe] per range instead of once, [Tuple_read]
-    per hit either way; only the probe {e counts} scale with the
-    degree, never the per-tuple work).
-    Intended for one-shot bulk evaluation (the initial materialization
-    of a view over a large backing collection), {e not} for the
-    incremental Δ-path, whose batches are far too small to amortize a
-    fork/join.  With degree 1 (or a shape with no rangeable input, e.g.
-    a bare [GroupBy] over another [GroupBy]) this is exactly
-    {!compile}. *)
+(** [compile_parallel _ e] is [compile e]: the pool is ignored.  Kept
+    only for perfbench's replay, which still calls it; bulk evaluation
+    runs the one sequential plan at every [--jobs]. *)
 
 val schema : t -> Schema.t
 (** Result schema, resolved at compile time. *)

@@ -168,31 +168,6 @@ let lookup_rows t ~attrs key = lookup_in t attrs key t.indexes
 let lookup t ~attrs key =
   List.filter_map (get t) (lookup_rows t ~attrs key)
 
-let row_bound t = Vec.length t.rows
-
-let lookup_rows_bounded t ~attrs key ~lo ~hi =
-  let lo = max lo 0 and hi = min hi (Vec.length t.rows) in
-  if lo >= hi then []
-  else
-    match find_index t attrs with
-    | Some ix -> Index.find_bounded ix key ~lo ~hi
-    | None ->
-        (* scan fallback restricted to the row range; each inspected
-           slot bumps [Tuple_read] like the unbounded scan would *)
-        let hits = ref [] in
-        for row = hi - 1 downto lo do
-          match Vec.get t.rows row with
-          | None -> ()
-          | Some tuple ->
-              Stats.incr Stats.Tuple_read;
-              if Value.equal_list (key_of t attrs tuple) key then
-                hits := row :: !hits
-        done;
-        !hits
-
-let lookup_bounded t ~attrs key ~lo ~hi =
-  List.filter_map (get t) (lookup_rows_bounded t ~attrs key ~lo ~hi)
-
 let find_by_key t key =
   match t.key with
   | None -> invalid_arg "Relation.find_by_key: relation has no primary key"

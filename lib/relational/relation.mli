@@ -67,24 +67,6 @@ val lookup : t -> attrs:string list -> Value.t list -> Tuple.t list
 
 val lookup_rows : t -> attrs:string list -> Value.t list -> int list
 
-val row_bound : t -> int
-(** Exclusive upper bound on live row ids: every live row id is in
-    [0, row_bound).  The range-split parallel plans partition this
-    row-id space into contiguous per-task ranges (tombstones included —
-    they cost nothing to a bounded probe). *)
-
-val lookup_bounded :
-  t -> attrs:string list -> Value.t list -> lo:int -> hi:int -> Tuple.t list
-(** {!lookup} restricted to row ids in [lo, hi) — the relation-level
-    bounded probe.  With a matching index this is one
-    {!Index.find_bounded} (one [Stats.Index_probe], hits only);
-    without, a scan of the row range.  For any contiguous partition of
-    [0, row_bound) the per-range answers concatenate, in range order,
-    to exactly {!lookup}'s answer. *)
-
-val lookup_rows_bounded :
-  t -> attrs:string list -> Value.t list -> lo:int -> hi:int -> int list
-
 val find_by_key : t -> Value.t list -> Tuple.t option
 (** Primary-key point lookup; raises [Invalid_argument] if the relation
     has no key. *)

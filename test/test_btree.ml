@@ -108,34 +108,6 @@ let test_node_visits_logarithmic () =
     true
     (visits <= T.height t)
 
-let test_find_map () =
-  let t = T.create ~degree:4 () in
-  for i = 0 to 99 do
-    ignore (T.insert t i (i * 2))
-  done;
-  Alcotest.check Alcotest.(option int) "hit maps the value" (Some 85)
-    (T.find_map t 40 (fun v -> Some (v + 5)));
-  Alcotest.check Alcotest.(option int) "hit may decline" None
-    (T.find_map t 40 (fun _ -> None));
-  let called = ref false in
-  Alcotest.check Alcotest.(option int) "absent key: f not called" None
-    (T.find_map t 999 (fun v ->
-         called := true;
-         Some v));
-  check_bool "f untouched on miss" false !called
-
-let test_find_map_one_descent () =
-  let t = T.create ~degree:8 () in
-  for i = 0 to 9999 do
-    ignore (T.insert t i i)
-  done;
-  let before = Stats.snapshot () in
-  ignore (T.find_map t 5000 (fun v -> Some v));
-  let after = Stats.snapshot () in
-  check_int "one probe" 1 (Stats.diff_get before after Stats.Index_probe);
-  check_bool "visits bounded by height" true
-    (Stats.diff_get before after Stats.Index_node_visit <= T.height t)
-
 module Model = Map.Make (Int)
 
 let qcheck_against_map_model =
@@ -193,8 +165,6 @@ let suite =
     test "update" test_update;
     test "height stays logarithmic" test_height_logarithmic;
     test "probe visits bounded by height" test_node_visits_logarithmic;
-    test "find_map probes and maps at the leaf" test_find_map;
-    test "find_map costs one descent" test_find_map_one_descent;
     qcheck_against_map_model;
     qcheck_range_matches_map;
   ]

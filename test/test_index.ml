@@ -47,91 +47,6 @@ let test_composite_keys () =
   Alcotest.check Alcotest.(list int) "composite" [ 1 ] (Index.find ix [ vi 1; vs "x" ]);
   check_int "two distinct keys" 2 (Index.cardinality ix)
 
-(* ---- bounded probes (the primitive behind ranged select-pushdown) ---- *)
-
-(* One key bound to a run of row ids; bounded probes must slice exactly
-   the sub-run inside [lo, hi), ascending, for both index kinds. *)
-let exercise_bounded kind =
-  let ix = Index.create kind ~attrs:[ "k" ] in
-  (* duplicate key with a spread-out run, interleaved with other keys *)
-  List.iter (fun r -> Index.add ix [ vi 1 ] r) [ 2; 5; 9; 14; 20 ];
-  List.iter (fun r -> Index.add ix [ vi 7 ] r) [ 0; 10; 30 ];
-  let probe ~lo ~hi = Index.find_bounded ix [ vi 1 ] ~lo ~hi in
-  Alcotest.check Alcotest.(list int) "full range = find" [ 2; 5; 9; 14; 20 ]
-    (probe ~lo:0 ~hi:100);
-  Alcotest.check Alcotest.(list int) "empty range" [] (probe ~lo:5 ~hi:5);
-  Alcotest.check Alcotest.(list int) "inverted range" [] (probe ~lo:9 ~hi:5);
-  Alcotest.check Alcotest.(list int) "range before run" [] (probe ~lo:0 ~hi:2);
-  Alcotest.check Alcotest.(list int) "range after run" [] (probe ~lo:21 ~hi:99);
-  Alcotest.check Alcotest.(list int) "interior slice" [ 5; 9 ] (probe ~lo:5 ~hi:10);
-  Alcotest.check Alcotest.(list int) "hi exclusive" [ 5 ] (probe ~lo:5 ~hi:9);
-  Alcotest.check Alcotest.(list int) "absent key" []
-    (Index.find_bounded ix [ vi 42 ] ~lo:0 ~hi:100)
-
-let test_bounded_hash () = exercise_bounded Index.Hash
-let test_bounded_ordered () = exercise_bounded Index.Ordered
-
-(* For ANY contiguous partition of the row-id space, the per-range
-   bounded probes concatenate (in range order) to exactly [find]'s
-   answer — the property the parallel plans' correctness rests on. *)
-let bounded_partition_qcheck kind =
-  let gen = QCheck.(pair (list (int_bound 60)) (list (int_bound 20))) in
-  qtest ~count:300
-    (Printf.sprintf "bounded probes stitch to find (%s)"
-       (match kind with Index.Hash -> "hash" | Index.Ordered -> "ordered"))
-    gen
-    (fun (rows, widths) ->
-      let ix = Index.create kind ~attrs:[ "k" ] in
-      (* duplicates in [rows] make duplicate bindings of the same
-         (key, row) pair; dedup first so the run is a set like a real
-         relation's *)
-      let rows = List.sort_uniq Int.compare rows in
-      List.iter (fun r -> Index.add ix [ vi 1 ] (r * 2)) rows;
-      (* decoy key sharing the space *)
-      List.iter (fun r -> Index.add ix [ vi 2 ] ((r * 2) + 1)) rows;
-      let bound = 130 in
-      (* cut points from the random widths: a contiguous partition of
-         [0, bound) with possibly-empty cells *)
-      let cuts =
-        List.fold_left
-          (fun (acc, at) w ->
-            let at = min bound (at + w) in
-            (at :: acc, at))
-          ([ 0 ], 0) widths
-        |> fst |> List.rev
-      in
-      let cuts = cuts @ [ bound ] in
-      let rec stitched = function
-        | lo :: (hi :: _ as rest) ->
-            Index.find_bounded ix [ vi 1 ] ~lo ~hi @ stitched rest
-        | _ -> []
-      in
-      stitched cuts = Index.find ix [ vi 1 ])
-
-let qcheck_bounded_hash = bounded_partition_qcheck Index.Hash
-let qcheck_bounded_ordered = bounded_partition_qcheck Index.Ordered
-
-let test_bounded_probe_cost () =
-  (* a bounded probe costs one Index_probe regardless of the bounds *)
-  let check kind =
-    let ix = Index.create kind ~attrs:[ "k" ] in
-    List.iter (fun r -> Index.add ix [ vi 1 ] r) [ 1; 2; 3; 4; 5 ];
-    let before = Stats.snapshot () in
-    ignore (Index.find_bounded ix [ vi 1 ] ~lo:2 ~hi:4);
-    ignore (Index.find_bounded ix [ vi 1 ] ~lo:0 ~hi:100);
-    let after = Stats.snapshot () in
-    check_int "one probe per bounded probe" 2
-      (Stats.diff_get before after Stats.Index_probe);
-    (* degenerate range answers without probing at all *)
-    let before = Stats.snapshot () in
-    ignore (Index.find_bounded ix [ vi 1 ] ~lo:4 ~hi:4);
-    let after = Stats.snapshot () in
-    check_int "empty range is free" 0
-      (Stats.diff_get before after Stats.Index_probe)
-  in
-  check Index.Hash;
-  check Index.Ordered
-
 let test_find_order_is_scan_order () =
   (* per-key runs are ascending even when rows arrive out of order
      (deletion + re-probe path of the relation layer) *)
@@ -160,10 +75,5 @@ let suite =
     test "hash range rejected" test_range_hash_rejected;
     test "composite keys" test_composite_keys;
     test "probe counting" test_probe_counting;
-    test "bounded probe (hash)" test_bounded_hash;
-    test "bounded probe (ordered)" test_bounded_ordered;
-    test "bounded probe cost" test_bounded_probe_cost;
     test "find answers in scan order" test_find_order_is_scan_order;
-    qcheck_bounded_hash;
-    qcheck_bounded_ordered;
   ]

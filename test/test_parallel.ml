@@ -18,8 +18,7 @@ type vspec = {
   chron : int; (* 0 or 1 *)
   guard : int option; (* Some a: SELECT acct = a above the chronicle *)
   early : bool; (* defined before any appends (Δ-only) or after some
-                   history (exercises parallel initial
-                   materialization) *)
+                   history (exercises initial materialization) *)
 }
 
 type step =
@@ -45,7 +44,7 @@ type outcome = {
 let run_scenario ~jobs s =
   let db = Db.create ~jobs () in
   (* full retention so late view definitions can materialize from
-     history (the parallel initial-materialization path) *)
+     history *)
   let chrons =
     [|
       Db.add_chronicle db ~retention:Chron.Full ~name:"c0" schema;
@@ -175,8 +174,9 @@ let prop_parallel_equals_sequential s =
 
 (* ---- a few directed cases on top of the property ---- *)
 
-(* Parallel initial materialization: define a view over a long retained
-   history with jobs = 4 and check against sequential evaluation. *)
+(* Initial materialization is sequential at every degree: a view
+   defined over a long retained history at jobs = 4 reads exactly what
+   it reads at jobs = 1. *)
 let test_parallel_materialization () =
   let mk jobs =
     let db = Db.create ~jobs () in
@@ -230,230 +230,6 @@ let test_parallel_rollback () =
   ignore (Db.append db "c" [ row (2, 20) ]);
   check_int "post-rollback append maintained" 2
     (List.length (Db.view_contents db "v0"))
-
-(* ---- parallel physical plans: joins, unions, differences ----
-
-   The PR-3 kernel only range-split GROUPBY over Select/Project
-   pipelines; these properties cover the widened shapes — probe-side
-   split hash joins, theta joins and products against a shared
-   materialized right side, and two-phase union/difference/distinct —
-   both standalone and below a top-level GROUPBY.  Fixed expression
-   shapes, random data (including empty and skewed inputs); the oracle
-   is the sequential compiled plan, itself checked against
-   [Ra.eval_naive]. *)
-
-let plan_schema = Schema.make [ ("k", Value.TInt); ("x", Value.TInt) ]
-let t_schema = Schema.make [ ("k", Value.TInt); ("y", Value.TInt) ]
-
-let plan_shapes r1 r2 rt =
-  let open Ra in
-  [
-    (* r1 carries a non-unique hash index on "k" (many rows per key, so
-       a key's run straddles the range splits): the equality shapes
-       below exercise the ranged index-probe pushdown, residual filters
-       included, standalone and under joins/folds *)
-    ("indexed eq select", Select (Predicate.("k" =% vi 3), Rel r1));
-    ("indexed eq select + residual",
-     Select
-       ( Predicate.And (Predicate.("k" =% vi 3), Predicate.("x" >% vi 50)),
-         Rel r1 ));
-    ("groupby over indexed select",
-     GroupBy
-       ( [ "k" ],
-         [ Aggregate.sum "x" "sx"; Aggregate.count_star "n" ],
-         Select (Predicate.("k" =% vi 3), Rel r1) ));
-    ("join over indexed select",
-     EquiJoin
-       ([ ("k", "k") ], Select (Predicate.("k" =% vi 4), Rel r1), Rel rt));
-    ("union of selects",
-     Union (Select (Predicate.("x" >% vi 50), Rel r1), Rel r2));
-    ("difference", Diff (Rel r1, Rel r2));
-    ("distinct of union", Distinct (Union (Rel r1, Rel r2)));
-    ("equijoin (probe-side split)", EquiJoin ([ ("k", "k") ], Rel r1, Rel rt));
-    ("theta join",
-     ThetaJoin (Predicate.attr_eq "k" "t.k", Rel r1, Prefix ("t", Rel rt)));
-    ("select over product",
-     Select
-       (Predicate.attr_eq "k" "t.k", Product (Rel r1, Prefix ("t", Rel rt))));
-    ("union of joins",
-     Union
-       ( Project ([ "k"; "x" ], EquiJoin ([ ("k", "k") ], Rel r1, Rel rt)),
-         Rel r2 ));
-    ("groupby over join",
-     GroupBy
-       ( [ "k" ],
-         [ Aggregate.sum "x" "sx"; Aggregate.count_star "n" ],
-         EquiJoin ([ ("k", "k") ], Rel r1, Rel rt) ));
-    ("groupby over union",
-     GroupBy ([ "k" ], [ Aggregate.sum "x" "sx" ], Union (Rel r1, Rel r2)));
-    ("groupby over difference",
-     GroupBy ([ "k" ], [ Aggregate.count_star "n" ], Diff (Rel r1, Rel r2)));
-  ]
-
-let gen_plan_data =
-  QCheck.Gen.(
-    let rows = list_size (0 -- 60) (pair (0 -- 8) (0 -- 100)) in
-    triple rows rows (list_size (0 -- 20) (pair (0 -- 8) (0 -- 10))))
-
-let plan_data_arb =
-  QCheck.make
-    ~print:(fun (a, b, c) ->
-      Printf.sprintf "r1:%d rows, r2:%d rows, rt:%d rows" (List.length a)
-        (List.length b) (List.length c))
-    gen_plan_data
-
-let prop_parallel_plans (rows1, rows2, rowst) =
-  let fill name schema rows =
-    let r = Relation.create ~name ~schema () in
-    List.iter (fun (k, x) -> ignore (Relation.insert r (tup [ vi k; vi x ]))) rows;
-    r
-  in
-  let r1 = fill "r1" plan_schema rows1
-  and r2 = fill "r2" plan_schema rows2
-  and rt = fill "rt" t_schema rowst in
-  (* non-unique secondary index: the indexed shapes' pushdown target *)
-  Relation.create_index r1 Index.Hash [ "k" ];
-  List.for_all
-    (fun (label, e) ->
-      let seq = Plan.run (Plan.compile e) in
-      if not (List.equal Tuple.equal seq (Ra.eval_naive e)) then
-        QCheck.Test.fail_reportf "%s: sequential plan diverged from naive"
-          label
-      else
-        let pushdown_shape =
-          (* the shapes that bottom out in an equality select over the
-             indexed r1 *)
-          String.length label >= 7 && String.equal (String.sub label 0 7) "indexed"
-        in
-        List.for_all
-          (fun jobs ->
-            let pool = Exec.Pool.create ~jobs () in
-            let plan = Plan.compile_parallel pool e in
-            let before = Stats.snapshot () in
-            let par = Plan.run plan in
-            let after = Stats.snapshot () in
-            if not (List.equal Tuple.equal seq par) then
-              QCheck.Test.fail_reportf
-                "%s: jobs=%d diverged (%d tuples vs %d sequential)" label jobs
-                (List.length par) (List.length seq)
-            else if
-              pushdown_shape
-              && Relation.row_bound r1 > 0
-              && Stats.diff_get before after Stats.Index_scan = 0
-            then
-              QCheck.Test.fail_reportf
-                "%s: jobs=%d answered without the index probe pushdown" label
-                jobs
-            else if
-              pushdown_shape
-              && Stats.diff_get before after Stats.Tuple_read
-                 > Relation.cardinality r1
-            then
-              QCheck.Test.fail_reportf
-                "%s: jobs=%d read more tuples than a full scan" label jobs
-            else true)
-          [ 2; 4; 8 ])
-    (plan_shapes r1 r2 rt)
-
-(* ---- ranged index-probe pushdown: directed counter contrasts ----
-
-   Machine-independent economics of the tentpole: on an equality
-   selection over an indexed base relation the ranged plan answers with
-   bounded index probes (Index_scan fires on the ranged path) and reads
-   exactly the matching tuples — strictly fewer than the pre-PR ranged
-   scan, which the identical-but-unindexed twin relation still
-   exhibits. *)
-
-let fill_big name =
-  let r = Relation.create ~name ~schema:plan_schema () in
-  for i = 0 to 999 do
-    ignore (Relation.insert r (tup [ vi (i mod 10); vi i ]))
-  done;
-  r
-
-let test_ranged_pushdown_counters () =
-  let r = fill_big "big" in
-  let twin = fill_big "big_noix" in
-  Relation.create_index r Index.Hash [ "k" ];
-  let sel rel = Ra.Select (Predicate.("k" =% vi 3), Ra.Rel rel) in
-  let measure pool e =
-    let plan = Plan.compile_parallel pool e in
-    let before = Stats.snapshot () in
-    let out = Plan.run plan in
-    let after = Stats.snapshot () in
-    (out, before, after)
-  in
-  let pool = Exec.Pool.create ~jobs:4 () in
-  let probe_out, pb, pa = measure pool (sel r) in
-  let scan_out, sb, sa = measure pool (sel twin) in
-  check_bool "probe ≡ scan rows" true (List.equal Tuple.equal probe_out scan_out);
-  check_bool "ranged path fires Index_scan" true
-    (Stats.diff_get pb pa Stats.Index_scan > 0);
-  check_int "unindexed twin: no pushdown" 0 (Stats.diff_get sb sa Stats.Index_scan);
-  let probe_reads = Stats.diff_get pb pa Stats.Tuple_read in
-  let scan_reads = Stats.diff_get sb sa Stats.Tuple_read in
-  check_int "probe touches hits only" (List.length probe_out) probe_reads;
-  check_bool
-    (Printf.sprintf "probe reads (%d) strictly below scan reads (%d)"
-       probe_reads scan_reads)
-    true
-    (probe_reads < scan_reads);
-  (* byte-identical to the sequential plan at every degree *)
-  let seq = Plan.run (Plan.compile (sel r)) in
-  List.iter
-    (fun jobs ->
-      let out, _, _ = measure (Exec.Pool.create ~jobs ()) (sel r) in
-      check_bool
-        (Printf.sprintf "jobs=%d ≡ sequential" jobs)
-        true
-        (List.equal Tuple.equal seq out))
-    [ 1; 2; 4; 8 ]
-
-(* Regression for the retired plan.mli caveat: on pushdown shapes the
-   sequential and ranged executions report the {e same counter kinds}
-   (nonzero deltas over a run), only the probe counts scale with the
-   range count. *)
-let test_pushdown_counter_kinds () =
-  let r = fill_big "big_kinds" in
-  Relation.create_index r Index.Hash [ "k" ];
-  let shapes =
-    [
-      ("eq select", Ra.Select (Predicate.("k" =% vi 3), Ra.Rel r));
-      ("eq select + residual",
-       Ra.Select
-         ( Predicate.And (Predicate.("k" =% vi 3), Predicate.("x" >% vi 500)),
-           Ra.Rel r ));
-      ("groupby over eq select",
-       Ra.GroupBy
-         ( [ "k" ],
-           [ Aggregate.sum "x" "sx" ],
-           Ra.Select (Predicate.("k" =% vi 3), Ra.Rel r) ));
-    ]
-  in
-  let kinds plan =
-    let before = Stats.snapshot () in
-    ignore (Plan.run plan);
-    let after = Stats.snapshot () in
-    List.filter_map
-      (fun (c, n) -> if n > 0 then Some (Stats.counter_name c) else None)
-      (Stats.diff before after)
-  in
-  let pool = Exec.Pool.create ~jobs:4 () in
-  List.iter
-    (fun (label, e) ->
-      let seq_kinds = kinds (Plan.compile e) in
-      let par_kinds = kinds (Plan.compile_parallel pool e) in
-      check_bool
-        (Printf.sprintf "%s: same counter kinds (seq: %s / ranged: %s)" label
-           (String.concat "," seq_kinds)
-           (String.concat "," par_kinds))
-        true
-        (List.equal String.equal seq_kinds par_kinds);
-      check_bool
-        (Printf.sprintf "%s: pushdown fired on both" label)
-        true
-        (List.mem "index_scan" seq_kinds))
-    shapes
 
 (* ---- parallel journal replay ----
 
@@ -613,11 +389,6 @@ let suite =
       prop_parallel_equals_sequential;
     test "parallel initial materialization" test_parallel_materialization;
     test "parallel fold failure rolls back all views" test_parallel_rollback;
-    qtest ~count:80 "parallel plans ≡ sequential (join/union/diff)"
-      plan_data_arb prop_parallel_plans;
-    test "ranged pushdown: probes beat scans" test_ranged_pushdown_counters;
-    test "ranged pushdown: same counter kinds as sequential"
-      test_pushdown_counter_kinds;
     qtest ~count:60 "parallel replay ≡ sequential recovery" scenario_arb
       prop_replay_parallel_equals_sequential;
     test "replay fold barrier for history-reading views"

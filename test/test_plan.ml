@@ -134,18 +134,17 @@ let prop_compiled_equals_naive () =
       Alcotest.failf "tree %d: second run diverged for %a" i Ra.pp expr
   done
 
-(* ---- randomized trees over indexed bases: ranged ≡ sequential ≡ naive ----
+(* ---- randomized trees over indexed bases: sequential ≡ naive ----
 
-   The differential layer for the ranged index-probe pushdown.  The
-   base relation carries a non-unique hash index on "kind" and an
-   ordered (B+-tree) index on "acct", and every tree's base is an
-   equality selection on one of the two — the shape the pushdown
-   answers with bounded probes.  Each tree is checked, tuples AND
-   order, against the naive interpreter and the sequential compiled
-   plan at jobs ∈ {1, 2, 4, 8}; across the corpus the ranged runs must
-   actually have taken the probe path ([Index_scan] fired — the
-   per-shape read-economics assertions live in test_parallel's
-   [plan_shapes] property and its directed counter tests). *)
+   The differential layer for the index-probe pushdown.  The base
+   relation carries a non-unique hash index on "kind" and an ordered
+   (B+-tree) index on "acct", and every tree's base is an equality
+   selection on one of the two — the shape the pushdown answers with
+   one probe.  Each tree is checked, tuples AND order, against the
+   naive interpreter; across the corpus the plans must actually have
+   taken the probe path ([Index_scan] fired).  (The test keeps its
+   historical name: "ranged" once named a range-split parallel plan
+   that no longer exists.) *)
 
 let indexed_txn_rel rng =
   let rel = txn_rel rng in
@@ -155,7 +154,6 @@ let indexed_txn_rel rng =
 
 let prop_ranged_equals_naive_indexed () =
   let rng = Rng.create 816 in
-  let pools = List.map (fun jobs -> Exec.Pool.create ~jobs ()) [ 1; 2; 4; 8 ] in
   let scans = ref 0 in
   for i = 1 to 120 do
     let data_rng = Rng.split rng in
@@ -170,21 +168,14 @@ let prop_ranged_equals_naive_indexed () =
     in
     let expr = gen_expr rng ~accounts ~base ~depth:(1 + Rng.int rng 4) in
     let expected = Ra.eval_naive expr in
-    if not (List.equal Tuple.equal (Plan.run (Plan.compile expr)) expected)
-    then Alcotest.failf "tree %d: sequential plan ≠ naive for %a" i Ra.pp expr;
-    List.iter
-      (fun pool ->
-        let before = Stats.snapshot () in
-        let got = Plan.run (Plan.compile_parallel pool expr) in
-        let after = Stats.snapshot () in
-        if Exec.Pool.jobs pool > 1 then
-          scans := !scans + Stats.diff_get before after Stats.Index_scan;
-        if not (List.equal Tuple.equal got expected) then
-          Alcotest.failf "tree %d: jobs=%d ≠ naive for %a" i
-            (Exec.Pool.jobs pool) Ra.pp expr)
-      pools
+    let before = Stats.snapshot () in
+    let got = Plan.run (Plan.compile expr) in
+    let after = Stats.snapshot () in
+    scans := !scans + Stats.diff_get before after Stats.Index_scan;
+    if not (List.equal Tuple.equal got expected) then
+      Alcotest.failf "tree %d: sequential plan ≠ naive for %a" i Ra.pp expr
   done;
-  check_bool "ranged pushdown fired across the corpus" true (!scans > 0)
+  check_bool "index pushdown fired across the corpus" true (!scans > 0)
 
 (* ---- Ra.eval dispatches to the compiled pipeline ---- *)
 

@@ -84,41 +84,6 @@ let test_index_avoids_scan () =
     (Stats.diff_get before after Stats.Tuple_read <= 2);
   check_int "one probe" 1 (Stats.diff_get before after Stats.Index_probe)
 
-let test_bounded_lookup () =
-  let r = mk ~key:[ "id" ] () in
-  for i = 0 to 19 do
-    ignore (Relation.insert r (row i (if i mod 3 = 0 then "ann" else "bob") 0.))
-  done;
-  (* tombstone a matching and a non-matching row: bounds still partition
-     the row-id space, dead ids just contribute nothing *)
-  ignore (Relation.delete_where r Predicate.("id" =% vi 6));
-  ignore (Relation.delete_where r Predicate.("id" =% vi 7));
-  let whole = Relation.lookup r ~attrs:[ "name" ] [ vs "ann" ] in
-  let stitched cuts =
-    let rec go = function
-      | lo :: (hi :: _ as rest) ->
-          Relation.lookup_bounded r ~attrs:[ "name" ] [ vs "ann" ] ~lo ~hi
-          @ go rest
-      | _ -> []
-    in
-    go cuts
-  in
-  let check_partition name cuts =
-    check_bool name true (List.equal Tuple.equal whole (stitched cuts))
-  in
-  (* scan fallback (no index on "name") *)
-  check_partition "scan: one cell" [ 0; Relation.row_bound r ];
-  check_partition "scan: uneven cells" [ 0; 1; 7; 8; 20 ];
-  check_bool "scan: clamped bounds" true
-    (List.equal Tuple.equal whole (stitched [ -5; 500 ]));
-  (* same partitions answered by a secondary index *)
-  Relation.create_index r Index.Hash [ "name" ];
-  check_partition "index: one cell" [ 0; Relation.row_bound r ];
-  check_partition "index: uneven cells" [ 0; 1; 7; 8; 20 ];
-  check_partition "index: many cells" [ 0; 3; 6; 9; 12; 15; 18; 20 ];
-  check_bool "index: empty cell" true
-    (Relation.lookup_bounded r ~attrs:[ "name" ] [ vs "ann" ] ~lo:4 ~hi:4 = [])
-
 let test_version_counter () =
   let r = mk () in
   let v0 = Relation.version r in
@@ -148,7 +113,6 @@ let suite =
     test "delete_where" test_delete_where;
     test "secondary index lookup" test_secondary_index_lookup;
     test "indexed lookup avoids scans" test_index_avoids_scan;
-    test "bounded lookup stitches to lookup" test_bounded_lookup;
     test "version counter" test_version_counter;
     test "iteration skips tombstones" test_iter_skips_tombstones;
   ]
