@@ -29,13 +29,17 @@ let run () =
       (* --- cyclic buffer --- *)
       let rng = Rng.create 5 in
       let w =
-        Window.create ~func:Aggregate.Sum ~buckets:window ~bucket_width:1
-          ~start:0
+        Window.create
+          ~layout:
+            (Aggregate.layout
+               (Schema.make [ ("shares", Value.TInt) ])
+               [ Aggregate.sum "shares" "s" ])
+          ~buckets:window ~bucket_width:1 ~start:0
       in
       let buf_cost =
         Measure.per_op ~times:(days * trades_per_day) (fun i ->
             let day = i / trades_per_day in
-            Window.add w day (Value.Int (100 * (1 + Rng.int rng 50))))
+            Window.add w day [| Value.Int (100 * (1 + Rng.int rng 50)) |])
       in
       (* --- auto-derived windowed view (buffer + group localization) --- *)
       let db = Db.create () in

@@ -41,9 +41,12 @@ let hash_probe_test =
          ignore (Index.find ix [ Value.Int !k ])))
 
 let agg_step_test =
-  let st = ref (Aggregate.init Aggregate.Sum) in
+  let layout =
+    Aggregate.layout (Schema.make [ ("x", Value.TInt) ]) [ Aggregate.sum "x" "s" ]
+  in
+  let cells = Aggregate.fresh layout and tu = [| Value.Int 3 |] in
   Test.make ~name:"aggregate SUM step"
-    (Staged.stage (fun () -> st := Aggregate.step Aggregate.Sum !st (Value.Int 3)))
+    (Staged.stage (fun () -> Aggregate.step_cells layout cells tu))
 
 let delta_pipeline_test =
   let group = Group.create "g" in

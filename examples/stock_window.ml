@@ -38,7 +38,9 @@ let () =
 
   (* (b) the cyclic-buffer optimizer for one symbol *)
   let w =
-    Window.create ~func:Aggregate.Sum ~buckets:window ~bucket_width:1 ~start:0
+    Window.create
+      ~layout:(Aggregate.layout Stock.trade_schema [ Aggregate.sum "shares" "s" ])
+      ~buckets:window ~bucket_width:1 ~start:0
   in
 
   let rng = Rng.create 7 in
@@ -49,7 +51,7 @@ let () =
       let trade = Stock.trade_for rng (if Rng.int rng 3 = 0 then symbol else "IBM") in
       ignore (Db.append db "trades" [ trade ]);
       if Value.equal (Tuple.get trade 0) (Value.Str symbol) then
-        Window.add w day (Tuple.get trade 1)
+        Window.add w day trade
     done;
     Window.advance w day
   done;
@@ -67,7 +69,7 @@ let () =
     | None -> 0
   in
   let from_buffer =
-    match Window.total w with Value.Int n -> n | v -> Value.to_int v
+    match Window.total w with [ Value.Int n ] -> n | v -> Value.to_int (List.hd v)
   in
   Format.printf "day %d, 30-day volume of %s:@." today symbol;
   Format.printf "  periodic view family : %d shares@." from_periodic;
@@ -86,4 +88,4 @@ let () =
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
        Value.pp)
-    (List.filteri (fun i _ -> i >= window - 5) buckets)
+    (List.filteri (fun i _ -> i >= window - 5) (List.map List.hd buckets))

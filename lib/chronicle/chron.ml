@@ -119,7 +119,6 @@ type t = {
   store : store;
   mutable total : int;
   mutable last_sn : Seqnum.t option;
-  mutable subscribers : (Seqnum.t -> Tuple.t list -> unit) list;
   mutable undo : undo list option;
       (* [Some] only while a transactional mark is active (see
          [mark]/[rollback]) *)
@@ -158,7 +157,6 @@ let create ~group ?(retention = Discard) ~name user_schema =
     store;
     total = 0;
     last_sn = None;
-    subscribers = [];
     undo = None;
   }
 
@@ -305,8 +303,7 @@ let check_batch t tuples =
     tuples
 
 (* Record a batch already holding a claimed sequence number; returns the
-   tagged tuples but does not notify subscribers (multi-chronicle batches
-   notify only once everything is recorded). *)
+   tagged tuples. *)
 let record t sn tuples =
   check_batch t tuples;
   let tagged = List.map (tag sn) tuples in
@@ -315,19 +312,14 @@ let record t sn tuples =
   t.last_sn <- Some sn;
   tagged
 
-let notify t sn tagged =
-  List.iter (fun f -> f sn tagged) (List.rev t.subscribers)
-
 let append t tuples =
   let sn = Group.next_sn t.group in
-  let tagged = record t sn tuples in
-  notify t sn tagged;
+  ignore (record t sn tuples);
   sn
 
 let append_sparse t sn tuples =
   Group.claim_sn t.group sn;
-  let tagged = record t sn tuples in
-  notify t sn tagged
+  ignore (record t sn tuples)
 
 let append_multi group batch =
   List.iter
@@ -338,11 +330,8 @@ let append_multi group batch =
              (Group.name group)))
     batch;
   let sn = Group.next_sn group in
-  let recorded = List.map (fun (c, tuples) -> (c, record c sn tuples)) batch in
-  List.iter (fun (c, tagged) -> notify c sn tagged) recorded;
+  List.iter (fun (c, tuples) -> ignore (record c sn tuples)) batch;
   sn
-
-let on_append t f = t.subscribers <- f :: t.subscribers
 
 let restore t ~total ~last_sn ~retained =
   if t.total <> 0 then

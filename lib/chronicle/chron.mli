@@ -47,7 +47,7 @@ val append : t -> Tuple.t list -> Seqnum.t
 (** Append a batch of user tuples (without [sn]); a fresh sequence
     number is drawn from the group and assigned to the whole batch.
     Raises [Invalid_argument] if a tuple does not match the user
-    schema.  Subscribers run after the batch is recorded. *)
+    schema. *)
 
 val append_sparse : t -> Seqnum.t -> Tuple.t list -> unit
 (** Like {!append} with a caller-chosen sequence number (sequence
@@ -57,12 +57,7 @@ val append_sparse : t -> Seqnum.t -> Tuple.t list -> unit
 val append_multi : Group.t -> (t * Tuple.t list) list -> Seqnum.t
 (** Simultaneous insertion into several chronicles of one group under a
     single fresh sequence number (§4 allows distinct tuples with the
-    same sequence number).  All subscribers of all involved chronicles
-    run after the whole batch is recorded. *)
-
-val on_append : t -> (Seqnum.t -> Tuple.t list -> unit) -> unit
-(** Register a maintenance hook; it receives the batch's sequence number
-    and the {e tagged} tuples (with [sn] first). *)
+    same sequence number). *)
 
 val total_appended : t -> int
 (** Number of tuples ever appended (the "size of the chronicle"). *)
@@ -84,9 +79,8 @@ val stored : t -> Tuple.t list
 val restore : t -> total:int -> last_sn:Seqnum.t option -> retained:Tuple.t list -> unit
 (** Snapshot support: reinstate the append counters and the retained
     window (tagged tuples, oldest first) of a freshly created
-    chronicle.  Does not touch the group watermark and notifies no
-    subscribers.  Raises {!Restore_conflict} if the chronicle already
-    has appends. *)
+    chronicle.  Does not touch the group watermark.  Raises
+    {!Restore_conflict} if the chronicle already has appends. *)
 
 (** {2 Retraction (ℤ-weighted deltas)}
 
@@ -137,12 +131,11 @@ val remove_stored : t -> Seqnum.t -> Tuple.t list -> unit
 
 (** {2 Transactional recording}
 
-    {!Db}'s atomic append path records batches without notifying, folds
-    the affected views, and only then notifies subscribers; if anything
-    raises mid-batch it rolls every chronicle of the batch back to its
-    mark.  [record]/[notify] are the two halves of {!append}; the
-    caller owns sequence-number discipline (the [sn] must have been
-    claimed from the chronicle's group). *)
+    {!Db}'s atomic append path records batches and folds the affected
+    views; if anything raises mid-batch it rolls every chronicle of the
+    batch back to its mark.  [record] is {!append} without drawing the
+    sequence number: the caller owns sequence-number discipline (the
+    [sn] must have been claimed from the chronicle's group). *)
 
 val check_batch : t -> Tuple.t list -> unit
 (** Type-check a batch of user tuples against the user schema, raising
@@ -152,10 +145,7 @@ val check_batch : t -> Tuple.t list -> unit
 
 val record : t -> Seqnum.t -> Tuple.t list -> Tuple.t list
 (** Type-check, tag, store and count a batch under a claimed sequence
-    number; returns the tagged tuples.  Notifies no subscribers. *)
-
-val notify : t -> Seqnum.t -> Tuple.t list -> unit
-(** Deliver a recorded batch (tagged tuples) to the subscribers. *)
+    number; returns the tagged tuples. *)
 
 type mark
 (** Pre-batch position of the append counters and the retained store. *)

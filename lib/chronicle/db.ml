@@ -232,8 +232,8 @@ let has_batch_hooks t = t.batch_hooks <> []
      journal's final record: write-ahead event → chronicle, relation
      and view marks → step → commit, or roll everything back and emit
      [Ev_abort], so a journal can erase the write-ahead record, and
-     re-raise.  After an append's commit, [bracket] runs chronicle
-     subscribers and batch hooks, in record order.
+     re-raise.  After an append's commit, [bracket] runs the batch
+     hooks, in record order.
 
    Replay windows run the step bare: no marks (a ring chronicle's undo
    list does not grow with the window), no write-ahead event, and a
@@ -478,19 +478,11 @@ let record_and_fold t ~open_view ~interleave ~folded prepare items =
     items;
   barrier ()
 
-(* Every appended entry's chronicle subscribers, then every entry's
-   batch hooks, each walking the entries in record order. *)
+(* Every entry's batch hooks, walking the entries in record order. *)
 let announce t recorded =
-  let recorded =
-    List.map
-      (fun (sn, delta) -> (sn, List.map (fun (c, z) -> (c, z.Delta.plus)) delta))
-      recorded
-  in
   List.iter
-    (fun (sn, tagged) -> List.iter (fun (c, tg) -> Chron.notify c sn tg) tagged)
-    recorded;
-  List.iter
-    (fun (sn, tagged) ->
+    (fun (sn, delta) ->
+      let tagged = List.map (fun (c, z) -> (c, z.Delta.plus)) delta in
       List.iter (fun hook -> hook ~sn ~batch:tagged) (List.rev t.batch_hooks))
     recorded
 

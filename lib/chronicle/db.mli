@@ -23,8 +23,8 @@ open Relational
     partially-maintained view is ever observable ([Stats.Rollback]
     counts such aborts).  A retraction ({!retract}) is the same step
     over minus entries ({!Delta.zset}: the rows removed at each sequence
-    number) in the same bracket, with logical undo.  Subscribers ({!Chron.on_append}) and batch
-    hooks ({!on_batch}) run strictly after commit, in record order.  A
+    number) in the same bracket, with logical undo.  Batch hooks
+    ({!on_batch}) run strictly after commit, in record order.  A
     durability layer can watch the bracket through {!set_txn_sink}
     (write-ahead journaling) and inject faults through
     {!set_fold_probe}. *)
@@ -136,10 +136,10 @@ val append_group : t -> ?group:string -> (string * Tuple.t list) list list -> Se
     fanned out across the maintenance pool.  Commit is all-or-nothing:
     a failure anywhere rolls the entire group back (chronicles,
     relations, views, watermark), emits [Ev_abort], and re-raises —
-    never a partial group.  Chronicle subscribers and batch hooks run
-    strictly post-commit, walking the group in record order; callers
-    for whom {e per-batch} hook timing is observable should check
-    {!has_batch_hooks} and fall back to per-append commits.
+    never a partial group.  Batch hooks run strictly post-commit,
+    walking the group in record order; callers for whom {e per-batch}
+    hook timing is observable should check {!has_batch_hooks} and fall
+    back to per-append commits.
     Raises [Invalid_argument] on an empty group, an empty batch, or a
     chronicle outside [group] — before anything is journaled. *)
 
@@ -183,8 +183,8 @@ val retract : t -> string -> Tuple.t list -> int
     first retraction) and removed by binary search, so a call costs in
     proportion to the rows it claims, not to |C| or |V|, apart from
     these: COUNT/SUM-class aggregates invert in O(1) per group
-    ({!Relational.Aggregate.unstep}); a MIN/MAX group that loses its
-    extremum is recomputed from retained history (one body evaluation
+    ({!Relational.Aggregate.unstep_cells}); a MIN/MAX group that loses
+    its extremum is recomputed from retained history (one body evaluation
     per batch, [Stats.Aggregate_reprobe] per group); views over
     non-linear operators (∪, −, ⋈_SN, GROUPBY) diff their at-sn slices
     ([Stats.Weight_cancel]); history-reading views are rematerialized
@@ -199,8 +199,8 @@ val retract : t -> string -> Tuple.t list -> int
     erases the write-ahead record) and the exception re-raises —
     all-or-nothing, like appends.  Windowed and
     periodic views and event detectors are {e not} maintained under
-    retraction (no subscriber notification fires: the retraction is a
-    correction to history, not a new observation).
+    retraction (no batch hook fires: the retraction is a correction to
+    history, not a new observation).
 
     Raises [Invalid_argument] if the chronicle's retention is not
     [Full], a row fails the schema, or a row has no retained occurrence
@@ -262,9 +262,9 @@ val replay_appends : t -> replay_entry list -> bool array
     fold barrier before the next entry is recorded, preserving
     sequential ring-retention semantics; pending future-effective
     relation updates and registered batch hooks force a barrier after
-    every entry.  Chronicle subscribers and batch hooks fire after each
-    barrier, in record order.  No write-ahead event is emitted and no
-    undo marks are taken, so memory does not grow with the window.
+    every entry.  Batch hooks fire after each barrier, in record
+    order.  No write-ahead event is emitted and no undo marks are
+    taken, so memory does not grow with the window.
 
     {b Not} transactional across entries: a failure raises
     {!Entry_failed} carrying the lowest failing index and leaves the

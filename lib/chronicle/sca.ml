@@ -46,6 +46,10 @@ let group_attrs t =
   | Project_out attrs -> attrs
   | Group_agg (gl, _) -> gl
 
+let layout t =
+  let aggs = match t.summarize with Project_out _ -> [] | Group_agg (_, al) -> al in
+  Aggregate.layout (Ca.schema_of t.body) aggs
+
 let eval_summarize t body_tuples =
   let body_schema = Ca.schema_of t.body in
   match t.summarize with

@@ -38,6 +38,10 @@ val group_attrs : t -> string list
 (** The view's logical key: the projected attributes for
     [Project_out], the grouping attributes for [Group_agg]. *)
 
+val layout : t -> Aggregate.layout
+(** The aggregate cells of one group of the view over its body's
+    tuples (no calls for [Project_out]). *)
+
 val eval_summarize : t -> Tuple.t list -> Tuple.t list
 (** Batch (non-incremental) application of the summarization step to a
     body value: the reference semantics that incremental maintenance is

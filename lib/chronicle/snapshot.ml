@@ -259,15 +259,16 @@ let put_view_contents buf view =
           Codec.put_int buf mult)
         buf keys
   | View.Groups_dump groups ->
+      let layout = Sca.layout (View.def view) in
       put_tag buf 1;
       Codec.put_list
-        (fun buf (key, mult, states) ->
+        (fun buf (key, (cells : Aggregate.cells)) ->
           put_key buf key;
-          Codec.put_int buf mult;
-          Codec.put_list Aggregate.put_state buf states)
+          Codec.put_int buf cells.weight;
+          Aggregate.put_cells layout buf cells)
         buf groups
 
-let get_view_contents r =
+let get_view_contents layout r =
   match Codec.byte r with
   | 0 ->
       View.Rows_dump
@@ -281,8 +282,10 @@ let get_view_contents r =
         (Codec.list
            (fun r ->
              let key = get_key r in
-             let mult = Codec.int_ r in
-             (key, mult, Codec.list Aggregate.get_state r))
+             let weight = Codec.int_ r in
+             let cells = Aggregate.get_cells layout r in
+             cells.weight <- weight;
+             (key, cells))
            r)
   | t -> Codec.fail "unknown view contents tag %#x" t
 
@@ -401,7 +404,7 @@ let get_db ?jobs r =
          in
          let def = Sca.define ~allow_non_ca:true ~name ~body (get_summarize r) in
          let view = View.create ~index def in
-         View.load view (get_view_contents r);
+         View.load view (get_view_contents (Sca.layout def) r);
          Registry.register (Db.registry db) view)
        r);
   db

@@ -20,7 +20,7 @@ open Relational
     - periodic-view families, windowed views and event-detector state
       (session-level objects; re-attach them after load and they take
       over from the restored clock);
-    - chronicle subscribers (re-register after load). *)
+    - batch hooks ({!Db.on_batch}: re-register after load). *)
 
 exception Snapshot_error of string
 

@@ -53,7 +53,6 @@ type txn = { tx_batches : int; mutable tx_undo : (unit -> unit) list }
 type t = {
   def : Sca.t;
   key_pos : int array;  (* positions of the view's key in a body tuple *)
-  aggs : Aggregate.call list;
   layout : Aggregate.layout;
   contents : contents;
   mutable batches : int;
@@ -207,11 +206,7 @@ let touch_group t (g : group) =
 
 let create ?(index = Index.Hash) def =
   let body_schema = Ca.schema_of (Sca.body def) in
-  let key_attrs, aggs =
-    match Sca.summarize def with
-    | Sca.Project_out attrs -> (attrs, [])
-    | Sca.Group_agg (gl, al) -> (gl, al)
-  in
+  let key_attrs = Sca.group_attrs def in
   let contents =
     match Sca.summarize def with
     | Sca.Project_out _ -> Rows (make_backing index)
@@ -220,8 +215,7 @@ let create ?(index = Index.Hash) def =
   {
     def;
     key_pos = Array.of_list (List.map (Schema.pos body_schema) key_attrs);
-    aggs;
-    layout = Aggregate.layout body_schema aggs;
+    layout = Sca.layout def;
     contents;
     batches = 0;
     txn = None;
@@ -465,7 +459,7 @@ let maintained_batches t = t.batches
 (* Dumps carry the hidden multiplicities, so a view restored through
    [load] maintains correctly under later retractions. *)
 type dump =
-  | Groups_dump of (Value.t list * int * Aggregate.state list) list
+  | Groups_dump of (Value.t list * Aggregate.cells) list
   | Rows_dump of (Value.t list * int) list
 
 let dump t =
@@ -478,7 +472,7 @@ let dump t =
       let acc = ref [] in
       backing_iter
         (fun key g ->
-          acc := (Array.to_list key, g.Aggregate.weight, Aggregate.states t.layout g) :: !acc)
+          acc := (Array.to_list key, Aggregate.copy g) :: !acc)
         backing;
       Groups_dump (List.rev !acc)
 
@@ -492,10 +486,9 @@ let load t dump =
         keys
   | Groups backing, Groups_dump groups ->
       List.iter
-        (fun (key, mult, states) ->
-          if List.length states <> List.length t.aggs then
-            invalid_arg "View.load: aggregate-state arity mismatch";
-          let g = Aggregate.of_states t.layout ~weight:mult states in
+        (fun (key, cells) ->
+          let g = Aggregate.fresh t.layout in
+          Aggregate.restore ~saved:cells g;
           g.stamp <- t.stamp;
           backing_add backing (Tuple.make key) g)
         groups

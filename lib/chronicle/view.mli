@@ -36,7 +36,7 @@ val apply :
     disappear from the view (O(1) amortised: a hash backing leaves a
     ghost slot, compacted once ghosts pass half its order vector).
     COUNT/SUM-class aggregates invert in O(1) per tuple
-    ({!Aggregate.unstep}); the MIN/MAX groups losing their extremum are
+    ({!Aggregate.unstep_cells}); the MIN/MAX groups losing their extremum are
     recomputed from a single call of [reprobe keys] — the body's output
     over the already-mutated base, covering at least the groups whose
     keys (group-by values, in order) are listed; tuples of other groups
@@ -137,8 +137,9 @@ val maintained_batches : t -> int
     restored view stays correct under later retractions. *)
 
 type dump =
-  | Groups_dump of (Value.t list * int * Aggregate.state list) list
-      (** key, multiplicity, aggregate states *)
+  | Groups_dump of (Value.t list * Aggregate.cells) list
+      (** key and a copy of the group's cells (its multiplicity is
+          their [weight]), over {!Sca.layout} of the definition *)
   | Rows_dump of (Value.t list * int) list  (** key, multiplicity *)
 
 val dump : t -> dump
@@ -146,7 +147,7 @@ val dump : t -> dump
 val load : t -> dump -> unit
 (** Restore into a freshly created view of the same definition; raises
     [Invalid_argument] if the view is non-empty, the dump shape does
-    not match the summarization kind, or a group's aggregate states do
-    not match the view's aggregates. *)
+    not match the summarization kind, or a group's cells have another
+    shape than the view's layout. *)
 
 val pp : Format.formatter -> t -> unit

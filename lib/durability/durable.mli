@@ -58,8 +58,8 @@ open Chronicle_core
 
     Not journaled (documented limits, mirrors {!Snapshot}): direct
     {!Versioned} relation updates are durable only from the next
-    {!checkpoint}; chronicle subscribers and session-level objects
-    must be re-attached after recovery. *)
+    {!checkpoint}; batch hooks ({!Db.on_batch}) and session-level
+    objects must be re-attached after recovery. *)
 
 exception Recovery_error of { record : int; reason : string }
 (** A non-final journal record failed to replay — the journal is

@@ -91,12 +91,6 @@ let rec worker_loop s last_gen =
     worker_loop s gen
   end
 
-let worker_count () =
-  Mutex.lock shared.mutex;
-  let n = List.length shared.workers in
-  Mutex.unlock shared.mutex;
-  n
-
 let shutdown () =
   Mutex.lock shared.mutex;
   let workers = shared.workers in

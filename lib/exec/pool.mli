@@ -66,9 +66,6 @@ val run_chains : t -> (unit -> unit) array array -> exn option array
     run inline in array order — byte-identical to a sequential nested
     loop, no domain involved. *)
 
-val worker_count : unit -> int
-(** Live worker domains (excluding the caller); observability only. *)
-
 val shutdown : unit -> unit
 (** Join all worker domains.  Subsequent submissions respawn lazily.
     Called automatically at process exit. *)

@@ -73,33 +73,55 @@ let get_calendar r =
         (Calendar.Periodic_spec { start; width; stride = Codec.int_ r })
   | t -> Codec.fail "unknown calendar tag %#x" t
 
-let put_window_dump buf (d : Window.dump) =
-  List.iter (Codec.put_int buf) [ d.Window.d_start; d.Window.d_head; d.Window.d_clock ];
-  Codec.put_list Aggregate.put_state buf d.Window.d_states
+(* A group's window is written as one window per aggregate call, each
+   with the shared start, head and clock and its call's state in every
+   bucket, slot order. *)
+let put_window_dump layout buf (d : Window.dump) =
+  Codec.put_list
+    (fun buf j ->
+      List.iter (Codec.put_int buf) [ d.Window.d_start; d.Window.d_head; d.Window.d_clock ];
+      Codec.put_list (fun buf c -> Aggregate.put_state layout buf c j) buf d.Window.d_cells)
+    buf
+    (List.init (Aggregate.arity layout) Fun.id)
 
-let get_window_dump r =
-  let d_start = Codec.int_ r in
-  let d_head = Codec.int_ r in
-  let d_clock = Codec.int_ r in
-  { Window.d_start; d_head; d_clock; d_states = Codec.list Aggregate.get_state r }
+let get_window_dump layout ~buckets r =
+  let calls = Codec.uvarint r in
+  if calls <> Aggregate.arity layout then
+    Codec.fail "%d windows for %d aggregate calls" calls (Aggregate.arity layout);
+  let d_cells = List.init buckets (fun _ -> Aggregate.fresh layout) in
+  let clock = ref None in
+  for j = 0 to calls - 1 do
+    let d_start = Codec.int_ r in
+    let d_head = Codec.int_ r in
+    let c = (d_start, d_head, Codec.int_ r) in
+    if Option.fold ~none:false ~some:(( <> ) c) !clock then
+      Codec.fail "the windows of one group disagree on their clock";
+    clock := Some c;
+    let n = Codec.uvarint r in
+    if n <> buckets then Codec.fail "%d buckets in a window of %d" n buckets;
+    List.iter (fun cells -> Aggregate.get_state layout r cells j) d_cells
+  done;
+  match !clock with
+  | Some (d_start, d_head, d_clock) -> { Window.d_start; d_head; d_clock; d_cells }
+  | None -> Codec.fail "a windowed group without aggregate calls"
 
 (* ---- the four session components ---- *)
 
 (* Periodic slots only ever append, so their entries are written
    without multiplicities and load with multiplicity 1. *)
-let put_view_dump buf = function
+let put_view_dump layout buf = function
   | View.Rows_dump keys ->
       put_tag buf 0;
       Codec.put_list (fun buf (key, _) -> put_key buf key) buf keys
   | View.Groups_dump groups ->
       put_tag buf 1;
       Codec.put_list
-        (fun buf (key, _, states) ->
+        (fun buf (key, cells) ->
           put_key buf key;
-          Codec.put_list Aggregate.put_state buf states)
+          Aggregate.put_cells layout buf cells)
         buf groups
 
-let get_view_dump r =
+let get_view_dump layout r =
   match Codec.byte r with
   | 0 -> View.Rows_dump (Codec.list (fun r -> (get_key r, 1)) r)
   | 1 ->
@@ -107,12 +129,15 @@ let get_view_dump r =
         (Codec.list
            (fun r ->
              let key = get_key r in
-             (key, 1, Codec.list Aggregate.get_state r))
+             let cells = Aggregate.get_cells layout r in
+             cells.weight <- 1;
+             (key, cells))
            r)
   | t -> Codec.fail "unknown view dump tag %#x" t
 
 let put_periodic buf (name, family) =
   let d = Periodic.dump family in
+  let layout = Sca.layout (Periodic.def family) in
   Codec.put_string buf name;
   Snapshot.put_sca buf (Periodic.def family);
   put_calendar buf (Periodic.calendar family);
@@ -125,7 +150,7 @@ let put_periodic buf (name, family) =
       Codec.put_int buf sd.Periodic.sd_index;
       put_interval buf sd.Periodic.sd_interval;
       Codec.put_bool buf sd.Periodic.sd_active;
-      put_view_dump buf sd.Periodic.sd_contents)
+      put_view_dump layout buf sd.Periodic.sd_contents)
     buf d.Periodic.d_slots
 
 let get_periodic session ~chronicle ~relation r =
@@ -135,6 +160,7 @@ let get_periodic session ~chronicle ~relation r =
   let expire_after = get_opt_int r in
   let index = Codec.option Snapshot.get_index_kind r in
   let family = Periodic.create ?index ?expire_after ~def ~calendar () in
+  let layout = Sca.layout def in
   let d_opened = Codec.int_ r in
   let d_expired = Codec.int_ r in
   let d_slots =
@@ -143,7 +169,7 @@ let get_periodic session ~chronicle ~relation r =
         let sd_index = Codec.int_ r in
         let sd_interval = get_interval r in
         let sd_active = Codec.bool_ r in
-        { Periodic.sd_index; sd_interval; sd_active; sd_contents = get_view_dump r })
+        { Periodic.sd_index; sd_interval; sd_active; sd_contents = get_view_dump layout r })
       r
   in
   Periodic.load family { Periodic.d_opened; d_expired; d_slots };
@@ -156,9 +182,9 @@ let put_windowed buf (name, wv) =
   Codec.put_int buf (Windowed_view.buckets wv);
   Codec.put_int buf (Windowed_view.bucket_width wv);
   Codec.put_list
-    (fun buf (key, dumps) ->
+    (fun buf (key, d) ->
       put_key buf key;
-      Codec.put_list put_window_dump buf dumps)
+      put_window_dump (Windowed_view.layout wv) buf d)
     buf (Windowed_view.dump wv)
 
 let get_windowed session ~chronicle ~relation r =
@@ -171,7 +197,7 @@ let get_windowed session ~chronicle ~relation r =
     (Codec.list
        (fun r ->
          let key = get_key r in
-         (key, Codec.list get_window_dump r))
+         (key, get_window_dump (Windowed_view.layout wv) ~buckets r))
        r);
   Windowed_view.attach (Session.db session) wv;
   Session.add_windowed session name wv

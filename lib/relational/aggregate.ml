@@ -11,141 +11,6 @@ let avg arg alias = { func = Avg; arg = Some arg; alias }
 let var_ arg alias = { func = Var; arg = Some arg; alias }
 let stddev arg alias = { func = Stddev; arg = Some arg; alias }
 
-type state =
-  | Count_st of int
-  | Sum_st of Value.t option (* None = empty group *)
-  | Minmax_st of Value.t option
-  | Avg_st of float * int (* running sum, count of non-null *)
-  | Moments_st of { n : int; sum : float; sumsq : float }
-
-let init = function
-  | Count -> Count_st 0
-  | Sum -> Sum_st None
-  | Min | Max -> Minmax_st None
-  | Avg -> Avg_st (0., 0)
-  | Var | Stddev -> Moments_st { n = 0; sum = 0.; sumsq = 0. }
-
-let step func st v =
-  Stats.incr Stats.Agg_step;
-  match func, st with
-  | Count, Count_st n -> Count_st (if Value.is_null v then n else n + 1)
-  | Sum, Sum_st acc ->
-      if Value.is_null v then st
-      else Sum_st (Some (match acc with None -> v | Some a -> Value.add a v))
-  | Min, Minmax_st acc ->
-      if Value.is_null v then st
-      else
-        Minmax_st
-          (Some
-             (match acc with
-             | None -> v
-             | Some a -> if Value.compare v a < 0 then v else a))
-  | Max, Minmax_st acc ->
-      if Value.is_null v then st
-      else
-        Minmax_st
-          (Some
-             (match acc with
-             | None -> v
-             | Some a -> if Value.compare v a > 0 then v else a))
-  | Avg, Avg_st (s, n) ->
-      if Value.is_null v then st else Avg_st (s +. Value.to_float v, n + 1)
-  | (Var | Stddev), Moments_st { n; sum; sumsq } ->
-      if Value.is_null v then st
-      else
-        let x = Value.to_float v in
-        Moments_st { n = n + 1; sum = sum +. x; sumsq = sumsq +. (x *. x) }
-  | (Count | Sum | Min | Max | Avg | Var | Stddev), _ ->
-      invalid_arg "Aggregate.step: state does not match function"
-
-type inverse = Inverted of state | Reprobe
-
-(* The weight −1 transition.  COUNT/SUM/AVG/VAR/STDDEV are group
-   homomorphisms over (ℤ, +) / (ℝ, +) and invert exactly; MIN/MAX live
-   in a semilattice with no inverse, so retracting the current extremum
-   (or any value the state cannot account for) demands a re-probe of
-   the group's retained history.  Null arguments are skipped exactly as
-   {!step} skips them, so step∘unstep = id tuple-wise. *)
-let unstep func st v =
-  Stats.incr Stats.Agg_step;
-  match func, st with
-  | Count, Count_st n -> Inverted (Count_st (if Value.is_null v then n else n - 1))
-  | Sum, Sum_st acc ->
-      if Value.is_null v then Inverted st
-      else (
-        match acc with
-        | None -> Reprobe (* nothing to invert: the state never saw [v] *)
-        | Some a -> Inverted (Sum_st (Some (Value.sub a v))))
-  | (Min | Max), Minmax_st acc ->
-      if Value.is_null v then Inverted st
-      else (
-        match acc with
-        | None -> Reprobe
-        | Some a ->
-            let c = Value.compare v a in
-            if (func = Min && c > 0) || (func = Max && c < 0) then Inverted st
-            else Reprobe (* retracting the extremum — or a value outside
-                            the state's range *))
-  | Avg, Avg_st (s, n) ->
-      if Value.is_null v then Inverted st
-      else if n <= 0 then Reprobe
-      else if n = 1 then Inverted (Avg_st (0., 0))
-      else Inverted (Avg_st (s -. Value.to_float v, n - 1))
-  | (Var | Stddev), Moments_st { n; sum; sumsq } ->
-      if Value.is_null v then Inverted st
-      else if n <= 0 then Reprobe
-      else if n = 1 then Inverted (Moments_st { n = 0; sum = 0.; sumsq = 0. })
-      else
-        let x = Value.to_float v in
-        Inverted
-          (Moments_st { n = n - 1; sum = sum -. x; sumsq = sumsq -. (x *. x) })
-  | (Count | Sum | Min | Max | Avg | Var | Stddev), _ ->
-      invalid_arg "Aggregate.unstep: state does not match function"
-
-let merge func a b =
-  match func, a, b with
-  | Count, Count_st x, Count_st y -> Count_st (x + y)
-  | Sum, Sum_st x, Sum_st y -> (
-      match x, y with
-      | None, s | s, None -> Sum_st s
-      | Some x, Some y -> Sum_st (Some (Value.add x y)))
-  | Min, Minmax_st x, Minmax_st y -> (
-      match x, y with
-      | None, s | s, None -> Minmax_st s
-      | Some x, Some y -> Minmax_st (Some (if Value.compare x y <= 0 then x else y)))
-  | Max, Minmax_st x, Minmax_st y -> (
-      match x, y with
-      | None, s | s, None -> Minmax_st s
-      | Some x, Some y -> Minmax_st (Some (if Value.compare x y >= 0 then x else y)))
-  | Avg, Avg_st (s1, n1), Avg_st (s2, n2) -> Avg_st (s1 +. s2, n1 + n2)
-  | (Var | Stddev), Moments_st a, Moments_st b ->
-      Moments_st
-        { n = a.n + b.n; sum = a.sum +. b.sum; sumsq = a.sumsq +. b.sumsq }
-  | (Count | Sum | Min | Max | Avg | Var | Stddev), _, _ ->
-      invalid_arg "Aggregate.merge: state does not match function"
-
-let final func st =
-  match func, st with
-  | Count, Count_st n -> Value.Int n
-  | Sum, Sum_st None -> Value.Null
-  | Sum, Sum_st (Some v) -> v
-  | (Min | Max), Minmax_st acc -> (
-      match acc with None -> Value.Null | Some v -> v)
-  | Avg, Avg_st (_, 0) -> Value.Null
-  | Avg, Avg_st (s, n) -> Value.Float (s /. float_of_int n)
-  | (Var | Stddev), Moments_st { n = 0; _ } -> Value.Null
-  | (Var | Stddev), Moments_st { n; sum; sumsq } ->
-      let nf = float_of_int n in
-      let mean = sum /. nf in
-      (* population variance, clamped against rounding *)
-      let var = Float.max 0. ((sumsq /. nf) -. (mean *. mean)) in
-      Value.Float (match func with Stddev -> sqrt var | _ -> var)
-  | (Count | Sum | Min | Max | Avg | Var | Stddev), _ ->
-      invalid_arg "Aggregate.final: state does not match function"
-
-let batch func values =
-  final func (List.fold_left (step func) (init func) values)
-
 let func_name = function
   | Count -> "COUNT"
   | Sum -> "SUM"
@@ -192,39 +57,40 @@ let pp_call ppf c =
   | None -> Format.fprintf ppf "%s(*) AS %s" (func_name c.func) c.alias
   | Some a -> Format.fprintf ppf "%s(%s) AS %s" (func_name c.func) a c.alias
 
-let put_state buf = function
-  | Count_st n ->
-      Buffer.add_char buf '\x00';
-      Codec.put_int buf n
-  | Sum_st v ->
-      Buffer.add_char buf '\x01';
-      Codec.put_option Codec.put_value buf v
-  | Minmax_st v ->
-      Buffer.add_char buf '\x02';
-      Codec.put_option Codec.put_value buf v
-  | Avg_st (s, n) ->
-      Buffer.add_char buf '\x03';
-      Codec.put_float buf s;
-      Codec.put_int buf n
-  | Moments_st { n; sum; sumsq } ->
-      Buffer.add_char buf '\x04';
-      Codec.put_int buf n;
-      Codec.put_float buf sum;
-      Codec.put_float buf sumsq
-
-let get_state r =
-  match Codec.byte r with
-  | 0 -> Count_st (Codec.int_ r)
-  | 1 -> Sum_st (Codec.option Codec.value r)
-  | 2 -> Minmax_st (Codec.option Codec.value r)
-  | 3 ->
-      let s = Codec.float_ r in
-      Avg_st (s, Codec.int_ r)
-  | 4 ->
-      let n = Codec.int_ r in
-      let sum = Codec.float_ r in
-      Moments_st { n; sum; sumsq = Codec.float_ r }
-  | t -> Codec.fail "unknown aggregate state tag %#x" t
+(* The from-scratch reference over a group's argument values, written
+   apart from the cells below: GROUPBY, and with it [Audit] and the
+   [Naive] baseline, check the view fold against it.  It performs the
+   fold's operations in the fold's order (first value, then [Value.add]
+   or the comparison per later value; float sums from 0.0), so it
+   agrees with the cells bit for bit, and it counts one [Agg_step] per
+   value. *)
+let batch func values =
+  Stats.add Stats.Agg_step (List.length values);
+  let present = List.filter (fun v -> not (Value.is_null v)) values in
+  let fold f = function [] -> Value.Null | v :: rest -> List.fold_left f v rest in
+  let sums () =
+    List.fold_left
+      (fun (n, s, sq) v ->
+        let x = Value.to_float v in
+        (n + 1, s +. x, sq +. (x *. x)))
+      (0, 0., 0.) present
+  in
+  match func with
+  | Count -> Value.Int (List.length present)
+  | Sum -> fold Value.add present
+  | Min -> fold (fun a v -> if Value.compare v a < 0 then v else a) present
+  | Max -> fold (fun a v -> if Value.compare v a > 0 then v else a) present
+  | Avg -> (
+      match sums () with 0, _, _ -> Value.Null | n, s, _ -> Value.Float (s /. float_of_int n))
+  | Var | Stddev -> (
+      match sums () with
+      | 0, _, _ -> Value.Null
+      | n, s, sq ->
+          let nf = float_of_int n in
+          let mean = s /. nf in
+          (* population variance, clamped against rounding *)
+          let var = Float.max 0. ((sq /. nf) -. (mean *. mean)) in
+          Value.Float (if func = Stddev then sqrt var else var))
 
 (* ---- cells ----
 
@@ -238,15 +104,18 @@ let get_state r =
      float — so an INT sum stays INT, and a first value of −0.0 is kept
      as it is rather than added to 0.0;
    - SUM over any other column: the sum itself as a value (Null while
-     empty), stepped through [Value.add] exactly as [step] does;
+     empty), stepped through [Value.add];
    - MIN/MAX: one value (Null while empty: a stored extremum is never
-     Null, since [step] skips Null);
+     Null, since a step skips Null);
    - AVG: one int (count) and one float (sum);
    - VAR/STDDEV: one int (count) and two floats (sum, sum of squares).
 
-   Every transition mirrors [step]/[unstep] operation for operation, so
-   [states] of a cell block is, byte for byte under [put_state], the
-   state the functional fold would hold. *)
+   Unstep is the weight −1 transition.  COUNT/SUM/AVG/VAR/STDDEV are
+   group homomorphisms over (ℤ, +) / (ℝ, +) and invert exactly; MIN/MAX
+   live in a semilattice with no inverse, so retracting the current
+   extremum (or any value the cells cannot account for) demands a
+   re-probe of the group's retained history.  Null arguments are
+   skipped both ways, so step∘unstep = id tuple-wise. *)
 
 type layout = {
   funcs : func array;
@@ -339,6 +208,11 @@ let copy c =
   { c with ints = Array.copy c.ints; floats = Array.copy c.floats; vals = Array.copy c.vals }
 
 let restore ~saved c =
+  if
+    Array.length saved.ints <> Array.length c.ints
+    || Array.length saved.floats <> Array.length c.floats
+    || Array.length saved.vals <> Array.length c.vals
+  then invalid_arg "Aggregate.restore: cells of another layout";
   c.weight <- saved.weight;
   Array.blit saved.ints 0 c.ints 0 (Array.length c.ints);
   Array.blit saved.floats 0 c.floats 0 (Array.length c.floats);
@@ -462,52 +336,145 @@ let unstep_cells l c tu =
   if !inverted then c.weight <- c.weight - 1;
   !inverted
 
-let state_of l c j =
-  let o = l.int_at.(j) and f = l.float_at.(j) and v = l.val_at.(j) in
-  let opt = function Value.Null -> None | x -> Some x in
+(* [b]'s slots folded into [into]'s, [into]'s partial on the left;
+   MIN/MAX keep [into]'s extremum on a tie. *)
+let merge_call l ~into b j =
   match l.funcs.(j) with
-  | Count -> Count_st c.ints.(o)
-  | Sum when l.boxed.(j) -> Sum_st (opt c.vals.(v))
+  | Count ->
+      let o = l.int_at.(j) in
+      into.ints.(o) <- into.ints.(o) + b.ints.(o)
+  | Sum when l.boxed.(j) -> (
+      let v = l.val_at.(j) in
+      match into.vals.(v), b.vals.(v) with
+      | _, Value.Null -> ()
+      | Value.Null, y -> into.vals.(v) <- y
+      | x, y -> into.vals.(v) <- Value.add x y)
+  | Sum -> (
+      let o = l.int_at.(j) and f = l.float_at.(j) in
+      match into.ints.(o), b.ints.(o) with
+      | _, 0 -> ()
+      | 0, tag ->
+          into.ints.(o) <- tag;
+          into.ints.(o + 1) <- b.ints.(o + 1);
+          into.floats.(f) <- b.floats.(f)
+      | 1, 1 -> into.ints.(o + 1) <- into.ints.(o + 1) + b.ints.(o + 1)
+      | 1, _ ->
+          into.ints.(o) <- 2;
+          into.floats.(f) <- float_of_int into.ints.(o + 1) +. b.floats.(f)
+      | _, 1 -> into.floats.(f) <- into.floats.(f) +. float_of_int b.ints.(o + 1)
+      | _, _ -> into.floats.(f) <- into.floats.(f) +. b.floats.(f))
+  | (Min | Max) as func ->
+      let v = l.val_at.(j) in
+      let x = into.vals.(v) and y = b.vals.(v) in
+      if
+        (not (Value.is_null y))
+        && (Value.is_null x
+           ||
+           let cmp = Value.compare x y in
+           (func = Min && cmp > 0) || (func = Max && cmp < 0))
+      then into.vals.(v) <- y
+  | (Avg | Var | Stddev) as func ->
+      let o = l.int_at.(j) and f = l.float_at.(j) in
+      into.ints.(o) <- into.ints.(o) + b.ints.(o);
+      into.floats.(f) <- into.floats.(f) +. b.floats.(f);
+      if func <> Avg then into.floats.(f + 1) <- into.floats.(f + 1) +. b.floats.(f + 1)
+
+let merge_cells l ~into b =
+  for j = 0 to Array.length l.funcs - 1 do
+    merge_call l ~into b j
+  done;
+  into.weight <- into.weight + b.weight
+
+let final l c j =
+  let o = l.int_at.(j) and f = l.float_at.(j) in
+  match l.funcs.(j) with
+  | Count -> Value.Int c.ints.(o)
+  | Sum when l.boxed.(j) -> c.vals.(l.val_at.(j))
   | Sum -> (
       match c.ints.(o) with
-      | 0 -> Sum_st None
-      | 1 -> Sum_st (Some (Value.Int c.ints.(o + 1)))
-      | _ -> Sum_st (Some (Value.Float c.floats.(f))))
-  | Min | Max -> Minmax_st (opt c.vals.(v))
-  | Avg -> Avg_st (c.floats.(f), c.ints.(o))
+      | 0 -> Value.Null
+      | 1 -> Value.Int c.ints.(o + 1)
+      | _ -> Value.Float c.floats.(f))
+  | Min | Max -> c.vals.(l.val_at.(j))
+  | Avg -> (
+      match c.ints.(o) with 0 -> Value.Null | n -> Value.Float (c.floats.(f) /. float_of_int n))
+  | (Var | Stddev) as func -> (
+      match c.ints.(o) with
+      | 0 -> Value.Null
+      | n ->
+          let nf = float_of_int n in
+          let mean = c.floats.(f) /. nf in
+          (* population variance, clamped against rounding *)
+          let var = Float.max 0. ((c.floats.(f + 1) /. nf) -. (mean *. mean)) in
+          Value.Float (if func = Stddev then sqrt var else var))
+
+let finals l c = List.init (arity l) (final l c)
+
+(* ---- encoding ----
+
+   A call's slots are written as the tagged state they hold: COUNT 0
+   and its count; SUM 1 and its optional sum; MIN/MAX 2 and the
+   optional extremum; AVG 3, sum and count; VAR/STDDEV 4, count, sum
+   and sum of squares. *)
+
+let tag_of = function
+  | Count -> 0
+  | Sum -> 1
+  | Min | Max -> 2
+  | Avg -> 3
+  | Var | Stddev -> 4
+
+let put_state l buf c j =
+  let o = l.int_at.(j) and f = l.float_at.(j) in
+  Buffer.add_char buf (Char.chr (tag_of l.funcs.(j)));
+  match l.funcs.(j) with
+  | Count -> Codec.put_int buf c.ints.(o)
+  | Sum | Min | Max ->
+      Codec.put_option Codec.put_value buf
+        (match final l c j with Value.Null -> None | x -> Some x)
+  | Avg ->
+      Codec.put_float buf c.floats.(f);
+      Codec.put_int buf c.ints.(o)
   | Var | Stddev ->
-      Moments_st { n = c.ints.(o); sum = c.floats.(f); sumsq = c.floats.(f + 1) }
+      Codec.put_int buf c.ints.(o);
+      Codec.put_float buf c.floats.(f);
+      Codec.put_float buf c.floats.(f + 1)
 
-let states l c = List.init (arity l) (state_of l c)
-let finals l c = List.init (arity l) (fun j -> final l.funcs.(j) (state_of l c j))
-
-let of_states l ~weight states =
-  if List.length states <> arity l then
-    invalid_arg "Aggregate.of_states: aggregate-state arity mismatch";
-  let c = fresh l in
-  c.weight <- weight;
-  let mismatch () = invalid_arg "Aggregate.of_states: state does not match function" in
-  List.iteri
-    (fun j st ->
-      let o = l.int_at.(j) and f = l.float_at.(j) and v = l.val_at.(j) in
-      match l.funcs.(j), st with
-      | Count, Count_st n -> c.ints.(o) <- n
-      | Sum, Sum_st acc when l.boxed.(j) -> c.vals.(v) <- Option.value ~default:Value.Null acc
-      | Sum, Sum_st None -> ()
-      | Sum, Sum_st (Some (Value.Int x)) ->
+let get_state l r c j =
+  let o = l.int_at.(j) and f = l.float_at.(j) and v = l.val_at.(j) in
+  let func = l.funcs.(j) in
+  let tag = Codec.byte r in
+  if tag <> tag_of func then
+    Codec.fail "aggregate state tag %#x does not match %s" tag (func_name func);
+  match func with
+  | Count -> c.ints.(o) <- Codec.int_ r
+  | Sum when l.boxed.(j) -> c.vals.(v) <- Option.value ~default:Value.Null (Codec.option Codec.value r)
+  | Sum -> (
+      match Codec.option Codec.value r with
+      | None | Some Value.Null -> c.ints.(o) <- 0
+      | Some (Value.Int x) ->
           c.ints.(o) <- 1;
           c.ints.(o + 1) <- x
-      | Sum, Sum_st (Some (Value.Float x)) ->
+      | Some (Value.Float x) ->
           c.ints.(o) <- 2;
           c.floats.(f) <- x
-      | (Min | Max), Minmax_st acc -> c.vals.(v) <- Option.value ~default:Value.Null acc
-      | Avg, Avg_st (s, n) ->
-          c.ints.(o) <- n;
-          c.floats.(f) <- s
-      | (Var | Stddev), Moments_st { n; sum; sumsq } ->
-          c.ints.(o) <- n;
-          c.floats.(f) <- sum;
-          c.floats.(f + 1) <- sumsq
-      | (Count | Sum | Min | Max | Avg | Var | Stddev), _ -> mismatch ())
-    states;
+      | Some (Value.Bool _ | Value.Str _) -> Codec.fail "non-numeric SUM state")
+  | Min | Max -> c.vals.(v) <- Option.value ~default:Value.Null (Codec.option Codec.value r)
+  | Avg ->
+      c.floats.(f) <- Codec.float_ r;
+      c.ints.(o) <- Codec.int_ r
+  | Var | Stddev ->
+      c.ints.(o) <- Codec.int_ r;
+      c.floats.(f) <- Codec.float_ r;
+      c.floats.(f + 1) <- Codec.float_ r
+
+let put_cells l buf c = Codec.put_list (fun buf j -> put_state l buf c j) buf (List.init (arity l) Fun.id)
+
+let get_cells l r =
+  let n = Codec.uvarint r in
+  if n <> arity l then Codec.fail "%d aggregate states for %d calls" n (arity l);
+  let c = fresh l in
+  for j = 0 to n - 1 do
+    get_state l r c j
+  done;
   c

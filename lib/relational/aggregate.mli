@@ -4,9 +4,14 @@
     computable, or decomposable into incremental computation functions":
     computable in O(n) over a group of size n and in O(1) per single-
     tuple increment.  COUNT, SUM, MIN and MAX are directly incremental;
-    AVG decomposes into (SUM, COUNT).  Every state also supports
-    [merge], which the periodic-view window optimizer (§5.1) uses to
-    recombine per-bucket partial states. *)
+    AVG decomposes into (SUM, COUNT), VAR and STDDEV into (COUNT, SUM,
+    sum of squares).
+
+    One incremental representation serves every maintained aggregate:
+    {!cells}, mutable slots stepped in place.  Persistent views fold
+    their groups into cells; the §5.1 moving window keeps one cell
+    block per bucket and recombines them with {!merge_cells}.  {!batch}
+    is the separate from-scratch reference, behind GROUPBY. *)
 
 type func = Count | Sum | Min | Max | Avg | Var | Stddev
 
@@ -24,36 +29,12 @@ val avg : string -> string -> call
 val var_ : string -> string -> call
 val stddev : string -> string -> call
 
-type state
-
-val init : func -> state
-val step : func -> state -> Value.t -> state
-(** O(1).  Null arguments are skipped for all functions except
-    COUNT( * ), mirroring SQL.  Bumps the [Agg_step] counter. *)
-
-type inverse =
-  | Inverted of state  (** the state with one [step v] undone *)
-  | Reprobe
-      (** the function has no inverse for this transition (MIN/MAX losing
-          their extremum, or a state inconsistent with the retraction) —
-          recompute the group from retained history *)
-
-val unstep : func -> state -> Value.t -> inverse
-(** O(1) inverse of {!step} — the weight −1 transition of ℤ-weighted
-    deltas.  COUNT, SUM, AVG, VAR and STDDEV invert exactly (null
-    arguments are skipped, mirroring {!step}); MIN/MAX answer
-    [Reprobe] when the retracted value reaches the current extremum.
-    Bumps [Agg_step] like the forward transition. *)
-
-val merge : func -> state -> state -> state
-(** Combine two partial states over disjoint tuple sets.  O(1). *)
-
-val final : func -> state -> Value.t
-(** Value of the aggregate; [Null] for empty MIN/MAX/AVG/SUM groups
-    except COUNT, which is [Int 0]. *)
-
 val batch : func -> Value.t list -> Value.t
-(** O(n) from-scratch evaluation (the non-incremental reference). *)
+(** O(n) from-scratch evaluation over a group's argument values (the
+    non-incremental reference).  Null values are skipped for every
+    function (COUNT( * ) passes a non-null per tuple), mirroring SQL;
+    empty MIN/MAX/AVG/SUM/VAR/STDDEV are [Null], empty COUNT [Int 0].
+    Bumps [Agg_step] once per value. *)
 
 val func_name : func -> string
 val func_of_name : string -> func option
@@ -66,24 +47,17 @@ val result_schema : Schema.t -> string list -> call list -> Schema.t
 
 val pp_call : Format.formatter -> call -> unit
 
-val put_state : Buffer.t -> state -> unit
-(** Lossless {!Codec} encoding of an aggregate state (for snapshots). *)
-
-val get_state : Codec.reader -> state
-(** Raises {!Codec.Decode_error} on malformed input. *)
-
 (** {2 Cells}
 
     A group's states as mutable slots stepped in place — the form a
-    materialized view folds into, with no allocation per tuple on an
-    existing group.  A {!layout} places each call of a group in a few
-    slots of three arrays: an int for COUNT, unboxed floats for the
-    sums of SUM, AVG, VAR and STDDEV, a value for MIN/MAX.  Every
-    transition mirrors {!step}/{!unstep}, so {!states} is, byte for
-    byte under {!put_state}, the state the functional fold would hold.
-    Cells convert to {!state} only for a dump, a final value or a
-    load.  Cell transitions do not bump [Agg_step]; the caller counts
-    {!arity} per tuple. *)
+    materialized view folds into and a window bucket holds, with no
+    allocation per tuple on an existing group.  A {!layout} places each
+    call of a group in a few slots of three arrays: ints for COUNT,
+    unboxed floats for the sums of SUM, AVG, VAR and STDDEV, a value
+    for MIN/MAX.  Stepping a group's tuples in order gives, bit for
+    bit, {!batch} over the same values in the same order.  Cell
+    transitions do not bump [Agg_step]; the caller counts {!arity} per
+    tuple. *)
 
 type layout
 
@@ -107,12 +81,23 @@ val fresh : layout -> cells
 (** Cells of an empty group ([weight] and [stamp] 0). *)
 
 val step_cells : layout -> cells -> Tuple.t -> unit
-(** {!step} every call with its argument from the tuple; [weight + 1]. *)
+(** Step every call with its argument from the tuple (a null argument
+    leaves its call unchanged; COUNT( * ) counts every tuple);
+    [weight + 1].  O(1). *)
 
 val unstep_cells : layout -> cells -> Tuple.t -> bool
-(** {!unstep} every call; [weight - 1] when all invert.  [false] when
-    some call answers [Reprobe]: the cells may then be partly
-    inverted, and the caller must {!reset} and refold the group. *)
+(** The inverse of {!step_cells}, the weight −1 transition of
+    ℤ-weighted deltas: COUNT, SUM, AVG, VAR and STDDEV invert exactly;
+    [weight - 1] when all invert.  [false] when some call has no
+    inverse — MIN/MAX losing their extremum, or cells that never saw
+    the value: the cells may then be partly inverted, and the caller
+    must {!reset} and refold the group. *)
+
+val merge_cells : layout -> into:cells -> cells -> unit
+(** Fold the second cells, over a tuple set disjoint from [into]'s,
+    into [into]: counts, sums and weights add ([into]'s partial on the
+    left), MIN/MAX keep the extremum ([into]'s on a tie).  O(1) per
+    call. *)
 
 val reset : cells -> unit
 (** Back to an empty group, in place ([stamp] kept). *)
@@ -120,12 +105,30 @@ val reset : cells -> unit
 val copy : cells -> cells
 
 val restore : saved:cells -> cells -> unit
-(** Put [saved]'s weight and slots (a {!copy} of the same cells) back. *)
+(** Put [saved]'s weight and slots back: a {!copy} of the same cells,
+    or any cells of the same layout.  Raises [Invalid_argument] when
+    [saved]'s slots have another shape. *)
 
-val states : layout -> cells -> state list
 val finals : layout -> cells -> Value.t list
-(** {!final} of every call. *)
+(** The value of every call: [Null] for empty MIN/MAX/AVG/SUM/VAR/
+    STDDEV, [Int 0] for an empty COUNT. *)
 
-val of_states : layout -> weight:int -> state list -> cells
-(** Cells holding [states]; raises [Invalid_argument] when their number
-    or kinds do not match the layout's calls. *)
+(** {2 Encoding}
+
+    Each call's slots are written as a tagged state: the bytes
+    snapshots, checkpoints and session snapshots hold. *)
+
+val put_state : layout -> Buffer.t -> cells -> int -> unit
+(** [put_state l buf c j]: call [j]'s state. *)
+
+val get_state : layout -> Codec.reader -> cells -> int -> unit
+(** Read call [j]'s state into its slots; raises {!Codec.Decode_error}
+    on an unknown tag or one of another function. *)
+
+val put_cells : layout -> Buffer.t -> cells -> unit
+(** Every call's state, as a {!Codec} list ([weight] is not written). *)
+
+val get_cells : layout -> Codec.reader -> cells
+(** Fresh cells ([weight] 0) from {!put_cells} bytes; raises
+    {!Codec.Decode_error} when the count or a tag does not match the
+    layout. *)

@@ -1,7 +1,15 @@
 (** The [GROUPBY(R, GL, AL)] operator of [MPR90], as used throughout the
     paper: group a tuple collection on attribute list [GL] and evaluate
     the aggregation list [AL] per group.  The result schema is
-    [GL ++ aliases(AL)]. *)
+    [GL ++ aliases(AL)].
+
+    This is the from-scratch evaluation: it partitions its input and
+    runs {!Aggregate.batch} per group and call, sharing no code with
+    the cells that persistent views and windows fold.  Ad-hoc queries
+    ({!Plan}, [Ra.eval_naive]), the summarization reference
+    [Sca.eval_summarize] — and with it the audit and the naive
+    baseline — and the Δ of a GROUPBY inside a chronicle-algebra body
+    run it. *)
 
 val run :
   Schema.t ->
@@ -10,10 +18,9 @@ val run :
   aggs:Aggregate.call list ->
   Schema.t * Tuple.t list
 (** Batch evaluation, O(n) aggregate steps plus one hash lookup per
-    tuple.  Output group order follows first appearance. *)
-
-val run_rel :
-  Relation.t -> group_by:string list -> aggs:Aggregate.call list -> Schema.t * Tuple.t list
+    tuple ([Stats.Group_lookup] once per tuple, [Stats.Agg_step] once
+    per tuple and call).  Output group order follows first
+    appearance. *)
 
 (** {2 Compile-once batch grouping}
 
@@ -30,29 +37,5 @@ val compiled :
     {!run} would. *)
 
 val run_compiled : compiled -> Tuple.t list -> Tuple.t list
-(** Fold one batch into a fresh group table: same semantics and output
-    order as {!run}, zero per-call compilation. *)
-
-val compiled_schema : compiled -> Schema.t
-
-(** {2 Incremental group table}
-
-    A mutable group table supporting per-tuple O(1) (modulo the group
-    lookup) incremental steps — the primitive inside persistent-view
-    maintenance. *)
-
-type table
-
-val create :
-  Schema.t -> group_by:string list -> aggs:Aggregate.call list -> table
-
-val step : table -> Tuple.t -> unit
-(** Fold one input tuple into its group (creating the group if new).
-    Bumps [Stats.Group_lookup] once and [Stats.Agg_step] per call. *)
-
-val result_schema : table -> Schema.t
-val result : table -> Tuple.t list
-val group_count : table -> int
-
-val current : table -> Value.t list -> Tuple.t option
-(** Output row of the given group key, if the group exists. *)
+(** Group one batch: same semantics and output order as {!run}, zero
+    per-call compilation. *)

@@ -9,40 +9,46 @@ open Chronicle_core
     cyclic buffer of these 30 numbers" — and, with an expiration date,
     the buffer slot of an expired interval is reused.
 
-    The window keeps [buckets] per-bucket aggregate states of width
-    [bucket_width] chronons each; per added value the cost is one
-    aggregate step, and per bucket rollover one O(buckets) recombination
-    (amortized O(1) per chronon).  Reading {!total} is O(1): the merge
-    of all closed buckets is cached and combined with the open bucket. *)
+    The window keeps [buckets] blocks of aggregate cells
+    ({!Aggregate.cells}), one per bucket of [bucket_width] chronons,
+    all over one layout: every call of a group shares the bucket
+    ring.  Per added tuple the cost is one step of the open bucket's
+    cells, and per bucket rollover one O(buckets) recombination with
+    {!Aggregate.merge_cells} (amortized O(1) per chronon).  Reading
+    {!total} is O(1): the merge of all closed buckets is cached and
+    combined with the open bucket. *)
 
 type t
 
 val create :
-  func:Aggregate.func ->
+  layout:Aggregate.layout ->
   buckets:int ->
   bucket_width:int ->
   start:Seqnum.chronon ->
   t
 
-val func : t -> Aggregate.func
 val buckets : t -> int
 val bucket_width : t -> int
 
-val add : t -> Seqnum.chronon -> Value.t -> unit
-(** Fold a value observed at the given chronon.  Chronons must be
-    non-decreasing; raises [Invalid_argument] otherwise.  Rolls the
-    cyclic buffer if the chronon belongs to a later bucket, retiring
-    buckets that fall out of the window (their slots are reused). *)
+val add : t -> Seqnum.chronon -> Tuple.t -> unit
+(** Step the open bucket with a tuple observed at the given chronon
+    (the layout reads its aggregate arguments); bumps [Agg_step] once
+    per call.  Chronons must be non-decreasing; raises
+    [Invalid_argument] otherwise.  Rolls the cyclic buffer if the
+    chronon belongs to a later bucket, retiring buckets that fall out
+    of the window (their slots are reused). *)
 
 val advance : t -> Seqnum.chronon -> unit
 (** Roll the window to the given chronon without adding a value. *)
 
 val now : t -> Seqnum.chronon
-val total : t -> Value.t
-(** Aggregate over the window's current [buckets] buckets. *)
+val total : t -> Value.t list
+(** Every call's aggregate over the window's current [buckets]
+    buckets. *)
 
-val bucket_totals : t -> Value.t list
-(** Per-bucket current values, oldest first (for inspection/tests). *)
+val bucket_totals : t -> Value.t list list
+(** Per-bucket current values, oldest first, all [Null] for a bucket
+    before the start (for inspection/tests). *)
 
 val rolls : t -> int
 (** Number of bucket rollovers so far (cost accounting for E5). *)
@@ -53,10 +59,11 @@ type dump = {
   d_start : Seqnum.chronon;  (** the bucket-numbering origin *)
   d_head : int;
   d_clock : Seqnum.chronon;
-  d_states : Aggregate.state list;  (** in slot order *)
+  d_cells : Aggregate.cells list;  (** copies, in slot order *)
 }
 
 val dump : t -> dump
 val load : t -> dump -> unit
 (** Restore into a freshly created window of the same shape; raises
-    [Invalid_argument] on a bucket-count mismatch. *)
+    [Invalid_argument] on a bucket-count mismatch or cells of another
+    layout. *)

@@ -14,8 +14,9 @@ open Chronicle_core
     every function this library admits — the derivation is mechanical,
     and this module performs it: a grouped persistent view definition
     plus a window shape (n buckets of w chronons) compiles to one
-    cyclic buffer per group key and aggregate call.  Per appended tuple
-    the cost is O(1) aggregate steps after the group localization;
+    cyclic buffer of aggregate cells per group key ({!Window}, over the
+    definition's {!Sca.layout}).  Per appended tuple the cost is O(1)
+    aggregate steps after the group localization;
     bucket rollovers cost O(n) once per bucket width; space is
     O(groups × n), independent of the chronicle.
 
@@ -32,11 +33,15 @@ val derive : ?bucket_width:int -> buckets:int -> Sca.t -> t
 (** [derive ~buckets def] compiles a [Sca.Group_agg] view into per-group
     cyclic buffers covering the last [buckets × bucket_width] chronons
     (bucket width defaults to 1).  Raises {!Not_derivable} for
-    projection views (no aggregate states to bucket). *)
+    projection views and groupings without aggregates (no aggregate
+    state to bucket). *)
 
 val def : t -> Sca.t
 val buckets : t -> int
 val bucket_width : t -> int
+
+val layout : t -> Aggregate.layout
+(** The cells of every bucket: {!Sca.layout} of the definition. *)
 
 val attach : Db.t -> t -> unit
 (** Subscribe to the database's transaction path. *)
@@ -56,10 +61,10 @@ val group_count : t -> int
 
 (** {2 Snapshots} *)
 
-val dump : t -> (Value.t list * Window.dump list) list
-(** Per group key, one window dump per aggregate call. *)
+val dump : t -> (Value.t list * Window.dump) list
+(** Per group key (ascending), its window's dump. *)
 
-val load : t -> (Value.t list * Window.dump list) list -> unit
+val load : t -> (Value.t list * Window.dump) list -> unit
 (** Restore into a freshly derived view of the same definition and
-    shape; raises [Invalid_argument] if it already has groups or the
-    window counts mismatch. *)
+    shape; raises [Invalid_argument] if it already has groups or a
+    window's shape mismatches. *)

@@ -1,8 +1,17 @@
 open Relational
 open Util
 
-let step_all func values =
-  Aggregate.final func (List.fold_left (Aggregate.step func) (Aggregate.init func) values)
+(* One call over a one-column tuple: cells stepped with [values]. *)
+let schema = Schema.make [ ("x", Value.TInt) ]
+let layout func = Aggregate.layout schema [ { Aggregate.func; arg = Some "x"; alias = "a" } ]
+
+let cells_of func values =
+  let c = Aggregate.fresh (layout func) in
+  List.iter (fun v -> Aggregate.step_cells (layout func) c [| v |]) values;
+  c
+
+let final func c = List.hd (Aggregate.finals (layout func) c)
+let step_all func values = final func (cells_of func values)
 
 let test_count () =
   check_value "count" (vi 3) (step_all Aggregate.Count [ vi 1; vi 5; vi 9 ]);
@@ -46,22 +55,28 @@ let test_merge_against_batch () =
   in
   List.iter
     (fun func ->
-      let part l = List.fold_left (Aggregate.step func) (Aggregate.init func) l in
-      let merged = Aggregate.final func (Aggregate.merge func (part left) (part right)) in
+      let merged = cells_of func left in
+      Aggregate.merge_cells (layout func) ~into:merged (cells_of func right);
       check_value
         (Printf.sprintf "merge %s" (Aggregate.func_name func))
-        (Aggregate.batch func values) merged)
+        (Aggregate.batch func values) (final func merged);
+      check_int "weights add" (List.length values) merged.Aggregate.weight)
     [ Aggregate.Count; Aggregate.Sum; Aggregate.Min; Aggregate.Max;
       Aggregate.Avg; Aggregate.Var; Aggregate.Stddev ]
 
 let test_merge_with_empty () =
   List.iter
     (fun func ->
-      let st = List.fold_left (Aggregate.step func) (Aggregate.init func) [ vi 3; vi 8 ] in
-      let merged = Aggregate.merge func st (Aggregate.init func) in
-      check_value
-        (Printf.sprintf "merge empty %s" (Aggregate.func_name func))
-        (Aggregate.final func st) (Aggregate.final func merged))
+      let st = cells_of func [ vi 3; vi 8 ] in
+      let right = Aggregate.copy st and left = Aggregate.fresh (layout func) in
+      Aggregate.merge_cells (layout func) ~into:right (Aggregate.fresh (layout func));
+      Aggregate.merge_cells (layout func) ~into:left st;
+      List.iter
+        (fun merged ->
+          check_value
+            (Printf.sprintf "merge empty %s" (Aggregate.func_name func))
+            (final func st) (final func merged))
+        [ left; right ])
     [ Aggregate.Count; Aggregate.Sum; Aggregate.Min; Aggregate.Max;
       Aggregate.Avg; Aggregate.Var; Aggregate.Stddev ]
 

@@ -103,15 +103,6 @@ let test_append_multi () =
   check_raises_any "cross-group batch rejected" (fun () ->
       ignore (Chron.append_multi g [ (c3, [ tup [ vi 1; vi 1 ] ]) ]))
 
-let test_subscribers () =
-  let g = Group.create "g" in
-  let c = Chron.create ~group:g ~name:"txns" user_schema in
-  let seen = ref [] in
-  Chron.on_append c (fun sn tagged -> seen := (sn, List.length tagged) :: !seen);
-  ignore (Chron.append c [ tup [ vi 1; vi 1 ]; tup [ vi 2; vi 2 ] ]);
-  ignore (Chron.append c [ tup [ vi 3; vi 3 ] ]);
-  check_bool "notified in order" true (List.rev !seen = [ (1, 2); (2, 1) ])
-
 let test_restore_conflict () =
   let g = Group.create "g" in
   let c = Chron.create ~group:g ~retention:Chron.Full ~name:"t" user_schema in
@@ -268,7 +259,6 @@ let suite =
     test "scans bump the chronicle_scan counter" test_scan_counts;
     test "sparse sequence numbers" test_append_sparse;
     test "simultaneous multi-chronicle batch" test_append_multi;
-    test "append subscribers" test_subscribers;
     test "restore conflicts are typed errors" test_restore_conflict;
     test "transactional marks roll the store back" test_txn_marks;
     qcheck_monotone_sns;

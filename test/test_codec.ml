@@ -25,22 +25,31 @@ let test_value_roundtrip () =
     ]
 
 let test_state_roundtrip () =
+  let schema = Schema.make [ ("x", Value.TInt) ] in
+  let layout func = Aggregate.layout schema [ { Aggregate.func; arg = Some "x"; alias = "a" } ] in
   List.iter
     (fun func ->
-      let check_state what st =
-        let st' = roundtrip Aggregate.put_state Aggregate.get_state st in
-        check_value
-          (Printf.sprintf "%s %s" what (Aggregate.func_name func))
-          (Aggregate.final func st) (Aggregate.final func st')
+      let l = layout func in
+      let check_state what c =
+        let bytes = Codec.encode (Aggregate.put_cells l) c in
+        let c' = roundtrip (Aggregate.put_cells l) (Aggregate.get_cells l) c in
+        let name = Printf.sprintf "%s %s" what (Aggregate.func_name func) in
+        check_value name (List.hd (Aggregate.finals l c)) (List.hd (Aggregate.finals l c'));
+        check_string name bytes (Codec.encode (Aggregate.put_cells l) c')
       in
-      check_state "state roundtrip"
-        (List.fold_left (Aggregate.step func) (Aggregate.init func)
-           [ vi 3; vi 8; vi (-1) ]);
-      check_state "empty state" (Aggregate.init func))
+      let c = Aggregate.fresh l in
+      check_state "empty state" c;
+      List.iter (fun v -> Aggregate.step_cells l c [| v |]) [ vi 3; vi 8; vi (-1) ];
+      check_state "state roundtrip" c)
     Aggregate.[ Count; Sum; Min; Max; Avg; Var; Stddev ];
-  match Codec.decode Aggregate.get_state "\x09" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown state tag must not decode"
+  let refused what data =
+    match Codec.decode (Aggregate.get_cells (layout Aggregate.Sum)) data with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s must not decode" what
+  in
+  refused "unknown state tag" "\x01\x09";
+  refused "a COUNT state for a SUM call" "\x01\x00\x02";
+  refused "two states for one call" "\x02\x01\x00\x01\x00"
 
 (* ---- version refusal ---- *)
 

@@ -1,11 +1,18 @@
-(* The view fold against a reference: aggregate state kept by a plain
-   fold through [Aggregate.step]/[Aggregate.unstep], group by group, in
-   the order the view folds — plus half then minus half, MIN/MAX groups
-   that lose their extremum refolded from the re-probe source.  Views
-   are compared through [View.dump] and the [Aggregate.put_state] bytes
-   of every group, so any divergence in a state's representation (an
-   INT sum turned FLOAT, a −0.0 turned 0.0, an empty SUM turned 0)
-   shows, not just a different final value. *)
+(* The aggregate kernel against a reference it does not share: a boxed
+   functional fold, one immutable state per call, kept here as the
+   oracle.
+
+   - The view fold: reference groups are stepped and unstepped through
+     [Boxed.step]/[Boxed.unstep], group by group, in the order the view
+     folds — plus half then minus half, MIN/MAX groups that lose their
+     extremum refolded from the re-probe source.  Views are compared
+     through [View.dump] and the state bytes of every group, so any
+     divergence in a state's representation (an INT sum turned FLOAT, a
+     −0.0 turned 0.0, an empty SUM turned 0) shows, not just a
+     different final value.
+   - GROUPBY and the cells directly: [Groupby.run] rows, the cells'
+     [Aggregate.put_cells] bytes and [Aggregate.merge_cells] against
+     the boxed fold's final values, [put_state] bytes and merge. *)
 
 open Relational
 open Chronicle_core
@@ -16,33 +23,141 @@ let schema =
 
 let chron () = Chron.create ~group:(Group.create "g") ~name:"c" schema
 
-(* ---- reference fold ---- *)
+(* ---- the boxed fold ---- *)
 
-type rgroup = { rkey : Value.t; rmult : int; rstates : Aggregate.state array }
+module Boxed = struct
+  type state =
+    | Count_st of int
+    | Sum_st of Value.t option (* None = empty group *)
+    | Minmax_st of Value.t option
+    | Avg_st of float * int (* running sum, count of non-null *)
+    | Moments_st of { n : int; sum : float; sumsq : float }
+
+  let init = function
+    | Aggregate.Count -> Count_st 0
+    | Sum -> Sum_st None
+    | Min | Max -> Minmax_st None
+    | Avg -> Avg_st (0., 0)
+    | Var | Stddev -> Moments_st { n = 0; sum = 0.; sumsq = 0. }
+
+  let pick func v a =
+    match func with
+    | Aggregate.Min -> if Value.compare v a < 0 then v else a
+    | _ -> if Value.compare v a > 0 then v else a
+
+  let step func st v =
+    if Value.is_null v then st
+    else
+      match st with
+      | Count_st n -> Count_st (n + 1)
+      | Sum_st acc -> Sum_st (Some (match acc with None -> v | Some a -> Value.add a v))
+      | Minmax_st acc -> Minmax_st (Some (match acc with None -> v | Some a -> pick func v a))
+      | Avg_st (s, n) -> Avg_st (s +. Value.to_float v, n + 1)
+      | Moments_st { n; sum; sumsq } ->
+          let x = Value.to_float v in
+          Moments_st { n = n + 1; sum = sum +. x; sumsq = sumsq +. (x *. x) }
+
+  (* [None]: no inverse, the group must be refolded. *)
+  let unstep func st v =
+    if Value.is_null v then Some st
+    else
+      match st with
+      | Count_st n -> Some (Count_st (n - 1))
+      | Sum_st None | Minmax_st None -> None
+      | Sum_st (Some a) -> Some (Sum_st (Some (Value.sub a v)))
+      | Minmax_st (Some a) ->
+          let c = Value.compare v a in
+          if (func = Aggregate.Min && c > 0) || (func = Aggregate.Max && c < 0) then Some st
+          else None
+      | Avg_st (_, n) when n <= 0 -> None
+      | Avg_st (_, 1) -> Some (Avg_st (0., 0))
+      | Avg_st (s, n) -> Some (Avg_st (s -. Value.to_float v, n - 1))
+      | Moments_st { n; _ } when n <= 0 -> None
+      | Moments_st { n = 1; _ } -> Some (Moments_st { n = 0; sum = 0.; sumsq = 0. })
+      | Moments_st { n; sum; sumsq } ->
+          let x = Value.to_float v in
+          Some (Moments_st { n = n - 1; sum = sum -. x; sumsq = sumsq -. (x *. x) })
+
+  let merge func a b =
+    let opt f x y = match x, y with None, s | s, None -> s | Some x, Some y -> Some (f x y) in
+    match a, b with
+    | Count_st x, Count_st y -> Count_st (x + y)
+    | Sum_st x, Sum_st y -> Sum_st (opt Value.add x y)
+    | Minmax_st x, Minmax_st y ->
+        let keep_x c = if func = Aggregate.Min then c <= 0 else c >= 0 in
+        Minmax_st (opt (fun x y -> if keep_x (Value.compare x y) then x else y) x y)
+    | Avg_st (s1, n1), Avg_st (s2, n2) -> Avg_st (s1 +. s2, n1 + n2)
+    | Moments_st a, Moments_st b ->
+        Moments_st { n = a.n + b.n; sum = a.sum +. b.sum; sumsq = a.sumsq +. b.sumsq }
+    | _ -> invalid_arg "Boxed.merge"
+
+  let final func = function
+    | Count_st n -> Value.Int n
+    | Sum_st acc | Minmax_st acc -> Option.value ~default:Value.Null acc
+    | Avg_st (_, 0) | Moments_st { n = 0; _ } -> Value.Null
+    | Avg_st (s, n) -> Value.Float (s /. float_of_int n)
+    | Moments_st { n; sum; sumsq } ->
+        let nf = float_of_int n in
+        let mean = sum /. nf in
+        let var = Float.max 0. ((sumsq /. nf) -. (mean *. mean)) in
+        Value.Float (if func = Aggregate.Stddev then sqrt var else var)
+
+  let put_state buf = function
+    | Count_st n ->
+        Buffer.add_char buf '\x00';
+        Codec.put_int buf n
+    | Sum_st v ->
+        Buffer.add_char buf '\x01';
+        Codec.put_option Codec.put_value buf v
+    | Minmax_st v ->
+        Buffer.add_char buf '\x02';
+        Codec.put_option Codec.put_value buf v
+    | Avg_st (s, n) ->
+        Buffer.add_char buf '\x03';
+        Codec.put_float buf s;
+        Codec.put_int buf n
+    | Moments_st { n; sum; sumsq } ->
+        Buffer.add_char buf '\x04';
+        Codec.put_int buf n;
+        Codec.put_float buf sum;
+        Codec.put_float buf sumsq
+end
+
+let funcs calls = Array.of_list (List.map (fun (c : Aggregate.call) -> c.func) calls)
+
+let positions calls =
+  Array.of_list (List.map (fun (c : Aggregate.call) -> Option.map (Schema.pos schema) c.arg) calls)
 
 let arg_of (pos : int option array) i tu =
   match pos.(i) with None -> Value.Int 1 | Some p -> Tuple.get tu p
 
+let boxed_fold calls tuples =
+  let fs = funcs calls and pos = positions calls in
+  List.fold_left
+    (fun sts tu -> Array.mapi (fun i st -> Boxed.step fs.(i) st (arg_of pos i tu)) sts)
+    (Array.map Boxed.init fs) tuples
+
+let states_bytes states =
+  Codec.encode (Codec.put_list Boxed.put_state) (Array.to_list states)
+
+(* ---- reference fold ---- *)
+
+type rgroup = { rkey : Value.t; rmult : int; rstates : Boxed.state array }
+
 let ref_step calls pos g tu =
+  let fs = funcs calls in
   {
     g with
     rmult = g.rmult + 1;
-    rstates =
-      Array.mapi
-        (fun i st -> Aggregate.step (List.nth calls i).Aggregate.func st (arg_of pos i tu))
-        g.rstates;
+    rstates = Array.mapi (fun i st -> Boxed.step fs.(i) st (arg_of pos i tu)) g.rstates;
   }
 
-let ref_fresh calls key =
-  {
-    rkey = key;
-    rmult = 0;
-    rstates = Array.of_list (List.map (fun (c : Aggregate.call) -> Aggregate.init c.func) calls);
-  }
+let ref_fresh calls key = { rkey = key; rmult = 0; rstates = Array.map Boxed.init (funcs calls) }
 
 (* One delta into the reference groups (insertion-ordered); [base] is
    the body's multiset after the delta, the re-probe source. *)
 let ref_apply calls pos ~key_pos groups ~plus ~minus ~base =
+  let fs = funcs calls in
   let key tu = Tuple.get tu key_pos in
   let find groups k = List.find_opt (fun g -> Value.equal g.rkey k) groups in
   let replace groups g =
@@ -63,19 +178,10 @@ let ref_apply calls pos ~key_pos groups ~plus ~minus ~base =
         if List.exists (Value.equal k) marked then (groups, marked)
         else
           let g = Option.get (find groups k) in
-          let inv =
-            Array.mapi
-              (fun i st ->
-                Aggregate.unstep (List.nth calls i).Aggregate.func st (arg_of pos i tu))
-              g.rstates
-          in
-          if Array.exists (function Aggregate.Reprobe -> true | _ -> false) inv then
-            (groups, marked @ [ k ])
+          let inv = Array.mapi (fun i st -> Boxed.unstep fs.(i) st (arg_of pos i tu)) g.rstates in
+          if Array.exists Option.is_none inv then (groups, marked @ [ k ])
           else
-            let states =
-              Array.map (function Aggregate.Inverted st -> st | Aggregate.Reprobe -> assert false) inv
-            in
-            let g = { g with rmult = g.rmult - 1; rstates = states } in
+            let g = { g with rmult = g.rmult - 1; rstates = Array.map Option.get inv } in
             if g.rmult = 0 then (List.filter (fun g' -> not (Value.equal g'.rkey k)) groups, marked)
             else (replace groups g, marked))
       (groups, []) minus
@@ -93,22 +199,25 @@ let ref_apply calls pos ~key_pos groups ~plus ~minus ~base =
   List.filter (fun g -> g.rmult > 0) groups
 
 let group_bytes key mult states =
-  let b = Buffer.create 32 in
-  Codec.put_list Codec.put_value b key;
-  Codec.put_int b mult;
-  List.iter (Aggregate.put_state b) states;
-  Buffer.contents b
+  Codec.encode (Codec.put_list Codec.put_value) key
+  ^ Codec.encode Codec.put_int mult
+  ^ states
 
 let view_bytes view =
+  let layout = Sca.layout (View.def view) in
   match View.dump view with
-  | View.Groups_dump groups -> List.map (fun (k, m, sts) -> group_bytes k m sts) groups
+  | View.Groups_dump groups ->
+      List.map
+        (fun (k, (c : Aggregate.cells)) ->
+          group_bytes k c.weight (Codec.encode (Aggregate.put_cells layout) c))
+        groups
   | View.Rows_dump _ -> Alcotest.fail "expected a grouped view"
 
 let ref_bytes ~ordered groups =
   let groups =
     if ordered then List.sort (fun a b -> Value.compare a.rkey b.rkey) groups else groups
   in
-  List.map (fun g -> group_bytes [ g.rkey ] g.rmult (Array.to_list g.rstates)) groups
+  List.map (fun g -> group_bytes [ g.rkey ] g.rmult (states_bytes g.rstates)) groups
 
 (* ---- scenarios ---- *)
 
@@ -232,6 +341,69 @@ let prop_cells_match_reference s =
         QCheck.Test.fail_reportf "view state diverges from the reference fold")
     s.steps;
   true
+
+(* GROUPBY, the cells and their merge against the boxed fold, over
+   rows with nulls, −0.0 and floats that round (0.1, 1e16). *)
+let prop_boxed_differential (calls, rows, split) =
+  let calls =
+    List.mapi (fun i (func, arg) -> { Aggregate.func; arg; alias = Printf.sprintf "a%d" i }) calls
+  in
+  let layout = Aggregate.layout schema calls in
+  let keys =
+    List.fold_left
+      (fun keys tu ->
+        let k = Tuple.get tu 0 in
+        if List.exists (Value.equal k) keys then keys else keys @ [ k ])
+      [] rows
+  in
+  let members k = List.filter (fun tu -> Value.equal (Tuple.get tu 0) k) rows in
+  let row_bytes rows = List.map (Codec.encode (Codec.put_list Codec.put_value)) rows in
+  let cells_of tuples =
+    let c = Aggregate.fresh layout in
+    List.iter (Aggregate.step_cells layout c) tuples;
+    c
+  in
+  let expected =
+    List.map
+      (fun k ->
+        k :: Array.to_list (Array.map2 Boxed.final (funcs calls) (boxed_fold calls (members k))))
+      keys
+  in
+  let _, out = Groupby.run schema rows ~group_by:[ "k" ] ~aggs:calls in
+  if row_bytes (List.map Array.to_list out) <> row_bytes expected then
+    QCheck.Test.fail_report "GROUPBY rows differ from the boxed fold";
+  List.iter
+    (fun k ->
+      let tuples = members k in
+      let left = List.filteri (fun i _ -> i < split mod (List.length tuples + 1)) tuples in
+      let right = List.filteri (fun i _ -> i >= List.length left) tuples in
+      let merged = cells_of left in
+      Aggregate.merge_cells layout ~into:merged (cells_of right);
+      let boxed_merged =
+        Array.map2
+          (fun func (a, b) -> Boxed.merge func a b)
+          (funcs calls)
+          (Array.map2 (fun a b -> (a, b)) (boxed_fold calls left) (boxed_fold calls right))
+      in
+      let bytes c = Codec.encode (Aggregate.put_cells layout) c in
+      if bytes (cells_of tuples) <> states_bytes (boxed_fold calls tuples) then
+        QCheck.Test.fail_reportf "cells of group %s differ from the boxed states"
+          (Format.asprintf "%a" Value.pp k);
+      if bytes merged <> states_bytes boxed_merged then
+        QCheck.Test.fail_report "merged cells differ from the boxed merge")
+    keys;
+  true
+
+let boxed_arb =
+  QCheck.make
+    ~print:(fun (calls, rows, split) ->
+      Printf.sprintf "%s over %s, split %d"
+        (String.concat ","
+           (List.map (fun (f, a) -> Aggregate.func_name f ^ "(" ^ Option.value ~default:"*" a ^ ")") calls))
+        (String.concat "," (List.map (Format.asprintf "%a" Tuple.pp) rows))
+        split)
+    QCheck.Gen.(
+      triple (list_size (1 -- 4) gen_call) (list_size (0 -- 16) gen_row) (0 -- 16))
 
 (* ---- transactions ---- *)
 
@@ -745,4 +917,6 @@ let suite =
     qtest ~count:60
       "views sharing key-join stages = Naive recompute; jobs 1/2/4 save the same bytes"
       shared_arb prop_shared_stages;
+    qtest ~count:400 "GROUPBY rows, cell bytes and merges ≡ the boxed fold (every function, nulls, floats)"
+      boxed_arb prop_boxed_differential;
   ]

@@ -128,9 +128,49 @@ let test_golden_periodic () =
    ^ "1414000002000100001401000101" ^ "0202" ^ "0000")
     (hex (String.sub saved skip (String.length saved - skip)))
 
+(* The windowed-view section of a session snapshot, pinned: one group
+   per key, one window per aggregate call, each window its start, head,
+   clock and one state per bucket in slot order.  The calls cover every
+   state tag: COUNT, an INT and a FLOAT SUM, MIN over strings, AVG and
+   VAR; the buckets hold a −0.0, an empty bucket and a retired one. *)
+let test_golden_windowed () =
+  let session = Session.create () in
+  ignore
+    (Analyze.run_script session
+       "CREATE CHRONICLE t (a INT, x FLOAT, s STRING);\n\
+        DEFINE WINDOWED VIEW w BUCKETS 3 WIDTH 2 AS SELECT a, COUNT(*) AS n, \
+        SUM(a) AS sa, SUM(x) AS sx, MIN(s) AS lo, AVG(x) AS m, VAR(x) AS v \
+        FROM CHRONICLE t GROUP BY a;\n\
+        APPEND INTO t VALUES (1, 1.5, 'b');\n\
+        ADVANCE CLOCK TO 3;\n\
+        APPEND INTO t VALUES (1, -0.0, 'a'), (2, 0.25, 'c');\n\
+        ADVANCE CLOCK TO 7;\n\
+        APPEND INTO t VALUES (1, 2.0, 'd');");
+  let saved = Session_snapshot.save session in
+  let skip =
+    String.length (Relational.Codec.magic ~tag:"CHRONSES" ~version:2)
+    + String.length (Chronicle_core.Snapshot.save (Session.db session))
+  in
+  check_string "no periodic families, the windowed section, then no detectors"
+    ("000101770177000174010101610605434f554e5400016e0353554d0101610273"
+     ^ "610353554d010178027378034d494e010173026c6f03415647010178016d0356"
+     ^ "415201017801760604020102020600060e0300020002000000060e0301010202"
+     ^ "01010202010000060e0301010340000000000000000101038000000000000000"
+     ^ "010000060e0302010401640201040161020000060e0303400000000000000002"
+     ^ "030000000000000000020300000000000000000000060e030402400000000000"
+     ^ "0000401000000000000004020000000000000000000000000000000004000000"
+     ^ "0000000000000000000000000000010204060002060300000002000000020603"
+     ^ "01000101020401000002060301000101033fd000000000000001000002060302"
+     ^ "00020104016302000002060303000000000000000000033fd000000000000002"
+     ^ "0300000000000000000000020603040000000000000000000000000000000000"
+     ^ "04023fd00000000000003fb00000000000000400000000000000000000000000"
+     ^ "0000000000")
+    (hex (String.sub saved skip (String.length saved - skip)))
+
 let suite =
   [
     test "periodic family bytes are pinned" test_golden_periodic;
+    test "windowed view bytes are pinned" test_golden_windowed;
     test "roundtrip and identical continuation" test_roundtrip_and_continuation;
     test "detector cooldowns survive" test_cooldown_survives;
     test "malformed inputs rejected" test_not_a_session_snapshot;

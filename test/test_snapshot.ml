@@ -112,6 +112,26 @@ let test_malformed_rejected () =
       ignore (Snapshot.load "((chronicle-snapshot 99))"));
   check_raises_any "garbage" (fun () -> ignore (Snapshot.load "((("))
 
+(* A view's aggregate states are decoded against its layout: a state
+   whose tag names another function is a typed error, not a load. *)
+let test_state_tag_checked () =
+  let db = build_db () in
+  let saved = Snapshot.save db in
+  let view = List.find (fun v -> View.name v = "balance") (Db.views db) in
+  let cells =
+    match View.dump view with
+    | View.Groups_dump ((_, c) :: _) -> c
+    | View.Groups_dump [] | View.Rows_dump _ -> Alcotest.fail "expected groups"
+  in
+  let states = Codec.encode (Aggregate.put_cells (Sca.layout (View.def view))) cells in
+  check_bool "SUM state first" true (states.[1] = '\x01');
+  let rec find i = if String.sub saved i (String.length states) = states then i else find (i + 1) in
+  let at = find 0 + 1 in
+  let broken = String.mapi (fun i ch -> if i = at then '\x00' else ch) saved in
+  match Snapshot.load broken with
+  | exception Snapshot.Snapshot_error _ -> ()
+  | _ -> Alcotest.fail "a COUNT state for a SUM call must not load"
+
 let test_ca_serialization_roundtrip () =
   let fx = Fixtures.make () in
   let exprs =
@@ -255,4 +275,5 @@ let suite =
     test "malformed snapshots rejected" test_malformed_rejected;
     test "chronicle algebra serialization" test_ca_serialization_roundtrip;
     test "predicate serialization" test_predicate_roundtrip;
+    test "aggregate state tags are checked against the view" test_state_tag_checked;
   ]

@@ -172,14 +172,19 @@ let test_dump_load_errors () =
          (Sca.Project_out [ "acct" ]))
   in
   check_raises_any "shape mismatch" (fun () -> View.load proj dumped);
-  (* state arity mismatch *)
+  (* cells of another layout: twice the calls *)
   let fresh = View.create def in
   (match dumped with
   | View.Groups_dump groups ->
-      let broken =
-        View.Groups_dump
-          (List.map (fun (k, mult, states) -> (k, mult, states @ states)) groups)
+      let twice (c : Aggregate.cells) =
+        {
+          c with
+          Aggregate.ints = Array.append c.ints c.ints;
+          floats = Array.append c.floats c.floats;
+          vals = Array.append c.vals c.vals;
+        }
       in
+      let broken = View.Groups_dump (List.map (fun (k, c) -> (k, twice c)) groups) in
       check_raises_any "arity mismatch" (fun () -> View.load fresh broken)
   | View.Rows_dump _ -> Alcotest.fail "expected groups");
   (* and a clean load works *)
