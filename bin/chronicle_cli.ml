@@ -23,7 +23,7 @@ let pp_recovery ppf (r : Durable.report) =
   Format.fprintf ppf "checkpoint %s; journal: %d replayed, %d skipped%s%s%s%s%s"
     (match r.generation with
     | Some g -> Printf.sprintf "generation %d loaded" g
-    | None -> if r.checkpoint_loaded then "loaded" else "absent")
+    | None -> "absent")
     r.replayed r.skipped
     (if r.dropped_torn then ", torn tail dropped" else "")
     (if r.dropped_failed then ", failed final record dropped" else "")
@@ -425,10 +425,11 @@ let keep_arg =
     value & opt int 1
     & info [ "keep-checkpoints" ] ~docv:"K"
         ~doc:
-          "Checkpoint generations to retain. $(b,1) (default) keeps one \
-           $(b,checkpoint) file; $(b,K >= 2) rotates numbered \
-           $(b,checkpoint.N) generations, falling back one generation at a \
-           time on recovery if the newest is damaged.")
+          "Checkpoint generations to retain. Every checkpoint writes the \
+           next numbered $(b,checkpoint.N) generation over a sealed journal \
+           and keeps the newest $(docv) (default 1); with $(docv) >= 2, \
+           recovery falls back one generation at a time if the newest is \
+           damaged.")
 
 let segment_arg =
   Arg.(
@@ -437,8 +438,9 @@ let segment_arg =
     & info [ "segment-bytes" ] ~docv:"BYTES"
         ~doc:
           "Rotate the journal into sealed $(b,journal.N) segments once the \
-           active file would exceed $(docv) bytes (default: unbounded, \
-           single file). Corruption is isolated per segment.")
+           active file would exceed $(docv) bytes (default: unbounded; the \
+           journal is sealed only at checkpoints). Corruption is isolated \
+           per segment.")
 
 let store_term =
   Term.(

@@ -14,10 +14,8 @@
      u32 CRC-32 of the 26 header bytes above
      payload                Snapshot.save bytes
 
-   Every checkpoint file has this one frame: the numbered generations
-   ["checkpoint.<g>"] and the bare ["checkpoint"] of keep_checkpoints
-   = 1 (written with generation 0 and first_segment 0 — its journal
-   is reset, not sealed, so replay starts at the first segment). *)
+   Every checkpoint is a numbered generation ["checkpoint.<g>"] with
+   this one frame, written over a freshly sealed journal. *)
 
 open Relational
 

@@ -2,15 +2,13 @@
 
     Every checkpoint file is one frame: a CRC'd header that lets
     recovery and scrub {e verify} a checkpoint before trusting it, then
-    the {!Chronicle_core.Snapshot.save} payload.  With
-    [keep_checkpoints >= 2] the durability layer writes each checkpoint
-    under ["checkpoint.<generation>"] and falls back, generation by
-    generation, when verification fails; the header records
-    [first_segment], the first journal segment the generation does
-    {e not} cover, so an older generation knows to replay a
-    correspondingly longer journal suffix.  With [keep_checkpoints = 1]
-    the one checkpoint lives under the bare name ["checkpoint"], framed
-    the same way with generation 0 and first segment 0.
+    the {!Chronicle_core.Snapshot.save} payload.  The durability layer
+    writes every checkpoint as the next generation
+    ["checkpoint.<generation>"], over a freshly sealed journal, and
+    falls back, generation by generation, when verification fails; the
+    header records [first_segment], the first journal segment the
+    generation does {e not} cover, so an older generation knows to
+    replay a correspondingly longer journal suffix.
 
     On-disk format (integers big-endian):
     {v
@@ -24,7 +22,10 @@
     S-expression bare checkpoint — fails {!decode} with a reason naming
     the version. *)
 
-val file : string  (** ["checkpoint"] — the legacy bare name *)
+val file : string
+(** ["checkpoint"] — the base of the generation names.  A file under the
+    bare name is the layout of an earlier build, which recovery
+    refuses. *)
 
 val tmp_file : string  (** ["checkpoint.tmp"] *)
 

@@ -5,7 +5,6 @@ exception Recovery_error of { record : int; reason : string }
 exception Checkpoint_corrupt of { generation : int option; reason : string }
 
 let journal_file = "journal"
-let checkpoint_file = Ckpt.file
 let checkpoint_tmp_file = Ckpt.tmp_file
 let quarantine_name name = name ^ ".quarantine"
 
@@ -118,9 +117,8 @@ let put_event buf (ev : Db.txn_event) =
      as the batch that died with the crashed process.
 
    Application is idempotent: a record whose effect is already present
-   (checkpoint taken after it, or a crash between checkpoint-rename and
-   journal-reset) is skipped; [apply_parsed] returns [true] iff the
-   record was applied. *)
+   (the checkpoint replay starts from already holds it) is skipped;
+   [apply_parsed] returns [true] iff the record was applied. *)
 
 type record =
   | P_append of { grouped : bool; entries : Db.replay_entry list }
@@ -219,9 +217,8 @@ let apply_parsed db = function
   | P_insert { relation; rows; at } ->
       (* skip iff the rows are already present: the language surface is
          insert-only for relations, so live cardinality is monotone and
-         a cardinality above the record's pre-insert count means a later
-         checkpoint (or the rename half of a checkpoint the crash
-         interrupted) already holds these rows *)
+         a cardinality above the record's pre-insert count means the
+         checkpoint already holds these rows *)
       let rel = Versioned.relation (Db.relation db relation) in
       if Relation.cardinality rel > at then false
       else begin
@@ -320,6 +317,44 @@ let read_segment (storage : Storage.t) ~sealed name ~init ~add =
       in
       let records, ended = decode 0 init frames in
       { bytes; records; ended }
+
+(* ---- the storage layout: one listing ----
+
+   Every checkpoint is a generation [checkpoint.<g>] over a sealed
+   journal: a checkpoint seals the active [journal] into [journal.<seq>]
+   and records the first segment it does not cover.  Names are
+   discovered by convention over [Storage.list] — no manifest that a
+   crash could leave disagreeing with the files.  Recovery, scrub,
+   pruning and the first checkpoint all read this one listing. *)
+
+type layout = {
+  checkpoints : (int option * string) list;
+  sealed : (int * string) list;
+  active : bool;
+}
+
+let layout (storage : Storage.t) =
+  {
+    checkpoints =
+      (if storage.Storage.exists Ckpt.file then [ (None, Ckpt.file) ] else [])
+      @ List.map (fun (g, name) -> (Some g, name)) (Ckpt.generations storage);
+    sealed = Journal.segments storage journal_file;
+    active = storage.Storage.exists journal_file;
+  }
+
+(* The bare name is the single-file layout of an earlier build: it never
+   verifies, so strict recovery refuses it, salvage quarantines it and
+   scrub reports it — never silently starting from an empty database. *)
+let verify_checkpoint (generation, name) contents =
+  match (Ckpt.decode contents, generation) with
+  | (Error _ as damaged), _ -> damaged
+  | Ok _, None ->
+      Error
+        (Printf.sprintf
+           "a bare %s is the layout of an earlier build: rename it to %s, whose \
+            bytes are identical"
+           name (Ckpt.gen_name 0))
+  | verified, Some _ -> verified
 
 (* ---- the durable handle ---- *)
 
@@ -442,60 +477,26 @@ let sink t ev =
             Fault.hit t.fault p_post_retract_write
         | _ -> ())
 
-(* Retire old checkpoint generations and the journal segments no
-   retained generation needs.  [min_first] is the smallest
-   [first_segment] over the retained generations — a generation whose
-   header no longer reads is treated as needing everything
-   (conservative: never delete bytes a fallback might replay). *)
-let prune_generations t ~newest_gen ~newest_first_segment =
-  let retained, dropped =
-    let rec split n = function
-      | [] -> ([], [])
-      | x :: rest when n > 0 ->
-          let r, d = split (n - 1) rest in
-          (x :: r, d)
-      | rest -> ([], rest)
-    in
-    split t.keep (List.rev (Ckpt.generations t.storage))
-  in
-  List.iter (fun (_, name) -> t.storage.Storage.remove name) dropped;
-  (* a bare legacy checkpoint is superseded by any generation *)
-  t.storage.Storage.remove checkpoint_file;
-  let min_first =
-    List.fold_left
-      (fun acc (g, name) ->
-        if g = newest_gen then min acc newest_first_segment
-        else
-          match t.storage.Storage.read name with
-          | None -> 0
-          | Some contents -> (
-              match Ckpt.decode contents with
-              | Ok (h, _) -> min acc h.Ckpt.first_segment
-              | Error _ -> 0))
-      newest_first_segment retained
-  in
-  List.iter
-    (fun (seq, name) -> if seq < min_first then t.storage.Storage.remove name)
-    (Journal.segments t.storage journal_file)
-
+(* One path at every [keep]: seal the journal, write generation [g]
+   over it, then retire the generations past the newest [keep] and the
+   journal segments no retained generation needs.  Sealing first makes
+   the new active segment exactly the journal the generation does not
+   cover.  A retained generation whose header no longer reads is treated
+   as needing every segment (never delete bytes a fallback might
+   replay). *)
 let do_checkpoint t =
   let doc = Snapshot.save t.database in
-  (* keep = 1: one bare [checkpoint] whose journal is reset below, so
-     replay starts at the first segment; keep >= 2: a numbered
-     generation over a freshly sealed journal — seal first so the new
-     active segment is exactly the journal it does not cover *)
-  let name, generation, first_segment =
-    if t.keep <= 1 then (checkpoint_file, 0, 0)
-    else begin
-      Journal.seal t.journal;
-      let generation =
-        match List.rev (Ckpt.generations t.storage) with
-        | (g, _) :: _ -> g + 1
-        | [] -> 0
-      in
-      (Ckpt.gen_name generation, generation, Journal.active_seq t.journal)
-    end
+  Journal.seal t.journal;
+  let first_segment = Journal.active_seq t.journal in
+  let { checkpoints; sealed; _ } = layout t.storage in
+  let older =
+    List.rev
+      (List.filter_map
+         (function Some g, name -> Some (g, name) | None, _ -> None)
+         checkpoints)
   in
+  let generation = match older with (g, _) :: _ -> g + 1 | [] -> 0 in
+  let name = Ckpt.gen_name generation in
   t.storage.Storage.write checkpoint_tmp_file
     (Ckpt.encode ~generation ~first_segment doc);
   t.storage.Storage.sync checkpoint_tmp_file;
@@ -503,16 +504,22 @@ let do_checkpoint t =
   t.storage.Storage.rename checkpoint_tmp_file name;
   t.storage.Storage.sync name;
   Fault.hit t.fault p_post_checkpoint_rename;
-  if t.keep <= 1 then begin
-    Journal.reset t.journal;
-    (* leftovers from an earlier multi-generation configuration are all
-       redundant now: the bare checkpoint covers everything *)
-    List.iter
-      (fun (_, name) -> t.storage.Storage.remove name)
-      (Ckpt.generations t.storage @ Journal.segments t.storage journal_file)
-  end
-  else
-    prune_generations t ~newest_gen:generation ~newest_first_segment:first_segment;
+  (* [older] is newest first: keep the first [keep - 1] beside the new one *)
+  List.iteri
+    (fun i (_, name) -> if i >= t.keep - 1 then t.storage.Storage.remove name)
+    older;
+  let retained = List.filteri (fun i _ -> i < t.keep - 1) older in
+  let min_first =
+    List.fold_left
+      (fun acc (_, name) ->
+        match Option.map Ckpt.decode (t.storage.Storage.read name) with
+        | Some (Ok (h, _)) -> min acc h.Ckpt.first_segment
+        | None | Some (Error _) -> 0)
+      first_segment retained
+  in
+  List.iter
+    (fun (seq, name) -> if seq < min_first then t.storage.Storage.remove name)
+    sealed;
   Stats.incr Stats.Checkpoint
 
 let checkpoint t =
@@ -528,10 +535,15 @@ let detach t =
   Db.set_txn_sink t.database None;
   Db.set_fold_probe t.database None
 
-let next_seal_seq storage =
-  match List.rev (Journal.segments storage journal_file) with
-  | (seq, _) :: _ -> seq + 1
-  | [] -> 0
+(* The sequence number the active segment seals to: past every sealed
+   segment, and never below the [first_segment] of the generation
+   recovery loaded — pruning may have removed every segment, and a
+   segment sealed below it would be skipped by that generation's
+   replay. *)
+let next_seal_seq { sealed; _ } ~first_segment =
+  match List.rev sealed with
+  | (seq, _) :: _ -> max (seq + 1) first_segment
+  | [] -> first_segment
 
 (* The constructor [attach] and [recover] share, in two halves.
    [prepare] runs before the caller touches storage: it checks the
@@ -548,11 +560,13 @@ let prepare ~caller ?fault ~keep_checkpoints (storage : Storage.t) =
   Option.value fault ~default:(Fault.create ())
 
 let open_handle ~fault ~sync ~keep_checkpoints ~segment_bytes ~storage
-    ~degraded database =
+    ~first_segment ~degraded database =
+  let listed = layout storage in
   let storage, cell = wrap_with_retry fault storage in
   let journal =
-    Journal.open_ ~sync ?segment_bytes ~seq:(next_seal_seq storage) storage
-      journal_file
+    Journal.open_ ~sync ?segment_bytes
+      ~seq:(next_seal_seq listed ~first_segment)
+      storage journal_file
   in
   let t =
     {
@@ -570,11 +584,7 @@ let open_handle ~fault ~sync ~keep_checkpoints ~segment_bytes ~storage
   Option.iter (degrade t) degraded;
   (* without a checkpoint, recovery could not reconstruct catalog state
      that predates journaling (including the default group's name) *)
-  if
-    degraded = None
-    && (not (storage.Storage.exists checkpoint_file))
-    && Ckpt.generations storage = []
-  then do_checkpoint t;
+  if degraded = None && listed.checkpoints = [] then do_checkpoint t;
   install t;
   t
 
@@ -582,12 +592,11 @@ let attach ?fault ?(sync = Journal.Sync_always) ?(keep_checkpoints = 1)
     ?segment_bytes ~storage db =
   let fault = prepare ~caller:"attach" ?fault ~keep_checkpoints storage in
   open_handle ~fault ~sync ~keep_checkpoints ~segment_bytes ~storage
-    ~degraded:None db
+    ~first_segment:0 ~degraded:None db
 
 type mode = Strict | Salvage
 
 type report = {
-  checkpoint_loaded : bool;
   generation : int option;
   fallbacks : int;
   replayed : int;
@@ -687,30 +696,25 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
     Stats.incr Stats.Salvage_quarantined
   in
   (* ---- checkpoint: newest verifiable generation, falling back
-     generation by generation, then the bare legacy name ---- *)
-  let candidates =
-    List.rev_map (fun (g, name) -> (Some g, name)) (Ckpt.generations storage)
-    @ (if storage.Storage.exists checkpoint_file then
-         [ (None, checkpoint_file) ]
-       else [])
-  in
+     generation by generation ---- *)
+  let listed = layout storage in
+  let candidates = List.rev listed.checkpoints in
   let fallbacks = ref 0 in
   let rec load_checkpoint first_failure = function
     | [] -> (
         match first_failure with
         | None -> `Fresh
         | Some (generation, reason) -> `All_failed (generation, reason))
-    | (generation, name) :: rest -> (
+    | ((generation, name) as candidate) :: rest -> (
+        let contents = storage.Storage.read name in
         let verdict =
-          match storage.Storage.read name with
+          match Option.map (verify_checkpoint candidate) contents with
           | None -> Error "vanished during recovery"
-          | Some contents -> (
-              match Ckpt.decode contents with
-              | Error reason -> Error reason
-              | Ok (h, payload) -> (
-                  match Snapshot.load ?jobs payload with
-                  | db -> Ok (h.Ckpt.first_segment, payload, db)
-                  | exception Snapshot.Snapshot_error reason -> Error reason))
+          | Some (Error reason) -> Error reason
+          | Some (Ok (h, payload)) -> (
+              match Snapshot.load ?jobs payload with
+              | db -> Ok (h.Ckpt.first_segment, payload, db)
+              | exception Snapshot.Snapshot_error reason -> Error reason)
         in
         match verdict with
         | Ok (first_segment, payload, db) ->
@@ -719,11 +723,9 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
             Stats.incr Stats.Checkpoint_fallback;
             incr fallbacks;
             if mode = Salvage then begin
-              (* self-heal: keep the damaged generation's bytes, but out
+              (* self-heal: keep the damaged candidate's bytes, but out
                  of the fallback path *)
-              (match storage.Storage.read name with
-              | Some contents -> quarantine name contents
-              | None -> ());
+              Option.iter (quarantine name) contents;
               storage.Storage.remove name
             end;
             load_checkpoint
@@ -755,7 +757,7 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
       (List.filter_map
          (fun (seq, name) ->
            if seq >= first_segment then Some (name, true) else None)
-         (Journal.segments storage journal_file)
+         listed.sealed
       @ [ (journal_file, false) ])
     |> Array.mapi (fun s (name, sealed) ->
            (* each segment's records, newest first, tagged with [s] *)
@@ -830,12 +832,11 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
     else None
   in
   let t =
-    open_handle ~fault ~sync ~keep_checkpoints ~segment_bytes ~storage ~degraded
-      database
+    open_handle ~fault ~sync ~keep_checkpoints ~segment_bytes ~storage
+      ~first_segment ~degraded database
   in
   ( t,
     {
-      checkpoint_loaded = payload <> None;
       generation;
       fallbacks = !fallbacks;
       replayed;
@@ -847,8 +848,6 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
       degraded = degraded <> None;
     } )
 
-let has_state (storage : Storage.t) =
-  storage.Storage.exists checkpoint_file
-  || storage.Storage.exists journal_file
-  || Ckpt.generations storage <> []
-  || Journal.segments storage journal_file <> []
+let has_state storage =
+  let { checkpoints; sealed; active } = layout storage in
+  checkpoints <> [] || sealed <> [] || active

@@ -15,9 +15,12 @@ open Chronicle_core
        batch is rolled back ({!Db}'s atomic path), the write-ahead
        record is erased again.}
     {- {b Checkpoint.}  {!checkpoint} serializes the full database
-       ({!Snapshot.save}) to a temp name, atomically renames it over
-       the live checkpoint, and only then resets the journal — at
-       every instant, checkpoint + journal describe the database.}
+       ({!Snapshot.save}), seals the journal, writes the next
+       generation ["checkpoint.<g>"] to a temp name and atomically
+       renames it into place, and only then prunes the generations and
+       sealed segments nothing retained needs — at every instant, the
+       newest generation + the journal it does not cover describe the
+       database.}
     {- {b Recovery.}  {!recover} loads the last checkpoint and replays
        the journal suffix through the normal delta-maintenance path
        (Db's record-and-fold step, {!Db.replay_appends} and
@@ -28,9 +31,8 @@ open Chronicle_core
        the first damage replay through one loop, and the mode only
        decides what damage does — [Strict] raises, [Salvage] cuts the
        journal there.  A torn final record is dropped.  Replay is
-       idempotent (records whose effects are already in the
-       checkpoint are skipped), so a crash between checkpoint-rename
-       and journal-reset is harmless.}}
+       idempotent: records whose effects are already in the
+       checkpoint are skipped.}}
 
     Group commit: a {!Db.append_group} reaches the sink as one
     [Ev_group] and is framed as {e one} journal record — one storage
@@ -67,14 +69,14 @@ exception Recovery_error of { record : int; reason : string }
 
 exception Checkpoint_corrupt of { generation : int option; reason : string }
 (** Strict recovery found checkpoints but could verify none of them —
-    every generation (and the bare legacy file, if present) failed its
-    CRC or would not load.  Carries the newest candidate's generation
-    ([None] for the bare legacy file) and failure reason.  Salvage
-    recovery never raises this: it degrades instead. *)
+    every generation failed its CRC or would not load, and a bare
+    ["checkpoint"] (the single-file layout of an earlier build) never
+    verifies: its reason says to rename it to ["checkpoint.0"], whose
+    bytes are identical.  Carries the newest candidate's generation
+    ([None] for the bare file) and failure reason.  Salvage recovery
+    never raises this: it degrades instead. *)
 
 val journal_file : string  (** ["journal"] *)
-
-val checkpoint_file : string  (** ["checkpoint"] *)
 
 val checkpoint_tmp_file : string  (** ["checkpoint.tmp"] *)
 
@@ -107,13 +109,12 @@ val attach :
     deleted.  Default [sync] is {!Journal.Sync_always}.
 
     [keep_checkpoints] (default [1]) is the number of checkpoint
-    generations retained: [1] keeps the single-file layout — one bare
-    ["checkpoint"] file, reset journal; [>= 2] writes numbered
-    generations ["checkpoint.<g>"] and prunes to the newest [K] at
-    each checkpoint.  Either way each checkpoint file is one CRC'd
-    {!Ckpt} frame.  [segment_bytes] bounds journal segments (default:
-    unbounded, single ["journal"] file as before); see {!Journal}.
-    Raises [Invalid_argument] if [keep_checkpoints < 1]. *)
+    generations retained: every checkpoint writes the next generation
+    ["checkpoint.<g>"], one CRC'd {!Ckpt} frame over a sealed journal,
+    and prunes to the newest [K].  [segment_bytes] bounds journal
+    segments (default: unbounded — the journal is sealed only at
+    checkpoints); see {!Journal}.  Raises [Invalid_argument] if
+    [keep_checkpoints < 1]. *)
 
 val db : t -> Db.t
 val fault : t -> Fault.t
@@ -131,9 +132,11 @@ val health : t -> health
 val keep_checkpoints : t -> int
 
 val checkpoint : t -> unit
-(** Snapshot → temp write → atomic rename → journal reset; bumps
-    [Stats.Checkpoint].  Raises {!Snapshot.Snapshot_error} if the
-    database cannot be snapshotted (e.g. pending future-effective
+(** Snapshot → journal seal → temp write → atomic rename to the next
+    generation → prune to the newest [keep_checkpoints] generations and
+    the sealed segments they need; one path at every
+    [keep_checkpoints].  Bumps [Stats.Checkpoint].  Raises
+    {!Snapshot.Snapshot_error} if the database cannot be snapshotted (e.g. pending future-effective
     relation updates); the journal is left untouched in that case. *)
 
 val detach : t -> unit
@@ -155,10 +158,9 @@ val detach : t -> unit
 type mode = Strict | Salvage
 
 type report = {
-  checkpoint_loaded : bool;
   generation : int option;
-      (** the generation that served ([None]: bare legacy file, or no
-          checkpoint at all) *)
+      (** the generation that served ([None]: no checkpoint verified,
+          or there was none) *)
   fallbacks : int;
       (** damaged checkpoint candidates skipped before one verified
           (each bumps [Stats.Checkpoint_fallback]) *)
@@ -194,8 +196,9 @@ val recover :
     parameters: the newest generation that verifies (header CRC,
     payload CRC, snapshot loads) wins; each failure falls back one
     generation — replaying the correspondingly longer journal suffix,
-    from the older generation's [first_segment] — then to the bare
-    legacy file.  If every candidate fails, [Strict] raises
+    from the older generation's [first_segment] — and last to a bare
+    ["checkpoint"], which never verifies (see {!Checkpoint_corrupt}).
+    If every candidate fails, [Strict] raises
     {!Checkpoint_corrupt}; [Salvage] starts from an empty database,
     replays what it can and degrades.  [keep_checkpoints] and
     [segment_bytes] only shape {e future} checkpoints and rotation of
@@ -229,9 +232,32 @@ val recover :
     changes. *)
 
 val has_state : Storage.t -> bool
-(** True if the storage holds a checkpoint (bare or generation) or a
-    journal (active or sealed segment) — i.e. {!recover} has something
-    to work from. *)
+(** True if the {!layout} lists a checkpoint candidate or a journal
+    (active or sealed segment) — i.e. {!recover} has something to work
+    from. *)
+
+(** {2 The storage layout} *)
+
+type layout = {
+  checkpoints : (int option * string) list;
+      (** checkpoint candidates: a bare ["checkpoint"] left by an
+          earlier build first ([None]), then the generations
+          ["checkpoint.<g>"] ascending *)
+  sealed : (int * string) list;
+      (** sealed journal segments ["journal.<seq>"], ascending *)
+  active : bool;  (** the active ["journal"] exists *)
+}
+
+val layout : Storage.t -> layout
+(** The one listing of what storage holds, discovered by naming
+    convention over [Storage.list].  Recovery, {!Scrub}, {!has_state},
+    the initial checkpoint and pruning all read it. *)
+
+val verify_checkpoint :
+  int option * string -> string -> (Ckpt.header * string, string) result
+(** [verify_checkpoint candidate contents]: the header and payload of a
+    checkpoint candidate's bytes ({!Ckpt.decode}), or why they do not
+    verify.  A bare ["checkpoint"] ([None]) never verifies. *)
 
 (** {2 Journal records} *)
 

@@ -18,10 +18,10 @@
     Standard crash-point names used by the library:
     - ["post-journal-write"] — after a transaction record is on
       storage, before any database state mutates;
-    - ["pre-checkpoint-rename"] — checkpoint temp file written, not
-      yet renamed over the live checkpoint;
-    - ["post-checkpoint-rename"] — checkpoint renamed, journal not
-      yet reset;
+    - ["pre-checkpoint-rename"] — journal sealed and the checkpoint
+      temp file written, not yet renamed to its generation;
+    - ["post-checkpoint-rename"] — the new generation renamed into
+      place, older generations and sealed segments not yet pruned;
     - ["view-fold"] — immediately before an affected view's fold
       (installed through {!Db.set_fold_probe} by [Durable.attach]). *)
 

@@ -245,13 +245,5 @@ let truncate_last t =
       t.size <- off;
       t.count <- t.count - 1
 
-let reset t =
-  t.storage.Storage.write t.name magic;
-  (match t.sync with Sync_never -> () | _ -> t.storage.Storage.sync t.name);
-  t.count <- 0;
-  t.size <- String.length magic;
-  t.offsets <- [];
-  t.unsynced <- 0
-
 let records t = t.count
 let byte_size t = t.size

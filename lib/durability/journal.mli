@@ -28,8 +28,8 @@
     sequence is the concatenation of sealed segments in [seq] order
     followed by the active segment; corruption inside one segment is
     thereby isolated — every earlier segment still verifies on its own
-    checksums.  An unbounded journal (the default) never rotates and
-    its storage layout is byte-identical to the pre-segment format. *)
+    checksums.  An unbounded journal (the default) rotates only when
+    the durability layer seals it at a checkpoint. *)
 
 exception Journal_corrupt of { record : int; reason : string }
 (** [record] is the zero-based index of the offending record. *)
@@ -98,8 +98,9 @@ val open_ :
     [segment_bytes] bounds the active segment: an append that would
     push past the bound first {!seal}s (default: unbounded — never
     rotates).  [seq] is the sequence number the active segment will
-    seal to (default [0]); recovery passes one past the highest
-    existing sealed segment. *)
+    seal to (default [0]); the durability layer passes one past the
+    highest existing sealed segment, and never less than the
+    [first_segment] of the checkpoint it loaded. *)
 
 val seal : t -> unit
 (** Sync, rename the active segment to {!segment_name}[ name seq],
@@ -121,10 +122,6 @@ val truncate_last : t -> unit
 (** Erase the most recently appended record — the abort path: the
     write-ahead record of a batch whose maintenance failed must not be
     replayed.  Raises [Invalid_argument] if the journal is empty. *)
-
-val reset : t -> unit
-(** Truncate to the bare magic header — after a checkpoint has made
-    every journaled record redundant. *)
 
 val records : t -> int
 (** Complete records currently in the journal. *)

@@ -21,14 +21,16 @@ type t = {
   segments : segment_status list;
 }
 
-let verify_checkpoint storage (generation, ck_name) =
+let verify_checkpoint storage ((generation, ck_name) as candidate) =
   match storage.Storage.read ck_name with
   | None ->
       { ck_name; generation; ck_bytes = 0; ck_damage = Some "vanished mid-scrub" }
   | Some contents ->
       let ck_bytes = String.length contents in
       let ck_damage =
-        match Ckpt.decode contents with Ok _ -> None | Error reason -> Some reason
+        match Durable.verify_checkpoint candidate contents with
+        | Ok _ -> None
+        | Error reason -> Some reason
       in
       { ck_name; generation; ck_bytes; ck_damage }
 
@@ -48,23 +50,19 @@ let verify_segment storage ~sealed seg_name =
       (match seg.Durable.ended with Durable.Damaged d -> Some d | _ -> None);
   }
 
-let run (storage : Storage.t) =
-  let checkpoints =
-    List.map
-      (verify_checkpoint storage)
-      ((if storage.Storage.exists Ckpt.file then [ (None, Ckpt.file) ] else [])
-      @ List.map (fun (g, name) -> (Some g, name)) (Ckpt.generations storage))
-  in
-  let segments =
-    List.map
-      (fun (_, name) -> verify_segment storage ~sealed:true name)
-      (Journal.segments storage "journal")
-    @
-    if storage.Storage.exists "journal" then
-      [ verify_segment storage ~sealed:false "journal" ]
-    else []
-  in
-  { checkpoints; segments }
+let run storage =
+  let listed = Durable.layout storage in
+  {
+    checkpoints = List.map (verify_checkpoint storage) listed.Durable.checkpoints;
+    segments =
+      List.map
+        (fun (_, name) -> verify_segment storage ~sealed:true name)
+        listed.Durable.sealed
+      @
+      if listed.Durable.active then
+        [ verify_segment storage ~sealed:false Durable.journal_file ]
+      else [];
+  }
 
 let clean t =
   List.for_all (fun c -> c.ck_damage = None) t.checkpoints
@@ -76,9 +74,9 @@ let pp ppf t =
       match c.ck_damage with
       | None ->
           Format.fprintf ppf "%s: ok%s@." c.ck_name
-            (match c.generation with
-            | Some g -> Printf.sprintf " (generation %d)" g
-            | None -> " (legacy)")
+            (Option.fold ~none:""
+               ~some:(Printf.sprintf " (generation %d)")
+               c.generation)
       | Some reason -> Format.fprintf ppf "%s: DAMAGED: %s@." c.ck_name reason)
     t.checkpoints;
   List.iter

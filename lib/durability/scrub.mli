@@ -15,7 +15,9 @@
 
 type checkpoint_status = {
   ck_name : string;
-  generation : int option;  (** [None] — the bare ["checkpoint"] *)
+  generation : int option;
+      (** [None] — a bare ["checkpoint"] of an earlier build, which is
+          always damaged *)
   ck_bytes : int;
   ck_damage : string option;  (** [None] = verified *)
 }
@@ -40,9 +42,9 @@ type t = {
 }
 
 val run : Storage.t -> t
-(** Inventory every checkpoint (bare first, then generations
-    ascending) and every journal segment (sealed ascending, active
-    last).  Read-only. *)
+(** Inventory everything {!Durable.layout} lists: every checkpoint
+    candidate (a bare one first, then generations ascending) and every
+    journal segment (sealed ascending, active last).  Read-only. *)
 
 val clean : t -> bool
 (** No damage anywhere.  A torn active tail is clean (recovery repairs

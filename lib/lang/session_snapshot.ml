@@ -7,7 +7,7 @@ exception Session_snapshot_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Session_snapshot_error s)) fmt
 let tag = "CHRONSES"
-let version = 2
+let version = 3
 let put_tag buf t = Buffer.add_char buf (Char.chr t)
 let put_key = Snapshot.put_key
 let get_key = Snapshot.get_key
@@ -73,37 +73,20 @@ let get_calendar r =
         (Calendar.Periodic_spec { start; width; stride = Codec.int_ r })
   | t -> Codec.fail "unknown calendar tag %#x" t
 
-(* A group's window is written as one window per aggregate call, each
-   with the shared start, head and clock and its call's state in every
-   bucket, slot order. *)
+(* A group's window: its start, head and clock once, then each bucket's
+   cells in slot order. *)
 let put_window_dump layout buf (d : Window.dump) =
-  Codec.put_list
-    (fun buf j ->
-      List.iter (Codec.put_int buf) [ d.Window.d_start; d.Window.d_head; d.Window.d_clock ];
-      Codec.put_list (fun buf c -> Aggregate.put_state layout buf c j) buf d.Window.d_cells)
-    buf
-    (List.init (Aggregate.arity layout) Fun.id)
+  List.iter (Codec.put_int buf) [ d.Window.d_start; d.Window.d_head; d.Window.d_clock ];
+  Codec.put_list (Aggregate.put_cells layout) buf d.Window.d_cells
 
 let get_window_dump layout ~buckets r =
-  let calls = Codec.uvarint r in
-  if calls <> Aggregate.arity layout then
-    Codec.fail "%d windows for %d aggregate calls" calls (Aggregate.arity layout);
-  let d_cells = List.init buckets (fun _ -> Aggregate.fresh layout) in
-  let clock = ref None in
-  for j = 0 to calls - 1 do
-    let d_start = Codec.int_ r in
-    let d_head = Codec.int_ r in
-    let c = (d_start, d_head, Codec.int_ r) in
-    if Option.fold ~none:false ~some:(( <> ) c) !clock then
-      Codec.fail "the windows of one group disagree on their clock";
-    clock := Some c;
-    let n = Codec.uvarint r in
-    if n <> buckets then Codec.fail "%d buckets in a window of %d" n buckets;
-    List.iter (fun cells -> Aggregate.get_state layout r cells j) d_cells
-  done;
-  match !clock with
-  | Some (d_start, d_head, d_clock) -> { Window.d_start; d_head; d_clock; d_cells }
-  | None -> Codec.fail "a windowed group without aggregate calls"
+  let d_start = Codec.int_ r in
+  let d_head = Codec.int_ r in
+  let d_clock = Codec.int_ r in
+  let d_cells = Codec.list (Aggregate.get_cells layout) r in
+  if List.length d_cells <> buckets then
+    Codec.fail "%d buckets in a window of %d" (List.length d_cells) buckets;
+  { Window.d_start; d_head; d_clock; d_cells }
 
 (* ---- the four session components ---- *)
 

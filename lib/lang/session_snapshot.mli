@@ -5,7 +5,7 @@
     materializations).  A language session additionally owns periodic
     view families, derived windowed views and event detectors; this
     module serializes all of it to one {!Relational.Codec} byte string
-    behind the magic ["CHRONSES2\n"] (format version 2), so `chronicle-cli run --save/--load`
+    behind the magic ["CHRONSES3\n"] (format version 3), so `chronicle-cli run --save/--load`
     restores a session exactly — partial event-pattern instances, open
     billing periods, cyclic window buffers and all.
 
@@ -19,8 +19,9 @@ exception Session_snapshot_error of string
 val save : Session.t -> string
 val load : ?jobs:int -> string -> Session.t
 (** Raises {!Session_snapshot_error} on any input that is not a
-    version-2 session snapshot — a foreign magic, another format
-    version (version 1 was S-expression text; the reason names it), or
+    version-3 session snapshot — a foreign magic, another format
+    version (version 1 was S-expression text, version 2 repeated each
+    window's clock per aggregate call; the reason names it), or
     a payload that does not decode or load (the reason carries the
     byte offset inside the payload).  [jobs] is the maintenance
     parallelism degree of the restored database (see

@@ -118,17 +118,10 @@ val finals : layout -> cells -> Value.t list
     Each call's slots are written as a tagged state: the bytes
     snapshots, checkpoints and session snapshots hold. *)
 
-val put_state : layout -> Buffer.t -> cells -> int -> unit
-(** [put_state l buf c j]: call [j]'s state. *)
-
-val get_state : layout -> Codec.reader -> cells -> int -> unit
-(** Read call [j]'s state into its slots; raises {!Codec.Decode_error}
-    on an unknown tag or one of another function. *)
-
 val put_cells : layout -> Buffer.t -> cells -> unit
 (** Every call's state, as a {!Codec} list ([weight] is not written). *)
 
 val get_cells : layout -> Codec.reader -> cells
 (** Fresh cells ([weight] 0) from {!put_cells} bytes; raises
-    {!Codec.Decode_error} when the count or a tag does not match the
-    layout. *)
+    {!Codec.Decode_error} on an unknown state tag, one of another
+    function, or a count that does not match the layout. *)

@@ -168,12 +168,13 @@ let clean_states ?(mk = fun jobs -> mk_db ~jobs ()) ops =
            Snapshot.save db)
          ops)
 
-(* Run the workload durably with [script] armed after attach; returns
-   the number of ops that completed before a crash (n = no crash). *)
-let durable_run ?(mk = fun jobs -> mk_db ~jobs ()) ops ~jobs ~storage ~fault
-    ~script =
+(* Run the workload durably with [script] armed after attach, keeping
+   [keep] checkpoint generations; returns the number of ops that
+   completed before a crash (n = no crash). *)
+let durable_run ?(mk = fun jobs -> mk_db ~jobs ()) ?(keep = 1) ops ~jobs
+    ~storage ~fault ~script =
   let db = mk jobs in
-  let d = Durable.attach ~fault ~storage db in
+  let d = Durable.attach ~fault ~keep_checkpoints:keep ~storage db in
   script fault;
   let applied = ref 0 in
   (try
@@ -186,13 +187,16 @@ let durable_run ?(mk = fun jobs -> mk_db ~jobs ()) ops ~jobs ~storage ~fault
   (!applied, Fault.is_dead fault)
 
 (* The property itself.  [jobs] is the maintenance parallelism of the
-   crashing run and of recovery; the reference states stay sequential. *)
-let check_crash_equivalence ?(what = "") ?(jobs = 1) ?mk ?on_crashed ops
+   crashing run and of recovery; the reference states stay sequential.
+   [keep] is the crashing run's checkpoint generations. *)
+let check_crash_equivalence ?(what = "") ?(jobs = 1) ?keep ?mk ?on_crashed ops
     script =
   let states = clean_states ?mk ops in
   let storage = Storage.mem () in
   let fault = Fault.create () in
-  let applied, crashed = durable_run ?mk ops ~jobs ~storage ~fault ~script in
+  let applied, crashed =
+    durable_run ?mk ?keep ops ~jobs ~storage ~fault ~script
+  in
   (* the op the crash interrupted, if any *)
   Option.iter
     (fun f -> f (if crashed then List.nth_opt ops applied else None))
@@ -245,20 +249,25 @@ let crash_points =
     "post-checkpoint-rename";
   ]
 
+(* Every point at one kept generation and at three: a checkpoint seals,
+   writes and prunes along the same path at every [keep], and the crash
+   lands on either side of its rename. *)
 let test_exhaustive_crash_sweep () =
   let max_countdown = 14 in
   List.iter
-    (fun jobs ->
+    (fun (jobs, keep) ->
       List.iter
         (fun point ->
           for k = 0 to max_countdown do
             check_crash_equivalence
-              ~what:(Printf.sprintf "%s after %d hits (jobs=%d)" point k jobs)
-              ~jobs fixed_workload
+              ~what:
+                (Printf.sprintf "%s after %d hits (jobs=%d, keep=%d)" point k
+                   jobs keep)
+              ~jobs ~keep fixed_workload
               (fun fault -> Fault.arm fault ~after:k point)
           done)
         crash_points)
-    [ 1; 2 ];
+    [ (1, 1); (1, 3); (2, 1); (2, 3) ];
   (* the view-fold point is the one probed concurrently from pool
      domains: sweep it at a higher degree too *)
   for k = 0 to max_countdown do
@@ -805,14 +814,14 @@ let test_salvage_application_failure () =
         ];
       Durable.detach d;
       let failing = 5 in
-      Fault.flip_bit storage ~name:Durable.checkpoint_file ~byte:40 ~bit:3;
+      Fault.flip_bit storage ~name:(Ckpt.gen_name 0) ~byte:40 ~bit:3;
       let journal = Option.get (storage.Storage.read Durable.journal_file) in
       let cut =
         snd (List.nth (fst (Journal.scan journal)) failing)
       in
       let oracle =
         let clone = clone_storage storage in
-        clone.Storage.remove Durable.checkpoint_file;
+        clone.Storage.remove (Ckpt.gen_name 0);
         clone.Storage.truncate Durable.journal_file cut;
         let d, _ = Durable.recover ~jobs ~storage:clone () in
         Snapshot.save (Durable.db d)

@@ -53,13 +53,7 @@ let test_state_roundtrip () =
 
 (* ---- version refusal ---- *)
 
-let mentions_v1 reason =
-  let needle = "version 1" in
-  let n = String.length needle in
-  let rec go i =
-    i + n <= String.length reason && (String.sub reason i n = needle || go (i + 1))
-  in
-  go 0
+let mentions_v1 reason = contains reason "version 1"
 
 let test_v1_journal_refused () =
   let st = Storage.mem () in
@@ -136,7 +130,7 @@ let journal_fixture =
      Db.drop_view db "spare";
      Durable.detach d;
      let records, _ = Journal.read st Durable.journal_file in
-     (Option.get (st.Storage.read Durable.checkpoint_file), Array.of_list records))
+     (Option.get (st.Storage.read (Ckpt.gen_name 0)), Array.of_list records))
 
 let checkpoint_fixture =
   lazy
@@ -212,7 +206,7 @@ let prop_typed_errors_only (target, victim, m) =
       let checkpoint, records = Lazy.force journal_fixture in
       let victim = victim mod Array.length records in
       let st = Storage.mem () in
-      st.Storage.write Durable.checkpoint_file checkpoint;
+      st.Storage.write (Ckpt.gen_name 0) checkpoint;
       let j = Journal.open_ st Durable.journal_file in
       Array.iteri
         (fun i payload -> Journal.append j (if i = victim then mutate payload m else payload))

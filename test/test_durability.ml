@@ -44,8 +44,10 @@ let test_journal_roundtrip () =
   Journal.truncate_last j;
   check_int "truncate_last drops one" 2 (Journal.records j);
   check_int "readers agree" 2 (List.length (fst (Journal.read st "journal")));
-  Journal.reset j;
-  check_int "reset empties" 0 (Journal.records j);
+  Journal.seal j;
+  check_int "sealing empties the active segment" 0 (Journal.records j);
+  check_bool "the sealed segment keeps the records" true
+    (List.length (fst (Journal.read st "journal.0")) = 2);
   check_bool "still parseable" true (Journal.read st "journal" = ([], `Clean));
   (* reopening an existing journal rebuilds record boundaries *)
   Journal.append j (rec_s "four");
@@ -157,7 +159,9 @@ let test_checkpoint_resets_journal () =
   let after = Stats.snapshot () in
   check_int "checkpoint counted" 1 (Stats.diff_get before after Stats.Checkpoint);
   check_int "journal reset" 0 (Durable.journal_records d);
-  check_bool "checkpoint file exists" true (st.Storage.exists "checkpoint");
+  check_bool "the next generation exists" true (st.Storage.exists "checkpoint.1");
+  check_bool "the records were sealed, then pruned with generation 0" true
+    (st.Storage.list () = [ "checkpoint.1"; "journal" ]);
   check_bool "temp file renamed away" true
     (not (st.Storage.exists "checkpoint.tmp"))
 
@@ -173,7 +177,7 @@ let test_recover_checkpoint_plus_journal () =
   let d', report = Durable.recover ~storage:st () in
   let after = Stats.snapshot () in
   same_state "checkpoint + journal suffix = the database" db (Durable.db d');
-  check_bool "loaded the checkpoint" true report.Durable.checkpoint_loaded;
+  check_bool "loaded the checkpoint" true (report.Durable.generation = Some 1);
   check_int "replayed the suffix" 2 report.Durable.replayed;
   check_int "replay counted" 2
     (Stats.diff_get before after Stats.Journal_replay);
@@ -188,7 +192,7 @@ let test_recover_without_checkpoint_dir () =
   let st = Storage.mem () in
   check_bool "no state" true (not (Durable.has_state st));
   let d, report = Durable.recover ~storage:st () in
-  check_bool "fresh" true (not report.Durable.checkpoint_loaded);
+  check_bool "fresh" true (report.Durable.generation = None);
   check_int "nothing replayed" 0 report.Durable.replayed;
   check_bool "catalog is empty" true (Db.chronicle_names (Durable.db d) = [])
 
@@ -399,7 +403,9 @@ let test_crash_mid_checkpoint () =
   same_state "old checkpoint + journal still describe the db" db
     (Durable.db d1);
   check_int "journal replayed" 2 r1.Durable.replayed;
-  (* crash with the checkpoint renamed but the journal not yet reset *)
+  (* crash with the checkpoint renamed but the older generation and the
+     sealed segment not yet pruned: the newest generation serves, and
+     the segment it does not need is not read *)
   let db2 = mk_db () in
   let st2 = Storage.mem () in
   let fault2 = Fault.create () in
@@ -410,10 +416,10 @@ let test_crash_mid_checkpoint () =
   | _ -> Alcotest.fail "armed crash point must fire"
   | exception Fault.Crash "post-checkpoint-rename" -> ());
   let d3, r3 = Durable.recover ~storage:st2 () in
-  same_state "stale journal records are skipped idempotently" db2
+  same_state "the sealed records are covered by the new generation" db2
     (Durable.db d3);
   check_int "nothing re-applied" 0 r3.Durable.replayed;
-  check_int "stale record skipped" 1 r3.Durable.skipped
+  check_int "nothing replayed to skip" 0 r3.Durable.skipped
 
 let test_torn_write_drops_batch () =
   let st = Storage.mem () in
@@ -514,11 +520,8 @@ let test_disk_storage () =
   let st = Storage.disk ~dir in
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun f ->
-          let p = Filename.concat dir f in
-          if Sys.file_exists p then Sys.remove p)
-        [ "journal"; "checkpoint"; "checkpoint.tmp" ];
+      if Sys.file_exists dir then
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       if Sys.file_exists dir then Unix.rmdir dir)
     (fun () ->
       let db = mk_db () in
@@ -529,7 +532,7 @@ let test_disk_storage () =
       ignore (Db.append db "mileage" [ post 3 25 ]);
       let d', report = Durable.recover ~storage:st () in
       check_bool "checkpoint loaded from disk" true
-        report.Durable.checkpoint_loaded;
+        (report.Durable.generation = Some 1);
       check_int "suffix replayed from disk" 1 report.Durable.replayed;
       same_state "disk round trip" db (Durable.db d'))
 
@@ -588,7 +591,7 @@ let test_application_failure_vs_malformation () =
   check_bool "preceding record still applied" true
     (List.mem "g2" (Db.group_names (Durable.db d)));
   (* recovery on fresh storage ends with a checkpoint, so the journal —
-     failed record included — has been absorbed and reset *)
+     failed record included — has been absorbed and sealed away *)
   check_int "dropped record erased from journal" 0 (Durable.journal_records d);
   (* and the recovered state must itself be recoverable *)
   let d2, report2 = Durable.recover ~storage:st () in
@@ -670,20 +673,20 @@ let test_stale_checkpoint_tmp_removed () =
   check_raises_any "keep_checkpoints must be positive" (fun () ->
       ignore (Durable.attach ~keep_checkpoints:0 ~storage:(Storage.mem ()) (mk_db ())))
 
-let test_legacy_layout_pinned () =
-  (* keep_checkpoints = 1 (the default) keeps the single-file layout:
-     exactly one bare [checkpoint] file — a Ckpt frame of generation 0
-     around the snapshot — one [journal] file, nothing else *)
+let test_one_generation_layout () =
+  (* keep_checkpoints = 1 (the default) is one generation, not a second
+     layout: the checkpoint seals the journal, writes generation 1 over
+     it and prunes generation 0 with the sealed segment *)
   let st = Storage.mem () in
   let db = mk_db () in
   let d = Durable.attach ~storage:st db in
   ignore (Db.append db "mileage" [ post 1 100 ]);
   Durable.checkpoint d;
-  check_bool "exact legacy file set" true
-    (st.Storage.list () = [ "checkpoint"; "journal" ]);
-  check_string "bare checkpoint is one Ckpt frame around the snapshot"
-    (Ckpt.encode ~generation:0 ~first_segment:0 (Snapshot.save db))
-    (Option.get (st.Storage.read "checkpoint"))
+  check_bool "exact file set" true
+    (st.Storage.list () = [ "checkpoint.1"; "journal" ]);
+  check_string "generation 1 over the sealed segment 0"
+    (Ckpt.encode ~generation:1 ~first_segment:1 (Snapshot.save db))
+    (Option.get (st.Storage.read "checkpoint.1"))
 
 let test_generation_rotation_and_prune () =
   let st = Storage.mem () in
@@ -780,6 +783,82 @@ let test_scrub_inventory () =
        (fun c -> c.Scrub.ck_name = gname && c.Scrub.ck_damage <> None)
        inv3.Scrub.checkpoints)
 
+(* A bare [checkpoint] is the single-file layout of an earlier build.
+   It is a checkpoint candidate that never verifies — recovery must not
+   ignore it and start from an empty database: strict recovery raises
+   the typed error, salvage quarantines it and degrades, scrub reports
+   it.  Its bytes are generation 0's, so renaming it to [checkpoint.0]
+   recovers the database. *)
+let test_bare_checkpoint_refused () =
+  let earlier_build () =
+    let st = Storage.mem () in
+    let db = mk_db () in
+    let d = Durable.attach ~storage:st db in
+    ignore (Db.append db "mileage" [ post 1 100 ]);
+    Durable.detach d;
+    st.Storage.rename (Ckpt.gen_name 0) "checkpoint";
+    (st, db)
+  in
+  let st, _ = earlier_build () in
+  (match Durable.recover ~storage:st () with
+  | _ -> Alcotest.fail "strict recovery must refuse a bare checkpoint"
+  | exception Durable.Checkpoint_corrupt { generation = None; reason } ->
+      check_bool ("the reason says to rename it: " ^ reason) true
+        (contains reason "rename it to checkpoint.0"));
+  let inv = Scrub.run st in
+  check_bool "scrub reports it damaged" false (Scrub.clean inv);
+  check_bool "as the bare candidate" true
+    (List.exists
+       (fun c -> c.Scrub.ck_name = "checkpoint" && c.Scrub.ck_damage <> None)
+       inv.Scrub.checkpoints);
+  let bare = Option.get (st.Storage.read "checkpoint") in
+  let _, report = Durable.recover ~mode:Durable.Salvage ~storage:st () in
+  check_bool "salvage degrades" true report.Durable.degraded;
+  check_int "one candidate failed" 1 report.Durable.fallbacks;
+  check_bool "the bare file left the candidates" false (st.Storage.exists "checkpoint");
+  check_string "its bytes are quarantined" bare
+    (Option.get (st.Storage.read (Durable.quarantine_name "checkpoint")));
+  (* the advice holds: renamed, the same bytes recover the database *)
+  let st, db = earlier_build () in
+  st.Storage.rename "checkpoint" (Ckpt.gen_name 0);
+  let d, report = Durable.recover ~storage:st () in
+  check_bool "generation 0 served" true (report.Durable.generation = Some 0);
+  same_state "renamed, the bare bytes recover the database" db (Durable.db d)
+
+(* A restarted instance seals its journal past the loaded generation's
+   [first_segment], even when pruning removed every sealed segment: a
+   crash before the next checkpoint's rename must replay what the
+   restarted instance appended. *)
+let test_restart_seals_past_generation () =
+  List.iter
+    (fun keep ->
+      let st = Storage.mem () in
+      let db = mk_db () in
+      let d = Durable.attach ~keep_checkpoints:keep ~storage:st db in
+      ignore (Db.append db "mileage" [ post 1 100 ]);
+      (* the second checkpoint seals nothing and prunes the first
+         sealed segment at keep 2 *)
+      Durable.checkpoint d;
+      Durable.checkpoint d;
+      Durable.detach d;
+      check_int
+        (Printf.sprintf "no sealed segment left (keep %d)" keep)
+        0
+        (List.length (Journal.segments st "journal"));
+      let fault = Fault.create () in
+      let d, _ = Durable.recover ~fault ~keep_checkpoints:keep ~storage:st () in
+      let db = Durable.db d in
+      ignore (Db.append db "mileage" [ post 2 50 ]);
+      Fault.arm fault "pre-checkpoint-rename";
+      (match Durable.checkpoint d with
+      | _ -> Alcotest.fail "armed crash point must fire"
+      | exception Fault.Crash "pre-checkpoint-rename" -> ());
+      let d', report = Durable.recover ~storage:st () in
+      check_int (Printf.sprintf "the append replays (keep %d)" keep) 1
+        report.Durable.replayed;
+      same_state (Printf.sprintf "nothing lost (keep %d)" keep) db (Durable.db d'))
+    [ 1; 2 ]
+
 let suite =
   [
     test "crc32 vectors" test_crc32;
@@ -803,7 +882,8 @@ let suite =
     test "application failure vs malformation" test_application_failure_vs_malformation;
     test "disk-backed storage" test_disk_storage;
     test "stale checkpoint.tmp is removed" test_stale_checkpoint_tmp_removed;
-    test "keep_checkpoints = 1 pins the legacy layout" test_legacy_layout_pinned;
+    test "keeping one checkpoint writes one generation over a sealed journal"
+      test_one_generation_layout;
     test "checkpoint generations rotate and prune" test_generation_rotation_and_prune;
     test "journal segments rotate and recover" test_segment_rotation_and_recovery;
     test "scrub inventories damage read-only" test_scrub_inventory;
@@ -813,4 +893,8 @@ let suite =
     test "a second salvage keeps the first one's quarantined bytes"
       test_second_salvage_keeps_quarantine;
     test "damage is reported in record order" test_earliest_damage_reported;
+    test "a bare checkpoint is refused, quarantined and reported"
+      test_bare_checkpoint_refused;
+    test "a restarted instance seals past the loaded generation"
+      test_restart_seals_past_generation;
   ]

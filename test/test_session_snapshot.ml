@@ -117,7 +117,7 @@ let test_golden_periodic () =
         APPEND INTO t VALUES (1);");
   let saved = Session_snapshot.save session in
   let skip =
-    String.length (Relational.Codec.magic ~tag:"CHRONSES" ~version:2)
+    String.length (Relational.Codec.magic ~tag:"CHRONSES" ~version:3)
     + String.length (Chronicle_core.Snapshot.save (Session.db session))
   in
   check_string "periodic section bytes, then no windowed views and no detectors"
@@ -129,8 +129,8 @@ let test_golden_periodic () =
     (hex (String.sub saved skip (String.length saved - skip)))
 
 (* The windowed-view section of a session snapshot, pinned: one group
-   per key, one window per aggregate call, each window its start, head,
-   clock and one state per bucket in slot order.  The calls cover every
+   per key, each its window's start, head and clock once, then every
+   bucket's cells (one state per aggregate call) in slot order.  The calls cover every
    state tag: COUNT, an INT and a FLOAT SUM, MIN over strings, AVG and
    VAR; the buckets hold a −0.0, an empty bucket and a retired one. *)
 let test_golden_windowed () =
@@ -148,24 +148,40 @@ let test_golden_windowed () =
         APPEND INTO t VALUES (1, 2.0, 'd');");
   let saved = Session_snapshot.save session in
   let skip =
-    String.length (Relational.Codec.magic ~tag:"CHRONSES" ~version:2)
+    String.length (Relational.Codec.magic ~tag:"CHRONSES" ~version:3)
     + String.length (Chronicle_core.Snapshot.save (Session.db session))
   in
   check_string "no periodic families, the windowed section, then no detectors"
     ("000101770177000174010101610605434f554e5400016e0353554d0101610273"
      ^ "610353554d010178027378034d494e010173026c6f03415647010178016d0356"
-     ^ "415201017801760604020102020600060e0300020002000000060e0301010202"
-     ^ "01010202010000060e0301010340000000000000000101038000000000000000"
-     ^ "010000060e0302010401640201040161020000060e0303400000000000000002"
-     ^ "030000000000000000020300000000000000000000060e030402400000000000"
-     ^ "0000401000000000000004020000000000000000000000000000000004000000"
-     ^ "0000000000000000000000000000010204060002060300000002000000020603"
-     ^ "01000101020401000002060301000101033fd000000000000001000002060302"
-     ^ "00020104016302000002060303000000000000000000033fd000000000000002"
-     ^ "0300000000000000000000020603040000000000000000000000000000000000"
-     ^ "04023fd00000000000003fb00000000000000400000000000000000000000000"
-     ^ "0000000000")
+     ^ "4152010178017606040201020200060e03060002010102020101034000000000"
+     ^ "0000000201040164034000000000000000020402400000000000000040100000"
+     ^ "0000000006000201010202010103800000000000000002010401610300000000"
+     ^ "0000000002040200000000000000000000000000000000060000010001000200"
+     ^ "0300000000000000000004000000000000000000000000000000000001020400"
+     ^ "0206030600000100010002000300000000000000000004000000000000000000"
+     ^ "0000000000000000060002010102040101033fd0000000000000020104016303"
+     ^ "3fd00000000000000204023fd00000000000003fb00000000000000600000100"
+     ^ "0100020003000000000000000000040000000000000000000000000000000000"
+     ^ "00")
     (hex (String.sub saved skip (String.length saved - skip)))
+
+(* A version-2 session snapshot repeated each window's start, head and
+   clock once per aggregate call; it is refused with the typed error,
+   naming its version. *)
+let test_version_2_refused () =
+  let saved = Session_snapshot.save (build ()) in
+  let magic = Relational.Codec.magic ~tag:"CHRONSES" ~version:3 in
+  let n = String.length magic in
+  let v2 =
+    Relational.Codec.magic ~tag:"CHRONSES" ~version:2
+    ^ String.sub saved n (String.length saved - n)
+  in
+  match Session_snapshot.load v2 with
+  | _ -> Alcotest.fail "a version-2 session snapshot must be refused"
+  | exception Session_snapshot.Session_snapshot_error reason ->
+      check_bool ("the reason names version 2: " ^ reason) true
+        (contains reason "version 2")
 
 let suite =
   [
@@ -175,4 +191,5 @@ let suite =
     test "detector cooldowns survive" test_cooldown_survives;
     test "malformed inputs rejected" test_not_a_session_snapshot;
     test "file save/load" test_file_roundtrip;
+    test "a version-2 session snapshot is refused" test_version_2_refused;
   ]

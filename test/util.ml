@@ -43,6 +43,12 @@ let hex s =
        (fun c -> Printf.sprintf "%02x" (Char.code c))
        (List.of_seq (String.to_seq s)))
 
+(* [contains s needle]: [needle] occurs in [s]. *)
+let contains s needle =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length s && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
 let check_raises_any msg f =
   match f () with
   | _ -> Alcotest.failf "%s: expected an exception" msg
