@@ -6,7 +6,6 @@
 
 open Relational
 open Chronicle_core
-open Chronicle_events
 open Chronicle_workload
 
 let txn_schema = Banking.txn_schema
@@ -37,7 +36,7 @@ let run () =
       let db = Db.create () in
       ignore (Db.add_chronicle db ~name:"txns" txn_schema);
       let det = Detector.create (Db.chronicle db "txns") in
-      Detector.attach db det;
+      Db.add_detector db det;
       List.iter (Detector.add_rule det) (make_rules nrules);
       let rng = Rng.create 9 in
       let zipf = Zipf.create ~n:500 ~s:1.0 in

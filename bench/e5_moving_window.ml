@@ -22,7 +22,6 @@
 
 open Relational
 open Chronicle_core
-open Chronicle_temporal
 open Chronicle_workload
 
 let trades_per_day = 50
@@ -76,7 +75,9 @@ let methods window =
       Sca.define ~name:"vol_w" ~body:(Ca.Chronicle (Db.chronicle db "trades"))
         (Sca.Group_agg ([ "symbol" ], [ Aggregate.sum "shares" "s" ]))
     in
-    Windowed_view.attach db (Windowed_view.derive ~buckets:window wdef);
+    Db.define_temporal db
+      (Db.Windowed_def
+         { name = "vol_w"; view = Windowed_view.derive ~buckets:window wdef });
     let rng = Rng.create 5 in
     fun i ->
       Db.advance_clock db (i / trades_per_day);
@@ -94,7 +95,7 @@ let methods window =
       ~calendar:(Calendar.periodic ~start:(-(window - 1)) ~width:window ~stride:1)
       ()
   in
-  Periodic.attach db family;
+  Db.define_temporal db (Db.Periodic_def { name = "vol"; family });
   let rng = Rng.create 5 in
   let periodic i =
     Db.advance_clock db (i / trades_per_day);

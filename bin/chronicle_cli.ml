@@ -105,12 +105,15 @@ let run_file snapshot_in snapshot_out durable_dir crash_after crash_point batch
     match snapshot_in with
     | None -> Session.create ~jobs:o.jobs ()
     | Some snap -> (
-        match Session_snapshot.load_file ~jobs:o.jobs snap with
-        | session ->
+        match
+          Durable.load_snapshot ~jobs:o.jobs
+            (In_channel.with_open_bin snap In_channel.input_all)
+        with
+        | db ->
             Format.printf "restored snapshot %s@." snap;
-            session
-        | exception Session_snapshot.Session_snapshot_error msg ->
-            Format.eprintf "snapshot error: %s@." msg;
+            Session.of_db db
+        | exception Durable.Checkpoint_corrupt { reason; _ } ->
+            Format.eprintf "snapshot error: %s@." reason;
             exit 1)
   in
   let session, durable =
@@ -158,12 +161,14 @@ let run_file snapshot_in snapshot_out durable_dir crash_after crash_point batch
                 match snapshot_out with
                 | None -> 0
                 | Some snap -> (
-                    match Session_snapshot.save_file session snap with
+                    match
+                      Out_channel.with_open_bin snap (fun oc ->
+                          output_string oc (Durable.save_snapshot (Session.db session)))
+                    with
                     | () ->
                         Format.printf "saved snapshot %s@." snap;
                         0
-                    | exception Chronicle_core.Snapshot.Snapshot_error msg
-                    | exception Session_snapshot.Session_snapshot_error msg ->
+                    | exception Chronicle_core.Snapshot.Snapshot_error msg ->
                         Format.eprintf "snapshot error: %s@." msg;
                         1)))
         | stmt :: rest -> (

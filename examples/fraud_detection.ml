@@ -12,7 +12,6 @@
 
 open Relational
 open Chronicle_core
-open Chronicle_events
 open Chronicle_workload
 
 let txn_schema =
@@ -30,7 +29,7 @@ let () =
   let db = Db.create () in
   ignore (Db.add_chronicle db ~name:"txns" txn_schema);
   let det = Detector.create (Db.chronicle db "txns") in
-  Detector.attach db det;
+  Db.add_detector db det;
 
   (* the same chronicle simultaneously maintains an ordinary summary
      view — alarms and balances ride one transaction path.  (Defined

@@ -13,8 +13,6 @@
 
 open Relational
 open Chronicle_core
-open Chronicle_temporal
-open Chronicle_events
 open Chronicle_workload
 
 let reading_schema =
@@ -49,11 +47,11 @@ let () =
            [ Aggregate.max_ "temp" "peak_60"; Aggregate.avg "temp" "mean_60" ] ))
   in
   let window = Windowed_view.derive ~buckets:60 window_def in
-  Windowed_view.attach db window;
+  Db.define_temporal db (Db.Windowed_def { name = "window"; view = window });
 
   (* the alarm: three readings over 90 degrees within 10 ticks *)
   let det = Detector.create chron in
-  Detector.attach db det;
+  Db.add_detector db det;
   Detector.add_rule det
     (Detector.rule ~name:"overheat"
        ~pattern:

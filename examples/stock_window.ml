@@ -12,7 +12,6 @@
 
 open Relational
 open Chronicle_core
-open Chronicle_temporal
 open Chronicle_workload
 
 let days = 60
@@ -34,7 +33,7 @@ let () =
       ~calendar:(Calendar.periodic ~start:(-(window - 1)) ~width:window ~stride:1)
       ()
   in
-  Periodic.attach db family;
+  Db.define_temporal db (Db.Periodic_def { name = "shares30"; family });
 
   (* (b) the cyclic-buffer optimizer for one symbol *)
   let w =

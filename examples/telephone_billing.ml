@@ -8,7 +8,6 @@
 
 open Relational
 open Chronicle_core
-open Chronicle_temporal
 open Chronicle_workload
 
 let day_len = 1 (* one chronon = one day *)
@@ -34,7 +33,7 @@ let () =
     Periodic.create ~expire_after:(90 * day_len) ~def:expenses_def
       ~calendar:months ()
   in
-  Periodic.attach db statements;
+  Db.define_temporal db (Db.Periodic_def { name = "statements"; family = statements });
 
   let plan = Discount.us_phone_1995 in
   let rng = Rng.create 2024 in

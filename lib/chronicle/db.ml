@@ -3,6 +3,14 @@ open Relational
 exception Unknown of string
 exception Read_only of string
 
+(* A catalog entry that folds appends after commit: a periodic-view
+   family (§5.1), a derived moving-window view, or an event rule on a
+   chronicle (§6). *)
+type temporal =
+  | Periodic_def of { name : string; family : Periodic.t }
+  | Windowed_def of { name : string; view : Windowed_view.t }
+  | Rule_def of { chronicle : string; rule : Detector.rule }
+
 (* Catalog changes and transactions, as seen by a durability layer.  The
    sink (when installed — see {!set_txn_sink}) receives [Ev_append]
    *before* any state mutates (write-ahead), [Ev_abort] when a batch is
@@ -39,6 +47,7 @@ type txn_event =
     }
   | Ev_define_view of { def : Sca.t; index : Index.kind }
   | Ev_drop_view of { name : string }
+  | Ev_define_temporal of temporal
   | Ev_abort of { group : string; sn : Seqnum.t }
 
 type t = {
@@ -51,7 +60,9 @@ type t = {
       (* the Δ-maintenance executor: [jobs = 1] (default) keeps the
          historical strictly-sequential transaction path; [jobs > 1]
          partitions the affected views of each batch across domains *)
-  mutable batch_hooks : (sn:Seqnum.t -> batch:Delta.batch -> unit) list;
+  periodics : (string, Periodic.t) Hashtbl.t;
+  windows : (string, Windowed_view.t) Hashtbl.t;
+  detectors : (string, Detector.t) Hashtbl.t; (* by chronicle name *)
   mutable txn_sink : (txn_event -> unit) option;
   mutable fold_probe : (view:string -> sn:Seqnum.t -> unit) option;
   mutable read_only : string option;
@@ -73,7 +84,9 @@ let create ?(default_group = "main") ?(jobs = 1) () =
       registry = Registry.create ();
       default_group;
       pool = Exec.Pool.create ~jobs ();
-      batch_hooks = [];
+      periodics = Hashtbl.create 8;
+      windows = Hashtbl.create 8;
+      detectors = Hashtbl.create 8;
       txn_sink = None;
       fold_probe = None;
       read_only = None;
@@ -209,8 +222,74 @@ let views t = Registry.views t.registry
 let classify_view t name = Classify.sca (View.def (view t name))
 let registry t = t.registry
 
-let on_batch t hook = t.batch_hooks <- hook :: t.batch_hooks
-let has_batch_hooks t = t.batch_hooks <> []
+(* ---- temporal readers ----
+
+   Periodic families, windowed views and event detectors fold each
+   committed append after the transaction, in record order.  They see
+   appends only: a retraction that reaches one is refused. *)
+
+let sorted_bindings tbl =
+  Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let periodic t name = Hashtbl.find_opt t.periodics name
+let windowed t name = Hashtbl.find_opt t.windows name
+let detector t cname = Hashtbl.find_opt t.detectors cname
+let periodics t = sorted_bindings t.periodics
+let windowed_views t = sorted_bindings t.windows
+let detectors t = List.map snd (sorted_bindings t.detectors)
+
+let has_temporal_readers t =
+  Hashtbl.length t.periodics + Hashtbl.length t.windows + Hashtbl.length t.detectors
+  > 0
+
+let add_detector t det =
+  let cname = Chron.name (Detector.chronicle det) in
+  if Hashtbl.mem t.detectors cname then
+    invalid_arg (Printf.sprintf "Db.add_detector: %s already has a detector" cname);
+  Hashtbl.add t.detectors cname det
+
+let define_temporal t def =
+  check_writable t "define_temporal";
+  let fresh kind tbl name =
+    if Hashtbl.mem tbl name then
+      invalid_arg (Printf.sprintf "Db.define_temporal: %s %s already exists" kind name)
+  in
+  (match def with
+  | Periodic_def { name; family } ->
+      fresh "periodic view" t.periodics name;
+      Hashtbl.add t.periodics name family
+  | Windowed_def { name; view } ->
+      fresh "windowed view" t.windows name;
+      Hashtbl.add t.windows name view
+  | Rule_def { chronicle = cname; rule } ->
+      let det =
+        match detector t cname with
+        | Some det -> det
+        | None -> Detector.create (chronicle t cname)
+      in
+      Detector.add_rule det rule;
+      Hashtbl.replace t.detectors cname det);
+  emit t (Ev_define_temporal def)
+
+(* The first temporal reader of [c], named for an error message. *)
+let first_temporal_reader t c =
+  let reads def = List.memq c (Ca.chronicles (Sca.body def)) in
+  let readers kind def tbl =
+    List.filter_map
+      (fun (name, v) -> if reads (def v) then Some (kind ^ " " ^ name) else None)
+      (sorted_bindings tbl)
+  in
+  let rules =
+    match detector t (Chron.name c) with
+    | Some det -> List.map (fun r -> "rule " ^ r.Detector.rule_name) (Detector.rules det)
+    | None -> []
+  in
+  List.nth_opt
+    (readers "periodic view" Periodic.def t.periodics
+    @ readers "windowed view" Windowed_view.def t.windows
+    @ rules)
+    0
 
 (* ---- the write operation ----
 
@@ -232,8 +311,8 @@ let has_batch_hooks t = t.batch_hooks <> []
      journal's final record: write-ahead event → chronicle, relation
      and view marks → step → commit, or roll everything back and emit
      [Ev_abort], so a journal can erase the write-ahead record, and
-     re-raise.  After an append's commit, [bracket] runs the batch
-     hooks, in record order.
+     re-raise.  After an append's commit, [bracket] folds the temporal
+     readers, in record order.
 
    Replay windows run the step bare: no marks (a ring chronicle's undo
    list does not grow with the window), no write-ahead event, and a
@@ -478,13 +557,19 @@ let record_and_fold t ~open_view ~interleave ~folded prepare items =
     items;
   barrier ()
 
-(* Every entry's batch hooks, walking the entries in record order. *)
+(* Every entry's temporal folds, walking the entries in record order. *)
 let announce t recorded =
-  List.iter
-    (fun (sn, delta) ->
-      let tagged = List.map (fun (c, z) -> (c, z.Delta.plus)) delta in
-      List.iter (fun hook -> hook ~sn ~batch:tagged) (List.rev t.batch_hooks))
-    recorded
+  if has_temporal_readers t then
+    List.iter
+      (fun (sn, delta) ->
+        let batch = List.map (fun (c, z) -> (c, z.Delta.plus)) delta in
+        List.iter (fun (_, p) -> Periodic.note_append p ~sn ~batch) (periodics t);
+        List.iter (fun (_, w) -> Windowed_view.note_append w ~sn ~batch) (windowed_views t);
+        List.iter
+          (fun (c, tagged) ->
+            Option.iter (fun det -> Detector.observe det ~sn tagged) (detector t (Chron.name c)))
+          batch)
+      recorded
 
 (* The abort tail every write bracket shares, after its state is rolled
    back: count the rollback, let the journal erase the write-ahead
@@ -644,10 +729,10 @@ let replay_appends t entries =
       Some { g; sn = rsn; batch = validate t ~op:"replay_appends" g rbatch }
     end
   in
-  (* batch hooks observe each batch before the next is recorded, as in
+  (* temporal readers fold each batch before the next is recorded, as in
      a live run: they force the interleaved order *)
   record_and_fold t ~open_view:ignore
-    ~interleave:(pending_updates t || t.batch_hooks <> [])
+    ~interleave:(pending_updates t || has_temporal_readers t)
     ~folded:(announce t) prepare entries;
   outcomes
 
@@ -781,6 +866,14 @@ let resolve_retraction c rows =
 let retract t cname rows =
   check_writable t "retract";
   let c = chronicle t cname in
+  (* refused before anything is journaled: temporal readers see appends
+     only, so a retraction would leave them silently stale *)
+  (match first_temporal_reader t c with
+  | Some reader ->
+      invalid_arg
+        (Printf.sprintf "cannot retract from %s: %s reads it and takes appends only"
+           cname reader)
+  | None -> ());
   (match Chron.retention c with
   | Chron.Full -> ()
   | Chron.Discard | Chron.Window _ ->

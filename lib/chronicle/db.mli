@@ -23,8 +23,9 @@ open Relational
     partially-maintained view is ever observable ([Stats.Rollback]
     counts such aborts).  A retraction ({!retract}) is the same step
     over minus entries ({!Delta.zset}: the rows removed at each sequence
-    number) in the same bracket, with logical undo.  Batch hooks
-    ({!on_batch}) run strictly after commit, in record order.  A
+    number) in the same bracket, with logical undo.  Temporal readers —
+    periodic-view families, windowed views and event rules
+    ({!define_temporal}) — fold strictly after commit, in record order.  A
     durability layer can watch the bracket through {!set_txn_sink}
     (write-ahead journaling) and inject faults through
     {!set_fold_probe}. *)
@@ -116,6 +117,47 @@ val views : t -> View.t list
 val classify_view : t -> string -> Classify.report
 val registry : t -> Registry.t
 
+(** {2 Temporal readers}
+
+    Periodic-view families (§5.1), derived moving-window views and
+    event rules (§6) live in the catalog beside the persistent views.
+    Each folds every committed append after the transaction, in record
+    order; snapshots and the journal carry them like views.  They take
+    appends only: {!retract} refuses a chronicle that one of them
+    reads. *)
+
+type temporal =
+  | Periodic_def of { name : string; family : Periodic.t }
+  | Windowed_def of { name : string; view : Windowed_view.t }
+  | Rule_def of { chronicle : string; rule : Detector.rule }
+      (** added to the chronicle's detector, created on first use *)
+
+val define_temporal : t -> temporal -> unit
+(** Register a temporal reader and emit [Ev_define_temporal].  Raises
+    [Invalid_argument] — registering nothing — on a periodic or windowed
+    view name already taken, a duplicate rule name on the chronicle or
+    key attributes missing from its schema; {!Unknown} on a rule's
+    unknown chronicle. *)
+
+val add_detector : t -> Detector.t -> unit
+(** Register a whole detector for its chronicle (a snapshot's restored
+    one, or one built with its own instance cap), without journaling
+    it.  Raises [Invalid_argument] if the chronicle already has one. *)
+
+val periodic : t -> string -> Periodic.t option
+val windowed : t -> string -> Windowed_view.t option
+val detector : t -> string -> Detector.t option
+(** The detector of the named chronicle. *)
+
+val periodics : t -> (string * Periodic.t) list
+val windowed_views : t -> (string * Windowed_view.t) list
+val detectors : t -> Detector.t list
+(** Sorted by name (detectors: by chronicle name). *)
+
+val has_temporal_readers : t -> bool
+(** Whether the catalog holds any temporal reader (see
+    {!append_group}). *)
+
 (** {2 Transactions} *)
 
 val append : t -> string -> Tuple.t list -> Seqnum.t
@@ -136,10 +178,10 @@ val append_group : t -> ?group:string -> (string * Tuple.t list) list list -> Se
     fanned out across the maintenance pool.  Commit is all-or-nothing:
     a failure anywhere rolls the entire group back (chronicles,
     relations, views, watermark), emits [Ev_abort], and re-raises —
-    never a partial group.  Batch hooks run strictly post-commit,
+    never a partial group.  Temporal readers fold strictly post-commit,
     walking the group in record order; callers for whom {e per-batch}
-    hook timing is observable should check {!has_batch_hooks} and fall
-    back to per-append commits.
+    fold timing is observable should check {!has_temporal_readers} and
+    fall back to per-append commits.
     Raises [Invalid_argument] on an empty group, an empty batch, or a
     chronicle outside [group] — before anything is journaled. *)
 
@@ -150,9 +192,6 @@ val validate_batch : t -> ?group:string -> (string * Tuple.t list) list -> unit
     every tuple matches its chronicle's schema ([Invalid_argument]
     otherwise).  Exposed so a staging queue can reject an append that
     could never commit before enqueueing it. *)
-
-val has_batch_hooks : t -> bool
-(** Whether any {!on_batch} hook is registered (see {!append_group}). *)
 
 val insert_rows : t -> string -> Tuple.t list -> unit
 (** Insert a batch of rows into the named relation, effective
@@ -197,14 +236,14 @@ val retract : t -> string -> Tuple.t list -> int
     failure the removed occurrences and every affected view's folds
     are undone from their undo logs, [Ev_abort] is emitted (the journal
     erases the write-ahead record) and the exception re-raises —
-    all-or-nothing, like appends.  Windowed and
-    periodic views and event detectors are {e not} maintained under
-    retraction (no batch hook fires: the retraction is a correction to
-    history, not a new observation).
+    all-or-nothing, like appends.  Temporal readers fold appends only,
+    so a retraction from a chronicle one of them reads is refused.
 
-    Raises [Invalid_argument] if the chronicle's retention is not
-    [Full], a row fails the schema, or a row has no retained occurrence
-    left; {!Unknown} if the chronicle is not in the catalog;
+    Raises [Invalid_argument] if a periodic view, windowed view or event
+    rule reads the chronicle ("cannot retract from trades: windowed view
+    w3 reads it and takes appends only"), the chronicle's retention is
+    not [Full], a row fails the schema, or a row has no retained
+    occurrence left; {!Unknown} if the chronicle is not in the catalog;
     {!Read_only} in degraded mode.  Validation failures precede the
     journal record. *)
 
@@ -261,8 +300,8 @@ val replay_appends : t -> replay_entry list -> bool array
     retained history beyond its batch ({!Ca.reads_history}) forces a
     fold barrier before the next entry is recorded, preserving
     sequential ring-retention semantics; pending future-effective
-    relation updates and registered batch hooks force a barrier after
-    every entry.  Batch hooks fire after each barrier, in record
+    relation updates and temporal readers force a barrier after every
+    entry.  Temporal readers fold after each barrier, in record
     order.  No write-ahead event is emitted and no undo marks are
     taken, so memory does not grow with the window.
 
@@ -326,6 +365,8 @@ type txn_event =
     }
   | Ev_define_view of { def : Sca.t; index : Index.kind }
   | Ev_drop_view of { name : string }
+  | Ev_define_temporal of temporal
+      (** one {!define_temporal}, emitted after it succeeds *)
   | Ev_abort of { group : string; sn : Seqnum.t }
 
 val set_txn_sink : t -> (txn_event -> unit) option -> unit
@@ -350,11 +391,6 @@ val set_read_only : t -> string option -> unit
 
 val read_only : t -> string option
 (** The degraded-mode reason, if the database is read-only. *)
-
-val on_batch : t -> (sn:Seqnum.t -> batch:Delta.batch -> unit) -> unit
-(** Register a hook that sees every append batch after the registered
-    persistent views are maintained; this is how periodic-view families
-    and other extensions subscribe to the transaction path. *)
 
 (** {2 Summary queries} *)
 

@@ -249,8 +249,7 @@ let get_index_kind r =
 (* View contents are written with their hidden ℤ-multiplicities: a view
    restored from a checkpoint must keep maintaining correctly under
    retraction, so crash-equivalence holds for weighted workloads too. *)
-let put_view_contents buf view =
-  match View.dump view with
+let put_view_contents layout buf = function
   | View.Rows_dump keys ->
       put_tag buf 0;
       Codec.put_list
@@ -259,7 +258,6 @@ let put_view_contents buf view =
           Codec.put_int buf mult)
         buf keys
   | View.Groups_dump groups ->
-      let layout = Sca.layout (View.def view) in
       put_tag buf 1;
       Codec.put_list
         (fun buf (key, (cells : Aggregate.cells)) ->
@@ -288,6 +286,265 @@ let get_view_contents layout r =
              (key, cells))
            r)
   | t -> Codec.fail "unknown view contents tag %#x" t
+
+(* ---- temporal readers: patterns, calendars, windows ---- *)
+
+let put_opt_int = Codec.put_option Codec.put_int
+let get_opt_int = Codec.option Codec.int_
+
+let rec put_pattern buf = function
+  | Pattern.Atom (name, p) ->
+      put_tag buf 0;
+      Codec.put_string buf name;
+      put_predicate buf p
+  | Pattern.Seq (a, b) -> put_pattern2 buf 1 a b
+  | Pattern.Or (a, b) -> put_pattern2 buf 2 a b
+  | Pattern.And (a, b) -> put_pattern2 buf 3 a b
+
+and put_pattern2 buf t a b =
+  put_tag buf t;
+  put_pattern buf a;
+  put_pattern buf b
+
+let rec get_pattern r =
+  let two mk =
+    let a = get_pattern r in
+    mk a (get_pattern r)
+  in
+  match Codec.byte r with
+  | 0 ->
+      let name = Codec.string_ r in
+      Pattern.Atom (name, get_predicate r)
+  | 1 -> two (fun a b -> Pattern.Seq (a, b))
+  | 2 -> two (fun a b -> Pattern.Or (a, b))
+  | 3 -> two (fun a b -> Pattern.And (a, b))
+  | t -> Codec.fail "unknown pattern tag %#x" t
+
+let put_interval buf (iv : Interval.t) =
+  Codec.put_int buf iv.Interval.start;
+  Codec.put_int buf iv.Interval.stop
+
+let get_interval r =
+  let start = Codec.int_ r in
+  Interval.make ~start ~stop:(Codec.int_ r)
+
+let put_calendar buf cal =
+  match Calendar.spec cal with
+  | Calendar.Finite_spec intervals ->
+      put_tag buf 0;
+      Codec.put_list put_interval buf intervals
+  | Calendar.Periodic_spec { start; width; stride } ->
+      put_tag buf 1;
+      List.iter (Codec.put_int buf) [ start; width; stride ]
+
+let get_calendar r =
+  match Codec.byte r with
+  | 0 -> Calendar.of_spec (Calendar.Finite_spec (Codec.list get_interval r))
+  | 1 ->
+      let start = Codec.int_ r in
+      let width = Codec.int_ r in
+      Calendar.of_spec
+        (Calendar.Periodic_spec { start; width; stride = Codec.int_ r })
+  | t -> Codec.fail "unknown calendar tag %#x" t
+
+(* A group's window: its start, head and clock once, then each bucket's
+   cells in slot order. *)
+let put_window_dump layout buf (d : Window.dump) =
+  List.iter (Codec.put_int buf) [ d.Window.d_start; d.Window.d_head; d.Window.d_clock ];
+  Codec.put_list (Aggregate.put_cells layout) buf d.Window.d_cells
+
+let get_window_dump layout ~buckets r =
+  let d_start = Codec.int_ r in
+  let d_head = Codec.int_ r in
+  let d_clock = Codec.int_ r in
+  let d_cells = Codec.list (Aggregate.get_cells layout) r in
+  if List.length d_cells <> buckets then
+    Codec.fail "%d buckets in a window of %d" (List.length d_cells) buckets;
+  { Window.d_start; d_head; d_clock; d_cells }
+
+(* ---- temporal readers: one entry each ---- *)
+
+let put_periodic buf (name, family) =
+  let d = Periodic.dump family in
+  let layout = Sca.layout (Periodic.def family) in
+  Codec.put_string buf name;
+  put_sca buf (Periodic.def family);
+  put_calendar buf (Periodic.calendar family);
+  put_opt_int buf (Periodic.expire_after family);
+  Codec.put_option put_index_kind buf (Periodic.index_kind family);
+  Codec.put_int buf d.Periodic.d_opened;
+  Codec.put_int buf d.Periodic.d_expired;
+  Codec.put_list
+    (fun buf (sd : Periodic.slot_dump) ->
+      Codec.put_int buf sd.Periodic.sd_index;
+      put_interval buf sd.Periodic.sd_interval;
+      Codec.put_bool buf sd.Periodic.sd_active;
+      put_view_contents layout buf sd.Periodic.sd_contents)
+    buf d.Periodic.d_slots
+
+let get_periodic ~chronicle ~relation r =
+  let name = Codec.string_ r in
+  let def = get_sca ~chronicle ~relation r in
+  let calendar = get_calendar r in
+  let expire_after = get_opt_int r in
+  let index = Codec.option get_index_kind r in
+  let family = Periodic.create ?index ?expire_after ~def ~calendar () in
+  let layout = Sca.layout def in
+  let d_opened = Codec.int_ r in
+  let d_expired = Codec.int_ r in
+  let d_slots =
+    Codec.list
+      (fun r ->
+        let sd_index = Codec.int_ r in
+        let sd_interval = get_interval r in
+        let sd_active = Codec.bool_ r in
+        { Periodic.sd_index; sd_interval; sd_active; sd_contents = get_view_contents layout r })
+      r
+  in
+  Periodic.load family { Periodic.d_opened; d_expired; d_slots };
+  Db.Periodic_def { name; family }
+
+let put_windowed buf (name, wv) =
+  Codec.put_string buf name;
+  put_sca buf (Windowed_view.def wv);
+  Codec.put_int buf (Windowed_view.buckets wv);
+  Codec.put_int buf (Windowed_view.bucket_width wv);
+  Codec.put_int buf (Windowed_view.start wv);
+  Codec.put_list
+    (fun buf (key, d) ->
+      put_key buf key;
+      put_window_dump (Windowed_view.layout wv) buf d)
+    buf (Windowed_view.dump wv)
+
+let get_windowed ~chronicle ~relation r =
+  let name = Codec.string_ r in
+  let def = get_sca ~chronicle ~relation r in
+  let buckets = Codec.int_ r in
+  let bucket_width = Codec.int_ r in
+  let start = Codec.int_ r in
+  let view = Windowed_view.derive ~bucket_width ~start ~buckets def in
+  Windowed_view.load view
+    (Codec.list
+       (fun r ->
+         let key = get_key r in
+         (key, get_window_dump (Windowed_view.layout view) ~buckets r))
+       r);
+  Db.Windowed_def { name; view }
+
+let put_rule buf (rule : Detector.rule) =
+  Codec.put_string buf rule.Detector.rule_name;
+  put_pattern buf rule.Detector.pattern;
+  put_attrs buf rule.Detector.key;
+  put_opt_int buf rule.Detector.within;
+  put_opt_int buf rule.Detector.cooldown;
+  Codec.put_bool buf rule.Detector.reset_on_match
+
+let get_rule r =
+  let name = Codec.string_ r in
+  let pattern = get_pattern r in
+  let key = get_attrs r in
+  let within = get_opt_int r in
+  let cooldown = get_opt_int r in
+  Detector.rule ~name ~pattern ~key ?within ?cooldown
+    ~reset_on_match:(Codec.bool_ r) ()
+
+let put_occurrence buf (o : Detector.occurrence) =
+  Codec.put_string buf o.Detector.rule;
+  put_key buf o.Detector.key_values;
+  List.iter (Codec.put_int buf)
+    [ o.Detector.started_at; o.Detector.fired_at; o.Detector.fired_sn ]
+
+let get_occurrence r =
+  let rule = Codec.string_ r in
+  let key_values = get_key r in
+  let started_at = Codec.int_ r in
+  let fired_at = Codec.int_ r in
+  { Detector.rule; key_values; started_at; fired_at; fired_sn = Codec.int_ r }
+
+let put_detector buf det =
+  let d = Detector.dump det in
+  Codec.put_string buf (Chron.name (Detector.chronicle det));
+  Codec.put_int buf (Detector.max_instances_per_key det);
+  Codec.put_int buf d.Detector.d_dropped;
+  Codec.put_int buf d.Detector.d_suppressed;
+  Codec.put_list put_occurrence buf d.Detector.d_occurrences;
+  Codec.put_list
+    (fun buf (rd : Detector.rule_dump) ->
+      put_rule buf rd.Detector.rd_rule;
+      Codec.put_list
+        (fun buf (key, partials) ->
+          put_key buf key;
+          Codec.put_list
+            (fun buf (started, residual) ->
+              Codec.put_int buf started;
+              put_pattern buf residual)
+            buf partials)
+        buf rd.Detector.rd_instances;
+      Codec.put_list
+        (fun buf (key, c) ->
+          put_key buf key;
+          Codec.put_int buf c)
+        buf rd.Detector.rd_last_fired)
+    buf d.Detector.d_rules
+
+let get_detector ~chronicle r =
+  let chron = chronicle (Codec.string_ r) in
+  let det = Detector.create ~max_instances_per_key:(Codec.int_ r) chron in
+  let d_dropped = Codec.int_ r in
+  let d_suppressed = Codec.int_ r in
+  let d_occurrences = Codec.list get_occurrence r in
+  let d_rules =
+    Codec.list
+      (fun r ->
+        let rd_rule = get_rule r in
+        let rd_instances =
+          Codec.list
+            (fun r ->
+              let key = get_key r in
+              ( key,
+                Codec.list
+                  (fun r ->
+                    let started = Codec.int_ r in
+                    (started, get_pattern r))
+                  r ))
+            r
+        in
+        let rd_last_fired =
+          Codec.list
+            (fun r ->
+              let key = get_key r in
+              (key, Codec.int_ r))
+            r
+        in
+        { Detector.rd_rule; rd_instances; rd_last_fired })
+      r
+  in
+  Detector.load det { Detector.d_dropped; d_suppressed; d_occurrences; d_rules };
+  det
+
+(* A definition as the journal carries it: a tag, then the entry in the
+   encoding its snapshot section uses (a rule: its chronicle's name and
+   the rule). *)
+let put_temporal buf = function
+  | Db.Periodic_def { name; family } ->
+      put_tag buf 0;
+      put_periodic buf (name, family)
+  | Db.Windowed_def { name; view } ->
+      put_tag buf 1;
+      put_windowed buf (name, view)
+  | Db.Rule_def { chronicle; rule } ->
+      put_tag buf 2;
+      Codec.put_string buf chronicle;
+      put_rule buf rule
+
+let get_temporal ~chronicle ~relation r =
+  match Codec.byte r with
+  | 0 -> get_periodic ~chronicle ~relation r
+  | 1 -> get_windowed ~chronicle ~relation r
+  | 2 ->
+      let chronicle = Codec.string_ r in
+      Db.Rule_def { chronicle; rule = get_rule r }
+  | t -> Codec.fail "unknown temporal definition tag %#x" t
 
 (* ---- whole database ---- *)
 
@@ -347,8 +604,11 @@ let put_db buf db =
       put_index_kind buf (View.index_kind view);
       put_ca buf (Sca.body def);
       put_summarize buf (Sca.summarize def);
-      put_view_contents buf view)
-    buf (Db.views db)
+      put_view_contents (Sca.layout def) buf (View.dump view))
+    buf (Db.views db);
+  Codec.put_list put_periodic buf (Db.periodics db);
+  Codec.put_list put_windowed buf (Db.windowed_views db);
+  Codec.put_list put_detector buf (Db.detectors db)
 
 let get_db ?jobs r =
   let groups =
@@ -392,21 +652,22 @@ let get_db ?jobs r =
          let v = Db.add_relation db ~group ~name ~schema ?key () in
          List.iter (Versioned.insert v) (Codec.list get_tuple r))
        r);
+  let chronicle = Db.chronicle db in
+  let relation n = Versioned.relation (Db.relation db n) in
   ignore
     (Codec.list
        (fun r ->
          let name = Codec.string_ r in
          let index = get_index_kind r in
-         let body =
-           get_ca ~chronicle:(Db.chronicle db)
-             ~relation:(fun n -> Versioned.relation (Db.relation db n))
-             r
-         in
+         let body = get_ca ~chronicle ~relation r in
          let def = Sca.define ~allow_non_ca:true ~name ~body (get_summarize r) in
          let view = View.create ~index def in
          View.load view (get_view_contents (Sca.layout def) r);
          Registry.register (Db.registry db) view)
        r);
+  List.iter (Db.define_temporal db) (Codec.list (get_periodic ~chronicle ~relation) r);
+  List.iter (Db.define_temporal db) (Codec.list (get_windowed ~chronicle ~relation) r);
+  List.iter (Db.add_detector db) (Codec.list (get_detector ~chronicle) r);
   db
 
 let save db = Codec.encode put_db db

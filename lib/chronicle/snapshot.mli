@@ -8,19 +8,19 @@ open Relational
     catalog, group watermarks/clocks, relation contents, and whatever
     chronicle window the retention policies kept) therefore {e is} the
     database, and this module serializes exactly that to a {!Codec}
-    byte string and back.  The document carries no magic or version
-    of its own: it is always embedded in a versioned container — a
-    checkpoint frame ({!Chronicle_durability.Ckpt}) or a session
-    snapshot.
+    byte string and back — the temporal readers too: periodic-view
+    families with their interval views, windowed views with their
+    cyclic buffers, and event detectors with their partial instances.
+    The document carries no magic or version of its own: it is always
+    embedded in a versioned container, a checkpoint frame
+    ({!Chronicle_durability.Ckpt}).
 
     Not captured (documented limits):
     - the [Versioned] forward log and pending future-effective updates
       ([save] refuses while updates are pending, since their update
       functions are code);
-    - periodic-view families, windowed views and event-detector state
-      (session-level objects; re-attach them after load and they take
-      over from the restored clock);
-    - batch hooks ({!Db.on_batch}: re-register after load). *)
+    - event-rule listeners ({!Detector.on_match}: re-register after
+      load). *)
 
 exception Snapshot_error of string
 
@@ -40,19 +40,13 @@ val load : ?jobs:int -> string -> Db.t
 val save_file : Db.t -> string -> unit
 val load_file : ?jobs:int -> string -> Db.t
 
-val put_db : Buffer.t -> Db.t -> unit
-val get_db : ?jobs:int -> Codec.reader -> Db.t
-(** The underlying encoding (used by the session-level snapshot, which
-    embeds the database alongside temporal and event state). *)
-
 val decode_with : string -> (Codec.reader -> 'a) -> string -> 'a
 (** [decode_with what get data] decodes a whole payload, raising
     {!Snapshot_error} — naming [what] — on a {!Codec.Decode_error}
     (with its byte offset) or on any exception the decoded content
     provokes while it is applied. *)
 
-(** {2 Building blocks} (exposed for the journal, the session snapshot
-    and tests) *)
+(** {2 Building blocks} (exposed for the journal and tests) *)
 
 val put_schema : Buffer.t -> Schema.t -> unit
 val get_schema : Codec.reader -> Schema.t
@@ -84,3 +78,14 @@ val get_sca :
   relation:(string -> Relation.t) ->
   Codec.reader ->
   Sca.t
+
+val put_temporal : Buffer.t -> Db.temporal -> unit
+(** A temporal definition as the journal carries it: a tag, then the
+    entry in its snapshot section's encoding (a rule: the chronicle
+    name, then the rule). *)
+
+val get_temporal :
+  chronicle:(string -> Chron.t) ->
+  relation:(string -> Relation.t) ->
+  Codec.reader ->
+  Db.temporal

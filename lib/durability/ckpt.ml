@@ -4,7 +4,7 @@
 
    On-disk format (all integers big-endian):
 
-     "CHRONCKP2\n"          10-byte magic; the digit is the format
+     "CHRONCKP3\n"          10-byte magic; the digit is the format
                             version
      u32 generation         monotone per checkpoint
      u32 first_segment      first journal segment NOT covered by this
@@ -22,7 +22,7 @@ open Relational
 let file = "checkpoint"
 let tmp_file = "checkpoint.tmp"
 let tag = "CHRONCKP"
-let version = 2
+let version = 3
 let magic = Codec.magic ~tag ~version
 let gen_name g = Printf.sprintf "%s.%d" file g
 

@@ -12,15 +12,18 @@
 
     On-disk format (integers big-endian):
     {v
-    "CHRONCKP2\n"                        10-byte magic (format version 2)
+    "CHRONCKP3\n"                        10-byte magic (format version 3)
     [u32 generation][u32 first_segment]
     [u32 payload length][u32 payload CRC-32]
     [u32 CRC-32 of the 26 bytes above]
     payload                              the Snapshot.save bytes
     v}
-    A checkpoint of another format version — including the version-1
-    S-expression bare checkpoint — fails {!decode} with a reason naming
-    the version. *)
+    A checkpoint of another format version — version 2 did not carry
+    the temporal readers, version 1 was a bare S-expression file — fails
+    {!decode} with a reason naming the version; a file of another
+    format ("CHRONSES3", the session snapshot of earlier builds) fails
+    naming that format.  A [--save] file is this frame too
+    ({!Durable.save_snapshot}). *)
 
 val file : string
 (** ["checkpoint"] — the base of the generation names.  A file under the

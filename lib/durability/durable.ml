@@ -90,6 +90,10 @@ let put_event buf (ev : Db.txn_event) =
   | Db.Ev_drop_view { name } ->
       put_tag buf 9;
       Codec.put_string buf name
+  | Db.Ev_define_temporal def ->
+      (* like a view definition: its own length-prefixed encoding *)
+      put_tag buf 10;
+      Codec.put_string buf (Codec.encode Snapshot.put_temporal def)
   | Db.Ev_abort _ ->
       (* Aborts erase the previous record ([sink] maps them to
          [Journal.truncate_last]); they are never serialized.  This
@@ -155,6 +159,8 @@ type record =
       (* [def] stays undecoded bytes: resolving it needs catalog state,
          so its failures are application failures, not corruption *)
   | P_drop_view of { name : string }
+  | P_define_temporal of { def : string }
+      (* undecoded, like [P_define_view]'s definition *)
 
 let get_sn_rows r =
   let sn = Codec.int_ r in
@@ -206,9 +212,13 @@ let get_record r =
       let index = Snapshot.get_index_kind r in
       P_define_view { index; def = Codec.string_ r }
   | 9 -> P_drop_view { name = Codec.string_ r }
+  | 10 -> P_define_temporal { def = Codec.string_ r }
   | t -> Codec.fail "unknown journal record tag %#x" t
 
-let apply_parsed db = function
+let apply_parsed db =
+  let chronicle = Db.chronicle db in
+  let relation n = Versioned.relation (Db.relation db n) in
+  function
   | P_append { grouped; entries } ->
       (* atomic: the whole record applies or none of it does — this is
          the path the journal's *final* record takes, so a process that
@@ -257,11 +267,7 @@ let apply_parsed db = function
       end
   | P_define_view { index; def } ->
       let def =
-        Snapshot.decode_with "view definition"
-          (Snapshot.get_sca
-             ~chronicle:(fun n -> Db.chronicle db n)
-             ~relation:(fun n -> Versioned.relation (Db.relation db n)))
-          def
+        Snapshot.decode_with "view definition" (Snapshot.get_sca ~chronicle ~relation) def
       in
       if Option.is_some (Registry.find (Db.registry db) (Sca.name def)) then
         false
@@ -275,6 +281,29 @@ let apply_parsed db = function
       if Option.is_none (Registry.find (Db.registry db) name) then false
       else begin
         Db.drop_view db name;
+        true
+      end
+  | P_define_temporal { def } ->
+      let def =
+        Snapshot.decode_with "temporal definition"
+          (Snapshot.get_temporal ~chronicle ~relation)
+          def
+      in
+      let present =
+        match def with
+        | Db.Periodic_def { name; _ } -> Option.is_some (Db.periodic db name)
+        | Db.Windowed_def { name; _ } -> Option.is_some (Db.windowed db name)
+        | Db.Rule_def { chronicle; rule } -> (
+            match Db.detector db chronicle with
+            | Some det ->
+                List.exists
+                  (fun r -> String.equal r.Detector.rule_name rule.Detector.rule_name)
+                  (Detector.rules det)
+            | None -> false)
+      in
+      if present then false
+      else begin
+        Db.define_temporal db def;
         true
       end
 
@@ -847,6 +876,17 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
       quarantined = !quarantined;
       degraded = degraded <> None;
     } )
+
+(* A saved snapshot is a checkpoint frame of generation 0 over no
+   journal: the one checkpoint layout. *)
+let save_snapshot db = Ckpt.encode ~generation:0 ~first_segment:0 (Snapshot.save db)
+
+let load_snapshot ?jobs data =
+  let refuse reason = raise (Checkpoint_corrupt { generation = None; reason }) in
+  match Ckpt.decode data with
+  | Error reason -> refuse reason
+  | Ok (_, payload) -> (
+      try Snapshot.load ?jobs payload with Snapshot.Snapshot_error reason -> refuse reason)
 
 let has_state storage =
   let { checkpoints; sealed; active } = layout storage in

@@ -60,8 +60,9 @@ open Chronicle_core
 
     Not journaled (documented limits, mirrors {!Snapshot}): direct
     {!Versioned} relation updates are durable only from the next
-    {!checkpoint}; batch hooks ({!Db.on_batch}) and session-level
-    objects must be re-attached after recovery. *)
+    {!checkpoint}; event-rule listeners ({!Detector.on_match}) must be
+    re-registered after recovery.  Temporal readers
+    ({!Db.define_temporal}) are journaled and checkpointed like views. *)
 
 exception Recovery_error of { record : int; reason : string }
 (** A non-final journal record failed to replay — the journal is
@@ -235,6 +236,19 @@ val has_state : Storage.t -> bool
 (** True if the {!layout} lists a checkpoint candidate or a journal
     (active or sealed segment) — i.e. {!recover} has something to work
     from. *)
+
+(** {2 Saved snapshots} *)
+
+val save_snapshot : Db.t -> string
+(** The database as a checkpoint frame of generation 0 over no journal
+    ([chronicle-cli run --save]).  Raises {!Snapshot.Snapshot_error} as
+    {!Snapshot.save} does. *)
+
+val load_snapshot : ?jobs:int -> string -> Db.t
+(** Rebuild a database from {!save_snapshot} bytes.  Raises
+    {!Checkpoint_corrupt} (generation [None]) on bytes that do not
+    verify or do not load; the reason names a foreign format
+    (["CHRONSES3"]) or another checkpoint version. *)
 
 (** {2 The storage layout} *)
 

@@ -47,8 +47,8 @@ let commit_single t gname s =
       raise e
 
 (* Commit one chronicle group's partition of the drained queue.  A
-   group of one — and any group over a database with batch hooks, whose
-   per-batch timing group commit would defer — takes the plain
+   group of one — and any group over a database with temporal readers,
+   whose per-batch folds group commit would defer — takes the plain
    per-append path, keeping those commits byte-identical to unstaged
    appends; everything else commits as one atomic [Db.append_group]
    under a single write-ahead record.  On failure, every ticket whose
@@ -58,7 +58,7 @@ let commit_single t gname s =
 let commit_part t gname staged =
   match staged with
   | [ s ] -> commit_single t gname s
-  | staged when Db.has_batch_hooks t.db ->
+  | staged when Db.has_temporal_readers t.db ->
       let rec per_append = function
         | [] -> ()
         | s :: rest -> (

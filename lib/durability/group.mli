@@ -20,11 +20,11 @@ open Chronicle_core
     flush commits through the plain per-append path
     ({!Db.append_multi}) — journal layout, counters and observable
     behaviour are byte-identical to unstaged appends.  A database with
-    batch hooks ({!Db.has_batch_hooks} — periodic/windowed families,
-    detectors registered through {!Db.on_batch}) also falls back to
-    per-append commits, because group commit defers hooks to the end of
-    the group, and a hook that reads database state mid-group could
-    observe the difference.  Group records are only ever written when
+    temporal readers ({!Db.has_temporal_readers} — periodic families,
+    windowed views and event rules) also falls back to per-append
+    commits, because group commit defers their folds to the end of the
+    group, and a fold that reads the group clock or a rule listener that
+    reads database state mid-group could observe the difference.  Group records are only ever written when
     they are provably transparent.
 
     Failure: {!stage} validates eagerly and raises on an append that

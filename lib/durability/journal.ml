@@ -101,15 +101,6 @@ let scan contents =
          with Exit -> ());
         (List.rev !records, !ended)
 
-let read (storage : Storage.t) name =
-  match storage.Storage.read name with
-  | None -> ([], `Clean)
-  | Some contents -> (
-      match scan contents with
-      | records, Complete -> (List.map fst records, `Clean)
-      | records, Torn _ -> (List.map fst records, `Torn)
-      | _, Damaged { index; reason; _ } -> corrupt index "%s" reason)
-
 (* ---- segment naming ---- *)
 
 let segment_name name seq = Printf.sprintf "%s.%d" name seq

@@ -61,15 +61,8 @@ val scan : string -> (string * int) list * ended
 (** Split raw segment contents into the maximal well-formed prefix —
     each record's payload paired with its byte offset — plus how the
     scan ended.
-    Total: never raises, whatever the bytes.  This is the primitive
-    under {!read}, {!open_}, scrub and salvage. *)
-
-val read : Storage.t -> string -> string list * [ `Clean | `Torn ]
-(** Every complete record's payload.  An absent name reads as
-    [([], `Clean)]; a torn tail (truncated header, truncated payload,
-    or truncated magic) yields the complete prefix and [`Torn].
-    Raises {!Journal_corrupt} on a checksum mismatch, or a foreign
-    magic or format version. *)
+    Total: never raises, whatever the bytes.  This is the one reader:
+    {!open_}, recovery, scrub and salvage all go through it. *)
 
 (** {2 Segments} *)
 
@@ -92,8 +85,8 @@ val open_ :
   ?sync:sync_policy -> ?segment_bytes:int -> ?seq:int -> Storage.t -> string -> t
 (** Open for appending, creating the name (with its magic header) if
     absent.  An existing journal is scanned to rebuild record
-    boundaries; a torn tail is cut off.  Raises {!Journal_corrupt} as
-    {!read} does.  Default policy: {!Sync_always}.
+    boundaries; a torn tail is cut off.  Raises {!Journal_corrupt} on a
+    checksum mismatch, or a foreign magic or format version.  Default policy: {!Sync_always}.
 
     [segment_bytes] bounds the active segment: an append that would
     push past the bound first {!seal}s (default: unbounded — never

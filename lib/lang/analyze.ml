@@ -1,7 +1,5 @@
 open Relational
 open Chronicle_core
-open Chronicle_temporal
-open Chronicle_events
 module Staging = Chronicle_durability.Group
 
 exception Semantic_error of string
@@ -144,10 +142,10 @@ let resolve_source ?where session name =
       | Some key -> Ra.Const (View.schema v, Option.to_list (View.lookup v key))
       | None -> Ra.Const (View.schema v, View.to_list v))
   | exception Db.Unknown _ -> (
-      match Session.windowed session name with
+      match Db.windowed db name with
       | Some wv -> Ra.Const (Sca.schema (Windowed_view.def wv), Windowed_view.to_list wv)
       | None -> (
-          match Session.periodic session name with
+          match Db.periodic db name with
           | Some family -> (
               let schema = Sca.schema (Periodic.def family) in
               match Periodic.current family with
@@ -237,6 +235,12 @@ let calendar_of_spec (spec : Ast.calendar_spec) =
   | `Stride stride ->
       Calendar.periodic ~start:spec.Ast.cal_start ~width:spec.Ast.cal_width ~stride
 
+(* Register a temporal reader; a refused definition registers nothing. *)
+let define_temporal db def =
+  try Db.define_temporal db def
+  with Invalid_argument msg | Schema.Unknown_attribute msg | Db.Unknown msg ->
+    sem_error "%s" msg
+
 let exec session stmt =
   let db = Session.db session in
   (* Group-commit barrier: every statement except a staged append
@@ -269,9 +273,7 @@ let exec session stmt =
         Periodic.create ?expire_after:expire ~def
           ~calendar:(calendar_of_spec calendar) ()
       in
-      Periodic.attach db family;
-      (try Session.add_periodic session name family
-       with Invalid_argument msg -> sem_error "%s" msg);
+      define_temporal db (Db.Periodic_def { name; family });
       Defined_periodic { view = name; live = Periodic.live_views family }
   | Ast.Define_windowed { name; select; buckets; bucket_width } ->
       let def = compile_select db ~name select in
@@ -279,9 +281,7 @@ let exec session stmt =
         try Windowed_view.derive ~bucket_width ~buckets def
         with Windowed_view.Not_derivable msg -> sem_error "%s" msg
       in
-      Windowed_view.attach db wv;
-      (try Session.add_windowed session name wv
-       with Invalid_argument msg -> sem_error "%s" msg);
+      define_temporal db (Db.Windowed_def { name; view = wv });
       Defined_windowed { view = name; buckets }
   | Ast.Append_into { chronicle; rows } ->
       let c =
@@ -308,13 +308,6 @@ let exec session stmt =
       let c =
         try Db.chronicle db chronicle with Db.Unknown msg -> sem_error "%s" msg
       in
-      (* refused before anything is journaled: these readers see appends
-         only, so a retraction would leave them silently stale *)
-      (match Session.append_only_reader session c with
-      | Some reader ->
-          sem_error "cannot retract from %s: %s reads it and takes appends only"
-            chronicle reader
-      | None -> ());
       let tuples = rows_to_tuples chronicle (Chron.user_schema c) rows in
       (* the statement barrier above already flushed staged appends, so
          the retraction sees every prior append committed *)
@@ -387,17 +380,14 @@ let exec session stmt =
           | exception Db.Unknown _ ->
               sem_error "%s is neither a chronicle nor a relation" target))
   | Ast.Define_rule { name; chronicle; key; within; cooldown; reset_on_match; pattern } ->
-      let c =
-        try Db.chronicle db chronicle with Db.Unknown msg -> sem_error "%s" msg
-      in
-      let det = Session.detector session c in
-      (try
-         Detector.add_rule det
-           (Detector.rule ~name
-              ~pattern:(compile_pattern pattern)
-              ~key ?within ?cooldown ~reset_on_match ())
-       with Invalid_argument msg | Schema.Unknown_attribute msg ->
-         sem_error "%s" msg);
+      define_temporal db
+        (Db.Rule_def
+           {
+             chronicle;
+             rule =
+               Detector.rule ~name ~pattern:(compile_pattern pattern) ~key ?within
+                 ?cooldown ~reset_on_match ();
+           });
       Defined_rule { rule = name; chronicle }
   | Ast.Show_alerts ->
       let rows =
@@ -415,7 +405,7 @@ let exec session stmt =
                     Value.Int o.Detector.fired_sn;
                   ])
               (Detector.occurrences det))
-          (Session.detectors session)
+          (Db.detectors db)
         |> List.sort (fun a b ->
                Value.compare (Tuple.get a 4) (Tuple.get b 4))
       in
@@ -437,7 +427,7 @@ let exec session stmt =
       let v = try Db.view db name with Db.Unknown msg -> sem_error "%s" msg in
       Report (Classify.sca (View.def v))
   | Ast.Show_periodic { name; index } -> (
-      match Session.periodic session name with
+      match Db.periodic db name with
       | None -> sem_error "unknown periodic view %s" name
       | Some family -> (
           let schema = Sca.schema (Periodic.def family) in
@@ -538,7 +528,7 @@ let exec session stmt =
       in
       Rows (counters_schema, rows)
   | Ast.Show_windowed name -> (
-      match Session.windowed session name with
+      match Db.windowed db name with
       | None -> sem_error "unknown windowed view %s" name
       | Some wv ->
           Rows (Sca.schema (Windowed_view.def wv), Windowed_view.to_list wv))

@@ -1,11 +1,9 @@
 open Chronicle_core
-open Chronicle_temporal
-open Chronicle_events
 
-(** A language session: a chronicle database plus the periodic-view
-    families and derived windowed views defined through the surface
-    language (the database itself only knows plain persistent views;
-    the temporal extensions live one layer up). *)
+(** A language session: a chronicle database plus the staging queue its
+    appends go through.  Everything a statement defines — views,
+    periodic and windowed views, event rules — lives in the database's
+    catalog, so every session over one database sees it. *)
 
 type t
 
@@ -39,30 +37,3 @@ val set_batch : t -> int -> unit
 
 val flush : t -> unit
 (** Commit everything staged (no-op when nothing is). *)
-
-val add_periodic : t -> string -> Periodic.t -> unit
-(** Raises [Invalid_argument] on a duplicate name. *)
-
-val periodic : t -> string -> Periodic.t option
-
-val add_windowed : t -> string -> Windowed_view.t -> unit
-val windowed : t -> string -> Windowed_view.t option
-
-val detector : t -> Chron.t -> Detector.t
-(** The (unique, lazily created and database-attached) event detector
-    of a chronicle. *)
-
-val detectors : t -> Detector.t list
-
-(** {2 Enumeration} (sorted by name; session snapshots and tooling) *)
-
-val periodics : t -> (string * Periodic.t) list
-val windowed_views : t -> (string * Windowed_view.t) list
-val named_detectors : t -> (string * Detector.t) list
-(** Keyed by chronicle name. *)
-
-val append_only_reader : t -> Chron.t -> string option
-(** The first periodic view, windowed view or event rule of the session
-    that reads the chronicle, named for an error message ("windowed view
-    w3"), or [None].  These fold appends only: a retraction would
-    leave them silently stale. *)

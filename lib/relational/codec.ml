@@ -169,10 +169,18 @@ let check_magic ~tag ~version data =
       else if len > 0 && data.[0] = '(' then Some "1 (S-expression text)"
       else None
     in
+    let upper_alnum c = (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') in
     match found with
     | Some v ->
         Error
           (Printf.sprintf
              "format version %s is not supported (this build reads version %d)"
              v version)
+    | None
+      when len >= n
+           && data.[n - 1] = '\n'
+           && String.for_all upper_alnum (String.sub data 0 (n - 1)) ->
+        Error
+          (Printf.sprintf "foreign format %s (expected %s%d)"
+             (String.sub data 0 (n - 1)) tag version)
     | None -> Error "bad magic"

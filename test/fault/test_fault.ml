@@ -55,6 +55,10 @@ type op =
        victims are read from the store at application time, so the op
        is deterministic given the database state, and the sequential
        oracle and the crashing run resolve it identically *)
+  | Temporal
+    (* define a periodic view, a windowed view and a rule over
+       mileage: three journaled Ev_define_temporal records; the readers
+       then fold every later append after its commit *)
 
 let show_op = function
   | Append rows ->
@@ -74,6 +78,7 @@ let show_op = function
   | Checkpoint -> "Checkpoint"
   | Rel (cust, state) -> Printf.sprintf "Rel[%d:%s]" cust state
   | Retract n -> Printf.sprintf "Retract[%d]" n
+  | Temporal -> "Temporal"
 
 let show_ops ops = String.concat " " (List.map show_op ops)
 
@@ -150,6 +155,31 @@ let apply ?durable db op =
       match take n stored with
       | [] -> ()
       | victims -> ignore (Db.retract db "mileage" victims))
+  | Temporal ->
+      let def name =
+        Sca.define ~name ~body:(Ca.Chronicle (Db.chronicle db "mileage"))
+          (Sca.Group_agg ([ "acct" ], [ Aggregate.sum "miles" "m" ]))
+      in
+      List.iter (Db.define_temporal db)
+        [
+          Db.Periodic_def
+            {
+              name = "p";
+              family =
+                Periodic.create ~expire_after:4 ~def:(def "p")
+                  ~calendar:(Calendar.tiling ~start:0 ~width:2) ();
+            };
+          Db.Windowed_def
+            { name = "w"; view = Windowed_view.derive ~bucket_width:2 ~buckets:2 (def "w") };
+          Db.Rule_def
+            {
+              chronicle = "mileage";
+              rule =
+                Detector.rule ~name:"twice" ~key:[ "acct" ] ~within:3
+                  ~pattern:(Pattern.repeat 2 (Pattern.atom "e" Predicate.("miles" >% vi 50)))
+                  ();
+            };
+        ]
 
 (* Clean-run states S₀ … Sₙ — always computed sequentially (jobs = 1),
    so a crashed-and-recovered parallel run is checked against the
@@ -276,6 +306,31 @@ let test_exhaustive_crash_sweep () =
       ~jobs:4 fixed_workload
       (fun fault -> Fault.arm fault ~after:k "view-fold")
   done
+
+(* Temporal-reader crash sweep: the fixed workload with a periodic view,
+   a windowed view and a rule defined after its first append and clock
+   advance, so their definitions are journal records among appends (a
+   crash before the first checkpoint recovers them by replay) and later
+   checkpoints carry their state.  Every point, at one kept generation
+   and at three. *)
+let test_temporal_crash_sweep () =
+  let workload =
+    match fixed_workload with
+    | a :: c :: rest -> a :: c :: Temporal :: rest
+    | _ -> assert false
+  in
+  List.iter
+    (fun keep ->
+      List.iter
+        (fun point ->
+          for k = 0 to 14 do
+            check_crash_equivalence
+              ~what:(Printf.sprintf "temporal: %s after %d hits (keep=%d)" point k keep)
+              ~keep workload
+              (fun fault -> Fault.arm fault ~after:k point)
+          done)
+        crash_points)
+    [ 1; 3 ]
 
 (* Group-commit crash sweep: a group-heavy workload (the final record is
    a group) crashed inside the half-committed-group window — after the
@@ -994,6 +1049,8 @@ let () =
             test_clean_run_recovers_exactly;
           Alcotest.test_case "exhaustive crash-point sweep" `Quick
             test_exhaustive_crash_sweep;
+          Alcotest.test_case "temporal-reader crash sweep" `Quick
+            test_temporal_crash_sweep;
           Alcotest.test_case "group-commit crash sweep" `Quick
             test_group_crash_sweep;
           Alcotest.test_case "key-join crash sweep" `Quick

@@ -1,8 +1,9 @@
 (* The one binary codec under everything the engine writes down:
    value and aggregate-state round-trips, refusal of the version-1
    (S-expression) formats with typed errors, and a totality fuzzer —
-   truncated or mutated payloads of journal records, checkpoints and
-   session snapshots raise only the typed errors of their module. *)
+   truncated or mutated payloads of journal records and checkpoints,
+   temporal readers included, raise only the typed errors of their
+   module. *)
 
 open Relational
 open Chronicle_core
@@ -82,20 +83,34 @@ let test_v1_checkpoint_refused () =
   | exception Durable.Checkpoint_corrupt { generation = None; reason } ->
       check_bool ("reason names the version: " ^ reason) true (mentions_v1 reason)
 
+(* A version-2 checkpoint carries no temporal readers; it is refused
+   with the typed error, naming its version. *)
+let test_v2_checkpoint_refused () =
+  let st = Storage.mem () in
+  let frame = Ckpt.encode ~generation:0 ~first_segment:0 (Snapshot.save (Db.create ())) in
+  let magic = Codec.magic ~tag:"CHRONCKP" ~version:2 in
+  let n = String.length magic in
+  st.Storage.write (Ckpt.gen_name 0) (magic ^ String.sub frame n (String.length frame - n));
+  match Durable.recover ~storage:st () with
+  | _ -> Alcotest.fail "a version-2 checkpoint must be refused"
+  | exception Durable.Checkpoint_corrupt { generation = Some 0; reason } ->
+      check_bool ("reason names the version: " ^ reason) true
+        (contains reason "version 2")
+
 let test_sexp_save_refused () =
   match
-    Session_snapshot.load
+    Durable.load_snapshot
       "((session-snapshot 1)\n (db ((chronicle-snapshot 1)))\n (periodics ()))"
   with
   | _ -> Alcotest.fail "an S-expression --save file must be refused"
-  | exception Session_snapshot.Session_snapshot_error reason ->
+  | exception Durable.Checkpoint_corrupt { generation = None; reason } ->
       check_bool ("reason names the version: " ^ reason) true (mentions_v1 reason)
 
 (* ---- decoder totality over mutated payloads ---- *)
 
 (* A durable run whose journal holds every record shape: catalog
    changes, a view definition, appends, a group, a relation insert, a
-   clock advance, a retraction and a view drop. *)
+   clock advance, a retraction, a view drop and temporal definitions. *)
 let journal_fixture =
   lazy
     (let st = Storage.mem () in
@@ -128,9 +143,29 @@ let journal_fixture =
      Db.advance_clock db 5;
      ignore (Db.retract db "mileage" [ Fixtures.mile 1 4 1. ]);
      Db.drop_view db "spare";
+     let body = Ca.Chronicle (Db.chronicle db "mileage") in
+     Db.define_temporal db
+       (Db.Windowed_def
+          {
+            name = "recent";
+            view =
+              Windowed_view.derive ~buckets:3
+                (Sca.define ~name:"recent" ~body
+                   (Sca.Group_agg ([ "acct" ], [ Aggregate.sum "miles" "m" ])));
+          });
+     Db.define_temporal db
+       (Db.Rule_def
+          {
+            chronicle = "mileage";
+            rule =
+              Detector.rule ~name:"long" ~key:[ "acct" ] ~within:4
+                ~pattern:(Pattern.atom "e" Predicate.("miles" >% vi 50))
+                ();
+          });
      Durable.detach d;
-     let records, _ = Journal.read st Durable.journal_file in
-     (Option.get (st.Storage.read (Ckpt.gen_name 0)), Array.of_list records))
+     let records, _ = Journal.scan (Option.get (st.Storage.read Durable.journal_file)) in
+     ( Option.get (st.Storage.read (Ckpt.gen_name 0)),
+       Array.of_list (List.map fst records) ))
 
 let checkpoint_fixture =
   lazy
@@ -155,7 +190,7 @@ let checkpoint_fixture =
      ignore (Db.append db "mileage" [ Fixtures.mile 1 100 1.; Fixtures.mile 1 7 2. ]);
      Snapshot.save db)
 
-let session_fixture =
+let temporal_fixture =
   lazy
     (let session = Session.create () in
      ignore
@@ -168,7 +203,7 @@ let session_fixture =
            DEFINE RULE burst ON trades KEY (symbol) WITHIN 4 WHEN REPEAT 2 \
            EVENT t (shares > 50);\n\
            APPEND INTO trades VALUES ('T', 100);");
-     Session_snapshot.save session)
+     Snapshot.save (Session.db session))
 
 (* truncate at, overwrite, or flip one bit of byte [pos mod length] *)
 let mutate s (kind, pos, b) =
@@ -195,7 +230,7 @@ let print_mutation (target, victim, (kind, pos, b)) =
 
 (* target 0: one journal record ([victim] picks which) (CRC-valid after mutation: the journal
    checksums what it is given) recovered through Durable; 1: a
-   checkpoint payload; 2: a session snapshot *)
+   checkpoint payload; 2: a checkpoint payload with temporal readers *)
 let prop_typed_errors_only (target, victim, m) =
   let untyped e =
     QCheck.Test.fail_reportf "untyped %s escaped (%s)" (Printexc.to_string e)
@@ -215,15 +250,11 @@ let prop_typed_errors_only (target, victim, m) =
       | d, _ -> Durable.detach d
       | exception (Journal.Journal_corrupt _ | Durable.Recovery_error _) -> ()
       | exception e -> untyped e)
-  | 1 -> (
-      match Snapshot.load (mutate (Lazy.force checkpoint_fixture) m) with
+  | _ -> (
+      let fixture = if target = 1 then checkpoint_fixture else temporal_fixture in
+      match Snapshot.load (mutate (Lazy.force fixture) m) with
       | _ -> ()
       | exception Snapshot.Snapshot_error _ -> ()
-      | exception e -> untyped e)
-  | _ -> (
-      match Session_snapshot.load (mutate (Lazy.force session_fixture) m) with
-      | _ -> ()
-      | exception Session_snapshot.Session_snapshot_error _ -> ()
       | exception e -> untyped e));
   true
 
@@ -233,6 +264,7 @@ let suite =
     test "aggregate state serialization" test_state_roundtrip;
     test "a version-1 journal is refused" test_v1_journal_refused;
     test "a version-1 bare checkpoint is refused" test_v1_checkpoint_refused;
+    test "a version-2 checkpoint is refused" test_v2_checkpoint_refused;
     test "an S-expression --save file is refused" test_sexp_save_refused;
     qtest ~count:600 "mutated payloads raise only typed errors"
       (QCheck.make ~print:print_mutation QCheck.Gen.(triple (0 -- 2) (0 -- 63) mutation_gen))

@@ -1,6 +1,5 @@
 open Relational
 open Chronicle_core
-open Chronicle_events
 open Util
 
 let txn_schema =
@@ -12,7 +11,7 @@ let setup () =
   ignore (Db.add_chronicle db ~name:"txns" txn_schema);
   let chron = Db.chronicle db "txns" in
   let det = Detector.create chron in
-  Detector.attach db det;
+  Db.add_detector db det;
   (db, det)
 
 let ev acct kind amount = tup [ vi acct; vs kind; vf amount ]
@@ -146,7 +145,7 @@ let test_instance_cap () =
   let db = Db.create () in
   ignore (Db.add_chronicle db ~name:"txns" txn_schema);
   let det = Detector.create ~max_instances_per_key:4 (Db.chronicle db "txns") in
-  Detector.attach db det;
+  Db.add_detector db det;
   Detector.add_rule det
     (Detector.rule ~name:"pair"
        ~pattern:(Pattern.seq
@@ -275,7 +274,7 @@ let qcheck_detector_equals_embedding_count =
         (Db.add_chronicle db ~name:"ev"
            (Schema.make [ ("key", Value.TInt); ("kind", Value.TStr) ]));
       let det = Detector.create ~max_instances_per_key:10_000 (Db.chronicle db "ev") in
-      Detector.attach db det;
+      Db.add_detector db det;
       Detector.add_rule det
         (Detector.rule ~name:"r"
            ~pattern:

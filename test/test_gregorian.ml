@@ -1,4 +1,4 @@
-open Chronicle_temporal
+open Chronicle_core
 open Util
 
 let d y m dd = { Gregorian.year = y; month = m; day = dd }
@@ -86,7 +86,7 @@ let test_periodic_views_on_real_months () =
       ~calendar:(Gregorian.months ~from_year:2024 ~from_month:1 ~count:3)
       ()
   in
-  Periodic.attach db family;
+  Db.define_temporal db (Db.Periodic_def { name = "p"; family });
   let post date cost =
     Db.advance_clock db (Gregorian.to_days date);
     ignore

@@ -137,9 +137,13 @@ let test_group_abort_all_or_nothing () =
 
 let test_batch_hooks_fall_back_to_per_append () =
   let db = mk_db () in
-  let batches = ref 0 in
-  Db.on_batch db (fun ~sn:_ ~batch:_ -> incr batches);
-  check_bool "hooks visible" true (Db.has_batch_hooks db);
+  let view =
+    Windowed_view.derive ~buckets:2
+      (Sca.define ~name:"recent" ~body:(Ca.Chronicle (Db.chronicle db "m"))
+         (Sca.Group_agg ([], [ Aggregate.count_star "n" ])))
+  in
+  Db.define_temporal db (Db.Windowed_def { name = "recent"; view });
+  check_bool "temporal reader visible" true (Db.has_temporal_readers db);
   let st = Staging.create ~batch:3 db in
   Stats.reset ();
   let t1 = Staging.stage st [ ("m", [ row (1, 1) ]) ] in
@@ -147,9 +151,9 @@ let test_batch_hooks_fall_back_to_per_append () =
   ignore (Staging.stage st [ ("m", [ row (3, 3) ]) ]);
   check_int "flushed at threshold" 0 (Staging.pending st);
   check_int "acks still in order" 1 (sn_of (Staging.await st t1));
-  (* per-append commits: hooks fired once per batch, and no group
+  (* per-append commits: the window folded every batch, and no group
      record was ever written *)
-  check_int "hook per append" 3 !batches;
+  check_tuples "window per append" [ tup [ vi 3 ] ] (Windowed_view.to_list view);
   check_int "no group commit" 0 (Stats.get Stats.Group_commit)
 
 (* ---- the counter story: one journal record per flushed group ---- *)

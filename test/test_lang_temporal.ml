@@ -175,6 +175,28 @@ let test_duplicate_periodic_name () =
   | _ -> Alcotest.fail "duplicate accepted"
   | exception Analyze.Semantic_error _ -> ()
 
+(* A refused duplicate definition registers nothing: an appended row
+   is folded by the one accepted definition only. *)
+let test_refused_duplicate_registers_nothing () =
+  List.iter
+    (fun def ->
+      let session = setup () in
+      ignore (Analyze.run_script session def);
+      for _ = 1 to 2 do
+        match Analyze.run_script session def with
+        | _ -> Alcotest.fail "duplicate accepted"
+        | exception Analyze.Semantic_error _ -> ()
+      done;
+      Relational.Stats.reset ();
+      ignore (Analyze.run_script session "APPEND INTO trades VALUES ('T', 5);");
+      check_int ("one fold: " ^ def) 1 (Relational.Stats.get Relational.Stats.Agg_step))
+    [
+      "DEFINE WINDOWED VIEW w BUCKETS 3 AS SELECT symbol, SUM(shares) AS s \
+       FROM CHRONICLE trades GROUP BY symbol;";
+      "DEFINE PERIODIC VIEW m AS SELECT symbol, SUM(shares) AS s FROM \
+       CHRONICLE trades GROUP BY symbol CALENDAR TILING START 0 WIDTH 10;";
+    ]
+
 let suite =
   [
     test "parse periodic definitions" test_parse_periodic;
@@ -187,4 +209,6 @@ let suite =
     test "queries over relations" test_query_over_relation;
     test "error cases" test_errors;
     test "duplicate periodic names rejected" test_duplicate_periodic_name;
+    test "a refused duplicate definition registers nothing"
+      test_refused_duplicate_registers_nothing;
   ]

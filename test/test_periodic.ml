@@ -1,6 +1,5 @@
 open Relational
 open Chronicle_core
-open Chronicle_temporal
 open Util
 
 let trade_schema =
@@ -16,7 +15,7 @@ let setup ?expire_after ~calendar () =
       (Sca.Group_agg ([ "symbol" ], [ Aggregate.sum "shares" "vol" ]))
   in
   let family = Periodic.create ?expire_after ~def ~calendar () in
-  Periodic.attach db family;
+  Db.define_temporal db (Db.Periodic_def { name = "p"; family });
   (db, family)
 
 let test_tiling_periods () =

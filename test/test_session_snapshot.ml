@@ -1,9 +1,15 @@
-(* Whole-session snapshots: periodic families, windowed views and
-   detector state survive the save/load cycle and keep evolving
+(* Saved snapshots (`run --save`/`--load`): periodic families, windowed
+   views and detector state live in the database's catalog, survive the
+   save/load cycle in the one checkpoint frame and keep evolving
    identically afterwards. *)
 
+open Chronicle_core
 open Chronicle_lang
+open Chronicle_durability
 open Util
+
+let save session = Durable.save_snapshot (Session.db session)
+let load data = Session.of_db (Durable.load_snapshot data)
 
 let build () =
   let session = Session.create () in
@@ -37,7 +43,7 @@ let rows = function
 
 let test_roundtrip_and_continuation () =
   let session = build () in
-  let session' = Session_snapshot.load (Session_snapshot.save session) in
+  let session' = load (save session) in
   (* every queryable surface answers identically, now ... *)
   let compare_on src =
     let a, b = run_both session session' src in
@@ -72,7 +78,7 @@ let test_cooldown_survives () =
        "ADVANCE CLOCK TO 15;\nAPPEND INTO trades VALUES ('T', 90), ('T', 95);");
   let before = List.length (rows (List.hd (Analyze.run_script session "SHOW ALERTS;"))) in
   check_bool "T burst fired" true (before >= 1);
-  let session' = Session_snapshot.load (Session_snapshot.save session) in
+  let session' = load (save session) in
   (* still cooling: an immediate new pair must not fire in either *)
   let again =
     "ADVANCE CLOCK TO 16;\nAPPEND INTO trades VALUES ('T', 90), ('T', 95);\n\
@@ -84,10 +90,11 @@ let test_cooldown_survives () =
     (rows (List.nth b 2))
 
 let test_not_a_session_snapshot () =
-  check_raises_any "db-only snapshot rejected" (fun () ->
-      ignore (Session_snapshot.load "((chronicle-snapshot 1))"));
-  check_raises_any "garbage rejected" (fun () ->
-      ignore (Session_snapshot.load "(nope)"))
+  check_raises_any "S-expression snapshot rejected" (fun () ->
+      ignore (load "((chronicle-snapshot 1))"));
+  check_raises_any "garbage rejected" (fun () -> ignore (load "(nope)"));
+  check_raises_any "a bare payload rejected" (fun () ->
+      ignore (load (Snapshot.save (Session.db (build ())))))
 
 let test_file_roundtrip () =
   let session = build () in
@@ -95,66 +102,76 @@ let test_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Session_snapshot.save_file session path;
-      let session' = Session_snapshot.load_file path in
+      Out_channel.with_open_bin path (fun oc -> output_string oc (save session));
+      let session' = load (In_channel.with_open_bin path In_channel.input_all) in
       let a, b = run_both session session' "SHOW WINDOWED recent;" in
       check_tuples "via file" (rows (List.hd a)) (rows (List.hd b)))
 
-(* The periodic-family section of a session snapshot, pinned: a Groups
-   family and a Rows family, each with a slot holding an equal row
-   appended twice.  Slot contents are written without multiplicities
-   (keys and aggregate states only). *)
+(* The bytes of a snapshot after the persistent views: the temporal
+   sections of the database [script] builds.  [plain] is the same script
+   without its temporal definitions; its snapshot ends in three empty
+   sections, one byte each. *)
+let temporal_sections ~plain script =
+  let run src =
+    let session = Session.create () in
+    ignore (Analyze.run_script session src);
+    Snapshot.save (Session.db session)
+  in
+  let saved = run script and prefix = String.length (run plain) - 3 in
+  String.sub saved prefix (String.length saved - prefix)
+
+(* The periodic-family section of a snapshot, pinned: a Groups family
+   and a Rows family, each with a slot holding an equal row appended
+   twice.  Slot contents use the persistent views' codec, multiplicities
+   included. *)
 let test_golden_periodic () =
-  let session = Session.create () in
-  ignore
-    (Analyze.run_script session
-       "CREATE CHRONICLE t (a INT);\n\
-        DEFINE PERIODIC VIEW g AS SELECT a, COUNT(*) AS k FROM CHRONICLE t \
-        GROUP BY a CALENDAR TILING START 0 WIDTH 10;\n\
-        DEFINE PERIODIC VIEW r AS SELECT a FROM CHRONICLE t CALENDAR TILING \
-        START 0 WIDTH 10;\n\
-        APPEND INTO t VALUES (1);\n\
-        APPEND INTO t VALUES (1);");
-  let saved = Session_snapshot.save session in
-  let skip =
-    String.length (Relational.Codec.magic ~tag:"CHRONSES" ~version:3)
-    + String.length (Chronicle_core.Snapshot.save (Session.db session))
+  let script defs =
+    "CREATE CHRONICLE t (a INT);\n" ^ defs
+    ^ "APPEND INTO t VALUES (1);\nAPPEND INTO t VALUES (1);"
+  in
+  let sections =
+    temporal_sections ~plain:(script "")
+      (script
+         "DEFINE PERIODIC VIEW g AS SELECT a, COUNT(*) AS k FROM CHRONICLE t \
+          GROUP BY a CALENDAR TILING START 0 WIDTH 10;\n\
+          DEFINE PERIODIC VIEW r AS SELECT a FROM CHRONICLE t CALENDAR TILING \
+          START 0 WIDTH 10;\n")
   in
   check_string "periodic section bytes, then no windowed views and no detectors"
-    (* g: ... slot 0 [0, 10) active, Groups [([1], COUNT 2)]; r: ...
-       slot 0 [0, 10) active, Rows [[1]]; then two empty lists *)
+    (* g: ... slot 0 [0, 10) active, Groups [([1], mult 2, COUNT 2)];
+       r: ... slot 0 [0, 10) active, Rows [([1], mult 2)]; then two
+       empty lists *)
     ("02" ^ "0167016700017401010161010543" ^ "4f554e5400016b01001414000002"
-   ^ "00" ^ "01000014010101010202010004" ^ "01720172000174000101610100"
-   ^ "1414000002000100001401000101" ^ "0202" ^ "0000")
-    (hex (String.sub saved skip (String.length saved - skip)))
+   ^ "00" ^ "0100001401010101020204010004" ^ "01720172000174000101610100"
+   ^ "1414000002000100001401000101" ^ "020204" ^ "0000")
+    (hex sections)
 
-(* The windowed-view section of a session snapshot, pinned: one group
-   per key, each its window's start, head and clock once, then every
-   bucket's cells (one state per aggregate call) in slot order.  The calls cover every
-   state tag: COUNT, an INT and a FLOAT SUM, MIN over strings, AVG and
-   VAR; the buckets hold a −0.0, an empty bucket and a retired one. *)
+(* The windowed-view section of a snapshot, pinned: the view's shape
+   and bucket origin, then one group per key, each its window's start,
+   head and clock once, then every bucket's cells (one state per
+   aggregate call) in slot order.  The calls cover every state tag:
+   COUNT, an INT and a FLOAT SUM, MIN over strings, AVG and VAR; the
+   buckets hold a −0.0, an empty bucket and a retired one. *)
 let test_golden_windowed () =
-  let session = Session.create () in
-  ignore
-    (Analyze.run_script session
-       "CREATE CHRONICLE t (a INT, x FLOAT, s STRING);\n\
-        DEFINE WINDOWED VIEW w BUCKETS 3 WIDTH 2 AS SELECT a, COUNT(*) AS n, \
-        SUM(a) AS sa, SUM(x) AS sx, MIN(s) AS lo, AVG(x) AS m, VAR(x) AS v \
-        FROM CHRONICLE t GROUP BY a;\n\
-        APPEND INTO t VALUES (1, 1.5, 'b');\n\
-        ADVANCE CLOCK TO 3;\n\
-        APPEND INTO t VALUES (1, -0.0, 'a'), (2, 0.25, 'c');\n\
-        ADVANCE CLOCK TO 7;\n\
-        APPEND INTO t VALUES (1, 2.0, 'd');");
-  let saved = Session_snapshot.save session in
-  let skip =
-    String.length (Relational.Codec.magic ~tag:"CHRONSES" ~version:3)
-    + String.length (Chronicle_core.Snapshot.save (Session.db session))
+  let script defs =
+    "CREATE CHRONICLE t (a INT, x FLOAT, s STRING);\n" ^ defs
+    ^ "APPEND INTO t VALUES (1, 1.5, 'b');\n\
+       ADVANCE CLOCK TO 3;\n\
+       APPEND INTO t VALUES (1, -0.0, 'a'), (2, 0.25, 'c');\n\
+       ADVANCE CLOCK TO 7;\n\
+       APPEND INTO t VALUES (1, 2.0, 'd');"
+  in
+  let sections =
+    temporal_sections ~plain:(script "")
+      (script
+         "DEFINE WINDOWED VIEW w BUCKETS 3 WIDTH 2 AS SELECT a, COUNT(*) AS n, \
+          SUM(a) AS sa, SUM(x) AS sx, MIN(s) AS lo, AVG(x) AS m, VAR(x) AS v \
+          FROM CHRONICLE t GROUP BY a;\n")
   in
   check_string "no periodic families, the windowed section, then no detectors"
     ("000101770177000174010101610605434f554e5400016e0353554d0101610273"
      ^ "610353554d010178027378034d494e010173026c6f03415647010178016d0356"
-     ^ "4152010178017606040201020200060e03060002010102020101034000000000"
+     ^ "415201017801760604" ^ "00" ^ "0201020200060e03060002010102020101034000000000"
      ^ "0000000201040164034000000000000000020402400000000000000040100000"
      ^ "0000000006000201010202010103800000000000000002010401610300000000"
      ^ "0000000002040200000000000000000000000000000000060000010001000200"
@@ -164,24 +181,22 @@ let test_golden_windowed () =
      ^ "3fd00000000000000204023fd00000000000003fb00000000000000600000100"
      ^ "0100020003000000000000000000040000000000000000000000000000000000"
      ^ "00")
-    (hex (String.sub saved skip (String.length saved - skip)))
+    (hex sections)
 
-(* A version-2 session snapshot repeated each window's start, head and
-   clock once per aggregate call; it is refused with the typed error,
-   naming its version. *)
+(* The session snapshots of earlier builds ("CHRONSES2", "CHRONSES3")
+   held the temporal readers beside the database; [--load] refuses them
+   with the typed error, naming the format. *)
 let test_version_2_refused () =
-  let saved = Session_snapshot.save (build ()) in
-  let magic = Relational.Codec.magic ~tag:"CHRONSES" ~version:3 in
-  let n = String.length magic in
-  let v2 =
-    Relational.Codec.magic ~tag:"CHRONSES" ~version:2
-    ^ String.sub saved n (String.length saved - n)
-  in
-  match Session_snapshot.load v2 with
-  | _ -> Alcotest.fail "a version-2 session snapshot must be refused"
-  | exception Session_snapshot.Session_snapshot_error reason ->
-      check_bool ("the reason names version 2: " ^ reason) true
-        (contains reason "version 2")
+  let payload = Snapshot.save (Session.db (build ())) in
+  List.iter
+    (fun version ->
+      let format = Printf.sprintf "CHRONSES%d" version in
+      match load (Relational.Codec.magic ~tag:"CHRONSES" ~version ^ payload) with
+      | _ -> Alcotest.failf "a %s session snapshot must be refused" format
+      | exception Durable.Checkpoint_corrupt { generation = None; reason } ->
+          check_bool ("the reason names " ^ format ^ ": " ^ reason) true
+            (contains reason format))
+    [ 2; 3 ]
 
 let suite =
   [

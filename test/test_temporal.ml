@@ -1,4 +1,4 @@
-open Chronicle_temporal
+open Chronicle_core
 open Util
 
 let iv a b = Interval.make ~start:a ~stop:b

@@ -1,5 +1,5 @@
 open Relational
-open Chronicle_temporal
+open Chronicle_core
 open Util
 
 (* Reference: brute-force recomputation over the raw (chronon, value)

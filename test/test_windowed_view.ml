@@ -1,6 +1,5 @@
 open Relational
 open Chronicle_core
-open Chronicle_temporal
 open Util
 
 let trade_schema =
@@ -18,7 +17,7 @@ let setup ~buckets =
            [ Aggregate.sum "shares" "shares_w"; Aggregate.count_star "trades_w" ] ))
   in
   let wv = Windowed_view.derive ~buckets def in
-  Windowed_view.attach db wv;
+  Db.define_temporal db (Db.Windowed_def { name = "w"; view = wv });
   (db, def, wv)
 
 let test_rejects_projection_views () =
@@ -67,13 +66,13 @@ let test_agrees_with_periodic_family () =
       (Sca.Group_agg ([ "symbol" ], [ Aggregate.sum "shares" "s" ]))
   in
   let wv = Windowed_view.derive ~buckets def in
-  Windowed_view.attach db wv;
+  Db.define_temporal db (Db.Windowed_def { name = "w"; view = wv });
   let family =
     Periodic.create ~expire_after:2 ~def
       ~calendar:(Calendar.periodic ~start:(-(buckets - 1)) ~width:buckets ~stride:1)
       ()
   in
-  Periodic.attach db family;
+  Db.define_temporal db (Db.Periodic_def { name = "p"; family });
   let rng = Chronicle_workload.Rng.create 31 in
   for day = 0 to 19 do
     Db.advance_clock db day;
@@ -129,14 +128,14 @@ let qcheck_agrees_with_family =
           (Sca.Group_agg ([ "symbol" ], [ Aggregate.sum "shares" "s" ]))
       in
       let wv = Windowed_view.derive ~buckets def in
-      Windowed_view.attach db wv;
+      Db.define_temporal db (Db.Windowed_def { name = "w"; view = wv });
       let family =
         Periodic.create ~expire_after:2 ~def
           ~calendar:
             (Calendar.periodic ~start:(-(buckets - 1)) ~width:buckets ~stride:1)
           ()
       in
-      Periodic.attach db family;
+      Db.define_temporal db (Db.Periodic_def { name = "p"; family });
       let clock = ref 0 in
       List.for_all
         (fun (sym, shares, advance) ->

@@ -417,6 +417,39 @@ let test_split_statements () =
         (List.length (Chronicle_lang.Parser.parse chunk)))
     chunks
 
+(* Temporal readers live in the database's catalog: a windowed view
+   defined on one connection is visible on another, whose retraction
+   from the chronicle it reads is refused and changes nothing. *)
+let test_machine_shared_catalog () =
+  let server, c1 = machine () in
+  let c2 = Server.accept server in
+  List.iter
+    (fun s -> ignore (feed c1 (Protocol.Stmt s)))
+    [
+      "CREATE CHRONICLE trades (sym STRING, px INT) RETAIN FULL;";
+      "APPEND INTO trades VALUES ('a', 1);";
+      "DEFINE WINDOWED VIEW w3 BUCKETS 3 AS SELECT sym, SUM(px) AS s FROM \
+       CHRONICLE trades GROUP BY sym;";
+      "APPEND INTO trades VALUES ('a', 2);";
+    ];
+  let show conn = feed conn (Protocol.Stmt "SHOW WINDOWED w3;") in
+  let before = show c1 in
+  (match before with
+  | [ Protocol.Result r ] -> check_bool ("w3 folded the append: " ^ r) true (contains r "s=2")
+  | _ -> Alcotest.fail "SHOW WINDOWED did not answer Result");
+  check_bool "connection 2 sees w3" true (show c2 = before);
+  let refused req =
+    match feed c2 req with
+    | [ Protocol.Err { message; _ } ] ->
+        check_bool ("typed refusal: " ^ message) true
+          (contains message "windowed view w3 reads it and takes appends only")
+    | _ -> Alcotest.fail "connection 2's retraction was not refused"
+  in
+  refused (Protocol.Stmt "RETRACT FROM trades VALUES ('a', 2);");
+  refused (Protocol.Retract { chronicle = "trades"; rows = [ [ Value.Str "a"; Value.Int 2 ] ] });
+  check_bool "w3 unchanged on connection 1" true (show c1 = before);
+  check_bool "w3 unchanged on connection 2" true (show c2 = before)
+
 let suite =
   [
     test "varint boundaries" test_varint_boundaries;
@@ -435,6 +468,7 @@ let suite =
     test "machine: the retract opcode" test_machine_retract;
     test "machine: protocol errors close cleanly" test_machine_protocol_error_closes;
     test "machine: parse errors keep the session" test_machine_parse_error_keeps_session;
+    test "machine: connections share temporal readers" test_machine_shared_catalog;
     qcheck_bitflip_machine;
     qcheck_junk_machine;
     test "client statement splitter" test_split_statements;
