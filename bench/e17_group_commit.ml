@@ -10,9 +10,8 @@
    that batch=1 stays within noise of the plain per-append path, which
    is also what the differential tests pin down byte-for-byte.
 
-   All figures are single-threaded (jobs=1): group commit amortizes
-   *synchronous durability*, not fold CPU — the parallel fold story is
-   E14's.  Machine-readable evidence lands in BENCH_E17.json. *)
+   Group commit amortizes *synchronous durability*, not fold CPU.
+   Machine-readable evidence lands in BENCH_E17.json. *)
 
 open Relational
 open Chronicle_core
@@ -72,7 +71,7 @@ let run () =
     "Staged appends drain into one journal record + one sync per group \
      of N.  Under sync=always the fsync dominates, so appends/sec \
      scales with N; under sync=never grouping is near-neutral.  \
-     Single-threaded (jobs=1): this amortizes synchronous durability, \
+     Single-threaded: this amortizes synchronous durability, \
      not fold CPU.";
   let json = ref [] in
   let rows = ref [] in
@@ -114,7 +113,7 @@ let run () =
       (Journal.Sync_never, "disk,sync=never", 2048);
     ];
   Measure.print_table
-    ~title:"E17  appends/sec vs group size (disk journal, jobs=1)"
+    ~title:"E17  appends/sec vs group size (disk journal)"
     ~header:[ "storage"; "batch"; "us/append"; "appends/s"; "vs batch=1" ]
     (List.rev !rows);
   Measure.write_json ~file:"BENCH_E17.json" (List.rev !json)

@@ -21,7 +21,7 @@ let experiments =
     ("E11", E11_rewriter.run);
     ("E12", E12_snapshot.run);
     ("E13", E13_durability.run);
-    ("E14", E14_parallel.run);
+    ("E14", E14_fold_cost.run);
     ("E15", E15_recovery.run);
     ("E17", E17_group_commit.run);
     ("E18", E18_scrub_salvage.run);
@@ -32,20 +32,7 @@ let experiments =
   ]
 
 let () =
-  (* strip a leading `--jobs N` (cap on the parallelism degrees E14 and
-     E15 sweep; 0 = the recommended domain count) *)
-  let args =
-    match Array.to_list Sys.argv with
-    | exe :: "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 ->
-            Measure.jobs_limit := n;
-            exe :: rest
-        | _ ->
-            prerr_endline "--jobs expects a non-negative integer";
-            exit 2)
-    | argv -> argv
-  in
+  let args = Array.to_list Sys.argv in
   let requested =
     match args with
     | _ :: (_ :: _ as names) -> names

@@ -5,11 +5,6 @@ open Relational
 
 let now () = Unix.gettimeofday ()
 
-(* Cap on the maintenance-parallelism degrees the experiments sweep
-   (set by `bench/main.exe --jobs N`; 0 = the recommended domain
-   count).  Experiments that don't involve parallelism ignore it. *)
-let jobs_limit = ref 4
-
 (* Median wall-clock time of [runs] executions of [f], in seconds. *)
 let median_time ?(runs = 5) f =
   let samples =

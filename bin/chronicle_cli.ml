@@ -57,7 +57,6 @@ let report_recovery_error = function
 (* The storage options shared by run, recover and serve. *)
 type store = {
   sync : Journal.sync_policy;
-  jobs : int;
   salvage : bool;
   keep_checkpoints : int;
   segment_bytes : int option;
@@ -72,7 +71,7 @@ let recover_or_fresh o dir =
   else
     let mode = if o.salvage then Durable.Salvage else Durable.Strict in
     match
-      Durable.recover ~sync:o.sync ~jobs:o.jobs ~mode
+      Durable.recover ~sync:o.sync ~mode
         ~keep_checkpoints:o.keep_checkpoints ?segment_bytes:o.segment_bytes ~storage ()
     with
     | d, report ->
@@ -103,11 +102,10 @@ let run_file snapshot_in snapshot_out durable_dir crash_after crash_point batch
   close_in ic;
   let base_session () =
     match snapshot_in with
-    | None -> Session.create ~jobs:o.jobs ()
+    | None -> Session.create ()
     | Some snap -> (
         match
-          Durable.load_snapshot ~jobs:o.jobs
-            (In_channel.with_open_bin snap In_channel.input_all)
+          Durable.load_snapshot (In_channel.with_open_bin snap In_channel.input_all)
         with
         | db ->
             Format.printf "restored snapshot %s@." snap;
@@ -280,7 +278,7 @@ module Client = Chronicle_net.Client
 module Protocol = Chronicle_net.Protocol
 
 let serve_sock socket durable_dir batch o =
-  let fresh () = Chronicle_core.Db.create ~jobs:o.jobs () in
+  let fresh () = Chronicle_core.Db.create () in
   let db, durable =
     match durable_dir with
     | None -> (fresh (), None)
@@ -404,16 +402,21 @@ let sync_arg =
           "Journal sync policy: $(b,always), $(b,never) or $(b,every:N) \
            (fsync once per N records).")
 
+(* Kept only for perfbench, which passes [--jobs 1]; delete at ROADMAP
+   item 12's perfbench edit. *)
 let jobs_arg =
+  let parse s =
+    if s = "1" then Ok ()
+    else Error (`Msg "only 1 is accepted: the parallel fold was removed")
+  in
   Arg.(
     value
-    & opt int 1
+    & opt (conv (parse, fun ppf () -> Format.pp_print_string ppf "1")) ()
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Maintenance parallelism: fold affected views across $(docv) \
-           domains per append ($(b,0) = the recommended domain count). \
-           Results are identical for every value; only wall-clock time \
-           changes.")
+          "Only $(b,1) is accepted: the parallel fold was removed, and \
+           views are maintained by one sequential fold. Kept only for \
+           perfbench.")
 
 let salvage_arg =
   Arg.(
@@ -449,8 +452,8 @@ let segment_arg =
 
 let store_term =
   Term.(
-    const (fun sync jobs salvage keep_checkpoints segment_bytes ->
-        { sync; jobs; salvage; keep_checkpoints; segment_bytes })
+    const (fun sync () salvage keep_checkpoints segment_bytes ->
+        { sync; salvage; keep_checkpoints; segment_bytes })
     $ sync_arg $ jobs_arg $ salvage_arg $ keep_arg $ segment_arg)
 
 let run_cmd =

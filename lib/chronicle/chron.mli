@@ -117,8 +117,7 @@ val matching : t -> cols:int array -> Tuple.t list -> Tuple.t list
     to the stored tuples whose values at [cols] equal one of them,
     oldest first — the rows a MIN/MAX re-probe of those groups reads —
     in O(rows returned + distinct sequence numbers × log |C|).  The
-    lookup only reads, so fold domains may call it in parallel while
-    the store does not change.  Unlike the operations above, it reads
+    lookup only reads the store.  Unlike the operations above, it reads
     retained history for maintenance, so it bumps
     [Stats.Chronicle_scan] once per tuple returned. *)
 

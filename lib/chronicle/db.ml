@@ -56,10 +56,6 @@ type t = {
   relations : (string, Versioned.t) Hashtbl.t;
   registry : Registry.t;
   default_group : string;
-  pool : Exec.Pool.t;
-      (* the Δ-maintenance executor: [jobs = 1] (default) keeps the
-         historical strictly-sequential transaction path; [jobs > 1]
-         partitions the affected views of each batch across domains *)
   periodics : (string, Periodic.t) Hashtbl.t;
   windows : (string, Windowed_view.t) Hashtbl.t;
   detectors : (string, Detector.t) Hashtbl.t; (* by chronicle name *)
@@ -76,6 +72,10 @@ let unknown kind name =
   raise (Unknown (Printf.sprintf "%s %S is not in the catalog" kind name))
 
 let create ?(default_group = "main") ?(jobs = 1) () =
+  (* [jobs] is kept only for perfbench; delete at ROADMAP item 12's
+     perfbench edit *)
+  if jobs <> 1 then
+    invalid_arg "Db.create: ~jobs accepts only 1 — the parallel fold was removed";
   let t =
     {
       groups = Hashtbl.create 4;
@@ -83,7 +83,6 @@ let create ?(default_group = "main") ?(jobs = 1) () =
       relations = Hashtbl.create 16;
       registry = Registry.create ();
       default_group;
-      pool = Exec.Pool.create ~jobs ();
       periodics = Hashtbl.create 8;
       windows = Hashtbl.create 8;
       detectors = Hashtbl.create 8;
@@ -95,8 +94,8 @@ let create ?(default_group = "main") ?(jobs = 1) () =
   Hashtbl.add t.groups default_group (Group.create default_group);
   t
 
-let jobs t = Exec.Pool.jobs t.pool
-let pool t = t.pool
+(* Kept only for perfbench; delete at ROADMAP item 12's perfbench edit. *)
+let pool (_ : t) = ()
 
 let set_txn_sink t sink = t.txn_sink <- sink
 let set_fold_probe t probe = t.fold_probe <- probe
@@ -187,8 +186,7 @@ let define_view t ?index ?(tier_limit = Classify.IM_poly_r) def =
   in
   let view =
     if has_history then
-      (* bulk materialization over retained history: the one
-         sequential evaluator, at every [jobs] *)
+      (* bulk materialization over retained history *)
       match Eval.eval body with
       | initial -> View.of_initial ?index def initial
       | exception Chron.Not_retained msg ->
@@ -303,10 +301,9 @@ let first_temporal_reader t c =
    [(sn, Z-set batch)] entries, built from three pieces:
 
    - [validate], the one batch check, run before anything is journaled;
-   - [record_and_fold], the step: record each entry in order (store its
-     plus half or remove its minus half, list the affected views with
-     their folds), then fold every affected view as one chain of folds
-     on the pool ([fold_chains]);
+   - [record_and_fold], the step: for each entry in order, record it
+     (store its plus half or remove its minus half, list the affected
+     views with their folds), then fold each affected view;
    - the [transaction] wrapped around the step for live writes and the
      journal's final record: write-ahead event → chronicle, relation
      and view marks → step → commit, or roll everything back and emit
@@ -355,9 +352,6 @@ let validate_batch t ?group:gname batch =
 (* An entry is all plus (an append at a fresh [sn]) or all minus (a
    retraction of user rows stored under [sn]). *)
 type entry = { g : Group.t; sn : Seqnum.t; batch : Delta.change }
-
-let pending_updates t =
-  Hashtbl.fold (fun _ r acc -> acc || Versioned.pending_count r > 0) t.relations false
 
 let reads_history_view v = Ca.reads_history (Sca.body (View.def v))
 
@@ -452,96 +446,22 @@ let record t { g; sn; batch } =
   end
 
 (* One view's fold at [sn], announced to the fold probe first. *)
-let fold_link t v ~sn fold () =
+let fold_link t v ~sn fold =
   (match t.fold_probe with Some probe -> probe ~view:(View.name v) ~sn | None -> ());
   fold ()
 
-(* The fold scheduler.  A chain is one view's folds in record order —
-   the mandatory per-view ordering; distinct views' chains share only
-   read-only inputs (recorded batches, chronicle history, relation
-   states) and the atomic [Stats] counters, so they run across the
-   pool.  A link is [(entry index, fold)].  A failure cuts every link
-   not yet started that comes after it in (index, chain) order — work
-   the caller would discard — so at [jobs = 1] a single batch stops at
-   its first failing view, as a sequential loop would; and the failure
-   re-raised as [Entry_failed] is the lowest in that order, which does
-   not depend on scheduling. *)
-let fold_chains t chains =
-  let n = Array.length chains in
-  let cut = Atomic.make max_int in
-  let rec lower key =
-    let c = Atomic.get cut in
-    if key < c && not (Atomic.compare_and_set cut c key) then lower key
-  in
-  let failures =
-    Exec.Pool.run_chains t.pool
-      (Array.mapi
-         (fun c links ->
-           Array.map
-             (fun (index, fold) () ->
-               let key = (index * n) + c in
-               if key < Atomic.get cut then
-                 try fold ()
-                 with error ->
-                   lower key;
-                   raise (Entry_failed { index; error }))
-             links)
-         chains)
-  in
-  let key = Atomic.get cut in
-  if key < max_int then raise (Option.get failures.(key mod n))
-
-(* Fold recorded entries [(index, sn, delta, folds)], one chain per
-   view in order of first appearance — deterministic, since recording
-   runs in entry order and [Registry.affected] lists views in
-   registration order.  [open_view] runs on the submitting domain for
-   each view before the pool touches anything. *)
-let fold_recorded t ~open_view recs =
-  let order = ref [] and links = Hashtbl.create 8 in
-  List.iter
-    (fun (index, sn, _, folds) ->
-      List.iter
-        (fun (v, fold) ->
-          let name = View.name v in
-          let cell =
-            match Hashtbl.find_opt links name with
-            | Some cell -> cell
-            | None ->
-                let cell = ref [] in
-                Hashtbl.add links name cell;
-                order := (v, cell) :: !order;
-                cell
-          in
-          cell := (index, fold_link t v ~sn fold) :: !cell)
-        folds)
-    recs;
-  let order = List.rev !order in
-  List.iter (fun (v, _) -> open_view v) order;
-  fold_chains t
-    (Array.of_list (List.map (fun (_, cell) -> Array.of_list (List.rev !cell)) order))
-
-(* The record-and-fold step over [items], in order.  [prepare] turns an
-   item into the entry to record, or [None] to skip it (replay's
-   idempotence check); its failures, like recording's and folding's,
-   raise [Entry_failed] with the item's index.  Recorded entries are
-   folded at a barrier: after every entry when [interleave] (a later
-   batch's due relation updates must not be visible to an earlier
-   batch's fold; a retraction's re-probes and slices read the chronicle
-   as its own entry left it), after any entry that affects a
-   history-reading view (recording further could evict the
-   ring-retained tuples its fold still reads), and at the end.
-   [folded] then sees the barrier's entries as [(sn, recorded delta)],
-   in record order. *)
-let record_and_fold t ~open_view ~interleave ~folded prepare items =
-  let recorded = ref [] in
-  let barrier () =
-    match List.rev !recorded with
-    | [] -> ()
-    | recs ->
-        recorded := [];
-        fold_recorded t ~open_view recs;
-        folded (List.map (fun (_, sn, delta, _) -> (sn, delta)) recs)
-  in
+(* The record-and-fold step over [items], entry by entry.  [prepare]
+   turns an item into the entry to record, or [None] to skip it
+   (replay's idempotence check).  Each recorded entry is folded before
+   the next is recorded — each affected view in [Registry.affected]
+   order, [open_view] before its first fold — so a later batch's due
+   relation updates stay invisible to an earlier batch's fold, a
+   history-reading view still finds the ring-retained tuples it reads,
+   and a retraction's re-probes and slices read the chronicle as its
+   own entry left it.  A failure in preparing, recording or folding
+   raises [Entry_failed] with the item's index; [folded] then sees each
+   entry as [(sn, recorded delta)], in record order. *)
+let record_and_fold t ~open_view ~folded prepare items =
   List.iteri
     (fun index item ->
       let indexed f =
@@ -551,25 +471,26 @@ let record_and_fold t ~open_view ~interleave ~folded prepare items =
       | None -> ()
       | Some e ->
           let delta, folds = indexed (fun () -> record t e) in
-          recorded := (index, e.sn, delta, folds) :: !recorded;
-          if interleave || List.exists (fun (v, _) -> reads_history_view v) folds then
-            barrier ())
-    items;
-  barrier ()
+          indexed (fun () ->
+              List.iter
+                (fun (v, fold) ->
+                  open_view v;
+                  fold_link t v ~sn:e.sn fold)
+                folds);
+          folded (e.sn, delta))
+    items
 
-(* Every entry's temporal folds, walking the entries in record order. *)
-let announce t recorded =
-  if has_temporal_readers t then
+(* One entry's temporal folds. *)
+let announce t (sn, delta) =
+  if has_temporal_readers t then begin
+    let batch = List.map (fun (c, z) -> (c, z.Delta.plus)) delta in
+    List.iter (fun (_, p) -> Periodic.note_append p ~sn ~batch) (periodics t);
+    List.iter (fun (_, w) -> Windowed_view.note_append w ~sn ~batch) (windowed_views t);
     List.iter
-      (fun (sn, delta) ->
-        let batch = List.map (fun (c, z) -> (c, z.Delta.plus)) delta in
-        List.iter (fun (_, p) -> Periodic.note_append p ~sn ~batch) (periodics t);
-        List.iter (fun (_, w) -> Windowed_view.note_append w ~sn ~batch) (windowed_views t);
-        List.iter
-          (fun (c, tagged) ->
-            Option.iter (fun det -> Detector.observe det ~sn tagged) (detector t (Chron.name c)))
-          batch)
-      recorded
+      (fun (c, tagged) ->
+        Option.iter (fun det -> Detector.observe det ~sn tagged) (detector t (Chron.name c)))
+      batch
+  end
 
 (* The abort tail every write bracket shares, after its state is rolled
    back: count the rollback, let the journal erase the write-ahead
@@ -638,15 +559,15 @@ let bracket t g ~grouped entries =
   in
   let recorded = ref [] in
   transaction t g ~sn:(List.hd entries).sn ~event ~chrons (fun ~open_view ->
-      record_and_fold t ~open_view ~interleave:(pending_updates t)
-        ~folded:(fun recs -> recorded := List.rev_append recs !recorded)
+      record_and_fold t ~open_view
+        ~folded:(fun r -> recorded := r :: !recorded)
         (fun _ e -> Some e)
         entries);
   if grouped then begin
     Stats.incr Stats.Group_commit;
     Stats.record_max Stats.Group_size_max (List.length entries)
   end;
-  announce t (List.rev !recorded)
+  List.iter (announce t) (List.rev !recorded)
 
 (* Live appends take the sequence numbers after the watermark. *)
 let append_live t ~op ~grouped g batches =
@@ -730,10 +651,8 @@ let replay_appends t entries =
     end
   in
   (* temporal readers fold each batch before the next is recorded, as in
-     a live run: they force the interleaved order *)
-  record_and_fold t ~open_view:ignore
-    ~interleave:(pending_updates t || has_temporal_readers t)
-    ~folded:(announce t) prepare entries;
+     a live run *)
+  record_and_fold t ~open_view:ignore ~folded:(announce t) prepare entries;
   outcomes
 
 (* Relation-row inserts follow the same write-ahead discipline as
@@ -776,8 +695,8 @@ let insert_rows t rname rows =
    column), and views whose bodies read history outright
    ([Ca.CrossChron]/[Ca.ThetaJoinChron]) are rematerialized.  It is the
    record-and-fold step over minus entries in one [transaction] —
-   write-ahead [Ev_retract], marks, folds through [fold_link] on the
-   fold scheduler, commit or logical undo and [abort] — so its cost
+   write-ahead [Ev_retract], marks, folds through [fold_link], commit
+   or logical undo and [abort] — so its cost
    follows the rows retracted, not |C| or |V|, apart from the re-probes
    and rematerializations. *)
 
@@ -798,7 +717,7 @@ let retract_resolved t c entries =
     ~event:(Ev_retract { chronicle = Chron.name c; entries })
     ~chrons:[ c ]
     (fun ~open_view ->
-      record_and_fold t ~open_view ~interleave:true ~folded:ignore
+      record_and_fold t ~open_view ~folded:ignore
         (fun _ (sn, rows) ->
           Some { g; sn; batch = [ (c, { Delta.plus = []; minus = rows }) ] })
         entries;
@@ -808,10 +727,8 @@ let retract_resolved t c entries =
       List.iter
         (fun v ->
           open_view v;
-          fold_link t v ~sn:last_sn
-            (fun () ->
-              View.replace v (Eval.eval (Sca.body (View.def v))))
-            ())
+          fold_link t v ~sn:last_sn (fun () ->
+              View.replace v (Eval.eval (Sca.body (View.def v)))))
         readers);
   Stats.incr Stats.Retract_apply
 

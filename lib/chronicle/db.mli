@@ -11,9 +11,9 @@ open Relational
     future-effective relation updates that have come due, identify the
     affected persistent views through the registry (§5.2) — and fold
     the Δ of each affected view, reading neither stored chronicle
-    history nor any intermediate view.  Each view's folds run as one
-    ordered chain; distinct views' chains run across the maintenance
-    pool.
+    history nor any intermediate view.  The step is sequential: each
+    entry is folded into its affected views, one after another, before
+    the next entry is recorded.
 
     Live writes are {e atomic}: the step runs inside one bracket — the
     write-ahead event first, then marks on the group watermark, the
@@ -41,29 +41,13 @@ exception Read_only of string
 
 val create : ?default_group:string -> ?jobs:int -> unit -> t
 (** A database starts with one chronicle group (named "main" unless
-    overridden).
+    overridden).  [jobs] is kept only for perfbench; delete at ROADMAP
+    item 12's perfbench edit.  Raises [Invalid_argument] unless it is
+    [1]: the parallel fold was removed. *)
 
-    [jobs] (default [1]) is the maintenance parallelism degree: the
-    number of domains across which the Δ-folds of affected views are
-    partitioned on each append and on replay; initial view
-    materialization and ad-hoc queries are sequential at every degree.
-    [0] means [Domain.recommended_domain_count ()].  At [jobs = 1] the
-    transaction path is the historical sequential one — no pool, no
-    task handoff — and the system's observable behaviour (including
-    the per-view insertion order of every store) is byte-identical to
-    a build without the parallel layer.  At [jobs > 1] each affected
-    view is still folded {e wholly} by exactly one task, so per-view
-    results are identical to the sequential run; only the interleaving
-    {e across} views changes. *)
-
-val jobs : t -> int
-(** The effective parallelism degree ([>= 1]; [?jobs:0] has already
-    been resolved to the recommended domain count). *)
-
-val pool : t -> Exec.Pool.t
-(** The database's domain pool.  Kept only for perfbench's replay, which
-    passes it to {!Plan.compile_parallel} (an alias of [Plan.compile]);
-    nothing in the engine reads it from outside. *)
+val pool : t -> unit
+(** Kept only for perfbench, which passes it to {!Plan.compile_parallel};
+    delete at ROADMAP item 12's perfbench edit. *)
 
 (** {2 Catalog} *)
 
@@ -174,8 +158,7 @@ val append_group : t -> ?group:string -> (string * Tuple.t list) list list -> Se
     one sync for the whole group).  Each batch receives its own fresh
     consecutive sequence number (returned in order), is recorded into
     its chronicles and folded into the affected views exactly as if
-    appended alone; the per-view fold chains of the combined Δ are
-    fanned out across the maintenance pool.  Commit is all-or-nothing:
+    appended alone.  Commit is all-or-nothing:
     a failure anywhere rolls the entire group back (chronicles,
     relations, views, watermark), emits [Ev_abort], and re-raises —
     never a partial group.  Temporal readers fold strictly post-commit,
@@ -281,32 +264,23 @@ val replay_record : t -> grouped:bool -> replay_entry list -> bool array
     dying process's final record as applied-or-dropped, never torn. *)
 
 exception Entry_failed of { index : int; error : exn }
-(** Entry [index] of a {!replay_appends} run failed with [error].
-    [index] is the position of the {e lowest} failing entry in the
-    submitted list — a deterministic choice at every parallelism
-    degree, because distinct views' fold chains do not interact, so
-    which folds fail is independent of scheduling. *)
+(** Entry [index] of a {!replay_appends} run failed with [error]:
+    [index] is the position of the first failing entry in the submitted
+    list. *)
 
 val replay_appends : t -> replay_entry list -> bool array
 (** Re-apply a window of entries in order, {e without} the bracket;
     return per-entry [true] = applied, [false] = skipped (its sequence
     number is already at or below the group watermark).
 
-    Recording is strictly sequential and in submission order; the
-    Δ-folds are grouped into per-view chains (each view folds its
-    batches in record order) and run on the database's pool — at
-    [jobs = 1] inline, so the folds a view performs and the state it
-    reaches are identical at every degree.  A view whose Δ reads
-    retained history beyond its batch ({!Ca.reads_history}) forces a
-    fold barrier before the next entry is recorded, preserving
-    sequential ring-retention semantics; pending future-effective
-    relation updates and temporal readers force a barrier after every
-    entry.  Temporal readers fold after each barrier, in record
-    order.  No write-ahead event is emitted and no undo marks are
-    taken, so memory does not grow with the window.
+    Each entry is recorded and then folded into its affected views,
+    as a live append would be, before the next entry is recorded;
+    temporal readers fold it after its views.  No write-ahead event is
+    emitted and no undo marks are taken, so memory does not grow with
+    the window.
 
     {b Not} transactional across entries: a failure raises
-    {!Entry_failed} carrying the lowest failing index and leaves the
+    {!Entry_failed} carrying the failing index and leaves the
     database partially replayed — the intended caller (recovery)
     discards the in-memory database on failure. *)
 

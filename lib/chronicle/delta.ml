@@ -64,11 +64,10 @@ type sink = Tuple.t -> unit
 type stream = plus:sink -> minus:sink -> unit
 
 (* A shared key-join stage's output for one entry: filled by the first
-   consumer that runs it, under the cell's lock, then read by every
-   other consumer.  A failure is kept and re-raised by each of them. *)
+   consumer that runs it, then read by every other consumer.  A failure
+   is kept and re-raised by each of them. *)
 type filled = Unfilled | Filled of zset | Raised of exn * Printexc.raw_backtrace
-type cell = { lock : Mutex.t; mutable value : filled }
-type memo = No_memo | Cells of (int, cell) Hashtbl.t
+type memo = No_memo | Cells of (int, filled ref) Hashtbl.t
 
 (* What a node runs on: the change at [sn], the slices around a
    retraction, and the entry's memo. *)
@@ -226,14 +225,13 @@ let stage_consumers st = List.map (fun s -> s.consumers) st.live
 
 (* The stage's output for this entry, run once by whoever comes first. *)
 let fill cell (stage : stage) inp =
-  Mutex.protect cell.lock (fun () ->
-      (match cell.value with
-      | Unfilled -> (
-          match collect (stage.run inp) with
-          | z -> cell.value <- Filled z
-          | exception e -> cell.value <- Raised (e, Printexc.get_raw_backtrace ()))
-      | Filled _ | Raised _ -> ());
-      cell.value)
+  (match !cell with
+  | Unfilled -> (
+      match collect (stage.run inp) with
+      | z -> cell := Filled z
+      | exception e -> cell := Raised (e, Printexc.get_raw_backtrace ()))
+  | Filled _ | Raised _ -> ());
+  !cell
 
 (* A consumer of [stage]: streams it when the entry has no cell for it
    (it is the entry's only consumer), else reads the cell. *)
@@ -261,7 +259,7 @@ let memo plans =
         (fun s ->
           if not (Hashtbl.mem seen s.id) then Hashtbl.add seen s.id ()
           else if not (Hashtbl.mem cells s.id) then
-            Hashtbl.add cells s.id { lock = Mutex.create (); value = Unfilled })
+            Hashtbl.add cells s.id (ref Unfilled))
         claims;
       if Hashtbl.length cells = 0 then No_memo else Cells cells
 

@@ -88,8 +88,7 @@ val stage_consumers : stages -> int list
 type memo
 (** One entry's shared stage outputs.  A stage claimed at least twice
     among the plans the memo was made for has a cell: the first
-    consumer that runs it collects its output into the cell, under the
-    cell's lock (so consumers may run on several domains), and every
+    consumer that runs it collects its output into the cell, and every
     other consumer streams from the cell.  An exception the stage
     raises is kept in the cell and re-raised to every consumer.  Other
     stages stream as usual.  A memo lives as long as its entry's folds. *)

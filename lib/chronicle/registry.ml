@@ -10,10 +10,9 @@ type entry = {
 
 (* Entries live in a vector in registration order — the one iteration
    order every registry traversal uses.  [affected] in particular must
-   be deterministic and stable (parallel maintenance partitions its
-   output across domains by contiguous ranges; a hash-table iteration
-   order here would make task ownership, and hence any failure report,
-   depend on hashing accidents).  The side table maps view name to its
+   be deterministic and stable (the transaction path folds in its order;
+   a hash-table iteration order here would make the fold order, and
+   hence any failure report, depend on hashing accidents).  The side table maps view name to its
    vector slot for O(1) [find]/duplicate checks under many views;
    [unregister] compacts the vector, preserving relative order.  The
    registered views' plans share key-join stages through [stages]. *)

@@ -45,11 +45,9 @@ val affected : t -> Chron.t -> Tuple.t list -> View.t list
     chronicle: dependents whose guard passes at least one tuple.
 
     The output order is {e deterministic and stable}: registration
-    order, independent of any hash-table iteration order.  The parallel
-    maintenance path partitions this list into contiguous per-domain
-    ranges, so determinism here is what makes task ownership (and the
-    lowest-index failure chosen on rollback) reproducible run to
-    run. *)
+    order, independent of any hash-table iteration order.  The
+    transaction path folds the views in this order, so the view whose
+    failure aborts a batch is reproducible run to run. *)
 
 (** {2 Economics counters} *)
 

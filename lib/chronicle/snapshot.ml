@@ -610,7 +610,7 @@ let put_db buf db =
   Codec.put_list put_windowed buf (Db.windowed_views db);
   Codec.put_list put_detector buf (Db.detectors db)
 
-let get_db ?jobs r =
+let get_db r =
   let groups =
     Codec.list
       (fun r ->
@@ -623,7 +623,7 @@ let get_db ?jobs r =
   let db =
     Db.create
       ~default_group:(match groups with (name, _, _) :: _ -> name | [] -> "main")
-      ?jobs ()
+      ()
   in
   List.iteri
     (fun i (name, watermark, clock) ->
@@ -679,9 +679,4 @@ let decode_with what get data =
   | exception (Snapshot_error _ as e) -> raise e
   | exception e -> error "%s does not load: %s" what (Printexc.to_string e)
 
-let load ?jobs data = decode_with "snapshot" (get_db ?jobs) data
-
-let save_file db path =
-  Out_channel.with_open_bin path (fun oc -> output_string oc (save db))
-
-let load_file ?jobs path = load ?jobs (In_channel.with_open_bin path In_channel.input_all)
+let load data = decode_with "snapshot" get_db data

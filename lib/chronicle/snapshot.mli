@@ -29,16 +29,10 @@ val save : Db.t -> string
     pending future-effective updates, or a registered view definition
     is not expressible in the snapshot grammar. *)
 
-val load : ?jobs:int -> string -> Db.t
+val load : string -> Db.t
 (** Rebuild a database from {!save} output.  Raises {!Snapshot_error}
     on any input that does not decode or does not load — the reason
-    carries the byte offset where decoding stopped.  [jobs] is the
-    maintenance parallelism degree of the rebuilt database (see
-    {!Db.create}; a snapshot does not record the degree it was saved
-    under — parallelism is an execution property, not state). *)
-
-val save_file : Db.t -> string -> unit
-val load_file : ?jobs:int -> string -> Db.t
+    carries the byte offset where decoding stopped. *)
 
 val decode_with : string -> (Codec.reader -> 'a) -> string -> 'a
 (** [decode_with what get data] decodes a whole payload, raising

@@ -636,25 +636,23 @@ type report = {
   degraded : bool;
 }
 
-(* A window keeps every recorded delta alive until its folds run, so
-   windows are bounded: an unbounded one over a long journal promotes
-   the whole journal's deltas to the major heap (E18: 10k-record
-   salvage and strict replays ran 20–60 % slower unbounded than in
-   windows of 256 records). *)
+(* Windows are bounded, so a window's flattened entry list and outcome
+   array stay small over a long journal.  (When a window's folds ran
+   after all of its entries were recorded, E18 measured 10k-record
+   replays 20–60 % slower unbounded than in windows of 256 records;
+   every entry now folds as soon as it is recorded.) *)
 let window_records = 256
 
 (* Replay records [0, n) of the global record sequence into [database];
    [whole]: the prefix is the whole journal.  Runs of consecutive append
    and group records (the common journal shape) are dispatched as one
    window through [Db.replay_appends] — Db's record-and-fold step
-   without its transaction bracket — which schedules independent views'
-   fold chains across the database's pool; catalog/clock records are
-   scheduling barriers replayed one at a time; and the prefix's last
-   record always replays alone through the bracket ([Db.replay_record]),
-   keeping the classic semantics of a batch that died with the crashed
-   process (applied-or-dropped, never half-applied).  Every degree —
-   including [jobs = 1], where the pool runs inline — takes this same
-   path, so recovered state is identical across degrees.
+   without its transaction bracket, so no undo marks pile up over the
+   window; catalog/clock records replay one at a time; and the prefix's
+   last record always replays alone through the bracket
+   ([Db.replay_record]), keeping the classic semantics of a batch that
+   died with the crashed process (applied-or-dropped, never
+   half-applied).
 
    Returns [Ok (replayed, skipped, dropped_failed)], or [Error (k, e)]
    when record [k] failed to apply — unless [k] is the whole journal's
@@ -709,7 +707,7 @@ let replay ~fault database (records : record array) n ~whole =
   in
   go 0
 
-let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
+let recover ?fault ?(sync = Journal.Sync_always) ?(mode = Strict)
     ?(keep_checkpoints = 1) ?segment_bytes ~storage () =
   let fault = prepare ~caller:"recover" ?fault ~keep_checkpoints storage in
   (* the mode is a damage policy and nothing else: [Strict] raises at
@@ -741,7 +739,7 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
           | None -> Error "vanished during recovery"
           | Some (Error reason) -> Error reason
           | Some (Ok (h, payload)) -> (
-              match Snapshot.load ?jobs payload with
+              match Snapshot.load payload with
               | db -> Ok (h.Ckpt.first_segment, payload, db)
               | exception Snapshot.Snapshot_error reason -> Error reason)
         in
@@ -767,16 +765,16 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
     match load_checkpoint None candidates with
     | `Loaded (generation, first_segment, payload, db) ->
         (generation, first_segment, Some payload, db)
-    | `Fresh -> (None, 0, None, Db.create ?jobs ())
+    | `Fresh -> (None, 0, None, Db.create ())
     | `All_failed (generation, reason) ->
         on_damage (Checkpoint_corrupt { generation; reason });
-        (None, 0, None, Db.create ?jobs ())
+        (None, 0, None, Db.create ())
   in
   (* a salvage retry starts over from the checkpoint bytes verified above *)
   let reload () =
     match payload with
-    | Some p -> Snapshot.load ?jobs p
-    | None -> Db.create ?jobs ()
+    | Some p -> Snapshot.load p
+    | None -> Db.create ()
   in
   (* ---- journal: sealed segments the checkpoint does not cover, in
      sequence order, then the active segment, flattened into the global
@@ -881,12 +879,12 @@ let recover ?fault ?(sync = Journal.Sync_always) ?jobs ?(mode = Strict)
    journal: the one checkpoint layout. *)
 let save_snapshot db = Ckpt.encode ~generation:0 ~first_segment:0 (Snapshot.save db)
 
-let load_snapshot ?jobs data =
+let load_snapshot data =
   let refuse reason = raise (Checkpoint_corrupt { generation = None; reason }) in
   match Ckpt.decode data with
   | Error reason -> refuse reason
   | Ok (_, payload) -> (
-      try Snapshot.load ?jobs payload with Snapshot.Snapshot_error reason -> refuse reason)
+      try Snapshot.load payload with Snapshot.Snapshot_error reason -> refuse reason)
 
 let has_state storage =
   let { checkpoints; sealed; active } = layout storage in

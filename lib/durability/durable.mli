@@ -182,7 +182,6 @@ type report = {
 val recover :
   ?fault:Fault.t ->
   ?sync:Journal.sync_policy ->
-  ?jobs:int ->
   ?mode:mode ->
   ?keep_checkpoints:int ->
   ?segment_bytes:int ->
@@ -220,17 +219,10 @@ val recover :
     and its journal record erased — only when nothing follows it; a
     record that damage follows is not the journal's final record.
 
-    Replay is parallel in both modes: runs of consecutive append and
-    group records are dispatched as windows through
-    {!Db.replay_appends} (the record-and-fold step without the
-    bracket), which records batches in journal order and schedules
-    each view's ordered fold chain across the database's pool
-    ([jobs], as {!Db.create}).  Catalog and clock records,
-    history-reading views ({!Ca.reads_history}) and the replayed
-    prefix's last record are sequential barriers.  The recovered state
-    is byte-identical at every degree — each view folds its batches
-    wholly and in journal order; only the interleaving across views
-    changes. *)
+    In both modes, runs of consecutive append and group records replay
+    as windows through {!Db.replay_appends} (the record-and-fold step
+    without the bracket, in journal order); catalog and clock records
+    and the replayed prefix's last record replay one at a time. *)
 
 val has_state : Storage.t -> bool
 (** True if the {!layout} lists a checkpoint candidate or a journal
@@ -244,7 +236,7 @@ val save_snapshot : Db.t -> string
     ([chronicle-cli run --save]).  Raises {!Snapshot.Snapshot_error} as
     {!Snapshot.save} does. *)
 
-val load_snapshot : ?jobs:int -> string -> Db.t
+val load_snapshot : string -> Db.t
 (** Rebuild a database from {!save_snapshot} bytes.  Raises
     {!Checkpoint_corrupt} (generation [None]) on bytes that do not
     verify or do not load; the reason names a foreign format

@@ -1,15 +1,7 @@
 exception Crash of string
 exception Sync_failed of string
 
-(* [hit] is called from the transaction path, which at [jobs > 1] folds
-   affected views on several domains concurrently — the [view-fold]
-   crash point in particular fires from pool workers.  A mutex
-   serializes all mutation of the tables and the countdowns; at most
-   one concurrent prober wins the race to crash (the others see
-   [dead = true] and pass through), mirroring a real machine where one
-   fault takes the process down once. *)
 type t = {
-  lock : Mutex.t;
   armed : (string, int ref) Hashtbl.t; (* remaining hits before firing *)
   counts : (string, int) Hashtbl.t;
   mutable torn : (int ref * int) option; (* appends before firing, bytes kept *)
@@ -20,105 +12,74 @@ type t = {
   mutable dead : bool;
 }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let create () =
-  { lock = Mutex.create (); armed = Hashtbl.create 8;
-    counts = Hashtbl.create 8; torn = None; sync_fail = None; dead = false }
+  { armed = Hashtbl.create 8; counts = Hashtbl.create 8; torn = None;
+    sync_fail = None; dead = false }
 
 let arm t ?(after = 0) name =
   if after < 0 then invalid_arg "Fault.arm: negative countdown";
-  locked t (fun () -> Hashtbl.replace t.armed name (ref after))
+  Hashtbl.replace t.armed name (ref after)
 
-let disarm t name = locked t (fun () -> Hashtbl.remove t.armed name)
+let disarm t name = Hashtbl.remove t.armed name
 
 let disarm_all t =
-  locked t (fun () ->
-      Hashtbl.reset t.armed;
-      t.torn <- None;
-      t.sync_fail <- None)
+  Hashtbl.reset t.armed;
+  t.torn <- None;
+  t.sync_fail <- None
 
-let hit_count t name =
-  locked t (fun () ->
-      Option.value ~default:0 (Hashtbl.find_opt t.counts name))
+let hit_count t name = Option.value ~default:0 (Hashtbl.find_opt t.counts name)
 
 let hit t name =
-  let fire =
-    locked t (fun () ->
-        Hashtbl.replace t.counts name
-          (Option.value ~default:0 (Hashtbl.find_opt t.counts name) + 1);
-        if t.dead then false
-        else
-          match Hashtbl.find_opt t.armed name with
-          | Some remaining when !remaining = 0 ->
-              Hashtbl.remove t.armed name;
-              t.dead <- true;
-              true
-          | Some remaining ->
-              decr remaining;
-              false
-          | None -> false)
-  in
-  if fire then raise (Crash name)
+  Hashtbl.replace t.counts name (hit_count t name + 1);
+  if not t.dead then
+    match Hashtbl.find_opt t.armed name with
+    | Some remaining when !remaining = 0 ->
+        Hashtbl.remove t.armed name;
+        t.dead <- true;
+        raise (Crash name)
+    | Some remaining -> decr remaining
+    | None -> ()
 
 let is_dead t = t.dead
 
 let revive t =
-  locked t (fun () -> t.dead <- false);
+  t.dead <- false;
   disarm_all t
 
 let arm_torn_write ?(after = 0) t ~keep =
   if after < 0 || keep < 0 then invalid_arg "Fault.arm_torn_write";
-  locked t (fun () -> t.torn <- Some (ref after, keep))
+  t.torn <- Some (ref after, keep)
 
 let arm_sync_failures ?(after = 0) t ~fails =
   if after < 0 || fails <= 0 then invalid_arg "Fault.arm_sync_failures";
-  locked t (fun () -> t.sync_fail <- Some (ref after, ref fails))
+  t.sync_fail <- Some (ref after, ref fails)
 
 let wrap_storage t (s : Storage.t) =
   {
     s with
     Storage.append =
       (fun name data ->
-        (* decide under the lock, perform storage I/O outside it *)
-        let tear =
-          locked t (fun () ->
-              match t.torn with
-              | Some (remaining, keep) when (not t.dead) && !remaining = 0 ->
-                  t.torn <- None;
-                  t.dead <- true;
-                  Some keep
-              | Some (remaining, _) when not t.dead ->
-                  decr remaining;
-                  None
-              | _ -> None)
-        in
-        match tear with
-        | Some keep ->
-            s.Storage.append name
-              (String.sub data 0 (min keep (String.length data)));
+        match t.torn with
+        | Some (remaining, keep) when (not t.dead) && !remaining = 0 ->
+            t.torn <- None;
+            t.dead <- true;
+            s.Storage.append name (String.sub data 0 (min keep (String.length data)));
             raise (Crash "torn-write")
-        | None -> s.Storage.append name data);
+        | Some (remaining, _) when not t.dead ->
+            decr remaining;
+            s.Storage.append name data
+        | _ -> s.Storage.append name data);
     Storage.sync =
       (fun name ->
-        let fail =
-          locked t (fun () ->
-              match t.sync_fail with
-              | Some (healthy, remaining) when not t.dead ->
-                  if !healthy > 0 then begin
-                    decr healthy;
-                    false
-                  end
-                  else begin
-                    decr remaining;
-                    if !remaining <= 0 then t.sync_fail <- None;
-                    true
-                  end
-              | _ -> false)
-        in
-        if fail then raise (Sync_failed name) else s.Storage.sync name);
+        match t.sync_fail with
+        | Some (healthy, _) when (not t.dead) && !healthy > 0 ->
+            decr healthy;
+            s.Storage.sync name
+        | Some (_, remaining) when not t.dead ->
+            decr remaining;
+            if !remaining <= 0 then t.sync_fail <- None;
+            raise (Sync_failed name)
+        | _ -> s.Storage.sync name);
   }
 
 let flip_bit (s : Storage.t) ~name ~byte ~bit =

@@ -51,13 +51,7 @@ val hit : t -> string -> unit
 (** Called by instrumented code.  Counts the hit; if the point is
     armed and its countdown is exhausted, marks the plan dead and
     raises {!Crash}.  A dead plan never fires again (the process died
-    once).
-
-    Thread-safe: at maintenance parallelism > 1 the ["view-fold"]
-    point is probed concurrently from pool domains; countdown and
-    counts are serialized by an internal mutex, and exactly one racing
-    prober fires the crash (the rest observe the dead plan and pass
-    through). *)
+    once). *)
 
 val hit_count : t -> string -> int
 (** Observed hits of a point (armed or not) — lets tests discover how

@@ -574,6 +574,7 @@ let pp_result ppf = function
       Format.fprintf ppf "defined rule %s on %s" rule chronicle
   | Advanced chronon -> Format.fprintf ppf "clock advanced to %d" chronon
   | Info text -> Format.pp_print_string ppf text
+  | Rows (schema, []) -> Schema.pp ppf schema
   | Rows (schema, tuples) ->
       Format.fprintf ppf "@[<v>%a@,%a@]" Schema.pp schema
         (Format.pp_print_list ~pp_sep:Format.pp_print_cut

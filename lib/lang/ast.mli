@@ -112,8 +112,7 @@ type stmt =
   | Show_counters
       (** [SHOW COUNTERS]: the engine-wide {!Stats} work counters
           (index probes, tuple reads, …) as rows — the observable the
-          differential plan tests and the CLI's [--jobs] runs assert
-          on. *)
+          differential plan tests assert on. *)
   | Drop_view of string
   | Set_batch of int
       (** [SET BATCH n]: group-commit threshold of the session's

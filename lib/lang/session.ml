@@ -4,7 +4,7 @@ module Staging = Chronicle_durability.Group
 type t = { db : Db.t; stager : Staging.t }
 
 let of_db db = { db; stager = Staging.create db }
-let create ?jobs () = of_db (Db.create ?jobs ())
+let create () = of_db (Db.create ())
 
 let db t = t.db
 let stager t = t.stager

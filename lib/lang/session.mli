@@ -7,10 +7,8 @@ open Chronicle_core
 
 type t
 
-val create : ?jobs:int -> unit -> t
-(** [jobs] is the maintenance parallelism degree of the underlying
-    database (see {!Db.create}; default 1 = sequential, 0 = the
-    recommended domain count). *)
+val create : unit -> t
+(** A session over a fresh database. *)
 
 val of_db : Db.t -> t
 (** Wrap an existing database (e.g. one restored from a snapshot). *)

@@ -262,9 +262,8 @@ let compile expr =
 
 let eval expr = run (compile expr)
 
-(* Kept only for perfbench's replay, which calls it; every caller in
-   the engine uses [compile]. *)
-let compile_parallel _ e = compile e
+(* Kept only for perfbench; delete at ROADMAP item 12's perfbench edit. *)
+let compile_parallel () e = compile e
 
 (* Make [Ra.eval] the compiled pipeline (see the note in ra.ml). *)
 let () = Ra.internal_set_eval eval

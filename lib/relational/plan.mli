@@ -39,10 +39,9 @@ val run : t -> Tuple.t list
 val eval : Ra.t -> Tuple.t list
 (** [run ∘ compile]; what {!Ra.eval} dispatches to. *)
 
-val compile_parallel : Exec.Pool.t -> Ra.t -> t
-(** [compile_parallel _ e] is [compile e]: the pool is ignored.  Kept
-    only for perfbench's replay, which still calls it; bulk evaluation
-    runs the one sequential plan at every [--jobs]. *)
+val compile_parallel : unit -> Ra.t -> t
+(** [compile_parallel () e] is [compile e].  Kept only for perfbench;
+    delete at ROADMAP item 12's perfbench edit. *)
 
 val schema : t -> Schema.t
 (** Result schema, resolved at compile time. *)

@@ -106,51 +106,19 @@ let counter_name = function
   | Weight_cancel -> "weight_cancel"
   | Aggregate_reprobe -> "aggregate_reprobe"
 
-(* One atomic cell per counter: the transaction path folds the deltas
-   of independent views on several domains at once, and every fold
-   bumps these counters.  [fetch_and_add] keeps accounting exact under
-   that parallelism (no lost updates); on the jobs = 1 path the cost is
-   one uncontended atomic RMW, and the observable values are identical
-   to the old plain-int implementation. *)
-let counts = Array.init 31 (fun _ -> Atomic.make 0)
+let counts = Array.make 31 0
 
-let incr c = Atomic.incr counts.(slot c)
-let add c n = ignore (Atomic.fetch_and_add counts.(slot c) n)
-let get c = Atomic.get counts.(slot c)
+let incr c = counts.(slot c) <- counts.(slot c) + 1
+let add c n = counts.(slot c) <- counts.(slot c) + n
+let get c = counts.(slot c)
 
-(* High-water counters (Group_size_max): a CAS loop so concurrent
-   recorders can never shrink the maximum; monotone between [reset]s
-   like every other cell, so snapshot monotonicity still holds. *)
-let record_max c n =
-  let cell = counts.(slot c) in
-  let rec loop () =
-    let cur = Atomic.get cell in
-    if n > cur && not (Atomic.compare_and_set cell cur n) then loop ()
-  in
-  loop ()
+(* High-water counters (Group_size_max) only ever grow between [reset]s. *)
+let record_max c n = counts.(slot c) <- max counts.(slot c) n
 
 type snapshot = int array
 
-(* Torn-read safety: each cell is read with exactly one atomic load and
-   the loaded value is stored straight into the fresh result array —
-   never re-read, never assembled from partial words.  Consequences,
-   valid at any parallelism degree:
-
-   - every per-counter value in a snapshot is a value the counter
-     actually held at the instant of its load (no phantom values);
-   - counters only grow between [reset]s, so snapshots taken in
-     sequence by one domain are {e pointwise monotone} even while other
-     domains bump concurrently (asserted by the jobs = 4 stress test in
-     test_parallel.ml);
-   - every bump lands in exactly one of any two bracketing snapshots,
-     so before/after differencing over a region that starts and ends
-     quiescent is exact — and with jobs = 1 exact, full stop.
-
-   The vector as a whole is still not a single global cut (loads of
-   different cells happen at slightly different instants); no consumer
-   in this codebase needs one. *)
-let snapshot () = Array.init (Array.length counts) (fun i -> Atomic.get counts.(i))
-let reset () = Array.iter (fun a -> Atomic.set a 0) counts
+let snapshot () = Array.copy counts
+let reset () = Array.fill counts 0 (Array.length counts) 0
 
 let diff before after =
   List.filter_map

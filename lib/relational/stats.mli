@@ -71,15 +71,9 @@ type counter =
 val incr : counter -> unit
 val add : counter -> int -> unit
 val get : counter -> int
-(** Counters are atomic ([Atomic.t] cells): the parallel maintenance
-    path bumps them from several domains at once and no update is ever
-    lost, so totals over a quiescent region are exact regardless of the
-    domain count.  With [jobs = 1] the behaviour (and every observable
-    value) is identical to plain mutable integers. *)
-
 val record_max : counter -> int -> unit
-(** [record_max c n] raises counter [c] to [n] if [n] is larger (atomic
-    CAS loop, never shrinks).  For high-water counters such as
+(** [record_max c n] raises counter [c] to [n] if [n] is larger (never
+    shrinks).  For high-water counters such as
     {!Group_size_max}; differencing such a counter across a region
     yields a bound, not a sum. *)
 
@@ -91,16 +85,6 @@ val all : counter list
 type snapshot
 
 val snapshot : unit -> snapshot
-(** Torn-read-safe at any parallelism degree: each counter is read with
-    exactly one atomic load into the result (never re-read, never
-    assembled from parts), so every reported value is one the counter
-    actually held, and — counters being monotone between {!reset}s —
-    successive snapshots taken by one domain are pointwise
-    non-decreasing even under concurrent bumps from pool domains.
-    Under concurrent bumps the vector is not a single global cut, but
-    any bump is counted in exactly one of two bracketing snapshots, so
-    [diff before after] over a region that starts and ends quiescent is
-    exact. *)
 
 val reset : unit -> unit
 

@@ -91,10 +91,9 @@ let mileage_schema =
 (* Catalog under test: two chronicles in one group (ring and discard
    retention), one relation, and three views — a grouped aggregate over
    a union of both chronicles, a guarded selection view, and a guarded
-   per-account view (so batches affect one, two or three views, and a
-   parallel run has real partitions to hand out). *)
-let mk_db ?jobs () =
-  let db = Db.create ?jobs () in
+   per-account view (so batches affect one, two or three views). *)
+let mk_db () =
+  let db = Db.create () in
   ignore
     (Db.add_chronicle db ~retention:(Chron.Window 4) ~name:"mileage"
        mileage_schema);
@@ -181,12 +180,9 @@ let apply ?durable db op =
             };
         ]
 
-(* Clean-run states S₀ … Sₙ — always computed sequentially (jobs = 1),
-   so a crashed-and-recovered parallel run is checked against the
-   sequential states: crash equivalence and parallel transparency in
-   one comparison.  [mk] swaps the catalog (jobs ↦ database). *)
-let clean_states ?(mk = fun jobs -> mk_db ~jobs ()) ops =
-  let db = mk 1 in
+(* Clean-run states S₀ … Sₙ.  [mk] swaps the catalog. *)
+let clean_states ?(mk = mk_db) ops =
+  let db = mk () in
   (* bind S₀ before mapping: [::] evaluates right-to-left, and the map
      mutates [db] *)
   let s0 = Snapshot.save db in
@@ -201,9 +197,8 @@ let clean_states ?(mk = fun jobs -> mk_db ~jobs ()) ops =
 (* Run the workload durably with [script] armed after attach, keeping
    [keep] checkpoint generations; returns the number of ops that
    completed before a crash (n = no crash). *)
-let durable_run ?(mk = fun jobs -> mk_db ~jobs ()) ?(keep = 1) ops ~jobs
-    ~storage ~fault ~script =
-  let db = mk jobs in
+let durable_run ?(mk = mk_db) ?(keep = 1) ops ~storage ~fault ~script =
+  let db = mk () in
   let d = Durable.attach ~fault ~keep_checkpoints:keep ~storage db in
   script fault;
   let applied = ref 0 in
@@ -216,22 +211,20 @@ let durable_run ?(mk = fun jobs -> mk_db ~jobs ()) ?(keep = 1) ops ~jobs
    with Fault.Crash _ -> ());
   (!applied, Fault.is_dead fault)
 
-(* The property itself.  [jobs] is the maintenance parallelism of the
-   crashing run and of recovery; the reference states stay sequential.
-   [keep] is the crashing run's checkpoint generations. *)
-let check_crash_equivalence ?(what = "") ?(jobs = 1) ?keep ?mk ?on_crashed ops
-    script =
+(* The property itself.  [keep] is the crashing run's checkpoint
+   generations. *)
+let check_crash_equivalence ?(what = "") ?keep ?mk ?on_crashed ops script =
   let states = clean_states ?mk ops in
   let storage = Storage.mem () in
   let fault = Fault.create () in
   let applied, crashed =
-    durable_run ?mk ?keep ops ~jobs ~storage ~fault ~script
+    durable_run ?mk ?keep ops ~storage ~fault ~script
   in
   (* the op the crash interrupted, if any *)
   Option.iter
     (fun f -> f (if crashed then List.nth_opt ops applied else None))
     on_crashed;
-  let d, _report = Durable.recover ~jobs ~storage () in
+  let d, _report = Durable.recover ~storage () in
   let recovered = Snapshot.save (Durable.db d) in
   let ok =
     if not crashed then recovered = states.(Array.length states - 1)
@@ -285,27 +278,18 @@ let crash_points =
 let test_exhaustive_crash_sweep () =
   let max_countdown = 14 in
   List.iter
-    (fun (jobs, keep) ->
+    (fun keep ->
       List.iter
         (fun point ->
           for k = 0 to max_countdown do
             check_crash_equivalence
               ~what:
-                (Printf.sprintf "%s after %d hits (jobs=%d, keep=%d)" point k
-                   jobs keep)
-              ~jobs ~keep fixed_workload
+                (Printf.sprintf "%s after %d hits (keep=%d)" point k keep)
+              ~keep fixed_workload
               (fun fault -> Fault.arm fault ~after:k point)
           done)
         crash_points)
-    [ (1, 1); (1, 3); (2, 1); (2, 3) ];
-  (* the view-fold point is the one probed concurrently from pool
-     domains: sweep it at a higher degree too *)
-  for k = 0 to max_countdown do
-    check_crash_equivalence
-      ~what:(Printf.sprintf "view-fold after %d hits (jobs=4)" k)
-      ~jobs:4 fixed_workload
-      (fun fault -> Fault.arm fault ~after:k "view-fold")
-  done
+    [ 1; 3 ]
 
 (* Temporal-reader crash sweep: the fixed workload with a periodic view,
    a windowed view and a rule defined after its first append and clock
@@ -335,8 +319,8 @@ let test_temporal_crash_sweep () =
 (* Group-commit crash sweep: a group-heavy workload (the final record is
    a group) crashed inside the half-committed-group window — after the
    group record reached the journal but before any ack
-   ("post-journal-write" / "post-group-write") and mid-fan-out while
-   pool domains fold the combined Δ ("view-fold").  The property is the
+   ("post-journal-write" / "post-group-write") and while the views
+   fold the group's entries ("view-fold").  The property is the
    same crash equivalence: the recovered state is pre-group or
    post-group, never a partial group. *)
 let group_workload =
@@ -358,19 +342,15 @@ let group_workload =
 let test_group_crash_sweep () =
   let max_countdown = 8 in
   List.iter
-    (fun jobs ->
-      List.iter
-        (fun point ->
-          for k = 0 to max_countdown do
-            check_crash_equivalence
-              ~what:
-                (Printf.sprintf "group: %s after %d hits (jobs=%d)" point k
-                   jobs)
-              ~jobs group_workload
-              (fun fault -> Fault.arm fault ~after:k point)
-          done)
-        [ "post-journal-write"; "post-group-write"; "view-fold" ])
-    [ 1; 2; 4 ]
+    (fun point ->
+      for k = 0 to max_countdown do
+        check_crash_equivalence
+          ~what:
+            (Printf.sprintf "group: %s after %d hits" point k)
+          group_workload
+          (fun fault -> Fault.arm fault ~after:k point)
+      done)
+    [ "post-journal-write"; "post-group-write"; "view-fold" ]
 
 (* Key-join crash sweep.  A key-join catalog whose relation gains rows
    between appends through journaled [Rel] inserts, so later folds
@@ -382,8 +362,8 @@ let test_group_crash_sweep () =
 let customer_schema =
   Schema.make [ ("cust", Value.TInt); ("state", Value.TStr) ]
 
-let mk_keyjoin_db ?jobs () =
-  let db = Db.create ?jobs () in
+let mk_keyjoin_db () =
+  let db = Db.create () in
   ignore (Db.add_chronicle db ~name:"mileage" mileage_schema);
   ignore (Db.add_chronicle db ~name:"bonus" mileage_schema);
   let cust =
@@ -430,59 +410,50 @@ let keyjoin_workload =
   ]
 
 let test_keyjoin_crash_sweep () =
-  let mk jobs = mk_keyjoin_db ~jobs () in
   List.iter
-    (fun jobs ->
-      List.iter
-        (fun point ->
-          (* guard against a vacuous sweep: every point must take the
-             process down at least once over the countdown range *)
-          let fired = ref false in
-          for k = 0 to 5 do
-            check_crash_equivalence
-              ~what:
-                (Printf.sprintf "key join: %s after %d hits (jobs=%d)" point
-                   k jobs)
-              ~jobs ~mk
-              ~on_crashed:(fun op -> fired := !fired || op <> None)
-              keyjoin_workload
-              (fun fault -> Fault.arm fault ~after:k point)
-          done;
-          if not !fired then
-            Alcotest.failf "crash point %s never fired (jobs=%d)" point jobs)
-        [ "view-fold"; "post-journal-write"; "post-insert-write" ])
-    [ 1; 2; 4 ]
+    (fun point ->
+      (* guard against a vacuous sweep: every point must take the
+         process down at least once over the countdown range *)
+      let fired = ref false in
+      for k = 0 to 5 do
+        check_crash_equivalence
+          ~what:
+            (Printf.sprintf "key join: %s after %d hits" point k)
+          ~mk:mk_keyjoin_db
+          ~on_crashed:(fun op -> fired := !fired || op <> None)
+          keyjoin_workload
+          (fun fault -> Fault.arm fault ~after:k point)
+      done;
+      if not !fired then
+        Alcotest.failf "crash point %s never fired" point)
+    [ "view-fold"; "post-journal-write"; "post-insert-write" ]
 
 (* A failure in the first consumer of a shared stage — the stage not
    yet run for the entry — rolls the whole group back: both sharing
-   views, the chronicles and the watermark are as before the group, at
-   every parallelism, and the same group then commits and equals a
-   clean run. *)
+   views, the chronicles and the watermark are as before the group, and
+   the same group then commits and equals a clean run. *)
 let test_keyjoin_shared_rollback () =
   let group =
     Group [ ([ (1, 15) ], []); ([ (1, 16); (2, 5) ], [ (2, 1) ]); ([ (3, 7) ], []) ]
   in
-  let clean = mk_keyjoin_db ~jobs:1 () in
+  let clean = mk_keyjoin_db () in
   List.iter (apply clean) [ Append [ (1, 10); (2, 40) ]; group ];
-  List.iter
-    (fun jobs ->
-      let db = mk_keyjoin_db ~jobs () in
-      apply db (Append [ (1, 10); (2, 40) ]);
-      let before = Snapshot.save db in
-      Db.set_fold_probe db
-        (Some
-           (fun ~view ~sn:_ ->
-             if view = "by_state" then failwith "by_state fold failed"));
-      (match apply db group with
-      | () -> Alcotest.failf "the failing fold did not abort the group (jobs=%d)" jobs
-      | exception Failure _ -> ());
-      if Snapshot.save db <> before then
-        Alcotest.failf "the group did not roll back (jobs=%d)" jobs;
-      Db.set_fold_probe db None;
-      apply db group;
-      if Snapshot.save db <> Snapshot.save clean then
-        Alcotest.failf "the retried group differs from a clean run (jobs=%d)" jobs)
-    [ 1; 2; 4 ]
+  let db = mk_keyjoin_db () in
+  apply db (Append [ (1, 10); (2, 40) ]);
+  let before = Snapshot.save db in
+  Db.set_fold_probe db
+    (Some
+       (fun ~view ~sn:_ ->
+         if view = "by_state" then failwith "by_state fold failed"));
+  (match apply db group with
+  | () -> Alcotest.fail "the failing fold did not abort the group"
+  | exception Failure _ -> ());
+  if Snapshot.save db <> before then
+    Alcotest.fail "the group did not roll back";
+  Db.set_fold_probe db None;
+  apply db group;
+  if Snapshot.save db <> Snapshot.save clean then
+    Alcotest.fail "the retried group differs from a clean run"
 
 (* Retraction crash sweep.  A Full-retention twin of the standard
    catalog (Db.retract refuses anything weaker), same three views.
@@ -494,8 +465,8 @@ let test_keyjoin_shared_rollback () =
    standard crash equivalence plus replay idempotence: a recovery that
    already holds the retraction (checkpointed post-retract state) must
    skip the record, never double-retract. *)
-let mk_retract_db ?jobs () =
-  let db = Db.create ?jobs () in
+let mk_retract_db () =
+  let db = Db.create () in
   ignore
     (Db.add_chronicle db ~retention:Chron.Full ~name:"mileage" mileage_schema);
   ignore
@@ -543,52 +514,47 @@ let retract_workload =
   ]
 
 let test_retract_crash_sweep () =
-  let mk jobs = mk_retract_db ~jobs () in
+  let mk = mk_retract_db in
   (* size each point's countdown from a dry run: every hit the workload
      makes of the point is a crash opportunity, so the sweep covers the
      retractions' view folds too, not just the appends' *)
   let hits point =
     let fault = Fault.create () in
     ignore
-      (durable_run ~mk retract_workload ~jobs:1 ~storage:(Storage.mem ()) ~fault
+      (durable_run ~mk retract_workload ~storage:(Storage.mem ()) ~fault
          ~script:ignore);
     Fault.hit_count fault point
   in
   List.iter
-    (fun jobs ->
-      List.iter
-        (fun (point, in_retract) ->
-          (* guard against a vacuous sweep: every point must take the
-             process down at least once, and the retraction's own
-             points must do so inside a Retract op *)
-          let fired = ref false and fired_in_retract = ref false in
-          for k = 0 to hits point - 1 do
-            check_crash_equivalence
-              ~what:
-                (Printf.sprintf "retract: %s after %d hits (jobs=%d)" point k
-                   jobs)
-              ~jobs ~mk
-              ~on_crashed:(function
-                | Some (Retract _) ->
-                    fired := true;
-                    fired_in_retract := true
-                | Some _ -> fired := true
-                | None -> ())
-              retract_workload
-              (fun fault -> Fault.arm fault ~after:k point)
-          done;
-          if not !fired then
-            Alcotest.failf "crash point %s never fired (jobs=%d)" point jobs;
-          if in_retract && not !fired_in_retract then
-            Alcotest.failf
-              "crash point %s never fired inside a Retract (jobs=%d)" point
-              jobs)
-        [
-          ("post-retract-write", true);
-          ("post-journal-write", false);
-          ("view-fold", true);
-        ])
-    [ 1; 2; 4 ]
+    (fun (point, in_retract) ->
+      (* guard against a vacuous sweep: every point must take the
+         process down at least once, and the retraction's own
+         points must do so inside a Retract op *)
+      let fired = ref false and fired_in_retract = ref false in
+      for k = 0 to hits point - 1 do
+        check_crash_equivalence
+          ~what:
+            (Printf.sprintf "retract: %s after %d hits" point k)
+          ~mk
+          ~on_crashed:(function
+            | Some (Retract _) ->
+                fired := true;
+                fired_in_retract := true
+            | Some _ -> fired := true
+            | None -> ())
+          retract_workload
+          (fun fault -> Fault.arm fault ~after:k point)
+      done;
+      if not !fired then
+        Alcotest.failf "crash point %s never fired" point;
+      if in_retract && not !fired_in_retract then
+        Alcotest.failf
+          "crash point %s never fired inside a Retract" point)
+    [
+      ("post-retract-write", true);
+      ("post-journal-write", false);
+      ("view-fold", true);
+    ]
 
 let test_exhaustive_torn_sweep () =
   for k = 0 to 12 do
@@ -603,12 +569,10 @@ let test_exhaustive_torn_sweep () =
 
 (* ---- crashes during recovery itself ---- *)
 
-(* The parallel replay scheduler exposes its own crash point,
-   ["replay-dispatch"], hit once per window of consecutive append
-   records just before the window's fold chains are dispatched.  The
-   property: recovery writes nothing to storage until replay is
-   complete, so a crash at any window — at any parallelism degree —
-   leaves the journal and checkpoint exactly as the dying process left
+(* Replay exposes its own crash point, ["replay-dispatch"], hit once
+   per window of consecutive append records just before the window
+   replays.  The property: recovery writes nothing to storage until
+   replay is complete, so a crash at any window leaves the journal and checkpoint exactly as the dying process left
    them, and a subsequent plain recovery reaches the clean final state.
    A countdown past the last window must not fire at all. *)
 let replay_workload =
@@ -629,34 +593,31 @@ let replay_workload =
 let test_replay_dispatch_crash_sweep () =
   let states = clean_states replay_workload in
   let final = states.(Array.length states - 1) in
-  List.iter
-    (fun jobs ->
-      for k = 0 to 4 do
-        let what = Printf.sprintf "replay-dispatch after %d hits (jobs=%d)" k jobs in
-        let storage = Storage.mem () in
-        let fault = Fault.create () in
-        let applied, crashed =
-          durable_run replay_workload ~jobs ~storage ~fault ~script:(fun _ -> ())
-        in
-        assert ((not crashed) && applied = List.length replay_workload);
-        let rfault = Fault.create () in
-        Fault.arm rfault ~after:k "replay-dispatch";
-        (match Durable.recover ~jobs ~storage ~fault:rfault () with
-        | d, _ ->
-            (* countdown outlived the journal's windows: no crash, and
-               recovery reached the clean final state *)
-            if Snapshot.save (Durable.db d) <> final then
-              Alcotest.failf "uncrashed recovery diverged (%s)" what
-        | exception Fault.Crash _ ->
-            (* mid-replay crash: storage untouched, so recovering again
-               (any degree; use 1 for the sequential reference) is clean *)
-            let d, report = Durable.recover ~storage () in
-            if report.Durable.dropped_failed then
-              Alcotest.failf "re-recovery dropped a batch (%s)" what;
-            if Snapshot.save (Durable.db d) <> final then
-              Alcotest.failf "re-recovery after replay crash diverged (%s)" what)
-      done)
-    [ 1; 2; 4 ]
+  for k = 0 to 4 do
+    let what = Printf.sprintf "replay-dispatch after %d hits" k in
+    let storage = Storage.mem () in
+    let fault = Fault.create () in
+    let applied, crashed =
+      durable_run replay_workload ~storage ~fault ~script:(fun _ -> ())
+    in
+    assert ((not crashed) && applied = List.length replay_workload);
+    let rfault = Fault.create () in
+    Fault.arm rfault ~after:k "replay-dispatch";
+    (match Durable.recover ~storage ~fault:rfault () with
+    | d, _ ->
+        (* countdown outlived the journal's windows: no crash, and
+           recovery reached the clean final state *)
+        if Snapshot.save (Durable.db d) <> final then
+          Alcotest.failf "uncrashed recovery diverged (%s)" what
+    | exception Fault.Crash _ ->
+        (* mid-replay crash: storage untouched, so recovering again
+           (any degree; use 1 for the sequential reference) is clean *)
+        let d, report = Durable.recover ~storage () in
+        if report.Durable.dropped_failed then
+          Alcotest.failf "re-recovery dropped a batch (%s)" what;
+        if Snapshot.save (Durable.db d) <> final then
+          Alcotest.failf "re-recovery after replay crash diverged (%s)" what)
+  done
 
 let test_clean_run_recovers_exactly () =
   (* no faults at all: recovery reproduces the final state, whatever the
@@ -674,9 +635,8 @@ let test_clean_run_recovers_exactly () =
 
 (* Run a workload durably to completion (no crash script) under a
    generation/segment configuration, leaving its layout in [storage]. *)
-let durable_clean_run ?(jobs = 1) ?keep_checkpoints ?segment_bytes ops ~storage
-    =
-  let db = mk_db ~jobs () in
+let durable_clean_run ?keep_checkpoints ?segment_bytes ops ~storage =
+  let db = mk_db () in
   let d = Durable.attach ?keep_checkpoints ?segment_bytes ~storage db in
   List.iter (fun op -> apply ~durable:d db op) ops;
   Durable.detach d
@@ -698,45 +658,42 @@ let clone_storage (src : Storage.t) =
 let test_checkpoint_fallback_sweep () =
   let states = clean_states fixed_workload in
   let final = states.(Array.length states - 1) in
-  List.iter
-    (fun jobs ->
-      let storage = Storage.mem () in
-      durable_clean_run ~keep_checkpoints:3 fixed_workload ~storage;
-      let gens = List.rev (Ckpt.generations storage) (* newest first *) in
-      if List.length gens < 2 then
-        Alcotest.failf "workload left %d generation(s), need >= 2"
-          (List.length gens);
-      List.iteri
-        (fun i (_, name) ->
-          (* keep the oldest generation intact as the final fallback *)
-          if i < List.length gens - 1 then begin
-            Fault.flip_bit storage ~name ~byte:40 ~bit:3;
-            let corrupted = i + 1 in
-            let before = Stats.snapshot () in
-            let d, report = Durable.recover ~jobs ~storage () in
-            let after = Stats.snapshot () in
-            if Snapshot.save (Durable.db d) <> final then
-              Alcotest.failf
-                "fallback diverged (jobs=%d, %d generation(s) corrupted)" jobs
-                corrupted;
-            Alcotest.(check int)
-              (Printf.sprintf "fallbacks (jobs=%d, %d corrupted)" jobs
-                 corrupted)
-              corrupted report.Durable.fallbacks;
-            Alcotest.(check int)
-              "Checkpoint_fallback counter" corrupted
-              (Stats.diff_get before after Stats.Checkpoint_fallback);
-            Alcotest.(check bool) "not degraded" false report.Durable.degraded;
-            Durable.detach d
-          end)
-        gens;
-      (* every candidate damaged: strict recovery must raise typed *)
-      let _, oldest = List.nth gens (List.length gens - 1) in
-      Fault.flip_bit storage ~name:oldest ~byte:40 ~bit:3;
-      match Durable.recover ~jobs ~storage () with
-      | _ -> Alcotest.fail "strict recovery accepted all-damaged checkpoints"
-      | exception Durable.Checkpoint_corrupt _ -> ())
-    [ 1; 2; 4 ]
+  let storage = Storage.mem () in
+  durable_clean_run ~keep_checkpoints:3 fixed_workload ~storage;
+  let gens = List.rev (Ckpt.generations storage) (* newest first *) in
+  if List.length gens < 2 then
+    Alcotest.failf "workload left %d generation(s), need >= 2"
+      (List.length gens);
+  List.iteri
+    (fun i (_, name) ->
+      (* keep the oldest generation intact as the final fallback *)
+      if i < List.length gens - 1 then begin
+        Fault.flip_bit storage ~name ~byte:40 ~bit:3;
+        let corrupted = i + 1 in
+        let before = Stats.snapshot () in
+        let d, report = Durable.recover ~storage () in
+        let after = Stats.snapshot () in
+        if Snapshot.save (Durable.db d) <> final then
+          Alcotest.failf
+            "fallback diverged (%d generation(s) corrupted)"
+            corrupted;
+        Alcotest.(check int)
+          (Printf.sprintf "fallbacks (%d corrupted)"
+             corrupted)
+          corrupted report.Durable.fallbacks;
+        Alcotest.(check int)
+          "Checkpoint_fallback counter" corrupted
+          (Stats.diff_get before after Stats.Checkpoint_fallback);
+        Alcotest.(check bool) "not degraded" false report.Durable.degraded;
+        Durable.detach d
+      end)
+    gens;
+  (* every candidate damaged: strict recovery must raise typed *)
+  let _, oldest = List.nth gens (List.length gens - 1) in
+  Fault.flip_bit storage ~name:oldest ~byte:40 ~bit:3;
+  match Durable.recover ~storage () with
+  | _ -> Alcotest.fail "strict recovery accepted all-damaged checkpoints"
+  | exception Durable.Checkpoint_corrupt _ -> ()
 
 (* Segment-corruption salvage: a group-heavy workload rotated into tiny
    segments (consecutive group records land in different segments), one
@@ -757,84 +714,81 @@ let seg_workload =
   ]
 
 let test_segment_salvage_sweep () =
-  List.iter
-    (fun jobs ->
-      (* discover the segment layout once (it is deterministic) *)
-      let probe = Storage.mem () in
-      durable_clean_run ~segment_bytes:256 seg_workload ~storage:probe;
-      let sealed = List.map snd (Journal.segments probe "journal") in
-      if List.length sealed < 2 then
-        Alcotest.failf "workload sealed %d segment(s), need >= 2"
-          (List.length sealed);
-      let sources = sealed @ [ "journal" ] in
-      List.iteri
-        (fun si victim ->
-          let what = Printf.sprintf "jobs=%d victim=%s" jobs victim in
-          let storage = Storage.mem () in
-          durable_clean_run ~segment_bytes:256 seg_workload ~storage;
-          let contents = Option.get (storage.Storage.read victim) in
-          (* flip a bit in the last record's payload: a deterministic
-             CRC mismatch, never a torn-tail ambiguity *)
-          Fault.flip_bit storage ~name:victim
-            ~byte:(String.length contents - 3)
-            ~bit:5;
-          let corrupted = Option.get (storage.Storage.read victim) in
-          let cut_off =
-            match Journal.scan corrupted with
-            | _, Journal.Damaged d -> d.Journal.offset
-            | _ -> Alcotest.failf "flip did not damage a record (%s)" what
-          in
-          (* strict recovery refuses, typed *)
-          (match Durable.recover ~jobs ~storage () with
-          | _ -> Alcotest.failf "strict recovery accepted damage (%s)" what
-          | exception Journal.Journal_corrupt _ -> ());
-          (* the oracle: strict recovery of a clone cut at the damage *)
-          let oracle =
-            let clone = clone_storage storage in
-            clone.Storage.truncate victim cut_off;
-            List.iteri
-              (fun sj name -> if sj > si then clone.Storage.remove name)
-              sources;
-            let d, _ = Durable.recover ~storage:clone () in
-            Snapshot.save (Durable.db d)
-          in
-          let before = Stats.snapshot () in
-          let d, report =
-            Durable.recover ~jobs ~mode:Durable.Salvage ~storage ()
-          in
-          let after = Stats.snapshot () in
-          let db = Durable.db d in
-          if Snapshot.save db <> oracle then
-            Alcotest.failf "salvage diverged from cut-clone oracle (%s)" what;
-          Alcotest.(check bool)
-            (Printf.sprintf "degraded (%s)" what)
-            true report.Durable.degraded;
-          Alcotest.(check bool)
-            (Printf.sprintf "quarantined (%s)" what)
-            true
-            (report.Durable.quarantined >= 1);
-          Alcotest.(check int)
-            (Printf.sprintf "Salvage_quarantined counter (%s)" what)
-            report.Durable.quarantined
-            (Stats.diff_get before after Stats.Salvage_quarantined);
-          Alcotest.(check bool)
-            (Printf.sprintf "sidecar written (%s)" what)
-            true
-            (storage.Storage.exists (Durable.quarantine_name victim));
-          (* degraded: appends rejected with the typed error … *)
-          (match Db.append db "mileage" [ row (9, 9) ] with
-          | _ -> Alcotest.failf "append accepted while degraded (%s)" what
-          | exception Db.Read_only _ -> ());
-          (* … while queries keep serving (salvaging the very first
-             segment legitimately leaves the view empty) *)
-          (match Db.view_contents db "balance" with
-          | _ -> ()
-          | exception e ->
-              Alcotest.failf "degraded database stopped serving queries (%s): %s"
-                what (Printexc.to_string e));
-          Durable.detach d)
-        sources)
-    [ 1; 2; 4 ]
+  (* discover the segment layout once (it is deterministic) *)
+  let probe = Storage.mem () in
+  durable_clean_run ~segment_bytes:256 seg_workload ~storage:probe;
+  let sealed = List.map snd (Journal.segments probe "journal") in
+  if List.length sealed < 2 then
+    Alcotest.failf "workload sealed %d segment(s), need >= 2"
+      (List.length sealed);
+  let sources = sealed @ [ "journal" ] in
+  List.iteri
+    (fun si victim ->
+      let what = Printf.sprintf "victim=%s" victim in
+      let storage = Storage.mem () in
+      durable_clean_run ~segment_bytes:256 seg_workload ~storage;
+      let contents = Option.get (storage.Storage.read victim) in
+      (* flip a bit in the last record's payload: a deterministic
+         CRC mismatch, never a torn-tail ambiguity *)
+      Fault.flip_bit storage ~name:victim
+        ~byte:(String.length contents - 3)
+        ~bit:5;
+      let corrupted = Option.get (storage.Storage.read victim) in
+      let cut_off =
+        match Journal.scan corrupted with
+        | _, Journal.Damaged d -> d.Journal.offset
+        | _ -> Alcotest.failf "flip did not damage a record (%s)" what
+      in
+      (* strict recovery refuses, typed *)
+      (match Durable.recover ~storage () with
+      | _ -> Alcotest.failf "strict recovery accepted damage (%s)" what
+      | exception Journal.Journal_corrupt _ -> ());
+      (* the oracle: strict recovery of a clone cut at the damage *)
+      let oracle =
+        let clone = clone_storage storage in
+        clone.Storage.truncate victim cut_off;
+        List.iteri
+          (fun sj name -> if sj > si then clone.Storage.remove name)
+          sources;
+        let d, _ = Durable.recover ~storage:clone () in
+        Snapshot.save (Durable.db d)
+      in
+      let before = Stats.snapshot () in
+      let d, report =
+        Durable.recover ~mode:Durable.Salvage ~storage ()
+      in
+      let after = Stats.snapshot () in
+      let db = Durable.db d in
+      if Snapshot.save db <> oracle then
+        Alcotest.failf "salvage diverged from cut-clone oracle (%s)" what;
+      Alcotest.(check bool)
+        (Printf.sprintf "degraded (%s)" what)
+        true report.Durable.degraded;
+      Alcotest.(check bool)
+        (Printf.sprintf "quarantined (%s)" what)
+        true
+        (report.Durable.quarantined >= 1);
+      Alcotest.(check int)
+        (Printf.sprintf "Salvage_quarantined counter (%s)" what)
+        report.Durable.quarantined
+        (Stats.diff_get before after Stats.Salvage_quarantined);
+      Alcotest.(check bool)
+        (Printf.sprintf "sidecar written (%s)" what)
+        true
+        (storage.Storage.exists (Durable.quarantine_name victim));
+      (* degraded: appends rejected with the typed error … *)
+      (match Db.append db "mileage" [ row (9, 9) ] with
+      | _ -> Alcotest.failf "append accepted while degraded (%s)" what
+      | exception Db.Read_only _ -> ());
+      (* … while queries keep serving (salvaging the very first
+         segment legitimately leaves the view empty) *)
+      (match Db.view_contents db "balance" with
+      | _ -> ()
+      | exception e ->
+          Alcotest.failf "degraded database stopped serving queries (%s): %s"
+            what (Printexc.to_string e));
+      Durable.detach d)
+    sources
 
 (* Salvage through an application failure.  The only checkpoint is
    damaged, so salvage starts from an empty database.  The journal first
@@ -845,64 +799,61 @@ let test_segment_salvage_sweep () =
    clone cut at that record, counts the prefix once, and parks the
    original bytes from that record on in the journal's sidecar. *)
 let test_salvage_application_failure () =
+  let what = "application failure" in
+  let storage = Storage.mem () in
+  let db = mk_db () in
+  let d = Durable.attach ~storage db in
+  ignore (Db.add_chronicle db ~name:"trips" mileage_schema);
+  ignore
+    (Db.define_view db
+       (Sca.define ~name:"trip_miles"
+          ~body:(Ca.Chronicle (Db.chronicle db "trips"))
+          (Sca.Group_agg ([ "acct" ], [ Aggregate.sum "miles" "m" ]))));
   List.iter
-    (fun jobs ->
-      let what = Printf.sprintf "jobs=%d" jobs in
-      let storage = Storage.mem () in
-      let db = mk_db ~jobs () in
-      let d = Durable.attach ~storage db in
-      ignore (Db.add_chronicle db ~name:"trips" mileage_schema);
-      ignore
-        (Db.define_view db
-           (Sca.define ~name:"trip_miles"
-              ~body:(Ca.Chronicle (Db.chronicle db "trips"))
-              (Sca.Group_agg ([ "acct" ], [ Aggregate.sum "miles" "m" ]))));
-      List.iter
-        (fun (chron, r) -> ignore (Db.append db chron [ row r ]))
-        [
-          ("trips", (1, 10));
-          ("trips", (2, 20));
-          ("trips", (1, 5));
-          ("mileage", (1, 100)) (* record 5: fails to apply *);
-          ("trips", (3, 30));
-          ("mileage", (2, 40));
-        ];
-      Durable.detach d;
-      let failing = 5 in
-      Fault.flip_bit storage ~name:(Ckpt.gen_name 0) ~byte:40 ~bit:3;
-      let journal = Option.get (storage.Storage.read Durable.journal_file) in
-      let cut =
-        snd (List.nth (fst (Journal.scan journal)) failing)
-      in
-      let oracle =
-        let clone = clone_storage storage in
-        clone.Storage.remove (Ckpt.gen_name 0);
-        clone.Storage.truncate Durable.journal_file cut;
-        let d, _ = Durable.recover ~jobs ~storage:clone () in
-        Snapshot.save (Durable.db d)
-      in
-      let before = Stats.snapshot () in
-      let d, report = Durable.recover ~jobs ~mode:Durable.Salvage ~storage () in
-      let after = Stats.snapshot () in
-      if Snapshot.save (Durable.db d) <> oracle then
-        Alcotest.failf "salvage diverged from cut-clone oracle (%s)" what;
-      Alcotest.(check int)
-        (Printf.sprintf "report.replayed (%s)" what)
-        failing report.Durable.replayed;
-      Alcotest.(check int)
-        (Printf.sprintf "Journal_replay counter (%s)" what)
-        failing
-        (Stats.diff_get before after Stats.Journal_replay);
-      Alcotest.(check bool)
-        (Printf.sprintf "degraded (%s)" what)
-        true report.Durable.degraded;
-      Alcotest.(check string)
-        (Printf.sprintf "journal sidecar (%s)" what)
-        (String.sub journal cut (String.length journal - cut))
-        (Option.value ~default:""
-           (storage.Storage.read (Durable.quarantine_name Durable.journal_file)));
-      Durable.detach d)
-    [ 1; 2; 4 ]
+    (fun (chron, r) -> ignore (Db.append db chron [ row r ]))
+    [
+      ("trips", (1, 10));
+      ("trips", (2, 20));
+      ("trips", (1, 5));
+      ("mileage", (1, 100)) (* record 5: fails to apply *);
+      ("trips", (3, 30));
+      ("mileage", (2, 40));
+    ];
+  Durable.detach d;
+  let failing = 5 in
+  Fault.flip_bit storage ~name:(Ckpt.gen_name 0) ~byte:40 ~bit:3;
+  let journal = Option.get (storage.Storage.read Durable.journal_file) in
+  let cut =
+    snd (List.nth (fst (Journal.scan journal)) failing)
+  in
+  let oracle =
+    let clone = clone_storage storage in
+    clone.Storage.remove (Ckpt.gen_name 0);
+    clone.Storage.truncate Durable.journal_file cut;
+    let d, _ = Durable.recover ~storage:clone () in
+    Snapshot.save (Durable.db d)
+  in
+  let before = Stats.snapshot () in
+  let d, report = Durable.recover ~mode:Durable.Salvage ~storage () in
+  let after = Stats.snapshot () in
+  if Snapshot.save (Durable.db d) <> oracle then
+    Alcotest.failf "salvage diverged from cut-clone oracle (%s)" what;
+  Alcotest.(check int)
+    (Printf.sprintf "report.replayed (%s)" what)
+    failing report.Durable.replayed;
+  Alcotest.(check int)
+    (Printf.sprintf "Journal_replay counter (%s)" what)
+    failing
+    (Stats.diff_get before after Stats.Journal_replay);
+  Alcotest.(check bool)
+    (Printf.sprintf "degraded (%s)" what)
+    true report.Durable.degraded;
+  Alcotest.(check string)
+    (Printf.sprintf "journal sidecar (%s)" what)
+    (String.sub journal cut (String.length journal - cut))
+    (Option.value ~default:""
+       (storage.Storage.read (Durable.quarantine_name Durable.journal_file)));
+  Durable.detach d
 
 (* Transient sync failures are retried with backoff and leave no trace
    in the recovered state; exhaustion degrades instead of raising. *)
@@ -986,21 +937,14 @@ let script_gen =
         (1, return (fun _ -> ()));
       ])
 
-let case_gen =
-  QCheck.Gen.(
-    triple (list_size (int_range 1 14) op_gen) script_gen (oneofl [ 1; 2; 4 ]))
+let case_gen = QCheck.Gen.(pair (list_size (int_range 1 14) op_gen) script_gen)
 
 let qcheck_crash_equivalence =
-  let arb =
-    QCheck.make
-      ~print:(fun (ops, _, jobs) ->
-        Printf.sprintf "jobs=%d %s" jobs (show_ops ops))
-      case_gen
-  in
+  let arb = QCheck.make ~print:(fun (ops, _) -> show_ops ops) case_gen in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:120 ~name:"randomized crash equivalence" arb
-       (fun (ops, script, jobs) ->
-         check_crash_equivalence ~what:"random" ~jobs ops script;
+       (fun (ops, script) ->
+         check_crash_equivalence ~what:"random" ops script;
          true))
 
 (* The same property over retraction-bearing workloads: the op mix
@@ -1024,20 +968,14 @@ let retract_script_gen =
 let qcheck_retract_crash_equivalence =
   let arb =
     QCheck.make
-      ~print:(fun (ops, _, jobs) ->
-        Printf.sprintf "jobs=%d %s" jobs (show_ops ops))
-      QCheck.Gen.(
-        triple
-          (list_size (int_range 1 14) retract_op_gen)
-          retract_script_gen (oneofl [ 1; 2; 4 ]))
+      ~print:(fun (ops, _) -> show_ops ops)
+      QCheck.Gen.(pair (list_size (int_range 1 14) retract_op_gen) retract_script_gen)
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:100 ~name:"randomized retract crash equivalence"
        arb
-       (fun (ops, script, jobs) ->
-         check_crash_equivalence ~what:"random retract" ~jobs
-           ~mk:(fun jobs -> mk_retract_db ~jobs ())
-           ops script;
+       (fun (ops, script) ->
+         check_crash_equivalence ~what:"random retract" ~mk:mk_retract_db ops script;
          true))
 
 let () =

@@ -30,8 +30,8 @@ let schema =
   Relational.Schema.make
     [ ("acct", Relational.Value.TInt); ("miles", Relational.Value.TInt) ]
 
-let mk_db ?jobs () =
-  let db = Db.create ?jobs () in
+let mk_db () =
+  let db = Db.create () in
   (* Full retention so the workload can carry Retract ops (Ev_retract
      records interleave with appends/groups in the fuzzed journal) *)
   ignore (Db.add_chronicle db ~retention:Chron.Full ~name:"mileage" schema);
@@ -85,7 +85,6 @@ type case = {
   ops : op list;
   keep : int;
   segment_bytes : int option;
-  jobs : int;
   corruptions : (int * [ `Flip of int * int | `Trunc of int | `Len of int ]) list;
 }
 
@@ -116,19 +115,17 @@ let case_gen =
            ])
     in
     map
-      (fun ((ops, keep, seg), (jobs, corruptions)) ->
-        { ops; keep; segment_bytes = seg; jobs; corruptions })
+      (fun ((ops, keep, seg), corruptions) ->
+        { ops; keep; segment_bytes = seg; corruptions })
       (pair
          (triple
             (list_size (int_range 1 10) op)
             (int_range 1 3)
             (oneofl [ None; Some 200; Some 500 ]))
-         (pair (oneofl [ 1; 2; 4 ])
-            (list_size (int_range 1 4) corruption))))
+         (list_size (int_range 1 4) corruption)))
 
 let show_case c =
-  Printf.sprintf "jobs=%d keep=%d seg=%s ops=%d corruptions=[%s]" c.jobs
-    c.keep
+  Printf.sprintf "keep=%d seg=%s ops=%d corruptions=[%s]" c.keep
     (match c.segment_bytes with None -> "-" | Some n -> string_of_int n)
     (List.length c.ops)
     (String.concat ";"
@@ -186,7 +183,7 @@ let typed_recovery_error = function
 let run_case c =
   (* grow the durable state *)
   let storage = Storage.mem () in
-  let db = mk_db ~jobs:c.jobs () in
+  let db = mk_db () in
   let d =
     Durable.attach ~keep_checkpoints:c.keep ?segment_bytes:c.segment_bytes
       ~storage db
@@ -197,7 +194,7 @@ let run_case c =
   let only_length_flip = List.map (corrupt storage) c.corruptions = [ true ] in
   (* strict: success or typed error *)
   let strict_state =
-    match Durable.recover ~jobs:c.jobs ~storage:(clone_storage storage) () with
+    match Durable.recover ~storage:(clone_storage storage) () with
     | d, _ ->
         let s = Snapshot.save (Durable.db d) in
         Durable.detach d;
@@ -214,7 +211,7 @@ let run_case c =
   (* salvage: never raises; health agrees with the report *)
   let salvaged = clone_storage storage in
   (match
-     Durable.recover ~jobs:c.jobs ~mode:Durable.Salvage ~storage:salvaged ()
+     Durable.recover ~mode:Durable.Salvage ~storage:salvaged ()
    with
   | d, report ->
       let state = Snapshot.save (Durable.db d) in

@@ -257,9 +257,27 @@ let point_query_arb =
     (list_of_size Gen.(1 -- 6) (list_of_size Gen.(1 -- 4) acct_miles))
     (list_of_size Gen.(1 -- 8) (quad (int_range 0 3) acct_miles bool bool))
 
+(* A view with no groups renders its schema alone, with no blank line
+   after it; [Server.render] puts the same [pp_result] text on the
+   wire. *)
+let test_empty_rows_render () =
+  let session = Session.create () in
+  match
+    List.rev
+      (Analyze.run_script session
+         "CREATE CHRONICLE t (sym STRING, v INT);\n\
+          DEFINE VIEW s AS SELECT sym, SUM(v) AS s FROM CHRONICLE t GROUP BY sym;\n\
+          SHOW VIEW s;")
+  with
+  | (Analyze.Rows (_, []) as shown) :: _ ->
+      let text = Format.asprintf "%a" Analyze.pp_result shown in
+      check_string "schema alone" "(sym:string,\ns:int)" text
+  | _ -> Alcotest.fail "SHOW VIEW s did not return an empty row set"
+
 let suite =
   [
     test "end-to-end script" test_end_to_end_script;
+    test "an empty row set renders its schema alone" test_empty_rows_render;
     test "join view classified IM-log(R)" test_join_view_classified_log;
     test "WHERE conjunctions become nested selections" test_where_conjunction_becomes_nested_selects;
     test "WHERE pushdown below the join" test_where_pushdown_below_join;

@@ -118,10 +118,10 @@ let test_future_effective_update_via_append_path () =
 (* A future-effective update that comes due in the middle of a group
    commit: the group records and folds batch by batch, so each batch
    sees exactly the relation version the same batches appended one by
-   one would see — at every parallelism degree. *)
+   one would see. *)
 let test_pending_update_mid_group () =
-  let run ~jobs ~grouped =
-    let db = Db.create ~jobs () in
+  let run ~grouped =
+    let db = Db.create () in
     ignore (Db.add_chronicle db ~name:"mileage" mileage_schema);
     let cust =
       Db.add_relation db ~name:"customers" ~schema:Fixtures.customer_schema
@@ -157,18 +157,12 @@ let test_pending_update_mid_group () =
     check_int "update applied" 0 (Versioned.pending_count cust);
     (Db.view_contents db "by_state", Db.view_contents db "balance")
   in
-  let one_by_one = run ~jobs:1 ~grouped:false in
+  let one_by_one = run ~grouped:false in
   check_bool "NJ holds sn 1 and 2" true
     (List.exists (Tuple.equal (tup [ vs "NJ"; vi 160 ])) (fst one_by_one));
-  List.iter
-    (fun jobs ->
-      let by_state, balance = run ~jobs ~grouped:true in
-      let msg what = Printf.sprintf "%s, jobs %d" what jobs in
-      Alcotest.(check (list tuple_testable))
-        (msg "by_state") (fst one_by_one) by_state;
-      Alcotest.(check (list tuple_testable))
-        (msg "balance") (snd one_by_one) balance)
-    [ 1; 2; 4 ]
+  let by_state, balance = run ~grouped:true in
+  Alcotest.(check (list tuple_testable)) "by_state" (fst one_by_one) by_state;
+  Alcotest.(check (list tuple_testable)) "balance" (snd one_by_one) balance
 
 let test_multi_chronicle_batch () =
   let db = Db.create () in
@@ -261,6 +255,49 @@ let test_multiple_groups_isolated () =
            (Sca.define ~name:"bad" ~body:bad
               (Sca.Group_agg ([ "acct" ], [ Aggregate.count_star "n" ])))))
 
+(* A failing fold rolls back every view of the batch, including those
+   folded before it; views fold in registration order and the batch
+   stops at the failing one. *)
+let test_fold_failure_rollback () =
+  let db = Db.create () in
+  let c = Db.add_chronicle db ~name:"c" mileage_schema in
+  for i = 0 to 7 do
+    ignore
+      (Db.define_view db
+         (Sca.define ~name:(Printf.sprintf "v%d" i) ~body:(Ca.Chronicle c)
+            (Sca.Group_agg ([ "acct" ], [ Aggregate.sum "miles" "m" ]))))
+  done;
+  ignore (Db.append db "c" [ mile 1 10 1. ]);
+  let contents () = List.map (fun v -> Db.view_contents db (View.name v)) (Db.views db) in
+  let before = contents () in
+  let probed = ref [] in
+  Db.set_fold_probe db
+    (Some
+       (fun ~view ~sn:_ ->
+         probed := view :: !probed;
+         if String.equal view "v5" then failwith "injected"));
+  check_raises_any "fold failure propagates" (fun () ->
+      Db.append db "c" [ mile 2 20 2. ]);
+  Db.set_fold_probe db None;
+  Alcotest.(check (list string))
+    "folds in registration order, stopping at the failure"
+    [ "v0"; "v1"; "v2"; "v3"; "v4"; "v5" ] (List.rev !probed);
+  check_bool "all views rolled back" true
+    (List.for_all2 (List.equal Tuple.equal) before (contents ()));
+  (* and the database still works *)
+  ignore (Db.append db "c" [ mile 2 20 2. ]);
+  check_int "post-rollback append maintained" 2 (List.length (Db.view_contents db "v0"))
+
+(* perfbench still passes [~jobs:1]; any other degree is refused. *)
+let test_jobs_only_one () =
+  ignore (Db.create ~jobs:1 ());
+  List.iter
+    (fun jobs ->
+      match Db.create ~jobs () with
+      | _ -> Alcotest.failf "Db.create ~jobs:%d was accepted" jobs
+      | exception Invalid_argument _ -> ())
+    [ 0; 2; 4 ]
+
 let suite =
   [
     test "catalog operations" test_catalog;
@@ -276,4 +313,6 @@ let suite =
     test "drop_view" test_drop_view;
     test "multiple groups are isolated" test_multiple_groups_isolated;
     test "pending update due mid-group" test_pending_update_mid_group;
+    test "fold failure rolls back all views" test_fold_failure_rollback;
+    test "Db.create refuses ~jobs other than 1" test_jobs_only_one;
   ]

@@ -304,74 +304,66 @@ let shared_plans fx n =
       Delta.compile ~stages:st
         (if i mod 2 = 0 then body else Ca.Select (Predicate.("state" =% vs "NJ"), body)))
 
-(* Each consumer as a chain of the pool: its collected output, or its
-   failure. *)
-let run_consumers pool plans ~sn ~memo change =
+(* Each consumer in sequence: its collected output, or its failure. *)
+let run_consumers plans ~sn ~memo change =
   let plans = Array.of_list plans in
   let outs = Array.make (Array.length plans) Delta.{ plus = []; minus = [] } in
   let failures =
-    Exec.Pool.run_chains pool
-      (Array.mapi
-         (fun i plan -> [| (fun () -> outs.(i) <- Delta.run plan ~sn ~memo change) |])
-         plans)
+    Array.mapi
+      (fun i plan ->
+        match Delta.run plan ~sn ~memo change with
+        | out ->
+            outs.(i) <- out;
+            None
+        | exception e -> Some e)
+      plans
   in
   (outs, failures)
 
 (* An entry's memo runs a shared stage once — one probe per Δ tuple —
-   whichever domain gets there first, and every consumer reads the
-   output its own unshared plan would stream. *)
+   for the first consumer, and every consumer reads the output its own
+   unshared plan would stream. *)
 let test_memo_one_probe_per_tuple () =
   let fx = make () in
   let plans = shared_plans fx 8 in
   let alone = List.map (fun p -> Delta.compile (Delta.expr p)) plans in
-  List.iter
-    (fun jobs ->
-      let pool = Exec.Pool.create ~jobs () in
-      for sn = 1 to 30 do
-        let rows =
-          List.init 20 (fun i -> Chron.tag sn (mile (((i + sn) mod 5) + 1) (((i * 7) + sn) mod 50) 1.))
-        in
-        let minus = List.filteri (fun i _ -> i mod 3 = 0) rows in
-        let change = [ (fx.mileage, Delta.{ plus = rows; minus }) ] in
-        let before = Stats.snapshot () in
-        let outs, failures = run_consumers pool plans ~sn ~memo:(Delta.memo plans) change in
-        let after = Stats.snapshot () in
-        check_bool "no failure" true (Array.for_all Option.is_none failures);
-        check_int
-          (Printf.sprintf "one probe per Δ tuple (jobs %d)" jobs)
-          (List.length (List.filter (fun tu -> Tuple.get tu 2 > vi 20) (rows @ minus)))
-          (Stats.diff_get before after Stats.Light_fold);
-        List.iteri
-          (fun i p ->
-            check_bool "consumer output = its unshared plan's" true
-              (outs.(i) = Delta.run p ~sn change))
-          alone
-      done)
-    [ 1; 2; 4 ]
+  for sn = 1 to 30 do
+    let rows =
+      List.init 20 (fun i -> Chron.tag sn (mile (((i + sn) mod 5) + 1) (((i * 7) + sn) mod 50) 1.))
+    in
+    let minus = List.filteri (fun i _ -> i mod 3 = 0) rows in
+    let change = [ (fx.mileage, Delta.{ plus = rows; minus }) ] in
+    let before = Stats.snapshot () in
+    let outs, failures = run_consumers plans ~sn ~memo:(Delta.memo plans) change in
+    let after = Stats.snapshot () in
+    check_bool "no failure" true (Array.for_all Option.is_none failures);
+    check_int "one probe per Δ tuple"
+      (List.length (List.filter (fun tu -> Tuple.get tu 2 > vi 20) (rows @ minus)))
+      (Stats.diff_get before after Stats.Light_fold);
+    List.iteri
+      (fun i p ->
+        check_bool "consumer output = its unshared plan's" true
+          (outs.(i) = Delta.run p ~sn change))
+      alone
+  done
 
 (* A stage that raises keeps the exception in the cell: every consumer
-   re-raises the same one, at any parallelism, and the stage ran once. *)
+   re-raises the same one, and the stage ran once. *)
 let test_memo_failure_shared () =
   let fx = make () in
   let plans = shared_plans fx 4 in
   let change =
     [ (fx.mileage, Delta.{ plus = [ Chron.tag 1 (mile 1 30 1.); tup [ vi 1 ] ]; minus = [] }) ]
   in
-  List.iter
-    (fun jobs ->
-      let pool = Exec.Pool.create ~jobs () in
-      let before = Stats.snapshot () in
-      let _, failures = run_consumers pool plans ~sn:1 ~memo:(Delta.memo plans) change in
-      let after = Stats.snapshot () in
-      check_int "the stage ran once" 1 (Stats.diff_get before after Stats.Light_fold);
-      match failures.(0) with
-      | None -> Alcotest.fail "the malformed tuple did not raise"
-      | Some e ->
-          check_bool
-            (Printf.sprintf "every consumer re-raises the one failure (jobs %d)" jobs)
-            true
-            (Array.for_all (function Some e' -> e' == e | None -> false) failures))
-    [ 1; 2; 4 ]
+  let before = Stats.snapshot () in
+  let _, failures = run_consumers plans ~sn:1 ~memo:(Delta.memo plans) change in
+  let after = Stats.snapshot () in
+  check_int "the stage ran once" 1 (Stats.diff_get before after Stats.Light_fold);
+  match failures.(0) with
+  | None -> Alcotest.fail "the malformed tuple did not raise"
+  | Some e ->
+      check_bool "every consumer re-raises the one failure" true
+        (Array.for_all (function Some e' -> e' == e | None -> false) failures)
 
 let suite =
   [
@@ -394,7 +386,7 @@ let suite =
     qcheck_delta_equals_recompute;
     test "key-join stages: interned by chain, released with the last claim"
       test_stage_interning;
-    test "entry memo: one probe per Δ tuple for all consumers (jobs 1/2/4)"
+    test "entry memo: one probe per Δ tuple for all consumers"
       test_memo_one_probe_per_tuple;
     test "entry memo: a stage failure is re-raised to every consumer"
       test_memo_failure_shared;

@@ -870,6 +870,34 @@ let test_restart_seals_past_generation () =
       same_state (Printf.sprintf "nothing lost (keep %d)" keep) db (Durable.db d'))
     [ 1; 2 ]
 
+(* A history-reading view (a non-CA cross product) over ring-retained
+   chronicles: each replayed entry folds before the next is recorded,
+   so the fold still finds the retained tuples it reads, and recovery
+   reaches the live state. *)
+let test_replay_history_reader () =
+  let st = Storage.mem () in
+  let db = Db.create () in
+  ignore (Durable.attach ~sync:Journal.Sync_never ~storage:st db);
+  let c0 = Db.add_chronicle db ~retention:(Chron.Window 64) ~name:"c0" Fixtures.mileage_schema in
+  let c1 = Db.add_chronicle db ~retention:(Chron.Window 64) ~name:"c1" Fixtures.mileage_schema in
+  ignore
+    (Db.define_view db ~tier_limit:Classify.IM_poly_c
+       (Sca.define ~allow_non_ca:true ~name:"cross"
+          ~body:(Ca.CrossChron (Ca.Chronicle c0, Ca.Chronicle c1))
+          (Sca.Group_agg ([ "acct" ], [ Aggregate.count_star "n" ]))));
+  ignore
+    (Db.define_view db
+       (Sca.define ~name:"plain" ~body:(Ca.Chronicle c0)
+          (Sca.Group_agg ([ "acct" ], [ Aggregate.sum "miles" "m" ]))));
+  for i = 1 to 12 do
+    ignore
+      (Db.append db (if i mod 3 = 0 then "c1" else "c0") [ Fixtures.mile (i mod 4) i 1. ])
+  done;
+  let live = Snapshot.save db in
+  let t, report = Durable.recover ~storage:st () in
+  check_bool "replayed something" true (report.Durable.replayed > 0);
+  check_bool "recovery = live" true (String.equal (Snapshot.save (Durable.db t)) live)
+
 let suite =
   [
     test "crc32 vectors" test_crc32;
@@ -908,4 +936,5 @@ let suite =
       test_bare_checkpoint_refused;
     test "a restarted instance seals past the loaded generation"
       test_restart_seals_past_generation;
+    test "replay of a history-reading view over ring retention" test_replay_history_reader;
   ]

@@ -490,11 +490,10 @@ let test_rows_remove_readd_rollback () =
   check_bool "rows restored with multiplicities" true (View.dump view = before)
 
 (* A retraction's minus half streams through a key-join stage (one
-   index probe per tuple) into invertible and MIN/MAX (re-probed) views;
-   jobs 1/2/4 save the same bytes, and the views equal a batch
-   evaluation of the survivors. *)
-let keyjoin_db jobs =
-  let db = Db.create ~jobs () in
+   index probe per tuple) into invertible and MIN/MAX (re-probed) views,
+   and the views equal a batch evaluation of the survivors. *)
+let keyjoin_db () =
+  let db = Db.create () in
   ignore (Db.add_chronicle db ~retention:Chron.Full ~name:"mileage" Fixtures.mileage_schema);
   let cust =
     Db.add_relation db ~name:"customers" ~schema:Fixtures.customer_schema ~key:[ "cust" ] ()
@@ -525,41 +524,36 @@ let keyjoin_script db =
   ignore (Db.retract db "mileage" (List.filteri (fun i _ -> i mod 2 = 1) dropped));
   List.length rows + List.length dropped
 
-let test_keyjoin_minus_jobs () =
-  let save jobs =
-    let db = keyjoin_db jobs in
-    check_bool "five views share one stage" true
-      (Delta.stage_consumers (Registry.stages (Db.registry db)) = [ 5 ]);
-    let s0 = Stats.snapshot () in
-    let streamed = keyjoin_script db in
-    let s1 = Stats.snapshot () in
-    check_bool "retractions applied" true (Stats.diff_get s0 s1 Stats.Retract_apply > 0);
-    check_int "one key-join probe per Δ tuple, plus and minus" streamed
-      (Stats.diff_get s0 s1 Stats.Light_fold);
-    List.iter
-      (fun name ->
-        let def = View.def (Db.view db name) in
-        check_tuples (name ^ " = batch over survivors")
-          (Sca.eval_summarize def (Eval.eval (Sca.body def)))
-          (Db.view_contents db name))
-      [ "by_state"; "extremes"; "states"; "far"; "by_state_count" ];
-    Snapshot.save db
-  in
-  let one = save 1 in
-  List.iter (fun jobs -> check_bool (Printf.sprintf "jobs %d bytes" jobs) true (save jobs = one)) [ 2; 4 ]
+let test_keyjoin_minus () =
+  let db = keyjoin_db () in
+  check_bool "five views share one stage" true
+    (Delta.stage_consumers (Registry.stages (Db.registry db)) = [ 5 ]);
+  let s0 = Stats.snapshot () in
+  let streamed = keyjoin_script db in
+  let s1 = Stats.snapshot () in
+  check_bool "retractions applied" true (Stats.diff_get s0 s1 Stats.Retract_apply > 0);
+  check_int "one key-join probe per Δ tuple, plus and minus" streamed
+    (Stats.diff_get s0 s1 Stats.Light_fold);
+  List.iter
+    (fun name ->
+      let def = View.def (Db.view db name) in
+      check_tuples (name ^ " = batch over survivors")
+        (Sca.eval_summarize def (Eval.eval (Sca.body def)))
+        (Db.view_contents db name))
+    [ "by_state"; "extremes"; "states"; "far"; "by_state_count" ]
 
 (* Key-join views against an independent oracle: a [by_branch] SUM and
    a [detail] projection over [txn ⋈ accounts] equal a from-scratch
    [Naive] recompute over the RETAIN FULL chronicle, under Zipf(1.1)
    and uniform key streams, with non-matching [accounts] inserts
-   mid-stream, at jobs 1/2/4. *)
+   mid-stream. *)
 module Banking = Chronicle_workload.Banking
 module Rng = Chronicle_workload.Rng
 module Zipf = Chronicle_workload.Zipf
 module Naive = Chronicle_baseline.Naive
 
-let bank_db jobs =
-  let db = Db.create ~jobs () in
+let bank_db () =
+  let db = Db.create () in
   ignore (Db.add_chronicle db ~retention:Chron.Full ~name:"txn" Banking.txn_schema);
   let acc = Db.add_relation db ~name:"accounts" ~schema:Banking.account_schema ~key:[ "acct" ] () in
   List.iter (Versioned.insert acc) (Banking.accounts (Rng.create 7) ~n:16);
@@ -571,9 +565,9 @@ let bank_db jobs =
   define "detail" (Sca.Project_out [ "acct"; "kind"; "amount"; "branch" ]);
   db
 
-let prop_keyjoin_matches_naive (seed, zipfy, jobs, churn) =
+let prop_keyjoin_matches_naive (seed, zipfy, churn) =
   let zipf = Zipf.create ~n:16 ~s:(if zipfy then 1.1 else 0.) in
-  let db = bank_db jobs in
+  let db = bank_db () in
   List.iteri
     (fun i tu ->
       ignore (Db.append db "txn" [ tu ]);
@@ -591,11 +585,11 @@ let prop_keyjoin_matches_naive (seed, zipfy, jobs, churn) =
 
 let keyjoin_arb =
   QCheck.make
-    ~print:(fun (seed, zipfy, jobs, churn) ->
-      Printf.sprintf "seed=%d %s jobs=%d churn=%d" seed
+    ~print:(fun (seed, zipfy, churn) ->
+      Printf.sprintf "seed=%d %s churn=%d" seed
         (if zipfy then "zipf(1.1)" else "uniform")
-        jobs churn)
-    QCheck.Gen.(tup4 (int_bound 1_000_000) bool (oneofl [ 1; 2; 4 ]) (oneofl [ 0; 7; 13 ]))
+        churn)
+    QCheck.Gen.(triple (int_bound 1_000_000) bool (oneofl [ 0; 7; 13 ]))
 
 (* ---- views sharing key-join stages ----
 
@@ -625,8 +619,8 @@ let branches = [| "soho"; "chelsea"; "newark" |]
 
 let account a = tup [ vi a; vs (Printf.sprintf "holder-%d" a); vs branches.(a mod 3) ]
 
-let shared_view_db jobs specs =
-  let db = Db.create ~jobs () in
+let shared_view_db specs =
+  let db = Db.create () in
   let txn = Db.add_chronicle db ~retention:Chron.Full ~name:"txn" Banking.txn_schema in
   let acc = Db.add_relation db ~name:"accounts" ~schema:Banking.account_schema ~key:[ "acct" ] () in
   List.iter (fun a -> Versioned.insert acc (account a)) [ 1; 2; 3; 4; 5; 6 ];
@@ -718,24 +712,13 @@ let matches_naive db name =
   List.equal Tuple.equal (sorted_tuples (Naive.result naive)) (sorted_tuples (Db.view_contents db name))
 
 let prop_shared_stages (seed, specs) =
-  let ops = shared_script seed in
-  let run jobs =
-    let db = shared_view_db jobs specs in
-    List.iter (apply_sop db) ops;
-    db
-  in
-  let db = run 1 in
+  let db = shared_view_db specs in
+  List.iter (apply_sop db) (shared_script seed);
   List.iteri
     (fun i v ->
       if not (matches_naive db (Printf.sprintf "v%d" i)) then
         QCheck.Test.fail_reportf "v%d (%s) differs from the Naive recompute" i (show_sview v))
     specs;
-  let bytes = Snapshot.save db in
-  List.iter
-    (fun jobs ->
-      if Snapshot.save (run jobs) <> bytes then
-        QCheck.Test.fail_reportf "jobs %d saves other bytes than jobs 1" jobs)
-    [ 2; 4 ];
   true
 
 (* Sharing follows the catalog: dropping one of two sharing views
@@ -744,7 +727,7 @@ let prop_shared_stages (seed, specs) =
    arrived joins the live stage.  Every survivor equals the recompute,
    and a stage leaves with its last consumer. *)
 let test_shared_stage_lifecycle () =
-  let db = shared_view_db 1 [] in
+  let db = shared_view_db [] in
   let stages () = Delta.stage_consumers (Registry.stages (Db.registry db)) in
   let acc = Versioned.relation (Db.relation db "accounts") in
   let txn = Db.chronicle db "txn" in
@@ -781,9 +764,24 @@ let test_shared_stage_lifecycle () =
   Db.drop_view db "b";
   check_bool "no stage outlives its last consumer" true (stages () = [])
 
-(* The work counters of a script over sharing views do not depend on
-   the parallelism. *)
-let test_shared_stats_jobs () =
+(* The rows an op streams through the views: appended, or retracted
+   (the slots [apply_sop] picks), as user tuples. *)
+let streamed_rows db = function
+  | Append rows -> rows
+  | Group batches -> List.concat batches
+  | Due _ | Churn _ -> []
+  | Drop picks ->
+      let stored = Array.of_list (Chron.stored (Db.chronicle db "txn")) in
+      let n = Array.length stored in
+      if n = 0 then []
+      else
+        List.map (fun i -> Chron.untag stored.(i)) (List.sort_uniq compare (List.map (fun p -> p mod n) picks))
+
+(* The work counters of a script over sharing views: four views share
+   the whole-chronicle stage and two the deposits stage, so each entry
+   probes once per Δ tuple plus once per deposit, whatever the number
+   of consumers; and the counters are the same on every run. *)
+let test_shared_stats () =
   let specs =
     List.init 6 (fun i ->
         {
@@ -792,18 +790,23 @@ let test_shared_stats_jobs () =
           summ = [| Sum_count; Extremes; Per_acct; Pairs |].(i mod 4);
         })
   in
-  let counters jobs =
-    let db = shared_view_db jobs specs in
+  let counters () =
+    let db = shared_view_db specs in
+    let probes = ref 0 in
     let s0 = Stats.snapshot () in
-    List.iter (apply_sop db) (shared_script 5);
-    Stats.diff s0 (Stats.snapshot ())
+    List.iter
+      (fun op ->
+        List.iter
+          (fun tu -> probes := !probes + if Tuple.get tu 1 = vs "deposit" then 2 else 1)
+          (streamed_rows db op);
+        apply_sop db op)
+      (shared_script 5);
+    (!probes, Stats.diff s0 (Stats.snapshot ()))
   in
-  let one = counters 1 in
-  check_bool "key-join probes counted" true (List.mem_assoc Stats.Light_fold one);
-  List.iter
-    (fun jobs ->
-      check_bool (Printf.sprintf "jobs %d counters = jobs 1" jobs) true (counters jobs = one))
-    [ 2; 4 ]
+  let probes, one = counters () in
+  check_int "one probe per Δ tuple per stage" probes
+    (Option.value ~default:0 (List.assoc_opt Stats.Light_fold one));
+  check_bool "the same counters on a second run" true (snd (counters ()) = one)
 
 let shared_arb =
   QCheck.make
@@ -904,18 +907,18 @@ let suite =
     test "group removed and re-added in one txn, rolled back"
       (both_backings test_remove_readd_rollback);
     test "rows removed and re-added in one txn, rolled back" test_rows_remove_readd_rollback;
-    test "minus fold through the key-join stage: jobs 1/2/4 save the same bytes"
-      test_keyjoin_minus_jobs;
+    test "minus fold through the key-join stage: one probe per Δ tuple" test_keyjoin_minus;
     test "allocation budget: folding into existing groups" test_allocation_budget;
     test "allocation budget: 8 views sharing a key-join stage, through Db.append"
       test_shared_allocation_budget;
     test "shared stages follow drop, redefinition and late definition"
       test_shared_stage_lifecycle;
-    test "shared stages: work counters equal at jobs 1/2/4" test_shared_stats_jobs;
-    qtest ~count:40 "key-join views = Naive recompute (uniform + Zipf(1.1), jobs 1/2/4, churn)"
+    test "shared stages: work counters equal one probe per Δ tuple per stage"
+      test_shared_stats;
+    qtest ~count:40 "key-join views = Naive recompute (uniform + Zipf(1.1), churn)"
       keyjoin_arb prop_keyjoin_matches_naive;
     qtest ~count:60
-      "views sharing key-join stages = Naive recompute; jobs 1/2/4 save the same bytes"
+      "views sharing key-join stages = Naive recompute"
       shared_arb prop_shared_stages;
     qtest ~count:400 "GROUPBY rows, cell bytes and merges ≡ the boxed fold (every function, nulls, floats)"
       boxed_arb prop_boxed_differential;

@@ -21,8 +21,8 @@ module Group = Chronicle_core.Group
 let schema = Schema.make [ ("acct", Value.TInt); ("miles", Value.TInt) ]
 let row (acct, miles) = tup [ vi acct; vi miles ]
 
-let mk_db ?jobs () =
-  let db = Db.create ?jobs () in
+let mk_db () =
+  let db = Db.create () in
   ignore (Db.add_chronicle db ~name:"m" schema);
   ignore (Db.add_chronicle db ~name:"b" schema);
   ignore
@@ -242,8 +242,8 @@ let cmd_gen =
 
 let to_batch b = List.map (fun (c, rows) -> (c, List.map row rows)) b
 
-let run_staged ~jobs ~batch cmds =
-  let db = mk_db ~jobs () in
+let run_staged ~batch cmds =
+  let db = mk_db () in
   let st = Staging.create ~batch db in
   let tickets =
     List.filter_map
@@ -277,17 +277,14 @@ let run_sequential cmds =
 let qcheck_staged_equals_sequential =
   let arb =
     QCheck.make
-      ~print:(fun (cmds, batch, jobs) ->
-        Printf.sprintf "batch=%d jobs=%d %s" batch jobs
+      ~print:(fun (cmds, batch) ->
+        Printf.sprintf "batch=%d %s" batch
           (String.concat " " (List.map show_cmd cmds)))
-      QCheck.Gen.(
-        triple
-          (list_size (int_range 0 20) cmd_gen)
-          (int_range 1 6) (oneofl [ 1; 2 ]))
+      QCheck.Gen.(pair (list_size (int_range 0 20) cmd_gen) (int_range 1 6))
   in
   qtest ~count:300 "staged ≡ sequential (state, sns, ack order)" arb
-    (fun (cmds, batch, jobs) ->
-      let staged_state, acks = run_staged ~jobs ~batch cmds in
+    (fun (cmds, batch) ->
+      let staged_state, acks = run_staged ~batch cmds in
       let seq_state, sns = run_sequential cmds in
       if staged_state <> seq_state then
         QCheck.Test.fail_report "staged and sequential states differ";

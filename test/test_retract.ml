@@ -2,10 +2,9 @@
 
    The metamorphic layer pins the algebra of weights: appending a
    stream and then retracting every row (in any order) returns every
-   persistent view to its pre-stream state; retracting a subset leaves
-   the views exactly as a clean replay of the survivors builds them;
-   and the whole script is parallelism-transparent (jobs ∈ {1,2,4}
-   produce byte-identical databases).  The differential layer pins the
+   persistent view to its pre-stream state; and retracting a subset
+   leaves the views exactly as a clean replay of the survivors builds
+   them.  The differential layer pins the
    weight = +1 fast path: a pure-append workload never moves any of the
    retraction counters. *)
 
@@ -27,8 +26,8 @@ let view_names =
   [ "balance"; "extremes"; "by_state"; "merged"; "postings"; "unmatched";
     "paired"; "peak_batch" ]
 
-let mk_db ?(jobs = 1) ?index () =
-  let db = Db.create ~jobs () in
+let mk_db ?index () =
+  let db = Db.create () in
   ignore
     (Db.add_chronicle db ~retention:Chron.Full ~name:"mileage"
        Fixtures.mileage_schema);
@@ -261,24 +260,6 @@ let test_partial_retraction_duplicate_rows () =
             { chron = 1; rows = [ r 2 21 236 false; r 4 40 142 false; r 1 12 38 false ] };
             { chron = 0; rows = [ r 4 3 43 true; r 3 26 707 true; r 1 35 932 true ] };
           ]))
-
-(* ---- parallelism transparency: jobs ∈ {1,2,4} byte-identical ---- *)
-
-let prop_retract_parallel_transparent s =
-  let run jobs =
-    let db = mk_db ~jobs () in
-    append_all db s;
-    retract_all db (fun r -> not r.keep) s;
-    Snapshot.save db
-  in
-  let reference = run 1 in
-  List.iter
-    (fun jobs ->
-      if not (String.equal (run jobs) reference) then
-        QCheck.Test.fail_reportf
-          "retraction at jobs=%d diverged from the sequential run" jobs)
-    [ 2; 4 ];
-  true
 
 (* ---- differential: the weight = +1 fast path never pays ---- *)
 
@@ -589,7 +570,7 @@ let test_retract_rematerializes_history_readers () =
 
 (* The same over random scenarios: the dropped mileage rows are
    retracted in one call whose failing (entry, view) fold is picked at
-   random, at jobs 1/2/4 and on both backings; then the kept rows are
+   random, on both backings; then the kept rows are
    retracted and the scenario appended again, against a clean run. *)
 let prop_retract_rollback (s, pick) =
   let victims =
@@ -598,16 +579,12 @@ let prop_retract_rollback (s, pick) =
         if chron = 0 then Some (row (r.acct, r.miles)) else None)
       (to_retract (fun r -> not r.keep) s)
   in
-  let run ?fail jobs index =
-    let db = mk_db ~jobs ~index () in
+  let run ?fail index =
+    let db = mk_db ~index () in
     append_all db s;
-    let folds = ref [] and lock = Mutex.create () in
+    let folds = ref [] in
     (match fail with
-    | None ->
-        Db.set_fold_probe db
-          (Some
-             (fun ~view ~sn ->
-               Mutex.protect lock (fun () -> folds := (sn, view) :: !folds)))
+    | None -> Db.set_fold_probe db (Some (fun ~view ~sn -> folds := (sn, view) :: !folds))
     | Some (sn', view') ->
         let saved = Snapshot.save db in
         Db.set_fold_probe db
@@ -618,8 +595,7 @@ let prop_retract_rollback (s, pick) =
             Db.retract db "mileage" victims);
         if not (String.equal saved (Snapshot.save db)) then
           QCheck.Test.fail_reportf
-            "failing fold (%d, %s) at jobs=%d changed the database" sn' view'
-            jobs;
+            "failing fold (%d, %s) changed the database" sn' view';
         Db.set_fold_probe db None);
     ignore (Db.retract db "mileage" victims);
     Db.set_fold_probe db None;
@@ -630,16 +606,12 @@ let prop_retract_rollback (s, pick) =
   victims = []
   || List.for_all
        (fun index ->
-         let reference, folds = run 1 index in
+         let reference, folds = run index in
          let fail = List.nth folds (pick mod List.length folds) in
-         List.for_all
-           (fun jobs ->
-             let state, _ = run ~fail jobs index in
-             String.equal reference state
-             || QCheck.Test.fail_reportf
-                  "after failing fold (%d, %s) at jobs=%d the run diverged"
-                  (fst fail) (snd fail) jobs)
-           [ 1; 2; 4 ])
+         let state, _ = run ~fail index in
+         String.equal reference state
+         || QCheck.Test.fail_reportf "after failing fold (%d, %s) the run diverged"
+              (fst fail) (snd fail))
        backings
 
 (* ---- counter pin: a single-row retraction does not read history ---- *)
@@ -765,8 +737,6 @@ let suite =
       scenario_arb prop_full_retraction;
     qtest ~count:60 "partial retraction ≡ clean replay of survivors"
       scenario_arb prop_partial_retraction;
-    qtest ~count:20 "retraction is parallelism-transparent (jobs 1/2/4)"
-      scenario_arb prop_retract_parallel_transparent;
     qtest ~count:60 "pure appends never move retraction counters"
       scenario_arb prop_pure_append_zero_counters;
     test "retract: a failing view fold rolls back to the byte"
@@ -774,7 +744,7 @@ let suite =
     test "retract: history readers are rebuilt, and roll back"
       test_retract_rematerializes_history_readers;
     qtest ~count:40
-      "a failing fold at a random (entry, view) rolls back (jobs 1/2/4)"
+      "a failing fold at a random (entry, view) rolls back"
       (QCheck.pair scenario_arb QCheck.small_nat)
       prop_retract_rollback;
     test "retract: single-row cost independent of |C| (counter pin)"

@@ -94,14 +94,19 @@ let test_pending_updates_refused () =
   check_raises_any "pending updates block snapshot" (fun () ->
       ignore (Snapshot.save db))
 
+(* The --save/--load path: a checkpoint frame through a disk file. *)
 let test_file_roundtrip () =
   let db = build_db () in
-  let path = Filename.temp_file "chronicle_snap" ".sexp" in
+  let path = Filename.temp_file "chronicle_snap" ".snap" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Snapshot.save_file db path;
-      let db' = Snapshot.load_file path in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (Chronicle_durability.Durable.save_snapshot db));
+      let db' =
+        Chronicle_durability.Durable.load_snapshot
+          (In_channel.with_open_bin path In_channel.input_all)
+      in
       check_tuples "via file"
         (View.to_list (Db.view db "balance"))
         (View.to_list (Db.view db' "balance")))
