@@ -79,11 +79,9 @@ val reads_history : t -> bool
     history beyond the batch being folded — i.e. it contains one of the
     non-CA joins ({!CrossChron}/{!ThetaJoinChron}), whose Δ pairs the
     batch against every earlier retained tuple.  Views over CA proper
-    fold each batch from the batch alone (Theorem 4.2), which is what
-    lets the replay scheduler pre-record later batches before folding
-    earlier ones; a history-reading view forces a sequential barrier
-    (recording batch [i+1] could evict ring-retained tuples that batch
-    [i]'s fold still needs). *)
+    fold each batch from the batch alone (Theorem 4.2); a
+    history-reading view has no minus fold, so a retraction
+    rematerializes it. *)
 
 val column_source : t -> string -> (Chron.t * int) option
 (** [column_source e a]: when [e]'s attribute [a] is a copy of a column
