@@ -1,8 +1,8 @@
 (* E15 — recovery: journal replay wall-clock for two journal shapes.
 
-   Recovery replays runs of consecutive append records as windows, each
-   one call of Db's record-and-fold step without the transaction
-   bracket ([Db.replay_appends], driven by [Durable.recover]): each
+   Recovery replays each append record on its own, one call of Db's
+   record-and-fold step without the transaction bracket
+   ([Db.replay_appends], driven by [Durable.recover]): each
    record is recorded and then folded into its affected views, in
    journal order.  Two journals with the same number of records and the
    same total number of (view × record) folds:

@@ -135,19 +135,30 @@ let run_file snapshot_in snapshot_out durable_dir crash_after crash_point batch
   | exception e -> report_error e
   | stmts ->
       (* execute statement by statement so partial progress is visible;
-         under --batch N an APPEND's ack is deferred until its group
-         commits, so staged results queue here and print — in staging
-         order, which is watermark order — as soon as the next flush
-         resolves them, keeping the output byte-identical to --batch 1 *)
-      let pending = Queue.create () in
-      let drain_pending () =
-        while not (Queue.is_empty pending) do
-          print_result (Analyze.resolve_staged session (Queue.pop pending))
-        done
+         after each statement print the acks it resolved (staging order
+         is watermark order), then its own result — under --batch N an
+         APPEND's ack prints once its group commits, keeping the output
+         byte-identical to --batch 1 *)
+      let print_acks () =
+        List.iter (fun ack -> print_result (Analyze.appended ack)) (Session.acks session)
       in
+      (* a statement's acks print before its own result or error *)
+      let answering f =
+        match f () with
+        | r ->
+            print_acks ();
+            r
+        | exception e ->
+            print_acks ();
+            raise e
+      in
+      let exec stmt =
+        Option.iter print_result (answering (fun () -> Analyze.exec session stmt))
+      in
+      let finish () = answering (fun () -> Session.flush session) in
       let rec go = function
         | [] -> (
-            match drain_pending () with
+            match finish () with
             | exception Fault.Crash point ->
                 Format.printf "simulated crash at %s@." point;
                 2
@@ -170,13 +181,7 @@ let run_file snapshot_in snapshot_out durable_dir crash_after crash_point batch
                         Format.eprintf "snapshot error: %s@." msg;
                         1)))
         | stmt :: rest -> (
-            match
-              match Analyze.exec session stmt with
-              | Analyze.Staged _ as staged -> Queue.add staged pending
-              | result ->
-                  drain_pending ();
-                  print_result result
-            with
+            match exec stmt with
             | () -> go rest
             | exception Fault.Crash point ->
                 (* the process "dies" here: no checkpoint, no snapshot —

@@ -3,7 +3,7 @@ open Relational
 exception Unknown of string
 exception Read_only of string
 
-(* A catalog entry that folds appends after commit: a periodic-view
+(* A catalog entry that takes each append after commit: a periodic-view
    family (§5.1), a derived moving-window view, or an event rule on a
    chronicle (§6). *)
 type temporal =
@@ -50,6 +50,11 @@ type txn_event =
   | Ev_define_temporal of temporal
   | Ev_abort of { group : string; sn : Seqnum.t }
 
+(* A periodic family or windowed view as the write step feeds it: its
+   body's Δ-plan, compiled against the registry's stages, and how it
+   takes the body's Δ of one entry. *)
+type body_reader = { plan : Delta.plan; take : Tuple.t list -> unit }
+
 type t = {
   groups : (string, Group.t) Hashtbl.t;
   chronicles : (string, Chron.t) Hashtbl.t;
@@ -59,6 +64,8 @@ type t = {
   periodics : (string, Periodic.t) Hashtbl.t;
   windows : (string, Windowed_view.t) Hashtbl.t;
   detectors : (string, Detector.t) Hashtbl.t; (* by chronicle name *)
+  mutable bodies : (string * body_reader) list;
+      (* the periodic families by name, then the windowed views by name *)
   mutable txn_sink : (txn_event -> unit) option;
   mutable fold_probe : (view:string -> sn:Seqnum.t -> unit) option;
   mutable read_only : string option;
@@ -86,6 +93,7 @@ let create ?(default_group = "main") ?(jobs = 1) () =
       periodics = Hashtbl.create 8;
       windows = Hashtbl.create 8;
       detectors = Hashtbl.create 8;
+      bodies = [];
       txn_sink = None;
       fold_probe = None;
       read_only = None;
@@ -222,9 +230,9 @@ let registry t = t.registry
 
 (* ---- temporal readers ----
 
-   Periodic families, windowed views and event detectors fold each
-   committed append after the transaction, in record order.  They see
-   appends only: a retraction that reaches one is refused. *)
+   Periodic families, windowed views and event detectors take each
+   append in the write step and apply it after commit, in record order.
+   They see appends only: a retraction that reaches one is refused. *)
 
 let sorted_bindings tbl =
   Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
@@ -236,10 +244,6 @@ let detector t cname = Hashtbl.find_opt t.detectors cname
 let periodics t = sorted_bindings t.periodics
 let windowed_views t = sorted_bindings t.windows
 let detectors t = List.map snd (sorted_bindings t.detectors)
-
-let has_temporal_readers t =
-  Hashtbl.length t.periodics + Hashtbl.length t.windows + Hashtbl.length t.detectors
-  > 0
 
 let add_detector t det =
   let cname = Chron.name (Detector.chronicle det) in
@@ -253,13 +257,26 @@ let define_temporal t def =
     if Hashtbl.mem tbl name then
       invalid_arg (Printf.sprintf "Db.define_temporal: %s %s already exists" kind name)
   in
+  let body def take =
+    { plan = Delta.compile ~stages:(Registry.stages t.registry) (Sca.body def); take }
+  in
+  (* keeps [bodies] in feeding order: periodic families, then windowed
+     views, each by name *)
+  let add_body key reader =
+    t.bodies <-
+      List.merge (fun (a, _) (b, _) -> String.compare a b) [ (key, reader) ] t.bodies
+  in
   (match def with
   | Periodic_def { name; family } ->
       fresh "periodic view" t.periodics name;
-      Hashtbl.add t.periodics name family
+      let reader = body (Periodic.def family) (Periodic.note_append family) in
+      Hashtbl.add t.periodics name family;
+      add_body ("p" ^ name) reader
   | Windowed_def { name; view } ->
       fresh "windowed view" t.windows name;
-      Hashtbl.add t.windows name view
+      let reader = body (Windowed_view.def view) (Windowed_view.note_append view) in
+      Hashtbl.add t.windows name view;
+      add_body ("w" ^ name) reader
   | Rule_def { chronicle = cname; rule } ->
       let det =
         match detector t cname with
@@ -297,24 +314,26 @@ let first_temporal_reader t c =
    the opposite sign: the batch is the minus half of a Z-set delta
    ({!Delta.zset}) at the sequence number it was appended under.  A
    live append, a group commit, the journal's final record, a recovery
-   replay window and a retraction are all that operation over a list of
+   replayed record and a retraction are all that operation over a list of
    [(sn, Z-set batch)] entries, built from three pieces:
 
    - [validate], the one batch check, run before anything is journaled;
    - [record_and_fold], the step: for each entry in order, record it
      (store its plus half or remove its minus half, list the affected
-     views with their folds), then fold each affected view;
+     views with their folds, and compute each temporal reader's input),
+     then fold each affected view;
    - the [transaction] wrapped around the step for live writes and the
      journal's final record: write-ahead event → chronicle, relation
      and view marks → step → commit, or roll everything back and emit
      [Ev_abort], so a journal can erase the write-ahead record, and
-     re-raise.  After an append's commit, [bracket] folds the temporal
-     readers, in record order.
+     re-raise.  After commit, [bracket] applies the temporal readers'
+     inputs in record order; a rollback discards them, so window rings
+     and detector instances need no undo.
 
-   Replay windows run the step bare: no marks (a ring chronicle's undo
-   list does not grow with the window), no write-ahead event, and a
-   failure leaves the database partially replayed for the caller
-   (recovery) to discard. *)
+   Replay runs the step bare: no marks (a ring chronicle's undo list
+   does not grow), no write-ahead event, each entry's temporal inputs
+   applied right after its folds, and a failure leaves the database
+   partially replayed for the caller (recovery) to discard. *)
 
 let dedup_affected views =
   let seen = Hashtbl.create 8 in
@@ -388,21 +407,53 @@ let reprobe_source v =
       | _ -> everything)
   | Sca.Group_agg _ | Sca.Project_out _ -> everything
 
-(* Each view's plan, and the memo the entry's folds share. *)
-let planned views =
+(* Each view's plan, and the memo the entry's folds share with the
+   temporal readers' bodies. *)
+let planned t views =
   let plans = List.map (fun v -> (v, View.plan v)) views in
-  (plans, Delta.memo (List.map snd plans))
+  let view_plans = List.map snd plans in
+  let memo =
+    match t.bodies with
+    | [] -> Delta.memo view_plans
+    | bodies -> Delta.memo (view_plans @ List.map (fun (_, b) -> b.plan) bodies)
+  in
+  (plans, memo)
 
-(* Record one entry: the recorded delta and each affected view's fold.
+(* Each temporal reader's input from the recorded plus [delta] at [sn],
+   as the action that applies it after commit: every periodic family
+   and windowed view takes its body's Δ (computed here, through the
+   entry's [memo]), then each appended chronicle's detector takes the
+   recorded batch. *)
+let temporal_inputs t ~sn ~memo delta =
+  let bodies =
+    List.map
+      (fun (_, b) ->
+        let out = (Delta.run b.plan ~sn ~memo delta).Delta.plus in
+        fun () -> b.take out)
+      t.bodies
+  in
+  if Hashtbl.length t.detectors = 0 then bodies
+  else
+    bodies
+    @ List.filter_map
+        (fun (c, z) ->
+          Option.map
+            (fun det () -> Detector.observe det ~sn z.Delta.plus)
+            (detector t (Chron.name c)))
+        delta
+
+(* Record one entry: the recorded delta, each affected view's fold and
+   each temporal reader's input.
    A plus entry claims [sn], stores its batch and flushes the relation
    updates that have come due (they are proactive for [sn]: they take
    effect before this batch's folds).  A minus entry first captures,
    per view, the at-[sn] slices (only for plans that read them) and the
    re-probe source, then removes its rows; each fold reads the slices
    again after the removal.  History readers have no minus fold: the
-   retraction rematerializes them.  The folds of one entry share a
-   memo ({!Delta.memo}), so a key-join stage their plans share runs
-   once for the entry; it lives as long as the folds. *)
+   retraction rematerializes them; temporal readers take no minus
+   entry.  The folds and temporal inputs of one entry share a memo
+   ({!Delta.memo}), so a key-join stage their plans share runs once for
+   the entry; it lives as long as the folds. *)
 let record t { g; sn; batch } =
   if List.for_all (fun (_, z) -> z.Delta.minus = []) batch then begin
     Group.claim_sn g sn;
@@ -410,11 +461,11 @@ let record t { g; sn; batch } =
       List.map (fun (c, z) -> (c, { z with Delta.plus = Chron.record c sn z.Delta.plus })) batch
     in
     Hashtbl.iter (fun _ r -> Versioned.flush_pending r ~upto:(sn - 1)) t.relations;
-    let plans, memo = planned (affected t (fun z -> z.Delta.plus) delta) in
-    ( delta,
-      List.map
+    let plans, memo = planned t (affected t (fun z -> z.Delta.plus) delta) in
+    ( List.map
         (fun (v, plan) -> (v, fun () -> View.apply v (Delta.stream plan ~sn ~memo delta)))
-        plans )
+        plans,
+      temporal_inputs t ~sn ~memo delta )
   end
   else begin
     let delta =
@@ -423,7 +474,7 @@ let record t { g; sn; batch } =
         batch
     in
     let plans, memo =
-      planned
+      planned t
         (List.filter
            (fun v -> not (reads_history_view v))
            (affected t (fun z -> z.Delta.minus) delta))
@@ -442,7 +493,7 @@ let record t { g; sn; batch } =
     in
     let folds = List.map fold plans in
     List.iter (fun (c, z) -> Chron.remove_stored c sn z.Delta.minus) batch;
-    (delta, folds)
+    (folds, [])
   end
 
 (* One view's fold at [sn], announced to the fold probe first. *)
@@ -460,7 +511,7 @@ let fold_link t v ~sn fold =
    and a retraction's re-probes and slices read the chronicle as its
    own entry left it.  A failure in preparing, recording or folding
    raises [Entry_failed] with the item's index; [folded] then sees each
-   entry as [(sn, recorded delta)], in record order. *)
+   entry's temporal inputs, in record order. *)
 let record_and_fold t ~open_view ~folded prepare items =
   List.iteri
     (fun index item ->
@@ -470,27 +521,17 @@ let record_and_fold t ~open_view ~folded prepare items =
       match indexed (fun () -> prepare index item) with
       | None -> ()
       | Some e ->
-          let delta, folds = indexed (fun () -> record t e) in
+          let folds, inputs = indexed (fun () -> record t e) in
           indexed (fun () ->
               List.iter
                 (fun (v, fold) ->
                   open_view v;
                   fold_link t v ~sn:e.sn fold)
                 folds);
-          folded (e.sn, delta))
+          folded inputs)
     items
 
-(* One entry's temporal folds. *)
-let announce t (sn, delta) =
-  if has_temporal_readers t then begin
-    let batch = List.map (fun (c, z) -> (c, z.Delta.plus)) delta in
-    List.iter (fun (_, p) -> Periodic.note_append p ~sn ~batch) (periodics t);
-    List.iter (fun (_, w) -> Windowed_view.note_append w ~sn ~batch) (windowed_views t);
-    List.iter
-      (fun (c, tagged) ->
-        Option.iter (fun det -> Detector.observe det ~sn tagged) (detector t (Chron.name c)))
-      batch
-  end
+let apply_inputs = List.iter (fun apply -> apply ())
 
 (* The abort tail every write bracket shares, after its state is rolled
    back: count the rollback, let the journal erase the write-ahead
@@ -557,17 +598,17 @@ let bracket t g ~grouped entries =
           acc e.batch)
       [] entries
   in
-  let recorded = ref [] in
+  let inputs = ref [] in
   transaction t g ~sn:(List.hd entries).sn ~event ~chrons (fun ~open_view ->
       record_and_fold t ~open_view
-        ~folded:(fun r -> recorded := r :: !recorded)
+        ~folded:(fun i -> inputs := List.rev_append i !inputs)
         (fun _ e -> Some e)
         entries);
   if grouped then begin
     Stats.incr Stats.Group_commit;
     Stats.record_max Stats.Group_size_max (List.length entries)
   end;
-  List.iter (announce t) (List.rev !recorded)
+  apply_inputs (List.rev !inputs)
 
 (* Live appends take the sequence numbers after the watermark. *)
 let append_live t ~op ~grouped g batches =
@@ -650,18 +691,18 @@ let replay_appends t entries =
       Some { g; sn = rsn; batch = validate t ~op:"replay_appends" g rbatch }
     end
   in
-  (* temporal readers fold each batch before the next is recorded, as in
+  (* temporal readers take each batch before the next is recorded, as in
      a live run *)
-  record_and_fold t ~open_view:ignore ~folded:(announce t) prepare entries;
+  record_and_fold t ~open_view:ignore ~folded:apply_inputs prepare entries;
   outcomes
 
-(* Relation-row inserts follow the same write-ahead discipline as
-   appends: validate every row, emit [Ev_insert] carrying the relation's
-   pre-insert cardinality (the replay-idempotence marker: a checkpoint
-   taken after the insert already holds the rows, and its cardinality
-   exceeds [at], so recovery skips the record), then mutate under an
-   undo mark.  A failure mid-batch (e.g. a key violation on a later row)
-   rolls the relation back and aborts — rows land all-or-nothing. *)
+(* Relation-row inserts go through the same bracket as appends:
+   validate every row, then the transaction's write-ahead [Ev_insert]
+   carries the relation's pre-insert cardinality (the replay-idempotence
+   marker: a checkpoint taken after the insert already holds the rows,
+   and its cardinality exceeds [at], so recovery skips the record).  A
+   failure mid-batch (e.g. a key violation on a later row) rolls the
+   relation back to its mark and aborts — rows land all-or-nothing. *)
 let insert_rows t rname rows =
   check_writable t "insert_rows";
   let r = relation t rname in
@@ -675,14 +716,11 @@ let insert_rows t rname rows =
              rname))
     rows;
   if rows <> [] then begin
-    emit t (Ev_insert { relation = rname; rows; at = Relation.cardinality rel });
-    let m = Versioned.mark r in
-    match List.iter (fun row -> Versioned.insert r row) rows with
-    | () -> Versioned.commit r
-    | exception e ->
-        Versioned.rollback r m;
-        let g = Versioned.group r in
-        abort t g ~sn:(Group.watermark g) e
+    let g = Versioned.group r in
+    transaction t g ~sn:(Group.watermark g)
+      ~event:(Ev_insert { relation = rname; rows; at = Relation.cardinality rel })
+      ~chrons:[]
+      (fun ~open_view:_ -> List.iter (Versioned.insert r) rows)
   end
 
 (* ---- the retraction path ----

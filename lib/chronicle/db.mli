@@ -25,7 +25,8 @@ open Relational
     over minus entries ({!Delta.zset}: the rows removed at each sequence
     number) in the same bracket, with logical undo.  Temporal readers —
     periodic-view families, windowed views and event rules
-    ({!define_temporal}) — fold strictly after commit, in record order.  A
+    ({!define_temporal}) — take their input in the same step and apply
+    it after commit, in record order.  A
     durability layer can watch the bracket through {!set_txn_sink}
     (write-ahead journaling) and inject faults through
     {!set_fold_probe}. *)
@@ -105,8 +106,12 @@ val registry : t -> Registry.t
 
     Periodic-view families (§5.1), derived moving-window views and
     event rules (§6) live in the catalog beside the persistent views.
-    Each folds every committed append after the transaction, in record
-    order; snapshots and the journal carry them like views.  They take
+    Each takes every append in the write step, as the views do:
+    periodic families and windowed views get their body's Δ, computed
+    through the entry's shared stages, and detectors the recorded batch.
+    These inputs apply after the transaction commits, in record order;
+    a rollback discards them.  Snapshots and the journal carry the
+    readers like views.  They take
     appends only: {!retract} refuses a chronicle that one of them
     reads. *)
 
@@ -138,10 +143,6 @@ val windowed_views : t -> (string * Windowed_view.t) list
 val detectors : t -> Detector.t list
 (** Sorted by name (detectors: by chronicle name). *)
 
-val has_temporal_readers : t -> bool
-(** Whether the catalog holds any temporal reader (see
-    {!append_group}). *)
-
 (** {2 Transactions} *)
 
 val append : t -> string -> Tuple.t list -> Seqnum.t
@@ -161,10 +162,11 @@ val append_group : t -> ?group:string -> (string * Tuple.t list) list list -> Se
     appended alone.  Commit is all-or-nothing:
     a failure anywhere rolls the entire group back (chronicles,
     relations, views, watermark), emits [Ev_abort], and re-raises —
-    never a partial group.  Temporal readers fold strictly post-commit,
-    walking the group in record order; callers for whom {e per-batch}
-    fold timing is observable should check {!has_temporal_readers} and
-    fall back to per-append commits.
+    never a partial group, and no temporal reader sees any of it.
+    Temporal readers take each batch's input in the step and apply the
+    inputs after commit, in record order, so they end in the state that
+    per-append commits reach; [on_match] listeners fire after the whole
+    group commits.
     Raises [Invalid_argument] on an empty group, an empty batch, or a
     chronicle outside [group] — before anything is journaled. *)
 
@@ -269,15 +271,14 @@ exception Entry_failed of { index : int; error : exn }
     list. *)
 
 val replay_appends : t -> replay_entry list -> bool array
-(** Re-apply a window of entries in order, {e without} the bracket;
+(** Re-apply the entries of one record in order, {e without} the bracket;
     return per-entry [true] = applied, [false] = skipped (its sequence
     number is already at or below the group watermark).
 
     Each entry is recorded and then folded into its affected views,
     as a live append would be, before the next entry is recorded;
-    temporal readers fold it after its views.  No write-ahead event is
-    emitted and no undo marks are taken, so memory does not grow with
-    the window.
+    temporal readers apply its input right after its views' folds.  No
+    write-ahead event is emitted and no undo marks are taken.
 
     {b Not} transactional across entries: a failure raises
     {!Entry_failed} carrying the failing index and leaves the

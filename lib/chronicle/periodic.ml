@@ -4,7 +4,6 @@ type slot = { interval : Interval.t; view : View.t }
 
 type t = {
   def : Sca.t;
-  body_plan : Delta.plan; (* compiled once; shared by every interval view *)
   calendar : Calendar.t;
   group : Group.t;
   index : Index.kind option;
@@ -19,7 +18,6 @@ let create ?index ?expire_after ~def ~calendar () =
   let group = Ca.group_of (Sca.body def) in
   {
     def;
-    body_plan = Delta.compile (Sca.body def);
     calendar;
     group;
     index;
@@ -73,16 +71,14 @@ let expire_views t chronon =
           t.expired <- t.expired + 1)
         !victims
 
-let note_append t ~sn ~batch =
+let note_append t delta =
   let chronon = Group.now t.group in
   close_views t chronon;
   expire_views t chronon;
   open_views t chronon;
-  if Hashtbl.length t.active > 0 then begin
-    let delta = Delta.run t.body_plan ~sn (Delta.appended batch) in
-    if delta.plus <> [] then
-      Hashtbl.iter (fun _ slot -> View.apply slot.view (Delta.of_zset delta)) t.active
-  end
+  if delta <> [] then
+    let z = Delta.of_zset { Delta.plus = delta; minus = [] } in
+    Hashtbl.iter (fun _ slot -> View.apply slot.view z) t.active
 
 let get t i =
   match Hashtbl.find_opt t.active i with

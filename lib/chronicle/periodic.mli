@@ -30,10 +30,12 @@ val create :
 val def : t -> Sca.t
 val calendar : t -> Calendar.t
 
-val note_append : t -> sn:Seqnum.t -> batch:Delta.batch -> unit
-(** Advance the family to the group's current chronon and fold the
-    batch into every active interval view.  A family in a database's
-    catalog ({!Db.define_temporal}) is fed every committed append. *)
+val note_append : t -> Tuple.t list -> unit
+(** Advance the family to the group's current chronon and fold one
+    append's Δ of the body (the tuples the append adds to it) into
+    every active interval view.  A family in a database's catalog
+    ({!Db.define_temporal}) is fed every committed append, its Δ
+    computed in the append's write step. *)
 
 val get : t -> int -> View.t option
 (** View of the i-th calendar interval, whether active or finalized;

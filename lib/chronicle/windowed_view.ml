@@ -11,7 +11,6 @@ end)
 
 type t = {
   def : Sca.t;
-  body_plan : Delta.plan; (* compiled once at derivation *)
   group : Group.t;
   buckets : int;
   bucket_width : int;
@@ -39,7 +38,6 @@ let derive ?(bucket_width = 1) ?start ~buckets def =
   let group = Ca.group_of (Sca.body def) in
   {
     def;
-    body_plan = Delta.compile (Sca.body def);
     group;
     buckets;
     bucket_width;
@@ -59,9 +57,8 @@ let fresh_window t =
   Window.create ~layout:t.layout ~buckets:t.buckets ~bucket_width:t.bucket_width
     ~start:t.start
 
-let note_append t ~sn ~batch =
+let note_append t delta =
   let chronon = Group.now t.group in
-  let delta = (Delta.run t.body_plan ~sn (Delta.appended batch)).plus in
   List.iter
     (fun tu ->
       let key = Array.to_list (t.key_of tu) in

@@ -46,10 +46,11 @@ val start : t -> Seqnum.chronon
 val layout : t -> Aggregate.layout
 (** The cells of every bucket: {!Sca.layout} of the definition. *)
 
-val note_append : t -> sn:Seqnum.t -> batch:Delta.batch -> unit
-(** Fold a batch into the windows at the group's current chronon.  A
-    windowed view in a database's catalog ({!Db.define_temporal}) is fed
-    every committed append. *)
+val note_append : t -> Tuple.t list -> unit
+(** Fold one append's Δ of the body (the tuples the append adds to it)
+    into the windows at the group's current chronon.  A windowed view
+    in a database's catalog ({!Db.define_temporal}) is fed every
+    committed append, its Δ computed in the append's write step. *)
 
 val lookup : t -> Value.t list -> Tuple.t option
 (** Current window row for a group key: grouping attributes followed by

@@ -128,9 +128,9 @@ type record =
   | P_append of { grouped : bool; entries : Db.replay_entry list }
       (* one append record (a single entry) or group-commit record:
          applied atomically through [Db.replay_record] when it is the
-         replayed prefix's last record, flattened into a replay window
-         otherwise (a non-final record is fully committed by
-         construction — it survived the next write) *)
+         replayed prefix's last record, through the bare step otherwise
+         (a non-final record is fully committed by construction — it
+         survived the next write) *)
   | P_insert of { relation : string; rows : Tuple.t list; at : int }
       (* one Db.insert_rows batch; [at] is the relation's pre-insert
          cardinality, the idempotence marker (see Db.Ev_insert) *)
@@ -636,68 +636,38 @@ type report = {
   degraded : bool;
 }
 
-(* Windows are bounded, so a window's flattened entry list and outcome
-   array stay small over a long journal.  (When a window's folds ran
-   after all of its entries were recorded, E18 measured 10k-record
-   replays 20–60 % slower unbounded than in windows of 256 records;
-   every entry now folds as soon as it is recorded.) *)
-let window_records = 256
-
 (* Replay records [0, n) of the global record sequence into [database];
-   [whole]: the prefix is the whole journal.  Runs of consecutive append
-   and group records (the common journal shape) are dispatched as one
-   window through [Db.replay_appends] — Db's record-and-fold step
-   without its transaction bracket, so no undo marks pile up over the
-   window; catalog/clock records replay one at a time; and the prefix's
-   last record always replays alone through the bracket
-   ([Db.replay_record]), keeping the classic semantics of a batch that
-   died with the crashed process (applied-or-dropped, never
-   half-applied).
+   [whole]: the prefix is the whole journal.  Every record replays on
+   its own.  An append or group record before the last goes through
+   [Db.replay_appends] — Db's record-and-fold step without its
+   transaction bracket, so no undo marks are taken (a non-final group
+   is fully committed: its record survived the next write, so
+   entry-at-a-time replay is exact).  Catalog and clock records, and
+   the prefix's last record, replay through the bracket; the last
+   record thus keeps the classic semantics of a batch that died with
+   the crashed process (applied-or-dropped, never half-applied).
 
    Returns [Ok (replayed, skipped, dropped_failed)], or [Error (k, e)]
    when record [k] failed to apply — unless [k] is the whole journal's
    final record, which is dropped instead. *)
 let replay ~fault database (records : record array) n ~whole =
   let replayed = ref 0 and skipped = ref 0 in
-  let count applied = if applied then incr replayed else incr skipped in
-  let entries k =
-    match records.(k) with P_append { entries; _ } -> entries | _ -> []
-  in
-  let is_append k = match records.(k) with P_append _ -> true | _ -> false in
   let rec go i =
     if i >= n then Ok (!replayed, !skipped, false)
-    else if is_append i && i < n - 1 then begin
-      (* a window of consecutive append/group records, the last record
-         excluded.  Group records flatten into the entry run
-         — a non-final group is fully committed (its record survived the
-         next write), so entry-at-a-time replay is exact — while [owner]
-         maps each entry back to its source record, keeping counts and
-         any failure index record-granular. *)
-      let rec stop j =
-        if j < n - 1 && j - i < window_records && is_append j then stop (j + 1)
-        else j
-      in
-      let window = List.init (stop i - i) (fun d -> i + d) in
-      let owner =
-        Array.of_list
-          (List.concat_map (fun k -> List.map (fun _ -> k) (entries k)) window)
-      in
-      Fault.hit fault p_replay_dispatch;
-      match Db.replay_appends database (List.concat_map entries window) with
-      | outcomes ->
-          let applied = Array.make (List.length window) false in
-          Array.iteri
-            (fun e ok -> if ok then applied.(owner.(e) - i) <- true)
-            outcomes;
-          Array.iter count applied;
-          go (i + List.length window)
-      | exception Db.Entry_failed { index; error } -> Error (owner.(index), error)
-    end
     else
-      match apply_parsed database records.(i) with
+      let apply () =
+        match records.(i) with
+        | P_append { entries; _ } when i < n - 1 ->
+            Fault.hit fault p_replay_dispatch;
+            Array.exists Fun.id (Db.replay_appends database entries)
+        | record -> apply_parsed database record
+      in
+      match apply () with
       | applied ->
-          count applied;
+          incr (if applied then replayed else skipped);
           go (i + 1)
+      | exception (Fault.Crash _ as crash) -> raise crash
+      | exception Db.Entry_failed { error; _ } -> Error (i, error)
       | exception e ->
           if whole && i = n - 1 then
             (* the dying process's final batch: Db's transactional path

@@ -53,8 +53,8 @@ open Chronicle_core
     ["post-group-write"] — hit after group records only, targeting the
     half-committed-group window; ["pre-checkpoint-rename"],
     ["post-checkpoint-rename"], ["view-fold"]; ["replay-dispatch"] —
-    the last hit by {!recover} once per replay window, before its
-    batches are dispatched) or torn writes.  After a simulated crash the
+    hit by {!recover} once per non-final append or group record, before
+    the record replays) or torn writes.  After a simulated crash the
     instance's storage is frozen (a dead process writes nothing more);
     discard the database and {!recover} from the same storage.
 
@@ -219,10 +219,11 @@ val recover :
     and its journal record erased — only when nothing follows it; a
     record that damage follows is not the journal's final record.
 
-    In both modes, runs of consecutive append and group records replay
-    as windows through {!Db.replay_appends} (the record-and-fold step
-    without the bracket, in journal order); catalog and clock records
-    and the replayed prefix's last record replay one at a time. *)
+    In both modes every record replays on its own, in journal order:
+    an append or group record before the last through
+    {!Db.replay_appends} (the record-and-fold step without the
+    bracket); catalog and clock records and the replayed prefix's last
+    record through the bracket. *)
 
 val has_state : Storage.t -> bool
 (** True if the {!layout} lists a checkpoint candidate or a journal

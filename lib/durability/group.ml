@@ -39,45 +39,22 @@ let pending t = t.queued
 let ack s sn = s.ticket.outcome <- Acked sn
 let reject e s = s.ticket.outcome <- Rejected e
 
-let commit_single t gname s =
-  match Db.append_multi t.db ~group:gname s.sbatch with
-  | sn -> ack s sn
-  | exception e ->
-      reject e s;
-      raise e
-
-(* Commit one chronicle group's partition of the drained queue.  A
-   group of one — and any group over a database with temporal readers,
-   whose per-batch folds group commit would defer — takes the plain
-   per-append path, keeping those commits byte-identical to unstaged
-   appends; everything else commits as one atomic [Db.append_group]
-   under a single write-ahead record.  On failure, every ticket whose
-   append was attempted (the whole group on a group abort) is rejected,
-   the untouched remainder of the partition goes back on the queue
-   still pending, and the failure re-raises. *)
+(* Commit one chronicle group's partition of the drained queue: a group
+   of one through the plain per-append path, keeping its commit
+   byte-identical to an unstaged append; anything larger as one atomic
+   [Db.append_group] under a single write-ahead record.  On failure
+   every ticket of the partition is rejected and the failure
+   re-raises. *)
 let commit_part t gname staged =
-  match staged with
-  | [ s ] -> commit_single t gname s
-  | staged when Db.has_temporal_readers t.db ->
-      let rec per_append = function
-        | [] -> ()
-        | s :: rest -> (
-            match commit_single t gname s with
-            | () -> per_append rest
-            | exception e ->
-                (* [s] is rejected; [rest] was never attempted *)
-                t.queue <- t.queue @ List.rev rest;
-                t.queued <- t.queued + List.length rest;
-                raise e)
-      in
-      per_append staged
-  | staged -> (
-      match Db.append_group t.db ~group:gname (List.map (fun s -> s.sbatch) staged) with
-      | sns -> List.iter2 ack staged sns
-      | exception e ->
-          (* all-or-nothing: the whole group aborted together *)
-          List.iter (reject e) staged;
-          raise e)
+  match
+    match staged with
+    | [ s ] -> [ Db.append_multi t.db ~group:gname s.sbatch ]
+    | staged -> Db.append_group t.db ~group:gname (List.map (fun s -> s.sbatch) staged)
+  with
+  | sns -> List.iter2 ack staged sns
+  | exception e ->
+      List.iter (reject e) staged;
+      raise e
 
 let flush t =
   if not t.flushing && t.queue <> [] then begin
@@ -143,8 +120,16 @@ let stage t ?group:gname batch =
   t.queue <- s :: t.queue;
   t.queued <- t.queued + 1;
   Stats.incr Stats.Staged_appends;
-  if t.queued >= t.limit then flush t;
+  (* a failing threshold flush has rejected the tickets it attempted:
+     the failure is theirs to report, not this call's *)
+  (if t.queued >= t.limit then try flush t with _ -> ());
   ticket
+
+let resolved ticket =
+  match ticket.outcome with
+  | Pending -> None
+  | Acked sn -> Some (Ok sn)
+  | Rejected e -> Some (Error e)
 
 let await t ticket =
   (match ticket.outcome with Pending -> flush t | _ -> ());

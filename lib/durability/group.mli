@@ -19,20 +19,22 @@ open Chronicle_core
     Transparency: with a batch threshold of 1, or a group of one, a
     flush commits through the plain per-append path
     ({!Db.append_multi}) — journal layout, counters and observable
-    behaviour are byte-identical to unstaged appends.  A database with
-    temporal readers ({!Db.has_temporal_readers} — periodic families,
-    windowed views and event rules) also falls back to per-append
-    commits, because group commit defers their folds to the end of the
-    group, and a fold that reads the group clock or a rule listener that
-    reads database state mid-group could observe the difference.  Group records are only ever written when
-    they are provably transparent.
+    behaviour are byte-identical to unstaged appends.  Any larger group
+    commits as one {!Db.append_group}, whatever the catalog holds:
+    views fold each entry in the group's write step, and temporal
+    readers (periodic families, windowed views, event rules) take each
+    entry's input there too and apply it after the group commits, in
+    record order.  Every reader therefore ends in the state per-append
+    commits reach; only rule listeners ([Detector.on_match]) observe
+    the difference, firing after the group commits rather than after
+    each append.
 
     Failure: {!stage} validates eagerly and raises on an append that
     could never commit ([Db.Unknown], [Invalid_argument], type errors)
     without enqueuing it.  If a flushed group aborts, {e every} ticket
     of that group resolves to [Error] (all-or-nothing, matching the
-    journal's group atomicity) and the exception re-raises to the
-    flusher. *)
+    journal's group atomicity); {!flush} re-raises the failure, while a
+    flush that {!stage} triggers leaves it to the tickets. *)
 
 type t
 
@@ -60,7 +62,8 @@ val stage : t -> ?group:string -> (string * Tuple.t list) list -> ticket
     {!Db.append_multi}).  Validates immediately — an append that could
     never commit raises here and is never enqueued — then enqueues,
     bumps [Stats.Staged_appends], and flushes if the queue has reached
-    the threshold. *)
+    the threshold.  A failure of that flush does not raise: it resolves
+    the tickets of the failed group to [Error]. *)
 
 val flush : t -> unit
 (** Commit everything staged, in order, as one group per chronicle
@@ -71,3 +74,6 @@ val await : t -> ticket -> (Seqnum.t, exn) result
     [Ok sn] — committed at sequence number [sn]; [Error e] — its group
     aborted with [e].  Tickets resolve in staging order, so awaiting
     the most recent ticket resolves all earlier ones. *)
+
+val resolved : ticket -> (Seqnum.t, exn) result option
+(** The ticket's outcome if it has resolved, without flushing. *)

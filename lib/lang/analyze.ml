@@ -12,7 +12,6 @@ type exec_result =
   | Defined_periodic of { view : string; live : int }
   | Defined_windowed of { view : string; buckets : int }
   | Appended of { chronicle : string; sn : Seqnum.t; count : int }
-  | Staged of { chronicle : string; count : int; ticket : Staging.ticket }
   | Retracted of { chronicle : string; count : int }
   | Inserted of { relation : string; count : int }
   | Defined_rule of { rule : string; chronicle : string }
@@ -241,14 +240,9 @@ let define_temporal db def =
   with Invalid_argument msg | Schema.Unknown_attribute msg | Db.Unknown msg ->
     sem_error "%s" msg
 
-let exec session stmt =
+(* The statements that answer for themselves: all but [APPEND INTO]. *)
+let run session stmt =
   let db = Session.db session in
-  (* Group-commit barrier: every statement except a staged append
-     flushes the session's staging queue first, so nothing — reads,
-     relation updates, clock advances, definitions — can observe the
-     database with a staged append missing.  Under the default batch
-     threshold of 1 the queue is always empty and this is free. *)
-  (match stmt with Ast.Append_into _ -> () | _ -> Session.flush session);
   match stmt with
   | Ast.Create_chronicle { name; columns; retain } ->
       let retention =
@@ -283,27 +277,6 @@ let exec session stmt =
       in
       define_temporal db (Db.Windowed_def { name; view = wv });
       Defined_windowed { view = name; buckets }
-  | Ast.Append_into { chronicle; rows } ->
-      let c =
-        try Db.chronicle db chronicle with Db.Unknown msg -> sem_error "%s" msg
-      in
-      let tuples = rows_to_tuples chronicle (Chron.user_schema c) rows in
-      let stager = Session.stager session in
-      let ticket =
-        try
-          Staging.stage stager
-            ~group:(Group.name (Chron.group c))
-            [ (chronicle, tuples) ]
-        with Invalid_argument msg -> sem_error "%s" msg
-      in
-      let count = List.length tuples in
-      if Staging.batch stager <= 1 then
-        (* committed by the stage call itself (threshold 1): resolve
-           synchronously — indistinguishable from an unstaged append *)
-        match Staging.await stager ticket with
-        | Ok sn -> Appended { chronicle; sn; count }
-        | Error e -> raise e
-      else Staged { chronicle; count; ticket }
   | Ast.Retract_from { chronicle; rows } ->
       let c =
         try Db.chronicle db chronicle with Db.Unknown msg -> sem_error "%s" msg
@@ -344,14 +317,16 @@ let exec session stmt =
           in
           let stager = Session.stager session in
           let gname = Group.name (Chron.group c) in
-          let last =
-            List.fold_left
-              (fun _ tu ->
-                Some (Staging.stage stager ~group:gname [ (target, [ tu ]) ]))
-              None tuples
+          (* one append per record; the load stops at the first group
+             that fails to commit *)
+          let stage tu =
+            let ticket = Staging.stage stager ~group:gname [ (target, [ tu ]) ] in
+            match Staging.resolved ticket with
+            | Some (Error e) -> raise e
+            | Some (Ok _) | None -> ticket
           in
           let sn =
-            match last with
+            match List.fold_left (fun _ tu -> Some (stage tu)) None tuples with
             | None -> Seqnum.zero
             | Some ticket -> (
                 (* awaiting the last ticket flushes and resolves the
@@ -537,18 +512,48 @@ let exec session stmt =
        with Invalid_argument msg -> sem_error "%s" msg);
       Info (Printf.sprintf "batch size set to %d" n)
   | Ast.Flush ->
-      (* the barrier above already drained the queue *)
+      (* the barrier in [exec] already drained the queue *)
       Info "flushed"
+  | Ast.Append_into _ -> assert false (* [exec] stages appends *)
 
-let resolve_staged session = function
-  | Staged { chronicle; count; ticket } -> (
-      match Staging.await (Session.stager session) ticket with
-      | Ok sn -> Appended { chronicle; sn; count }
-      | Error e -> raise e)
-  | r -> r
+let exec session stmt =
+  match stmt with
+  | Ast.Append_into { chronicle; rows } ->
+      (* no barrier: the append joins the staging queue, and its answer
+         is its ack there *)
+      let c =
+        try Db.chronicle (Session.db session) chronicle
+        with Db.Unknown msg -> sem_error "%s" msg
+      in
+      let tuples = rows_to_tuples chronicle (Chron.user_schema c) rows in
+      (try Session.append session ~statement:true chronicle tuples
+       with Invalid_argument msg -> sem_error "%s" msg);
+      None
+  | stmt ->
+      (* Group-commit barrier: every other statement flushes the
+         session's staging queue first, so nothing — reads, relation
+         updates, clock advances, definitions — can observe the database
+         with a staged append missing.  Under the default batch
+         threshold of 1 the queue is always empty and this is free. *)
+      Session.flush session;
+      Some (run session stmt)
+
+let appended { Session.chronicle; count; outcome; _ } =
+  match outcome with
+  | Ok sn -> Appended { chronicle; sn; count }
+  | Error e -> raise e
 
 let run_script session src =
-  List.map (resolve_staged session) (List.map (exec session) (Parser.parse src))
+  let acked () = List.map appended (Session.acks session) in
+  let results =
+    List.concat_map
+      (fun stmt ->
+        let result = exec session stmt in
+        acked () @ Option.to_list result)
+      (Parser.parse src)
+  in
+  Session.flush session;
+  results @ acked ()
 
 let pp_result ppf = function
   | Created name -> Format.fprintf ppf "created %s" name
@@ -564,8 +569,6 @@ let pp_result ppf = function
   | Appended { chronicle; sn; count } ->
       Format.fprintf ppf "appended %d row(s) to %s at sn %a" count chronicle
         Seqnum.pp sn
-  | Staged { chronicle; count; _ } ->
-      Format.fprintf ppf "staged %d row(s) for %s" count chronicle
   | Retracted { chronicle; count } ->
       Format.fprintf ppf "retracted %d row(s) from %s" count chronicle
   | Inserted { relation; count } ->

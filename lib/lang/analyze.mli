@@ -23,14 +23,6 @@ type exec_result =
   | Defined_periodic of { view : string; live : int }
   | Defined_windowed of { view : string; buckets : int }
   | Appended of { chronicle : string; sn : Seqnum.t; count : int }
-  | Staged of {
-      chronicle : string;
-      count : int;
-      ticket : Chronicle_durability.Group.ticket;
-    }
-      (** An [APPEND INTO] held in the session's group-commit staging
-          queue ([SET BATCH n], [n > 1]); resolve it to {!Appended}
-          with {!resolve_staged} once its group commits. *)
   | Retracted of { chronicle : string; count : int }
       (** A [RETRACT FROM]: one stored occurrence of each row removed
           and every persistent view unwound (weight [-1] delta). *)
@@ -49,21 +41,19 @@ val compile_query : Session.t -> Ast.query -> Ra.t
 (** Resolve an ad-hoc query against views, windowed/periodic views and
     relations. *)
 
-val exec : Session.t -> Ast.stmt -> exec_result
-(** Every statement except [APPEND INTO] first flushes the session's
-    group-commit staging queue, so staged appends are never observable
-    out of statement order.  [APPEND INTO] itself commits synchronously
-    under batch threshold 1 (returning {!Appended}, byte-identical to
-    the unstaged path) and stages under a larger threshold (returning
-    {!Staged}). *)
+val exec : Session.t -> Ast.stmt -> exec_result option
+(** [APPEND INTO] stages its rows in the session's queue and returns
+    [None]: its answer is its ack ({!Session.acks}), at every batch
+    size.  Every other statement first flushes the queue, so staged
+    appends are never observable out of statement order (a failed
+    group's error raises here, and its acks carry it too), then
+    returns its result. *)
 
-val resolve_staged : Session.t -> exec_result -> exec_result
-(** {!Staged} → {!Appended} (flushing the queue if the ticket is still
-    pending; re-raises the group's failure if it aborted); every other
-    result passes through. *)
+val appended : Session.ack -> exec_result
+(** A committed ack as {!Appended}; raises a rejected ack's error. *)
 
 val run_script : Session.t -> string -> exec_result list
-(** Parse and execute a whole script; staged appends are resolved, so
-    the results are always {!Staged}-free. *)
+(** Parse and execute a whole script: each statement's resolved acks
+    as {!Appended}, then its own result. *)
 
 val pp_result : Format.formatter -> exec_result -> unit

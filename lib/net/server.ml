@@ -1,7 +1,6 @@
 open Relational
 open Chronicle_core
 open Chronicle_lang
-module Staging = Chronicle_durability.Group
 
 type t = {
   database : Db.t;
@@ -19,14 +18,11 @@ let shutdown_requested t = t.shutdown
 
 (* ---- the per-connection protocol machine ---- *)
 
-type pending = { p_chronicle : string; p_count : int; p_ticket : Staging.ticket }
-
 type conn = {
   server : t;
   session : Session.t;
   inbuf : Buffer.t; (* the trailing partial frame, if any *)
   out : Buffer.t; (* responses produced by the current [feed] *)
-  pending : pending Queue.t; (* deferred acks, staging = watermark order *)
   mutable is_closing : bool;
 }
 
@@ -38,7 +34,6 @@ let accept server =
     session;
     inbuf = Buffer.create 256;
     out = Buffer.create 256;
-    pending = Queue.create ();
     is_closing = false;
   }
 
@@ -53,45 +48,30 @@ let err_of_exn e =
   | Some (kind, message) -> Protocol.Err { kind; message }
   | None -> Protocol.Err { kind = Protocol.E_exec; message = Printexc.to_string e }
 
-(* Resolve every queued ack.  Callers guarantee the tickets are already
-   resolved (the stager just flushed, or its queue is empty), so
-   [Staging.await] returns without forcing a partial group out. *)
-let drain conn =
-  while not (Queue.is_empty conn.pending) do
-    let p = Queue.pop conn.pending in
-    match Staging.await (Session.stager conn.session) p.p_ticket with
-    | Ok sn ->
-        send conn
-          (Protocol.Ack { chronicle = p.p_chronicle; sn; count = p.p_count })
-    | Error e -> send conn (err_of_exn e)
-  done
-
-let drain_if_resolved conn =
-  if
-    (not (Queue.is_empty conn.pending))
-    && Staging.pending (Session.stager conn.session) = 0
-  then drain conn
-
 let render result = Format.asprintf "%a" Analyze.pp_result result
+
+(* Every ack the session's queue has resolved, in staging order: each
+   request answers after the acks it resolved, as a CLI run of the same
+   script prints them.  A statement's append answers as its rendered
+   result, a binary APPEND's as an ACK frame. *)
+let send_acks conn =
+  List.iter
+    (fun (ack : Session.ack) ->
+      send conn
+        (match ack.outcome with
+        | Ok _ when ack.statement -> Protocol.Result (render (Analyze.appended ack))
+        | Ok sn -> Protocol.Ack { chronicle = ack.chronicle; sn; count = ack.count }
+        | Error e -> err_of_exn e))
+    (Session.acks conn.session)
+
 
 let exec_stmt conn stmt =
   match Analyze.exec conn.session stmt with
-  | Analyze.Staged { chronicle; count; ticket } ->
-      Queue.add
-        { p_chronicle = chronicle; p_count = count; p_ticket = ticket }
-        conn.pending;
-      (* a threshold-triggered flush may have committed the group
-         already — deliver the acks now rather than on the next
-         statement *)
-      drain_if_resolved conn
   | result ->
-      (* [exec] flushed the session's stager before running, so every
-         deferred ack is resolved and must precede this result — the
-         CLI's pending-queue print order *)
-      drain conn;
-      send conn (Protocol.Result (render result))
+      send_acks conn;
+      Option.iter (fun r -> send conn (Protocol.Result (render r))) result
   | exception e ->
-      drain_if_resolved conn;
+      send_acks conn;
       send conn (err_of_exn e)
 
 (* The fast path: no lexer, no parser — the payload's typed values feed
@@ -99,37 +79,12 @@ let exec_stmt conn stmt =
    Validation mirrors [Analyze]'s APPEND INTO: unknown chronicle and
    ill-typed rows surface as the same semantic errors. *)
 let exec_append conn chronicle rows =
-  let database = Session.db conn.session in
-  match Db.chronicle database chronicle with
-  | exception Db.Unknown msg ->
+  match Session.append conn.session ~statement:false chronicle (List.map Tuple.make rows) with
+  | () -> send_acks conn
+  | exception (Db.Unknown msg | Invalid_argument msg) ->
       send conn
-        (Protocol.Err
-           { kind = Protocol.E_semantic; message = "semantic error: " ^ msg })
-  | c -> (
-      let stager = Session.stager conn.session in
-      let tuples = List.map Tuple.make rows in
-      match
-        Staging.stage stager
-          ~group:(Group.name (Chron.group c))
-          [ (chronicle, tuples) ]
-      with
-      | exception Invalid_argument msg ->
-          send conn
-            (Protocol.Err
-               { kind = Protocol.E_semantic; message = "semantic error: " ^ msg })
-      | exception e -> send conn (err_of_exn e)
-      | ticket ->
-          let count = List.length tuples in
-          if Staging.batch stager <= 1 then
-            match Staging.await stager ticket with
-            | Ok sn -> send conn (Protocol.Ack { chronicle; sn; count })
-            | Error e -> send conn (err_of_exn e)
-          else begin
-            Queue.add
-              { p_chronicle = chronicle; p_count = count; p_ticket = ticket }
-              conn.pending;
-            drain_if_resolved conn
-          end)
+        (Protocol.Err { kind = Protocol.E_semantic; message = "semantic error: " ^ msg })
+  | exception e -> send conn (err_of_exn e)
 
 let protocol_error conn message =
   send conn (Protocol.Err { kind = Protocol.E_protocol; message });
@@ -149,13 +104,14 @@ let handle_payload conn payload =
          first and the rendered result matches a local RETRACT FROM *)
       exec_stmt conn (Ast.Retract_from { chronicle; rows })
   | Protocol.Flush ->
-      (match Session.flush conn.session with
-      | () -> drain conn
-      | exception _ -> drain conn);
+      (* a failed group answers through its acks *)
+      (try Session.flush conn.session with _ -> ());
+      send_acks conn;
       send conn Protocol.Flushed
   | Protocol.Ping -> send conn Protocol.Pong
   | Protocol.Shutdown ->
-      (match Session.flush conn.session with () -> drain conn | exception _ -> drain conn);
+      (try Session.flush conn.session with _ -> ());
+      send_acks conn;
       conn.server.shutdown <- true;
       send conn Protocol.Bye;
       conn.is_closing <- true

@@ -3,7 +3,7 @@ open Chronicle_core
 (** The chronicle server: a single-process event loop multiplexing many
     concurrent client connections over one shared {!Db}, each
     connection owning its own {!Chronicle_lang.Session} (its own
-    group-commit staging queue, periodic families and detectors) while
+    group-commit staging queue and ack queue) while
     every committed append lands in the one shared database — and, when
     a durability layer is attached to that database, in its one
     journal, which remains the single commit point.
@@ -15,8 +15,9 @@ open Chronicle_core
 
     Semantics worth knowing:
     {ul
-    {- Acks resolve in watermark order, exactly as the staging queue
-       guarantees: under [SET BATCH n] ([n > 1]) an APPEND's ack is
+    {- Acks resolve in watermark order, through the session's ack
+       queue ({!Chronicle_lang.Session.acks}): under [SET BATCH n]
+       ([n > 1]) an APPEND's ack — or its ERR, if its group failed — is
        deferred until its group commits and is delivered before any
        later non-append response on that connection — the same order a
        CLI run of the same script prints.}

@@ -570,14 +570,15 @@ let test_exhaustive_torn_sweep () =
 (* ---- crashes during recovery itself ---- *)
 
 (* Replay exposes its own crash point, ["replay-dispatch"], hit once
-   per window of consecutive append records just before the window
-   replays.  The property: recovery writes nothing to storage until
-   replay is complete, so a crash at any window leaves the journal and checkpoint exactly as the dying process left
-   them, and a subsequent plain recovery reaches the clean final state.
-   A countdown past the last window must not fire at all. *)
+   per non-final append or group record just before the record replays.
+   The property: recovery writes nothing to storage until replay is
+   complete, so a crash at any record leaves the journal and checkpoint
+   exactly as the dying process left them, and a subsequent plain
+   recovery reaches the clean final state.  A countdown past the last
+   such record must not fire at all. *)
 let replay_workload =
-  (* journal shape A A | C | A A | C | A A A: three append windows
-     separated by clock barriers, final record replayed alone *)
+  (* journal shape A A | C | A A | C | A A A: six append records before
+     the final one, which replays through the bracket *)
   [
     Append [ (1, 100); (2, 40) ];
     Bonus [ (1, 10) ];
@@ -593,7 +594,8 @@ let replay_workload =
 let test_replay_dispatch_crash_sweep () =
   let states = clean_states replay_workload in
   let final = states.(Array.length states - 1) in
-  for k = 0 to 4 do
+  let dispatches = 6 in
+  for k = 0 to dispatches do
     let what = Printf.sprintf "replay-dispatch after %d hits" k in
     let storage = Storage.mem () in
     let fault = Fault.create () in
@@ -605,13 +607,15 @@ let test_replay_dispatch_crash_sweep () =
     Fault.arm rfault ~after:k "replay-dispatch";
     (match Durable.recover ~storage ~fault:rfault () with
     | d, _ ->
-        (* countdown outlived the journal's windows: no crash, and
+        (* countdown outlived the journal's records: no crash, and
            recovery reached the clean final state *)
+        if k < dispatches then Alcotest.failf "no crash (%s)" what;
         if Snapshot.save (Durable.db d) <> final then
           Alcotest.failf "uncrashed recovery diverged (%s)" what
     | exception Fault.Crash _ ->
-        (* mid-replay crash: storage untouched, so recovering again
-           (any degree; use 1 for the sequential reference) is clean *)
+        if k = dispatches then Alcotest.failf "crashed past the last record (%s)" what;
+        (* mid-replay crash: storage untouched, so recovering again is
+           clean *)
         let d, report = Durable.recover ~storage () in
         if report.Durable.dropped_failed then
           Alcotest.failf "re-recovery dropped a batch (%s)" what;

@@ -898,6 +898,30 @@ let test_shared_allocation_budget () =
     if words > 90.0 then Alcotest.failf "shared key-join fold: %.2f words/tuple > 90.0" words
   end
 
+(* A windowed view whose body is a persistent view's key join: its
+   plan claims the same stage, so each entry probes the relation once
+   per Δ tuple for both. *)
+let test_windowed_shares_stage () =
+  let db = Db.create () in
+  ignore (Db.add_chronicle db ~name:"mileage" Fixtures.mileage_schema);
+  let cust = Db.add_relation db ~name:"customers" ~schema:Fixtures.customer_schema ~key:[ "cust" ] () in
+  List.iter (fun c -> Versioned.insert cust (tup [ vi c; vs (if c mod 2 = 0 then "NY" else "NJ") ])) [ 1; 2; 3; 4 ];
+  let def name =
+    Sca.define ~name
+      ~body:(Ca.KeyJoinRel (Ca.Chronicle (Db.chronicle db "mileage"), Versioned.relation cust, [ ("acct", "cust") ]))
+      (Sca.Group_agg ([ "state" ], Aggregate.[ sum "fare" "f"; count_star "n" ]))
+  in
+  ignore (Db.define_view db (def "by_state"));
+  Db.define_temporal db
+    (Db.Windowed_def { name = "recent"; view = Windowed_view.derive ~buckets:4 (def "recent") });
+  let batch = List.init 16 (fun i -> Fixtures.mile ((i mod 4) + 1) i (float_of_int i)) in
+  let s0 = Stats.snapshot () in
+  ignore (Db.append db "mileage" batch);
+  check_int "one probe per Δ tuple" (List.length batch)
+    (Stats.diff_get s0 (Stats.snapshot ()) Stats.Light_fold);
+  check_tuples "the window took the batch" (Db.view_contents db "by_state")
+    (Windowed_view.to_list (Option.get (Db.windowed db "recent")))
+
 let suite =
   [
     qtest ~count:400 "cells ≡ Aggregate.step/unstep reference (random ±, rollbacks)"
@@ -915,6 +939,7 @@ let suite =
       test_shared_stage_lifecycle;
     test "shared stages: work counters equal one probe per Δ tuple per stage"
       test_shared_stats;
+    test "a windowed view shares its body's key-join stage" test_windowed_shares_stage;
     qtest ~count:40 "key-join views = Naive recompute (uniform + Zipf(1.1), churn)"
       keyjoin_arb prop_keyjoin_matches_naive;
     qtest ~count:60

@@ -118,9 +118,7 @@ let test_group_abort_all_or_nothing () =
      a whole, every ticket rejects, and the database rolls back *)
   let boom = Failure "fold poisoned" in
   Db.set_fold_probe db (Some (fun ~view:_ ~sn:_ -> raise boom));
-  (match Staging.stage st [ ("m", [ row (3, 30) ]) ] with
-  | _ -> Alcotest.fail "flush must re-raise the group's failure"
-  | exception Failure _ -> ());
+  let t3 = Staging.stage st [ ("m", [ row (3, 30) ]) ] in
   Db.set_fold_probe db None;
   check_int "rolled back" 0 (Group.watermark (Db.default_group db));
   check_tuples "views untouched" [] (Db.view_contents db "balance");
@@ -130,31 +128,86 @@ let test_group_abort_all_or_nothing () =
   in
   check_bool "first ticket rejected" true (rejected t1);
   check_bool "second ticket rejected" true (rejected t2);
+  check_bool "third ticket rejected" true (rejected t3);
+  (* the threshold flush left the failure to the tickets; an explicit
+     flush re-raises it *)
+  Db.set_fold_probe db (Some (fun ~view:_ ~sn:_ -> raise boom));
+  let t5 = Staging.stage st [ ("m", [ row (5, 50) ]) ] in
+  (match Staging.flush st with
+  | () -> Alcotest.fail "flush must re-raise the group's failure"
+  | exception Failure _ -> ());
+  Db.set_fold_probe db None;
+  check_bool "flushed ticket rejected" true (rejected t5);
   (* the stager keeps working after an abort *)
   let t4 = Staging.stage st [ ("m", [ row (4, 40) ]) ] in
   Staging.flush st;
   check_int "fresh append commits at sn 1" 1 (sn_of (Staging.await st t4))
 
-let test_batch_hooks_fall_back_to_per_append () =
-  let db = mk_db () in
-  let view =
-    Windowed_view.derive ~buckets:2
-      (Sca.define ~name:"recent" ~body:(Ca.Chronicle (Db.chronicle db "m"))
-         (Sca.Group_agg ([], [ Aggregate.count_star "n" ])))
-  in
-  Db.define_temporal db (Db.Windowed_def { name = "recent"; view });
-  check_bool "temporal reader visible" true (Db.has_temporal_readers db);
+(* ---- temporal readers commit in the group ---- *)
+
+(* A windowed view over a key join, a periodic family and an event rule
+   on one chronicle. *)
+let temporal_db () =
+  let db = Db.create () in
+  ignore
+    (Chronicle_lang.Analyze.run_script (Chronicle_lang.Session.of_db db)
+       "CREATE CHRONICLE t (acct INT, amount INT);\n\
+        CREATE RELATION accounts (acct INT, branch STRING) KEY (acct);\n\
+        INSERT INTO accounts VALUES (1, 'x'), (2, 'y'), (3, 'x');\n\
+        DEFINE VIEW by_branch AS SELECT branch, SUM(amount) AS total FROM \
+        CHRONICLE t JOIN accounts ON acct = acct GROUP BY branch;\n\
+        DEFINE WINDOWED VIEW recent BUCKETS 3 AS SELECT branch, SUM(amount) AS \
+        total FROM CHRONICLE t JOIN accounts ON acct = acct GROUP BY branch;\n\
+        DEFINE PERIODIC VIEW tiles AS SELECT acct, COUNT(*) AS n FROM CHRONICLE \
+        t GROUP BY acct CALENDAR TILING START 0 WIDTH 10;\n\
+        DEFINE RULE twice ON t KEY (acct) WHEN EVENT (amount > 0) THEN EVENT \
+        (amount > 0);");
+  db
+
+let temporal_batches = List.map (fun r -> [ ("t", [ row r ]) ]) [ (1, 10); (2, 20); (1, 5) ]
+
+let test_temporal_readers_join_the_group () =
+  let per_append = temporal_db () in
+  List.iter (fun b -> ignore (Db.append_multi per_append b)) temporal_batches;
+  let db = temporal_db () in
+  let events = ref [] in
+  Db.set_txn_sink db (Some (fun ev -> events := ev :: !events));
   let st = Staging.create ~batch:3 db in
   Stats.reset ();
-  let t1 = Staging.stage st [ ("m", [ row (1, 1) ]) ] in
-  ignore (Staging.stage st [ ("m", [ row (2, 2) ]) ]);
-  ignore (Staging.stage st [ ("m", [ row (3, 3) ]) ]);
-  check_int "flushed at threshold" 0 (Staging.pending st);
-  check_int "acks still in order" 1 (sn_of (Staging.await st t1));
-  (* per-append commits: the window folded every batch, and no group
-     record was ever written *)
-  check_tuples "window per append" [ tup [ vi 3 ] ] (Windowed_view.to_list view);
-  check_int "no group commit" 0 (Stats.get Stats.Group_commit)
+  let tickets = List.map (Staging.stage st) temporal_batches in
+  Db.set_txn_sink db None;
+  check_int "one group commit" 1 (Stats.get Stats.Group_commit);
+  (match !events with
+  | [ Db.Ev_group { entries; _ } ] -> check_int "three entries" 3 (List.length entries)
+  | _ -> Alcotest.fail "the three appends must journal as one Ev_group");
+  Alcotest.(check (list int))
+    "acks in staging order" [ 1; 2; 3 ]
+    (List.map (fun t -> sn_of (Staging.await st t)) tickets);
+  let det = Option.get (Db.detector db "t") in
+  check_int "the rule fired in the group" 1 (Detector.occurrence_count det);
+  check_tuples "the window took the group"
+    [ tup [ vs "x"; vi 15 ]; tup [ vs "y"; vi 20 ] ]
+    (Windowed_view.to_list (Option.get (Db.windowed db "recent")));
+  check_bool "every reader equals the per-append run" true
+    (Snapshot.save db = Snapshot.save per_append)
+
+let test_failed_group_leaves_temporal_readers () =
+  let db = temporal_db () in
+  List.iter (fun b -> ignore (Db.append_multi db b)) temporal_batches;
+  let before = Snapshot.save db in
+  let third = Group.watermark (Db.default_group db) + 3 in
+  Db.set_fold_probe db
+    (Some (fun ~view:_ ~sn -> if sn = third then failwith "fold of the third entry"));
+  let st = Staging.create ~batch:3 db in
+  let tickets = List.map (Staging.stage st) temporal_batches in
+  Db.set_fold_probe db None;
+  List.iter
+    (fun t ->
+      match Staging.await st t with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "every ticket of the failed group rejects")
+    tickets;
+  check_bool "no temporal reader saw the failed group" true (Snapshot.save db = before)
 
 (* ---- the counter story: one journal record per flushed group ---- *)
 
@@ -302,7 +355,9 @@ let suite =
     test "set_batch flushes at the new threshold" test_set_batch_flushes_at_threshold;
     test "stage validates eagerly" test_eager_validation;
     test "group abort is all-or-nothing" test_group_abort_all_or_nothing;
-    test "batch hooks force per-append commits" test_batch_hooks_fall_back_to_per_append;
+    test "temporal readers commit in the group" test_temporal_readers_join_the_group;
+    test "a failed group leaves temporal readers untouched"
+      test_failed_group_leaves_temporal_readers;
     test "one journal record per flushed group" test_counters_one_record_per_group;
     test "batched journal recovers to the sequential state"
       test_batched_recovery_equals_sequential;

@@ -288,6 +288,45 @@ let test_machine_batched_acks () =
   | [ Protocol.Flushed ] -> ()
   | _ -> Alcotest.fail "FLUSH with nothing staged answers just FLUSHED"
 
+(* A group that fails mid-stream: the first fold at sn 3 raises.  Each rejected append's ERR sits in its ack's place — at
+   batch 1 only the third append's, at batch 4 all four of its group's,
+   answered by the request that committed the group — and the session
+   keeps going. *)
+let test_machine_failed_group_acks ~batch () =
+  let server, conn = machine () in
+  ignore (feed conn (Protocol.Stmt "CREATE CHRONICLE t (a INT);"));
+  ignore
+    (feed conn
+       (Protocol.Stmt "DEFINE VIEW v AS SELECT a, COUNT(*) AS n FROM CHRONICLE t GROUP BY a;"));
+  ignore (feed conn (Protocol.Stmt (Printf.sprintf "SET BATCH %d;" batch)));
+  let db = Server.db server in
+  let poisoned = ref true in
+  Db.set_fold_probe db
+    (Some
+       (fun ~view:_ ~sn ->
+         if !poisoned && sn = 3 then begin
+           poisoned := false;
+           failwith "third fold"
+         end));
+  let ap n = Protocol.Append { chronicle = "t"; rows = [ [ Value.Int n ] ] } in
+  let answers = List.map (fun n -> feed conn (ap n)) [ 1; 2; 3; 4 ] in
+  let shape = function
+    | Protocol.Ack { sn; _ } -> Printf.sprintf "ack %d" sn
+    | Protocol.Err _ -> "err"
+    | _ -> "other"
+  in
+  let got = List.map (fun rs -> String.concat "," (List.map shape rs)) answers in
+  let expected =
+    if batch = 1 then [ "ack 1"; "ack 2"; "err"; "ack 3" ] else [ ""; ""; ""; "err,err,err,err" ]
+  in
+  Alcotest.(check (list string)) "each ERR in its ack's place" expected got;
+  let after = feed conn (ap 5) in
+  let flushed = feed conn Protocol.Flush in
+  match List.map shape (after @ flushed) with
+  | [ "ack 4"; "other" ] when batch = 1 -> ()
+  | [ "ack 1"; "other" ] when batch = 4 -> ()
+  | rs -> Alcotest.failf "the session keeps acking after the failure: %s" (String.concat "," rs)
+
 let test_machine_byte_at_a_time () =
   let _, conn = machine () in
   let stream =
@@ -464,6 +503,10 @@ let suite =
     test "machine: statements and the append fast path" test_machine_stmt;
     test "machine: batched acks resolve in watermark order"
       test_machine_batched_acks;
+    test "machine: a failed group's ERRs in ack order, batch 1"
+      (test_machine_failed_group_acks ~batch:1);
+    test "machine: a failed group's ERRs in ack order, batch 4"
+      (test_machine_failed_group_acks ~batch:4);
     test "machine: byte-at-a-time delivery" test_machine_byte_at_a_time;
     test "machine: the retract opcode" test_machine_retract;
     test "machine: protocol errors close cleanly" test_machine_protocol_error_closes;
